@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint vet fuzz bench crash-stress
+.PHONY: build test race lint vet fuzz bench bench-smoke crash-stress
 
 build:
 	$(GO) build ./...
@@ -33,6 +33,15 @@ fuzz:
 
 bench:
 	$(GO) test -short -run '^$$' -bench 'Join|AccessMethod|RefChase' -benchtime=1x ./...
+
+# The repository benchmark (bench/, a module of its own that drives the
+# engine through its public and internal APIs) must keep compiling and
+# its smoke run must pass: an engine API change that breaks the harness
+# fails here, not in the benchmark run. Never edited by a change that
+# claims a gain.
+bench-smoke:
+	$(GO) -C bench vet .
+	$(GO) -C bench test .
 
 # Durability stress: the crash harness (kill-and-reopen rounds under the
 # race detector) plus the WAL torn-tail corpus. EXTRA_CRASH_ROUNDS

@@ -68,6 +68,12 @@ func TestDebugServerMetrics(t *testing.T) {
 		"extra_plan_cache_size 1",
 		"extra_expr_compile_count_total ",
 		"# TYPE extra_phase_compile_ns histogram",
+		// The write path: every publication is timed and sized. The two
+		// size histograms are counts and carry no time unit.
+		"# TYPE extra_mvcc_commit_freeze_ns histogram",
+		"# TYPE extra_mvcc_commit_dirty_objs histogram",
+		`extra_mvcc_commit_dirty_pages_bucket{le="+Inf"} `,
+		"# TYPE extra_mvcc_version gauge",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, body)

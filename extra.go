@@ -272,6 +272,7 @@ func open(cfg config, reg *adt.Registry) (*DB, error) {
 	db.wmu.SetName("db.wmu")
 	db.mu.SetName("db.mu")
 	db.exec.SetMetrics(mreg)
+	db.store.SetMetrics(mreg)
 	db.def = &Session{db: db, id: 0, user: "dba", sem: sema.NewSession()}
 	if cfg.walDir != "" {
 		// Recovery before anything else can observe the DB: checkpoint
@@ -361,8 +362,10 @@ func (db *DB) ResetPoolStats() { db.pool.ResetStats() }
 
 // Metrics exposes the engine metrics registry: statement counters by
 // kind, parse/check/plan/execute phase latency histograms, rows
-// returned and error counts. The registry is safe for concurrent
-// reads while statements execute.
+// returned and error counts, and the publication figures of the write
+// path (mvcc.commit.freeze, mvcc.commit.dirty_objs,
+// mvcc.commit.dirty_pages, mvcc.version). The registry is safe for
+// concurrent reads while statements execute.
 func (db *DB) Metrics() *Metrics { return db.metrics }
 
 // MetricsSnapshot copies the registry and merges in the buffer pool

@@ -361,7 +361,10 @@ func mustOpen(t *testing.T) *DB {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { db.Close() })
+	t.Cleanup(func() {
+		checkCanonical(t, db)
+		db.Close()
+	})
 	return db
 }
 

@@ -56,8 +56,10 @@ const NumBuckets = 48
 
 // Histogram records durations in fixed log-scale (power-of-two) buckets
 // with an exact running count, sum and maximum. All fields are atomics;
-// Observe is wait-free apart from the max update loop.
+// Observe is wait-free apart from the max update loop. A histogram made
+// by Registry.CountHistogram records plain counts in the same buckets.
 type Histogram struct {
+	counts  bool // observations are counts, not nanoseconds; fixed at creation
 	count   atomic.Uint64
 	sum     atomic.Uint64 // nanoseconds
 	max     atomic.Uint64 // nanoseconds
@@ -102,6 +104,10 @@ func (h *Histogram) Observe(d time.Duration) {
 		}
 	}
 }
+
+// ObserveCount records one count (objects, pages) in a histogram made by
+// Registry.CountHistogram.
+func (h *Histogram) ObserveCount(n int) { h.Observe(time.Duration(n)) }
 
 // Registry holds the engine's named metrics. The zero value is not
 // usable; call NewRegistry.
@@ -157,6 +163,19 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
+// CountHistogram is Histogram for a distribution of counts rather than
+// durations: snapshots mark it so, and renderings drop the time unit.
+func (r *Registry) CountHistogram(name string) *Histogram {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	h, ok := r.hists[name]
+	if !ok {
+		h = &Histogram{counts: true}
+		r.hists[name] = h
+	}
+	return h
+}
+
 // Reset zeroes every registered metric, keeping the handles valid
 // (benchmark hygiene: resolved hot-path handles keep working).
 func (r *Registry) Reset() {
@@ -184,8 +203,10 @@ type Bucket struct {
 	Count uint64 `json:"count"`
 }
 
-// HistogramSnapshot is a point-in-time copy of one histogram.
+// HistogramSnapshot is a point-in-time copy of one histogram. Counts
+// marks a histogram of counts: its "ns" fields are then plain numbers.
 type HistogramSnapshot struct {
+	Counts  bool     `json:"counts,omitempty"`
 	Count   uint64   `json:"count"`
 	SumNS   uint64   `json:"sum_ns"`
 	MaxNS   uint64   `json:"max_ns"`
@@ -252,9 +273,10 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for name, h := range r.hists {
 		hs := HistogramSnapshot{
-			Count: h.count.Load(),
-			SumNS: h.sum.Load(),
-			MaxNS: h.max.Load(),
+			Counts: h.counts,
+			Count:  h.count.Load(),
+			SumNS:  h.sum.Load(),
+			MaxNS:  h.max.Load(),
 		}
 		for i := range h.buckets {
 			if n := h.buckets[i].Load(); n > 0 {
@@ -298,9 +320,16 @@ func (s Snapshot) WriteText(w io.Writer) error {
 	sort.Strings(names)
 	for _, n := range names {
 		h := s.Histograms[n]
+		// A time.Duration prints with its unit, an int64 bare.
+		unit := func(d time.Duration) any {
+			if h.Counts {
+				return int64(d)
+			}
+			return d
+		}
 		if _, err := fmt.Fprintf(w, "%-32s count=%d mean=%v p50=%v p95=%v p99=%v max=%v\n",
-			n, h.Count, h.Mean(), h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99),
-			time.Duration(h.MaxNS)); err != nil {
+			n, h.Count, unit(h.Mean()), unit(h.Quantile(0.50)), unit(h.Quantile(0.95)), unit(h.Quantile(0.99)),
+			unit(time.Duration(h.MaxNS))); err != nil {
 			return err
 		}
 	}

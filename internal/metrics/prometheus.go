@@ -28,9 +28,10 @@ func promName(name string) string {
 // WritePrometheus renders the snapshot in the Prometheus text
 // exposition format (version 0.0.4): counters as <name>_total with
 // TYPE counter, gauges with TYPE gauge, and histograms as native
-// Prometheus histograms — cumulative le buckets in nanoseconds
-// (_bucket{le="..."}), _sum and _count. Metric names are sorted, so
-// two snapshots of the same state render identically.
+// Prometheus histograms — cumulative le buckets (_bucket{le="..."}),
+// _sum and _count, in nanoseconds under a _ns name for durations and
+// under the bare name for counts. Metric names are sorted, so two
+// snapshots of the same state render identically.
 //
 // extra:output
 func (s Snapshot) WritePrometheus(w io.Writer) error {
@@ -65,7 +66,10 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 	sort.Strings(names)
 	for _, n := range names {
 		h := s.Histograms[n]
-		pn := promName(n) + "_ns"
+		pn := promName(n)
+		if !h.Counts {
+			pn += "_ns"
+		}
 		if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", pn); err != nil {
 			return err
 		}

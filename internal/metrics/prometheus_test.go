@@ -66,6 +66,38 @@ func TestWritePrometheusHistogram(t *testing.T) {
 	}
 }
 
+// TestCountHistogramRendering pins the unit of a histogram of counts:
+// no _ns in the exposition name, no duration suffix in the text form.
+func TestCountHistogramRendering(t *testing.T) {
+	r := NewRegistry()
+	h := r.CountHistogram("mvcc.commit.dirty_objs")
+	h.ObserveCount(2)
+	h.ObserveCount(5)
+	snap := r.Snapshot()
+	var b strings.Builder
+	if err := snap.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"# TYPE extra_mvcc_commit_dirty_objs histogram\n",
+		`extra_mvcc_commit_dirty_objs_bucket{le="3"} 1` + "\n",
+		`extra_mvcc_commit_dirty_objs_bucket{le="+Inf"} 2` + "\n",
+		"extra_mvcc_commit_dirty_objs_sum 7\n",
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("exposition missing %q:\n%s", want, b.String())
+		}
+	}
+	CheckExposition(t, b.String())
+	b.Reset()
+	if err := snap.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	if want := "count=2 mean=3 p50=5 p95=5 p99=5 max=5\n"; !strings.HasSuffix(b.String(), want) {
+		t.Errorf("text form %q does not end in %q", b.String(), want)
+	}
+}
+
 // TestWritePrometheusDeterministic pins rendering order: two snapshots
 // of the same state produce byte-identical expositions (metric names
 // are sorted, never map order).

@@ -201,40 +201,26 @@ func (s *Store) checkUnique(extent string, id oid.OID, tv *value.Tuple) error {
 	return nil
 }
 
-// treeWrite returns the index's working tree for mutation, cloning it
-// first when the current tree is shared with the latest published
-// snapshot. This is the index half of copy-on-write: at most one clone
-// per index per publication window, and every tree a snapshot holds is
-// frozen forever. The caller must hold the write lock.
-//
-// extra:requires db.wmu.W
-func (s *Store) treeWrite(ix *catalog.Index) *storage.BTree {
-	if sn := s.snap.Load(); sn != nil && sn.indexes[ix.Name] == ix.Tree {
-		ix.Tree = ix.Tree.Clone()
-	}
-	return ix.Tree
-}
-
 // indexInsert maintains every index on extent for a newly stored
-// object. Mutates working trees via treeWrite.
+// object. The working trees are always writable: Commit publishes a
+// Clone, never the tree itself.
 //
 // extra:requires db.wmu.W
 func (s *Store) indexInsert(extent string, id oid.OID, tv *value.Tuple) {
 	for _, ix := range s.cat.IndexesOn(extent) {
 		if key, ok := indexKey(tv, ix); ok {
-			s.treeWrite(ix).Insert(key, uint64(id))
+			ix.Tree.Insert(key, uint64(id))
 		}
 	}
 }
 
 // indexDelete removes an object's entries from every index on extent.
-// Mutates working trees via treeWrite.
 //
 // extra:requires db.wmu.W
 func (s *Store) indexDelete(extent string, id oid.OID, tv *value.Tuple) {
 	for _, ix := range s.cat.IndexesOn(extent) {
 		if key, ok := indexKey(tv, ix); ok {
-			s.treeWrite(ix).Delete(key, uint64(id))
+			ix.Tree.Delete(key, uint64(id))
 		}
 	}
 }

@@ -72,8 +72,8 @@ func (s *Store) ExportVar(name string) ([]byte, error) {
 }
 
 // RestoreObject re-creates an object with its original identity. The
-// extent (or the nursery for components) must already exist; the encoded
-// tuple is stored verbatim and indexed.
+// extent (or the nursery for components) must already exist; the tuple
+// is stored and indexed without internalization.
 //
 // extra:requires db.wmu.W
 func (s *Store) RestoreObject(o ExportObject) error {
@@ -98,7 +98,14 @@ func (s *Store) RestoreObject(o ExportObject) error {
 			return fmt.Errorf("restore: no extent %s", o.Extent)
 		}
 	}
-	rid, err := h.Insert(o.Data)
+	// Store the canonical encoding, not the bytes given: a dump written
+	// by hand may spell a value in a way Encode never would, and the
+	// snapshot exports by encoding (Snapshot.ExportObjects).
+	enc, err := encode(tv)
+	if err != nil {
+		return err
+	}
+	rid, err := h.Insert(enc)
 	if err != nil {
 		return err
 	}
@@ -117,13 +124,16 @@ func (s *Store) RestoreObject(o ExportObject) error {
 // extra:requires db.wmu.W
 func (s *Store) RestoreElem(extent string, data []byte) error {
 	s.bump()
-	s.markElems(extent)
 	h, ok := s.elems[extent]
 	if !ok {
 		return fmt.Errorf("restore: no element extent %s", extent)
 	}
-	_, err := h.Insert(data)
-	return err
+	rid, err := h.Insert(data)
+	if err != nil {
+		return err
+	}
+	s.markElemPage(extent, rid.Page)
+	return nil
 }
 
 // RestoreVar overwrites a singleton/array variable with a dumped value

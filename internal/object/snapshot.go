@@ -3,12 +3,13 @@ package object
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/codec"
+	"repro/internal/metrics"
 	"repro/internal/oid"
 	"repro/internal/storage"
-	"repro/internal/types"
 	"repro/internal/value"
 )
 
@@ -20,80 +21,90 @@ import (
 // cache valid "as long as Version is unchanged") into a first-class
 // contract: a Snapshot *is* the store at one version, forever.
 //
-// Mutating methods record what they touched in the store's dirty sets;
-// Commit decodes only the dirty objects, layers them over the previous
-// snapshot's object map, rebuilds the scan-order views of the dirty
-// extents, and publishes the result with one atomic pointer store. Index
-// trees are copy-on-write at a different grain: the live tree is cloned
-// lazily by treeWrite the first time a writer touches an index whose
-// tree is shared with the latest snapshot.
+// Mutating methods record what they touched in the store's dirty sets —
+// the objects, and the heap page of every record written or removed.
+// Commit decodes only the dirty objects, re-reads only the dirty pages,
+// and shares everything else with the previous snapshot by reference:
+// the object map is a persistent trie (objmap.go), an extent's scan view
+// is one immutable chunk per heap page, and an index tree is frozen with
+// an O(1) path-copying Clone. The cost of a commit follows the size of
+// the write, not the size of the database. The sharing rests on one
+// invariant: nothing reachable from a published Snapshot is mutated, and
+// a node is writable only by the epoch that allocated it.
 
-// snapObj is one object's frozen state inside a snapshot. A nil tv is a
-// tombstone: the object was deleted in the layer's commit.
-type snapObj struct {
-	extent string
-	typ    *types.TupleType
-	owner  oid.OID
-	tv     *value.Tuple
-	enc    []byte // codec-encoded record, for byte-identical export
+// pageChunk is the frozen content of one heap page of an extent: the
+// page's live records in slot order. Object extents key a record by the
+// object's oid and hold its decoded tuple; element extents key it by RID
+// and hold the decoded element.
+type pageChunk[K, V any] struct {
+	keys []K
+	vals []V
 }
 
-// objLayer is one commit's worth of object changes layered over its
-// parent. Lookups walk from the newest layer down; every maxLayerDepth
-// commits the chain is flattened so old snapshots can be collected and
-// lookups stay O(1).
-type objLayer struct {
-	m      map[oid.OID]snapObj
-	parent *objLayer
-	depth  int
+// pageView is the scan-order view of one extent: a chunk per data page
+// in HeapFile.Pages order — page order, then slot order, exactly the
+// order a scan of the live heap file visits.
+type pageView[K, V any] struct {
+	chunks []*pageChunk[K, V]
+	n      int // records in all chunks
 }
 
-const maxLayerDepth = 8
+type (
+	extentSnap = pageView[oid.OID, *value.Tuple]
+	elemSnap   = pageView[storage.RID, value.Value]
+)
 
-func (l *objLayer) get(id oid.OID) (snapObj, bool) {
-	for c := l; c != nil; c = c.parent {
-		if so, ok := c.m[id]; ok {
-			if so.tv == nil {
-				return snapObj{}, false // tombstone
+// pageDirt is what one publication window touched in one extent.
+type pageDirt struct {
+	all   bool                        // created or dropped in the window: no chunk carries over
+	pages map[storage.PageID]struct{} // pages holding a record that was written or removed
+}
+
+// refresh derives the extent's next view from pv (nil when the extent is
+// new): chunks of the pages in d, and of pages the file has grown by,
+// are rebuilt with freeze; every other chunk is shared. The one cost
+// left that follows the extent rather than the write is copying the
+// chunk pointers, 8 bytes per 4 KiB page.
+func (pv *pageView[K, V]) refresh(h *storage.HeapFile, d *pageDirt, freeze func(storage.PageID) (*pageChunk[K, V], error)) (*pageView[K, V], error) {
+	pages := h.Pages()
+	nv := &pageView[K, V]{chunks: make([]*pageChunk[K, V], len(pages))}
+	put := func(i int) error {
+		c, err := freeze(pages[i])
+		if err != nil {
+			return err
+		}
+		if old := nv.chunks[i]; old != nil {
+			nv.n -= len(old.keys)
+		}
+		nv.chunks[i] = c
+		nv.n += len(c.keys)
+		return nil
+	}
+	kept := 0
+	if pv != nil && !d.all {
+		// Pages are only ever appended between two DropAlls, and a drop
+		// sets d.all: position i is the same page in both views.
+		kept = copy(nv.chunks, pv.chunks)
+		nv.n = pv.n
+		dirty := make([]int, 0, len(d.pages))
+		for pid := range d.pages {
+			if i, ok := h.PageIndex(pid); ok && i < kept {
+				dirty = append(dirty, i)
 			}
-			return so, true
+		}
+		sort.Ints(dirty) // file order, whatever order the map gave
+		for _, i := range dirty {
+			if err := put(i); err != nil {
+				return nil, err
+			}
 		}
 	}
-	return snapObj{}, false
-}
-
-// flattenMap merges the whole chain into one map of live objects,
-// dropping tombstones. Layers are visited newest-first; the first layer
-// to mention an id decides it (live or tombstoned), exactly like get.
-func (l *objLayer) flattenMap() map[oid.OID]snapObj {
-	m := make(map[oid.OID]snapObj)
-	seen := make(map[oid.OID]bool)
-	for c := l; c != nil; c = c.parent {
-		for id, so := range c.m {
-			if seen[id] {
-				continue
-			}
-			seen[id] = true
-			if so.tv != nil {
-				m[id] = so
-			}
+	for i := kept; i < len(pages); i++ {
+		if err := put(i); err != nil {
+			return nil, err
 		}
 	}
-	return m
-}
-
-// extentSnap is the scan-order view of one object-set extent: ids and
-// decoded tuples in heap order, exactly the order Store.ScanExtent
-// visits.
-type extentSnap struct {
-	ids []oid.OID
-	tvs []*value.Tuple
-}
-
-// elemSnap is the scan-order view of one ref/value-set extent.
-type elemSnap struct {
-	rids []storage.RID
-	vals []value.Value
+	return nv, nil
 }
 
 // Snapshot is an immutable view of the store at one version. All methods
@@ -103,7 +114,7 @@ type elemSnap struct {
 // against either through one interface.
 type Snapshot struct {
 	version uint64
-	objs    *objLayer
+	objs    *objMap
 	extents map[string]*extentSnap
 	elems   map[string]*elemSnap
 	vars    map[string]value.Value
@@ -117,10 +128,7 @@ func (sn *Snapshot) Version() uint64 { return sn.version }
 // (deleted before the snapshot, or created after it) report ok=false.
 func (sn *Snapshot) Get(id oid.OID) (*value.Tuple, bool, error) {
 	so, ok := sn.objs.get(id)
-	if !ok {
-		return nil, false, nil
-	}
-	return so.tv, true, nil
+	return so.tv, ok, nil
 }
 
 // Exists reports whether the OID identified a live object at the
@@ -146,9 +154,11 @@ func (sn *Snapshot) ScanExtent(extent string, fn func(id oid.OID, tv *value.Tupl
 	if !ok {
 		return fmt.Errorf("no object extent %s", extent)
 	}
-	for i, id := range es.ids {
-		if err := fn(id, es.tvs[i]); err != nil {
-			return err
+	for _, c := range es.chunks {
+		for i, id := range c.keys {
+			if err := fn(id, c.vals[i]); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -160,9 +170,11 @@ func (sn *Snapshot) ScanExtentIDs(extent string, fn func(id oid.OID) error) erro
 	if !ok {
 		return fmt.Errorf("no object extent %s", extent)
 	}
-	for _, id := range es.ids {
-		if err := fn(id); err != nil {
-			return err
+	for _, c := range es.chunks {
+		for _, id := range c.keys {
+			if err := fn(id); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -174,7 +186,7 @@ func (sn *Snapshot) ExtentLen(extent string) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("no object extent %s", extent)
 	}
-	return len(es.ids), nil
+	return es.n, nil
 }
 
 // ScanElems iterates a ref-set or value-set extent.
@@ -183,9 +195,11 @@ func (sn *Snapshot) ScanElems(extent string, fn func(rid storage.RID, v value.Va
 	if !ok {
 		return fmt.Errorf("no element extent %s", extent)
 	}
-	for i, rid := range es.rids {
-		if err := fn(rid, es.vals[i]); err != nil {
-			return err
+	for _, c := range es.chunks {
+		for i, rid := range c.keys {
+			if err := fn(rid, c.vals[i]); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -197,7 +211,7 @@ func (sn *Snapshot) ElemLen(extent string) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("no element extent %s", extent)
 	}
-	return len(es.rids), nil
+	return es.n, nil
 }
 
 // IsObjectExtent reports whether the name was an object-set extent at
@@ -234,8 +248,10 @@ func (sn *Snapshot) IndexLookup(ix *catalog.Index, lo, hi []byte, incLo, incHi b
 		if es == nil {
 			return nil
 		}
-		out := make([]oid.OID, len(es.ids))
-		copy(out, es.ids)
+		out := make([]oid.OID, 0, es.n)
+		for _, c := range es.chunks {
+			out = append(out, c.keys...)
+		}
 		return out
 	}
 	var out []oid.OID
@@ -247,27 +263,28 @@ func (sn *Snapshot) IndexLookup(ix *catalog.Index, lo, hi []byte, incLo, incHi b
 }
 
 // ExportObjects returns every object live at the snapshot in the same
-// stable order Store.ExportObjects uses (extent name, then OID), with
-// the original encoded bytes, so a snapshot-backed dump is byte-
-// identical to a quiesced live dump of the same version.
+// stable order Store.ExportObjects uses (extent name, then OID). The
+// snapshot keeps no encoded form: every record the store holds was
+// written by codec.Encode (RestoreObject re-encodes what it is given),
+// and Encode(DecodeOne(b)) == b for such b, so encoding the frozen tuple
+// here gives the bytes on the heap page and a snapshot-backed dump is
+// byte-identical to a quiesced live dump of the same version.
 func (sn *Snapshot) ExportObjects() ([]ExportObject, error) {
-	m := sn.objs.flattenMap()
-	ids := make([]oid.OID, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		a, b := m[ids[i]], m[ids[j]]
-		if a.extent != b.extent {
-			return a.extent < b.extent
+	out := make([]ExportObject, 0, sn.objs.n)
+	var err error
+	sn.objs.each(func(id oid.OID, so snapObj) {
+		enc, eerr := encode(so.tv)
+		if eerr != nil && err == nil {
+			err = fmt.Errorf("export %s: %w", id, eerr)
 		}
-		return ids[i] < ids[j]
+		out = append(out, ExportObject{Extent: so.extent, OID: id, Owner: so.owner, Data: enc})
 	})
-	out := make([]ExportObject, 0, len(ids))
-	for _, id := range ids {
-		so := m[id]
-		out = append(out, ExportObject{Extent: so.extent, OID: id, Owner: so.owner, Data: so.enc})
+	if err != nil {
+		return nil, err
 	}
+	// each visits in OID order; a stable sort on the extent keeps it
+	// within each extent.
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Extent < out[j].Extent })
 	return out, nil
 }
 
@@ -305,27 +322,69 @@ func (s *Store) Snapshot() *Snapshot {
 	return s.snap.Load()
 }
 
+// SetMetrics attaches the engine metrics registry; Commit then records
+// every publication: mvcc.commit.freeze (time to build and publish the
+// snapshot), mvcc.commit.dirty_objs (objects it decoded or removed),
+// mvcc.commit.dirty_pages (heap pages it re-read), and the mvcc.version
+// gauge. The two counts are of work done, not of marks found, so a
+// commit that did more than its write called for shows here.
+func (s *Store) SetMetrics(reg *metrics.Registry) {
+	s.obs.Store(&commitObs{
+		freeze:     reg.Histogram("mvcc.commit.freeze"),
+		dirtyObjs:  reg.CountHistogram("mvcc.commit.dirty_objs"),
+		dirtyPages: reg.CountHistogram("mvcc.commit.dirty_pages"),
+		version:    reg.Gauge("mvcc.version"),
+	})
+}
+
+// commitObs is where Commit reports. It is attached, not stored state:
+// an atomic pointer, so attaching takes no lock and bumps no version.
+type commitObs struct {
+	freeze, dirtyObjs, dirtyPages *metrics.Histogram
+	version                       *metrics.Gauge
+}
+
+func dirtOf(m map[string]*pageDirt, name string) *pageDirt {
+	d := m[name]
+	if d == nil {
+		d = &pageDirt{pages: make(map[storage.PageID]struct{})}
+		m[name] = d
+	}
+	return d
+}
+
 // markObj records that an object changed (or is about to be deleted) so
-// Commit refreshes it and its extent's scan view. Call while the omap
-// entry still exists, so the owning extent is captured.
+// Commit refreshes it, and that the heap page holding its record did, so
+// Commit re-reads that page of its extent's scan view. Call while the
+// omap entry exists and names the record's page: before a delete, and on
+// both sides of an update that may move the record.
 func (s *Store) markObj(id oid.OID) {
 	s.dirtyObjs[id] = struct{}{}
 	if info, ok := s.omap[id]; ok && info.extent != "" {
-		s.dirtyExts[info.extent] = struct{}{}
+		dirtOf(s.dirtyExts, info.extent).pages[info.rid.Page] = struct{}{}
 	}
 }
 
-func (s *Store) markExtent(name string) { s.dirtyExts[name] = struct{}{} }
-func (s *Store) markElems(name string)  { s.dirtyElems[name] = struct{}{} }
-func (s *Store) markVar(name string)    { s.dirtyVars[name] = struct{}{} }
-func (s *Store) markIndexes()           { s.dirtyIdx = true }
+// markExtent and markElems record that an extent was created or dropped.
+func (s *Store) markExtent(name string) { dirtOf(s.dirtyExts, name).all = true }
+func (s *Store) markElems(name string)  { dirtOf(s.dirtyElems, name).all = true }
+
+// markElemPage records that an element record on the page was written
+// or removed.
+func (s *Store) markElemPage(name string, pid storage.PageID) {
+	dirtOf(s.dirtyElems, name).pages[pid] = struct{}{}
+}
+
+func (s *Store) markVar(name string) { s.dirtyVars[name] = struct{}{} }
+func (s *Store) markIndexes()        { s.dirtyIdx = true }
 
 // Commit publishes the store's current state as a new immutable
-// snapshot: dirty objects are decoded once, layered over the previous
-// snapshot's object map, dirty extents get fresh scan-order views, and
-// the whole bundle is installed with one atomic store. No-op when
-// nothing changed since the last commit (published reports whether a
-// new snapshot actually went out — the WAL layer logs exactly the
+// snapshot: dirty objects are decoded once and path-copied into the
+// previous snapshot's object map, the dirty pages of each extent get
+// fresh chunks in its scan view, everything else is shared, and the
+// whole bundle is installed with one atomic store. No-op when nothing
+// changed since the last commit (published reports whether a new
+// snapshot actually went out — the WAL layer logs exactly the
 // statements that published). The caller must hold the write lock (the
 // same exclusion every mutating method requires); readers never block
 // on it — they keep their pinned snapshot.
@@ -337,31 +396,37 @@ func (s *Store) Commit() (published bool, err error) {
 		len(s.dirtyVars) == 0 && !s.dirtyIdx {
 		return false, nil
 	}
+	start := time.Now()
 	// Publication is itself a store-state change: bump so snapshot
 	// versions are distinct from the pre-commit working version and
 	// version-keyed caches (deref) never confuse the two.
 	s.bump()
 	prev := s.snap.Load()
 
-	layer := &objLayer{
-		m:      make(map[oid.OID]snapObj, len(s.dirtyObjs)),
-		parent: prev.objs,
-		depth:  prev.objs.depth + 1,
-	}
-	for id := range s.dirtyObjs {
+	// Extent members are frozen below, with the page they are on; that
+	// leaves the deleted and the nursery components, which no scan view
+	// holds.
+	edit := prev.objs.edit()
+	workObjs, workPages := 0, 0
+	for _, id := range sortedOIDs(s.dirtyObjs) {
 		info, live := s.omap[id]
-		if !live {
-			layer.m[id] = snapObj{} // tombstone
+		if live && info.extent != "" {
 			continue
 		}
-		so, err := s.freezeObj(id, info)
+		workObjs++
+		if !live {
+			edit.del(id)
+			continue
+		}
+		rec, err := s.nursery.Get(info.rid)
 		if err != nil {
 			return false, err
 		}
-		layer.m[id] = so
-	}
-	if layer.depth >= maxLayerDepth {
-		layer = &objLayer{m: layer.flattenMap()}
+		so, err := s.freezeObj(id, info, rec)
+		if err != nil {
+			return false, err
+		}
+		edit.set(id, so)
 	}
 
 	// Dropped entries disappear by not being carried over: the carry
@@ -373,11 +438,17 @@ func (s *Store) Commit() (published bool, err error) {
 			exts[k] = v
 		}
 	}
-	for name := range s.dirtyExts {
-		if _, live := s.extents[name]; !live {
+	for _, name := range sortedKeys(s.dirtyExts) {
+		h, live := s.extents[name]
+		if !live {
 			continue
 		}
-		es, err := s.freezeExtent(name, layer)
+		es, err := prev.extents[name].refresh(h, s.dirtyExts[name], func(pid storage.PageID) (*pageChunk[oid.OID, *value.Tuple], error) {
+			workPages++
+			c, decoded, err := s.freezeExtentPage(edit, name, h, pid)
+			workObjs += decoded
+			return c, err
+		})
 		if err != nil {
 			return false, err
 		}
@@ -390,11 +461,15 @@ func (s *Store) Commit() (published bool, err error) {
 			elems[k] = v
 		}
 	}
-	for name := range s.dirtyElems {
-		if _, live := s.elems[name]; !live {
+	for _, name := range sortedKeys(s.dirtyElems) {
+		h, live := s.elems[name]
+		if !live {
 			continue
 		}
-		es, err := s.freezeElems(name)
+		es, err := prev.elems[name].refresh(h, s.dirtyElems[name], func(pid storage.PageID) (*pageChunk[storage.RID, value.Value], error) {
+			workPages++
+			return s.freezeElemPage(h, pid)
+		})
 		if err != nil {
 			return false, err
 		}
@@ -418,26 +493,35 @@ func (s *Store) Commit() (published bool, err error) {
 		vars[name] = v
 	}
 
-	// Index trees are immutable once published (treeWrite clones before
-	// the first post-publication mutation), so the snapshot just captures
-	// the current tree pointers. Rebuilt from the catalog every commit so
-	// dropped indexes disappear without their own dirty tracking.
+	// Clone freezes each index as it stands and moves the working tree
+	// to a new epoch, so its next write copies the path it changes and
+	// leaves the published nodes alone. Rebuilt from the catalog every
+	// commit so dropped indexes disappear without their own dirty
+	// tracking.
 	indexes := make(map[string]*storage.BTree)
 	for _, name := range s.cat.IndexNames() {
 		if ix, ok := s.cat.Index(name); ok {
-			indexes[name] = ix.Tree
+			indexes[name] = ix.Tree.Clone()
 		}
 	}
 
 	s.snap.Store(&Snapshot{
 		version: s.version.Load(),
-		objs:    layer,
+		objs:    edit.done(),
 		extents: exts,
 		elems:   elems,
 		vars:    vars,
 		indexes: indexes,
 	})
-	clear(s.dirtyObjs)
+	if o := s.obs.Load(); o != nil {
+		o.freeze.Observe(time.Since(start))
+		o.dirtyObjs.ObserveCount(workObjs)
+		o.dirtyPages.ObserveCount(workPages)
+		o.version.Set(int64(s.version.Load()))
+	}
+	// A fresh map, not clear: ranging over or clearing a map costs its
+	// capacity, and this one has held every object of the largest load.
+	s.dirtyObjs = make(map[oid.OID]struct{})
 	clear(s.dirtyExts)
 	clear(s.dirtyElems)
 	clear(s.dirtyVars)
@@ -445,14 +529,10 @@ func (s *Store) Commit() (published bool, err error) {
 	return true, nil
 }
 
-// freezeObj decodes one live object into its frozen snapshot form. The
-// heap returns a fresh copy of the record bytes, so both enc and the
-// decoded tuple are safe to share with every future reader.
-func (s *Store) freezeObj(id oid.OID, info *objInfo) (snapObj, error) {
-	rec, err := s.heapFor(info).Get(info.rid)
-	if err != nil {
-		return snapObj{}, err
-	}
+// freezeObj decodes one live object's record into its frozen snapshot
+// form. The decoded tuple shares nothing with rec, so it is safe to hand
+// to every future reader.
+func (s *Store) freezeObj(id oid.OID, info *objInfo, rec []byte) (snapObj, error) {
 	v, err := codec.DecodeOne(rec, s.cat)
 	if err != nil {
 		return snapObj{}, err
@@ -461,45 +541,63 @@ func (s *Store) freezeObj(id oid.OID, info *objInfo) (snapObj, error) {
 	if !ok {
 		return snapObj{}, fmt.Errorf("object %s is not a tuple", id)
 	}
-	return snapObj{extent: info.extent, typ: info.typ, owner: info.owner, tv: tv, enc: rec}, nil
+	return snapObj{extent: info.extent, owner: info.owner, tv: tv}, nil
 }
 
-// freezeExtent builds one extent's frozen scan view over the given
-// object layer, freezing any member the layer does not yet hold (an
-// object mutated without markObj — defensive, should not happen).
-func (s *Store) freezeExtent(name string, layer *objLayer) (*extentSnap, error) {
-	es := &extentSnap{}
-	err := s.ScanExtentIDs(name, func(id oid.OID) error {
-		so, ok := layer.get(id)
+// freezeExtentPage builds the chunk of one page of an object extent.
+// Members the window wrote are decoded from the page's records, and that
+// is the only place they are decoded; the page's other members come from
+// the previous snapshot by way of the map under construction. It also
+// returns how many it decoded.
+func (s *Store) freezeExtentPage(edit *objEdit, extent string, h *storage.HeapFile, pid storage.PageID) (*pageChunk[oid.OID, *value.Tuple], int, error) {
+	recs, err := h.ReadPage(pid)
+	if err != nil {
+		return nil, 0, err
+	}
+	decoded := 0
+	byRID := s.rids[extent]
+	c := &pageChunk[oid.OID, *value.Tuple]{
+		keys: make([]oid.OID, len(recs)),
+		vals: make([]*value.Tuple, len(recs)),
+	}
+	for i, r := range recs {
+		id, ok := byRID[r.RID]
 		if !ok {
-			info := s.omap[id]
-			fso, ferr := s.freezeObj(id, info)
-			if ferr != nil {
-				return ferr
-			}
-			layer.m[id] = fso
-			so = fso
+			return nil, 0, fmt.Errorf("extent %s: record %s has no OID", extent, r.RID)
 		}
-		es.ids = append(es.ids, id)
-		es.tvs = append(es.tvs, so.tv)
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		var so snapObj
+		frozen := false
+		if _, dirty := s.dirtyObjs[id]; !dirty {
+			so, frozen = edit.get(id)
+		}
+		if !frozen { // written in this window
+			if so, err = s.freezeObj(id, s.omap[id], r.Data); err != nil {
+				return nil, 0, err
+			}
+			edit.set(id, so)
+			decoded++
+		}
+		c.keys[i], c.vals[i] = id, so.tv
 	}
-	return es, nil
+	return c, decoded, nil
 }
 
-// freezeElems builds one element-set extent's frozen scan view.
-func (s *Store) freezeElems(name string) (*elemSnap, error) {
-	es := &elemSnap{}
-	err := s.ScanElems(name, func(rid storage.RID, v value.Value) error {
-		es.rids = append(es.rids, rid)
-		es.vals = append(es.vals, v)
-		return nil
-	})
+// freezeElemPage builds the chunk of one page of an element extent.
+func (s *Store) freezeElemPage(h *storage.HeapFile, pid storage.PageID) (*pageChunk[storage.RID, value.Value], error) {
+	recs, err := h.ReadPage(pid)
 	if err != nil {
 		return nil, err
 	}
-	return es, nil
+	c := &pageChunk[storage.RID, value.Value]{
+		keys: make([]storage.RID, len(recs)),
+		vals: make([]value.Value, len(recs)),
+	}
+	for i, r := range recs {
+		v, err := codec.DecodeOne(r.Data, s.cat)
+		if err != nil {
+			return nil, err
+		}
+		c.keys[i], c.vals[i] = r.RID, v
+	}
+	return c, nil
 }

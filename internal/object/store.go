@@ -69,15 +69,18 @@ type Store struct {
 
 	// snap is the latest published immutable snapshot; readers load it
 	// once per statement and never look at the maps above. The dirty
-	// sets record what changed since the last Commit so publication
-	// refreshes only touched state. They are guarded by the same write
-	// lock as the maps; snap itself is atomic.
+	// sets record what changed since the last Commit — objects, and per
+	// extent the heap pages written — so publication refreshes only
+	// touched state. They are guarded by the same write lock as the
+	// maps; snap itself is atomic.
 	snap       atomic.Pointer[Snapshot]
 	dirtyObjs  map[oid.OID]struct{}
-	dirtyExts  map[string]struct{}
-	dirtyElems map[string]struct{}
+	dirtyExts  map[string]*pageDirt
+	dirtyElems map[string]*pageDirt
 	dirtyVars  map[string]struct{}
 	dirtyIdx   bool
+
+	obs atomic.Pointer[commitObs] // where Commit reports; nil until SetMetrics
 }
 
 // Version returns the store's mutation counter. Any change to stored
@@ -103,14 +106,14 @@ func New(pool *storage.BufferPool, cat *catalog.Catalog) *Store {
 		omap:       make(map[oid.OID]*objInfo),
 		rids:       make(map[string]map[storage.RID]oid.OID),
 		dirtyObjs:  make(map[oid.OID]struct{}),
-		dirtyExts:  make(map[string]struct{}),
-		dirtyElems: make(map[string]struct{}),
+		dirtyExts:  make(map[string]*pageDirt),
+		dirtyElems: make(map[string]*pageDirt),
 		dirtyVars:  make(map[string]struct{}),
 	}
 	// Publish the empty snapshot so readers of a fresh database have a
 	// valid (empty) view before the first commit.
 	s.snap.Store(&Snapshot{
-		objs:    &objLayer{m: map[oid.OID]snapObj{}},
+		objs:    &objMap{},
 		extents: map[string]*extentSnap{},
 		elems:   map[string]*elemSnap{},
 		vars:    map[string]value.Value{},
@@ -391,6 +394,7 @@ func (s *Store) Update(id oid.OID, tv *value.Tuple) error {
 		s.rids[info.extent][nrid] = id
 	}
 	info.rid = nrid
+	s.markObj(id) // the record may have moved to another page
 	info.typ = iv.(*value.Tuple).Type
 	if info.extent != "" {
 		s.indexInsert(info.extent, id, iv.(*value.Tuple))

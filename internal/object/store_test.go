@@ -23,9 +23,14 @@ type fixture struct {
 func newFixture(t *testing.T) *fixture {
 	t.Helper()
 	cat := catalog.New(adt.NewRegistry())
-	pool := storage.NewBufferPool(storage.NewMemStore(), 128)
-	store := New(pool, cat)
+	f := &fixture{cat: cat, store: New(storage.NewBufferPool(storage.NewMemStore(), 128), cat)}
+	f.definePeople(t)
+	return f
+}
 
+// definePeople defines Person and creates the People extent.
+func (f *fixture) definePeople(t testing.TB) {
+	t.Helper()
 	person := types.NewForward("Person")
 	err := person.Complete(nil, []types.Attr{
 		{Name: "name", Comp: types.Component{Mode: types.Own, Type: types.Varchar}},
@@ -37,18 +42,18 @@ func newFixture(t *testing.T) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cat.DefineTuple(person); err != nil {
+	if err := f.cat.DefineTuple(person); err != nil {
 		t.Fatal(err)
 	}
-	v, err := cat.CreateVar("People", types.Component{Mode: types.Own, Type: &types.Set{
+	v, err := f.cat.CreateVar("People", types.Component{Mode: types.Own, Type: &types.Set{
 		Elem: types.Component{Mode: types.Own, Type: person}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.InitVar(v); err != nil {
+	if err := f.store.InitVar(v); err != nil {
 		t.Fatal(err)
 	}
-	return &fixture{store: store, cat: cat, person: person}
+	f.person = person
 }
 
 func (f *fixture) newPerson(name string, age int64) *value.Tuple {

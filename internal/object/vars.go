@@ -91,7 +91,6 @@ func (s *Store) SetVar(name string, nv value.Value) error {
 // extra:requires db.wmu.W
 func (s *Store) InsertElem(extent string, v value.Value) error {
 	s.bump()
-	s.markElems(extent)
 	h, ok := s.elems[extent]
 	if !ok {
 		return fmt.Errorf("no element extent %s", extent)
@@ -100,8 +99,12 @@ func (s *Store) InsertElem(extent string, v value.Value) error {
 	if err != nil {
 		return err
 	}
-	_, err = h.Insert(enc)
-	return err
+	rid, err := h.Insert(enc)
+	if err != nil {
+		return err
+	}
+	s.markElemPage(extent, rid.Page)
+	return nil
 }
 
 // ScanElems iterates a ref-set or value-set extent.
@@ -124,11 +127,11 @@ func (s *Store) ScanElems(extent string, fn func(rid storage.RID, v value.Value)
 // extra:requires db.wmu.W
 func (s *Store) DeleteElem(extent string, rid storage.RID) error {
 	s.bump()
-	s.markElems(extent)
 	h, ok := s.elems[extent]
 	if !ok {
 		return fmt.Errorf("no element extent %s", extent)
 	}
+	s.markElemPage(extent, rid.Page)
 	return h.Delete(rid)
 }
 

@@ -17,11 +17,28 @@ import (
 // vanish immediately, underfull nodes are tolerated, which preserves all
 // ordering invariants while keeping the structure simple. This mirrors
 // deferred reorganization in real systems.
+//
+// The tree is persistent by path copying. Every node records the epoch
+// that allocated it, and a write copies each node on its root-to-leaf
+// path that the tree's current epoch does not own before changing it.
+// Clone starts a new epoch on both sides, so it is O(1): the two trees
+// share every node that exists at that moment, neither can write to one,
+// and each pays for its own divergence one path at a time. A node is
+// therefore writable only by the epoch that allocated it, and only until
+// that tree's next Clone. Leaves carry no sibling links (a copied leaf
+// could not repair its left neighbour's); range scans keep the descent
+// path instead.
 type BTree struct {
 	root   node
 	height int
 	size   int
+	epoch  *epoch
 }
+
+// epoch is an identity: two epochs are equal only when they are the same
+// allocation. It has a field so that distinct epochs get distinct
+// addresses.
+type epoch struct{ _ byte }
 
 const btreeOrder = 64 // max entries per leaf / max children per inner node
 
@@ -35,11 +52,12 @@ type node interface {
 }
 
 type leaf struct {
+	owner   *epoch
 	entries []entry
-	next    *leaf
 }
 
 type inner struct {
+	owner *epoch
 	// keys[i] is the smallest (key,val) of children[i+1]'s subtree.
 	keys     []entry
 	children []node
@@ -50,7 +68,8 @@ func (*inner) isNode() {}
 
 // NewBTree returns an empty tree.
 func NewBTree() *BTree {
-	return &BTree{root: &leaf{}, height: 1}
+	ep := new(epoch)
+	return &BTree{root: &leaf{owner: ep}, height: 1, epoch: ep}
 }
 
 // Len returns the number of entries.
@@ -72,15 +91,38 @@ func cmpEntry(a, b entry) int {
 	return 0
 }
 
+// writable returns n itself when the current epoch allocated it, and
+// otherwise a copy the current epoch owns, with room for one more entry.
+// The caller stores the result back where it found n.
+func (t *BTree) writable(n node) node {
+	switch nd := n.(type) {
+	case *leaf:
+		if nd.owner == t.epoch {
+			return nd
+		}
+		return &leaf{owner: t.epoch, entries: append(make([]entry, 0, len(nd.entries)+1), nd.entries...)}
+	case *inner:
+		if nd.owner == t.epoch {
+			return nd
+		}
+		return &inner{
+			owner:    t.epoch,
+			keys:     append(make([]entry, 0, len(nd.keys)+1), nd.keys...),
+			children: append(make([]node, 0, len(nd.children)+1), nd.children...),
+		}
+	}
+	panic("unreachable")
+}
+
 // Insert adds (key, val). Inserting an exact duplicate (same key and same
 // val) is a no-op and reports false.
 func (t *BTree) Insert(key []byte, val uint64) bool {
 	k := make([]byte, len(key))
 	copy(k, key)
-	e := entry{key: k, val: val}
-	split, sepKey, added := t.insert(t.root, e)
+	t.root = t.writable(t.root)
+	split, sepKey, added := t.insert(t.root, entry{key: k, val: val})
 	if split != nil {
-		t.root = &inner{keys: []entry{sepKey}, children: []node{t.root, split}}
+		t.root = &inner{owner: t.epoch, keys: []entry{sepKey}, children: []node{t.root, split}}
 		t.height++
 	}
 	if added {
@@ -89,8 +131,8 @@ func (t *BTree) Insert(key []byte, val uint64) bool {
 	return added
 }
 
-// insert descends, returning a new right sibling and its separator when
-// the child split.
+// insert descends through n, which the current epoch owns, returning a
+// new right sibling and its separator when n split.
 func (t *BTree) insert(n node, e entry) (node, entry, bool) {
 	switch nd := n.(type) {
 	case *leaf:
@@ -105,12 +147,12 @@ func (t *BTree) insert(n node, e entry) (node, entry, bool) {
 			return nil, entry{}, true
 		}
 		mid := len(nd.entries) / 2
-		right := &leaf{entries: append([]entry(nil), nd.entries[mid:]...), next: nd.next}
+		right := &leaf{owner: t.epoch, entries: append([]entry(nil), nd.entries[mid:]...)}
 		nd.entries = nd.entries[:mid]
-		nd.next = right
 		return right, right.entries[0], true
 	case *inner:
 		i := childIndex(nd.keys, e)
+		nd.children[i] = t.writable(nd.children[i])
 		split, sep, added := t.insert(nd.children[i], e)
 		if split == nil {
 			return nil, entry{}, added
@@ -127,6 +169,7 @@ func (t *BTree) insert(n node, e entry) (node, entry, bool) {
 		midK := len(nd.keys) / 2
 		sepUp := nd.keys[midK]
 		right := &inner{
+			owner:    t.epoch,
 			keys:     append([]entry(nil), nd.keys[midK+1:]...),
 			children: append([]node(nil), nd.children[midK+1:]...),
 		}
@@ -168,11 +211,14 @@ func childIndex(keys []entry, e entry) int {
 // Delete removes (key, val); it reports whether the entry existed.
 func (t *BTree) Delete(key []byte, val uint64) bool {
 	e := entry{key: key, val: val}
+	t.root = t.writable(t.root)
 	n := t.root
 	for {
 		switch nd := n.(type) {
 		case *inner:
-			n = nd.children[childIndex(nd.keys, e)]
+			i := childIndex(nd.keys, e)
+			nd.children[i] = t.writable(nd.children[i])
+			n = nd.children[i]
 		case *leaf:
 			i := lowerBound(nd.entries, e)
 			if i >= len(nd.entries) || cmpEntry(nd.entries[i], e) != 0 {
@@ -185,47 +231,56 @@ func (t *BTree) Delete(key []byte, val uint64) bool {
 	}
 }
 
-// firstLeafGE locates the leaf and index of the first entry >= e.
-func (t *BTree) firstLeafGE(e entry) (*leaf, int) {
-	n := t.root
-	for {
-		switch nd := n.(type) {
-		case *inner:
-			n = nd.children[childIndex(nd.keys, e)]
-		case *leaf:
-			i := lowerBound(nd.entries, e)
-			return nd, i
-		}
-	}
-}
-
 // Range calls fn for every (key, val) with lo <= key <= hi (nil bounds
 // are unbounded, incLo/incHi control bound inclusion). Iteration stops
 // early when fn returns false.
 func (t *BTree) Range(lo, hi []byte, incLo, incHi bool, fn func(key []byte, val uint64) bool) {
-	var l *leaf
-	var i int
-	if lo == nil {
-		l, i = t.firstLeafGE(entry{})
-	} else {
-		start := entry{key: lo}
-		if !incLo {
-			// Skip all entries with key == lo: seek to (lo, max).
-			start.val = ^uint64(0)
-			l, i = t.firstLeafGE(start)
-			for l != nil && i < len(l.entries) && bytes.Equal(l.entries[i].key, lo) {
-				i++
-				if i >= len(l.entries) {
-					l, i = l.next, 0
-				}
-			}
-		} else {
-			l, i = t.firstLeafGE(start)
-		}
+	start := entry{key: lo}
+	if lo != nil && !incLo {
+		// Skip all entries with key == lo: seek to (lo, max).
+		start.val = ^uint64(0)
 	}
-	for l != nil {
+	// path holds the inner nodes from the root down to the current leaf,
+	// each with the index of the child the scan is in; advancing past a
+	// leaf resumes from the deepest node that still has a child to its
+	// right. Eight levels of order 64 hold 2^48 entries without growing
+	// the backing array.
+	type step struct {
+		n *inner
+		i int
+	}
+	path := make([]step, 0, 8)
+	n := t.root
+	seek := true                  // only the first descent is positioned by start
+	skipLo := lo != nil && !incLo // until the scan is past key == lo
+	for {
+		var l *leaf
+		for l == nil {
+			switch nd := n.(type) {
+			case *inner:
+				i := 0
+				if seek {
+					i = childIndex(nd.keys, start)
+				}
+				path = append(path, step{nd, i})
+				n = nd.children[i]
+			case *leaf:
+				l = nd
+			}
+		}
+		i := 0
+		if seek {
+			i = lowerBound(l.entries, start)
+			seek = false
+		}
 		for ; i < len(l.entries); i++ {
 			e := l.entries[i]
+			if skipLo {
+				if bytes.Equal(e.key, lo) {
+					continue // (lo, max), the one entry the seek could not pass
+				}
+				skipLo = false
+			}
 			if hi != nil {
 				c := bytes.Compare(e.key, hi)
 				if c > 0 || (c == 0 && !incHi) {
@@ -236,43 +291,26 @@ func (t *BTree) Range(lo, hi []byte, incLo, incHi bool, fn func(key []byte, val 
 				return
 			}
 		}
-		l, i = l.next, 0
+		for len(path) > 0 && path[len(path)-1].i+1 >= len(path[len(path)-1].n.children) {
+			path = path[:len(path)-1]
+		}
+		if len(path) == 0 {
+			return
+		}
+		top := &path[len(path)-1]
+		top.i++
+		n = top.n.children[top.i]
 	}
 }
 
-// Clone returns a structurally independent copy of the tree: node and
-// entry slices are copied so mutations of either tree never touch the
-// other, while the key byte slices are shared (Insert copies keys on
-// entry and no operation mutates key bytes in place, so sharing them is
-// safe). Used by the store's copy-on-write index publication: a tree
-// frozen into a snapshot is cloned before the next write touches it.
+// Clone returns a tree with the same entries that is independent of this
+// one from here on: the two share every node, and because both leave the
+// epoch that allocated those nodes, the first write on either side
+// copies the path it changes (see BTree). O(1). The store freezes an
+// index into a snapshot this way at every publication.
 func (t *BTree) Clone() *BTree {
-	nt := &BTree{height: t.height, size: t.size}
-	var lastLeaf *leaf
-	var walk func(n node) node
-	walk = func(n node) node {
-		switch nd := n.(type) {
-		case *leaf:
-			nl := &leaf{entries: append([]entry(nil), nd.entries...)}
-			if lastLeaf != nil {
-				lastLeaf.next = nl
-			}
-			lastLeaf = nl
-			return nl
-		case *inner:
-			ni := &inner{
-				keys:     append([]entry(nil), nd.keys...),
-				children: make([]node, len(nd.children)),
-			}
-			for i, c := range nd.children {
-				ni.children[i] = walk(c)
-			}
-			return ni
-		}
-		panic("unreachable")
-	}
-	nt.root = walk(t.root)
-	return nt
+	t.epoch = new(epoch)
+	return &BTree{root: t.root, height: t.height, size: t.size, epoch: new(epoch)}
 }
 
 // Lookup calls fn for every value stored under exactly key.

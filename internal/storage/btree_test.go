@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/rand"
 	"testing"
@@ -201,3 +202,167 @@ func TestBTreeSortedProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// modelTree pairs a tree with the sorted slice it must equal.
+type modelTree struct {
+	t *BTree
+	m []entry
+}
+
+func (mt *modelTree) insert(k []byte, v uint64) {
+	e := entry{key: k, val: v}
+	i := lowerBound(mt.m, e)
+	had := i < len(mt.m) && cmpEntry(mt.m[i], e) == 0
+	if mt.t.Insert(k, v) == had {
+		panic("Insert disagrees with the model on whether the entry was new")
+	}
+	if !had {
+		mt.m = append(mt.m[:i], append([]entry{e}, mt.m[i:]...)...)
+	}
+}
+
+func (mt *modelTree) delete(k []byte, v uint64) {
+	e := entry{key: k, val: v}
+	i := lowerBound(mt.m, e)
+	had := i < len(mt.m) && cmpEntry(mt.m[i], e) == 0
+	if mt.t.Delete(k, v) != had {
+		panic("Delete disagrees with the model on whether the entry existed")
+	}
+	if had {
+		mt.m = append(mt.m[:i:i], mt.m[i+1:]...)
+	}
+}
+
+// check compares a bounded scan of the tree with the same cut of the
+// model.
+func (mt *modelTree) check(t *testing.T, lo, hi []byte, incLo, incHi bool) {
+	t.Helper()
+	var want []entry
+	for _, e := range mt.m {
+		if lo != nil {
+			if c := bytes.Compare(e.key, lo); c < 0 || (c == 0 && !incLo) {
+				continue
+			}
+		}
+		if hi != nil {
+			if c := bytes.Compare(e.key, hi); c > 0 || (c == 0 && !incHi) {
+				continue
+			}
+		}
+		want = append(want, e)
+	}
+	i := 0
+	mt.t.Range(lo, hi, incLo, incHi, func(k []byte, v uint64) bool {
+		if i >= len(want) || !bytes.Equal(k, want[i].key) || v != want[i].val {
+			t.Fatalf("Range(%x, %x, %v, %v): entry %d is (%x, %d), model disagrees", lo, hi, incLo, incHi, i, k, v)
+		}
+		i++
+		return true
+	})
+	if i != len(want) {
+		t.Fatalf("Range(%x, %x, %v, %v) returned %d entries, model has %d", lo, hi, incLo, incHi, i, len(want))
+	}
+}
+
+// TestBTreePersistence interleaves Clone, Insert and Delete over a
+// family of trees that share nodes. Every tree must go on reading as its
+// own model says — in particular one that is never written again after
+// its clone is (a tree frozen into a snapshot) — and keep its invariants.
+func TestBTreePersistence(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		family := []*modelTree{{t: NewBTree()}}
+		frozen := map[int]bool{}
+		randKey := func() ([]byte, uint64) {
+			// Few distinct keys, so equal keys with distinct values
+			// straddle leaves.
+			return key(rng.Intn(400)), uint64(rng.Intn(6))
+		}
+		for op := 0; op < 6000; op++ {
+			i := rng.Intn(len(family))
+			mt := family[i]
+			switch r := rng.Intn(100); {
+			case r < 3 && len(family) < 12:
+				family = append(family, &modelTree{t: mt.t.Clone(), m: append([]entry(nil), mt.m...)})
+				if rng.Intn(2) == 0 {
+					frozen[i] = true
+				}
+			case frozen[i]:
+			case r < 65:
+				k, v := randKey()
+				mt.insert(k, v)
+			default:
+				k, v := randKey()
+				if len(mt.m) > 0 && rng.Intn(2) == 0 {
+					e := mt.m[rng.Intn(len(mt.m))]
+					k, v = e.key, e.val
+				}
+				mt.delete(k, v)
+			}
+			if op%500 != 499 {
+				continue
+			}
+			for _, mt := range family {
+				if err := mt.t.CheckInvariants(); err != nil {
+					t.Fatalf("seed %d op %d: %v", seed, op, err)
+				}
+				if mt.t.Len() != len(mt.m) {
+					t.Fatalf("seed %d op %d: Len %d, model %d", seed, op, mt.t.Len(), len(mt.m))
+				}
+				mt.check(t, nil, nil, true, true)
+				lo, hi := key(rng.Intn(400)), key(rng.Intn(400))
+				mt.check(t, lo, hi, rng.Intn(2) == 0, rng.Intn(2) == 0)
+				mt.check(t, lo, nil, false, true)
+				mt.check(t, nil, hi, true, false)
+				mt.check(t, lo, lo, true, true)
+			}
+		}
+	}
+}
+
+// TestBTreeCloneInsertAllocs pins the cost of diverging from a clone:
+// one Insert copies the nodes on one root-to-leaf path, so its
+// allocations follow the height of the tree, not its size.
+func TestBTreeCloneInsertAllocs(t *testing.T) {
+	for _, n := range []int{1000, 200000} {
+		bt := NewBTree()
+		for i := 0; i < n; i++ {
+			bt.Insert(key(2*i), uint64(i))
+		}
+		next := 1
+		allocs := testing.AllocsPerRun(50, func() {
+			c := bt.Clone()
+			c.Insert(key(next), 0) // odd: a new entry every run
+			next += 2 * (n / 64)
+		})
+		// Clone: the tree and two epochs. Insert: the key, a struct and
+		// its slices per copied node (2 for the leaf, 3 per inner node),
+		// and as much again at most for the sibling of a split.
+		h := bt.Height()
+		if limit := float64(3 + 1 + 2*(2+3*(h-1))); allocs > limit {
+			t.Errorf("%d entries, height %d: Clone+Insert made %.0f allocations, want at most %.0f", n, h, allocs, limit)
+		}
+	}
+}
+
+func BenchmarkBTreeClone(b *testing.B) {
+	bt := NewBTree()
+	for i := 0; i < 20000; i++ {
+		bt.Insert(key(2*i), uint64(i))
+	}
+	b.Run("Clone", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchTree = bt.Clone()
+		}
+	})
+	b.Run("CloneInsert", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchTree = bt.Clone()
+			benchTree.Insert(key(2*(i%20000)+1), 0)
+		}
+	})
+}
+
+var benchTree *BTree

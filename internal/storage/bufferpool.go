@@ -126,12 +126,13 @@ func (bp *BufferPool) Store() PageStore { return bp.store }
 // counter, no locks. Counters are monotonic, so two snapshots bracket
 // the traffic between them even while statements run.
 func (bp *BufferPool) Stats() PoolStats {
+	wb := bp.writeBacks.Load() // first: see the eviction path's counting order
 	return PoolStats{
 		Hits:       bp.hits.Load(),
 		Misses:     bp.misses.Load(),
 		Evictions:  bp.evictions.Load(),
 		Flushes:    bp.flushes.Load(),
-		WriteBacks: bp.writeBacks.Load(),
+		WriteBacks: wb,
 	}
 }
 
@@ -212,11 +213,16 @@ func (bp *BufferPool) newFrame(sh *poolShard, id PageID) (*frame, error) {
 			if err := bp.store.Write(victim.id, victim.buf); err != nil {
 				return nil, fmt.Errorf("evict page %d: %w", victim.id, err)
 			}
+		}
+		delete(sh.frames, victim.id)
+		// Count the eviction and the flush before the write-back, and
+		// read them in the opposite order (Stats): a sample then never
+		// shows more write-backs than evictions or flushes.
+		bp.evictions.Add(1)
+		if victim.dirty {
 			bp.flushes.Add(1)
 			bp.writeBacks.Add(1)
 		}
-		delete(sh.frames, victim.id)
-		bp.evictions.Add(1)
 		f = victim
 		f.dirty = false
 	}

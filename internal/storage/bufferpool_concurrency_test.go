@@ -12,7 +12,7 @@ import (
 // less (never more).
 func TestPoolConcurrentPins(t *testing.T) {
 	store := NewMemStore()
-	const pages = 64
+	const pages = 256
 	ids := make([]PageID, pages)
 	for i := range ids {
 		id, err := store.Allocate()
@@ -21,7 +21,10 @@ func TestPoolConcurrentPins(t *testing.T) {
 		}
 		ids[i] = id
 	}
-	bp := NewBufferPool(store, 32) // half the pages fit: evictions happen
+	// Half the pages fit, so evictions happen; each of the 16 shards has
+	// as many frames as there are goroutines, each of which holds one pin
+	// at a time, so no shard can run out of unpinned frames.
+	bp := NewBufferPool(store, 128)
 
 	const goroutines = 8
 	const pinsEach = 500
@@ -38,7 +41,7 @@ func TestPoolConcurrentPins(t *testing.T) {
 					return
 				}
 				if i%3 == 0 {
-					buf[0] = byte(g)
+					buf[g] = byte(i) // a byte of its own: pins of one page overlap
 					bp.MarkDirty(id)
 				}
 				bp.Unpin(id)

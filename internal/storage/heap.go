@@ -23,27 +23,39 @@ const (
 // pages in memory; the set of page ids is part of the catalog dump.
 type HeapFile struct {
 	pool  *BufferPool
-	pages []PageID
+	pages []PageID       // data pages in scan order; append-only until DropAll
+	pos   map[PageID]int // index of each data page in pages
 	avail map[PageID]int // cached free-space estimate per data page
+	live  int            // live records; -1 until counted, after a reopen
 }
 
 // NewHeapFile creates an empty heap file over the pool.
 func NewHeapFile(pool *BufferPool) *HeapFile {
-	return &HeapFile{pool: pool, avail: make(map[PageID]int)}
+	return &HeapFile{pool: pool, pos: make(map[PageID]int), avail: make(map[PageID]int)}
 }
 
 // ReopenHeapFile reattaches a heap file to a known list of data pages
 // (after a dump/load cycle); free-space estimates are rebuilt lazily.
 func ReopenHeapFile(pool *BufferPool, pages []PageID) *HeapFile {
-	h := &HeapFile{pool: pool, pages: pages, avail: make(map[PageID]int)}
-	for _, id := range pages {
+	h := NewHeapFile(pool)
+	h.pages = pages
+	h.live = -1
+	for i, id := range pages {
+		h.pos[id] = i
 		h.avail[id] = -1 // unknown; probe on demand
 	}
 	return h
 }
 
-// Pages returns the data page ids, for persistence.
+// Pages returns the data page ids in scan order, for persistence.
 func (h *HeapFile) Pages() []PageID { return h.pages }
+
+// PageIndex returns the position of a data page in Pages. A page that
+// was never part of the file, or left it with DropAll, reports false.
+func (h *HeapFile) PageIndex(pid PageID) (int, bool) {
+	i, ok := h.pos[pid]
+	return i, ok
+}
 
 // NumPages returns the number of data pages.
 func (h *HeapFile) NumPages() int { return len(h.pages) }
@@ -70,6 +82,9 @@ func (h *HeapFile) Insert(rec []byte) (RID, error) {
 	}
 	h.pool.MarkDirty(pid)
 	h.avail[pid] = p.FreeSpace()
+	if h.live >= 0 {
+		h.live++
+	}
 	return RID{Page: pid, Slot: slot}, nil
 }
 
@@ -229,6 +244,9 @@ func (h *HeapFile) Delete(rid RID) error {
 	h.pool.MarkDirty(rid.Page)
 	h.avail[rid.Page] = p.FreeSpace()
 	h.pool.Unpin(rid.Page)
+	if h.live > 0 {
+		h.live--
+	}
 	if chain != 0 {
 		return h.freeChain(chain)
 	}
@@ -282,35 +300,67 @@ func (h *HeapFile) Update(rid RID, rec []byte) (RID, error) {
 	return h.Insert(rec)
 }
 
+// Record is one live record of a data page.
+type Record struct {
+	RID  RID
+	Data []byte
+}
+
+// ReadPage returns the live records of one data page in slot order, with
+// overflow chains followed. It pins the data page once. The Data slices
+// are copies safe to hold; the inline ones of a page share one buffer.
+func (h *HeapFile) ReadPage(pid PageID) ([]Record, error) {
+	buf, err := h.pool.Pin(pid)
+	if err != nil {
+		return nil, err
+	}
+	p := Page{Buf: buf}
+	n, size := 0, 0
+	err = p.Slots(func(_ SlotID, stored []byte) error {
+		if len(stored) == 0 {
+			return fmt.Errorf("empty stored record")
+		}
+		n++
+		size += len(stored)
+		return nil
+	})
+	if err != nil {
+		h.pool.Unpin(pid)
+		return nil, fmt.Errorf("page %d: %w", pid, err)
+	}
+	recs := make([]Record, 0, n)
+	data := make([]byte, 0, size)
+	_ = p.Slots(func(s SlotID, stored []byte) error {
+		at := len(data)
+		data = append(data, stored...)
+		recs = append(recs, Record{RID: RID{Page: pid, Slot: s}, Data: data[at:len(data):len(data)]})
+		return nil
+	})
+	h.pool.Unpin(pid)
+	// Resolve the tags with the data page unpinned: an overflow chain
+	// pins pages of its own.
+	for i := range recs {
+		stored := recs[i].Data
+		if stored[0] == tagInline {
+			recs[i].Data = stored[1:]
+			continue
+		}
+		if recs[i].Data, err = h.decode(stored); err != nil {
+			return nil, fmt.Errorf("%s: %w", recs[i].RID, err)
+		}
+	}
+	return recs, nil
+}
+
 // Scan calls fn for every record in the file, in page then slot order.
 func (h *HeapFile) Scan(fn func(rid RID, rec []byte) error) error {
 	for _, pid := range h.pages {
-		buf, err := h.pool.Pin(pid)
+		recs, err := h.ReadPage(pid)
 		if err != nil {
 			return err
 		}
-		p := Page{Buf: buf}
-		type item struct {
-			slot   SlotID
-			stored []byte
-		}
-		var items []item
-		err = p.Slots(func(s SlotID, rec []byte) error {
-			cp := make([]byte, len(rec))
-			copy(cp, rec)
-			items = append(items, item{slot: s, stored: cp})
-			return nil
-		})
-		h.pool.Unpin(pid)
-		if err != nil {
-			return err
-		}
-		for _, it := range items {
-			data, err := h.decode(it.stored)
-			if err != nil {
-				return err
-			}
-			if err := fn(RID{Page: pid, Slot: it.slot}, data); err != nil {
+		for _, r := range recs {
+			if err := fn(r.RID, r.Data); err != nil {
 				return err
 			}
 		}
@@ -348,6 +398,7 @@ func (h *HeapFile) pageWithRoom(n int) (PageID, error) {
 	InitPage(buf)
 	h.pool.MarkDirty(pid)
 	h.pool.Unpin(pid)
+	h.pos[pid] = len(h.pages)
 	h.pages = append(h.pages, pid)
 	h.avail[pid] = MaxRecord(PageSize) + slotSize
 	return pid, nil
@@ -365,8 +416,12 @@ func (h *HeapFile) probe(pid PageID) int {
 	return free
 }
 
-// Len counts the live records (a full scan of page headers).
+// Len returns the number of live records. Insert and Delete keep the
+// count; only a reopened file has to scan its page headers for it, once.
 func (h *HeapFile) Len() (int, error) {
+	if h.live >= 0 {
+		return h.live, nil
+	}
 	n := 0
 	for _, pid := range h.pages {
 		buf, err := h.pool.Pin(pid)
@@ -376,6 +431,7 @@ func (h *HeapFile) Len() (int, error) {
 		n += Page{Buf: buf}.LiveCount()
 		h.pool.Unpin(pid)
 	}
+	h.live = n
 	return n, nil
 }
 
@@ -409,6 +465,8 @@ func (h *HeapFile) DropAll() error {
 		}
 	}
 	h.pages = nil
+	h.live = 0
+	h.pos = make(map[PageID]int)
 	h.avail = make(map[PageID]int)
 	return nil
 }

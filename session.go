@@ -278,7 +278,9 @@ func (s *Session) runWriteStmt(es *exec.State, st ast.Statement, params *paramSc
 	}
 	catVer := db.cat.Version()
 	r, err := s.runStmt(es, st, params, tr)
+	freeze := tr.Active().StartSpan(trace.KindStorage, "commit.freeze")
 	published, cerr := db.store.Commit()
+	tr.Active().EndSpan(freeze)
 	if cerr != nil && err == nil {
 		err = cerr
 	}

@@ -91,6 +91,10 @@ func TestTraceUpdateSpans(t *testing.T) {
 	if !strings.Contains(out, "▸ delete") || !strings.Contains(out, "rows=2") {
 		t.Errorf("delete span missing or wrong rows:\n%s", out)
 	}
+	// Publication is part of the statement: the freeze has its own span.
+	if !strings.Contains(out, "commit.freeze") {
+		t.Errorf("no commit.freeze span under the write statement:\n%s", out)
+	}
 }
 
 // TestTraceSampling covers run-time sampling control: off by default,
