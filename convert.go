@@ -94,14 +94,9 @@ func (db *DB) insertTuple(extent string, tv *value.Tuple) (oid.OID, uint64, erro
 	if cerr != nil && err == nil {
 		err = cerr
 	}
-	var lsn uint64
-	if rec != nil && (err == nil || published) {
-		rec.Erred = err != nil
-		var lerr error
-		lsn, lerr = db.wal.Append(rec)
-		if lerr != nil && err == nil {
-			err = lerr
-		}
+	lsn, lerr := db.logStmt(rec, err, published)
+	if lerr != nil && err == nil {
+		err = lerr
 	}
 	return id, lsn, err
 }
@@ -164,14 +159,9 @@ func (db *DB) setRefLocked(obj Obj, attr string, target Obj) (uint64, error) {
 	if cerr != nil && err == nil {
 		err = cerr
 	}
-	var lsn uint64
-	if rec != nil && (err == nil || published) {
-		rec.Erred = err != nil
-		var lerr error
-		lsn, lerr = db.wal.Append(rec)
-		if lerr != nil && err == nil {
-			err = lerr
-		}
+	lsn, lerr := db.logStmt(rec, err, published)
+	if lerr != nil && err == nil {
+		err = lerr
 	}
 	return lsn, err
 }

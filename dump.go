@@ -382,6 +382,14 @@ func (db *DB) restoreData(lines []dataLine) (uint64, error) {
 	if db.closed {
 		return 0, errDBClosed
 	}
+	var rec *wal.Record
+	if db.wal != nil {
+		texts := make([]string, len(lines))
+		for i, l := range lines {
+			texts[i] = l.text
+		}
+		rec = &wal.Record{Kind: wal.RecordLoad, User: "dba", Src: strings.Join(texts, "\n")}
+	}
 	var err error
 	for _, l := range lines {
 		if lerr := db.loadDataLine(l.text); lerr != nil {
@@ -393,22 +401,9 @@ func (db *DB) restoreData(lines []dataLine) (uint64, error) {
 	if cerr != nil && err == nil {
 		err = cerr
 	}
-	var lsn uint64
-	if db.wal != nil && (err == nil || published) {
-		texts := make([]string, len(lines))
-		for i, l := range lines {
-			texts[i] = l.text
-		}
-		var lerr error
-		lsn, lerr = db.wal.Append(&wal.Record{
-			Kind:  wal.RecordLoad,
-			User:  "dba",
-			Erred: err != nil,
-			Src:   strings.Join(texts, "\n"),
-		})
-		if lerr != nil && err == nil {
-			err = lerr
-		}
+	lsn, lerr := db.logStmt(rec, err, published)
+	if lerr != nil && err == nil {
+		err = lerr
 	}
 	return lsn, err
 }

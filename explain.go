@@ -4,12 +4,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/algebra"
 	"repro/internal/excess/ast"
 	"repro/internal/excess/parse"
-	"repro/internal/excess/sema"
+	"repro/internal/trace"
 )
 
 // ErrNotRetrieve reports that a statement given to a retrieve-only
@@ -48,14 +47,8 @@ func (db *DB) Explain(src string) (string, error) {
 	// plan the engine would actually serve — the cache hit, rendered with
 	// its "(cached)" marker. The lookup does not populate the cache:
 	// explaining a statement is not executing it.
-	if cacheable(r, nil) {
-		key := planKey{
-			text:   ast.Print(r),
-			catVer: db.cat.Version(),
-			optsFP: db.exec.Options().Fingerprint(),
-			ranges: rangesFingerprint(db.def.sem),
-		}
-		if e := db.plans.peek(key); e != nil {
+	if r.Into == "" {
+		if e := db.plans.peek(db.def.planKey(ast.Print(r))); e != nil {
 			return e.plan.Explain(), nil
 		}
 	}
@@ -115,152 +108,37 @@ func (db *DB) ExplainAnalyzeJSON(src string) (string, error) {
 	return string(buf), nil
 }
 
-// analyze parses, checks, plans and executes one retrieve with runtime
-// collection enabled, returning the instrumented plan and the
-// statement-level summary. Unlike Explain, the query really runs: it is
-// classified like any other statement — a plain retrieve takes the
-// snapshot read path, a retrieve into mutates the catalog and store and
-// serializes like DDL.
+// analyze runs one retrieve through the statement pipeline in its
+// instrumented mode and assembles the statement-level summary from what
+// the pipeline measured: the trace's phase durations, the result, and
+// the analysis the execute step kept. The query really runs, as the
+// statement it is — classified, locked, counted, traced, slow-logged
+// and (a retrieve into) published and WAL-logged like any other; on a
+// plan-cache hit the check and plan phases are the zero they cost.
 func (db *DB) analyze(src string) (*algebra.Plan, algebra.AnalyzeSummary, error) {
-	var sum algebra.AnalyzeSummary
-	t0 := time.Now()
-	st, err := parse.One(src, db.reg)
-	sum.Parse = time.Since(t0)
+	c, err := db.def.parseRetrieve(src, "explain analyze: %w")
 	if err != nil {
-		return nil, sum, err
+		return nil, algebra.AnalyzeSummary{}, err
 	}
-	r, ok := st.(*ast.Retrieve)
-	if !ok {
-		return nil, sum, fmt.Errorf("explain analyze: %w", ErrNotRetrieve)
-	}
-	if sema.ReadOnly(st) {
-		return db.analyzeSnapshot(r, sum, t0)
-	}
-	return db.analyzeWrite(r, sum, t0)
-}
-
-// analyzeSnapshot is analyze's read path: check, authorize and plan
-// inside a pin window, then run instrumented against the pinned
-// snapshot with no lock held.
-//
-// extra:acquires db.mu.R
-// extra:snapshot
-func (db *DB) analyzeSnapshot(r *ast.Retrieve, sum algebra.AnalyzeSummary, t0 time.Time) (*algebra.Plan, algebra.AnalyzeSummary, error) {
-	sess := db.def
-	if !db.beginPin() {
-		return nil, sum, errDBClosed
-	}
-	es := db.exec.NewState()
-	es.BindSnapshot(db.store.Snapshot())
-	cq, err := sess.checker(nil).CheckRetrieve(r)
-	sum.Check = time.Since(t0) - sum.Parse
-	if err == nil {
-		err = sess.authQuery(cq.Query, nil, targetExprs(cq)...)
-	}
-	var plan *algebra.Plan
-	if err == nil {
-		tp := time.Now()
-		plan = es.Plan(cq.Query)
-		sum.Plan = time.Since(tp)
-	}
-	db.mu.RUnlock()
-	defer es.Release()
+	var an analysis
+	c.analysis = &an
+	res, err := db.def.run(&c)
 	if err != nil {
-		return nil, sum, err
-	}
-	plan.EnableRuntime()
-	poolBase := db.pool.Stats()
-	te := time.Now()
-	res, err := es.RetrievePlan(cq, plan)
-	sum.Execute = time.Since(te)
-	if err != nil {
-		return nil, sum, err
-	}
-	db.finishAnalyze(&sum, cq, res, poolBase)
-	return plan, sum, nil
-}
-
-// analyzeWrite is analyze's write path (retrieve into): it mutates the
-// catalog and the store, so it serializes like DDL — the write lock
-// plus the exclusive statement lock — and publishes the snapshot its
-// mutations produce, logging the statement like any other committed
-// write. Durability is awaited after both locks are released.
-//
-// extra:acquires db.wmu.W
-// extra:acquires db.mu.W
-// extra:mutates
-func (db *DB) analyzeWrite(r *ast.Retrieve, sum algebra.AnalyzeSummary, t0 time.Time) (*algebra.Plan, algebra.AnalyzeSummary, error) {
-	sess := db.def
-	var plan *algebra.Plan
-	var lsn uint64
-	err := func() error {
-		db.wmu.Lock()
-		defer db.wmu.Unlock()
-		db.mu.Lock()
-		defer db.mu.Unlock()
-		if db.closed {
-			return errDBClosed
-		}
-		es := db.exec.NewState()
-		defer es.Release()
-		es.BindLive()
-		rec, rerr := db.stmtRecord(sess, r, nil)
-		if rerr != nil {
-			return rerr
-		}
-		catVer := db.cat.Version()
-		cq, err := sess.checker(nil).CheckRetrieve(r)
-		sum.Check = time.Since(t0) - sum.Parse
-		if err != nil {
-			return err
-		}
-		if err := sess.authQuery(cq.Query, nil, targetExprs(cq)...); err != nil {
-			return err
-		}
-		tp := time.Now()
-		plan = es.Plan(cq.Query)
-		sum.Plan = time.Since(tp)
-		plan.EnableRuntime()
-		poolBase := db.pool.Stats()
-		te := time.Now()
-		res, err := es.RetrievePlan(cq, plan)
-		sum.Execute = time.Since(te)
-		published, cerr := db.store.Commit()
-		if cerr != nil && err == nil {
-			err = cerr
-		}
-		var lerr error
-		lsn, lerr = db.logStmt(rec, err, published || db.cat.Version() != catVer)
-		if lerr != nil && err == nil {
-			err = lerr
-		}
-		if err != nil {
-			return err
-		}
-		if cq.Into != "" {
-			db.auth.SetOwner(cq.Into, sess.user)
-		}
-		db.finishAnalyze(&sum, cq, res, poolBase)
-		return nil
-	}()
-	if derr := db.waitDurable(lsn); derr != nil && err == nil {
-		err = derr
-	}
-	if err != nil {
-		return nil, sum, err
-	}
-	return plan, sum, nil
-}
-
-// finishAnalyze fills the execution-side fields of the summary.
-func (db *DB) finishAnalyze(sum *algebra.AnalyzeSummary, cq *sema.CheckedRetrieve, res *Result, poolBase PoolStats) {
-	poolCur := db.pool.Stats()
-	sum.PoolHits = poolCur.Hits - poolBase.Hits
-	sum.PoolMisses = poolCur.Misses - poolBase.Misses
-	sum.Rows = len(res.Rows)
-	sum.Aggregated = cq.Aggregated
-	if cq.Aggregated {
-		sum.Groups = len(res.Rows)
+		return nil, algebra.AnalyzeSummary{}, err
 	}
 	db.metrics.Counter("stmt.analyze").Inc()
+	sum := algebra.AnalyzeSummary{
+		Parse:      c.tr.Dur(trace.PhaseParse),
+		Check:      c.tr.Dur(trace.PhaseCheck),
+		Plan:       c.tr.Dur(trace.PhasePlan),
+		Execute:    c.tr.Dur(trace.PhaseExecute),
+		Rows:       len(res.Rows),
+		Aggregated: an.aggregated,
+		PoolHits:   an.pool.Hits,
+		PoolMisses: an.pool.Misses,
+	}
+	if an.aggregated {
+		sum.Groups = len(res.Rows)
+	}
+	return an.plan, sum, nil
 }

@@ -143,11 +143,12 @@ type DB struct {
 	// are internally atomic: safe to observe from concurrent readers.
 	hParse, hCheck, hPlan, hCompile, hExecute, hStmt *metrics.Histogram
 	cRows, cErrors                                   *metrics.Counter
+	cKind                                            map[string]*metrics.Counter // stmt.<kind> by sema.KindOf name; read-only after Open
 
 	// plans is the engine-wide compiled-statement cache (see
-	// plancache.go): repeated unprepared retrieves amortize
-	// parse/check/plan to a map hit. Keyed on catalog version, so DDL
-	// invalidates it wholesale.
+	// plancache.go), the one plan memo: repeated retrieves, ad hoc or
+	// prepared, amortize check/plan to a hit. Keyed on catalog version,
+	// so DDL invalidates it wholesale.
 	plans *planCache
 
 	// Slow-query log: a ring buffer of the last slowCap statements that
@@ -244,6 +245,10 @@ func open(cfg config, reg *adt.Registry) (*DB, error) {
 	pool := storage.NewBufferPool(ps, cfg.poolPages)
 	store := object.New(pool, cat)
 	mreg := metrics.NewRegistry()
+	cKind := make(map[string]*metrics.Counter, len(sema.Kinds))
+	for _, kind := range sema.Kinds {
+		cKind[kind] = mreg.Counter("stmt." + kind)
+	}
 	db := &DB{
 		reg:   reg,
 		cat:   cat,
@@ -261,6 +266,7 @@ func open(cfg config, reg *adt.Registry) (*DB, error) {
 		hStmt:    mreg.Histogram("stmt.latency"),
 		cRows:    mreg.Counter("rows.returned"),
 		cErrors:  mreg.Counter("stmt.errors"),
+		cKind:    cKind,
 
 		plans: newPlanCache(defaultPlanCacheCap, mreg),
 

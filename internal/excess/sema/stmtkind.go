@@ -2,6 +2,13 @@ package sema
 
 import "repro/internal/excess/ast"
 
+// Kinds lists every name KindOf returns, so the database layer can
+// resolve its per-kind counters once instead of per statement.
+var Kinds = []string{
+	"retrieve", "append", "delete", "replace", "set", "execute",
+	"define", "create", "drop", "range", "grant", "other",
+}
+
 // KindOf names a statement for per-kind accounting (the database
 // layer's stmt.retrieve, stmt.append, ... metric counters).
 func KindOf(st ast.Statement) string {

@@ -96,9 +96,20 @@ func TestStatementClassificationExhaustive(t *testing.T) {
 
 	// The static table and the runtime classifier must agree on every
 	// statement kind.
+	kinds := map[string]bool{}
+	for _, kind := range sema.Kinds {
+		kinds[kind] = true
+	}
+	if !kinds[sema.KindOf(nil)] {
+		t.Errorf("sema.Kinds lacks KindOf's fallback %q", sema.KindOf(nil))
+	}
 	for name, st := range stmtValues {
-		if kind := sema.KindOf(st); kind == "other" {
+		kind := sema.KindOf(st)
+		if kind == "other" {
 			t.Errorf("sema.KindOf(*ast.%s) = %q: every statement kind needs a metrics name", name, kind)
+		}
+		if !kinds[kind] {
+			t.Errorf("sema.KindOf(*ast.%s) = %q is not in sema.Kinds: the database layer has no counter for it", name, kind)
 		}
 		switch lint.StmtClass[name] {
 		case "write":

@@ -183,27 +183,6 @@ func (ex *Executor) SetMetrics(reg *metrics.Registry) {
 	ex.cExprCompile = reg.Counter("expr.compile.count")
 }
 
-// EstimateLen implements algebra.Stats. Extents without statistics fall
-// back to algebra.DefaultCardinality; such misses are counted (the
-// stats.misses metric) so bad cardinality guesses are observable.
-func (ex *Executor) EstimateLen(extent string) int {
-	if n, err := ex.store.ExtentLen(extent); err == nil {
-		return n
-	}
-	if n, err := ex.store.ElemLen(extent); err == nil {
-		return n
-	}
-	ex.statsMisses.Add(1)
-	if ex.cStatsMiss != nil {
-		ex.cStatsMiss.Inc()
-	}
-	return algebra.DefaultCardinality
-}
-
-// StatsMisses returns how many cardinality estimates fell back to the
-// default since the executor was created.
-func (ex *Executor) StatsMisses() int64 { return ex.statsMisses.Load() }
-
 // prov records where a binding's value lives, for update statements.
 type prov struct {
 	oid       oid.OID     // identity, when the binding is an object
@@ -723,9 +702,4 @@ func (ex *State) forAllHolds(b *binding, uvars []*sema.Var, conjs []sema.Expr) (
 		return false, err
 	}
 	return holds, nil
-}
-
-// Plan builds an optimized plan for a checked query.
-func (ex *Executor) Plan(q sema.Query) *algebra.Plan {
-	return algebra.Build(ex.cat, ex, q, ex.opts)
 }

@@ -20,6 +20,7 @@ package object
 
 import (
 	"fmt"
+	"sort"
 	"sync/atomic"
 
 	"repro/internal/catalog"
@@ -183,6 +184,9 @@ func (s *Store) DropVar(v *catalog.Variable) error {
 				ids = append(ids, id)
 			}
 		}
+		// Delete in oid order, not map order: where the deletions leave
+		// free space must not differ between a run and its WAL replay.
+		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 		for _, id := range ids {
 			if err := s.Delete(id); err != nil {
 				return err

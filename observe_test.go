@@ -241,6 +241,30 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 }
 
+// TestExplainAnalyzeIsAStatement: EXPLAIN ANALYZE is a mode of statement
+// execution, so an analyzed retrieve over the slow threshold is in the
+// slow-query log like any other, linked to its retained trace.
+func TestExplainAnalyzeIsAStatement(t *testing.T) {
+	db, err := Open(WithSlowQueryLog(time.Nanosecond, 4), WithTracing(1, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	loadCompany(t, db)
+	q := `retrieve (E.name) from E in Employees where E.dept.floor = 2`
+	if _, err := db.ExplainAnalyze(q); err != nil {
+		t.Fatal(err)
+	}
+	slow := db.SlowQueries()
+	last := slow[len(slow)-1]
+	if last.Src != q || last.Rows != 3 {
+		t.Fatalf("analyzed statement not the newest slow-log entry: %+v", last)
+	}
+	if tr := db.TraceByID(last.TraceID); tr == nil || tr.Src != q {
+		t.Errorf("slow-log entry's trace %d does not resolve to the statement: %+v", last.TraceID, tr)
+	}
+}
+
 // TestAnalyzeReportIndexProbe checks per-operator actuals when the
 // access method is a B+-tree probe rather than a heap scan.
 func TestAnalyzeReportIndexProbe(t *testing.T) {

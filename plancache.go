@@ -26,13 +26,16 @@ import (
 //   - the session's range-declaration fingerprint, because "retrieve
 //     (E.name)" means different things after "range of E is ..." changes.
 //
-// Only parameterless retrieves without an into clause are cached: into
-// creates schema (never repeated), and placeholder statements are served
-// by the prepared-statement path, which holds its plan directly.
+// It is the engine's only plan memo: ad-hoc statements, prepared
+// statements ($n placeholders included) and EXPLAIN ANALYZE all reach it
+// through Session.planRetrieve, which also says what is not cacheable.
 //
 // Entries store the Checked form plus a Cached=true Clone of the plan.
 // The clone is shared by every hit and never mutated — a sampled
 // statement that needs instrumentation clones again before EnableRuntime.
+// An entry carries its own key, so a holder that outlives the entry's
+// place in the map (a Stmt keeps the one it was last served) revalidates
+// it with the comparison the map itself uses.
 type planCache struct {
 	mu  sync.RWMutex // extra:lock plancache.mu
 	cap int
@@ -54,6 +57,7 @@ type planKey struct {
 }
 
 type planEntry struct {
+	key  planKey
 	cq   *sema.CheckedRetrieve
 	plan *algebra.Plan
 }
@@ -74,11 +78,16 @@ func newPlanCache(capacity int, reg *metrics.Registry) *planCache {
 	}
 }
 
-// cacheable reports whether a retrieve may be served from the cache: no
-// into clause (DDL side effect) and no procedure-parameter frame (the
-// checked tree would capture frame-specific types).
-func cacheable(r *ast.Retrieve, params *paramScope) bool {
-	return r.Into == "" && params == nil
+// planKey builds the key a statement text has in this session right
+// now. The caller holds the catalog, the options and the session's
+// ranges still (see planRetrieve).
+func (s *Session) planKey(text string) planKey {
+	return planKey{
+		text:   text,
+		catVer: s.db.cat.Version(),
+		optsFP: s.db.exec.Options().Fingerprint(),
+		ranges: rangesFingerprint(s.sem),
+	}
 }
 
 // rangesFingerprint renders a session's range declarations into a stable
@@ -100,13 +109,18 @@ func rangesFingerprint(sess *sema.Session) string {
 	return strings.Join(parts, ";")
 }
 
-// get returns the cached entry for the key, or nil.
+// get returns the entry for the key, or nil. last, when not nil, is an
+// entry the caller was served earlier: if it still answers to the key
+// it is the hit, found without the lock or the map.
 //
 // extra:acquires plancache.mu.R
-func (pc *planCache) get(key planKey) *planEntry {
-	pc.mu.RLock()
-	e := pc.m[key]
-	pc.mu.RUnlock()
+func (pc *planCache) get(key planKey, last *planEntry) *planEntry {
+	e := last
+	if e == nil || e.key != key {
+		pc.mu.RLock()
+		e = pc.m[key]
+		pc.mu.RUnlock()
+	}
 	if e == nil {
 		pc.misses.Inc()
 		return nil
@@ -116,18 +130,19 @@ func (pc *planCache) get(key planKey) *planEntry {
 }
 
 // put inserts a freshly planned statement, evicting the oldest entry at
-// capacity. The stored plan is a Cached=true clone: the inserting
-// statement keeps executing its own unmarked plan, and all later hits
-// share the immutable marked copy.
+// capacity, and returns the entry now cached under the key. The stored
+// plan is a Cached=true clone: the inserting statement keeps executing
+// its own unmarked plan, and all later hits share the immutable marked
+// copy.
 //
 // extra:acquires plancache.mu.W
-func (pc *planCache) put(key planKey, cq *sema.CheckedRetrieve, plan *algebra.Plan) {
+func (pc *planCache) put(key planKey, cq *sema.CheckedRetrieve, plan *algebra.Plan) *planEntry {
 	marked := plan.Clone()
 	marked.Cached = true
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	if _, dup := pc.m[key]; dup {
-		return // a concurrent reader planned the same statement; keep theirs
+	if e, dup := pc.m[key]; dup {
+		return e // a concurrent reader planned the same statement; keep theirs
 	}
 	for len(pc.m) >= pc.cap && len(pc.fifo) > 0 {
 		old := pc.fifo[0]
@@ -137,9 +152,11 @@ func (pc *planCache) put(key planKey, cq *sema.CheckedRetrieve, plan *algebra.Pl
 			pc.evictions.Inc()
 		}
 	}
-	pc.m[key] = &planEntry{cq: cq, plan: marked}
+	e := &planEntry{key: key, cq: cq, plan: marked}
+	pc.m[key] = e
 	pc.fifo = append(pc.fifo, key)
 	pc.size.Set(int64(len(pc.m)))
+	return e
 }
 
 // peek is get without counter traffic, for EXPLAIN: an explain is not an

@@ -1,56 +1,51 @@
 package extra
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
-	"sync"
+	"strings"
+	"sync/atomic"
 	"time"
 
-	"repro/internal/algebra"
 	"repro/internal/excess/ast"
 	"repro/internal/excess/parse"
 	"repro/internal/excess/sema"
-	"repro/internal/exec"
-	"repro/internal/trace"
 	"repro/internal/types"
 	"repro/internal/value"
 )
 
-// Stmt is a prepared statement: one EXCESS statement parsed, checked and
-// (for retrieves) planned once, with $1..$n parameter slots typed from
-// their use sites, then executed any number of times with only argument
-// binding and execution on the hot path.
+// Stmt is a prepared statement: one EXCESS statement parsed once, with
+// $1..$n parameter slots typed from their use sites, then executed any
+// number of times with only argument binding and execution on the hot
+// path.
 //
-// A retrieve's checked tree and plan are pinned in the Stmt and
-// revalidated against the catalog version and the session's range
-// declarations on every Exec: DDL or a redeclared range transparently
-// re-prepares instead of serving a stale plan. Non-retrieve statements
-// amortize parsing and parameter typing; their checked forms capture
-// catalog state that updates themselves invalidate, so they re-check per
-// execution.
+// A Stmt holds no compilation of its own. A retrieve's checked tree and
+// plan live in the engine plan cache like any other statement's, under
+// the key text the Stmt printed once; the Stmt keeps a pointer to the
+// entry it was last served and revalidates it with the comparison the
+// cache itself uses, so DDL, a redeclared range or a toggled optimizer
+// knob transparently compiles afresh instead of serving a stale plan.
+// Non-retrieve statements amortize parsing and parameter typing; their
+// checked forms capture catalog state that updates themselves
+// invalidate, so they re-check per execution.
 //
 // A Stmt is safe for concurrent use for read-only statements, exactly
 // like the Session it was prepared on.
 type Stmt struct {
-	sess *Session
-	src  string
-	st   ast.Statement
+	sess  *Session
+	src   string
+	stmts []ast.Statement // the one statement, in the shape the pipeline takes
 	// ptypes holds the inferred type of each $N slot (index N-1); nil
 	// entries are dynamically typed (converted from the Go native's own
 	// shape at bind time).
 	ptypes []types.Type
-
-	// The pinned compilation of a cacheable retrieve, revalidated against
-	// catVer/ranges on each Exec. Guarded by mu; the cq/plan themselves
-	// are immutable once published.
-	mu     sync.Mutex // extra:lock stmt.mu
-	cq     *sema.CheckedRetrieve
-	plan   *algebra.Plan
-	catVer uint64
-	optsFP uint64
-	ranges string
-	closed bool
+	// keyText is the text component of a retrieve's planKey: the printed
+	// statement plus the slot types, which its checked tree equally
+	// depends on. A parameterless statement's is exactly what an ad-hoc
+	// execution prints, so the two share one cache entry.
+	keyText string
+	last    atomic.Pointer[planEntry]
+	closed  atomic.Bool
 }
 
 // Prepare parses and type-checks one statement on the DB's default
@@ -76,12 +71,16 @@ func (s *Session) Prepare(src string) (*Stmt, error) {
 	if err := probeCheck(ck, st); err != nil {
 		return nil, err
 	}
-	return &Stmt{
-		sess:   s,
-		src:    src,
-		st:     st,
-		ptypes: ck.Placeholders(),
-	}, nil
+	stmt := &Stmt{sess: s, src: src, stmts: []ast.Statement{st}, ptypes: ck.Placeholders()}
+	if r, ok := st.(*ast.Retrieve); ok {
+		var b strings.Builder
+		b.WriteString(ast.Print(r))
+		for _, t := range stmt.ptypes {
+			fmt.Fprintf(&b, "\x00%v", t)
+		}
+		stmt.keyText = b.String()
+	}
+	return stmt, nil
 }
 
 // probeCheck runs the statement through its checker so placeholder slots
@@ -113,14 +112,10 @@ func (st *Stmt) NumParams() int { return len(st.ptypes) }
 // Src returns the statement's source text.
 func (st *Stmt) Src() string { return st.src }
 
-// Close releases the pinned plan. Exec after Close errors.
-//
-// extra:acquires stmt.mu.W
+// Close drops the retained plan entry. Exec after Close errors.
 func (st *Stmt) Close() error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.closed = true
-	st.cq, st.plan = nil, nil
+	st.closed.Store(true)
+	st.last.Store(nil)
 	return nil
 }
 
@@ -128,13 +123,15 @@ func (st *Stmt) Close() error {
 // $1..$n. Arguments are Go natives (int, int64, float64, string, bool),
 // Obj handles or prebuilt values, converted through the slot's inferred
 // type. It returns the retrieve's result set (nil for other statement
-// kinds).
+// kinds). After binding, the statement takes the same pipeline as an
+// unprepared one (Session.run): a retrieve without into pins a snapshot
+// and runs lock-free, anything else serializes on the write lock,
+// publishes its snapshot and is logged — with its bound arguments — to
+// the WAL. On a retrieve's steady state nothing is parsed, checked or
+// planned.
 func (st *Stmt) Exec(args ...any) (*Result, error) {
 	start := time.Now()
-	st.mu.Lock()
-	closed := st.closed
-	st.mu.Unlock()
-	if closed {
+	if st.closed.Load() {
 		return nil, fmt.Errorf("prepared statement is closed")
 	}
 	if len(args) != len(st.ptypes) {
@@ -145,116 +142,7 @@ func (st *Stmt) Exec(args ...any) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	kind := sema.KindOf(st.st)
-	if r, ok := st.st.(*ast.Retrieve); ok && sema.ReadOnly(st.st) {
-		return st.snapshotExec(r, scope, kind, start)
-	}
-	return st.writeExec(scope, kind, start)
-}
-
-// snapshotExec is the prepared-retrieve read path: pin a snapshot,
-// revalidate the pinned compilation and authorize inside the pin window
-// (so the plan, the catalog version and the snapshot agree), then
-// execute lock-free against the snapshot. On the steady state nothing
-// is parsed, checked or planned.
-//
-// extra:acquires db.mu.R
-// extra:snapshot
-func (st *Stmt) snapshotExec(r *ast.Retrieve, scope *paramScope, kind string, start time.Time) (*Result, error) {
-	s := st.sess
-	db := s.db
-	var tr trace.StmtTrace
-	tr.Begin(db.tracer, start)
-	db.metrics.Counter("stmt." + kind).Inc()
-	if !db.beginPin() {
-		return nil, errDBClosed
-	}
-	user := s.user
-	es := db.exec.NewState()
-	es.SetTrace(tr.Active())
-	es.BindSnapshot(db.store.Snapshot())
-	cq, plan, err := st.compiledFor(es, r, scope, &tr)
-	if err == nil {
-		err = s.authQuery(cq.Query, nil, targetExprs(cq)...)
-	}
-	if err == nil {
-		pt := tr.StartPhase(trace.PhaseCompile)
-		es.CompilePlan(cq, plan)
-		tr.EndPhase(pt)
-	}
-	db.mu.RUnlock()
-	defer es.Release()
-	var res *Result
-	runErr := err
-	if runErr == nil {
-		runErr = s.labeled(kind, func() error {
-			var err error
-			res, err = s.execPinnedPlan(es, cq, plan, scope, &tr)
-			return err
-		})
-	}
-	if runErr != nil {
-		db.cErrors.Inc()
-		db.abortTrace(s.id, user, st.src, kind, &tr, start, runErr)
-		return nil, runErr
-	}
-	if res != nil {
-		tr.Rows = len(res.Rows)
-	}
-	db.finishTrace(s.id, user, st.src, kind, &tr, start)
-	return res, nil
-}
-
-// writeExec is the prepared write path: the statement serializes on the
-// write lock exactly like an unprepared write batch and runs through
-// runWriteStmt, which publishes the snapshot its mutations produce and
-// logs the statement (with its bound arguments) to the WAL. Durability
-// is awaited after the lock is released so commits group.
-//
-// extra:acquires db.wmu.W
-func (st *Stmt) writeExec(scope *paramScope, kind string, start time.Time) (*Result, error) {
-	s := st.sess
-	db := s.db
-	var tr trace.StmtTrace
-	var res *Result
-	var lsn uint64
-	var user string
-	runErr := func() error {
-		db.wmu.Lock()
-		defer db.wmu.Unlock()
-		if db.closed {
-			return errDBClosed
-		}
-		user = s.user
-		tr.Begin(db.tracer, start)
-		es := db.exec.NewState()
-		defer es.Release()
-		es.BindLive()
-		es.SetTrace(tr.Active())
-		return s.labeled(kind, func() error {
-			var err error
-			res, lsn, err = s.runWriteStmt(es, st.st, scope, &tr)
-			return err
-		})
-	}()
-	if derr := db.waitDurable(lsn); derr != nil && runErr == nil {
-		runErr = derr
-	}
-	if runErr != nil {
-		// Use-after-close: no trace was begun and the metrics should not
-		// count it as a statement error (see execWrite).
-		if errors.Is(runErr, errDBClosed) {
-			return nil, runErr
-		}
-		db.cErrors.Inc()
-		db.abortTrace(s.id, user, st.src, kind, &tr, start, runErr)
-		return nil, runErr
-	}
-	if res != nil {
-		tr.Rows = len(res.Rows)
-	}
-	db.finishTrace(s.id, user, st.src, kind, &tr, start)
-	return res, nil
+	return st.sess.run(&stmtCall{stmts: st.stmts, src: st.src, start: start, params: scope, prepared: st})
 }
 
 // MustExec runs the prepared statement and panics on error.
@@ -264,48 +152,6 @@ func (st *Stmt) MustExec(args ...any) *Result {
 		panic(err)
 	}
 	return r
-}
-
-// compiledFor returns the pinned checked tree and plan, re-preparing
-// when the catalog version, the session's range declarations or the
-// optimizer options moved since they were built. The caller holds the
-// shared statement lock for its whole pin window, so the fingerprints
-// read here cannot move between the read and the execution that relies
-// on them: concurrent DDL publishes catalog + snapshot under the
-// exclusive side and either lands entirely before this window (the
-// fingerprint check sees it and re-prepares) or entirely after it. Two
-// executions may re-prepare concurrently; the later publication simply
-// replaces the earlier, both being correct for the current version.
-//
-// extra:requires db.mu.R
-// extra:acquires stmt.mu.W
-func (st *Stmt) compiledFor(es *exec.State, r *ast.Retrieve, scope *paramScope, tr *trace.StmtTrace) (*sema.CheckedRetrieve, *algebra.Plan, error) {
-	db := st.sess.db
-	catVer := db.cat.Version()
-	ranges := rangesFingerprint(st.sess.sem)
-	optsFP := db.exec.Options().Fingerprint()
-	st.mu.Lock()
-	if st.cq != nil && st.catVer == catVer && st.ranges == ranges && st.optsFP == optsFP {
-		cq, plan := st.cq, st.plan
-		st.mu.Unlock()
-		return cq, plan, nil
-	}
-	st.mu.Unlock()
-	ck := sema.NewChecker(db.cat, st.sess.sem, scope.typesOrNil())
-	pt := tr.StartPhase(trace.PhaseCheck)
-	cq, err := ck.CheckRetrieve(r)
-	tr.EndPhase(pt)
-	if err != nil {
-		return nil, nil, err
-	}
-	pt = tr.StartPhase(trace.PhasePlan)
-	plan := es.Plan(cq.Query)
-	tr.EndPhase(pt)
-	st.mu.Lock()
-	st.cq, st.plan = cq, plan
-	st.catVer, st.ranges, st.optsFP = catVer, ranges, optsFP
-	st.mu.Unlock()
-	return cq, plan, nil
 }
 
 // bindArgs converts Go arguments into the $N parameter frame.

@@ -110,6 +110,35 @@ func ddlStatement(st ast.Statement) bool {
 	return true
 }
 
+// stmtCall is one trip through the statement pipeline. Every entry
+// point — Exec and Query after parsing, Stmt.Exec after binding its
+// arguments, EXPLAIN ANALYZE, WAL replay after re-parsing — fills in
+// the first group of fields and hands the call to Session.run; the
+// second group is the pipeline's own state while the call runs.
+type stmtCall struct {
+	stmts    []ast.Statement
+	src      string        // as the caller wrote it: traces and the slow log quote it
+	start    time.Time     // when the source arrived: the root span and stmt.latency start here
+	parseDur time.Duration // zero for a prepared statement
+	params   *paramScope   // $n arguments (prepared, replayed) or a procedure frame
+	prepared *Stmt         // set by Stmt.Exec: key text and the retained plan entry
+	analysis *analysis     // set by EXPLAIN ANALYZE: run instrumented and keep the plan
+
+	es   *exec.State
+	tr   trace.StmtTrace
+	user string // read under a lock; the call is sealed outside any, where s.user would race SetUser
+	lsn  uint64 // highest WAL position the call appended at
+}
+
+// open gives the call what it must read under an engine lock: the
+// session's user and an execution State (NewState copies the optimizer
+// options, which SetOptimizer replaces under both locks).
+func (c *stmtCall) open(s *Session) {
+	c.user = s.user
+	c.es = s.db.exec.NewState()
+	c.es.SetTrace(c.tr.Active())
+}
+
 // Exec parses and runs one or more EXCESS statements, returning the
 // result of the last retrieve (nil if none). Parsing happens before any
 // lock is taken (it only reads the ADT registry, which has its own
@@ -117,104 +146,62 @@ func ddlStatement(st ast.Statement) bool {
 // concurrently with writers; a batch with any write statement
 // serializes on the write lock.
 func (s *Session) Exec(src string) (*Result, error) {
-	db := s.db
 	start := time.Now()
-	stmts, err := parse.Statements(src, db.reg)
-	parseDur := time.Since(start)
+	stmts, err := parse.Statements(src, s.db.reg)
 	if err != nil {
-		db.cErrors.Inc()
+		s.db.cErrors.Inc()
 		return nil, err
 	}
-	kind := "batch"
-	if len(stmts) == 1 {
-		kind = sema.KindOf(stmts[0])
-	}
-	if allReadOnly(stmts) {
-		return s.execSnapshot(stmts, src, kind, start, parseDur)
-	}
-	return s.execWrite(stmts, src, kind, start, parseDur)
+	return s.run(&stmtCall{stmts: stmts, src: src, start: start, parseDur: time.Since(start)})
 }
 
-// execSnapshot runs an all-read-only batch under MVCC: each statement
-// pins the store's latest published snapshot during a short shared-lock
-// window and then executes lock-free against it (runReadStmt), so a
-// reader never waits behind a bulk update and holds nothing a writer
-// waits on during execution.
+// run is the statement envelope, the one place a statement is traced,
+// classified, locked, accounted and made durable, whichever entry point
+// it came through.
 //
-// extra:acquires db.mu.R
-func (s *Session) execSnapshot(stmts []ast.Statement, src, kind string, start time.Time, parseDur time.Duration) (*Result, error) {
-	db := s.db
-	if !db.beginPin() {
-		return nil, errDBClosed
-	}
-	user := s.user
-	es := db.exec.NewState()
-	db.mu.RUnlock()
-	defer es.Release()
-	var tr trace.StmtTrace
-	tr.Begin(db.tracer, start)
-	tr.RecordPhase(trace.PhaseParse, start, parseDur)
-	es.SetTrace(tr.Active())
-	var last *Result
-	runErr := s.labeled(kind, func() error {
-		for _, st := range stmts {
-			r, err := s.runReadStmt(es, st, nil, &tr)
-			if err != nil {
-				return err
-			}
-			if r != nil {
-				last = r
-			}
-		}
-		return nil
-	})
-	if runErr != nil {
-		db.cErrors.Inc()
-		db.abortTrace(s.id, user, src, kind, &tr, start, runErr)
-		return nil, runErr
-	}
-	if last != nil {
-		tr.Rows = len(last.Rows)
-	}
-	db.finishTrace(s.id, user, src, kind, &tr, start)
-	return last, nil
-}
-
-// execWrite runs a batch containing at least one write statement. The
-// whole batch holds the write lock; each statement mutates the live
-// store, publishes a fresh snapshot when it completes (runWriteStmt),
-// and is appended to the WAL — so concurrent snapshot readers observe
-// the batch statement by statement and never a torn statement. The
-// durability wait happens after the lock is released: that hand-off is
-// what lets concurrent committers share one fsync (group commit).
+// An all-read-only batch runs under MVCC: each statement pins the
+// store's latest published snapshot during a short shared-lock window
+// and then executes lock-free against it (runReadStmt), so a reader
+// never waits behind a bulk update and holds nothing a writer waits on
+// during execution. Any other batch holds the write lock throughout;
+// each statement mutates the live store, publishes a fresh snapshot
+// when it completes and is appended to the WAL (runWriteStmt), so
+// concurrent snapshot readers observe the batch statement by statement
+// and never a torn statement. The durability wait happens after the
+// lock is released: that hand-off is what lets concurrent committers
+// share one fsync (group commit).
 //
 // extra:acquires db.wmu.W
-func (s *Session) execWrite(stmts []ast.Statement, src, kind string, start time.Time, parseDur time.Duration) (*Result, error) {
+func (s *Session) run(c *stmtCall) (*Result, error) {
 	db := s.db
+	kind := "batch"
+	if len(c.stmts) == 1 {
+		kind = sema.KindOf(c.stmts[0])
+	}
+	c.tr.Begin(db.tracer, c.start)
+	c.tr.RecordPhase(trace.PhaseParse, c.start, c.parseDur)
+	readOnly := allReadOnly(c.stmts)
 	var last *Result
-	var lastLSN uint64
-	var user string
-	var tr trace.StmtTrace
-	runErr := func() error {
-		db.wmu.Lock()
-		defer db.wmu.Unlock()
-		// closed is written under both locks (Close takes wmu first), so
-		// reading it under wmu alone is race-free.
-		if db.closed {
-			return errDBClosed
+	err := func() error {
+		if !readOnly {
+			db.wmu.Lock()
+			defer db.wmu.Unlock()
+			// closed is written under both locks (Close takes wmu first), so
+			// reading it under wmu alone is race-free.
+			if db.closed {
+				return errDBClosed
+			}
+			c.open(s)
+			c.es.BindLive()
 		}
-		user = s.user
-		es := db.exec.NewState()
-		defer es.Release()
-		es.BindLive()
-		tr.Begin(db.tracer, start)
-		tr.RecordPhase(trace.PhaseParse, start, parseDur)
-		es.SetTrace(tr.Active())
 		return s.labeled(kind, func() error {
-			for _, st := range stmts {
-				r, lsn, err := s.runWriteStmt(es, st, nil, &tr)
-				if lsn > lastLSN {
-					lastLSN = lsn
+			for _, st := range c.stmts {
+				var r *Result
+				var err error
+				if readOnly {
+					r, err = s.runReadStmt(c, st)
+				} else {
+					r, err = s.runWriteStmt(c, st)
 				}
 				if err != nil {
 					return err
@@ -226,24 +213,26 @@ func (s *Session) execWrite(stmts []ast.Statement, src, kind string, start time.
 			return nil
 		})
 	}()
-	if derr := db.waitDurable(lastLSN); derr != nil && runErr == nil {
-		runErr = derr
+	if c.es != nil {
+		c.es.Release()
 	}
-	if runErr != nil {
-		// Use-after-close is a caller bug, not a commit failure: no
-		// trace was begun, and counting it would conflate it with real
-		// statement errors in the metrics.
-		if errors.Is(runErr, errDBClosed) {
-			return nil, runErr
+	if derr := db.waitDurable(c.lsn); derr != nil && err == nil {
+		err = derr
+	}
+	if err != nil {
+		// Use-after-close is a caller bug, not a statement failure:
+		// counting it would conflate it with real statement errors in the
+		// metrics. Its trace is sealed like any other.
+		if !errors.Is(err, errDBClosed) {
+			db.cErrors.Inc()
 		}
-		db.cErrors.Inc()
-		db.abortTrace(s.id, user, src, kind, &tr, start, runErr)
-		return nil, runErr
+		db.abortTrace(s.id, c.user, c.src, kind, &c.tr, c.start, err)
+		return nil, err
 	}
 	if last != nil {
-		tr.Rows = len(last.Rows)
+		c.tr.Rows = len(last.Rows)
 	}
-	db.finishTrace(s.id, user, src, kind, &tr, start)
+	db.finishTrace(s.id, c.user, c.src, kind, &c.tr, c.start)
 	return last, nil
 }
 
@@ -253,17 +242,16 @@ func (s *Session) execWrite(stmts []ast.Statement, src, kind string, start time.
 // rollback, so whatever the statement wrote before failing is live
 // state and must become visible to snapshot readers exactly as it is to
 // the next write statement (such statements are logged with the Erred
-// flag — their partial effects are durable state too). The returned LSN
-// is 0 when nothing was logged; the caller awaits durability with
-// db.waitDurable after releasing the write lock. DDL-classified
-// statements hold the exclusive statement lock across run + publish so
-// no reader pins a snapshot in the gap where the catalog has moved but
-// the snapshot has not.
+// flag — their partial effects are durable state too). The call
+// remembers the LSN it logged at; run awaits durability after releasing
+// the write lock. DDL-classified statements hold the exclusive
+// statement lock across run + publish so no reader pins a snapshot in
+// the gap where the catalog has moved but the snapshot has not.
 //
 // extra:requires db.wmu.W
 // extra:acquires db.mu.W
 // extra:mutates
-func (s *Session) runWriteStmt(es *exec.State, st ast.Statement, params *paramScope, tr *trace.StmtTrace) (*Result, uint64, error) {
+func (s *Session) runWriteStmt(c *stmtCall, st ast.Statement) (*Result, error) {
 	db := s.db
 	if ddlStatement(st) {
 		db.mu.Lock()
@@ -272,15 +260,15 @@ func (s *Session) runWriteStmt(es *exec.State, st ast.Statement, params *paramSc
 	// Size the WAL record before running the statement: one the log
 	// cannot hold refuses the statement here, with nothing mutated and
 	// nothing published (the engine has no rollback to undo with).
-	rec, rerr := db.stmtRecord(s, st, params)
+	rec, rerr := db.stmtRecord(s, st, c.params)
 	if rerr != nil {
-		return nil, 0, rerr
+		return nil, rerr
 	}
 	catVer := db.cat.Version()
-	r, err := s.runStmt(es, st, params, tr)
-	freeze := tr.Active().StartSpan(trace.KindStorage, "commit.freeze")
+	r, err := s.runStmt(c, st)
+	freeze := c.tr.Active().StartSpan(trace.KindStorage, "commit.freeze")
 	published, cerr := db.store.Commit()
-	tr.Active().EndSpan(freeze)
+	c.tr.Active().EndSpan(freeze)
 	if cerr != nil && err == nil {
 		err = cerr
 	}
@@ -288,7 +276,10 @@ func (s *Session) runWriteStmt(es *exec.State, st ast.Statement, params *paramSc
 	if lerr != nil && err == nil {
 		err = lerr
 	}
-	return r, lsn, err
+	if lsn > c.lsn {
+		c.lsn = lsn
+	}
+	return r, err
 }
 
 // runReadStmt runs one read-only statement (a retrieve without an into
@@ -296,88 +287,117 @@ func (s *Session) runWriteStmt(es *exec.State, st ast.Statement, params *paramSc
 // The shared statement lock is held only for the pin window: snapshot
 // pin, plan-cache lookup, check, authorization, planning and closure
 // compilation — everything that must agree with the catalog version the
-// snapshot was published under. Execution happens after the window,
-// entirely against the immutable snapshot.
+// snapshot was published under. A call's first window also opens it.
+// Execution happens after the window, entirely against the immutable
+// snapshot.
 //
 // extra:acquires db.mu.R
 // extra:snapshot
-func (s *Session) runReadStmt(es *exec.State, st ast.Statement, params *paramScope, tr *trace.StmtTrace) (*Result, error) {
+func (s *Session) runReadStmt(c *stmtCall, st ast.Statement) (*Result, error) {
 	db := s.db
 	r, ok := st.(*ast.Retrieve)
 	if !ok {
 		return nil, fmt.Errorf("unhandled read statement %T", st)
 	}
-	db.metrics.Counter("stmt." + sema.KindOf(st)).Inc()
 	if !db.beginPin() {
 		return nil, errDBClosed
 	}
-	es.BindSnapshot(db.store.Snapshot())
-	cq, plan, err := s.planRetrieve(es, r, params, tr)
+	if c.es == nil {
+		c.open(s)
+	}
+	db.cKind[sema.KindOf(st)].Inc()
+	c.es.BindSnapshot(db.store.Snapshot())
+	if c.tr.Sampled() {
+		c.tr.Active().AttrInt(0, "snapshot.version", int64(c.es.SnapshotVersion()))
+	}
+	cq, plan, err := s.planRetrieve(c, r)
 	db.mu.RUnlock()
 	if err != nil {
 		return nil, err
 	}
-	return s.execPinnedPlan(es, cq, plan, params, tr)
+	return s.execPlan(c, cq, plan)
 }
 
-// execPinnedPlan runs a compiled retrieve against the State's pinned
-// snapshot after the pin window has closed: no engine lock is held, so
-// however long the scan runs, writers proceed. Sampled statements run
-// instrumented, exactly like EXPLAIN ANALYZE, and record the pinned
-// snapshot version on the statement span; EnableRuntime mutates the
+// analysis is what EXPLAIN ANALYZE keeps of a retrieve's instrumented
+// run: the private plan clone carrying the runtime actuals, and the
+// buffer-pool traffic that bracketed it.
+type analysis struct {
+	plan       *algebra.Plan
+	aggregated bool
+	pool       PoolStats
+}
+
+// execPlan runs a compiled retrieve against whatever the call's State
+// is bound to — on the read path the pin window has closed and no
+// engine lock is held, so however long the scan runs, writers proceed.
+// Sampled statements and EXPLAIN ANALYZE run instrumented: the plan's
+// runtime actuals become operator spans and the pool counter delta
+// becomes storage attribution after the run. EnableRuntime mutates the
 // plan, and cached plans are shared by concurrent statements, so the
 // instrumented run uses a private clone.
-func (s *Session) execPinnedPlan(es *exec.State, cq *sema.CheckedRetrieve, plan *algebra.Plan, params *paramScope, tr *trace.StmtTrace) (*Result, error) {
+func (s *Session) execPlan(c *stmtCall, cq *sema.CheckedRetrieve, plan *algebra.Plan) (*Result, error) {
 	db := s.db
 	var rt *algebra.PlanRuntime
 	var poolBase PoolStats
-	if tr.Sampled() {
-		tr.Active().AttrInt(0, "snapshot.version", int64(es.SnapshotVersion()))
+	if c.tr.Sampled() || c.analysis != nil {
 		plan = plan.Clone()
 		rt = plan.EnableRuntime()
 		poolBase = db.pool.Stats()
 	}
-	pt := tr.StartPhase(trace.PhaseExecute)
-	res, err := withParams(es, params, func() (*Result, error) {
-		return es.RetrievePlan(cq, plan)
+	pt := c.tr.StartPhase(trace.PhaseExecute)
+	res, err := withParams(c.es, c.params, func() (*Result, error) {
+		return c.es.RetrievePlan(cq, plan)
 	})
 	if rt != nil {
-		s.addRetrieveSpans(tr, pt, plan, rt, poolBase)
+		delta := db.pool.Stats().Sub(poolBase)
+		if c.tr.Sampled() {
+			addRetrieveSpans(&c.tr, pt, plan, rt, delta)
+		}
+		if c.analysis != nil {
+			*c.analysis = analysis{plan: plan, aggregated: cq.Aggregated, pool: delta}
+		}
 	}
-	tr.EndPhase(pt)
+	c.tr.EndPhase(pt)
 	return res, err
 }
 
-// planRetrieve resolves the checked tree and plan for a snapshot-bound
-// retrieve inside the caller's pin window, so the plan-cache key, the
-// checked catalog state and the pinned snapshot all agree on one
-// catalog version. Cache hits skip check and plan entirely;
-// authorization still runs on every execution — privileges change
-// without bumping the catalog.
+// planRetrieve is the retrieve-compile step: the only place a planKey
+// is built for execution, the plan cache consulted and filled, and a
+// retrieve checked, authorized, planned and closure-compiled. Callers
+// hold the catalog still — a reader's pin window, or the commit lock
+// (with the exclusive statement lock: retrieves are DDL-classified on
+// the write path) — so the key, the checked catalog state and the bound
+// view all agree on one catalog version. A hit skips check and plan
+// entirely; authorization still runs on every execution — privileges
+// change without bumping the catalog.
 //
-// extra:requires db.mu.R
-func (s *Session) planRetrieve(es *exec.State, st *ast.Retrieve, params *paramScope, tr *trace.StmtTrace) (*sema.CheckedRetrieve, *algebra.Plan, error) {
+// A retrieve without an into clause is served from the cache (into
+// creates schema and is never repeated), ad hoc or prepared; inside a
+// procedure frame it is not, because the checked tree captures the
+// frame's parameter types. A prepared statement brings its pre-printed
+// key text and the entry it was last served, which spares it the print
+// and the map probe and keeps its plan out of reach of FIFO eviction.
+func (s *Session) planRetrieve(c *stmtCall, st *ast.Retrieve) (*sema.CheckedRetrieve, *algebra.Plan, error) {
 	db := s.db
 	var key planKey
+	var last, e *planEntry
+	useCache := st.Into == "" && (c.params == nil || c.prepared != nil)
+	if useCache {
+		if c.prepared != nil {
+			key, last = s.planKey(c.prepared.keyText), c.prepared.last.Load()
+		} else {
+			key = s.planKey(ast.Print(st))
+		}
+		e = db.plans.get(key, last)
+	}
 	var cq *sema.CheckedRetrieve
 	var plan *algebra.Plan
-	useCache := cacheable(st, params)
-	if useCache {
-		key = planKey{
-			text:   ast.Print(st),
-			catVer: db.cat.Version(),
-			optsFP: db.exec.Options().Fingerprint(),
-			ranges: rangesFingerprint(s.sem),
-		}
-		if e := db.plans.get(key); e != nil {
-			cq, plan = e.cq, e.plan
-		}
-	}
-	if cq == nil {
-		ck := s.checker(params)
-		pt := tr.StartPhase(trace.PhaseCheck)
-		checked, err := ck.CheckRetrieve(st)
-		tr.EndPhase(pt)
+	if e != nil {
+		cq, plan = e.cq, e.plan
+	} else {
+		pt := c.tr.StartPhase(trace.PhaseCheck)
+		checked, err := s.checker(c.params).CheckRetrieve(st)
+		c.tr.EndPhase(pt)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -387,19 +407,22 @@ func (s *Session) planRetrieve(es *exec.State, st *ast.Retrieve, params *paramSc
 		return nil, nil, err
 	}
 	if plan == nil {
-		pt := tr.StartPhase(trace.PhasePlan)
-		plan = es.Plan(cq.Query)
-		tr.EndPhase(pt)
+		pt := c.tr.StartPhase(trace.PhasePlan)
+		plan = c.es.Plan(cq.Query)
+		c.tr.EndPhase(pt)
 		if useCache {
-			db.plans.put(key, cq, plan)
+			e = db.plans.put(key, cq, plan)
 		}
+	}
+	if c.prepared != nil && e != last {
+		c.prepared.last.Store(e)
 	}
 	// Warm the expression-closure memo for the plan's predicates and
 	// targets. On a repeated statement every lookup hits the memo, so
 	// this phase collapses to map reads.
-	pt := tr.StartPhase(trace.PhaseCompile)
-	es.CompilePlan(cq, plan)
-	tr.EndPhase(pt)
+	pt := c.tr.StartPhase(trace.PhaseCompile)
+	c.es.CompilePlan(cq, plan)
+	c.tr.EndPhase(pt)
 	return cq, plan, nil
 }
 
@@ -424,23 +447,28 @@ func (s *Session) labeled(kind string, fn func() error) error {
 // readers; a retrieve into materializes a new variable and takes the
 // write path.
 func (s *Session) Query(src string) (*Result, error) {
-	db := s.db
-	start := time.Now()
-	st, err := parse.One(src, db.reg)
-	parseDur := time.Since(start)
+	c, err := s.parseRetrieve(src, "query: %w (use Exec for updates and DDL)")
 	if err != nil {
-		db.cErrors.Inc()
 		return nil, err
 	}
-	r, ok := st.(*ast.Retrieve)
-	if !ok {
-		db.cErrors.Inc()
-		return nil, fmt.Errorf("query: %w (use Exec for updates and DDL)", ErrNotRetrieve)
+	return s.run(&c)
+}
+
+// parseRetrieve starts the call of an entry point that takes exactly
+// one retrieve (Query, EXPLAIN ANALYZE); notRetrieve is how that entry
+// point words ErrNotRetrieve.
+func (s *Session) parseRetrieve(src, notRetrieve string) (stmtCall, error) {
+	start := time.Now()
+	st, err := parse.One(src, s.db.reg)
+	parseDur := time.Since(start)
+	if _, ok := st.(*ast.Retrieve); err == nil && !ok {
+		err = fmt.Errorf(notRetrieve, ErrNotRetrieve)
 	}
-	if sema.ReadOnly(st) {
-		return s.execSnapshot([]ast.Statement{r}, src, "retrieve", start, parseDur)
+	if err != nil {
+		s.db.cErrors.Inc()
+		return stmtCall{}, err
 	}
-	return s.execWrite([]ast.Statement{r}, src, "retrieve", start, parseDur)
+	return stmtCall{stmts: []ast.Statement{st}, src: src, start: start, parseDur: parseDur}, nil
 }
 
 // MustExec runs statements and panics on error; for examples and tests.
@@ -462,31 +490,29 @@ func (s *Session) MustQuery(src string) *Result {
 }
 
 // runStmt dispatches one statement of a write batch (or a procedure
-// body) through the session's per-statement execution state, reading
-// and mutating the live store. params provides the parameter scope when
-// executing procedure bodies; tr (optional) accumulates phase durations
-// for the statement-level trace. Callers hold the write lock for the
-// whole call; the dispatch annotation keeps the lock checker
-// cross-checking the arms against lint.StmtClass so a new statement
-// kind cannot be dispatched without being classified. Read-only
-// retrieves never arrive here from Exec/Query (they take runReadStmt's
-// snapshot path); the Retrieve arm serves mixed batches, retrieve-into
-// and procedure bodies, all of which must see the batch's own earlier
-// uncommitted writes.
+// body, whose call carries the procedure frame and an unsampled trace of
+// its own) through the call's execution state, reading and mutating the
+// live store. Callers hold the write lock for the whole call; the
+// dispatch annotation keeps the lock checker cross-checking the arms
+// against lint.StmtClass so a new statement kind cannot be dispatched
+// without being classified. Read-only retrieves never arrive here from
+// the entry points (they take runReadStmt's snapshot path); the
+// Retrieve arm serves mixed batches, retrieve-into and procedure
+// bodies, all of which must see the batch's own earlier uncommitted
+// writes.
 //
 // extra:requires db.wmu.W
 // extra:dispatch db.wmu sema.ReadOnly
-func (s *Session) runStmt(es *exec.State, st ast.Statement, params *paramScope, tr *trace.StmtTrace) (*Result, error) {
+func (s *Session) runStmt(c *stmtCall, st ast.Statement) (*Result, error) {
 	db := s.db
-	db.metrics.Counter("stmt." + sema.KindOf(st)).Inc()
-	if tr != nil {
-		// Non-retrieve statements do not split phases; their whole cost
-		// lands in the execute phase. Retrieves are timed per phase in
-		// their case below.
-		if _, isRet := st.(*ast.Retrieve); !isRet {
-			pt := tr.StartPhase(trace.PhaseExecute)
-			defer tr.EndPhase(pt)
-		}
+	es, params := c.es, c.params
+	db.cKind[sema.KindOf(st)].Inc()
+	// Non-retrieve statements do not split phases; their whole cost
+	// lands in the execute phase. Retrieves are timed per phase by
+	// planRetrieve and execPlan.
+	if _, isRet := st.(*ast.Retrieve); !isRet {
+		pt := c.tr.StartPhase(trace.PhaseExecute)
+		defer c.tr.EndPhase(pt)
 	}
 	switch st := st.(type) {
 	case *ast.DefineType:
@@ -554,75 +580,11 @@ func (s *Session) runStmt(es *exec.State, st ast.Statement, params *paramScope, 
 	case *ast.Revoke:
 		return nil, db.auth.Revoke(s.user, st.Priv, st.On, st.From)
 	case *ast.Retrieve:
-		// Compile-once path: parameterless retrieves without an into
-		// clause are looked up in the engine plan cache; a hit skips
-		// check and plan entirely and shares the cached (immutable)
-		// checked tree and plan. Authorization still runs on every
-		// execution — privileges change without bumping the catalog.
-		var key planKey
-		var cq *sema.CheckedRetrieve
-		var plan *algebra.Plan
-		useCache := cacheable(st, params)
-		if useCache {
-			key = planKey{
-				text:   ast.Print(st),
-				catVer: db.cat.Version(),
-				optsFP: db.exec.Options().Fingerprint(),
-				ranges: rangesFingerprint(s.sem),
-			}
-			if e := db.plans.get(key); e != nil {
-				cq, plan = e.cq, e.plan
-			}
-		}
-		if cq == nil {
-			ck := s.checker(params)
-			pt := tr.StartPhase(trace.PhaseCheck)
-			checked, err := ck.CheckRetrieve(st)
-			tr.EndPhase(pt)
-			if err != nil {
-				return nil, err
-			}
-			cq = checked
-		}
-		if err := s.authQuery(cq.Query, nil, targetExprs(cq)...); err != nil {
+		cq, plan, err := s.planRetrieve(c, st)
+		if err != nil {
 			return nil, err
 		}
-		var pt trace.PhaseTimer
-		if plan == nil {
-			pt = tr.StartPhase(trace.PhasePlan)
-			plan = es.Plan(cq.Query)
-			tr.EndPhase(pt)
-			if useCache {
-				db.plans.put(key, cq, plan)
-			}
-		}
-		// Warm the expression-closure memo for the plan's predicates and
-		// targets. On a repeated statement every lookup hits the memo, so
-		// this phase collapses to map reads.
-		pt = tr.StartPhase(trace.PhaseCompile)
-		es.CompilePlan(cq, plan)
-		tr.EndPhase(pt)
-		// Sampled statements run instrumented, exactly like EXPLAIN
-		// ANALYZE: the plan's runtime actuals become operator spans and
-		// the pool counter delta becomes storage attribution after the
-		// run. Unsampled statements take the untraced executor path.
-		// EnableRuntime mutates the plan, and cached plans are shared by
-		// concurrent statements, so instrument a private clone.
-		var rt *algebra.PlanRuntime
-		var poolBase PoolStats
-		if tr.Sampled() {
-			plan = plan.Clone()
-			rt = plan.EnableRuntime()
-			poolBase = db.pool.Stats()
-		}
-		pt = tr.StartPhase(trace.PhaseExecute)
-		res, err := withParams(es, params, func() (*Result, error) {
-			return es.RetrievePlan(cq, plan)
-		})
-		if rt != nil {
-			s.addRetrieveSpans(tr, pt, plan, rt, poolBase)
-		}
-		tr.EndPhase(pt)
+		res, err := s.execPlan(c, cq, plan)
 		if err != nil {
 			return nil, err
 		}
@@ -679,7 +641,7 @@ func (s *Session) runStmt(es *exec.State, st ast.Statement, params *paramScope, 
 		_, err = withParams(es, params, func() (*Result, error) { return nil, es.Set(cs) })
 		return nil, err
 	case *ast.Execute:
-		return nil, s.runExecute(es, st, params)
+		return nil, s.runExecute(c, st)
 	}
 	return nil, fmt.Errorf("unhandled statement %T", st)
 }
@@ -710,7 +672,8 @@ func withParamsN(es *exec.State, params *paramScope, fn func() (int, error)) (in
 // binding of the from/where clause with arguments as parameters.
 //
 // extra:requires db.wmu.W
-func (s *Session) runExecute(es *exec.State, stmt *ast.Execute, params *paramScope) error {
+func (s *Session) runExecute(c *stmtCall, stmt *ast.Execute) error {
+	es, params := c.es, c.params
 	ck := s.checker(params)
 	ce, err := ck.CheckExecute(stmt)
 	if err != nil {
@@ -735,13 +698,15 @@ func (s *Session) runExecute(es *exec.State, stmt *ast.Execute, params *paramSco
 		s.user = ce.Proc.Owner
 	}
 	defer func() { s.user = caller }()
+	// Body statements run untraced (the body's call has a trace of its
+	// own that nobody samples or reads): their cost is already inside the
+	// invoking execute's span.
+	body := stmtCall{es: es}
 	_, err = withParamsN(es, params, func() (int, error) {
 		return es.Execute(ce, func(frame map[string]value.Value) error {
-			scope := &paramScope{types: ptypes, values: frame}
+			body.params = &paramScope{types: ptypes, values: frame}
 			for _, bodyStmt := range ce.Proc.Body {
-				// Body statements run untraced: their cost is already
-				// inside the invoking execute's span.
-				if _, err := s.runStmt(es, bodyStmt, scope, nil); err != nil {
+				if _, err := s.runStmt(&body, bodyStmt); err != nil {
 					return fmt.Errorf("procedure %s: %w", ce.Proc.Name, err)
 				}
 			}

@@ -115,11 +115,11 @@ func (db *DB) abortTrace(sid int64, user, src, kind string, tr *trace.StmtTrace,
 //
 // A node's span duration is its own self time plus everything inner —
 // the pipeline's cumulative cost from that node down — matching how the
-// operators actually contain each other at run time. Pool deltas come
-// from the pool's atomic counters bracketing the run: under concurrent
-// statements a neighbour's traffic can bleed into the delta, the
+// operators actually contain each other at run time. The pool delta
+// comes from the pool's atomic counters bracketing the run: under
+// concurrent statements a neighbour's traffic can bleed into it, the
 // documented price of keeping Pin unhooked (see DESIGN.md §9).
-func (s *Session) addRetrieveSpans(tr *trace.StmtTrace, pt trace.PhaseTimer, plan *algebra.Plan, rt *algebra.PlanRuntime, poolBase PoolStats) {
+func addRetrieveSpans(tr *trace.StmtTrace, pt trace.PhaseTimer, plan *algebra.Plan, rt *algebra.PlanRuntime, delta PoolStats) {
 	a := tr.Active()
 	execSpan := pt.Span()
 	start := pt.Start()
@@ -142,7 +142,6 @@ func (s *Session) addRetrieveSpans(tr *trace.StmtTrace, pt trace.PhaseTimer, pla
 		}
 		parent = sp
 	}
-	delta := s.db.pool.Stats().Sub(poolBase)
 	sp := a.AddSpan(execSpan, trace.KindStorage, "buffer pool", start, 0)
 	a.AttrInt(sp, "hits", int64(delta.Hits))
 	a.AttrInt(sp, "misses", int64(delta.Misses))

@@ -14,7 +14,6 @@ import (
 	"repro/internal/excess/parse"
 	"repro/internal/excess/sema"
 	"repro/internal/oid"
-	"repro/internal/trace"
 	"repro/internal/types"
 	"repro/internal/value"
 	"repro/internal/wal"
@@ -164,31 +163,23 @@ func (db *DB) replayRecord(r *wal.Record, sessions map[int64]*Session) error {
 	return nil
 }
 
-// replayStmt re-executes one logged EXCESS statement under the commit
-// lock, decoding prepared-statement arguments back into a parameter
-// frame when the record carries them.
-//
-// extra:acquires db.wmu.W
+// replayStmt re-executes one logged EXCESS statement through the
+// statement pipeline, decoding prepared-statement arguments back into a
+// parameter frame when the record carries them.
 func (s *Session) replayStmt(r *wal.Record) error {
 	db := s.db
+	start := time.Now()
 	st, err := parse.One(r.Src, db.reg)
 	if err != nil {
 		return fmt.Errorf("reparse %q: %w", r.Src, err)
 	}
-	var params *paramScope
+	c := stmtCall{stmts: []ast.Statement{st}, src: r.Src, start: start, parseDur: time.Since(start)}
 	if len(r.Data) > 0 {
-		if params, err = decodeParams(db, s, st, r.Data); err != nil {
+		if c.params, err = decodeParams(db, s, st, r.Data); err != nil {
 			return err
 		}
 	}
-	db.wmu.Lock()
-	defer db.wmu.Unlock()
-	es := db.exec.NewState()
-	defer es.Release()
-	es.BindLive()
-	var tr trace.StmtTrace
-	tr.Begin(db.tracer, time.Now())
-	_, _, err = s.runWriteStmt(es, st, params, &tr)
+	_, err = s.run(&c)
 	return err
 }
 
@@ -295,12 +286,14 @@ func (db *DB) stmtRecord(s *Session, st ast.Statement, params *paramScope) (*wal
 	return rec, nil
 }
 
-// logStmt appends a statement record built by stmtRecord, now that the
-// statement has run. Returns the assigned LSN (0 when nothing was
+// logStmt is the one place a publication point appends to the log: the
+// record was built and sized before the mutation ran (stmtRecord for a
+// statement; Insert, SetRef and Load build their own), and is appended
+// now that it has. Returns the assigned LSN (0 when nothing was
 // logged); the caller must await durability with waitDurable after
-// releasing the commit lock. A statement that failed without
-// publishing a snapshot or moving the catalog left no durable trace
-// and is skipped.
+// releasing the commit lock. A mutation that failed without publishing
+// a snapshot or moving the catalog left no durable trace and is
+// skipped.
 //
 // extra:requires db.wmu.W
 // extra:logs

@@ -160,6 +160,31 @@ func TestWALErredStatementReplaysPartialEffects(t *testing.T) {
 	}
 }
 
+// TestRecoveryReplaySealsTraces: replayed statements go through the
+// statement pipeline, so a recovery with sampling on finishes every
+// trace and span it begins. The schema is one two-statement batch; it
+// is logged, and replayed, statement by statement.
+func TestRecoveryReplaySealsTraces(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(WithWAL(dir), WithWALSync(WALSyncEach))
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.MustExec(walTestSchema)
+	db.MustExec(`append to People (name = "ann", age = 31)`)
+	want := dumpOf(t, db)
+
+	db2 := reopenWAL(t, dir, WithTracing(1, 16))
+	defer db2.Close()
+	if got := dumpOf(t, db2); got != want {
+		t.Fatalf("dump after recovery differs:\nwant:\n%s\ngot:\n%s", want, got)
+	}
+	if s := db2.Tracer().Stats(); s.TracesStarted != 3 {
+		t.Errorf("replay began %d traces for 3 logged statements", s.TracesStarted)
+	}
+	requireSealed(t, db2, "after recovery replay")
+}
+
 func TestWALPreparedStatementParamsReplay(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(WithWAL(dir), WithWALSync(WALSyncEach))
