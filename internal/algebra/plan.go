@@ -12,6 +12,9 @@
 package algebra
 
 import (
+	"bytes"
+	"strings"
+
 	"repro/internal/catalog"
 	"repro/internal/codec"
 	"repro/internal/excess/sema"
@@ -21,13 +24,13 @@ import (
 
 // AccessPath selects how an extent-scan node locates its objects: nil
 // means a heap scan; otherwise a B+-tree range probe with the given
-// encoded bounds.
+// encoded bounds (an empty range when they contradict each other).
 type AccessPath struct {
 	Index    *catalog.Index
 	Lo, Hi   []byte
 	IncLo    bool
 	IncHi    bool
-	FromPred string // display: the predicate that selected the index
+	FromPred string // display: the operators of the conjuncts that bound the probe
 }
 
 // HashJoinPath selects the hash-join access method for an extent-scan
@@ -396,23 +399,92 @@ func reorder(vars []*sema.Var, conjs []sema.Expr, stats Stats, opt Options) []*s
 
 // methodTable maps comparison operators to index applicability — the
 // paper's table-driven linkage of operators to access methods. "!=" is
-// deliberately absent: it cannot bound a B+-tree probe.
+// deliberately absent: it cannot bound a B+-tree probe. An equality
+// bounds both sides. rank is how much of the key range a conjunct rules
+// out, summed over the conjuncts that supply a probe's bounds: an
+// equality (3) outranks a range bounded on both sides (1 + 1), which
+// outranks a range bounded on one.
 var methodTable = map[string]struct {
 	lo, hi       bool // does the constant bound the range from below/above
 	incLo, incHi bool
-	eq           bool
+	rank         int
 }{
-	"=":  {eq: true},
-	"<":  {hi: true},
-	"<=": {hi: true, incHi: true},
-	">":  {lo: true},
-	">=": {lo: true, incLo: true},
+	"=":  {lo: true, hi: true, incLo: true, incHi: true, rank: 3},
+	"<":  {hi: true, rank: 1},
+	"<=": {hi: true, incHi: true, rank: 1},
+	">":  {lo: true, rank: 1},
+	">=": {lo: true, incLo: true, rank: 1},
 }
 
-// selectAccessPath upgrades a heap scan to an index probe when one of
-// the node's own conjuncts matches an index on its extent. The conjunct
-// remains in the filter: re-checking fetched objects keeps the probe an
-// over-approximation, which is always safe.
+// probeBound is one side of a probe under construction: the tightest
+// bound seen so far and the conjunct (by filter position) that gave it.
+type probeBound struct {
+	key []byte // nil: unbounded on this side
+	inc bool
+	op  string
+	at  int
+}
+
+// probe merges every conjunct on one index's path into one key range.
+type probe struct {
+	ix     *catalog.Index
+	lo, hi probeBound
+}
+
+// tighten narrows the probe by one conjunct. A lower bound is tighter
+// when its key is larger, an upper one when smaller; at equal keys the
+// exclusive bound is the tighter. Contradictory bounds (lo above hi, or
+// equal and not both inclusive) stay as they are: the B+-tree range
+// they describe is empty.
+func (p *probe) tighten(op string, at int, key []byte) {
+	m := methodTable[op]
+	if m.lo {
+		if c := bytes.Compare(key, p.lo.key); p.lo.key == nil || c > 0 || c == 0 && p.lo.inc && !m.incLo {
+			p.lo = probeBound{key: key, inc: m.incLo, op: op, at: at}
+		}
+	}
+	if m.hi {
+		if c := bytes.Compare(key, p.hi.key); p.hi.key == nil || c < 0 || c == 0 && p.hi.inc && !m.incHi {
+			p.hi = probeBound{key: key, inc: m.incHi, op: op, at: at}
+		}
+	}
+}
+
+// sources returns the operators of the conjuncts supplying the lower
+// then the upper bound, once when one conjunct supplies both.
+func (p *probe) sources() []string {
+	var ops []string
+	if p.lo.key != nil {
+		ops = append(ops, p.lo.op)
+	}
+	if p.hi.key != nil && (p.lo.key == nil || p.hi.at != p.lo.at) {
+		ops = append(ops, p.hi.op)
+	}
+	return ops
+}
+
+// rank sums the method-table rank of the conjuncts supplying the bounds.
+func (p *probe) rank() int {
+	r := 0
+	for _, op := range p.sources() {
+		r += methodTable[op].rank
+	}
+	return r
+}
+
+// access renders the probe as an access path; FromPred is "=", ">=",
+// ">= <" and so on.
+func (p *probe) access() *AccessPath {
+	return &AccessPath{Index: p.ix, Lo: p.lo.key, Hi: p.hi.key, IncLo: p.lo.inc, IncHi: p.hi.inc,
+		FromPred: strings.Join(p.sources(), " ")}
+}
+
+// selectAccessPath upgrades a heap scan to an index probe. For every
+// index on the node's extent, the node's own conjuncts on the index path
+// are merged into one probe with the tightest lower and upper bound;
+// the highest-ranked probe wins, the earliest in filter order on a tie.
+// Every conjunct remains in the filter: re-checking fetched objects
+// keeps the probe an over-approximation, which is always safe.
 func selectAccessPath(cat *catalog.Catalog, n *Node) {
 	if n.Var.Kind != sema.VarExtent {
 		return
@@ -421,46 +493,63 @@ func selectAccessPath(cat *catalog.Catalog, n *Node) {
 	if len(indexes) == 0 {
 		return
 	}
-	for _, cj := range n.Filter {
-		b, ok := cj.(*sema.Binary)
-		if !ok || b.Class != sema.OpCompare {
-			continue
-		}
-		pathSide, constSide, op := b.L, b.R, b.Op
-		key, kOK := constKey(constSide)
-		if !kOK {
-			// Try the mirrored form "const op path".
-			if key, kOK = constKey(pathSide); !kOK {
-				continue
-			}
-			pathSide = b.R
-			op = mirror(op)
-		}
-		attrs, pOK := indexablePath(pathSide, n.Var)
-		if !pOK {
-			continue
-		}
-		m, mOK := methodTable[op]
-		if !mOK {
+	var probes []*probe // in order of first bound
+	for at, cj := range n.Filter {
+		attrs, op, key, ok := indexBound(cj, n.Var)
+		if !ok {
 			continue
 		}
 		for _, ix := range indexes {
 			if !samePath(ix.Path, attrs) {
 				continue
 			}
-			ap := &AccessPath{Index: ix, FromPred: op}
-			switch {
-			case m.eq:
-				ap.Lo, ap.Hi, ap.IncLo, ap.IncHi = key, key, true, true
-			case m.lo:
-				ap.Lo, ap.IncLo = key, m.incLo
-			case m.hi:
-				ap.Hi, ap.IncHi = key, m.incHi
+			var p *probe
+			for _, q := range probes {
+				if q.ix == ix {
+					p = q
+				}
 			}
-			n.Access = ap
-			return
+			if p == nil {
+				p = &probe{ix: ix}
+				probes = append(probes, p)
+			}
+			p.tighten(op, at, key)
 		}
 	}
+	var best *probe
+	for _, p := range probes {
+		if best == nil || p.rank() > best.rank() {
+			best = p
+		}
+	}
+	if best != nil {
+		n.Access = best.access()
+	}
+}
+
+// indexBound decomposes a conjunct "path op const" (or the mirrored
+// "const op path") whose operator is in the method table into the
+// attribute path it constrains, the operator as seen from the path side
+// and the encoded key.
+func indexBound(cj sema.Expr, v *sema.Var) (attrs []string, op string, key []byte, ok bool) {
+	b, isBin := cj.(*sema.Binary)
+	if !isBin || b.Class != sema.OpCompare {
+		return nil, "", nil, false
+	}
+	pathSide, op := b.L, b.Op
+	if key, ok = constKey(b.R); !ok {
+		if key, ok = constKey(b.L); !ok {
+			return nil, "", nil, false
+		}
+		pathSide, op = b.R, mirror(op)
+	}
+	if _, inTable := methodTable[op]; !inTable {
+		return nil, "", nil, false
+	}
+	if attrs, ok = indexablePath(pathSide, v); !ok {
+		return nil, "", nil, false
+	}
+	return attrs, op, key, true
 }
 
 func mirror(op string) string {

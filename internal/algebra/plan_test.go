@@ -1,15 +1,18 @@
 package algebra
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/adt"
 	"repro/internal/catalog"
+	"repro/internal/codec"
 	"repro/internal/excess/ast"
 	"repro/internal/excess/parse"
 	"repro/internal/excess/sema"
 	"repro/internal/storage"
 	"repro/internal/types"
+	"repro/internal/value"
 )
 
 // fixture: Employees (big) and Departments (small) with an index on
@@ -115,39 +118,98 @@ func TestNoOptimization(t *testing.T) {
 	}
 }
 
+// TestIndexSelection checks the method table end to end: which index a
+// node probes, the operators EXPLAIN shows for it, and — by running the
+// probe over emp_sal holding the salaries 0..199 — which salaries the
+// merged bounds let through. Candidates rank across all of the node's
+// indexes (emp_sal, emp_name): equality, then a two-sided range, then a
+// one-sided range, filter order breaking ties.
 func TestIndexSelection(t *testing.T) {
 	f := newFixture(t)
+	f.cat.AddIndex(&catalog.Index{Name: "emp_name", Extent: "Employees", Path: []string{"name"}, Tree: storage.NewBTree()})
+	sal, _ := f.cat.Index("emp_sal")
+	for s := int64(0); s < 200; s++ {
+		k, _ := codec.EncodeKey(value.NewInt(s))
+		sal.Tree.Insert(k, uint64(s))
+	}
+	const q = `retrieve (E.name) from E in Employees where `
 	cases := []struct {
-		src    string
-		expect bool
+		where  string
+		index  string // "" for a heap scan
+		from   string // the probe's operators as EXPLAIN shows them
+		lo, hi int64  // emp_sal probes: the salaries let through are [lo, hi)
 	}{
-		{`retrieve (E.name) from E in Employees where E.salary = 50`, true},
-		{`retrieve (E.name) from E in Employees where E.salary > 50`, true},
-		{`retrieve (E.name) from E in Employees where 50 <= E.salary`, true},
-		{`retrieve (E.name) from E in Employees where E.salary != 50`, false}, // method table excludes !=
-		{`retrieve (E.name) from E in Employees where E.name = "x"`, false},   // no index on name
+		{`E.salary = 50`, "emp_sal", "=", 50, 51},
+		{`E.salary > 50`, "emp_sal", ">", 51, 200},
+		{`50 <= E.salary`, "emp_sal", ">=", 50, 200}, // mirrored: a lower bound
+		{`E.salary != 50`, "", "", 0, 0},             // method table excludes !=
+		{`E.dept.floor = 2`, "", "", 0, 0},           // indexes cover own data only
+		// Two-sided ranges: one probe, whichever order the bounds come in.
+		{`E.salary >= 10 and E.salary < 20`, "emp_sal", ">= <", 10, 20},
+		{`E.salary < 20 and E.salary >= 10`, "emp_sal", ">= <", 10, 20},
+		{`10 <= E.salary and 20 > E.salary`, "emp_sal", ">= <", 10, 20},
+		{`E.salary > 10 and E.salary <= 20`, "emp_sal", "> <=", 11, 21},
+		{`E.salary > 10 and E.salary < 20`, "emp_sal", "> <", 11, 20},
+		{`E.salary >= 10 and E.salary <= 20`, "emp_sal", ">= <=", 10, 21},
+		// The tightest bound on each side wins; at one key, the exclusive.
+		{`E.salary > 5 and E.salary >= 15 and E.salary <= 30 and E.salary < 25`, "emp_sal", ">= <", 15, 25},
+		{`E.salary >= 10 and E.salary > 10 and E.salary < 12`, "emp_sal", "> <", 11, 12},
+		// Contradictory bounds probe an empty range.
+		{`E.salary >= 100 and E.salary < 50`, "emp_sal", ">= <", 0, 0},
+		{`E.salary > 7 and E.salary <= 7`, "emp_sal", "> <=", 0, 0},
+		// An equality inside the range wins; one outside it empties it.
+		{`E.salary = 5 and E.salary < 9`, "emp_sal", "=", 5, 6},
+		{`E.salary < 9 and E.salary = 5`, "emp_sal", "=", 5, 6},
+		{`E.salary = 5 and E.salary > 5`, "emp_sal", "> =", 0, 0},
+		// Ranking across indexes.
+		{`E.salary > 10 and E.name = "x"`, "emp_name", "=", 0, 0},
+		{`E.salary >= 10 and E.salary < 20 and E.name = "x"`, "emp_name", "=", 0, 0},
+		{`E.name > "a" and E.salary >= 10 and E.salary < 20`, "emp_sal", ">= <", 10, 20},
+		{`E.salary > 10 and E.name >= "a" and E.name < "m"`, "emp_name", ">= <", 0, 0},
+		{`E.salary = 3 and E.name = "x"`, "emp_sal", "=", 3, 4},
+		{`E.name > "a" and E.salary > 10`, "emp_name", ">", 0, 0},
+		{`E.salary > 10 and E.name > "a"`, "emp_sal", ">", 11, 200},
 	}
 	for _, c := range cases {
-		cq := f.check(t, c.src)
+		cq := f.check(t, q+c.where)
 		p := Build(f.cat, nil, cq.Query, Options{})
-		got := p.Nodes[0].Access != nil
-		if got != c.expect {
-			t.Errorf("%s: access path = %v, want %v", c.src, got, c.expect)
+		n := p.Nodes[0]
+		if got := accessName(n.Access); got != c.index {
+			t.Errorf("%s: probes %q, want %q", c.where, got, c.index)
+			continue
 		}
-		if got {
-			// The conjunct must remain as a re-check filter.
-			if len(p.Nodes[0].Filter) == 0 {
-				t.Errorf("%s: index probe dropped the filter", c.src)
-			}
+		if n.Access == nil {
+			continue
+		}
+		if n.Access.FromPred != c.from {
+			t.Errorf("%s: EXPLAIN shows [%s], want [%s]", c.where, n.Access.FromPred, c.from)
+		}
+		// Every conjunct must remain as a re-check filter.
+		if conjs := splitConjuncts(cq.Query.Where); len(n.Filter) != len(conjs) {
+			t.Errorf("%s: %d filters left for %d conjuncts", c.where, len(n.Filter), len(conjs))
+		}
+		if n.Access.Index != sal {
+			continue
+		}
+		var got, want []int64
+		sal.Tree.Range(n.Access.Lo, n.Access.Hi, n.Access.IncLo, n.Access.IncHi, func(_ []byte, v uint64) bool {
+			got = append(got, int64(v))
+			return true
+		})
+		for s := c.lo; s < c.hi; s++ {
+			want = append(want, s)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: probe yields %v, want [%d, %d)", c.where, got, c.lo, c.hi)
 		}
 	}
-	// Mirrored bound orientation: "50 <= E.salary" is a lower bound.
-	cq := f.check(t, `retrieve (E.name) from E in Employees where 50 <= E.salary`)
-	p := Build(f.cat, nil, cq.Query, Options{})
-	ap := p.Nodes[0].Access
-	if ap == nil || ap.Lo == nil || ap.Hi != nil || !ap.IncLo {
-		t.Errorf("mirrored bound: %+v", ap)
+}
+
+func accessName(ap *AccessPath) string {
+	if ap == nil {
+		return ""
 	}
+	return ap.Index.Name
 }
 
 func TestNestedAfterParent(t *testing.T) {

@@ -2,10 +2,12 @@ package object
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/adt"
 	"repro/internal/catalog"
+	"repro/internal/codec"
 	"repro/internal/metrics"
 	"repro/internal/storage"
 	"repro/internal/value"
@@ -46,6 +48,12 @@ func oneRowCommit(tb testing.TB, f *fixture, reg *metrics.Registry, i int) commi
 	if _, err := f.store.Insert("People", p); err != nil {
 		tb.Fatal(err)
 	}
+	return measureCommit(tb, f, reg)
+}
+
+// measureCommit commits and returns what the commit did.
+func measureCommit(tb testing.TB, f *fixture, reg *metrics.Registry) commitWork {
+	tb.Helper()
 	sums := func() (objs, pages, pins uint64) {
 		h := reg.Snapshot().Histograms
 		ps := f.store.Pool().Stats()
@@ -75,6 +83,65 @@ func TestCommitWorkIndependentOfSize(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRangeUpdateWorkIndependentOfSize is the count-based form of "a
+// range write pays for its range": updating the k people of a name
+// range probes k oids, and the commit decodes those k objects and walks
+// the same pages on a store ten times the size. The update changes an
+// attribute no index covers, so it writes no B+-tree node: until the
+// next commit the working name index still shares its root with the
+// clone the last one published.
+func TestRangeUpdateWorkIndependentOfSize(t *testing.T) {
+	const k = 50
+	lo, _ := codec.EncodeKey(value.NewStr("emp-000100"))
+	hi, _ := codec.EncodeKey(value.NewStr(fmt.Sprintf("emp-%06d", 100+k)))
+	var work []commitWork
+	for _, n := range []int{2000, 20000} {
+		f, reg := bigFixture(t, n)
+		ix, err := f.store.BuildIndex("people_name", "People", []string{"name"}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.store.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		published := f.store.Snapshot().indexes["people_name"]
+		ids := f.store.IndexLookup(ix, lo, hi, true, false)
+		if len(ids) != k {
+			t.Fatalf("%d people: the probe yields %d oids, want %d", n, len(ids), k)
+		}
+		for _, id := range ids {
+			tv, _, err := f.store.Get(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			age, _ := value.AsInt(tv.Get("age"))
+			tv.Set("age", value.NewInt(age+1))
+			if err := f.store.Update(id, tv); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if btreeRoot(ix.Tree) != btreeRoot(published) {
+			t.Errorf("%d people: updating an unindexed attribute wrote the name index", n)
+		}
+		w := measureCommit(t, f, reg)
+		if w.objs != k || w.pins != w.pages {
+			t.Errorf("%d people: the commit did %+v, want %d objects and one pin per page", n, w, k)
+		}
+		work = append(work, w)
+	}
+	if work[0] != work[1] {
+		t.Errorf("commit work differs with store size: %+v at 2 000, %+v at 20 000", work[0], work[1])
+	}
+}
+
+// btreeRoot returns the address of a B+-tree's root node. A tree and its
+// Clone share the root until either is asked to Insert or Delete, which
+// copies the root before anything else, so an unchanged address means
+// the tree wrote no node.
+func btreeRoot(t *storage.BTree) uintptr {
+	return reflect.ValueOf(t).Elem().FieldByName("root").Elem().Pointer()
 }
 
 // BenchmarkStoreCommitOneRow times Commit alone after a one-row insert,

@@ -1,6 +1,7 @@
 package object
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 
@@ -221,6 +222,27 @@ func (s *Store) indexDelete(extent string, id oid.OID, tv *value.Tuple) {
 	for _, ix := range s.cat.IndexesOn(extent) {
 		if key, ok := indexKey(tv, ix); ok {
 			ix.Tree.Delete(key, uint64(id))
+		}
+	}
+}
+
+// indexMove re-keys an updated object in every index on extent whose
+// key for it changed, and leaves the others untouched: an update of an
+// attribute no index covers writes no B+-tree node.
+//
+// extra:requires db.wmu.W
+func (s *Store) indexMove(extent string, id oid.OID, old, tv *value.Tuple) {
+	for _, ix := range s.cat.IndexesOn(extent) {
+		was, had := indexKey(old, ix)
+		is, has := indexKey(tv, ix)
+		if had == has && bytes.Equal(was, is) {
+			continue
+		}
+		if had {
+			ix.Tree.Delete(was, uint64(id))
+		}
+		if has {
+			ix.Tree.Insert(is, uint64(id))
 		}
 	}
 }

@@ -122,8 +122,6 @@ func (e *objEdit) done() *objMap {
 	return &m
 }
 
-func (e *objEdit) get(id oid.OID) (snapObj, bool) { return e.m.get(id) }
-
 func (e *objEdit) inner(n objNode) *objInner {
 	in, _ := n.(*objInner)
 	switch {

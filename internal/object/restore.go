@@ -148,11 +148,10 @@ func (s *Store) RestoreVar(name string, data []byte) error {
 		return fmt.Errorf("restore: no variable %s", name)
 	}
 	nrid, err := s.vars.Update(rid, data)
-	if err != nil {
-		return err
+	if !nrid.IsNil() {
+		s.varRID[name] = nrid
 	}
-	s.varRID[name] = nrid
-	return nil
+	return err
 }
 
 // MaxOID returns the highest live OID (for generator advancement).

@@ -139,6 +139,8 @@ type diffRun struct {
 	ix   *catalog.Index
 	live []oid.OID // members of People
 	temp *catalog.Variable
+
+	moves, reuses int // relocating updates, and inserts into a page a delete just left a slot on
 }
 
 type pinned struct {
@@ -184,7 +186,7 @@ func (r *diffRun) step() {
 		i := r.rng.Intn(len(r.live))
 		return i, r.live[i]
 	}
-	switch op := r.rng.Intn(20); {
+	switch op := r.rng.Intn(25); {
 	case op < 6 || len(r.live) == 0: // insert
 		id, err := s.Insert("People", r.person(r.size()))
 		if err != nil {
@@ -226,12 +228,51 @@ func (r *diffRun) step() {
 			t.Fatal(err)
 		}
 		r.live = append(r.live[:i], r.live[i+1:]...)
-	case op < 16: // element insert
+	case op < 18: // relocating update: grown past what most pages have free
+		_, id := pick()
+		tv, _, err := s.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tv.Set("name", value.NewStr(strings.Repeat("r", 2500+r.rng.Intn(1500))))
+		was := s.omap[id].rid
+		if err := s.Update(id, tv); err != nil {
+			t.Fatal(err)
+		}
+		if s.omap[id].rid != was {
+			r.moves++
+		}
+	case op < 20: // delete a member of the last page, then insert into the slot it left
+		pages := s.extents["People"].Pages()
+		at := -1
+		for i, id := range r.live {
+			if s.omap[id].rid.Page == pages[len(pages)-1] {
+				at = i
+			}
+		}
+		if at < 0 {
+			return
+		}
+		id := r.live[at]
+		was := s.omap[id].rid
+		if err := s.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+		r.live = append(r.live[:at], r.live[at+1:]...)
+		nid, err := s.Insert("People", r.f.newPerson("reuse", int64(r.rng.Intn(80))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.live = append(r.live, nid)
+		if s.omap[nid].rid == was {
+			r.reuses++
+		}
+	case op < 21: // element insert
 		_, id := pick()
 		if err := s.InsertElem("Wanted", value.Ref{OID: id, Type: "Person"}); err != nil {
 			t.Fatal(err)
 		}
-	case op < 17: // element delete
+	case op < 22: // element delete
 		var rids []storage.RID
 		s.ScanElems("Wanted", func(rid storage.RID, _ value.Value) error {
 			rids = append(rids, rid)
@@ -242,7 +283,7 @@ func (r *diffRun) step() {
 				t.Fatal(err)
 			}
 		}
-	case op < 18: // variable
+	case op < 23: // variable
 		_, id := pick()
 		if err := s.SetVar("Star", value.Ref{OID: id, Type: "Person"}); err != nil {
 			t.Fatal(err)
@@ -358,6 +399,9 @@ func runSnapshotDiff(t *testing.T, seed int64, ops int) {
 			t.Fatalf("seed %d: snapshot of version %d changed after later commits: %s", seed, p.sn.Version(), firstDiff(p.want, got))
 		}
 	}
+	if r.moves == 0 || r.reuses == 0 {
+		t.Errorf("seed %d: %d relocating updates and %d slot reuses; the mix should exercise both", seed, r.moves, r.reuses)
+	}
 }
 
 // TestSnapshotMatchesLiveStore is the differential test of the snapshot
@@ -367,9 +411,13 @@ func runSnapshotDiff(t *testing.T, seed int64, ops int) {
 // that is byte for byte the live export — and goes on reading that
 // however many commits follow.
 func TestSnapshotMatchesLiveStore(t *testing.T) {
-	ops := 300
+	// step draws from 25 values, 5 of them for relocating updates and
+	// slot reuse; a run a quarter longer than one over the other 20 alone
+	// keeps every other kind of op, the drop/re-create included, as
+	// frequent as it is there.
+	ops := 375
 	if testing.Short() {
-		ops = 120
+		ops = 150
 	}
 	for seed := int64(1); seed <= 4; seed++ {
 		runSnapshotDiff(t, seed, ops)

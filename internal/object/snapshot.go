@@ -22,15 +22,17 @@ import (
 // contract: a Snapshot *is* the store at one version, forever.
 //
 // Mutating methods record what they touched in the store's dirty sets —
-// the objects, and the heap page of every record written or removed.
-// Commit decodes only the dirty objects, re-reads only the dirty pages,
-// and shares everything else with the previous snapshot by reference:
-// the object map is a persistent trie (objmap.go), an extent's scan view
-// is one immutable chunk per heap page, and an index tree is frozen with
-// an O(1) path-copying Clone. The cost of a commit follows the size of
-// the write, not the size of the database. The sharing rests on one
-// invariant: nothing reachable from a published Snapshot is mutated, and
-// a node is writable only by the epoch that allocated it.
+// the objects, and the heap page and slot of every record written or
+// removed. Commit decodes only the dirty objects and shares everything
+// else with the previous snapshot by reference: the object map is a
+// persistent trie (objmap.go), an extent's scan view is one immutable
+// chunk per heap page, and an index tree is frozen with an O(1)
+// path-copying Clone. A dirty page's new chunk stores the records the
+// window wrote and inherits every other member from the page's previous
+// chunk. The cost of a commit follows the size of the write, not the
+// size of the database. The sharing rests on one invariant: nothing
+// reachable from a published Snapshot is mutated, and a node is writable
+// only by the epoch that allocated it.
 
 // pageChunk is the frozen content of one heap page of an extent: the
 // page's live records in slot order. Object extents key a record by the
@@ -54,26 +56,31 @@ type (
 	elemSnap   = pageView[storage.RID, value.Value]
 )
 
-// pageDirt is what one publication window touched in one extent.
+// pageDirt is what one publication window touched in one extent: the
+// pages holding a record that was written or removed and, in an object
+// extent, per page the object last marked in each slot (oid.Nil for a
+// slot never marked). Element extents keep no slots.
 type pageDirt struct {
-	all   bool                        // created or dropped in the window: no chunk carries over
-	pages map[storage.PageID]struct{} // pages holding a record that was written or removed
+	all   bool                         // created or dropped in the window: no chunk carries over
+	pages map[storage.PageID][]oid.OID // indexed by storage.SlotID
 }
 
 // refresh derives the extent's next view from pv (nil when the extent is
 // new): chunks of the pages in d, and of pages the file has grown by,
-// are rebuilt with freeze; every other chunk is shared. The one cost
-// left that follows the extent rather than the write is copying the
+// are rebuilt with freeze, which is handed the page's previous chunk
+// (nil for a page new to the view); every other chunk is shared. The one
+// cost left that follows the extent rather than the write is copying the
 // chunk pointers, 8 bytes per 4 KiB page.
-func (pv *pageView[K, V]) refresh(h *storage.HeapFile, d *pageDirt, freeze func(storage.PageID) (*pageChunk[K, V], error)) (*pageView[K, V], error) {
+func (pv *pageView[K, V]) refresh(h *storage.HeapFile, d *pageDirt, freeze func(pid storage.PageID, prev *pageChunk[K, V]) (*pageChunk[K, V], error)) (*pageView[K, V], error) {
 	pages := h.Pages()
 	nv := &pageView[K, V]{chunks: make([]*pageChunk[K, V], len(pages))}
 	put := func(i int) error {
-		c, err := freeze(pages[i])
+		old := nv.chunks[i]
+		c, err := freeze(pages[i], old)
 		if err != nil {
 			return err
 		}
-		if old := nv.chunks[i]; old != nil {
+		if old != nil {
 			nv.n -= len(old.keys)
 		}
 		nv.chunks[i] = c
@@ -325,7 +332,7 @@ func (s *Store) Snapshot() *Snapshot {
 // SetMetrics attaches the engine metrics registry; Commit then records
 // every publication: mvcc.commit.freeze (time to build and publish the
 // snapshot), mvcc.commit.dirty_objs (objects it decoded or removed),
-// mvcc.commit.dirty_pages (heap pages it re-read), and the mvcc.version
+// mvcc.commit.dirty_pages (heap pages whose slots it walked), and the mvcc.version
 // gauge. The two counts are of work done, not of marks found, so a
 // commit that did more than its write called for shows here.
 func (s *Store) SetMetrics(reg *metrics.Registry) {
@@ -347,21 +354,30 @@ type commitObs struct {
 func dirtOf(m map[string]*pageDirt, name string) *pageDirt {
 	d := m[name]
 	if d == nil {
-		d = &pageDirt{pages: make(map[storage.PageID]struct{})}
+		d = &pageDirt{pages: make(map[storage.PageID][]oid.OID)}
 		m[name] = d
 	}
 	return d
 }
 
 // markObj records that an object changed (or is about to be deleted) so
-// Commit refreshes it, and that the heap page holding its record did, so
-// Commit re-reads that page of its extent's scan view. Call while the
-// omap entry exists and names the record's page: before a delete, and on
-// both sides of an update that may move the record.
+// Commit refreshes it, and that the slot holding its record did, so
+// Commit decodes that record into its page's chunk. Call while the omap
+// entry exists and names the record's slot: after an insert, before a
+// delete, and on both sides of an update that may move the record. Every
+// write of an extent record marks its slot with the object now in it;
+// Commit relies on that to take every unmarked slot's member from the
+// previous chunk.
 func (s *Store) markObj(id oid.OID) {
 	s.dirtyObjs[id] = struct{}{}
 	if info, ok := s.omap[id]; ok && info.extent != "" {
-		dirtOf(s.dirtyExts, info.extent).pages[info.rid.Page] = struct{}{}
+		d := dirtOf(s.dirtyExts, info.extent)
+		slots := d.pages[info.rid.Page]
+		if n := int(info.rid.Slot) + 1; len(slots) < n {
+			slots = append(slots, make([]oid.OID, n-len(slots))...)
+		}
+		slots[info.rid.Slot] = id
+		d.pages[info.rid.Page] = slots
 	}
 }
 
@@ -372,7 +388,10 @@ func (s *Store) markElems(name string)  { dirtOf(s.dirtyElems, name).all = true 
 // markElemPage records that an element record on the page was written
 // or removed.
 func (s *Store) markElemPage(name string, pid storage.PageID) {
-	dirtOf(s.dirtyElems, name).pages[pid] = struct{}{}
+	d := dirtOf(s.dirtyElems, name)
+	if _, ok := d.pages[pid]; !ok {
+		d.pages[pid] = nil // element chunks are rebuilt whole: no slots
+	}
 }
 
 func (s *Store) markVar(name string) { s.dirtyVars[name] = struct{}{} }
@@ -443,9 +462,10 @@ func (s *Store) Commit() (published bool, err error) {
 		if !live {
 			continue
 		}
-		es, err := prev.extents[name].refresh(h, s.dirtyExts[name], func(pid storage.PageID) (*pageChunk[oid.OID, *value.Tuple], error) {
+		d := s.dirtyExts[name]
+		es, err := prev.extents[name].refresh(h, d, func(pid storage.PageID, pc *pageChunk[oid.OID, *value.Tuple]) (*pageChunk[oid.OID, *value.Tuple], error) {
 			workPages++
-			c, decoded, err := s.freezeExtentPage(edit, name, h, pid)
+			c, decoded, err := s.freezeExtentPage(edit, name, h, pid, d.pages[pid], pc)
 			workObjs += decoded
 			return c, err
 		})
@@ -466,7 +486,7 @@ func (s *Store) Commit() (published bool, err error) {
 		if !live {
 			continue
 		}
-		es, err := prev.elems[name].refresh(h, s.dirtyElems[name], func(pid storage.PageID) (*pageChunk[storage.RID, value.Value], error) {
+		es, err := prev.elems[name].refresh(h, s.dirtyElems[name], func(pid storage.PageID, _ *pageChunk[storage.RID, value.Value]) (*pageChunk[storage.RID, value.Value], error) {
 			workPages++
 			return s.freezeElemPage(h, pid)
 		})
@@ -544,47 +564,66 @@ func (s *Store) freezeObj(id oid.OID, info *objInfo, rec []byte) (snapObj, error
 	return snapObj{extent: info.extent, owner: info.owner, tv: tv}, nil
 }
 
-// freezeExtentPage builds the chunk of one page of an object extent.
-// Members the window wrote are decoded from the page's records, and that
-// is the only place they are decoded; the page's other members come from
-// the previous snapshot by way of the map under construction. It also
-// returns how many it decoded.
-func (s *Store) freezeExtentPage(edit *objEdit, extent string, h *storage.HeapFile, pid storage.PageID) (*pageChunk[oid.OID, *value.Tuple], int, error) {
-	recs, err := h.ReadPage(pid)
+// freezeExtentPage builds the chunk of one page of an object extent by
+// walking the page's slot directory. A slot marked in the window (slots,
+// indexed by slot id) holds the record of the object named there, which
+// is decoded, and that is the only place it is decoded. Any other live
+// slot holds a record the window did not write, which is still the
+// record it held at the last commit, since slot ids are stable and every
+// write marks its slot: it is the next member of the previous chunk that
+// is not dirty. So only written records cost a lookup, a copy or a
+// decode; Load's bulk commit, where there is no previous chunk and every
+// slot is marked, takes the same path. It also returns how many records
+// it decoded.
+func (s *Store) freezeExtentPage(edit *objEdit, extent string, h *storage.HeapFile, pid storage.PageID, slots []oid.OID, prev *pageChunk[oid.OID, *value.Tuple]) (*pageChunk[oid.OID, *value.Tuple], int, error) {
+	marked := func(sl storage.SlotID) oid.OID {
+		if int(sl) < len(slots) {
+			return slots[sl]
+		}
+		return oid.Nil
+	}
+	recs, err := h.ReadPage(pid, func(sl storage.SlotID) bool { return !marked(sl).IsNil() })
 	if err != nil {
 		return nil, 0, err
 	}
-	decoded := 0
-	byRID := s.rids[extent]
 	c := &pageChunk[oid.OID, *value.Tuple]{
 		keys: make([]oid.OID, len(recs)),
 		vals: make([]*value.Tuple, len(recs)),
 	}
+	decoded, next := 0, 0 // next: the previous chunk's next member to consider
 	for i, r := range recs {
-		id, ok := byRID[r.RID]
-		if !ok {
-			return nil, 0, fmt.Errorf("extent %s: record %s has no OID", extent, r.RID)
-		}
-		var so snapObj
-		frozen := false
-		if _, dirty := s.dirtyObjs[id]; !dirty {
-			so, frozen = edit.get(id)
-		}
-		if !frozen { // written in this window
-			if so, err = s.freezeObj(id, s.omap[id], r.Data); err != nil {
+		if id := marked(r.RID.Slot); !id.IsNil() {
+			info, live := s.omap[id]
+			if !live || info.extent != extent || info.rid != r.RID {
+				return nil, 0, fmt.Errorf("extent %s: record %s is marked for %s, which is not there", extent, r.RID, id)
+			}
+			so, err := s.freezeObj(id, info, r.Data)
+			if err != nil {
 				return nil, 0, err
 			}
 			edit.set(id, so)
 			decoded++
+			c.keys[i], c.vals[i] = id, so.tv
+			continue
 		}
-		c.keys[i], c.vals[i] = id, so.tv
+		for prev != nil && next < len(prev.keys) {
+			if _, dirty := s.dirtyObjs[prev.keys[next]]; !dirty {
+				break
+			}
+			next++
+		}
+		if prev == nil || next == len(prev.keys) {
+			return nil, 0, fmt.Errorf("extent %s: record %s was not written and has no previous member", extent, r.RID)
+		}
+		c.keys[i], c.vals[i] = prev.keys[next], prev.vals[next]
+		next++
 	}
 	return c, decoded, nil
 }
 
 // freezeElemPage builds the chunk of one page of an element extent.
 func (s *Store) freezeElemPage(h *storage.HeapFile, pid storage.PageID) (*pageChunk[storage.RID, value.Value], error) {
-	recs, err := h.ReadPage(pid)
+	recs, err := h.ReadPage(pid, nil)
 	if err != nil {
 		return nil, err
 	}

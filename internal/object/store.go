@@ -177,7 +177,6 @@ func (s *Store) DropVar(v *catalog.Variable) error {
 		if h == nil {
 			return nil
 		}
-		s.markExtent(v.Name)
 		var ids []oid.OID
 		for id, info := range s.omap {
 			if info.extent == v.Name {
@@ -192,6 +191,10 @@ func (s *Store) DropVar(v *catalog.Variable) error {
 				return err
 			}
 		}
+		// Only now: an extent whose drop failed half-way is still live,
+		// and the next commit must freeze its pages from the marks the
+		// deletes left, not as if they were new.
+		s.markExtent(v.Name)
 		delete(s.extents, v.Name)
 		delete(s.rids, v.Name)
 		return h.DropAll()
@@ -317,7 +320,8 @@ func (s *Store) heapFor(info *objInfo) *storage.HeapFile {
 
 // Delete destroys an object: removes it from its heap, destroys every
 // own-ref component it owns (recursively), and removes its index
-// entries. References elsewhere are left dangling and read as null.
+// entries, once the heap delete has succeeded. References elsewhere are
+// left dangling and read as null.
 //
 // extra:requires db.wmu.W
 func (s *Store) Delete(id oid.OID) error {
@@ -334,13 +338,11 @@ func (s *Store) Delete(id oid.OID) error {
 	if !ok {
 		return fmt.Errorf("object %s vanished", id)
 	}
-	if info.extent != "" {
-		s.indexDelete(info.extent, id, tv)
-	}
 	if err := s.heapFor(info).Delete(info.rid); err != nil {
 		return err
 	}
 	if info.extent != "" {
+		s.indexDelete(info.extent, id, tv)
 		delete(s.rids[info.extent], info.rid)
 	}
 	delete(s.omap, id)
@@ -350,6 +352,8 @@ func (s *Store) Delete(id oid.OID) error {
 
 // Update rewrites an object's stored value. Own-ref components removed by
 // the update are destroyed; components added are created or claimed.
+// Index entries are touched only after the heap write has succeeded,
+// and only in indexes whose key for the object changed.
 //
 // extra:requires db.wmu.W
 func (s *Store) Update(id oid.OID, tv *value.Tuple) error {
@@ -386,12 +390,9 @@ func (s *Store) Update(id oid.OID, tv *value.Tuple) error {
 	if err != nil {
 		return err
 	}
-	if info.extent != "" {
-		s.indexDelete(info.extent, id, old)
-	}
-	nrid, err := s.heapFor(info).Update(info.rid, enc)
-	if err != nil {
-		return err
+	nrid, werr := s.heapFor(info).Update(info.rid, enc)
+	if nrid.IsNil() {
+		return werr // the record is unchanged
 	}
 	if info.extent != "" && nrid != info.rid {
 		delete(s.rids[info.extent], info.rid)
@@ -401,7 +402,7 @@ func (s *Store) Update(id oid.OID, tv *value.Tuple) error {
 	s.markObj(id) // the record may have moved to another page
 	info.typ = iv.(*value.Tuple).Type
 	if info.extent != "" {
-		s.indexInsert(info.extent, id, iv.(*value.Tuple))
+		s.indexMove(info.extent, id, old, iv.(*value.Tuple))
 	}
 	// Destroy components that fell out of the object.
 	for old := range oldOwned {
@@ -413,7 +414,7 @@ func (s *Store) Update(id oid.OID, tv *value.Tuple) error {
 			}
 		}
 	}
-	return nil
+	return werr
 }
 
 // ScanExtent iterates the live objects of an object-set extent.

@@ -68,9 +68,9 @@ func (s *Store) SetVar(name string, nv value.Value) error {
 	if err != nil {
 		return err
 	}
-	nrid, err := s.vars.Update(rid, enc)
-	if err != nil {
-		return err
+	nrid, werr := s.vars.Update(rid, enc)
+	if nrid.IsNil() {
+		return werr // the record is unchanged
 	}
 	s.varRID[name] = nrid
 	for id := range oldOwned {
@@ -80,7 +80,7 @@ func (s *Store) SetVar(name string, nv value.Value) error {
 			}
 		}
 	}
-	return nil
+	return werr
 }
 
 // ---------------------------------------------------------------------------

@@ -185,6 +185,7 @@ func (bp *BufferPool) PinNew() (PageID, []byte, error) {
 	defer sh.mu.Unlock()
 	f, err := bp.newFrame(sh, id)
 	if err != nil {
+		bp.store.Free(id) //nolint:errcheck // the frame error is the one to report
 		return 0, nil, err
 	}
 	for i := range f.buf {
@@ -211,6 +212,8 @@ func (bp *BufferPool) newFrame(sh *poolShard, id PageID) (*frame, error) {
 		victim.lru = nil
 		if victim.dirty {
 			if err := bp.store.Write(victim.id, victim.buf); err != nil {
+				// The victim stays resident, dirty and evictable.
+				victim.lru = sh.lru.PushFront(victim)
 				return nil, fmt.Errorf("evict page %d: %w", victim.id, err)
 			}
 		}

@@ -105,3 +105,35 @@ func TestFaultStoreFailSync(t *testing.T) {
 		t.Fatalf("disarmed sync: %v", err)
 	}
 }
+
+// TestPoolSurvivesFailedWriteBack pins two fixes on the eviction path
+// a failed write-back takes. The dirty victim used to leave the LRU list
+// without leaving the pool, so its frame could never be evicted again
+// and a one-frame pool refused every later page; and a PinNew that got
+// no frame kept the page it had allocated.
+func TestPoolSurvivesFailedWriteBack(t *testing.T) {
+	fs := NewFaultStore(NewMemStore())
+	pool := NewBufferPool(fs, 1)
+	a, buf, err := pool.PinNew()
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf[0] = 0xA1
+	pool.Unpin(a)
+	fs.FailWrite(1, 0)
+	if _, _, err := pool.PinNew(); !errors.Is(err, ErrInjected) {
+		t.Fatalf("PinNew over a failing write-back = %v, want ErrInjected", err)
+	}
+	if n := fs.NumPages(); n != 1 {
+		t.Errorf("the failed PinNew left %d pages allocated, want 1", n)
+	}
+	b, _, err := pool.PinNew()
+	if err != nil {
+		t.Fatalf("PinNew after the fault: %v", err)
+	}
+	pool.Unpin(b)
+	got := make([]byte, PageSize)
+	if err := fs.Read(a, got); err != nil || got[0] != 0xA1 {
+		t.Fatalf("the victim's write-back after the fault: %v, byte %#x", err, got[0])
+	}
+}

@@ -223,15 +223,26 @@ func (h *HeapFile) Get(rid RID) ([]byte, error) {
 
 // Delete removes the record at rid, releasing any overflow chain.
 func (h *HeapFile) Delete(rid RID) error {
+	chain, err := h.unlink(rid)
+	if err != nil || chain == 0 {
+		return err
+	}
+	return h.freeChain(chain)
+}
+
+// unlink removes the record at rid from its data page and returns the
+// first page of its overflow chain (0 for an inline record), which the
+// caller releases. An error means the page is unchanged.
+func (h *HeapFile) unlink(rid RID) (PageID, error) {
 	buf, err := h.pool.Pin(rid.Page)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	p := Page{Buf: buf}
 	stored, err := p.Get(rid.Slot)
 	if err != nil {
 		h.pool.Unpin(rid.Page)
-		return fmt.Errorf("%s: %w", rid, err)
+		return 0, fmt.Errorf("%s: %w", rid, err)
 	}
 	var chain PageID
 	if stored[0] == tagOverflow {
@@ -239,7 +250,7 @@ func (h *HeapFile) Delete(rid RID) error {
 	}
 	if err := p.Delete(rid.Slot); err != nil {
 		h.pool.Unpin(rid.Page)
-		return err
+		return 0, err
 	}
 	h.pool.MarkDirty(rid.Page)
 	h.avail[rid.Page] = p.FreeSpace()
@@ -247,14 +258,19 @@ func (h *HeapFile) Delete(rid RID) error {
 	if h.live > 0 {
 		h.live--
 	}
-	if chain != 0 {
-		return h.freeChain(chain)
-	}
-	return nil
+	return chain, nil
 }
 
 // Update replaces the record at rid, possibly moving it; the (possibly
 // new) RID is returned and the caller must update any maps keyed by RID.
+// An error with a nil RID means the record is unchanged. A record that
+// moves is inserted at its new place before it is deleted from the old
+// one, so a failed insert (no frame, a failed write-back) leaves the old
+// record in place; if the old page cannot be had again for the delete,
+// the new copy is deleted and the update fails. No pin is held across
+// the insert, which in a pool of one-frame shards may need the very
+// frame the old page is in. An error with a non-nil RID means the record
+// was written there and only releasing its old overflow chain failed.
 func (h *HeapFile) Update(rid RID, rec []byte) (RID, error) {
 	buf, err := h.pool.Pin(rid.Page)
 	if err != nil {
@@ -285,19 +301,27 @@ func (h *HeapFile) Update(rid RID, rec []byte) (RID, error) {
 			h.avail[rid.Page] = p.FreeSpace()
 			h.pool.Unpin(rid.Page)
 			if oldChain != 0 {
-				if err := h.freeChain(oldChain); err != nil {
-					return RID{}, err
-				}
+				return rid, h.freeChain(oldChain)
 			}
 			return rid, nil
 		}
 	}
 	h.pool.Unpin(rid.Page)
-	// Slow path: delete + reinsert.
-	if err := h.Delete(rid); err != nil {
+	// Slow path: insert, then delete the old record.
+	nrid, err := h.Insert(rec)
+	if err != nil {
 		return RID{}, err
 	}
-	return h.Insert(rec)
+	if _, err := h.unlink(rid); err != nil {
+		if derr := h.Delete(nrid); derr != nil {
+			return RID{}, fmt.Errorf("%w (and the new copy at %s stays: %v)", err, nrid, derr)
+		}
+		return RID{}, err
+	}
+	if oldChain != 0 {
+		return nrid, h.freeChain(oldChain)
+	}
+	return nrid, nil
 }
 
 // Record is one live record of a data page.
@@ -306,22 +330,27 @@ type Record struct {
 	Data []byte
 }
 
-// ReadPage returns the live records of one data page in slot order, with
-// overflow chains followed. It pins the data page once. The Data slices
-// are copies safe to hold; the inline ones of a page share one buffer.
-func (h *HeapFile) ReadPage(pid PageID) ([]Record, error) {
+// ReadPage walks the slot directory of one data page and returns its
+// live records in slot order, pinning the page once. Only the records in
+// slots want reports true for (all of them when want is nil) carry Data,
+// with overflow chains followed; the others carry just their RID. The
+// Data slices are copies safe to hold; the inline ones of a page share
+// one buffer.
+func (h *HeapFile) ReadPage(pid PageID, want func(SlotID) bool) ([]Record, error) {
 	buf, err := h.pool.Pin(pid)
 	if err != nil {
 		return nil, err
 	}
 	p := Page{Buf: buf}
 	n, size := 0, 0
-	err = p.Slots(func(_ SlotID, stored []byte) error {
+	err = p.Slots(func(s SlotID, stored []byte) error {
 		if len(stored) == 0 {
 			return fmt.Errorf("empty stored record")
 		}
 		n++
-		size += len(stored)
+		if want == nil || want(s) {
+			size += len(stored)
+		}
 		return nil
 	})
 	if err != nil {
@@ -331,9 +360,13 @@ func (h *HeapFile) ReadPage(pid PageID) ([]Record, error) {
 	recs := make([]Record, 0, n)
 	data := make([]byte, 0, size)
 	_ = p.Slots(func(s SlotID, stored []byte) error {
-		at := len(data)
-		data = append(data, stored...)
-		recs = append(recs, Record{RID: RID{Page: pid, Slot: s}, Data: data[at:len(data):len(data)]})
+		r := Record{RID: RID{Page: pid, Slot: s}}
+		if want == nil || want(s) {
+			at := len(data)
+			data = append(data, stored...)
+			r.Data = data[at:len(data):len(data)]
+		}
+		recs = append(recs, r)
 		return nil
 	})
 	h.pool.Unpin(pid)
@@ -341,6 +374,9 @@ func (h *HeapFile) ReadPage(pid PageID) ([]Record, error) {
 	// pins pages of its own.
 	for i := range recs {
 		stored := recs[i].Data
+		if stored == nil {
+			continue
+		}
 		if stored[0] == tagInline {
 			recs[i].Data = stored[1:]
 			continue
@@ -355,7 +391,7 @@ func (h *HeapFile) ReadPage(pid PageID) ([]Record, error) {
 // Scan calls fn for every record in the file, in page then slot order.
 func (h *HeapFile) Scan(fn func(rid RID, rec []byte) error) error {
 	for _, pid := range h.pages {
-		recs, err := h.ReadPage(pid)
+		recs, err := h.ReadPage(pid, nil)
 		if err != nil {
 			return err
 		}

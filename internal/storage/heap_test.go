@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -135,6 +136,62 @@ func TestHeapUpdate(t *testing.T) {
 	}
 	if got, _ = h.Get(nrid); string(got) != "tiny" {
 		t.Errorf("shrink back: %q", got)
+	}
+}
+
+// fillPage inserts four 900-byte records, which leave the heap's one
+// data page without room for 1 500 bytes more, and returns their RIDs.
+func fillPage(t *testing.T, h *HeapFile) []RID {
+	t.Helper()
+	var rids []RID
+	for i := 0; i < 4; i++ {
+		rid, err := h.Insert(bytes.Repeat([]byte{byte('a' + i)}, 900))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
+	}
+	if n := h.NumPages(); n != 1 {
+		t.Fatalf("setup: %d pages, want 1", n)
+	}
+	return rids
+}
+
+// TestHeapUpdateMoveUndoneWhenOldPageLost pins the other half of a move:
+// when the insert succeeded but the old page cannot be pinned again for
+// the delete, the new copy is deleted and the update reports the record
+// unchanged, so the file never holds it twice.
+func TestHeapUpdateMoveUndoneWhenOldPageLost(t *testing.T) {
+	fs := NewFaultStore(NewMemStore())
+	pool := NewBufferPool(fs, 1)
+	h := NewHeapFile(pool)
+	rids := fillPage(t, h)
+	if err := pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	// The insert evicts the clean old page; pinning it again evicts the
+	// dirty new one, and that write-back fails.
+	fs.FailWrite(1, 0)
+	nrid, err := h.Update(rids[1], bytes.Repeat([]byte("g"), 1500))
+	fs.FailWrite(0, 0) // disarm
+	if !errors.Is(err, ErrInjected) || !nrid.IsNil() {
+		t.Fatalf("Update = %s, %v; want a nil RID and the injected failure", nrid, err)
+	}
+	if got, err := h.Get(rids[1]); err != nil || !bytes.Equal(got, bytes.Repeat([]byte("b"), 900)) {
+		t.Fatalf("the record after the failed move: %d bytes, %v", len(got), err)
+	}
+	var n int
+	if err := h.Scan(func(_ RID, rec []byte) error {
+		if len(rec) != 900 {
+			t.Errorf("a %d-byte record is left in the file", len(rec))
+		}
+		n++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if l, _ := h.Len(); n != 4 || l != 4 {
+		t.Errorf("%d records scanned, Len %d; want 4", n, l)
 	}
 }
 
