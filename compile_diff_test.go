@@ -60,6 +60,50 @@ func TestCompiledInterpretedCorpus(t *testing.T) {
 		db.SetOptimizer(OptimizerOptions{})
 	})
 
+	// Attribute steps read the field at its position in the static type
+	// and fall back to the name when the runtime tuple has another type:
+	// a ref Student reaching a StudentEmp (Figure 2's lattice) finds
+	// Employee's salary at the position Student gives gpa. Dangling refs
+	// read as null in a path and as absent in a ref set.
+	t.Run("subtype through ref", func(t *testing.T) {
+		db := mustOpen(t)
+		db.MustExec(`
+			define type Person: ( name: varchar, age: int4 )
+			define type Department: ( dname: varchar, floor: int4 )
+			define type Employee inherits Person: ( salary: int4, dept: ref Department )
+			define type Student inherits Person: ( gpa: float8 )
+			define type StudentEmp inherits Employee, Student: ( hours: int4 )
+			define type Advisor: ( aname: varchar, advisee: ref Student, mentees: { ref Student } )
+			create Departments : { own Department }
+			create Students : { own Student }
+			create StudentEmps : { own StudentEmp }
+			create Advisors : { own Advisor }
+		`)
+		db.MustExec(`
+			append to Departments (dname = "Toys", floor = 2)
+			append to Students (name = "Sam", age = 20, gpa = 3.1)
+			append to Students (name = "Gone", age = 30, gpa = 2.0)
+			append to StudentEmps (name = "Pat", age = 22, salary = 10, dept = D, gpa = 3.5, hours = 20) from D in Departments
+			append to Advisors (aname = "Ada", advisee = S) from S in StudentEmps where S.name = "Pat"
+			append to Advisors (aname = "Bob", advisee = S) from S in Students where S.name = "Sam"
+			append to Advisors (aname = "Cy", advisee = S) from S in Students where S.name = "Gone"
+			append to A.mentees (S) from A in Advisors, S in StudentEmps where A.aname = "Bob"
+			append to A.mentees (S) from A in Advisors, S in Students where A.aname = "Bob" or A.aname = "Cy"
+			delete S from S in Students where S.name = "Gone"
+		`)
+		if got := db.MustQuery(`retrieve (A.advisee.gpa) from A in Advisors where A.aname = "Ada"`).String(); !strings.Contains(got, "3.5") {
+			t.Fatalf("a ref Student reaching a StudentEmp read gpa as:\n%s", got)
+		}
+		diffCorpus(t, db, []string{
+			`retrieve (A.aname, A.advisee.name, A.advisee.gpa) from A in Advisors`,
+			`retrieve (A.aname) from A in Advisors where A.advisee.gpa > 3.0`,
+			`retrieve (A.aname, S.name, S.gpa) from A in Advisors, S in A.mentees`,
+			`retrieve (A.aname, g = A.mentees.gpa) from A in Advisors`,
+			`retrieve (A.aname, n = count(A.mentees)) from A in Advisors where A.advisee isnot null`,
+			`retrieve (S.name, S.gpa, S.salary, S.dept.floor) from S in StudentEmps`,
+		})
+	})
+
 	t.Run("figure1", func(t *testing.T) {
 		db := mustOpen(t)
 		db.MustExec(figure1Schema)
@@ -102,4 +146,42 @@ func diffCorpus(t *testing.T, db *DB, queries []string) {
 		}
 		db.SetOptimizer(OptimizerOptions{})
 	}
+}
+
+// TestRangeOverIndexedArray ranges a variable over one element of an
+// array of sets, with a literal and with a variable index: the walk
+// applies the index to the array instead of fanning out over it, and
+// the index expression sees the outer variable's binding. Both lanes
+// must agree.
+func TestRangeOverIndexedArray(t *testing.T) {
+	db := mustOpen(t)
+	db.MustExec(`
+		define type G: ( name: varchar, i: int4, groups: [2] { own varchar } )
+		create Gs : { own G }
+	`)
+	db.MustExec(`append to Gs (name = "a", i = 2, groups = {{"x"}, {"y", "z"}})`)
+	want := db.MustQuery(`retrieve (n = T.groups[T.i]) from T in Gs`).String()
+	if !strings.Contains(want, `{"y", "z"}`) {
+		t.Fatalf("T.groups[T.i] = %s", want)
+	}
+	for _, q := range []string{
+		`retrieve (T.name, X) from T in Gs, X in T.groups[2]`,
+		`retrieve (T.name, X) from T in Gs, X in T.groups[T.i]`,
+	} {
+		for _, opts := range []OptimizerOptions{{}, {NoCompiledExprs: true}} {
+			db.SetOptimizer(opts)
+			res, err := db.Query(q)
+			if err != nil {
+				t.Fatalf("NoCompiledExprs=%v: %s: %v", opts.NoCompiledExprs, q, err)
+			}
+			var rows []string
+			for _, r := range res.Rows {
+				rows = append(rows, r[0].String()+" "+r[1].String())
+			}
+			if got := strings.Join(rows, ", "); got != `"a" "y", "a" "z"` {
+				t.Errorf("NoCompiledExprs=%v: %s = %s", opts.NoCompiledExprs, q, got)
+			}
+		}
+	}
+	db.SetOptimizer(OptimizerOptions{})
 }

@@ -643,3 +643,84 @@ func TestConcurrentDDLWithPreparedExec(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestConcurrentSessionsShareOneProgram runs two sessions over the same
+// cached statements at the same time — joins, an unnest, a grouped
+// aggregate, a universal quantifier and a function call, ad hoc and
+// prepared — so both execute one shared, immutable compiled program at
+// once (run it under -race). Each must see the serial answers, and the
+// statements compile once between them: per-run state lives in the run,
+// never in the program.
+func TestConcurrentSessionsShareOneProgram(t *testing.T) {
+	db := loadFigureDB(t)
+	db.MustExec(`
+		define function SameFloor (E: Employee) returns { ref Employee } as
+		  retrieve (X) from X in Employees where X.dept.floor = E.dept.floor
+	`)
+	queries := []string{
+		`retrieve (E.name, D.dname) from E in Employees, D in Departments where E.dept is D and E.salary > 50`,
+		`retrieve (E.name, D.dname) from E in Employees, D in Departments where E.salary > 50 and D.floor = E.dept.floor`,
+		`retrieve (E.name, K.name) from E in Employees, K in E.kids where K.age < 10`,
+		`retrieve (f = E.dept.floor, a = avg(E.salary by E.dept.floor)) from E in Employees`,
+		`retrieve (D.dname) from D in Departments where EV.dept isnot D or EV.salary > 60`,
+		`retrieve (E.name, n = count(SameFloor(E))) from E in Employees`,
+	}
+	const prepared = `retrieve (E.name, E.dept.dname) from E in Employees where E.salary > $1`
+	sessions := []*Session{db.NewSession(), db.NewSession()}
+	stmts := make([]*Stmt, len(sessions))
+	var want []string
+	for i, s := range sessions {
+		s.MustExec(`range of EV is all Employees`)
+		st, err := s.Prepare(prepared)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		stmts[i] = st
+		if i == 0 {
+			for _, q := range queries {
+				want = append(want, s.MustQuery(q).String())
+			}
+			want = append(want, st.MustExec(60).String())
+		}
+	}
+	compiled := db.MetricsSnapshot().Counters["expr.compile.count"]
+
+	var wg sync.WaitGroup
+	for i, s := range sessions {
+		wg.Add(1)
+		go func(i int, s *Session) {
+			defer wg.Done()
+			for r := 0; r < 25; r++ {
+				for qi, q := range queries {
+					res, err := s.Query(q)
+					if err != nil {
+						t.Errorf("session %d: %s: %v", i, q, err)
+						return
+					}
+					if got := res.String(); got != want[qi] {
+						t.Errorf("session %d round %d: %s:\ngot  %q\nwant %q", i, r, q, got, want[qi])
+						return
+					}
+				}
+				res, err := stmts[i].Exec(60)
+				if err != nil {
+					t.Errorf("session %d: prepared: %v", i, err)
+					return
+				}
+				if got := res.String(); got != want[len(queries)] {
+					t.Errorf("session %d round %d: prepared:\ngot  %q\nwant %q", i, r, got, want[len(queries)])
+					return
+				}
+			}
+		}(i, s)
+	}
+	wg.Wait()
+	s := db.MetricsSnapshot()
+	if got := s.Counters["expr.compile.count"]; got != compiled {
+		t.Errorf("expr.compile.count moved from %d to %d while the sessions ran cached statements", compiled, got)
+	}
+	if got := s.Counters["plan.cache.misses"]; got != uint64(len(queries)+1) {
+		t.Errorf("plan.cache.misses = %d, want %d: the sessions did not share the cached programs", got, len(queries)+1)
+	}
+}

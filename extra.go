@@ -147,7 +147,7 @@ type DB struct {
 
 	// plans is the engine-wide compiled-statement cache (see
 	// plancache.go), the one plan memo: repeated retrieves, ad hoc or
-	// prepared, amortize check/plan to a hit. Keyed on catalog version,
+	// prepared, amortize check/plan/compile to a hit. Keyed on catalog version,
 	// so DDL invalidates it wholesale.
 	plans *planCache
 

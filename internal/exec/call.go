@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 
+	"repro/internal/algebra"
 	"repro/internal/catalog"
 	"repro/internal/excess/sema"
 	"repro/internal/types"
@@ -58,8 +59,7 @@ func (ex *State) dispatchCall(c *sema.FuncCall, args []value.Value) (value.Value
 }
 
 // callFunction evaluates a function body with the arguments bound as
-// parameters. Bodies are stored as AST (stored-command style) and bound
-// against the current catalog on each call.
+// parameters.
 func (ex *State) callFunction(fn *catalog.Function, args []value.Value) (value.Value, error) {
 	if ex.depth >= maxCallDepth {
 		return nil, fmt.Errorf("function %s: call depth %d exceeded (recursive derived data?)", fn.Name, maxCallDepth)
@@ -70,10 +70,8 @@ func (ex *State) callFunction(fn *catalog.Function, args []value.Value) (value.V
 	if !fn.HasBody() {
 		return nil, fmt.Errorf("function %s is declared but not defined", fn.Name)
 	}
-	paramTypes := make(map[string]types.Type, len(fn.Params))
 	frame := make(map[string]value.Value, len(fn.Params))
 	for i, p := range fn.Params {
-		paramTypes[p.Name] = p.Type
 		frame[p.Name] = args[i]
 	}
 	ex.depth++
@@ -83,13 +81,13 @@ func (ex *State) callFunction(fn *catalog.Function, args []value.Value) (value.V
 		ex.depth--
 	}()
 
-	body, err := ex.bindBody(fn, paramTypes)
+	body, err := ex.bindBody(fn)
 	if err != nil {
 		return nil, err
 	}
 	if body.expr != nil {
 		bb := newBinding()
-		v, err := ex.eval(&evalCtx{b: bb}, body.expr)
+		v, err := body.fn(ex, &evalCtx{b: bb})
 		bb.release()
 		if err != nil {
 			return nil, fmt.Errorf("function %s: %w", fn.Name, err)
@@ -98,7 +96,7 @@ func (ex *State) callFunction(fn *catalog.Function, args []value.Value) (value.V
 	}
 	// Retrieve-bodied function: run the query and shape the result by
 	// the declared return component.
-	res, err := ex.Retrieve(body.query)
+	res, err := ex.RetrieveProgram(body.query, body.plan, body.prog)
 	if err != nil {
 		return nil, fmt.Errorf("function %s: %w", fn.Name, err)
 	}
@@ -125,36 +123,69 @@ func (ex *State) callFunction(fn *catalog.Function, args []value.Value) (value.V
 	}
 }
 
-// bindBody returns the memoized bound body of a function, binding it on
-// first use. The cache lives on the shared engine core, so concurrent
-// statements calling the same function reuse one bound body; fnMu is
-// held across binding (binding is pure checker work over the immutable
-// catalog), which serializes first calls but keeps the cache free of
-// duplicate entries.
+// boundBody is a function body ready to run, kept the way a plan-cache
+// entry keeps a retrieve: the checked body (an expression or a
+// retrieve), and for one catalog version and optimizer-option
+// fingerprint its compiled closure, or its plan and program. A call
+// therefore checks, plans and compiles nothing; DDL or a toggled
+// optimizer knob re-plans on the next call. A boundBody is immutable
+// once cached and shared freely between statements.
+type boundBody struct {
+	expr   sema.Expr
+	query  *sema.CheckedRetrieve
+	fn     compiledExpr
+	plan   *algebra.Plan
+	prog   *Program
+	catVer uint64
+	optsFP uint64
+}
+
+// bindBody returns the bound body of a function for the current catalog
+// version and options, binding it on first use (bodies are stored as
+// AST, stored-command style) and re-planning it when either moved. The
+// catalog's schema objects are immutable once defined, so the checked
+// body of an earlier version is reused. The work happens outside fnMu,
+// which guards only the map: two first calls racing may both build, and
+// the second result replaces the first, which is harmless.
 //
 // extra:acquires fnMu.W
-func (ex *Executor) bindBody(fn *catalog.Function, paramTypes map[string]types.Type) (*boundBody, error) {
+func (ex *State) bindBody(fn *catalog.Function) (*boundBody, error) {
+	catVer, optsFP := ex.cat.Version(), ex.opts.Fingerprint()
 	ex.fnMu.Lock()
-	defer ex.fnMu.Unlock()
-	if b, ok := ex.fnCache[fn]; ok {
-		return b, nil
+	old := ex.fnCache[fn]
+	ex.fnMu.Unlock()
+	if old != nil && old.catVer == catVer && old.optsFP == optsFP {
+		return old, nil
 	}
-	ck := sema.NewChecker(ex.cat, sema.NewSession(), paramTypes)
-	b := &boundBody{}
-	if fn.Expr != nil {
-		e, err := ck.BindExpr(fn.Expr)
-		if err != nil {
-			return nil, fmt.Errorf("function %s: %w", fn.Name, err)
-		}
-		b.expr = e
+	b := &boundBody{catVer: catVer, optsFP: optsFP}
+	if old != nil {
+		b.expr, b.query = old.expr, old.query
 	} else {
-		cq, err := ck.CheckRetrieve(fn.Query)
+		paramTypes := make(map[string]types.Type, len(fn.Params))
+		for _, p := range fn.Params {
+			paramTypes[p.Name] = p.Type
+		}
+		ck := sema.NewChecker(ex.cat, sema.NewSession(), paramTypes)
+		var err error
+		if fn.Expr != nil {
+			b.expr, err = ck.BindExpr(fn.Expr)
+		} else {
+			b.query, err = ck.CheckRetrieve(fn.Query)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("function %s: %w", fn.Name, err)
 		}
-		b.query = cq
 	}
+	c := ex.compiler()
+	if b.expr != nil {
+		b.fn = c.expr(b.expr)
+	} else {
+		b.plan = ex.Plan(b.query.Query)
+		b.prog = c.program(b.query, b.plan)
+	}
+	ex.fnMu.Lock()
 	ex.fnCache[fn] = b
+	ex.fnMu.Unlock()
 	return b, nil
 }
 

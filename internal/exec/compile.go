@@ -9,11 +9,12 @@ import (
 	"repro/internal/value"
 )
 
-// This file compiles checked expression trees into Go closures. The
-// interpreting walker (eval.go) dispatches on the node type of every
-// subexpression on every row; a compiled expression pays that dispatch
-// once, at compile time, and the per-row work is a chain of direct
-// closure calls with the decisions baked in:
+// This file compiles a plan into a Program: every expression the plan
+// evaluates per row, lowered once to a Go closure. The interpreting
+// walker (eval.go) dispatches on the node type of every subexpression on
+// every row; a compiled expression pays that dispatch once, at compile
+// time, and the per-row work is a chain of direct closure calls with the
+// decisions baked in:
 //
 //   - constant subtrees (literals, arithmetic/comparison over literals,
 //     ADT calls over literals — ADT member functions are side-effect
@@ -22,6 +23,10 @@ import (
 //     load-of-value;
 //   - variable reads index the binding's slot slice directly with the
 //     slot number captured in the closure (sema.Var.Slot);
+//   - attribute steps read the field at the position the attribute has
+//     in the static tuple type, falling back to the name lookup only
+//     when the runtime tuple has another type (a subtype reached
+//     through a ref lays its attributes out differently);
 //   - operator class and ADT/function targets are resolved at compile
 //     time instead of switch-dispatched per row.
 //
@@ -29,94 +34,239 @@ import (
 // call the same kernels (applyBinary, logicCombine, arith, dispatchCall,
 // applyStep) the walker calls, so the two paths cannot drift. The
 // walker is kept as a differential oracle behind
-// algebra.Options.NoCompiledExprs.
+// algebra.Options.NoCompiledExprs: under it a Program holds interpreter
+// closures, so both lanes run the same program through the same loop.
 
 // compiledExpr is an expression compiled to a closure over the
 // execution state and the current binding.
 type compiledExpr func(*State, *evalCtx) (value.Value, error)
 
-// maxCompiledExprs bounds the executor's closure memo. Cache-missing
-// statements mint fresh sema.Expr trees on every execution, so an
-// unbounded pointer-keyed memo would grow without limit; when the memo
-// fills, the whole epoch is dropped and compilation starts over (the
-// handful of live prepared statements recompile in microseconds).
-const maxCompiledExprs = 4096
-
-// evalC evaluates an expression through its compiled closure, falling
-// back to the interpreting walker when compilation is disabled
-// (Options.NoCompiledExprs — the differential oracle) or when the
-// context carries grouped-aggregate values, which only the walker
-// threads through.
-func (ex *State) evalC(ctx *evalCtx, e sema.Expr) (value.Value, error) {
-	if ex.opts.NoCompiledExprs || ctx.aggVals != nil {
-		return ex.eval(ctx, e)
-	}
-	return ex.compiled(e)(ex, ctx)
+// Program is a plan compiled for execution: the closures of every
+// expression the plan evaluates, laid out in the positions of the
+// plan's nodes. A Program is immutable and holds no per-run state, so
+// concurrent statements share one: the plan cache keeps it beside the
+// plan, and a cache hit runs it without compiling anything. A clone of
+// the plan (EXPLAIN ANALYZE instruments one) runs the program of the
+// plan it was cloned from, whose nodes sit at the same positions.
+type Program struct {
+	nodes     []nodeProgram // by plan node position
+	universal []varProgram  // by position in Plan.Universal
+	final     []compiledExpr
+	forAll    []compiledExpr
+	// Retrieves only: the target list, the by-expressions and the
+	// query-level aggregates of the target list.
+	targets []compiledExpr
+	groupBy []compiledExpr
+	aggs    []aggProgram
 }
 
-// compiled returns the memoized closure for a top-level expression,
-// compiling it on first use. Compilation happens outside the lock (it
-// is pure), so two statements may race to compile the same tree; the
-// second result simply replaces the first, which is harmless.
-//
-// extra:acquires exprMu.W
-func (ex *Executor) compiled(e sema.Expr) compiledExpr {
-	ex.exprMu.Lock()
-	if c, ok := ex.exprCache[e]; ok {
-		ex.exprMu.Unlock()
-		return c
-	}
-	ex.exprMu.Unlock()
-	c, _, _ := compile(e)
-	ex.exprMu.Lock()
-	if len(ex.exprCache) >= maxCompiledExprs {
-		ex.exprCache = nil // epoch flush; see maxCompiledExprs
-	}
-	if ex.exprCache == nil {
-		ex.exprCache = make(map[sema.Expr]compiledExpr)
-	}
-	ex.exprCache[e] = c
-	ex.exprMu.Unlock()
-	if ex.cExprCompile != nil {
-		ex.cExprCompile.Inc()
-	}
-	return c
+// varProgram is what enumerating a path-ranging variable evaluates: the
+// base of an expression path and the steps to the collection.
+type varProgram struct {
+	base  compiledExpr
+	steps []stepProg
 }
 
-// CompilePlan compiles every expression a retrieve will evaluate per
-// row — node filters, hash-join keys, the residual filter, forall
-// conjuncts, group keys, aggregate arguments and target expressions —
-// so execution starts with warm closures. Prepared statements and
-// plan-cache hits call it once at compile time; the compile phase of
-// the statement trace times it.
-func (ex *State) CompilePlan(cq *sema.CheckedRetrieve, p *algebra.Plan) {
-	if ex.opts.NoCompiledExprs {
-		return
+// nodeProgram is one plan node compiled: its variable's source, its
+// filter conjuncts and, for a hash join, the keys plus the conjuncts
+// over the node's own variable that the build applies before keying.
+type nodeProgram struct {
+	varProgram
+	filter       []compiledExpr
+	build, probe compiledExpr
+	local        []compiledExpr
+}
+
+// aggProgram is one query-level aggregate: its argument and its over
+// (dedup) expression, nil when it has none.
+type aggProgram struct {
+	agg       *sema.Agg
+	arg, over compiledExpr
+}
+
+// stepProg is one path step ready to run. tt is the static tuple type
+// the attribute was resolved in and pos its field there; tt is nil when
+// the static type is unknown (and in the interpreted lane), which reads
+// the attribute by name.
+type stepProg struct {
+	attr  string
+	tt    *types.TupleType
+	pos   int
+	index compiledExpr // nil for a pure attribute step
+}
+
+// field reads the step's attribute of a tuple: by position when the
+// tuple has the static type, by name otherwise.
+func (st *stepProg) field(tv *value.Tuple) value.Value {
+	if tv.Type == st.tt {
+		return tv.Fields[st.pos]
+	}
+	return tv.Get(st.attr)
+}
+
+// resolveSteps prepares path steps that start at a value of static type
+// t (nil when unknown), resolving each attribute against the tuple type
+// the checker stepped through: collections map over their elements and
+// references dereference, as sema's applySteps has it. index lowers the
+// index expressions.
+func resolveSteps(t types.Type, steps []sema.Step, index func(sema.Expr) compiledExpr) []stepProg {
+	if len(steps) == 0 {
+		return nil
+	}
+	out := make([]stepProg, len(steps))
+	for i, st := range steps {
+		sp := &out[i]
+		sp.attr = st.Attr
+		if st.Attr != "" {
+			for {
+				el, ok := types.ElemOf(t)
+				if !ok {
+					break
+				}
+				t = el.Type
+			}
+			if r, ok := t.(*types.Ref); ok {
+				t = r.Target
+			}
+			tt, ok := t.(*types.TupleType)
+			t = nil
+			if ok {
+				if a, found := tt.Attr(st.Attr); found {
+					sp.tt, sp.pos = tt, tt.AttrIndex(st.Attr)
+					t = a.Comp.Type
+				}
+			}
+		}
+		if st.Index != nil {
+			sp.index = index(st.Index)
+			if at, ok := t.(*types.Array); ok {
+				t = at.Elem.Type
+			} else {
+				t = nil
+			}
+		}
+	}
+	return out
+}
+
+// compiler lowers the expressions of one program, counting each under
+// expr.compile.count. Under Options.NoCompiledExprs it wraps every
+// expression in an interpreter closure instead and resolves no
+// attribute positions.
+type compiler struct {
+	ex        *State
+	interpret bool
+}
+
+func (ex *State) compiler() compiler {
+	return compiler{ex: ex, interpret: ex.opts.NoCompiledExprs}
+}
+
+func (c compiler) expr(e sema.Expr) compiledExpr {
+	if c.ex.cExprCompile != nil {
+		c.ex.cExprCompile.Inc()
+	}
+	if c.interpret {
+		return interp(e)
+	}
+	fn, _, _ := compile(e)
+	return fn
+}
+
+func (c compiler) exprs(es []sema.Expr) []compiledExpr {
+	if len(es) == 0 {
+		return nil
+	}
+	out := make([]compiledExpr, len(es))
+	for i, e := range es {
+		out[i] = c.expr(e)
+	}
+	return out
+}
+
+// varProgram compiles how a variable's bindings are reached.
+func (c compiler) varProgram(v *sema.Var) varProgram {
+	var vp varProgram
+	var t types.Type // DB-path variables start untyped: the steps read by name
+	switch v.Kind {
+	case sema.VarExtent:
+		return vp
+	case sema.VarNested:
+		t = v.Parent.Elem.Type
+	case sema.VarExprPath:
+		vp.base = c.expr(v.Base)
+		t = v.Base.Type()
+	}
+	if c.interpret {
+		t = nil
+	}
+	vp.steps = resolveSteps(t, v.Steps, c.expr)
+	return vp
+}
+
+// program compiles a plan; cq, when not nil, adds a retrieve's targets,
+// by-expressions and aggregates.
+func (c compiler) program(cq *sema.CheckedRetrieve, p *algebra.Plan) *Program {
+	prog := &Program{
+		nodes:  make([]nodeProgram, len(p.Nodes)),
+		final:  c.exprs(p.Final),
+		forAll: c.exprs(p.ForAll),
 	}
 	for i := range p.Nodes {
-		n := &p.Nodes[i]
-		for _, f := range n.Filter {
-			ex.compiled(f)
-		}
+		n, np := &p.Nodes[i], &prog.nodes[i]
+		np.varProgram = c.varProgram(n.Var)
+		np.filter = c.exprs(n.Filter)
 		if n.Hash != nil {
-			ex.compiled(n.Hash.Build)
-			ex.compiled(n.Hash.Probe)
+			np.build, np.probe = c.expr(n.Hash.Build), c.expr(n.Hash.Probe)
+			for j, f := range n.Filter {
+				if mentionsOnlyVar(f, n.Var) {
+					np.local = append(np.local, np.filter[j])
+				}
+			}
 		}
 	}
-	for _, f := range p.Final {
-		ex.compiled(f)
-	}
-	for _, f := range p.ForAll {
-		ex.compiled(f)
+	for _, v := range p.Universal {
+		prog.universal = append(prog.universal, c.varProgram(v))
 	}
 	if cq == nil {
-		return
+		return prog
 	}
 	for _, t := range cq.Targets {
-		ex.compiled(t.Expr)
+		prog.targets = append(prog.targets, c.expr(t.Expr))
 	}
-	for _, g := range cq.GroupBy {
-		ex.compiled(g)
+	prog.groupBy = c.exprs(cq.GroupBy)
+	if cq.Aggregated {
+		for _, t := range cq.Targets {
+			sema.WalkAggs(t.Expr, func(a *sema.Agg) {
+				if a.SetArg {
+					return
+				}
+				ap := aggProgram{agg: a, arg: c.expr(a.Arg)}
+				if a.Over != nil {
+					ap.over = c.expr(a.Over)
+				}
+				prog.aggs = append(prog.aggs, ap)
+			})
+		}
+	}
+	return prog
+}
+
+// CompilePlan compiles a retrieve's plan into its Program: node filters,
+// hash-join keys, the residual and forall conjuncts, targets, group keys
+// and aggregate arguments. The database layer compiles once per plan
+// and keeps the program beside the plan in the plan-cache entry; the
+// compile phase of the statement trace times it.
+func (ex *State) CompilePlan(cq *sema.CheckedRetrieve, p *algebra.Plan) *Program {
+	return ex.compiler().program(cq, p)
+}
+
+// interp wraps an expression in a closure over the interpreting walker:
+// the NoCompiledExprs lane of a program, and the compiler's fallback for
+// the rare or context-dependent kinds.
+func interp(e sema.Expr) compiledExpr {
+	return func(ex *State, ctx *evalCtx) (value.Value, error) {
+		return ex.eval(ctx, e)
 	}
 }
 
@@ -290,15 +440,19 @@ func compile(e sema.Expr) (fn compiledExpr, cv value.Value, isConst bool) {
 
 	case *sema.PathExpr:
 		bf, _, _ := compile(x.Base)
-		steps, baseMulti := x.Steps, x.Base.Multi()
+		steps := resolveSteps(x.Base.Type(), x.Steps, func(e sema.Expr) compiledExpr {
+			f, _, _ := compile(e)
+			return f
+		})
+		baseMulti := x.Base.Multi()
 		return func(ex *State, ctx *evalCtx) (value.Value, error) {
 			cur, err := bf(ex, ctx)
 			if err != nil {
 				return nil, err
 			}
 			multi := baseMulti
-			for _, st := range steps {
-				cur, multi, err = ex.applyStep(ctx, cur, multi, st)
+			for i := range steps {
+				cur, multi, err = ex.applyStep(ctx, cur, multi, &steps[i])
 				if err != nil {
 					return nil, err
 				}
@@ -365,9 +519,7 @@ func compile(e sema.Expr) (fn compiledExpr, cv value.Value, isConst bool) {
 
 	// Rare or context-dependent kinds (aggregates, constructors, extent
 	// and database-variable reads) stay on the interpreting walker.
-	return func(ex *State, ctx *evalCtx) (value.Value, error) {
-		return ex.eval(ctx, e)
-	}, nil, false
+	return interp(e), nil, false
 }
 
 // compileUnary compiles not / - / ADT prefix operators, folding over a

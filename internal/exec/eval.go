@@ -103,7 +103,11 @@ func (ex *State) evalPath(ctx *evalCtx, p *sema.PathExpr) (value.Value, error) {
 	}
 	multi := p.Base.Multi()
 	for _, st := range p.Steps {
-		cur, multi, err = ex.applyStep(ctx, cur, multi, st)
+		sp := stepProg{attr: st.Attr}
+		if st.Index != nil {
+			sp.index = interp(st.Index)
+		}
+		cur, multi, err = ex.applyStep(ctx, cur, multi, &sp)
 		if err != nil {
 			return nil, err
 		}
@@ -116,12 +120,13 @@ func (ex *State) evalPath(ctx *evalCtx, p *sema.PathExpr) (value.Value, error) {
 
 // applyStep applies one step, mapping over collections (multi-valued
 // path semantics: stepping through a set maps and flattens one level).
-func (ex *State) applyStep(ctx *evalCtx, cur value.Value, multi bool, st sema.Step) (value.Value, bool, error) {
+// Shared by the interpreter and compiled closures.
+func (ex *State) applyStep(ctx *evalCtx, cur value.Value, multi bool, st *stepProg) (value.Value, bool, error) {
 	if value.IsNull(cur) {
 		return value.Null{}, multi, nil
 	}
 	// An attribute step applied to a collection maps over its elements.
-	if st.Attr != "" {
+	if st.attr != "" {
 		if elems, isColl := elemsOf(cur); isColl {
 			out := &value.Set{}
 			for _, e := range elems {
@@ -141,7 +146,7 @@ func (ex *State) applyStep(ctx *evalCtx, cur value.Value, multi bool, st sema.St
 			return out, true, nil
 		}
 	}
-	nv, _, err := ex.stepOnce(cur, collOwner{}, st, ctx, false)
+	nv, _, err := ex.stepOnce(ctx, cur, collOwner{}, st, false)
 	return nv, multi, err
 }
 

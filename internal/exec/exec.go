@@ -10,7 +10,6 @@ package exec
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/algebra"
@@ -42,24 +41,12 @@ type Executor struct {
 	opts algebra.Options
 
 	// fnCache memoizes bound function bodies: bodies are stored as AST
-	// (stored-command style) and bind against the catalog on first call
-	// rather than on every call. The catalog's schema objects are
-	// immutable once defined, so a bound body stays valid; a dropped
-	// extent surfaces as the same error either way. Guarded by fnMu —
-	// the only engine-core lock; bound bodies themselves are immutable
-	// after insertion and are shared freely between statements.
+	// (stored-command style) and bind, plan and compile on first call
+	// rather than on every call (see bindBody). Guarded by fnMu — the
+	// only engine-core lock; bound bodies themselves are immutable after
+	// insertion and are shared freely between statements.
 	fnMu    sync.Mutex // extra:lock fnMu
 	fnCache map[*catalog.Function]*boundBody
-
-	// exprCache memoizes compiled expression closures by tree identity
-	// (compile.go). Bounded at maxCompiledExprs with epoch flushes, so
-	// statements whose trees are minted fresh each execution cannot grow
-	// it without limit; compiled closures are immutable and shared
-	// freely between statements.
-	exprMu    sync.Mutex // extra:lock exprMu
-	exprCache map[sema.Expr]compiledExpr
-
-	statsMisses atomic.Int64 // cardinality-estimate fallbacks (planning)
 
 	// statePool recycles per-statement States (NewState / State.Release)
 	// so repeated statements reuse the deref/extent caches — which are
@@ -114,12 +101,6 @@ type State struct {
 	// (vast) majority — all span calls through it are nil-receiver
 	// no-ops. See SetTrace.
 	tr *trace.Active
-}
-
-// boundBody is a memoized function body.
-type boundBody struct {
-	expr  sema.Expr
-	query *sema.CheckedRetrieve
 }
 
 // New returns an executor over the store and catalog.
@@ -284,59 +265,93 @@ func (b *binding) clone() *binding {
 }
 
 // evalCtx carries the evaluation environment: the current binding and,
-// inside grouped-aggregate output, the computed aggregate values.
+// inside grouped-aggregate output, the computed aggregate values. A run
+// shares one evalCtx among all its closures.
 type evalCtx struct {
 	b       *binding
 	aggVals map[*sema.Agg]value.Value
 }
 
-// Run enumerates the bindings of a plan, applying node filters, the
-// residual filter and universal quantification, and yields each
-// surviving binding. When the plan carries a Runtime accumulator
-// (EXPLAIN ANALYZE), per-operator actuals are recorded as a side
-// effect; uninstrumented plans take the untraced path.
-func (ex *State) Run(p *algebra.Plan, yield func(*binding) error) error {
+// pass reports whether every conjunct holds; null predicates reject,
+// QUEL-style.
+func (ex *State) pass(ctx *evalCtx, conjs []compiledExpr) (bool, error) {
+	for _, cj := range conjs {
+		v, err := cj(ex, ctx)
+		if err != nil {
+			return false, err
+		}
+		if t, ok := value.AsBool(v); !ok || !t {
+			return false, nil
+		}
+	}
+	return true, nil
+}
+
+// sink receives the bindings enumerate produces for one variable. The
+// store-callback adapters around emit are built on first use and kept,
+// so a variable enumerated once per outer binding (an inner extent
+// rescan) builds them once per run, not once per row.
+type sink struct {
+	emit func(value.Value, prov) error
+	obj  func(oid.OID, *value.Tuple) error
+	elem func(storage.RID, value.Value) error
+}
+
+// runner is one execution of a program over its plan: the evaluation
+// context all the run's closures share, and per node its sink, its hash
+// table and the instrumentation state of its current loop. Nodes run
+// strictly nested — node i+1 runs inside an emit of node i and never
+// re-enters node i — so per-node state needs no stack.
+type runner struct {
+	ex    *State
+	plan  *algebra.Plan
+	prog  *Program
+	ctx   evalCtx
+	nodes []nodeRun
+	univ  []sink // universal variables, when the plan has forall conjuncts
+	holds bool   // the universal check of the binding under test
+	yield func(*evalCtx) error
+}
+
+type nodeRun struct {
+	sink
+	table *joinTable // hash-join build side, built on the first probe
+	// Instrumented runs: time spent in later nodes during the current
+	// loop, and the pool counters at the last attribution.
+	child time.Duration
+	base  storage.PoolStats
+}
+
+// Run enumerates the bindings of a plan through its program, applying
+// node filters, the residual filter and universal quantification, and
+// yields the context of each surviving binding. When the plan carries a
+// Runtime accumulator (EXPLAIN ANALYZE), per-operator actuals are
+// recorded as a side effect.
+func (ex *State) Run(p *algebra.Plan, prog *Program, yield func(*evalCtx) error) error {
 	b := newBinding()
 	defer b.release()
+	r := &runner{ex: ex, plan: p, prog: prog, ctx: evalCtx{b: b}, yield: yield,
+		nodes: make([]nodeRun, len(p.Nodes))}
+	for i := range r.nodes {
+		r.nodes[i].emit = r.nodeEmit(i)
+	}
+	if len(p.Universal) > 0 && len(prog.forAll) > 0 {
+		r.univ = make([]sink, len(p.Universal))
+		for j := range r.univ {
+			r.univ[j].emit = r.universalEmit(j)
+		}
+	}
 	rt := p.Runtime
-	rs := &runState{}
 	var dh, dm int64
 	if rt != nil {
 		dh, dm = ex.derefHits, ex.derefMisses
 	}
-	err := ex.runNode(p, 0, b, rs, func(bb *binding) error {
-		if rt != nil {
-			rt.FinalIn++
-		}
-		ok, err := ex.passAll(bb, p.Final)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		if rt != nil {
-			rt.FinalOut++
-			rt.ForAllChecked++
-		}
-		ok, err = ex.forAllHolds(bb, p.Universal, p.ForAll)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		if rt != nil {
-			rt.ForAllPassed++
-			rt.Output++
-		}
-		return yield(bb)
-	})
+	err := r.runNode(0)
 	if rt != nil {
 		rt.DerefHits += ex.derefHits - dh
 		rt.DerefMisses += ex.derefMisses - dm
-		for i := range p.Nodes {
-			if t := rs.tables[&p.Nodes[i]]; t != nil {
+		for i := range r.nodes {
+			if t := r.nodes[i].table; t != nil {
 				nr := &rt.Nodes[i]
 				nr.HashBuildRows += t.buildRows
 				nr.HashProbes += t.probes
@@ -347,94 +362,144 @@ func (ex *State) Run(p *algebra.Plan, yield func(*binding) error) error {
 	return err
 }
 
-func (ex *State) passAll(b *binding, conjs []sema.Expr) (bool, error) {
-	ctx := &evalCtx{b: b}
-	for _, cj := range conjs {
-		v, err := ex.evalC(ctx, cj)
-		if err != nil {
-			return false, err
-		}
-		if t, ok := value.AsBool(v); !ok || !t {
-			return false, nil // null predicates reject, QUEL-style
-		}
-	}
-	return true, nil
-}
-
 // runNode binds plan node i for every element of its source, recursing
-// to the next node.
-func (ex *State) runNode(p *algebra.Plan, i int, b *binding, rs *runState, yield func(*binding) error) error {
-	if i >= len(p.Nodes) {
-		return yield(b)
+// to the next node; past the last node the binding is complete. An
+// instrumented run also counts loops, self time (child time subtracted)
+// and the buffer-pool traffic of this node's fetches and filters.
+func (r *runner) runNode(i int) error {
+	if i == len(r.nodes) {
+		return r.output()
 	}
-	if p.Runtime != nil {
-		return ex.runNodeTraced(p, i, b, rs, yield)
+	if r.plan.Runtime == nil {
+		return r.enumerate(i)
 	}
-	n := &p.Nodes[i]
-	emit := func(v value.Value, pr prov) error {
-		b.bind(n.Var, v, pr)
-		ok, err := ex.passAll(b, n.Filter)
-		if err == nil && ok {
-			err = ex.runNode(p, i+1, b, rs, yield)
-		}
-		b.unbind(n.Var)
-		return err
-	}
-	return ex.enumerate(b, n, rs, emit)
-}
-
-// runNodeTraced is runNode with actuals collection: loops, rows in/out,
-// self time (child time subtracted) and buffer-pool traffic attributed
-// to this node's fetches and filter evaluation.
-func (ex *State) runNodeTraced(p *algebra.Plan, i int, b *binding, rs *runState, yield func(*binding) error) error {
-	n := &p.Nodes[i]
-	rt := &p.Runtime.Nodes[i]
+	rt, nr := &r.plan.Runtime.Nodes[i], &r.nodes[i]
 	rt.Loops++
-	pool := ex.store.Pool()
-	base := pool.Stats()
+	nr.base, nr.child = r.ex.store.Pool().Stats(), 0
 	start := time.Now()
-	var child time.Duration
-	account := func() {
-		cur := pool.Stats()
-		rt.PoolHits += cur.Hits - base.Hits
-		rt.PoolMisses += cur.Misses - base.Misses
-		base = cur
-	}
-	emit := func(v value.Value, pr prov) error {
-		rt.RowsIn++
-		b.bind(n.Var, v, pr)
-		ok, err := ex.passAll(b, n.Filter)
-		if err == nil && ok {
-			rt.RowsOut++
-			account() // pool traffic so far is this node's fetch/filter work
-			t0 := time.Now()
-			err = ex.runNode(p, i+1, b, rs, yield)
-			child += time.Since(t0)
-			base = pool.Stats() // children's traffic is theirs
-		}
-		b.unbind(n.Var)
-		return err
-	}
-	err := ex.enumerate(b, n, rs, emit)
-	account()
-	rt.Time += time.Since(start) - child
+	err := r.enumerate(i)
+	r.account(i)
+	rt.Time += time.Since(start) - nr.child
 	return err
 }
 
-// enumerate produces the bindings of one variable. rs may be nil (build
-// side of a hash join, universal quantification): then the node is
-// enumerated directly even if a hash path was selected.
-func (ex *State) enumerate(b *binding, n *algebra.Node, rs *runState, emit func(value.Value, prov) error) error {
-	v := n.Var
+func (r *runner) enumerate(i int) error {
+	n := &r.plan.Nodes[i]
+	if n.Hash != nil {
+		return r.hashProbe(i)
+	}
+	return r.ex.enumerate(&r.ctx, n.Var, n.Access, &r.prog.nodes[i].varProgram, &r.nodes[i].sink)
+}
+
+// nodeEmit builds node i's emit: bind the variable, apply the node's
+// filter, run the next node, unbind.
+func (r *runner) nodeEmit(i int) func(value.Value, prov) error {
+	ex, ctx, v := r.ex, &r.ctx, r.plan.Nodes[i].Var
+	filter := r.prog.nodes[i].filter
+	if r.plan.Runtime == nil {
+		return func(val value.Value, pr prov) error {
+			ctx.b.bind(v, val, pr)
+			ok, err := ex.pass(ctx, filter)
+			if err == nil && ok {
+				err = r.runNode(i + 1)
+			}
+			ctx.b.unbind(v)
+			return err
+		}
+	}
+	rt, nr := &r.plan.Runtime.Nodes[i], &r.nodes[i]
+	return func(val value.Value, pr prov) error {
+		rt.RowsIn++
+		ctx.b.bind(v, val, pr)
+		ok, err := ex.pass(ctx, filter)
+		if err == nil && ok {
+			rt.RowsOut++
+			r.account(i) // pool traffic so far is this node's fetch/filter work
+			t0 := time.Now()
+			err = r.runNode(i + 1)
+			nr.child += time.Since(t0)
+			nr.base = ex.store.Pool().Stats() // children's traffic is theirs
+		}
+		ctx.b.unbind(v)
+		return err
+	}
+}
+
+// account attributes the pool traffic since the last attribution to
+// node i.
+func (r *runner) account(i int) {
+	rt, nr := &r.plan.Runtime.Nodes[i], &r.nodes[i]
+	cur := r.ex.store.Pool().Stats()
+	rt.PoolHits += cur.Hits - nr.base.Hits
+	rt.PoolMisses += cur.Misses - nr.base.Misses
+	nr.base = cur
+}
+
+// output applies the residual filter and universal quantification to a
+// complete binding and yields it if it survives.
+func (r *runner) output() error {
+	rt := r.plan.Runtime
+	if rt != nil {
+		rt.FinalIn++
+	}
+	ok, err := r.ex.pass(&r.ctx, r.prog.final)
+	if err != nil || !ok {
+		return err
+	}
+	if rt != nil {
+		rt.FinalOut++
+		rt.ForAllChecked++
+	}
+	if r.univ != nil {
+		r.holds = true
+		if err := r.forAll(0); err != nil || !r.holds {
+			return err
+		}
+	}
+	if rt != nil {
+		rt.ForAllPassed++
+		rt.Output++
+	}
+	return r.yield(&r.ctx)
+}
+
+// forAll checks the universally quantified part of the predicate from
+// universal variable j on: for every combination of bindings of the
+// universal variables, all forall conjuncts must hold. The first
+// combination they reject clears holds and ends the check.
+func (r *runner) forAll(j int) error {
+	if !r.holds {
+		return nil
+	}
+	if j == len(r.univ) {
+		ok, err := r.ex.pass(&r.ctx, r.prog.forAll)
+		r.holds = ok
+		return err
+	}
+	return r.ex.enumerate(&r.ctx, r.plan.Universal[j], nil, &r.prog.universal[j], &r.univ[j])
+}
+
+func (r *runner) universalEmit(j int) func(value.Value, prov) error {
+	b, v := r.ctx.b, r.plan.Universal[j]
+	return func(val value.Value, pr prov) error {
+		b.bind(v, val, pr)
+		err := r.forAll(j + 1)
+		b.unbind(v)
+		return err
+	}
+}
+
+// enumerate produces the bindings of one variable into s: an index
+// probe, a heap scan or an element-extent scan for an extent variable,
+// a walk to the collection for a path-ranging one. access is the
+// variable's index probe, nil for a scan.
+func (ex *State) enumerate(ctx *evalCtx, v *sema.Var, access *algebra.AccessPath, vp *varProgram, s *sink) error {
 	switch v.Kind {
 	case sema.VarExtent:
-		if n.Hash != nil && rs != nil {
-			return ex.hashProbe(b, n, rs, emit)
-		}
 		r := ex.reader()
 		if r.IsObjectExtent(v.Extent) {
-			if n.Access != nil {
-				ids := r.IndexLookup(n.Access.Index, n.Access.Lo, n.Access.Hi, n.Access.IncLo, n.Access.IncHi)
+			if access != nil {
+				ids := r.IndexLookup(access.Index, access.Lo, access.Hi, access.IncLo, access.IncHi)
 				for _, id := range ids {
 					tv, ok, err := ex.derefGet(id)
 					if err != nil {
@@ -443,45 +508,51 @@ func (ex *State) enumerate(b *binding, n *algebra.Node, rs *runState, emit func(
 					if !ok {
 						continue
 					}
-					if err := emit(value.Object{OID: id, Tuple: tv}, prov{oid: id, extent: v.Extent}); err != nil {
+					if err := s.emit(value.Object{OID: id, Tuple: tv}, prov{oid: id, extent: v.Extent}); err != nil {
 						return err
 					}
 				}
 				return nil
 			}
-			if !ex.opts.NoDerefCache {
-				return ex.scanExtentCached(v.Extent, func(id oid.OID, tv *value.Tuple) error {
-					return emit(value.Object{OID: id, Tuple: tv}, prov{oid: id, extent: v.Extent})
-				})
+			if s.obj == nil {
+				emit, extent := s.emit, v.Extent
+				s.obj = func(id oid.OID, tv *value.Tuple) error {
+					return emit(value.Object{OID: id, Tuple: tv}, prov{oid: id, extent: extent})
+				}
 			}
-			return r.ScanExtent(v.Extent, func(id oid.OID, tv *value.Tuple) error {
-				return emit(value.Object{OID: id, Tuple: tv}, prov{oid: id, extent: v.Extent})
-			})
+			if !ex.opts.NoDerefCache {
+				return ex.scanExtentCached(v.Extent, s.obj)
+			}
+			return r.ScanExtent(v.Extent, s.obj)
 		}
 		if r.IsElemExtent(v.Extent) {
-			return r.ScanElems(v.Extent, func(rid storage.RID, ev value.Value) error {
-				pr := prov{extent: v.Extent, rid: rid}
-				if r, isRef := ev.(value.Ref); isRef {
-					tv, ok, err := ex.derefGet(r.OID)
-					if err != nil {
-						return err
+			if s.elem == nil {
+				emit, extent := s.emit, v.Extent
+				s.elem = func(rid storage.RID, ev value.Value) error {
+					pr := prov{extent: extent, rid: rid}
+					if r, isRef := ev.(value.Ref); isRef {
+						tv, ok, err := ex.derefGet(r.OID)
+						if err != nil {
+							return err
+						}
+						if !ok {
+							return nil // dangling membership reads as absent
+						}
+						pr.oid = r.OID
+						return emit(value.Object{OID: r.OID, Tuple: tv}, pr)
 					}
-					if !ok {
-						return nil // dangling membership reads as absent
-					}
-					pr.oid = r.OID
-					return emit(value.Object{OID: r.OID, Tuple: tv}, pr)
+					return emit(ev, pr)
 				}
-				return emit(ev, pr)
-			})
+			}
+			return r.ScanElems(v.Extent, s.elem)
 		}
 		return fmt.Errorf("no extent %s", v.Extent)
 	case sema.VarNested, sema.VarDBPath, sema.VarExprPath:
-		start, owner, err := ex.nestStart(b, v)
+		start, owner, err := ex.nestStart(ctx, v, vp)
 		if err != nil {
 			return err
 		}
-		return ex.walkCollection(start, owner, v.Steps, emit)
+		return ex.walkCollection(ctx, start, owner, vp.steps, s.emit)
 	}
 	return fmt.Errorf("unhandled variable kind for %s", v.Name)
 }
@@ -497,9 +568,10 @@ type collOwner struct {
 
 // nestStart resolves the starting value and initial owner for a nested
 // variable.
-func (ex *State) nestStart(b *binding, v *sema.Var) (value.Value, collOwner, error) {
+func (ex *State) nestStart(ctx *evalCtx, v *sema.Var, vp *varProgram) (value.Value, collOwner, error) {
 	switch v.Kind {
 	case sema.VarNested:
+		b := ctx.b
 		pv, ok := b.get(v.Parent)
 		if !ok {
 			return nil, collOwner{}, fmt.Errorf("parent of %s not bound", v.Name)
@@ -513,7 +585,7 @@ func (ex *State) nestStart(b *binding, v *sema.Var) (value.Value, collOwner, err
 		}
 		return pv, own, nil
 	case sema.VarExprPath:
-		val, err := ex.eval(&evalCtx{b: b}, v.Base)
+		val, err := vp.base(ex, ctx)
 		if err != nil {
 			return nil, collOwner{}, err
 		}
@@ -531,43 +603,48 @@ func (ex *State) nestStart(b *binding, v *sema.Var) (value.Value, collOwner, err
 	}
 }
 
-// walkCollection walks the steps from start to the target collection,
+// walkCollection walks the steps from cur to the target collection,
 // dereferencing references (updating the owner as it crosses object
-// boundaries), then emits each element.
-func (ex *State) walkCollection(cur value.Value, owner collOwner, steps []sema.Step, emit func(value.Value, prov) error) error {
-	for si, st := range steps {
+// boundaries), then emits each element. A collection in the middle of
+// the path fans out over its elements when the next step is an
+// attribute step; an index step applies to the collection itself. Only
+// a statement on the live store (an update) records the owner's steps:
+// update provenance is all they are for.
+func (ex *State) walkCollection(ctx *evalCtx, cur value.Value, owner collOwner, steps []stepProg, emit func(value.Value, prov) error) error {
+	track := ex.snap == nil
+	for si := range steps {
 		var err error
-		cur, owner, err = ex.stepOnce(cur, owner, st, nil, true)
+		cur, owner, err = ex.stepOnce(ctx, cur, owner, &steps[si], track)
 		if err != nil {
 			return err
 		}
 		if value.IsNull(cur) {
 			return nil
 		}
-		// A collection in the middle of the path fans out.
-		if si < len(steps)-1 {
-			if coll, ok := elemsOf(cur); ok {
-				for _, e := range coll {
-					eo := owner
-					ev := e
-					if r, isRef := e.(value.Ref); isRef {
-						tv, live, err := ex.derefGet(r.OID)
-						if err != nil {
-							return err
-						}
-						if !live {
-							continue
-						}
-						ev = value.Object{OID: r.OID, Tuple: tv}
-						eo = collOwner{oid: r.OID}
-					}
-					if err := ex.walkCollection(ev, eo, steps[si+1:], emit); err != nil {
-						return err
-					}
+		if si == len(steps)-1 || steps[si+1].attr == "" {
+			continue
+		}
+		coll, ok := elemsOf(cur)
+		if !ok {
+			continue
+		}
+		for _, e := range coll {
+			eo, ev := owner, e
+			if r, isRef := e.(value.Ref); isRef {
+				tv, live, err := ex.derefGet(r.OID)
+				if err != nil {
+					return err
 				}
-				return nil
+				if !live {
+					continue
+				}
+				ev, eo = tv, collOwner{oid: r.OID}
+			}
+			if err := ex.walkCollection(ctx, ev, eo, steps[si+1:], emit); err != nil {
+				return err
 			}
 		}
+		return nil
 	}
 	coll, ok := elemsOf(cur)
 	if !ok {
@@ -595,12 +672,13 @@ func (ex *State) walkCollection(cur value.Value, owner collOwner, steps []sema.S
 }
 
 // stepOnce applies one path step to a value, dereferencing a reference
-// first if needed and tracking the collection owner. ctx is needed only
-// when the step has an index expression. track guards the owner-steps
-// provenance bookkeeping: only update paths (walkCollection) consume it,
-// and the per-step slice append is the dominant allocation of filter
-// evaluation when left on.
-func (ex *State) stepOnce(cur value.Value, owner collOwner, st sema.Step, ctx *evalCtx, track bool) (value.Value, collOwner, error) {
+// first if needed and tracking the collection owner; ctx binds the
+// variables an index expression reads. A dereference hands the step the
+// fetched tuple itself, so no value.Object is boxed for it. track guards
+// the owner-steps provenance bookkeeping: only update paths consume it,
+// and the per-step slice copy is the dominant allocation of a path walk
+// when left on.
+func (ex *State) stepOnce(ctx *evalCtx, cur value.Value, owner collOwner, st *stepProg, track bool) (value.Value, collOwner, error) {
 	if value.IsNull(cur) {
 		return value.Null{}, owner, nil
 	}
@@ -612,21 +690,21 @@ func (ex *State) stepOnce(cur value.Value, owner collOwner, st sema.Step, ctx *e
 		if !live {
 			return value.Null{}, owner, nil
 		}
-		cur = value.Object{OID: r.OID, Tuple: tv}
+		cur = tv
 		owner = collOwner{oid: r.OID}
 	}
-	if st.Attr != "" {
+	if st.attr != "" {
 		tv, ok := value.AsTuple(cur)
 		if !ok {
-			return nil, owner, fmt.Errorf("attribute %s of non-tuple value %s", st.Attr, cur)
+			return nil, owner, fmt.Errorf("attribute %s of non-tuple value %s", st.attr, cur)
 		}
 		if track {
-			owner.steps = append(append([]sema.Step(nil), owner.steps...), sema.Step{Attr: st.Attr})
+			owner.steps = append(append([]sema.Step(nil), owner.steps...), sema.Step{Attr: st.attr})
 		}
-		cur = tv.Get(st.Attr)
+		cur = st.field(tv)
 	}
-	if st.Index != nil {
-		iv, err := ex.eval(orCtx(ctx), st.Index)
+	if st.index != nil {
+		iv, err := st.index(ex, ctx)
 		if err != nil {
 			return nil, owner, err
 		}
@@ -649,13 +727,6 @@ func (ex *State) stepOnce(cur value.Value, owner collOwner, st sema.Step, ctx *e
 	return cur, owner, nil
 }
 
-func orCtx(ctx *evalCtx) *evalCtx {
-	if ctx != nil {
-		return ctx
-	}
-	return &evalCtx{b: newBinding()}
-}
-
 // elemsOf extracts the elements of a collection value.
 func elemsOf(v value.Value) ([]value.Value, bool) {
 	switch x := v.(type) {
@@ -665,41 +736,4 @@ func elemsOf(v value.Value) ([]value.Value, bool) {
 		return x.Elems, true
 	}
 	return nil, false
-}
-
-// forAllHolds checks the universally quantified part of the predicate:
-// for every combination of bindings of the universal variables, all
-// conjuncts must hold.
-func (ex *State) forAllHolds(b *binding, uvars []*sema.Var, conjs []sema.Expr) (bool, error) {
-	if len(uvars) == 0 || len(conjs) == 0 {
-		return true, nil
-	}
-	holds := true
-	var rec func(i int) error
-	rec = func(i int) error {
-		if !holds {
-			return nil
-		}
-		if i >= len(uvars) {
-			ok, err := ex.passAll(b, conjs)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				holds = false
-			}
-			return nil
-		}
-		n := &algebra.Node{Var: uvars[i]}
-		return ex.enumerate(b, n, nil, func(v value.Value, pr prov) error {
-			b.bind(uvars[i], v, pr)
-			err := rec(i + 1)
-			b.unbind(uvars[i])
-			return err
-		})
-	}
-	if err := rec(0); err != nil {
-		return false, err
-	}
-	return holds, nil
 }

@@ -11,15 +11,6 @@ import (
 	"repro/internal/value"
 )
 
-// runState carries per-execution state of one plan run: the lazily built
-// hash-join tables, keyed by plan node. A fresh runState per Run keeps a
-// table from outliving the statement that built it (the store may change
-// between statements) while letting every outer binding of one run share
-// the same build.
-type runState struct {
-	tables map[*algebra.Node]*joinTable
-}
-
 // joinEntry is one build-side row of a join table: the bound value plus
 // its provenance, exactly what enumerate would have emitted.
 type joinEntry struct {
@@ -99,29 +90,22 @@ func mentionsOnlyVar(e sema.Expr, v *sema.Var) bool {
 // pass over the node's source (scan or index probe), applying the filter
 // conjuncts local to the node's variable, keying each surviving row on
 // the build expression.
-func (ex *State) buildJoinTable(n *algebra.Node) (*joinTable, error) {
+func (ex *State) buildJoinTable(n *algebra.Node, np *nodeProgram) (*joinTable, error) {
 	// The build is a discrete materializing step (unlike the per-row
 	// pipeline), so it earns a live operator span when sampled.
 	sp := ex.tr.StartSpan(trace.KindOperator, "hash build "+n.Var.Extent+" binding "+n.Var.Name)
 	defer ex.tr.EndSpan(sp)
 	t := &joinTable{groups: make(map[string][]joinEntry)}
-	var local []sema.Expr
-	for _, f := range n.Filter {
-		if mentionsOnlyVar(f, n.Var) {
-			local = append(local, f)
-		}
-	}
-	src := &algebra.Node{Var: n.Var, Access: n.Access}
 	b := newBinding()
 	defer b.release()
 	ctx := &evalCtx{b: b}
-	err := ex.enumerate(b, src, nil, func(v value.Value, pr prov) error {
+	s := sink{emit: func(v value.Value, pr prov) error {
 		b.bind(n.Var, v, pr)
 		defer b.unbind(n.Var)
-		if ok, err := ex.passAll(b, local); err != nil || !ok {
+		if ok, err := ex.pass(ctx, np.local); err != nil || !ok {
 			return err
 		}
-		kv, err := ex.evalC(ctx, n.Hash.Build)
+		kv, err := np.build(ex, ctx)
 		if err != nil {
 			return err
 		}
@@ -139,8 +123,8 @@ func (ex *State) buildJoinTable(n *algebra.Node) (*joinTable, error) {
 		}
 		t.buildRows++
 		return nil
-	})
-	if err != nil {
+	}}
+	if err := ex.enumerate(ctx, n.Var, n.Access, &np.varProgram, &s); err != nil {
 		return nil, err
 	}
 	if ex.cHashBuilds != nil {
@@ -151,27 +135,28 @@ func (ex *State) buildJoinTable(n *algebra.Node) (*joinTable, error) {
 	return t, nil
 }
 
-// hashProbe enumerates a hash-join node for one outer binding: evaluates
+// hashProbe enumerates hash-join node i for one outer binding: evaluates
 // the probe key over the already-bound variables and emits the matching
 // build rows. The node's full filter (including the join conjunct) is
-// re-applied by the caller, so emitting a superset is safe.
-func (ex *State) hashProbe(b *binding, n *algebra.Node, rs *runState, emit func(value.Value, prov) error) error {
-	t := rs.tables[n]
+// re-applied by the emit, so emitting a superset is safe. The table is
+// built on the run's first probe and serves every later one: a table
+// never outlives the run that built it (the store may change between
+// statements).
+func (r *runner) hashProbe(i int) error {
+	ex, n, np, nr := r.ex, &r.plan.Nodes[i], &r.prog.nodes[i], &r.nodes[i]
+	t := nr.table
 	if t == nil {
 		var err error
-		if t, err = ex.buildJoinTable(n); err != nil {
+		if t, err = ex.buildJoinTable(n, np); err != nil {
 			return err
 		}
-		if rs.tables == nil {
-			rs.tables = make(map[*algebra.Node]*joinTable)
-		}
-		rs.tables[n] = t
+		nr.table = t
 	}
 	t.probes++
 	if ex.cHashProbes != nil {
 		ex.cHashProbes.Inc()
 	}
-	kv, err := ex.evalC(&evalCtx{b: b}, n.Hash.Probe)
+	kv, err := np.probe(ex, &r.ctx)
 	if err != nil {
 		return err
 	}
@@ -181,7 +166,7 @@ func (ex *State) hashProbe(b *binding, n *algebra.Node, rs *runState, emit func(
 			if ex.cHashHits != nil {
 				ex.cHashHits.Inc()
 			}
-			if err := emit(e.val, e.pr); err != nil {
+			if err := nr.emit(e.val, e.pr); err != nil {
 				return err
 			}
 		}

@@ -95,7 +95,6 @@ func (ex *State) EstimateLen(extent string) int {
 	if n, err := r.ElemLen(extent); err == nil {
 		return n
 	}
-	ex.statsMisses.Add(1)
 	if ex.cStatsMiss != nil {
 		ex.cStatsMiss.Inc()
 	}

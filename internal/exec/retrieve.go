@@ -74,37 +74,37 @@ func displayValue(v value.Value) string {
 	return v.String()
 }
 
-// Retrieve runs a checked retrieve and returns its result set. When the
-// statement has an into clause, the result is also materialized as a new
-// database variable.
-func (ex *State) Retrieve(cq *sema.CheckedRetrieve) (*Result, error) {
-	return ex.RetrievePlan(cq, ex.Plan(cq.Query))
+// RetrievePlan runs a checked retrieve through an already-built plan,
+// compiling the plan's program first — for callers that keep no program
+// of their own.
+func (ex *State) RetrievePlan(cq *sema.CheckedRetrieve, plan *algebra.Plan) (*Result, error) {
+	return ex.RetrieveProgram(cq, plan, nil)
 }
 
-// RetrievePlan runs a checked retrieve through an already-built plan —
-// the database layer uses it to time planning and execution separately
-// and to execute instrumented (EXPLAIN ANALYZE) plans.
-func (ex *State) RetrievePlan(cq *sema.CheckedRetrieve, plan *algebra.Plan) (*Result, error) {
+// RetrieveProgram runs a checked retrieve through its plan and the
+// plan's compiled program (CompilePlan); a nil program is compiled here.
+// The database layer passes the program its plan-cache entry keeps, and
+// an instrumented clone of the plan (EXPLAIN ANALYZE) with the program
+// of the original. When the statement has an into clause, the result is
+// also materialized as a new database variable.
+func (ex *State) RetrieveProgram(cq *sema.CheckedRetrieve, plan *algebra.Plan, prog *Program) (*Result, error) {
+	if prog == nil {
+		prog = ex.CompilePlan(cq, plan)
+	}
 	res := &Result{}
 	for _, t := range cq.Targets {
 		res.Cols = append(res.Cols, t.Name)
 	}
 	var err error
 	if cq.Aggregated {
-		err = ex.retrieveGrouped(cq, plan, res)
+		err = ex.retrieveGrouped(cq, plan, prog, res)
 	} else {
-		err = ex.Run(plan, func(b *binding) error {
-			ctx := &evalCtx{b: b}
-			row := make(Row, len(cq.Targets))
-			for i, t := range cq.Targets {
-				v, err := ex.evalC(ctx, t.Expr)
-				if err != nil {
-					return err
-				}
-				row[i] = v
+		err = ex.Run(plan, prog, func(ctx *evalCtx) error {
+			row, err := ex.targetRow(ctx, prog)
+			if err == nil {
+				res.Rows = append(res.Rows, row)
 			}
-			res.Rows = append(res.Rows, row)
-			return nil
+			return err
 		})
 	}
 	if err != nil {
@@ -122,10 +122,25 @@ func (ex *State) RetrievePlan(cq *sema.CheckedRetrieve, plan *algebra.Plan) (*Re
 	return res, nil
 }
 
-// groupState accumulates one group during grouped retrieval.
+// targetRow evaluates the target list.
+func (ex *State) targetRow(ctx *evalCtx, prog *Program) (Row, error) {
+	row := make(Row, len(prog.targets))
+	for i, t := range prog.targets {
+		v, err := t(ex, ctx)
+		if err != nil {
+			return nil, err
+		}
+		row[i] = v
+	}
+	return row, nil
+}
+
+// groupState accumulates one group during grouped retrieval: its
+// representative binding and, by position in Program.aggs, the state of
+// each aggregate.
 type groupState struct {
 	rep  *binding
-	aggs map[*sema.Agg]*aggState
+	aggs []aggState
 }
 
 type aggState struct {
@@ -139,37 +154,24 @@ type aggState struct {
 // the over-expression when one is given (the paper's mechanism for
 // aggregating one level of a complex object while partitioning on
 // another, which also subsumes QUEL's unique aggregates).
-func (ex *State) retrieveGrouped(cq *sema.CheckedRetrieve, plan *algebra.Plan, res *Result) error {
-	// Collect the distinct aggregate nodes of the target list.
-	var aggs []*sema.Agg
-	for _, t := range cq.Targets {
-		sema.WalkAggs(t.Expr, func(a *sema.Agg) {
-			if !a.SetArg {
-				aggs = append(aggs, a)
-			}
-		})
-	}
+func (ex *State) retrieveGrouped(cq *sema.CheckedRetrieve, plan *algebra.Plan, prog *Program, res *Result) error {
 	groups := map[string]*groupState{}
 	var order []string
-	err := ex.Run(plan, func(b *binding) error {
-		ctx := &evalCtx{b: b}
-		key, err := ex.groupKey(ctx, cq.GroupBy)
+	err := ex.Run(plan, prog, func(ctx *evalCtx) error {
+		key, err := ex.groupKey(ctx, prog.groupBy)
 		if err != nil {
 			return err
 		}
 		g, ok := groups[key]
 		if !ok {
-			g = &groupState{rep: b.clone(), aggs: map[*sema.Agg]*aggState{}}
-			for _, a := range aggs {
-				g.aggs[a] = &aggState{}
-			}
+			g = &groupState{rep: ctx.b.clone(), aggs: make([]aggState, len(prog.aggs))}
 			groups[key] = g
 			order = append(order, key)
 		}
-		for _, a := range aggs {
-			st := g.aggs[a]
-			if a.Over != nil {
-				ov, err := ex.evalC(ctx, a.Over)
+		for k := range prog.aggs {
+			a, st := &prog.aggs[k], &g.aggs[k]
+			if a.over != nil {
+				ov, err := a.over(ex, ctx)
 				if err != nil {
 					return err
 				}
@@ -182,7 +184,7 @@ func (ex *State) retrieveGrouped(cq *sema.CheckedRetrieve, plan *algebra.Plan, r
 				}
 				st.over[ok] = true
 			}
-			av, err := ex.evalC(ctx, a.Arg)
+			av, err := a.arg(ex, ctx)
 			if err != nil {
 				return err
 			}
@@ -196,31 +198,22 @@ func (ex *State) retrieveGrouped(cq *sema.CheckedRetrieve, plan *algebra.Plan, r
 	// A global aggregate (no by-expressions) over zero bindings still
 	// produces one row: count = 0, sum = 0, the others null.
 	if len(order) == 0 && len(cq.GroupBy) == 0 {
-		g := &groupState{rep: newBinding(), aggs: map[*sema.Agg]*aggState{}}
-		for _, a := range aggs {
-			g.aggs[a] = &aggState{}
-		}
-		groups[""] = g
+		groups[""] = &groupState{rep: newBinding(), aggs: make([]aggState, len(prog.aggs))}
 		order = append(order, "")
 	}
 	for _, key := range order {
 		g := groups[key]
-		aggVals := map[*sema.Agg]value.Value{}
-		for a, st := range g.aggs {
-			v, err := foldAgg(a, st.vals)
+		aggVals := make(map[*sema.Agg]value.Value, len(prog.aggs))
+		for k := range prog.aggs {
+			v, err := foldAgg(prog.aggs[k].agg, g.aggs[k].vals)
 			if err != nil {
 				return err
 			}
-			aggVals[a] = v
+			aggVals[prog.aggs[k].agg] = v
 		}
-		ctx := &evalCtx{b: g.rep, aggVals: aggVals}
-		row := make(Row, len(cq.Targets))
-		for i, t := range cq.Targets {
-			v, err := ex.eval(ctx, t.Expr)
-			if err != nil {
-				return err
-			}
-			row[i] = v
+		row, err := ex.targetRow(&evalCtx{b: g.rep, aggVals: aggVals}, prog)
+		if err != nil {
+			return err
 		}
 		res.Rows = append(res.Rows, row)
 	}
@@ -231,13 +224,13 @@ func (ex *State) retrieveGrouped(cq *sema.CheckedRetrieve, plan *algebra.Plan, r
 }
 
 // groupKey renders the grouping values of the current binding.
-func (ex *State) groupKey(ctx *evalCtx, groups []sema.Expr) (string, error) {
+func (ex *State) groupKey(ctx *evalCtx, groups []compiledExpr) (string, error) {
 	if len(groups) == 0 {
 		return "", nil
 	}
 	var b strings.Builder
 	for _, g := range groups {
-		v, err := ex.evalC(ctx, g)
+		v, err := g(ex, ctx)
 		if err != nil {
 			return "", err
 		}

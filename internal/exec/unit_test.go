@@ -169,3 +169,41 @@ func TestStepsKey(t *testing.T) {
 		t.Errorf("stepsKey = %q", got)
 	}
 }
+
+// TestStepFieldByPosition: resolveSteps resolves each attribute to its
+// position in the tuple type the path statically reaches (through a
+// ref), and a step reads by name when the runtime tuple is a subtype
+// laid out differently.
+func TestStepFieldByPosition(t *testing.T) {
+	own := func(name string, typ types.Type) types.Attr {
+		return types.Attr{Name: name, Comp: types.Component{Mode: types.Own, Type: typ}}
+	}
+	person := types.MustTupleType("P", nil, []types.Attr{own("name", types.Varchar)})
+	student := types.MustTupleType("S", []types.Super{{Type: person}}, []types.Attr{own("gpa", types.Float8)})
+	emp := types.MustTupleType("E", []types.Super{{Type: person}}, []types.Attr{own("salary", types.Int4)})
+	studentEmp := types.MustTupleType("SE", []types.Super{{Type: emp}, {Type: student}}, nil)
+	advisor := types.MustTupleType("A", nil, []types.Attr{
+		{Name: "advisee", Comp: types.Component{Mode: types.RefTo, Type: student}},
+	})
+	steps := resolveSteps(advisor, []sema.Step{{Attr: "advisee"}, {Attr: "gpa"}}, nil)
+	if steps[0].tt != advisor || steps[0].pos != 0 || steps[1].tt != student || steps[1].pos != 1 {
+		t.Fatalf("resolved steps %+v", steps)
+	}
+	sv := value.NewTuple(student)
+	sv.Set("gpa", value.NewFloat(3.5))
+	sev := value.NewTuple(studentEmp)
+	sev.Set("salary", value.NewInt(10)) // at the position Student gives gpa
+	sev.Set("gpa", value.NewFloat(3.1))
+	if got := steps[1].field(sv).String(); got != "3.5" {
+		t.Errorf("Student gpa = %s", got)
+	}
+	if got := steps[1].field(sev).String(); got != "3.1" {
+		t.Errorf("StudentEmp gpa through a ref Student = %s", got)
+	}
+	// An unknown static type reads every attribute by name.
+	for _, st := range resolveSteps(nil, []sema.Step{{Attr: "advisee"}, {Attr: "gpa"}}, nil) {
+		if st.tt != nil {
+			t.Errorf("untyped path resolved %q to %s", st.attr, st.tt)
+		}
+	}
+}

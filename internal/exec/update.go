@@ -21,18 +21,22 @@ func (ex *State) appendStmt(ca *sema.CheckedAppend) (int, error) {
 		owner prov // target location for nested appends
 	}
 	var jobs []job
-	collect := func(b *binding) error {
-		ctx := &evalCtx{b: b}
-		var elem value.Value
-		var err error
-		if ca.Ctor != nil {
-			if elem, err = ex.evalC(ctx, ca.Ctor); err != nil {
-				return err
-			}
-		} else {
-			if elem, err = ex.evalC(ctx, ca.Value); err != nil {
-				return err
-			}
+	plan := ex.Plan(ca.Query)
+	c := ex.compiler()
+	prog := c.program(nil, plan)
+	var elemFn, ownerFn compiledExpr
+	if ca.Ctor != nil {
+		elemFn = c.expr(ca.Ctor)
+	} else {
+		elemFn = c.expr(ca.Value)
+	}
+	if ca.Owner != nil {
+		ownerFn = c.expr(ca.Owner)
+	}
+	collect := func(ctx *evalCtx) error {
+		elem, err := elemFn(ex, ctx)
+		if err != nil {
+			return err
 		}
 		celem, err := ex.coerce(elem, ca.Elem)
 		if err != nil {
@@ -46,16 +50,15 @@ func (ex *State) appendStmt(ca *sema.CheckedAppend) (int, error) {
 			var ownerOID oid.OID
 			ownerVar := ca.OwnerVar
 			var steps []sema.Step
-			if ca.Owner != nil {
-				ov, err := ex.eval(ctx, ca.Owner)
+			if ownerFn != nil {
+				ov, err := ownerFn(ex, ctx)
 				if err != nil {
 					return err
 				}
-				start, owner0, err2 := ex.resolveOwner(ov, b, ca.Owner)
-				if err2 != nil {
-					return err2
+				owner0, err := ex.resolveOwner(ov, ctx.b, ca.Owner)
+				if err != nil {
+					return err
 				}
-				_ = start
 				ownerOID, ownerVar = owner0.oid, owner0.dbvar
 				steps = owner0.steps
 			}
@@ -67,8 +70,7 @@ func (ex *State) appendStmt(ca *sema.CheckedAppend) (int, error) {
 		jobs = append(jobs, j)
 		return nil
 	}
-	plan := ex.Plan(ca.Query)
-	if err := ex.Run(plan, collect); err != nil {
+	if err := ex.Run(plan, prog, collect); err != nil {
 		return 0, err
 	}
 	for _, j := range jobs {
@@ -89,9 +91,9 @@ func (ex *State) appendStmt(ca *sema.CheckedAppend) (int, error) {
 }
 
 // resolveOwner maps an owner expression value to its location.
-func (ex *State) resolveOwner(v value.Value, b *binding, e sema.Expr) (value.Value, collOwner, error) {
+func (ex *State) resolveOwner(v value.Value, b *binding, e sema.Expr) (collOwner, error) {
 	if o, isObj := v.(value.Object); isObj {
-		return v, collOwner{oid: o.OID}, nil
+		return collOwner{oid: o.OID}, nil
 	}
 	if vr, isVar := e.(*sema.VarRef); isVar {
 		// An own element without identity: address it positionally within
@@ -99,12 +101,12 @@ func (ex *State) resolveOwner(v value.Value, b *binding, e sema.Expr) (value.Val
 		pr := b.getProv(vr.Var)
 		steps := append(append([]sema.Step(nil), pr.steps...),
 			sema.Step{Index: &sema.Const{Val: value.NewInt(int64(pr.elemIdx + 1))}})
-		return v, collOwner{oid: pr.parentOID, dbvar: pr.parentVar, steps: steps}, nil
+		return collOwner{oid: pr.parentOID, dbvar: pr.parentVar, steps: steps}, nil
 	}
 	if dv, isDB := e.(*sema.DBVarRead); isDB {
-		return v, collOwner{dbvar: dv.Name}, nil
+		return collOwner{dbvar: dv.Name}, nil
 	}
-	return nil, collOwner{}, fmt.Errorf("cannot locate the collection owner for append")
+	return collOwner{}, fmt.Errorf("cannot locate the collection owner for append")
 }
 
 // appendToExtent inserts a new element into a top-level collection.
@@ -169,7 +171,7 @@ func (ex *State) mutateCollection(loc prov, fn func(coll *[]value.Value) error) 
 				cur = tv.Get(attr)
 			}
 			if st.Index != nil {
-				iv, err := ex.eval(&evalCtx{b: newBinding()}, st.Index)
+				iv, err := ex.eval(&evalCtx{b: &binding{}}, st.Index)
 				if err != nil {
 					return nil, err
 				}
@@ -258,8 +260,8 @@ func (ex *State) deleteStmt(cd *sema.CheckedDelete) (int, error) {
 	}
 	var nested []nestedDel
 	plan := ex.Plan(cd.Query)
-	err := ex.Run(plan, func(b *binding) error {
-		pr := b.getProv(cd.Var)
+	err := ex.Run(plan, ex.CompilePlan(nil, plan), func(ctx *evalCtx) error {
+		pr := ctx.b.getProv(cd.Var)
 		switch {
 		case pr.extent != "" && !pr.oid.IsNil() && ex.store.IsObjectExtent(pr.extent):
 			objs = append(objs, pr.oid)
@@ -355,11 +357,16 @@ func (ex *State) replaceStmt(cr *sema.CheckedReplace) (int, error) {
 	}
 	var jobs []job
 	plan := ex.Plan(cr.Query)
-	err := ex.Run(plan, func(b *binding) error {
-		ctx := &evalCtx{b: b}
-		j := job{pr: b.getProv(cr.Var)}
-		for _, as := range cr.Assigns {
-			v, err := ex.evalC(ctx, as.Expr)
+	c := ex.compiler()
+	prog := c.program(nil, plan)
+	assigns := make([]compiledExpr, len(cr.Assigns))
+	for i, as := range cr.Assigns {
+		assigns[i] = c.expr(as.Expr)
+	}
+	err := ex.Run(plan, prog, func(ctx *evalCtx) error {
+		j := job{pr: ctx.b.getProv(cr.Var)}
+		for i, as := range cr.Assigns {
+			v, err := assigns[i](ex, ctx)
 			if err != nil {
 				return err
 			}
@@ -422,8 +429,8 @@ func (ex *State) replaceStmt(cr *sema.CheckedReplace) (int, error) {
 func (ex *State) setStmt(cs *sema.CheckedSet) error {
 	var rows []*binding
 	plan := ex.Plan(cs.Query)
-	err := ex.Run(plan, func(b *binding) error {
-		rows = append(rows, b.clone())
+	err := ex.Run(plan, ex.CompilePlan(nil, plan), func(ctx *evalCtx) error {
+		rows = append(rows, ctx.b.clone())
 		if len(rows) > 1 {
 			return fmt.Errorf("set statement matched more than one binding")
 		}
@@ -486,11 +493,13 @@ func (ex *State) executeStmt(ce *sema.CheckedExecute, runBody func(params map[st
 	type frame = map[string]value.Value
 	var frames []frame
 	plan := ex.Plan(ce.Query)
-	err := ex.Run(plan, func(b *binding) error {
-		ctx := &evalCtx{b: b}
-		f := make(frame, len(ce.Args))
-		for i, a := range ce.Args {
-			v, err := ex.evalC(ctx, a)
+	c := ex.compiler()
+	prog := c.program(nil, plan)
+	args := c.exprs(ce.Args)
+	err := ex.Run(plan, prog, func(ctx *evalCtx) error {
+		f := make(frame, len(args))
+		for i, a := range args {
+			v, err := a(ex, ctx)
 			if err != nil {
 				return err
 			}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/excess/ast"
 	"repro/internal/excess/sema"
+	"repro/internal/exec"
 	"repro/internal/metrics"
 )
 
@@ -30,9 +31,11 @@ import (
 // statements ($n placeholders included) and EXPLAIN ANALYZE all reach it
 // through Session.planRetrieve, which also says what is not cacheable.
 //
-// Entries store the Checked form plus a Cached=true Clone of the plan.
-// The clone is shared by every hit and never mutated — a sampled
-// statement that needs instrumentation clones again before EnableRuntime.
+// Entries store the Checked form, a Cached=true Clone of the plan and
+// the plan's compiled program (exec.Program), so a hit neither plans nor
+// compiles. Clone and program are shared by every hit and never mutated
+// — a sampled statement that needs instrumentation clones the plan
+// again before EnableRuntime and runs the clone with the same program.
 // An entry carries its own key, so a holder that outlives the entry's
 // place in the map (a Stmt keeps the one it was last served) revalidates
 // it with the comparison the map itself uses.
@@ -60,6 +63,7 @@ type planEntry struct {
 	key  planKey
 	cq   *sema.CheckedRetrieve
 	plan *algebra.Plan
+	prog *exec.Program
 }
 
 const defaultPlanCacheCap = 256
@@ -129,14 +133,14 @@ func (pc *planCache) get(key planKey, last *planEntry) *planEntry {
 	return e
 }
 
-// put inserts a freshly planned statement, evicting the oldest entry at
-// capacity, and returns the entry now cached under the key. The stored
-// plan is a Cached=true clone: the inserting statement keeps executing
-// its own unmarked plan, and all later hits share the immutable marked
-// copy.
+// put inserts a freshly planned and compiled statement, evicting the
+// oldest entry at capacity, and returns the entry now cached under the
+// key. The stored plan is a Cached=true clone: the inserting statement
+// keeps executing its own unmarked plan, and all later hits share the
+// immutable marked copy.
 //
 // extra:acquires plancache.mu.W
-func (pc *planCache) put(key planKey, cq *sema.CheckedRetrieve, plan *algebra.Plan) *planEntry {
+func (pc *planCache) put(key planKey, cq *sema.CheckedRetrieve, plan *algebra.Plan, prog *exec.Program) *planEntry {
 	marked := plan.Clone()
 	marked.Cached = true
 	pc.mu.Lock()
@@ -152,7 +156,7 @@ func (pc *planCache) put(key planKey, cq *sema.CheckedRetrieve, plan *algebra.Pl
 			pc.evictions.Inc()
 		}
 	}
-	e := &planEntry{key: key, cq: cq, plan: marked}
+	e := &planEntry{key: key, cq: cq, plan: marked, prog: prog}
 	pc.m[key] = e
 	pc.fifo = append(pc.fifo, key)
 	pc.size.Set(int64(len(pc.m)))

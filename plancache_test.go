@@ -179,3 +179,42 @@ func TestPlanCacheSkipsInto(t *testing.T) {
 		t.Errorf("into-retrieve cached a plan: %d entries", got)
 	}
 }
+
+// TestPlanCacheHitCompilesNothing: a plan-cache entry keeps the plan's
+// compiled program, so a hit — ad hoc or prepared — runs it without
+// compiling an expression, and a function body keeps its own plan and
+// program across calls the same way.
+func TestPlanCacheHitCompilesNothing(t *testing.T) {
+	db := mustOpen(t)
+	loadCompany(t, db)
+	db.MustExec(`
+		define function SameFloor (E: Employee) returns { ref Employee } as
+		  retrieve (X) from X in Employees where X.dept.floor = E.dept.floor
+		define function Double (E: Employee) returns int4 as (E.salary * 2)
+	`)
+	adhoc := `retrieve (E.name, n = count(SameFloor(E)), d = Double(E)) from E in Employees where E.dept.floor = 2`
+	st, err := db.Prepare(`retrieve (E.name) from E in Employees where E.salary > $1 and Double(E) > $1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	first := db.MustQuery(adhoc).String()
+	st.MustExec(50)
+	compiled := db.MetricsSnapshot().Counters["expr.compile.count"]
+	if compiled == 0 {
+		t.Fatal("expr.compile.count did not move on the first executions")
+	}
+	for i := 0; i < 5; i++ {
+		if got := db.MustQuery(adhoc).String(); got != first {
+			t.Fatalf("hit %d returned different rows:\n%s\nvs\n%s", i, got, first)
+		}
+		st.MustExec(50 + i)
+	}
+	s := db.MetricsSnapshot()
+	if got := s.Counters["expr.compile.count"]; got != compiled {
+		t.Errorf("expr.compile.count moved from %d to %d over 10 cache hits", compiled, got)
+	}
+	if got := s.Counters["plan.cache.hits"]; got != 10 {
+		t.Errorf("plan.cache.hits = %d, want 10", got)
+	}
+}

@@ -310,12 +310,12 @@ func (s *Session) runReadStmt(c *stmtCall, st ast.Statement) (*Result, error) {
 	if c.tr.Sampled() {
 		c.tr.Active().AttrInt(0, "snapshot.version", int64(c.es.SnapshotVersion()))
 	}
-	cq, plan, err := s.planRetrieve(c, r)
+	cq, plan, prog, err := s.planRetrieve(c, r)
 	db.mu.RUnlock()
 	if err != nil {
 		return nil, err
 	}
-	return s.execPlan(c, cq, plan)
+	return s.execPlan(c, cq, plan, prog)
 }
 
 // analysis is what EXPLAIN ANALYZE keeps of a retrieve's instrumented
@@ -334,8 +334,9 @@ type analysis struct {
 // runtime actuals become operator spans and the pool counter delta
 // becomes storage attribution after the run. EnableRuntime mutates the
 // plan, and cached plans are shared by concurrent statements, so the
-// instrumented run uses a private clone.
-func (s *Session) execPlan(c *stmtCall, cq *sema.CheckedRetrieve, plan *algebra.Plan) (*Result, error) {
+// instrumented run uses a private clone; the clone keeps the nodes'
+// positions, so it runs the program compiled for the original.
+func (s *Session) execPlan(c *stmtCall, cq *sema.CheckedRetrieve, plan *algebra.Plan, prog *exec.Program) (*Result, error) {
 	db := s.db
 	var rt *algebra.PlanRuntime
 	var poolBase PoolStats
@@ -346,7 +347,7 @@ func (s *Session) execPlan(c *stmtCall, cq *sema.CheckedRetrieve, plan *algebra.
 	}
 	pt := c.tr.StartPhase(trace.PhaseExecute)
 	res, err := withParams(c.es, c.params, func() (*Result, error) {
-		return c.es.RetrievePlan(cq, plan)
+		return c.es.RetrieveProgram(cq, plan, prog)
 	})
 	if rt != nil {
 		delta := db.pool.Stats().Sub(poolBase)
@@ -363,13 +364,14 @@ func (s *Session) execPlan(c *stmtCall, cq *sema.CheckedRetrieve, plan *algebra.
 
 // planRetrieve is the retrieve-compile step: the only place a planKey
 // is built for execution, the plan cache consulted and filled, and a
-// retrieve checked, authorized, planned and closure-compiled. Callers
+// retrieve checked, authorized, planned and compiled to its program.
+// Callers
 // hold the catalog still — a reader's pin window, or the commit lock
 // (with the exclusive statement lock: retrieves are DDL-classified on
 // the write path) — so the key, the checked catalog state and the bound
-// view all agree on one catalog version. A hit skips check and plan
-// entirely; authorization still runs on every execution — privileges
-// change without bumping the catalog.
+// view all agree on one catalog version. A hit skips check, plan and
+// compile entirely; authorization still runs on every execution —
+// privileges change without bumping the catalog.
 //
 // A retrieve without an into clause is served from the cache (into
 // creates schema and is never repeated), ad hoc or prepared; inside a
@@ -377,7 +379,7 @@ func (s *Session) execPlan(c *stmtCall, cq *sema.CheckedRetrieve, plan *algebra.
 // frame's parameter types. A prepared statement brings its pre-printed
 // key text and the entry it was last served, which spares it the print
 // and the map probe and keeps its plan out of reach of FIFO eviction.
-func (s *Session) planRetrieve(c *stmtCall, st *ast.Retrieve) (*sema.CheckedRetrieve, *algebra.Plan, error) {
+func (s *Session) planRetrieve(c *stmtCall, st *ast.Retrieve) (*sema.CheckedRetrieve, *algebra.Plan, *exec.Program, error) {
 	db := s.db
 	var key planKey
 	var last, e *planEntry
@@ -390,40 +392,37 @@ func (s *Session) planRetrieve(c *stmtCall, st *ast.Retrieve) (*sema.CheckedRetr
 		}
 		e = db.plans.get(key, last)
 	}
-	var cq *sema.CheckedRetrieve
-	var plan *algebra.Plan
 	if e != nil {
-		cq, plan = e.cq, e.plan
-	} else {
-		pt := c.tr.StartPhase(trace.PhaseCheck)
-		checked, err := s.checker(c.params).CheckRetrieve(st)
-		c.tr.EndPhase(pt)
-		if err != nil {
-			return nil, nil, err
+		if err := s.authQuery(e.cq.Query, nil, targetExprs(e.cq)...); err != nil {
+			return nil, nil, nil, err
 		}
-		cq = checked
+		if c.prepared != nil && e != last {
+			c.prepared.last.Store(e)
+		}
+		return e.cq, e.plan, e.prog, nil
+	}
+	pt := c.tr.StartPhase(trace.PhaseCheck)
+	cq, err := s.checker(c.params).CheckRetrieve(st)
+	c.tr.EndPhase(pt)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	if err := s.authQuery(cq.Query, nil, targetExprs(cq)...); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	if plan == nil {
-		pt := c.tr.StartPhase(trace.PhasePlan)
-		plan = c.es.Plan(cq.Query)
-		c.tr.EndPhase(pt)
-		if useCache {
-			e = db.plans.put(key, cq, plan)
+	pt = c.tr.StartPhase(trace.PhasePlan)
+	plan := c.es.Plan(cq.Query)
+	c.tr.EndPhase(pt)
+	pt = c.tr.StartPhase(trace.PhaseCompile)
+	prog := c.es.CompilePlan(cq, plan)
+	c.tr.EndPhase(pt)
+	if useCache {
+		e = db.plans.put(key, cq, plan, prog)
+		if c.prepared != nil {
+			c.prepared.last.Store(e)
 		}
 	}
-	if c.prepared != nil && e != last {
-		c.prepared.last.Store(e)
-	}
-	// Warm the expression-closure memo for the plan's predicates and
-	// targets. On a repeated statement every lookup hits the memo, so
-	// this phase collapses to map reads.
-	pt := c.tr.StartPhase(trace.PhaseCompile)
-	c.es.CompilePlan(cq, plan)
-	c.tr.EndPhase(pt)
-	return cq, plan, nil
+	return cq, plan, prog, nil
 }
 
 // labeled runs fn, attaching runtime/pprof labels (session, stmt_kind)
@@ -580,11 +579,11 @@ func (s *Session) runStmt(c *stmtCall, st ast.Statement) (*Result, error) {
 	case *ast.Revoke:
 		return nil, db.auth.Revoke(s.user, st.Priv, st.On, st.From)
 	case *ast.Retrieve:
-		cq, plan, err := s.planRetrieve(c, st)
+		cq, plan, prog, err := s.planRetrieve(c, st)
 		if err != nil {
 			return nil, err
 		}
-		res, err := s.execPlan(c, cq, plan)
+		res, err := s.execPlan(c, cq, plan, prog)
 		if err != nil {
 			return nil, err
 		}
