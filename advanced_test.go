@@ -9,25 +9,7 @@ import (
 // hierarchy (a function may name itself once its signature is visible).
 func TestRecursiveFunction(t *testing.T) {
 	db := mustOpen(t)
-	db.MustExec(`
-		define type Node: ( label: varchar, sub: { own ref Node } )
-		create Roots : { own Node }
-		append to Roots (label = "r")
-		append to R.sub (label = "a") from R in Roots
-		append to R.sub (label = "b") from R in Roots
-	`)
-	// Deepen one branch: a gets a child.
-	db.MustExec(`append to S.sub (label = "a1") from S in Roots.sub where S.label = "a"`)
-	// Mutual recursion via a forward declaration: ChildSizes names Size
-	// before Size's body exists; the later define fills the declaration
-	// in place.
-	db.MustExec(`
-		declare function Size (N: Node) returns int4
-		define function ChildSizes (N: Node) returns { int4 } as
-		  retrieve (Size(C)) from C in N.sub
-		define function Size (N: Node) returns int4 as
-		  (1 + sum(ChildSizes(N)))
-	`)
+	loadNodes(t, db)
 	res := db.MustQuery(`retrieve (s = Size(R)) from R in Roots`)
 	if res.Rows[0][0].String() != "4" { // r, a, b, a1
 		t.Fatalf("recursive size: %v", res)

@@ -301,14 +301,14 @@ func BenchmarkOptimizerNoReorder(b *testing.B) {
 }
 
 // B11 — join methods: the explicit equi-join answered by the hash-join
-// access path vs the nested rescan, and the repeated ref-chase query with
-// vs without the deref cache, at 1k/10k/50k rows. The square nested-loop
-// baselines beyond 1k are quadratic (minutes at 50k), so they only run in
-// full mode; CI smoke uses -short.
+// access path vs the nested rescan, and the repeated ref-chase query, at
+// 1k/10k/50k rows. The square nested-loop baselines beyond 1k are
+// quadratic (minutes at 50k), so they only run in full mode; CI smoke
+// uses -short.
 func explicitJoinBench(b *testing.B, n int, hash bool) {
 	db := mustWorkload(b, workload.Params{Departments: n, Employees: n, Seed: 11}, 16384)
 	if !hash {
-		db.SetOptimizer(extra.OptimizerOptions{NoHashJoin: true, NoDerefCache: true})
+		db.SetOptimizer(extra.OptimizerOptions{NoHashJoin: true})
 	}
 	runQuery(b, db, `retrieve (E.name, D.dname) from E in Employees, D in Departments where E.dept is D`)
 }
@@ -333,21 +333,14 @@ func BenchmarkExplicitJoinNested50k(b *testing.B) {
 	explicitJoinBench(b, 50000, false)
 }
 
-func refChaseBench(b *testing.B, emps int, cached bool) {
+func refChaseBench(b *testing.B, emps int) {
 	db := mustWorkload(b, workload.Params{Departments: 100, Employees: emps, Floors: 5, Seed: 12}, 16384)
-	if !cached {
-		db.SetOptimizer(extra.OptimizerOptions{NoDerefCache: true})
-	}
 	runQuery(b, db, `retrieve (E.name) from E in Employees where E.dept.floor = 2`)
 }
 
-func BenchmarkRefChaseCached1k(b *testing.B)  { refChaseBench(b, 1000, true) }
-func BenchmarkRefChaseCached10k(b *testing.B) { refChaseBench(b, 10000, true) }
-func BenchmarkRefChaseCached50k(b *testing.B) { refChaseBench(b, 50000, true) }
-
-func BenchmarkRefChaseUncached1k(b *testing.B)  { refChaseBench(b, 1000, false) }
-func BenchmarkRefChaseUncached10k(b *testing.B) { refChaseBench(b, 10000, false) }
-func BenchmarkRefChaseUncached50k(b *testing.B) { refChaseBench(b, 50000, false) }
+func BenchmarkRefChase1k(b *testing.B)  { refChaseBench(b, 1000) }
+func BenchmarkRefChase10k(b *testing.B) { refChaseBench(b, 10000) }
+func BenchmarkRefChase50k(b *testing.B) { refChaseBench(b, 50000) }
 
 // Measures derived-attribute call overhead (body binding is memoized).
 func BenchmarkFunctionCall(b *testing.B) {

@@ -480,7 +480,7 @@ func meta(db *extra.DB, sess *extra.Session, cmd string) bool {
 		if len(fields) == 2 && fields[1] == "off" {
 			db.SetOptimizer(extra.OptimizerOptions{
 				NoPushdown: true, NoIndexSelect: true, NoReorder: true,
-				NoHashJoin: true, NoDerefCache: true, NoCompiledExprs: true,
+				NoHashJoin: true, NoCompiledExprs: true,
 			})
 			fmt.Println("  optimizer off (naive plans)")
 		} else {

@@ -90,7 +90,7 @@ func main() {
 		{"B8", "own copy vs ref share on append", b8},
 		{"B9", "inheritance depth vs query cost", b9},
 		{"B10", "buffer pool working-set cliff", b10},
-		{"B11", "join methods: hash vs nested, deref cache on vs off", b11},
+		{"B11", "join methods: hash vs nested, ref chase", b11},
 		{"B12", "parallel read throughput: sessions sharing the read lock", b12},
 		{"B13", "compile-once: plan cache, prepared statements, compiled expressions", b13},
 		{"B15", "tracing overhead: off vs sampled 1-in-100 vs always-on", b15},
@@ -627,10 +627,11 @@ func timeQueryN(db *extra.DB, q string, n int) (time.Duration, int, error) {
 }
 
 // b11 contrasts the two join access methods (hash vs nested iteration)
-// and the deref cache (on vs off), then writes BENCH_joins.json so CI
-// can track the numbers without scraping the table. The nested-loop
-// baseline is quadratic, so it runs at a reduced scale and repetition
-// count; Go benchmarks in bench_test.go cover the larger scales.
+// and times the implicit-join ref chase, then writes BENCH_joins.json
+// so CI can track the numbers without scraping the table. The
+// nested-loop baseline is quadratic, so it runs at a reduced scale and
+// repetition count; Go benchmarks in bench_test.go cover the larger
+// scales.
 func b11() error {
 	row("benchmark", "median", "rows")
 	var recs []benchRecord
@@ -652,13 +653,13 @@ func b11() error {
 		return err
 	}
 	rec("ExplicitJoinHash1k", d, rows)
-	db.SetOptimizer(extra.OptimizerOptions{NoHashJoin: true, NoDerefCache: true})
+	db.SetOptimizer(extra.OptimizerOptions{NoHashJoin: true})
 	if d, rows, err = timeQueryN(db, joinQ, 3); err != nil {
 		return err
 	}
 	rec("ExplicitJoinNested1k", d, rows)
 
-	// Implicit-join ref chase: deref cache on vs off.
+	// Implicit-join ref chase: one fetch from the snapshot per employee.
 	dbr, err := openW(workload.Params{Departments: 100, Employees: 10000, Floors: 5, Seed: 12}, 16384)
 	if err != nil {
 		return err
@@ -668,12 +669,7 @@ func b11() error {
 	if d, rows, err = timeQuery(dbr, chaseQ); err != nil {
 		return err
 	}
-	rec("RefChaseCached10k", d, rows)
-	dbr.SetOptimizer(extra.OptimizerOptions{NoDerefCache: true})
-	if d, rows, err = timeQuery(dbr, chaseQ); err != nil {
-		return err
-	}
-	rec("RefChaseUncached10k", d, rows)
+	rec("RefChase10k", d, rows)
 
 	raw, err := json.MarshalIndent(recs, "", "  ")
 	if err != nil {

@@ -1,6 +1,8 @@
 package extra
 
 import (
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -19,6 +21,7 @@ func TestCompiledInterpretedCorpus(t *testing.T) {
 		loadCompany(t, db)
 		db.MustExec(`define index emp_sal on Employees (salary)`)
 		db.MustExec(`range of AE is all Employees`)
+		db.MustExec(sameFloorFn)
 		diffCorpus(t, db, []string{
 			// Figure 5: implicit joins, nested sets, explicit joins.
 			`retrieve (E.name, E.salary) from E in Employees where E.dept.floor = 2`,
@@ -47,6 +50,14 @@ func TestCompiledInterpretedCorpus(t *testing.T) {
 			// integer lane must defer to the float kernel here).
 			`retrieve (E.name, q = E.salary / 7 + E.age / 3) from E in Employees`,
 			`retrieve (E.name) from E in Employees where E.salary / 2.0 > 40.0`,
+			// Object variables read whole rather than through an attribute:
+			// a function body's bare target, membership, a by key, an
+			// index-probed variable, and an unnest under its parent.
+			`retrieve (E.name, n = count(SameFloor(E))) from E in Employees`,
+			`retrieve (B.name) from A in Employees, B in Employees where A.name = "Ben" and B in SameFloor(A)`,
+			`retrieve (D, n = count(E.name by D)) from D in Departments, E in Employees where E.dept is D`,
+			`retrieve (E.name, D.dname) from E in Employees, D in Departments where E.salary = 50 and E.dept is D`,
+			`retrieve (E.name, K.name, K.age) from E in Employees, K in E.kids`,
 		})
 
 		// Error parity: division by zero fails identically in both lanes.
@@ -101,6 +112,15 @@ func TestCompiledInterpretedCorpus(t *testing.T) {
 			`retrieve (A.aname, g = A.mentees.gpa) from A in Advisors`,
 			`retrieve (A.aname, n = count(A.mentees)) from A in Advisors where A.advisee isnot null`,
 			`retrieve (S.name, S.gpa, S.salary, S.dept.floor) from S in StudentEmps`,
+		})
+	})
+
+	t.Run("function arguments", func(t *testing.T) {
+		db := mustOpen(t)
+		loadNodes(t, db)
+		diffCorpus(t, db, []string{
+			`retrieve (R.label, s = Size(R)) from R in Roots`,
+			`retrieve (C.label, s = Size(C)) from R in Roots, C in R.sub`,
 		})
 	})
 
@@ -184,4 +204,179 @@ func TestRangeOverIndexedArray(t *testing.T) {
 		}
 	}
 	db.SetOptimizer(OptimizerOptions{})
+}
+
+// sameFloorFn is a retrieve-bodied function whose bare target X is an
+// object read whole, coerced to a reference in the returned set.
+const sameFloorFn = `
+	define function SameFloor (E: Employee) returns { ref Employee } as
+	  retrieve (X) from X in Employees where X.dept.floor = E.dept.floor
+`
+
+// loadNodes builds a three-level composite of own-ref Nodes (r; a and b
+// under r; a1 under a) and the recursive Size function over it. The
+// recursion is mutual, through a forward declaration: ChildSizes names
+// Size before Size's body exists, and the later define fills the
+// declaration in place.
+func loadNodes(t *testing.T, db *DB) {
+	t.Helper()
+	db.MustExec(`
+		define type Node: ( label: varchar, sub: { own ref Node } )
+		create Roots : { own Node }
+		append to Roots (label = "r")
+		append to R.sub (label = "a") from R in Roots
+		append to R.sub (label = "b") from R in Roots
+		append to S.sub (label = "a1") from S in Roots.sub where S.label = "a"
+		declare function Size (N: Node) returns int4
+		define function ChildSizes (N: Node) returns { int4 } as
+		  retrieve (Size(C)) from C in N.sub
+		define function Size (N: Node) returns int4 as
+		  (1 + sum(ChildSizes(N)))
+	`)
+}
+
+// bothLanes runs fn once per expression lane, compiled and interpreted,
+// each on a fresh database built by setup; fn gets the lane's options.
+func bothLanes(t *testing.T, setup func(t *testing.T, db *DB), fn func(t *testing.T, db *DB, opts OptimizerOptions)) {
+	for _, opts := range []OptimizerOptions{{}, {NoCompiledExprs: true}} {
+		t.Run(fmt.Sprintf("NoCompiledExprs=%v", opts.NoCompiledExprs), func(t *testing.T) {
+			db := mustOpen(t)
+			setup(t, db)
+			db.SetOptimizer(opts)
+			fn(t, db, opts)
+		})
+	}
+}
+
+// wantRows runs q and compares its rows, each rendered as its cells
+// joined by spaces (strings unquoted), sorted and joined by "; ".
+func wantRows(t *testing.T, db *DB, q, want string) {
+	t.Helper()
+	res, err := db.Query(q)
+	if err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	rows := make([]string, len(res.Rows))
+	for i, r := range res.Rows {
+		cells := make([]string, len(r))
+		for j, v := range r {
+			cells[j] = strings.TrimSpace(trimQ(v.String()))
+		}
+		rows[i] = strings.Join(cells, " ")
+	}
+	sort.Strings(rows)
+	if got := strings.Join(rows, "; "); got != want {
+		t.Errorf("%s\n got: %s\nwant: %s", q, got, want)
+	}
+}
+
+// TestObjectVariablesReadWhole pins, with exact rows in both expression
+// lanes, every place an object-valued range variable is read whole —
+// boxed into a value.Object — instead of through an attribute step: a
+// function body's bare target, membership, a ref assignment, a function
+// argument, an identity key on either side of a hash join, a by key, a
+// forall over an object extent and an unnest's parent. The lanes share
+// the binding code, so a diff between them could not catch a bug there.
+func TestObjectVariablesReadWhole(t *testing.T) {
+	company := func(t *testing.T, db *DB) {
+		loadCompany(t, db)
+		db.MustExec(sameFloorFn)
+		db.MustExec(`define index emp_sal on Employees (salary)`)
+		db.MustExec(`range of EV is all Employees`)
+		db.MustExec(`create Stars : { ref Employee }`)
+		db.MustExec(`append to Stars (E) from E in Employees where E.salary > 80`)
+	}
+	bothLanes(t, company, func(t *testing.T, db *DB, opts OptimizerOptions) {
+		wantRows(t, db, `retrieve (E.name, n = count(SameFloor(E))) from E in Employees`,
+			"Ann 3; Ben 1; Cal 3; Dee 3")
+		wantRows(t, db, `retrieve (B.name) from A in Employees, B in Employees where A.name = "Ann" and B in SameFloor(A)`,
+			"Ann; Cal; Dee")
+		// D is the probe key of the hash join here, with E bound by an
+		// index probe on the build side...
+		join := `retrieve (E.name, D.dname) from E in Employees, D in Departments where E.dept is D`
+		wantRows(t, db, join, "Ann Toys; Ben Shoes; Cal Books; Dee Toys")
+		probe := `retrieve (E.name, D.dname) from E in Employees, D in Departments where E.salary = 50 and E.dept is D`
+		if plan, err := db.Explain(probe); err != nil || !strings.Contains(plan, "index probe emp_sal") {
+			t.Fatalf("expected an index probe for E: %v\n%s", err, plan)
+		}
+		wantRows(t, db, probe, "Ben Shoes")
+		// ...and the build key in the order written, D inner.
+		inOrder := opts
+		inOrder.NoReorder = true
+		db.SetOptimizer(inOrder)
+		if plan, err := db.Explain(join); err != nil || !strings.Contains(plan, "build D via scan") {
+			t.Fatalf("expected D on the build side: %v\n%s", err, plan)
+		}
+		wantRows(t, db, join, "Ann Toys; Ben Shoes; Cal Books; Dee Toys")
+		db.SetOptimizer(opts)
+		wantRows(t, db, `retrieve (D, n = count(E.name by D)) from D in Departments, E in Employees where E.dept is D`,
+			`Department(dname="Books", floor=2) 1; Department(dname="Shoes", floor=1) 1; Department(dname="Toys", floor=2) 2`)
+		wantRows(t, db, `retrieve (D.dname) from D in Departments where EV.dept isnot D or EV.salary > 60`,
+			"Books")
+		wantRows(t, db, `retrieve (E.name, K.name, K.age) from E in Employees, K in E.kids`,
+			"Ann Al 6; Ann Amy 5; Ben Bea 5; Dee Dot 5")
+		wantRows(t, db, `retrieve (C.name) from C in Employees.kids where Employees.dept.floor = 2`,
+			"Al; Amy; Dot")
+		// Members of a ref-set extent bind as objects too.
+		wantRows(t, db, `retrieve (S.name, S.dept.dname) from S in Stars`,
+			"Ann Toys; Cal Books")
+		wantRows(t, db, `retrieve (S.name) from S in Stars, E in Employees where S is E and E.age < 50`,
+			"Ann")
+
+		// A ref assignment stores the bound object's identity.
+		db.MustExec(`append to Employees (name = "Eve", age = 30, salary = 60, dept = D) from D in Departments where D.dname = "Shoes"`)
+		wantRows(t, db, `retrieve (E.name, E.dept.dname) from E in Employees where E.dept.floor = 1`,
+			"Ben Shoes; Eve Shoes")
+		db.MustExec(`replace E (dept = D) from E in Employees, D in Departments where E.name = "Eve" and D.dname = "Books"`)
+		wantRows(t, db, `retrieve (E.name) from E in Employees, D in Departments where E.dept is D and D.dname = "Books"`,
+			"Cal; Eve")
+	})
+
+	bothLanes(t, loadNodes, func(t *testing.T, db *DB, _ OptimizerOptions) {
+		wantRows(t, db, `retrieve (R.label, s = Size(R)) from R in Roots`, "r 4")
+		wantRows(t, db, `retrieve (C.label, s = Size(C)) from R in Roots, C in R.sub`, "a 2; b 1")
+	})
+}
+
+// TestObjectBindingProvenance runs replace and delete over object
+// variables bound by a scan, an index probe, an unnest and a ref-set
+// extent, in both expression lanes, and pins the exact state each
+// leaves: the update finds its object through the binding's provenance,
+// which carries the object's identity beside its tuple.
+func TestObjectBindingProvenance(t *testing.T) {
+	setup := func(t *testing.T, db *DB) {
+		loadCompany(t, db)
+		db.MustExec(`define index emp_age on Employees (age)`)
+		db.MustExec(`create Stars : { ref Employee }`)
+		db.MustExec(`append to Stars (E) from E in Employees`)
+	}
+	bothLanes(t, setup, func(t *testing.T, db *DB, _ OptimizerOptions) {
+		for _, q := range []string{
+			`retrieve (E.name) from E in Employees where E.age = 33`,
+			`retrieve (E.name) from E in Employees where E.age = 28`,
+		} {
+			if plan, err := db.Explain(q); err != nil || !strings.Contains(plan, "index probe emp_age") {
+				t.Fatalf("expected an index probe for %s: %v\n%s", q, err, plan)
+			}
+		}
+		// Scan.
+		db.MustExec(`replace E (salary = E.salary + 1) from E in Employees where E.salary > 80`)
+		// Index probe.
+		db.MustExec(`replace E (salary = 0) from E in Employees where E.age = 33`)
+		// Unnest.
+		db.MustExec(`replace K (age = K.age + 10) from E in Employees, K in E.kids where E.name = "Ann"`)
+		db.MustExec(`delete K from E in Employees, K in E.kids where K.name = "Bea"`)
+		// Ref-set extent: the membership goes, the object stays.
+		db.MustExec(`delete S from S in Stars where S.name = "Cal"`)
+		wantRows(t, db, `retrieve (S.name) from S in Stars`, "Ann; Ben; Dee")
+		// Index probe, then scan: Dee and Cal go, with their kids.
+		db.MustExec(`delete E from E in Employees where E.age = 28`)
+		db.MustExec(`delete E from E in Employees where E.name = "Cal"`)
+
+		wantRows(t, db, `retrieve (E.name, E.salary) from E in Employees`, "Ann 91; Ben 0")
+		wantRows(t, db, `retrieve (E.name, K.name, K.age) from E in Employees, K in E.kids`,
+			"Ann Al 16; Ann Amy 15")
+		wantRows(t, db, `retrieve (S.name) from S in Stars`, "Ann; Ben")
+		wantRows(t, db, `retrieve (n = count(Employees.kids))`, "2")
+	})
 }

@@ -68,7 +68,7 @@ func loadFigureDB(t *testing.T) *DB {
 // goroutines, each with its own session, and requires every result to
 // be byte-identical to the serial answer. This is the differential
 // check for the shared read path: the per-statement State split means
-// no goroutine can observe another's deref cache, parameters or stats.
+// no goroutine can observe another's snapshot, parameters or stats.
 func TestConcurrentFigureQueriesMatchSerial(t *testing.T) {
 	db := loadFigureDB(t)
 
@@ -120,9 +120,8 @@ func TestConcurrentFigureQueriesMatchSerial(t *testing.T) {
 // disagree has observed a torn tuple. Readers also track the employee
 // count, which must be non-decreasing (appends only) — a decrease
 // would mean a statement ran against a half-applied write. Finally the
-// total count must equal initial + writes: a lost append (or a lost
-// store-version bump hiding one behind a stale deref cache) would show
-// up as a shortfall.
+// total count must equal initial + writes: a lost append (or a commit
+// that failed to publish one) would show up as a shortfall.
 func TestConcurrentReadersWithWriter(t *testing.T) {
 	db := mustOpen(t)
 	loadCompany(t, db)

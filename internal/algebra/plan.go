@@ -106,14 +106,13 @@ const hashProbeCost = 8
 
 // Options control optimization; the zero value enables everything.
 // Disabling yields the naive plan (original variable order, no pushdown,
-// no index selection, nested-loop joins, uncached dereferencing) used as
+// no index selection, nested-loop joins, interpreted expressions) used as
 // the baseline in the optimizer benchmarks and differential tests.
 type Options struct {
 	NoPushdown      bool
 	NoIndexSelect   bool
 	NoReorder       bool
 	NoHashJoin      bool // keep equi-joins as nested rescans
-	NoDerefCache    bool // re-fetch every reference dereference
 	NoCompiledExprs bool // interpret expressions instead of compiling closures
 }
 
@@ -124,7 +123,7 @@ func (o Options) Fingerprint() uint64 {
 	var f uint64
 	for i, b := range []bool{
 		o.NoPushdown, o.NoIndexSelect, o.NoReorder,
-		o.NoHashJoin, o.NoDerefCache, o.NoCompiledExprs,
+		o.NoHashJoin, o.NoCompiledExprs,
 	} {
 		if b {
 			f |= 1 << i

@@ -34,8 +34,11 @@ type PlanRuntime struct {
 	ForAllPassed  int64         `json:"forall_passed"`  // bindings surviving it
 	Output        int64         `json:"output"`         // bindings delivered to the consumer
 
-	// Deref-cache actuals for this execution (OID→value memoization of
-	// implicit joins; zero when the cache is disabled).
+	// DerefMisses counts the objects this execution fetched by OID: index
+	// probes, reference steps and ref-set members. DerefHits is always
+	// zero. Both keep these names only for the benchmark harness, which
+	// reads them; ROADMAP item 12 retires them with the harness's copy of
+	// the statement path.
 	DerefHits   int64 `json:"deref_hits,omitempty"`
 	DerefMisses int64 `json:"deref_misses,omitempty"`
 }
@@ -146,8 +149,8 @@ func (p *Plan) ExplainAnalyze(sum AnalyzeSummary) string {
 	}
 	fmt.Fprintf(&b, "rows: %d\n", sum.Rows)
 	fmt.Fprintf(&b, "buffer pool: %d hits, %d misses\n", sum.PoolHits, sum.PoolMisses)
-	if rt.DerefHits > 0 || rt.DerefMisses > 0 {
-		fmt.Fprintf(&b, "deref cache: %d hits, %d misses\n", rt.DerefHits, rt.DerefMisses)
+	if rt.DerefMisses > 0 {
+		fmt.Fprintf(&b, "derefs: %d\n", rt.DerefMisses)
 	}
 	fmt.Fprintf(&b, "timing: parse=%s check=%s plan=%s execute=%s\n",
 		fmtDur(sum.Parse), fmtDur(sum.Check), fmtDur(sum.Plan), fmtDur(sum.Execute))

@@ -22,7 +22,9 @@ import (
 //     uses to fold index keys) are evaluated once and become a
 //     load-of-value;
 //   - variable reads index the binding's slot slice directly with the
-//     slot number captured in the closure (sema.Var.Slot);
+//     slot number captured in the closure (sema.Var.Slot); a path that
+//     starts with an attribute of an object variable reads the bound
+//     tuple, so the object is boxed only where it is read whole;
 //   - attribute steps read the field at the position the attribute has
 //     in the static tuple type, falling back to the name lookup only
 //     when the runtime tuple has another type (a subtype reached
@@ -418,14 +420,7 @@ func compile(e sema.Expr) (fn compiledExpr, cv value.Value, isConst bool) {
 		return constFn(x.Val), x.Val, true
 
 	case *sema.VarRef:
-		slot, name := x.Var.Slot, x.Var.Name
-		return func(_ *State, ctx *evalCtx) (value.Value, error) {
-			b := ctx.b
-			if slot < len(b.used) && b.used[slot] {
-				return b.vals[slot], nil
-			}
-			return nil, fmt.Errorf("variable %s not bound", name)
-		}, nil, false
+		return readVar(x.Var, true), nil, false
 
 	case *sema.ParamRef:
 		name := x.Name
@@ -440,6 +435,9 @@ func compile(e sema.Expr) (fn compiledExpr, cv value.Value, isConst bool) {
 
 	case *sema.PathExpr:
 		bf, _, _ := compile(x.Base)
+		if vr, ok := x.Base.(*sema.VarRef); ok && len(x.Steps) > 0 && x.Steps[0].Attr != "" {
+			bf = readVar(vr.Var, false)
+		}
 		steps := resolveSteps(x.Base.Type(), x.Steps, func(e sema.Expr) compiledExpr {
 			f, _, _ := compile(e)
 			return f
@@ -520,6 +518,23 @@ func compile(e sema.Expr) (fn compiledExpr, cv value.Value, isConst bool) {
 	// Rare or context-dependent kinds (aggregates, constructors, extent
 	// and database-variable reads) stay on the interpreting walker.
 	return interp(e), nil, false
+}
+
+// readVar compiles a read of a range variable's slot. whole boxes an
+// object binding into its value.Object; otherwise the binding reads as
+// its tuple, which is all a path whose first step is an attribute needs.
+func readVar(v *sema.Var, whole bool) compiledExpr {
+	slot, name := v.Slot, v.Name
+	return func(_ *State, ctx *evalCtx) (value.Value, error) {
+		b := ctx.b
+		if slot < len(b.used) && b.used[slot] {
+			if tv := b.provs[slot].tup; tv != nil && !whole {
+				return tv, nil
+			}
+			return b.val(slot), nil
+		}
+		return nil, fmt.Errorf("variable %s not bound", name)
+	}
 }
 
 // compileUnary compiles not / - / ADT prefix operators, folding over a

@@ -27,8 +27,8 @@ import (
 // object store, the catalog, the optimizer options and the memoized
 // bound-function cache (under its own lock). One Executor serves a
 // database and is safe for concurrent statements — all per-statement
-// mutable state (parameter frames, call depth, deref/extent caches,
-// runtime stats) lives in a State, one per executing statement
+// mutable state (parameter frames, call depth, the pinned snapshot,
+// runtime counts) lives in a State, one per executing statement
 // (NewState). Any number of read statements may run simultaneously,
 // each through its own State; the database layer excludes writers from
 // readers with its readers-writer statement lock.
@@ -49,22 +49,21 @@ type Executor struct {
 	fnCache map[*catalog.Function]*boundBody
 
 	// statePool recycles per-statement States (NewState / State.Release)
-	// so repeated statements reuse the deref/extent caches — which are
-	// version-guarded, see ensureCache — instead of rebuilding them.
+	// so a statement does not allocate one.
 	statePool sync.Pool
 
 	// Optional metrics handles (nil when no registry is attached).
-	cStatsMiss, cDerefHit, cDerefMiss *metrics.Counter
-	cHashBuilds, cHashBuildRows       *metrics.Counter
-	cHashProbes, cHashHits            *metrics.Counter
-	cExprCompile                      *metrics.Counter
+	cStatsMiss                  *metrics.Counter
+	cHashBuilds, cHashBuildRows *metrics.Counter
+	cHashProbes, cHashHits      *metrics.Counter
+	cExprCompile                *metrics.Counter
 }
 
-// State is the mutable per-statement execution state: parameter frames,
-// call depth and the deref/extent memoization caches with their hit
-// counters. A State is not safe for concurrent use, but any number of
-// States may run concurrently over one Executor — the engine core is
-// reached through the embedded pointer.
+// State is the mutable per-statement execution state: the view it reads,
+// parameter frames, call depth and the count of object fetches. A State
+// is not safe for concurrent use, but any number of States may run
+// concurrently over one Executor — the engine core is reached through
+// the embedded pointer.
 type State struct {
 	*Executor
 
@@ -82,20 +81,9 @@ type State struct {
 	params []map[string]value.Value // function/procedure parameter frames
 	depth  int
 
-	// derefCache memoizes object fetches (OID → decoded tuple) so implicit
-	// joins repeated across thousands of bindings — E.dept.floor for every
-	// E — and rescans of an inner extent decode each object once instead
-	// of once per binding. The cache is valid for one store version: any
-	// mutation bumps store.Version() and the next lookup flushes. Cached
-	// tuples are shared; every consumer treats fetched values as read-only
-	// (update statements re-fetch through store.Get directly). The cache
-	// is statement-local: concurrent statements never share one, which is
-	// what makes populating it lock-free.
-	derefCache   map[oid.OID]*value.Tuple
-	extentCache  map[string]*cachedExtent // extents fully scanned at derefVersion
-	derefVersion uint64
-	derefHits    int64
-	derefMisses  int64
+	// derefs counts objects fetched by OID (derefGet): index probes,
+	// reference steps and ref-set members. EXPLAIN ANALYZE reports it.
+	derefs int64
 
 	// tr is the sampled statement's span builder, nil for the unsampled
 	// (vast) majority — all span calls through it are nil-receiver
@@ -124,17 +112,13 @@ func (ex *Executor) NewState() *State {
 }
 
 // Release resets the statement-scoped fields and returns the state to
-// the engine pool. The deref and extent caches are deliberately kept
-// across reuse: they are valid for exactly one store version and the
-// next lookup flushes them if the store moved, so a recycled state
-// starts warm for repeated read statements. The caller must not use the
-// state after releasing it.
+// the engine pool. The caller must not use the state after releasing it.
 func (ex *State) Release() {
 	ex.params = ex.params[:0]
 	ex.depth = 0
 	ex.tr = nil
 	ex.snap = nil
-	ex.derefHits, ex.derefMisses = 0, 0
+	ex.derefs = 0
 	ex.Executor.statePool.Put(ex)
 }
 
@@ -150,13 +134,11 @@ func (ex *Executor) SetOptions(o algebra.Options) { ex.opts = o }
 func (ex *Executor) Options() algebra.Options { return ex.opts }
 
 // SetMetrics attaches the engine metrics registry; the executor then
-// counts join and deref-cache traffic (join.hash.*, deref.cache.*) and
-// cardinality-estimate misses (stats.misses). Handles are resolved once
-// here so hot paths pay one atomic add per event.
+// counts hash-join traffic (join.hash.*) and cardinality-estimate misses
+// (stats.misses). Handles are resolved once here so hot paths pay one
+// atomic add per event.
 func (ex *Executor) SetMetrics(reg *metrics.Registry) {
 	ex.cStatsMiss = reg.Counter("stats.misses")
-	ex.cDerefHit = reg.Counter("deref.cache.hits")
-	ex.cDerefMiss = reg.Counter("deref.cache.misses")
 	ex.cHashBuilds = reg.Counter("join.hash.builds")
 	ex.cHashBuildRows = reg.Counter("join.hash.buildrows")
 	ex.cHashProbes = reg.Counter("join.hash.probes")
@@ -164,15 +146,18 @@ func (ex *Executor) SetMetrics(reg *metrics.Registry) {
 	ex.cExprCompile = reg.Counter("expr.compile.count")
 }
 
-// prov records where a binding's value lives, for update statements.
+// prov records where a binding's value lives, for update statements. An
+// object binding also carries its tuple here and leaves its value nil:
+// the value.Object is boxed only where the variable is read whole.
 type prov struct {
-	oid       oid.OID     // identity, when the binding is an object
-	extent    string      // extent name for extent-variable bindings
-	rid       storage.RID // element record for ref/value-set extents
-	parentOID oid.OID     // nested: owning object of the collection
-	parentVar string      // nested: owning database variable
-	steps     []sema.Step // nested: path from owner to the collection
-	elemIdx   int         // nested: position within the collection
+	oid       oid.OID      // identity, when the binding is an object
+	tup       *value.Tuple // the object's tuple, when the binding is an object
+	extent    string       // extent name for extent-variable bindings
+	rid       storage.RID  // element record for ref/value-set extents
+	parentOID oid.OID      // nested: owning object of the collection
+	parentVar string       // nested: owning database variable
+	steps     []sema.Step  // nested: path from owner to the collection
+	elemIdx   int          // nested: position within the collection
 }
 
 // binding holds the current value and provenance of each range variable,
@@ -243,9 +228,17 @@ func (b *binding) unbind(v *sema.Var) {
 // get returns a variable's current value.
 func (b *binding) get(v *sema.Var) (value.Value, bool) {
 	if v.Slot < len(b.used) && b.used[v.Slot] {
-		return b.vals[v.Slot], true
+		return b.val(v.Slot), true
 	}
 	return nil, false
+}
+
+// val returns the value bound in slot, boxing an object binding.
+func (b *binding) val(slot int) value.Value {
+	if pr := &b.provs[slot]; pr.tup != nil {
+		return value.Object{OID: pr.oid, Tuple: pr.tup}
+	}
+	return b.vals[slot]
 }
 
 // getProv returns a variable's provenance (the zero prov when unbound).
@@ -342,14 +335,10 @@ func (ex *State) Run(p *algebra.Plan, prog *Program, yield func(*evalCtx) error)
 		}
 	}
 	rt := p.Runtime
-	var dh, dm int64
-	if rt != nil {
-		dh, dm = ex.derefHits, ex.derefMisses
-	}
+	derefs := ex.derefs
 	err := r.runNode(0)
 	if rt != nil {
-		rt.DerefHits += ex.derefHits - dh
-		rt.DerefMisses += ex.derefMisses - dm
+		rt.DerefMisses += ex.derefs - derefs
 		for i := range r.nodes {
 			if t := r.nodes[i].table; t != nil {
 				nr := &rt.Nodes[i]
@@ -508,7 +497,7 @@ func (ex *State) enumerate(ctx *evalCtx, v *sema.Var, access *algebra.AccessPath
 					if !ok {
 						continue
 					}
-					if err := s.emit(value.Object{OID: id, Tuple: tv}, prov{oid: id, extent: v.Extent}); err != nil {
+					if err := s.emit(nil, prov{oid: id, tup: tv, extent: v.Extent}); err != nil {
 						return err
 					}
 				}
@@ -517,11 +506,8 @@ func (ex *State) enumerate(ctx *evalCtx, v *sema.Var, access *algebra.AccessPath
 			if s.obj == nil {
 				emit, extent := s.emit, v.Extent
 				s.obj = func(id oid.OID, tv *value.Tuple) error {
-					return emit(value.Object{OID: id, Tuple: tv}, prov{oid: id, extent: extent})
+					return emit(nil, prov{oid: id, tup: tv, extent: extent})
 				}
-			}
-			if !ex.opts.NoDerefCache {
-				return ex.scanExtentCached(v.Extent, s.obj)
 			}
 			return r.ScanExtent(v.Extent, s.obj)
 		}
@@ -538,8 +524,8 @@ func (ex *State) enumerate(ctx *evalCtx, v *sema.Var, access *algebra.AccessPath
 						if !ok {
 							return nil // dangling membership reads as absent
 						}
-						pr.oid = r.OID
-						return emit(value.Object{OID: r.OID, Tuple: tv}, pr)
+						pr.oid, pr.tup = r.OID, tv
+						return emit(nil, pr)
 					}
 					return emit(ev, pr)
 				}
@@ -571,19 +557,20 @@ type collOwner struct {
 func (ex *State) nestStart(ctx *evalCtx, v *sema.Var, vp *varProgram) (value.Value, collOwner, error) {
 	switch v.Kind {
 	case sema.VarNested:
-		b := ctx.b
-		pv, ok := b.get(v.Parent)
-		if !ok {
+		// An object parent starts the walk at its tuple, unboxed.
+		b, slot := ctx.b, v.Parent.Slot
+		if slot >= len(b.used) || !b.used[slot] {
 			return nil, collOwner{}, fmt.Errorf("parent of %s not bound", v.Name)
 		}
-		own := collOwner{}
-		if o, isObj := pv.(value.Object); isObj {
-			own.oid = o.OID
-		} else {
-			pp := b.getProv(v.Parent)
-			own.oid, own.dbvar = pp.parentOID, pp.parentVar
+		pr := &b.provs[slot]
+		if pr.tup != nil {
+			return pr.tup, collOwner{oid: pr.oid}, nil
 		}
-		return pv, own, nil
+		pv := b.vals[slot]
+		if o, isObj := pv.(value.Object); isObj {
+			return pv, collOwner{oid: o.OID}, nil
+		}
+		return pv, collOwner{oid: pr.parentOID, dbvar: pr.parentVar}, nil
 	case sema.VarExprPath:
 		val, err := vp.base(ex, ctx)
 		if err != nil {
@@ -661,8 +648,7 @@ func (ex *State) walkCollection(ctx *evalCtx, cur value.Value, owner collOwner, 
 			if !live {
 				continue
 			}
-			pr.oid = r.OID
-			ev = value.Object{OID: r.OID, Tuple: tv}
+			pr.oid, pr.tup, ev = r.OID, tv, nil
 		}
 		if err := emit(ev, pr); err != nil {
 			return err

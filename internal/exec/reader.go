@@ -15,12 +15,10 @@ import (
 // mutations) and the immutable *object.Snapshot (read statements pinned
 // by the session layer) implement it; State.reader picks per statement.
 type storeReader interface {
-	Version() uint64
 	Get(id oid.OID) (*value.Tuple, bool, error)
 	Exists(id oid.OID) bool
 	GetVar(name string) (value.Value, error)
 	ScanExtent(extent string, fn func(id oid.OID, tv *value.Tuple) error) error
-	ScanExtentIDs(extent string, fn func(id oid.OID) error) error
 	ScanElems(extent string, fn func(rid storage.RID, v value.Value) error) error
 	ExtentLen(extent string) (int, error)
 	ElemLen(extent string) (int, error)
@@ -41,6 +39,14 @@ func (ex *State) reader() storeReader {
 		return ex.snap
 	}
 	return ex.store
+}
+
+// derefGet fetches an object by OID from the statement's view, counting
+// the fetch. A snapshot hands out its immutable decoded tuple; the live
+// store decodes a fresh one.
+func (ex *State) derefGet(id oid.OID) (*value.Tuple, bool, error) {
+	ex.derefs++
+	return ex.reader().Get(id)
 }
 
 // BindSnapshot pins the state to an immutable store snapshot: every read

@@ -14,8 +14,8 @@
 //     listings, metrics snapshots, the store fsck) must not iterate a
 //     map without establishing an order;
 //   - verbump: every mutation of stored object/tuple state must be
-//     paired with a Store.Version bump, so deref caches can never serve
-//     stale data silently;
+//     paired with a Store.Version bump, so every published snapshot is
+//     stamped with a version no other state of the store carries;
 //   - walcheck: every function that publishes store state (calls
 //     Store.Commit) must be annotated extra:mutates, must transitively
 //     reach a WAL append (an extra:logs function), and must size its

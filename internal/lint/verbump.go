@@ -6,12 +6,12 @@ import (
 	"go/types"
 )
 
-// VerBump enforces the cache-invalidation contract from the PR 3
-// concurrency work: every mutation of stored object/tuple state must be
-// paired with a bump of Store.Version, because the executor's deref and
-// extent caches compare that counter to decide whether their entries
-// are still valid. A mutation that skips the bump makes the caches
-// serve stale data with no error anywhere.
+// VerBump enforces the version contract of snapshot publication: every
+// mutation of stored object/tuple state must be paired with a bump of
+// Store.Version, because Commit stamps each published snapshot with that
+// counter and a snapshot's version is how a statement trace and a test
+// name the state a reader saw. A mutation that skips the bump lets two
+// different states share one version with no error anywhere.
 //
 // The analyzer discovers "version-bearing stores" structurally: a named
 // struct type with a bump() method or an atomic version field. It then
@@ -31,8 +31,8 @@ import (
 // bump at the Internalize entry point), but an exported entry point
 // with no bump anywhere below it is exactly the Release-style bug this
 // analyzer exists to catch. Writes to a store constructed locally in
-// the same function (constructors) are exempt: nothing can hold a cache
-// over a store that has not escaped yet.
+// the same function (constructors) are exempt: nothing can have observed
+// a version of a store that has not escaped yet.
 var VerBump = &Analyzer{
 	Name: "verbump",
 	Doc:  "exported functions that mutate store state must bump Store.Version",
@@ -80,7 +80,7 @@ func runVerBump(pass *Pass) {
 		if !obj.Exported() || !mutates[obj] || bumps[obj] {
 			continue
 		}
-		pass.Reportf(fi.Decl.Pos(), "exported %s mutates store state but never bumps Store.Version, so deref/extent caches keyed on the version go stale; add a bump() call or annotate the true bump site with extra:bumps", obj.Name())
+		pass.Reportf(fi.Decl.Pos(), "exported %s mutates store state but never bumps Store.Version, so two store states can publish under one version; add a bump() call or annotate the true bump site with extra:bumps", obj.Name())
 	}
 }
 

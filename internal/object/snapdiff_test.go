@@ -21,7 +21,6 @@ type storeView interface {
 	IsObjectExtent(name string) bool
 	IsElemExtent(name string) bool
 	ScanExtent(extent string, fn func(id oid.OID, tv *value.Tuple) error) error
-	ScanExtentIDs(extent string, fn func(id oid.OID) error) error
 	ExtentLen(extent string) (int, error)
 	ScanElems(extent string, fn func(rid storage.RID, v value.Value) error) error
 	ElemLen(extent string) (int, error)
@@ -61,15 +60,6 @@ func render(v storeView, maxOID oid.OID, ix *catalog.Index) string {
 		if n != len(ids) {
 			fmt.Fprintf(&b, "  ExtentLen %d disagrees with the scan on %T\n", n, v)
 		}
-		i := 0
-		err = v.ScanExtentIDs(ext, func(id oid.OID) error {
-			if i >= len(ids) || ids[i] != id {
-				fmt.Fprintf(&b, "  id scan disagrees at %d: %s\n", i, id)
-			}
-			i++
-			return nil
-		})
-		fmt.Fprintf(&b, "  ids=%d err=%v\n", i, err)
 	}
 	if v.IsElemExtent("Wanted") {
 		n, err := v.ElemLen("Wanted")

@@ -17,9 +17,8 @@ import (
 // store: a writer builds new extent/tuple state under the write lock and
 // publishes it atomically with Commit, while readers pinned to an older
 // Snapshot keep seeing exactly the versions that were live when they
-// pinned. This generalizes the deref cache's version-mismatch flush (a
-// cache valid "as long as Version is unchanged") into a first-class
-// contract: a Snapshot *is* the store at one version, forever.
+// pinned. A Snapshot *is* the store at one version, forever, so a reader
+// fetches from it directly and needs no cache of its own in front.
 //
 // Mutating methods record what they touched in the store's dirty sets —
 // the objects, and the heap page and slot of every record written or
@@ -164,22 +163,6 @@ func (sn *Snapshot) ScanExtent(extent string, fn func(id oid.OID, tv *value.Tupl
 	for _, c := range es.chunks {
 		for i, id := range c.keys {
 			if err := fn(id, c.vals[i]); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// ScanExtentIDs iterates the extent's object identities in scan order.
-func (sn *Snapshot) ScanExtentIDs(extent string, fn func(id oid.OID) error) error {
-	es, ok := sn.extents[extent]
-	if !ok {
-		return fmt.Errorf("no object extent %s", extent)
-	}
-	for _, c := range es.chunks {
-		for _, id := range c.keys {
-			if err := fn(id); err != nil {
 				return err
 			}
 		}
@@ -416,9 +399,9 @@ func (s *Store) Commit() (published bool, err error) {
 		return false, nil
 	}
 	start := time.Now()
-	// Publication is itself a store-state change: bump so snapshot
-	// versions are distinct from the pre-commit working version and
-	// version-keyed caches (deref) never confuse the two.
+	// Publication is itself a store-state change: bump so every published
+	// snapshot carries a version of its own, distinct from the working
+	// version it was built from and from every earlier snapshot.
 	s.bump()
 	prev := s.snap.Load()
 

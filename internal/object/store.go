@@ -437,25 +437,6 @@ func (s *Store) ScanExtent(extent string, fn func(id oid.OID, tv *value.Tuple) e
 	})
 }
 
-// ScanExtentIDs iterates the live object identities of an object-set
-// extent in heap order — the same order ScanExtent visits — without
-// decoding the stored records, so a caller holding decoded values (the
-// executor's deref cache) can skip the per-record decode.
-func (s *Store) ScanExtentIDs(extent string, fn func(id oid.OID) error) error {
-	h, ok := s.extents[extent]
-	if !ok {
-		return fmt.Errorf("no object extent %s", extent)
-	}
-	byRID := s.rids[extent]
-	return h.Scan(func(rid storage.RID, rec []byte) error {
-		id, ok := byRID[rid]
-		if !ok {
-			return fmt.Errorf("extent %s: record %s has no OID", extent, rid)
-		}
-		return fn(id)
-	})
-}
-
 // ExtentLen returns the number of objects in an object-set extent.
 func (s *Store) ExtentLen(extent string) (int, error) {
 	h, ok := s.extents[extent]

@@ -39,7 +39,7 @@ const (
 	// unnest) or update action.
 	KindOperator
 	// KindStorage is a storage-layer event group: buffer pool traffic,
-	// deref-cache traffic, heap/B+-tree page IO attribution.
+	// object fetches, heap/B+-tree page IO attribution.
 	KindStorage
 )
 

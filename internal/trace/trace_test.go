@@ -30,9 +30,8 @@ func canned(t *testing.T, tracer *Tracer) *Trace {
 	pool := a.AddSpan(exec, KindStorage, "buffer pool", t0.Add(180*time.Microsecond), 0)
 	a.AttrInt(pool, "hits", 7)
 	a.AttrInt(pool, "misses", 1)
-	deref := a.AddSpan(exec, KindStorage, "deref cache", t0.Add(180*time.Microsecond), 0)
-	a.AttrInt(deref, "hits", 2)
-	a.AttrInt(deref, "misses", 4)
+	derefs := a.AddSpan(exec, KindStorage, "derefs", t0.Add(180*time.Microsecond), 0)
+	a.AttrInt(derefs, "count", 4)
 	a.spans[exec].Dur = time.Millisecond
 	a.EndSpan(exec)
 
@@ -247,7 +246,7 @@ func TestRenderTree(t *testing.T) {
 		"◐ execute (dur=1ms)",
 		"▸ scan Employees binding E (dur=900µs) loops=1 rows_in=4 rows_out=3",
 		"· buffer pool (dur=0s) hits=7 misses=1",
-		"· deref cache (dur=0s) hits=2 misses=4",
+		"· derefs (dur=0s) count=4",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)

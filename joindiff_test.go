@@ -12,8 +12,8 @@ import (
 
 // fig5Queries are the paper's Figure 5 retrieves over the company schema:
 // an implicit join through a reference path, an implicit join from a
-// nested set, and an explicit is-join — the shapes the hash-join path and
-// the deref cache are meant to accelerate.
+// nested set, and an explicit is-join — the shapes the hash-join path is
+// meant to accelerate.
 var fig5Queries = []string{
 	`retrieve (E.name, E.salary) from E in Employees where E.dept.floor = 2`,
 	`retrieve (C.name) from C in Employees.kids where Employees.dept.floor = 2`,
@@ -33,14 +33,11 @@ var fig6Queries = []string{
 func joinOptionGrid() []extra.OptimizerOptions {
 	var grid []extra.OptimizerOptions
 	for _, noHash := range []bool{false, true} {
-		for _, noCache := range []bool{false, true} {
-			for _, noReorder := range []bool{false, true} {
-				for _, noCompile := range []bool{false, true} {
-					grid = append(grid, extra.OptimizerOptions{
-						NoHashJoin: noHash, NoDerefCache: noCache,
-						NoReorder: noReorder, NoCompiledExprs: noCompile,
-					})
-				}
+		for _, noReorder := range []bool{false, true} {
+			for _, noCompile := range []bool{false, true} {
+				grid = append(grid, extra.OptimizerOptions{
+					NoHashJoin: noHash, NoReorder: noReorder, NoCompiledExprs: noCompile,
+				})
 			}
 		}
 	}
@@ -49,18 +46,18 @@ func joinOptionGrid() []extra.OptimizerOptions {
 
 var naiveOpts = extra.OptimizerOptions{
 	NoPushdown: true, NoIndexSelect: true, NoReorder: true,
-	NoHashJoin: true, NoDerefCache: true, NoCompiledExprs: true,
+	NoHashJoin: true, NoCompiledExprs: true,
 }
 
 func optLabel(o extra.OptimizerOptions) string {
-	return fmt.Sprintf("hash=%v cache=%v reorder=%v compile=%v",
-		!o.NoHashJoin, !o.NoDerefCache, !o.NoReorder, !o.NoCompiledExprs)
+	return fmt.Sprintf("hash=%v reorder=%v compile=%v",
+		!o.NoHashJoin, !o.NoReorder, !o.NoCompiledExprs)
 }
 
 // TestJoinMethodEquivalence runs the Figure 5/6 queries and a batch of
 // randomized multi-variable queries under every combination of hash-join
-// / deref-cache / reorder switches, asserting each returns exactly the
-// rows of the fully naive nested-loop plan.
+// / reorder / compile switches, asserting each returns exactly the rows
+// of the fully naive nested-loop plan.
 func TestJoinMethodEquivalence(t *testing.T) {
 	db, _, err := workload.New(workload.Params{
 		Departments: 9, Employees: 150, MaxKids: 3, Floors: 4, MaxSalary: 1000, Seed: 7,
@@ -145,7 +142,7 @@ func TestHashJoinExplain(t *testing.T) {
 }
 
 // TestHashJoinAnalyzeCounters checks that EXPLAIN ANALYZE surfaces the
-// hash-join build/probe actuals and the deref-cache hit counts.
+// hash-join build/probe actuals and the count of object fetches.
 func TestHashJoinAnalyzeCounters(t *testing.T) {
 	db, _, err := workload.New(workload.Params{
 		Departments: 6, Employees: 60, MaxKids: 2, Floors: 3, MaxSalary: 500, Seed: 11,
@@ -167,12 +164,13 @@ func TestHashJoinAnalyzeCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "deref cache:") {
-		t.Fatalf("analyze output lacks deref-cache line:\n%s", out)
+	// One department fetch per employee: nothing memoizes them.
+	if !strings.Contains(out, "derefs: 60\n") {
+		t.Fatalf("analyze output lacks the deref count of 60:\n%s", out)
 	}
 
 	snap := db.MetricsSnapshot()
-	for _, c := range []string{"join.hash.builds", "join.hash.probes", "deref.cache.hits"} {
+	for _, c := range []string{"join.hash.builds", "join.hash.probes"} {
 		if snap.Counters[c] == 0 {
 			t.Fatalf("metric %s not collected; snapshot: %+v", c, snap.Counters)
 		}
@@ -181,7 +179,7 @@ func TestHashJoinAnalyzeCounters(t *testing.T) {
 
 // TestDerefCacheInvalidation is the staleness contract: an update to a
 // referenced object between two identical queries must be visible to the
-// second even with the cache enabled.
+// second, whatever the first left behind in the pooled statement state.
 func TestDerefCacheInvalidation(t *testing.T) {
 	db, _, err := workload.New(workload.Params{
 		Departments: 4, Employees: 20, MaxKids: 2, Floors: 3, MaxSalary: 500, Seed: 3,
@@ -196,19 +194,19 @@ func TestDerefCacheInvalidation(t *testing.T) {
 	if len(before.Rows) != 0 {
 		t.Fatalf("no department is on floor 9 yet, got %d rows", len(before.Rows))
 	}
-	// Warm the cache with a query that derefs every department.
+	// A query that derefs every department.
 	db.MustQuery(`retrieve (E.name, E.dept.floor) from E in Employees`)
 
 	db.MustExec(`replace D (floor = 9) from D in Departments where D.dname = "dept-001"`)
 
 	after := db.MustQuery(q)
 	if len(after.Rows) == 0 {
-		t.Fatalf("update invisible after cached deref: moved dept-001 to floor 9 but no employees found")
+		t.Fatalf("update invisible to the next query: moved dept-001 to floor 9 but no employees found")
 	}
 	// And moving it back empties the result again.
 	db.MustExec(`replace D (floor = 1) from D in Departments where D.dname = "dept-001"`)
 	again := db.MustQuery(q)
 	if len(again.Rows) != 0 {
-		t.Fatalf("stale cache: floor 9 still has %d employees after moving dept-001 back", len(again.Rows))
+		t.Fatalf("stale read: floor 9 still has %d employees after moving dept-001 back", len(again.Rows))
 	}
 }

@@ -1,8 +1,8 @@
 //go:build !race
 
 // The race detector makes sync.Pool drop a random share of what is put
-// back, and a statement's execution state (with its warm deref cache)
-// is pooled, so allocation counts are only exact without it.
+// back, and a statement's execution state and binding buffers are
+// pooled, so allocation counts are only exact without it.
 
 package extra_test
 
@@ -29,16 +29,18 @@ type scanShape struct {
 // scans without garbage": a prepared Stmt.Exec of each scan shape
 // allocates a fixed per-statement overhead plus perEmp per employee
 // (and perKid per kid it unnests), and the overhead is the same on a
-// database ten times the size. Counts repeat exactly, so this gates CI
-// on a host whose clock cannot.
+// database ten times the size. Every shape is pinned at zero per row: an
+// object variable binds its tuple unboxed, and attribute steps read the
+// tuple directly. Counts repeat exactly, so this gates CI on a host whose
+// clock cannot.
 func TestScanAllocsPerRow(t *testing.T) {
 	shapes := []scanShape{
-		// The value.Object the scan binds E to is the one allocation.
-		{"range filter", `retrieve (E.name, E.salary) from E in Employees where E.age >= $1 and E.age < $2`, []any{200, 201}, 1, 0},
+		// The scan binds E without boxing a value.Object.
+		{"range filter", `retrieve (E.name, E.salary) from E in Employees where E.age >= $1 and E.age < $2`, []any{200, 201}, 0, 0},
 		// E.dept dereferences without boxing the department.
-		{"ref path", `retrieve (E.name) from E in Employees where E.dept.floor = $1`, []any{99}, 1, 0},
-		// Each kid is bound as a value.Object of its own.
-		{"unnest", `retrieve (E.name, K.name) from E in Employees, K in E.kids where K.age < $1`, []any{0}, 1, 1},
+		{"ref path", `retrieve (E.name) from E in Employees where E.dept.floor = $1`, []any{99}, 0, 0},
+		// The unnest starts at E's tuple and binds each kid unboxed.
+		{"unnest", `retrieve (E.name, K.name) from E in Employees, K in E.kids where K.age < $1`, []any{0}, 0, 0},
 	}
 	overhead := make([]uint64, len(shapes))
 	for si, n := range []int{2000, 20000} {
@@ -57,7 +59,7 @@ func TestScanAllocsPerRow(t *testing.T) {
 					t.Fatalf("%s: %d rows, want none", sh.name, len(res.Rows))
 				}
 			}
-			exec() // plans, compiles and fills the deref cache
+			exec() // plans, compiles and fills the pools
 			got := uint64(testing.AllocsPerRun(5, exec))
 			rows := sh.perEmp*uint64(n) + sh.perKid*kids
 			if got < rows {

@@ -22,7 +22,7 @@ func normalizeTrace(s string) string {
 // TestTraceFigure5Golden pins the span tree of the paper's Figure 5
 // implicit join under always-on sampling: statement root, the four
 // phases, the operator pipeline synthesized from the plan's actuals,
-// and the storage spans with pool/deref-cache attribution. Durations
+// and the storage spans with pool and object-fetch attribution. Durations
 // are normalized; structure, names, and attribute counts are exact.
 func TestTraceFigure5Golden(t *testing.T) {
 	db := mustOpen(t)
@@ -37,7 +37,7 @@ func TestTraceFigure5Golden(t *testing.T) {
 	for _, want := range []string{
 		"◐ parse", "◐ check", "◐ plan", "◐ execute",
 		"▸ scan Employees binding E", "rows_in=4 rows_out=3",
-		"· buffer pool", "· deref cache",
+		"· buffer pool", "· derefs",
 		"session=0", "rows=3", "kind=retrieve",
 	} {
 		if !strings.Contains(out, want) {

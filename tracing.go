@@ -111,7 +111,7 @@ func (db *DB) abortTrace(sid int64, user, src, kind string, tr *trace.StmtTrace,
 // addRetrieveSpans converts an instrumented retrieve's runtime actuals
 // into spans under the (still open) execute phase: one operator span
 // per plan node, nested to mirror the nested-iteration pipeline, plus
-// storage spans attributing buffer-pool and deref-cache traffic.
+// storage spans attributing buffer-pool traffic and object fetches.
 //
 // A node's span duration is its own self time plus everything inner —
 // the pipeline's cumulative cost from that node down — matching how the
@@ -151,7 +151,6 @@ func addRetrieveSpans(tr *trace.StmtTrace, pt trace.PhaseTimer, plan *algebra.Pl
 	if delta.WriteBacks > 0 {
 		a.AttrInt(sp, "writebacks", int64(delta.WriteBacks))
 	}
-	sp = a.AddSpan(execSpan, trace.KindStorage, "deref cache", start, 0)
-	a.AttrInt(sp, "hits", rt.DerefHits)
-	a.AttrInt(sp, "misses", rt.DerefMisses)
+	sp = a.AddSpan(execSpan, trace.KindStorage, "derefs", start, 0)
+	a.AttrInt(sp, "count", rt.DerefMisses)
 }
