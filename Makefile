@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint vet fuzz bench bench-smoke crash-stress
+.PHONY: build test race lint vet fuzz bench work-gate bench-smoke crash-stress
 
 build:
 	$(GO) build ./...
@@ -31,8 +31,20 @@ vet:
 fuzz:
 	$(GO) test -fuzz=FuzzParsePrintReparse -fuzztime=30s ./internal/excess/parse/
 
+# One run each of the join, access-method, compiled-filter, concurrency,
+# compile-once, tracing and group-commit benchmarks: a smoke test that
+# keeps them running (-benchtime=1x), not a measurement.
 bench:
-	$(GO) test -short -run '^$$' -bench 'Join|AccessMethod|RefChase' -benchtime=1x ./...
+	$(GO) test -short -run '^$$' -bench 'Join|AccessMethod|RefChase|ExprFilter|BindingClone|WriterInterference|ParallelRead|CompileOnce|Tracing|GroupCommit' -benchtime=1x ./...
+
+# The gate on what repeats exactly: allocations per scanned row, commit
+# and range-write work independent of database size, a plan-cache hit
+# that compiles nothing, and tracing that allocates nothing when off.
+# Wall clock is left to paired runs of bench/. No -race: the race
+# detector perturbs allocation counts, and scanalloc_test.go is built
+# only without it.
+work-gate:
+	$(GO) test -count=1 -v -run '^(TestScanAllocsPerRow|TestRangeReplaceWorkIndependentOfSize|TestCommitWorkIndependentOfSize|TestRangeUpdateWorkIndependentOfSize|TestPlanCacheHitCompilesNothing|TestZeroAllocWhenDisabled)$$' . ./internal/object/ ./internal/trace/
 
 # The repository benchmark (bench/, a module of its own that drives the
 # engine through its public and internal APIs) must keep compiling and

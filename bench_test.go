@@ -3,13 +3,17 @@ package extra_test
 // The benchmark harness of EXPERIMENTS.md: the paper publishes no
 // performance evaluation (it is a design paper), so these benchmarks
 // characterize the design choices its sections argue for, on the paper's
-// own running example scaled up by the workload generator. Every
-// experiment row in EXPERIMENTS.md is regenerated either by one of these
-// testing.B benchmarks or by cmd/extrabench (which prints the tables).
+// own running example scaled up by the workload generator. Every B-row
+// of EXPERIMENTS.md is regenerated by one of these testing.B benchmarks
+// (the F-rows by TestFigure1…7); each section there names its
+// `go test -bench` command.
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	extra "repro"
 	"repro/internal/adt"
@@ -393,9 +397,9 @@ func exprFilterBench(b *testing.B, interpret bool) {
 func BenchmarkExprFilterCompiled(b *testing.B)    { exprFilterBench(b, false) }
 func BenchmarkExprFilterInterpreted(b *testing.B) { exprFilterBench(b, true) }
 
-// exprHeavyQuery is shared with extrabench's B13: a filter of ~60
-// integer operators per evaluation, with one constant subexpression the
-// compiler folds and the walker recomputes per row.
+// exprHeavyQuery is a filter of ~60 integer operators per evaluation,
+// with one constant subexpression the compiler folds and the walker
+// recomputes per row.
 const exprHeavyQuery = `retrieve (n = count(E.name)) from E in Employees, D in Departments where
 	(E.salary * D.floor + 7) % 97 + (E.salary * 3 + D.floor * 11) % 89 + (E.salary * 5 + 13) % 83
 	+ (E.salary * 7 + D.floor * 17) % 79 + (E.salary * 11 + 19) % 73 + (E.salary * 13 + 23) % 71
@@ -408,17 +412,16 @@ const exprHeavyQuery = `retrieve (n = count(E.name)) from E in Employees, D in D
 // query timed on a quiet database and with one session looping a bulk
 // salary update the whole run. Snapshot reads pin a version during a
 // short shared-lock window and execute lock-free, so the two per-op
-// times should stay close; a statement-scoped reader lock would park
-// each read behind a full bulk-update statement.
+// times and read percentiles should stay close; a statement-scoped
+// reader lock would park each read behind a full bulk-update statement.
 func writerInterferenceBench(b *testing.B, withWriter bool) {
 	db := mustWorkload(b, workload.Params{Departments: 20, Employees: 2000, Floors: 5, Seed: 13}, 8192)
-	q := `retrieve (E.name) from E in Employees where E.dept.floor = 2`
-	if _, err := db.Query(q); err != nil { // warm the pool and plan cache
+	if _, err := db.Query(fig5Query); err != nil { // warm the pool and plan cache
 		b.Fatal(err)
 	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
 	if withWriter {
+		stop := make(chan struct{})
+		done := make(chan struct{})
 		go func() {
 			defer close(done)
 			w := db.NewSession()
@@ -434,19 +437,175 @@ func writerInterferenceBench(b *testing.B, withWriter bool) {
 				}
 			}
 		}()
-	} else {
-		close(done)
+		// Cleanups run last-in first-out, so this one, registered after
+		// mustWorkload's, stops the writer before the database closes,
+		// even when the loop below ends in b.Fatal.
+		b.Cleanup(func() {
+			close(stop)
+			<-done
+		})
 	}
+	lats := make([]time.Duration, b.N)
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := db.Query(q); err != nil {
+	for i := range lats {
+		start := time.Now()
+		if _, err := db.Query(fig5Query); err != nil {
 			b.Fatal(err)
 		}
+		lats[i] = time.Since(start)
 	}
 	b.StopTimer()
-	close(stop)
-	<-done
+	slices.Sort(lats)
+	b.ReportMetric(float64(lats[len(lats)/2]), "read_p50_ns")
+	b.ReportMetric(float64(lats[len(lats)*99/100]), "read_p99_ns")
 }
 
 func BenchmarkWriterInterferenceQuiet(b *testing.B)      { writerInterferenceBench(b, false) }
 func BenchmarkWriterInterferenceBulkWriter(b *testing.B) { writerInterferenceBench(b, true) }
+
+// fig5Query is the Figure 5 implicit join: one ref chase per employee.
+const fig5Query = `retrieve (E.name) from E in Employees where E.dept.floor = 2`
+
+// B12 — parallel read throughput: the Figure 5 ref chase from concurrent
+// sessions, each pinning its own snapshot and executing lock-free. Run
+// with -cpu 1,4,8 for the ladder: ns/op should fall with the CPU count
+// until the cores run out, and never rise.
+func BenchmarkParallelRead(b *testing.B) {
+	db := mustWorkload(b, workload.Params{Departments: 20, Employees: 2000, Floors: 5, Seed: 13}, 8192)
+	if _, err := db.Query(fig5Query); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		sess := db.NewSession()
+		for pb.Next() {
+			if _, err := sess.Query(fig5Query); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+}
+
+// B13 — compile-once on a 5000-employee store: a repeated statement hits
+// the plan cache and a prepared one keeps its plan, so neither spends
+// anything in check or plan, while textually unique statements pay both
+// every time. check_ns/op and plan_ns/op are phase-histogram deltas over
+// the timed loop: 0 means the phase never ran, not that it was fast.
+func compileOnceBench(b *testing.B, db *extra.DB, run func(i int) error) {
+	if err := run(-1); err != nil { // the first run checks and plans
+		b.Fatal(err)
+	}
+	phases := func() (check, plan float64) {
+		h := db.MetricsSnapshot().Histograms
+		return float64(h["phase.check"].SumNS), float64(h["phase.plan"].SumNS)
+	}
+	check0, plan0 := phases()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := run(i); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	check, plan := phases()
+	b.ReportMetric((check-check0)/float64(b.N), "check_ns/op")
+	b.ReportMetric((plan-plan0)/float64(b.N), "plan_ns/op")
+}
+
+var compileOnceStore = workload.Params{Departments: 20, Employees: 5000, MaxSalary: 1000, Seed: 14}
+
+func BenchmarkCompileOnceRepeat(b *testing.B) {
+	db := mustWorkload(b, compileOnceStore, 16384)
+	compileOnceBench(b, db, func(int) error { _, err := db.Query(fig5Query); return err })
+}
+
+func BenchmarkCompileOnceUnique(b *testing.B) {
+	db := mustWorkload(b, compileOnceStore, 16384)
+	compileOnceBench(b, db, func(i int) error {
+		_, err := db.Query(fmt.Sprintf(`retrieve (E.name) from E in Employees where E.dept.floor = 2 and E.salary < %d`, 100000+i))
+		return err
+	})
+}
+
+func BenchmarkCompileOncePrepared(b *testing.B) {
+	db := mustWorkload(b, compileOnceStore, 16384)
+	st, err := db.Prepare(`retrieve (E.name) from E in Employees where E.dept.floor = $1`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	compileOnceBench(b, db, func(int) error { _, err := st.Exec(2); return err })
+}
+
+// B15 — tracing overhead on the Figure 5 ref chase: off (the default),
+// sampled 1-in-100, and always on, where every retrieve also pays the
+// EXPLAIN ANALYZE counters its operator spans report.
+func tracingBench(b *testing.B, every int) {
+	db := mustWorkload(b, workload.Params{Departments: 20, Employees: 2000, Floors: 5, Seed: 15}, 8192)
+	db.SetTraceSampling(every)
+	runQuery(b, db, fig5Query)
+}
+
+func BenchmarkTracingOff(b *testing.B)        { tracingBench(b, 0) }
+func BenchmarkTracingSampled100(b *testing.B) { tracingBench(b, 100) }
+func BenchmarkTracingAlways(b *testing.B)     { tracingBench(b, 1) }
+
+// B16 — group commit: acknowledged single-row prepared appends from 1, 4
+// and 16 sessions under each WAL sync mode ("off" opens no WAL). "each"
+// fsyncs once per commit; "group" folds every committer that arrived
+// during the previous fsync into the next, so commits/fsync, counted by
+// the log itself, should grow with the session count.
+func BenchmarkGroupCommit(b *testing.B) {
+	for _, mode := range []string{"each", "group", "none", "off"} {
+		for _, sessions := range []int{1, 4, 16} {
+			b.Run(fmt.Sprintf("%s/sessions=%d", mode, sessions), func(b *testing.B) {
+				groupCommitBench(b, mode, sessions)
+			})
+		}
+	}
+}
+
+func groupCommitBench(b *testing.B, mode string, sessions int) {
+	opts := []extra.Option{extra.WithPoolSize(4096)}
+	if mode != "off" {
+		sm, err := extra.ParseWALSyncMode(mode)
+		if err != nil {
+			b.Fatal(err)
+		}
+		opts = append(opts, extra.WithWAL(b.TempDir()), extra.WithWALSync(sm))
+	}
+	db, err := extra.Open(opts...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { db.Close() })
+	db.MustExec(`define type Row: ( name: varchar, v: int4 ) create Rows : { own Row }`)
+	stmts := make([]*extra.Stmt, sessions)
+	for g := range stmts {
+		if stmts[g], err = db.NewSession().Prepare(`append to Rows (name = $1, v = $2)`); err != nil {
+			b.Fatal(err)
+		}
+	}
+	fsyncs := db.WALFsyncs()
+	// Session g commits rows g, g+sessions, …; the workers only b.Error,
+	// so nothing returns before wg.Wait and none outlives the database.
+	var wg sync.WaitGroup
+	b.ResetTimer()
+	for g, st := range stmts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := g; i < b.N; i += sessions {
+				if _, err := st.Exec(fmt.Sprintf("g%d-%d", g, i), i); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	b.StopTimer()
+	if n := db.WALFsyncs() - fsyncs; n > 0 {
+		b.ReportMetric(float64(b.N)/float64(n), "commits/fsync")
+	}
+}
