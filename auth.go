@@ -8,31 +8,49 @@ import (
 // called the database runs in single-user mode (everything allowed), as
 // a freshly initialized system would.
 func (db *DB) EnableAuthorization() {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.auth.Enable()
+	_ = db.editGrants(func(a *authz.Authorizer) error { a.Enable(); return nil })
 }
 
 // CreateUser registers a database user (and adds it to the all-users
 // group).
 func (db *DB) CreateUser(name string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.auth.CreateUser(name)
+	return db.editGrants(func(a *authz.Authorizer) error { return a.CreateUser(name) })
 }
 
 // CreateGroup registers a user group.
 func (db *DB) CreateGroup(name string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.auth.CreateGroup(name)
+	return db.editGrants(func(a *authz.Authorizer) error { return a.CreateGroup(name) })
 }
 
 // AddToGroup adds a user to a group.
 func (db *DB) AddToGroup(user, group string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.auth.AddToGroup(user, group)
+	return db.editGrants(func(a *authz.Authorizer) error { return a.AddToGroup(user, group) })
+}
+
+// editGrants applies one edit to the working grant table under the
+// commit lock and publishes it: the grant table is part of the catalog,
+// which every snapshot carries, so the edit reaches readers the way
+// DDL does. Grants are not durable (stmtRecord logs no grant
+// statement either), so there is no record to size and logStmt logs
+// nothing.
+//
+// extra:acquires db.wmu.W
+// extra:mutates
+func (db *DB) editGrants(edit func(*authz.Authorizer) error) error {
+	db.wmu.Lock()
+	defer db.wmu.Unlock()
+	if db.closed.Load() {
+		return errDBClosed
+	}
+	err := edit(db.store.Catalog().Auth())
+	published, cerr := db.store.Commit() //extravet:ignore walcheck (grants are not durable: there is no record to size)
+	if cerr != nil && err == nil {
+		err = cerr
+	}
+	if _, lerr := db.logStmt(nil, err, published); lerr != nil && err == nil {
+		err = lerr
+	}
+	return err
 }
 
 // SetUser switches the default session's current user; subsequent
@@ -47,9 +65,9 @@ func (db *DB) CurrentUser() string {
 	return db.def.CurrentUser()
 }
 
-// Grants lists the grants on a database object.
+// Grants lists the grants on a database object as published.
 func (db *DB) Grants(object string) []string {
-	return db.auth.Grants(object)
+	return db.Catalog().Auth().Grants(object)
 }
 
 // AllUsersGroup is the name of the built-in group containing every user.

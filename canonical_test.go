@@ -19,7 +19,7 @@ func checkCanonical(t *testing.T, db *DB) {
 	t.Helper()
 	db.wmu.Lock()
 	defer db.wmu.Unlock()
-	if db.closed {
+	if db.closed.Load() {
 		return
 	}
 	live, err := db.store.ExportObjects()
@@ -28,7 +28,7 @@ func checkCanonical(t *testing.T, db *DB) {
 		return
 	}
 	for _, o := range live {
-		v, err := codec.DecodeOne(o.Data, db.cat)
+		v, err := codec.DecodeOne(o.Data, db.store.Catalog())
 		if err != nil {
 			t.Errorf("object %s: %v", o.OID, err)
 			continue

@@ -12,7 +12,7 @@ import (
 	"repro/internal/value"
 )
 
-// The concurrency tests exercise the readers-writer statement lock and
+// The concurrency tests exercise snapshot reads, the commit lock and
 // the per-statement executor state: many sessions running the paper's
 // figure queries at once must behave exactly like one session running
 // them in order, and a writer mixed in must never expose a torn tuple
@@ -21,7 +21,7 @@ import (
 // figureQueries is a read-only slice of the Figure 1-7 retrievals (see
 // figures_test.go for the serial versions with expected answers). Every
 // query here is classified read-only by sema.ReadOnly, so under the
-// differential test all eight goroutines hold the shared lock at once.
+// differential test all eight goroutines read snapshots at once.
 var figureQueries = []string{
 	// Figure 1: ADT attribute retrieval.
 	`retrieve (t = Today)`,
@@ -582,7 +582,7 @@ func TestConcurrentDumpDuringWrites(t *testing.T) {
 }
 
 // TestConcurrentDDLWithPreparedExec: prepared statements revalidate
-// against the catalog version under the shrunk statement lock. DDL
+// against the version of the catalog their snapshot carries. DDL
 // churning the catalog from one session while another hammers a
 // prepared Exec must never produce an error or a stale answer.
 func TestConcurrentDDLWithPreparedExec(t *testing.T) {

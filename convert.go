@@ -38,7 +38,7 @@ func (o Obj) String() string { return fmt.Sprintf("%s<%s>", o.id, o.typ) }
 //
 // extra:acquires db.wmu.W
 func (db *DB) Insert(extent string, attrs Attrs) (Obj, error) {
-	v, ok := db.cat.Var(extent)
+	v, ok := db.Catalog().Var(extent)
 	if !ok || !v.IsObjectSet() {
 		return Obj{}, fmt.Errorf("%s is not an object-set extent", extent)
 	}

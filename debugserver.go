@@ -64,8 +64,8 @@ func (db *DB) startDebugServer(addr string) error {
 }
 
 // stopDebugServer shuts the listener down (idempotent). Called from
-// Close, before the statement lock is taken, so an in-flight handler
-// reading snapshots never deadlocks against Close.
+// Close, before the commit lock is taken, so an in-flight handler never
+// deadlocks against Close.
 func (db *DB) stopDebugServer() {
 	if db.debug == nil {
 		return

@@ -25,46 +25,41 @@ import (
 // replay into a fresh database. Authorization state (users, groups,
 // grants) is session configuration and is not dumped.
 //
-// A dump is a read statement: it pins the store's published snapshot
-// and renders the schema during one short shared-lock window, then
-// writes everything after the window. Writers keep committing while the
-// dump streams out, and the dump observes none of them — the output is
-// the single version pinned at the start, byte-stable no matter how
-// slow w is.
+// A dump is a read statement: it pins the store's published snapshot,
+// whose catalog the schema sections are rendered from, so the DDL text
+// and the exported data agree on one version. Writers keep committing
+// while the dump streams out, and the dump observes none of them — the
+// output is the single version pinned at the start, byte-stable no
+// matter how slow w is.
 //
-// extra:acquires db.mu.R
 // extra:output
 // extra:snapshot
 func (db *DB) Dump(w io.Writer) error {
-	// Pin window: render the schema sections and pin the data snapshot
-	// under the shared lock, so the DDL text and the exported data agree
-	// on one catalog version.
-	db.mu.RLock()
-	if db.closed {
-		db.mu.RUnlock()
+	if db.closed.Load() {
 		return errDBClosed
 	}
+	snap := db.store.Snapshot()
+	cat := snap.Catalog()
 	var ddl []string
-	for _, name := range db.cat.EnumNames() {
-		e, _ := db.cat.EnumType(name)
+	for _, name := range cat.EnumNames() {
+		e, _ := cat.EnumType(name)
 		ddl = append(ddl, fmt.Sprintf("define enum %s : ( %s )", e.Name, strings.Join(e.Labels, ", ")))
 	}
-	for _, tt := range db.typesInDependencyOrder() {
+	for _, tt := range typesInDependencyOrder(cat) {
 		ddl = append(ddl, strings.ReplaceAll(tt.DDL(), "\n", " "))
 	}
-	// Element-set and scalar variables are exported from the snapshot
-	// after the window; record which is which while the catalog is
-	// pinned. Object sets are covered wholesale by ExportObjects.
+	// Element-set and scalar variables are exported one by one below;
+	// object sets are covered wholesale by ExportObjects.
 	type varRec struct {
 		name  string
 		elems bool
 	}
 	var vars []varRec
-	for _, name := range db.cat.VarNames() {
-		v, _ := db.cat.Var(name)
+	for _, name := range cat.VarNames() {
+		v, _ := cat.Var(name)
 		var b strings.Builder
 		fmt.Fprintf(&b, "create %s : %s", v.Name, v.Comp.String())
-		for _, ix := range db.cat.IndexesOn(name) {
+		for _, ix := range cat.IndexesOn(name) {
 			if len(ix.KeyPaths) == 0 {
 				continue
 			}
@@ -83,18 +78,18 @@ func (db *DB) Dump(w io.Writer) error {
 			vars = append(vars, varRec{name: name})
 		}
 	}
-	for _, name := range db.cat.FunctionNames() {
-		for _, fn := range db.cat.Functions(name) {
+	for _, name := range cat.FunctionNames() {
+		for _, fn := range cat.Functions(name) {
 			ddl = append(ddl, renderFunction(fn))
 		}
 	}
-	for _, name := range db.cat.ProcedureNames() {
-		p, _ := db.cat.Procedure(name)
+	for _, name := range cat.ProcedureNames() {
+		p, _ := cat.Procedure(name)
 		ddl = append(ddl, renderProcedure(p))
 	}
 	var ixLines []string
-	for _, name := range db.cat.IndexNames() {
-		ix, _ := db.cat.Index(name)
+	for _, name := range cat.IndexNames() {
+		ix, _ := cat.Index(name)
 		if len(ix.KeyPaths) > 0 {
 			continue // key constraints are dumped with their create statement
 		}
@@ -104,8 +99,6 @@ func (db *DB) Dump(w io.Writer) error {
 		}
 		ixLines = append(ixLines, fmt.Sprintf("define %sindex %s on %s (%s)", uq, ix.Name, ix.Extent, strings.Join(ix.Path, ".")))
 	}
-	snap := db.store.Snapshot()
-	db.mu.RUnlock()
 
 	bw := bufio.NewWriter(w)
 	fmt.Fprintln(bw, "#extra-dump v1")
@@ -226,7 +219,7 @@ func (e *LoadError) Unwrap() error { return e.Err }
 // from it directly; otherwise the dump text is buffered in memory to
 // be replayable.
 func (db *DB) Load(r io.Reader) error {
-	if len(db.cat.VarNames()) != 0 || len(db.cat.TupleTypeNames()) != 0 {
+	if cat := db.Catalog(); len(cat.VarNames()) != 0 || len(cat.TupleTypeNames()) != 0 {
 		return fmt.Errorf("Load requires a fresh database")
 	}
 	stage, rewind, err := loadPasses(r)
@@ -379,7 +372,7 @@ func (db *DB) restoreData(lines []dataLine) (uint64, error) {
 	}
 	db.wmu.Lock()
 	defer db.wmu.Unlock()
-	if db.closed {
+	if db.closed.Load() {
 		return 0, errDBClosed
 	}
 	var rec *wal.Record
@@ -473,8 +466,8 @@ func (db *DB) loadDataLine(line string) error {
 
 // typesInDependencyOrder sorts schema types so that supertypes and
 // attribute-referenced types precede their dependents.
-func (db *DB) typesInDependencyOrder() []*types.TupleType {
-	names := db.cat.TupleTypeNames()
+func typesInDependencyOrder(cat *catalog.Catalog) []*types.TupleType {
+	names := cat.TupleTypeNames()
 	placed := map[string]bool{}
 	var out []*types.TupleType
 	var place func(tt *types.TupleType)
@@ -496,7 +489,7 @@ func (db *DB) typesInDependencyOrder() []*types.TupleType {
 		out = append(out, tt)
 	}
 	for _, n := range names {
-		if tt, ok := db.cat.TupleType(n); ok {
+		if tt, ok := cat.TupleType(n); ok {
 			place(tt)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/excess/ast"
 	"repro/internal/excess/parse"
+	"repro/internal/excess/sema"
 	"repro/internal/trace"
 )
 
@@ -24,7 +25,6 @@ type ExplainOutput = algebra.AnalyzeReport
 // variable uses, where each predicate conjunct was attached, and the
 // universally quantified residue. The query is not executed.
 //
-// extra:acquires db.mu.R
 // extra:output
 // extra:snapshot
 func (db *DB) Explain(src string) (string, error) {
@@ -36,31 +36,29 @@ func (db *DB) Explain(src string) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("explain: %w", ErrNotRetrieve)
 	}
-	// Planning never executes the query; a pin window suffices even for
-	// retrieve into.
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.closed {
+	if db.closed.Load() {
 		return "", errDBClosed
 	}
+	// Planning never executes the query; a pinned snapshot suffices even
+	// for retrieve into, and gives check and cardinality estimation one
+	// stable version of schema and data.
+	es := db.exec.NewState()
+	defer es.Release()
+	es.BindSnapshot(db.store.Snapshot())
+	sem := db.def.sem.Load()
 	// When the default session already executed this statement, show the
 	// plan the engine would actually serve — the cache hit, rendered with
 	// its "(cached)" marker. The lookup does not populate the cache:
 	// explaining a statement is not executing it.
 	if r.Into == "" {
-		if e := db.plans.peek(db.def.planKey(ast.Print(r))); e != nil {
+		if e := db.plans.peek(planKeyFor(es, sem, ast.Print(r))); e != nil {
 			return e.plan.Explain(), nil
 		}
 	}
-	cq, err := db.def.checker(nil).CheckRetrieve(r)
+	cq, err := sema.NewChecker(es.Catalog(), sem, nil).CheckRetrieve(r)
 	if err != nil {
 		return "", err
 	}
-	// Plan against a pinned snapshot so cardinality estimation reads a
-	// stable view, not extents a concurrent writer is growing.
-	es := db.exec.NewState()
-	defer es.Release()
-	es.BindSnapshot(db.store.Snapshot())
 	plan := es.Plan(cq.Query)
 	return plan.Explain(), nil
 }

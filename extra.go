@@ -29,12 +29,14 @@
 // into clause is read-only; everything else (updates, DDL, range
 // declarations, grants, procedure executions) is a write. Reads use
 // MVCC snapshots: each read statement pins the store's latest
-// immutable snapshot during a short shared-lock window and then
-// executes entirely against it, lock-free — readers never block behind
-// a writer, no matter how long the write runs. Writes serialize on a
-// dedicated write mutex, mutate the live store, and publish a new
-// snapshot (copy-on-write: only the extents, variables and index trees
-// the statement dirtied are rebuilt) via an atomic pointer swap.
+// immutable snapshot — data, schema and grants together — with one
+// atomic load and executes entirely against it, lock-free — readers
+// never block behind a writer, no matter how long the write runs.
+// Writes serialize on a dedicated write mutex, mutate the live store
+// and the working catalog, and publish a new snapshot (copy-on-write:
+// only the extents, variables and index trees the statement dirtied are
+// rebuilt, the catalog only when it changed) via an atomic pointer
+// swap.
 // DB.NewSession returns a per-client Session with its own user
 // identity and range declarations; the DB-level Exec/Query methods are
 // shorthands for a built-in default session. A DB and its Sessions are
@@ -49,7 +51,6 @@ import (
 
 	"repro/internal/adt"
 	"repro/internal/algebra"
-	"repro/internal/authz"
 	"repro/internal/catalog"
 	"repro/internal/deadlock"
 	"repro/internal/excess/sema"
@@ -65,22 +66,6 @@ import (
 
 // errDBClosed reports use of a closed database.
 var errDBClosed = errors.New("database is closed")
-
-// beginPin opens a read statement's pin window: it takes the shared
-// statement lock and reports whether the database is still open. On
-// false the lock has already been released; on true the caller owns a
-// read hold and must end the window with db.mu.RUnlock() once it has
-// pinned a snapshot and finished planning.
-//
-// extra:holds db.mu.R
-func (db *DB) beginPin() bool {
-	db.mu.RLock()
-	if db.closed {
-		db.mu.RUnlock()
-		return false
-	}
-	return true
-}
 
 // Result re-exports the executor's result set.
 type Result = exec.Result
@@ -102,37 +87,29 @@ type Metrics = metrics.Registry
 // MetricsSnapshot re-exports a point-in-time copy of the registry.
 type MetricsSnapshot = metrics.Snapshot
 
-// DB is an EXTRA/EXCESS database: catalog, object store, buffer pool,
-// metrics and the shared executor engine core. Read statements
-// (retrieve without into) pin an immutable store snapshot and run
-// lock-free against it; write statements serialize on the write mutex
-// and publish a new snapshot on commit — so a DB is safe for
+// DB is an EXTRA/EXCESS database: object store (with its catalog),
+// buffer pool, metrics and the shared executor engine core. Read
+// statements (retrieve without into) pin an immutable store snapshot
+// and run lock-free against it; write statements serialize on the
+// write mutex and publish a new snapshot on commit — so a DB is safe for
 // concurrent use by multiple goroutines, concurrent reads scale across
 // cores, and a bulk update never stalls readers. Per-client state
 // (user, range declarations) lives in Sessions (NewSession); the DB's
 // own Exec/Query run on a built-in default session.
 type DB struct {
-	// wmu is the commit lock: every write statement batch holds it for
-	// the batch's duration, mutating the live store and publishing a
-	// snapshot per statement. Lock order: wmu before mu, always —
-	// enforced at runtime under `-tags deadlockcheck` by the
-	// internal/deadlock sentinel the wrapper type carries.
-	wmu deadlock.Mutex // extra:lock db.wmu
-	// mu guards the narrow coherence windows that remain after MVCC:
-	// the closed flag, read statements' snapshot-pin + plan windows
-	// (shared), and DDL's catalog-mutation + commit window (exclusive),
-	// so a pinned reader never plans against a catalog newer than its
-	// snapshot. It is held for the pin window only — never across read
-	// execution.
-	mu    deadlock.RWMutex // extra:lock db.mu
+	// wmu is the commit lock, the engine's one statement lock: every
+	// write statement batch holds it for the batch's duration, mutating
+	// the live store and the working catalog and publishing a snapshot
+	// per statement. Readers take no lock. Lock order: wmu before the
+	// WAL's locks, enforced at runtime under `-tags deadlockcheck` by
+	// the internal/deadlock sentinel the wrapper type carries.
+	wmu   deadlock.Mutex // extra:lock db.wmu
 	reg   *adt.Registry
-	cat   *catalog.Catalog
 	pool  *storage.BufferPool
-	store *object.Store
+	store *object.Store // owns the working catalog; its snapshots carry frozen ones
 	exec  *exec.Executor
-	auth  *authz.Authorizer
 
-	closed bool
+	closed atomic.Bool // set once, by Close under wmu
 
 	def         *Session     // default session backing DB.Exec/Query
 	nextSession atomic.Int64 // session id allocator (default session is 0)
@@ -153,7 +130,7 @@ type DB struct {
 
 	// Slow-query log: a ring buffer of the last slowCap statements that
 	// exceeded slowThreshold. Guarded by slowMu — its own lock, not the
-	// statement lock, because concurrent readers finish statements
+	// commit lock, because concurrent readers finish statements
 	// concurrently and each may need to append an entry.
 	slowMu        sync.Mutex // extra:lock db.slowMu
 	slowThreshold time.Duration
@@ -251,11 +228,9 @@ func open(cfg config, reg *adt.Registry) (*DB, error) {
 	}
 	db := &DB{
 		reg:   reg,
-		cat:   cat,
 		pool:  pool,
 		store: store,
 		exec:  exec.New(store, cat),
-		auth:  authz.New(),
 
 		metrics:  mreg,
 		hParse:   mreg.Histogram("phase.parse"),
@@ -276,10 +251,9 @@ func open(cfg config, reg *adt.Registry) (*DB, error) {
 		tracer: trace.NewTracer(cfg.traceEvery, cfg.traceCap),
 	}
 	db.wmu.SetName("db.wmu")
-	db.mu.SetName("db.mu")
 	db.exec.SetMetrics(mreg)
 	db.store.SetMetrics(mreg)
-	db.def = &Session{db: db, id: 0, user: "dba", sem: sema.NewSession()}
+	db.def = newSession(db, 0)
 	if cfg.walDir != "" {
 		// Recovery before anything else can observe the DB: checkpoint
 		// restore, then log replay, then the log is live for appends.
@@ -301,22 +275,18 @@ func open(cfg config, reg *adt.Registry) (*DB, error) {
 }
 
 // Close flushes dirty pages and releases the page store. It takes the
-// write lock first (draining any in-flight write batch) and then the
-// statement lock, so no statement — read pin window or write — is
-// mid-flight when the pool flushes.
+// write lock (draining any in-flight write batch), so no write is
+// mid-flight when the pool flushes. A read that started before Close
+// finishes against its snapshot, which no page holds.
 //
 // extra:acquires db.wmu.W
-// extra:acquires db.mu.W
 func (db *DB) Close() error {
 	db.stopDebugServer()
 	db.wmu.Lock()
 	defer db.wmu.Unlock()
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
+	if db.closed.Swap(true) {
 		return nil
 	}
-	db.closed = true
 	var walErr error
 	if db.wal != nil {
 		// Drains and fsyncs whatever the flusher still holds, so a clean
@@ -340,24 +310,15 @@ func (db *DB) Close() error {
 // extension path of the paper.
 func (db *DB) Registry() *adt.Registry { return db.reg }
 
-// Catalog exposes the schema catalog (read-mostly introspection).
-func (db *DB) Catalog() *catalog.Catalog { return db.cat }
+// Catalog returns the published catalog (introspection): the frozen
+// schema and grants of the latest snapshot. It never changes; a later
+// DDL statement publishes a new one.
+func (db *DB) Catalog() *catalog.Catalog { return db.store.Snapshot().Catalog() }
 
 // SetOptimizer configures query optimization (benchmarks use this to
-// compare optimized and naive plans). It takes the write lock and the
-// exclusive statement lock so options never change under a running
-// write batch or inside a reader's pin window (readers copy the
-// options into their State while pinned and use the copy thereafter).
-//
-// extra:acquires db.wmu.W
-// extra:acquires db.mu.W
-func (db *DB) SetOptimizer(o OptimizerOptions) {
-	db.wmu.Lock()
-	defer db.wmu.Unlock()
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.exec.SetOptions(o)
-}
+// compare optimized and naive plans). A statement copies the options
+// when it starts and keeps its copy.
+func (db *DB) SetOptimizer(o OptimizerOptions) { db.exec.SetOptions(o) }
 
 // PoolStats returns buffer pool counters: one atomic load per counter,
 // safe to sample while statements run.

@@ -19,8 +19,10 @@ package adt
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/types"
 	"repro/internal/value"
@@ -50,6 +52,8 @@ type Operator struct {
 }
 
 // Class is an ADT descriptor — the analogue of an E dbclass interface.
+// A Class is immutable once registered: registering a member function
+// publishes a copy.
 type Class struct {
 	Name  string
 	Type  *types.ADT
@@ -83,9 +87,17 @@ type SetFunc struct {
 }
 
 // Registry holds the ADTs, free functions, operators and set functions
-// known to a database. It is safe for concurrent use.
+// known to a database. It is safe for concurrent use: the parser, the
+// checker and the executor read it with one atomic load and no lock,
+// and a registration publishes a new copy of the tables (registrations
+// are rare — set-up code — and serialize among themselves).
 type Registry struct {
-	mu       sync.RWMutex
+	mu  sync.Mutex // serializes registrations; readers never take it
+	cur atomic.Pointer[regTables]
+}
+
+// regTables is one immutable version of the registry.
+type regTables struct {
 	classes  map[string]*Class
 	ops      map[string][]*Operator // symbol -> overloads (mixed prefix/infix)
 	setFuncs map[string]*SetFunc
@@ -94,34 +106,55 @@ type Registry struct {
 // NewRegistry returns a registry preloaded with the built-in Date and
 // Complex ADTs used throughout the paper's figures.
 func NewRegistry() *Registry {
-	r := &Registry{
+	r := &Registry{}
+	r.cur.Store(&regTables{
 		classes:  make(map[string]*Class),
 		ops:      make(map[string][]*Operator),
 		setFuncs: make(map[string]*SetFunc),
-	}
+	})
 	registerDate(r)
 	registerComplex(r)
 	return r
 }
 
+// edit applies one registration to a copy of the tables and publishes
+// the copy if fn succeeds.
+func (r *Registry) edit(fn func(t *regTables) error) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	old := r.cur.Load()
+	t := &regTables{
+		classes:  maps.Clone(old.classes),
+		ops:      maps.Clone(old.ops),
+		setFuncs: maps.Clone(old.setFuncs),
+	}
+	if err := fn(t); err != nil {
+		return err
+	}
+	r.cur.Store(t)
+	return nil
+}
+
 // Define registers a new ADT and returns its Class. It fails if the name
 // is taken.
 func (r *Registry) Define(name string) (*Class, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.classes[name]; dup {
-		return nil, fmt.Errorf("adt %s already defined", name)
-	}
 	c := &Class{Name: name, Type: &types.ADT{Name: name}, funcs: map[string][]*Func{}}
-	r.classes[name] = c
+	err := r.edit(func(t *regTables) error {
+		if _, dup := t.classes[name]; dup {
+			return fmt.Errorf("adt %s already defined", name)
+		}
+		t.classes[name] = c
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	return c, nil
 }
 
 // Lookup returns the ADT class registered under name.
 func (r *Registry) Lookup(name string) (*Class, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	c, ok := r.classes[name]
+	c, ok := r.cur.Load().classes[name]
 	return c, ok
 }
 
@@ -136,10 +169,9 @@ func (r *Registry) Type(name string) (*types.ADT, bool) {
 
 // Names returns the sorted names of all registered ADTs.
 func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.classes))
-	for n := range r.classes {
+	classes := r.cur.Load().classes
+	out := make([]string, 0, len(classes))
+	for n := range classes {
 		out = append(out, n)
 	}
 	sort.Strings(out)
@@ -149,19 +181,22 @@ func (r *Registry) Names() []string {
 // RegisterFunc adds a member function to a class. Overloading within a
 // class is permitted on distinct signatures.
 func (r *Registry) RegisterFunc(class string, f *Func) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.classes[class]
-	if !ok {
-		return fmt.Errorf("adt %s not defined", class)
-	}
-	for _, g := range c.funcs[f.Name] {
-		if sameSig(g.Params, f.Params) {
-			return fmt.Errorf("adt %s: function %s with this signature already defined", class, f.Name)
+	return r.edit(func(t *regTables) error {
+		c, ok := t.classes[class]
+		if !ok {
+			return fmt.Errorf("adt %s not defined", class)
 		}
-	}
-	c.funcs[f.Name] = append(c.funcs[f.Name], f)
-	return nil
+		for _, g := range c.funcs[f.Name] {
+			if sameSig(g.Params, f.Params) {
+				return fmt.Errorf("adt %s: function %s with this signature already defined", class, f.Name)
+			}
+		}
+		nc := *c
+		nc.funcs = maps.Clone(c.funcs)
+		nc.funcs[f.Name] = append(c.funcs[f.Name][:len(c.funcs[f.Name]):len(c.funcs[f.Name])], f)
+		t.classes[class] = &nc
+		return nil
+	})
 }
 
 // RegisterOperator registers an operator as an alternative invocation
@@ -170,9 +205,11 @@ func (r *Registry) RegisterFunc(class string, f *Func) error {
 // single dbclass may not be registered as operators, and operator
 // functions must be unary (prefix) or binary (infix).
 func (r *Registry) RegisterOperator(class string, op Operator) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.classes[class]
+	return r.edit(func(t *regTables) error { return t.registerOperator(class, op) })
+}
+
+func (t *regTables) registerOperator(class string, op Operator) error {
+	c, ok := t.classes[class]
 	if !ok {
 		return fmt.Errorf("adt %s not defined", class)
 	}
@@ -195,7 +232,8 @@ func (r *Registry) RegisterOperator(class string, op Operator) error {
 		return fmt.Errorf("operator %s: precedence %d out of range 1..7", op.Symbol, op.Precedence)
 	}
 	o := op
-	r.ops[op.Symbol] = append(r.ops[op.Symbol], &o)
+	ovs := t.ops[op.Symbol]
+	t.ops[op.Symbol] = append(ovs[:len(ovs):len(ovs)], &o)
 	return nil
 }
 
@@ -205,9 +243,7 @@ func (r *Registry) RegisterOperator(class string, op Operator) error {
 // and later disagreeing registrations are rejected by ResolveOperator at
 // semantic-analysis time.
 func (r *Registry) OperatorInfo(symbol string) (prec int, rightAssoc, prefix, ok bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	ovs := r.ops[symbol]
+	ovs := r.cur.Load().ops[symbol]
 	if len(ovs) == 0 {
 		return 0, false, false, false
 	}
@@ -218,9 +254,7 @@ func (r *Registry) OperatorInfo(symbol string) (prec int, rightAssoc, prefix, ok
 // types. Candidates whose declared parameter types the arguments are
 // assignable to are ranked by exactness (exact matches beat widenings).
 func (r *Registry) ResolveOperator(symbol string, args []types.Type) (*Func, error) {
-	r.mu.RLock()
-	ovs := r.ops[symbol]
-	r.mu.RUnlock()
+	ovs := r.cur.Load().ops[symbol]
 	var cands []*Func
 	for _, o := range ovs {
 		if o.Fn.Arity() == len(args) {
@@ -246,19 +280,18 @@ func (r *Registry) ResolveFunc(class, name string, args []types.Type) (*Func, er
 // name and argument types; used for the symmetric call syntax when the
 // receiver type alone does not determine the class.
 func (r *Registry) ResolveAnyFunc(name string, args []types.Type) (*Func, error) {
-	r.mu.RLock()
+	classes := r.cur.Load().classes
 	// Collect candidates in class-name order, so overload resolution
 	// (and any ambiguity it reports) never depends on map iteration.
-	classNames := make([]string, 0, len(r.classes))
-	for n := range r.classes {
+	classNames := make([]string, 0, len(classes))
+	for n := range classes {
 		classNames = append(classNames, n)
 	}
 	sort.Strings(classNames)
 	var cands []*Func
 	for _, n := range classNames {
-		cands = append(cands, r.classes[n].funcs[name]...)
+		cands = append(cands, classes[n].funcs[name]...)
 	}
-	r.mu.RUnlock()
 	return resolve(name, cands, args)
 }
 
@@ -329,29 +362,25 @@ func sameSig(a, b []types.Type) bool {
 
 // RegisterSetFunc adds a generic set function (user-defined aggregate).
 func (r *Registry) RegisterSetFunc(f *SetFunc) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.setFuncs[f.Name]; dup {
-		return fmt.Errorf("set function %s already defined", f.Name)
-	}
-	r.setFuncs[f.Name] = f
-	return nil
+	return r.edit(func(t *regTables) error {
+		if _, dup := t.setFuncs[f.Name]; dup {
+			return fmt.Errorf("set function %s already defined", f.Name)
+		}
+		t.setFuncs[f.Name] = f
+		return nil
+	})
 }
 
 // HasSetFunc reports whether a set function is registered under name.
 func (r *Registry) HasSetFunc(name string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	_, ok := r.setFuncs[name]
+	_, ok := r.cur.Load().setFuncs[name]
 	return ok
 }
 
 // SetFuncFor returns the set function name if it applies to sets with the
 // given element type.
 func (r *Registry) SetFuncFor(name string, elem types.Type) (*SetFunc, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	f, ok := r.setFuncs[name]
+	f, ok := r.cur.Load().setFuncs[name]
 	if !ok || (f.Constraint != nil && !f.Constraint(elem)) {
 		return nil, false
 	}

@@ -1,7 +1,9 @@
 package adt
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -50,6 +52,47 @@ func TestDefineAndOverload(t *testing.T) {
 	}
 	if err := r.RegisterFunc("NoSuch", mk(c.Type)); err == nil {
 		t.Error("function on unknown ADT accepted")
+	}
+}
+
+// TestRegistryReadsDuringRegistration: readers resolve functions and
+// operators with no lock while another goroutine registers; each read
+// sees a whole version of the tables (run with -race).
+func TestRegistryReadsDuringRegistration(t *testing.T) {
+	r := NewRegistry()
+	date, _ := r.Lookup("Date")
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			f := &Func{Name: fmt.Sprintf("f%d", i), Params: []types.Type{date.Type}, Result: types.Int4}
+			if err := r.RegisterFunc("Date", f); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if _, err := r.ResolveFunc("Date", "year", []types.Type{date.Type}); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, _, _, ok := r.OperatorInfo("+"); !ok {
+					t.Error("operator + vanished")
+					return
+				}
+				_, _ = r.ResolveAnyFunc("f0", []types.Type{date.Type})
+			}
+		}()
+	}
+	wg.Wait()
+	if c, _ := r.Lookup("Date"); len(c.FuncNames()) != 206 {
+		t.Errorf("Date has %d functions after 200 registrations, want 206", len(c.FuncNames()))
 	}
 }
 

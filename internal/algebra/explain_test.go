@@ -37,7 +37,7 @@ func TestExplainRendering(t *testing.T) {
 
 func TestExplainUniversalAndResidual(t *testing.T) {
 	f := newFixture(t)
-	f.session.Declare(&ast.RangeDecl{Var: "AE", All: true, Src: &ast.Path{Root: "Employees"}})
+	f.session = f.session.With(&ast.RangeDecl{Var: "AE", All: true, Src: &ast.Path{Root: "Employees"}})
 	cq := f.check(t, `retrieve (D.dname) from D in Departments where AE.salary > 10 and 1 = 1`)
 	p := Build(f.cat, nil, cq.Query, Options{})
 	out := p.Explain()

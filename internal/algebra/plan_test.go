@@ -223,7 +223,7 @@ func TestNestedAfterParent(t *testing.T) {
 
 func TestUniversalSeparation(t *testing.T) {
 	f := newFixture(t)
-	f.session.Declare(&ast.RangeDecl{Var: "AE", All: true, Src: &ast.Path{Root: "Employees"}})
+	f.session = f.session.With(&ast.RangeDecl{Var: "AE", All: true, Src: &ast.Path{Root: "Employees"}})
 	cq := f.check(t, `retrieve (D.dname) from D in Departments where AE.salary > 10 and D.floor = 1`)
 	p := Build(f.cat, nil, cq.Query, Options{})
 	if len(p.Universal) != 1 || p.Universal[0].Name != "AE" {

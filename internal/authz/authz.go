@@ -9,8 +9,8 @@ package authz
 
 import (
 	"fmt"
+	"maps"
 	"sort"
-	"sync"
 )
 
 // Priv is a privilege bit set.
@@ -55,15 +55,17 @@ func (p Priv) String() string {
 // AllUsers is the name of the built-in group containing every user.
 const AllUsers = "all_users"
 
-// Authorizer tracks users, groups and grants. It is safe for concurrent
-// use.
+// Authorizer tracks users, groups and grants. Like the catalog that
+// holds it, it is edited only by serialized writers and read through
+// immutable copies (Freeze), so no method takes a lock.
 type Authorizer struct {
-	mu      sync.RWMutex
 	users   map[string]bool
 	groups  map[string]map[string]bool // group -> members
 	grants  map[string]map[string]Priv // object -> principal -> privs
 	owners  map[string]string          // object -> owning user
 	enabled bool
+
+	edits uint64 // counts changes; see Edits
 }
 
 // New returns an authorizer with the dba user pre-created. Enforcement
@@ -79,27 +81,49 @@ func New() *Authorizer {
 	return a
 }
 
+// bump records an edit.
+func (a *Authorizer) bump() { a.edits++ }
+
+// Edits counts the table's changes: a frozen copy is current for as
+// long as it does not move.
+func (a *Authorizer) Edits() uint64 { return a.edits }
+
+// Freeze returns an immutable copy of the table.
+func (a *Authorizer) Freeze() *Authorizer {
+	f := &Authorizer{
+		users:   maps.Clone(a.users),
+		groups:  make(map[string]map[string]bool, len(a.groups)),
+		grants:  make(map[string]map[string]Priv, len(a.grants)),
+		owners:  maps.Clone(a.owners),
+		enabled: a.enabled,
+		edits:   a.edits,
+	}
+	for g, m := range a.groups {
+		f.groups[g] = maps.Clone(m)
+	}
+	for o, m := range a.grants {
+		f.grants[o] = maps.Clone(m)
+	}
+	return f
+}
+
 // Enable switches enforcement on.
 func (a *Authorizer) Enable() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+	a.bump()
 	a.enabled = true
 }
 
 // Enabled reports whether enforcement is on.
 func (a *Authorizer) Enabled() bool {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
 	return a.enabled
 }
 
 // CreateUser registers a user and adds it to the all-users group.
 func (a *Authorizer) CreateUser(name string) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	if a.users[name] {
 		return fmt.Errorf("user %s already exists", name)
 	}
+	a.bump()
 	a.users[name] = true
 	a.groups[AllUsers][name] = true
 	return nil
@@ -107,19 +131,16 @@ func (a *Authorizer) CreateUser(name string) error {
 
 // CreateGroup registers a group.
 func (a *Authorizer) CreateGroup(name string) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	if _, dup := a.groups[name]; dup {
 		return fmt.Errorf("group %s already exists", name)
 	}
+	a.bump()
 	a.groups[name] = map[string]bool{}
 	return nil
 }
 
 // AddToGroup adds a user to a group.
 func (a *Authorizer) AddToGroup(user, group string) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	if !a.users[user] {
 		return fmt.Errorf("no user %s", user)
 	}
@@ -127,29 +148,25 @@ func (a *Authorizer) AddToGroup(user, group string) error {
 	if !ok {
 		return fmt.Errorf("no group %s", group)
 	}
+	a.bump()
 	g[user] = true
 	return nil
 }
 
 // UserExists reports whether the user is known.
 func (a *Authorizer) UserExists(name string) bool {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
 	return a.users[name]
 }
 
 // SetOwner records the creator of a database object; owners hold all
 // privileges implicitly and may grant them.
 func (a *Authorizer) SetOwner(object, user string) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+	a.bump()
 	a.owners[object] = user
 }
 
 // Owner returns the recorded owner of an object.
 func (a *Authorizer) Owner(object string) string {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
 	return a.owners[object]
 }
 
@@ -160,8 +177,6 @@ func (a *Authorizer) Grant(granter, priv, object string, to []string) error {
 	if err != nil {
 		return err
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	if a.enabled && granter != "dba" && a.owners[object] != granter {
 		return fmt.Errorf("%s does not own %s", granter, object)
 	}
@@ -171,6 +186,9 @@ func (a *Authorizer) Grant(granter, priv, object string, to []string) error {
 				return fmt.Errorf("no user or group %s", who)
 			}
 		}
+	}
+	for _, who := range to {
+		a.bump()
 		m, ok := a.grants[object]
 		if !ok {
 			m = map[string]Priv{}
@@ -187,13 +205,12 @@ func (a *Authorizer) Revoke(revoker, priv, object string, from []string) error {
 	if err != nil {
 		return err
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	if a.enabled && revoker != "dba" && a.owners[object] != revoker {
 		return fmt.Errorf("%s does not own %s", revoker, object)
 	}
 	for _, who := range from {
 		if m, ok := a.grants[object]; ok {
+			a.bump()
 			m[who] &^= p
 		}
 	}
@@ -204,8 +221,6 @@ func (a *Authorizer) Revoke(revoker, priv, object string, from []string) error {
 // When enforcement is disabled everything is allowed; the dba and the
 // object's owner always pass.
 func (a *Authorizer) Check(user, object string, p Priv) error {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
 	if !a.enabled || user == "dba" || a.owners[object] == user {
 		return nil
 	}
@@ -224,8 +239,6 @@ func (a *Authorizer) Check(user, object string, p Priv) error {
 // Grants lists the grants on an object, sorted by principal, for
 // catalog display.
 func (a *Authorizer) Grants(object string) []string {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
 	m := a.grants[object]
 	out := make([]string, 0, len(m))
 	for who, p := range m {

@@ -7,11 +7,12 @@ package catalog
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/adt"
+	"repro/internal/authz"
 	"repro/internal/excess/ast"
 	"repro/internal/storage"
 	"repro/internal/types"
@@ -122,10 +123,16 @@ type Index struct {
 	KeyPaths [][]string
 }
 
-// Catalog is the schema dictionary. It is safe for concurrent use.
+// Catalog is the schema dictionary together with the grant table: the
+// database's contents other than data. It is a value in two states.
+// The working catalog belongs to the object store and is edited only
+// by write statements, which the database serializes; Freeze hands out
+// an immutable copy of it, which the store publishes in every snapshot
+// beside the data it describes. Readers only ever see frozen catalogs,
+// so no method takes a lock. A frozen catalog must not be edited.
 type Catalog struct {
-	mu      sync.RWMutex
 	adts    *adt.Registry
+	auth    *authz.Authorizer
 	tuples  map[string]*types.TupleType
 	enums   map[string]*types.Enum
 	vars    map[string]*Variable
@@ -136,18 +143,27 @@ type Catalog struct {
 
 	// version counts schema mutations. Plans checked against one catalog
 	// version are stale at any other; the plan cache keys on it so DDL
-	// invalidates every cached statement in one atomic bump.
-	version atomic.Uint64
+	// invalidates every cached statement at once. Grants do not move it.
+	version uint64
 }
 
 // Version returns the schema-mutation counter. Any successful define /
 // create / drop / index operation bumps it.
-func (c *Catalog) Version() uint64 { return c.version.Load() }
+func (c *Catalog) Version() uint64 { return c.version }
 
-// New returns a catalog bound to an ADT registry.
+// bump records a schema mutation.
+func (c *Catalog) bump() { c.version++ }
+
+// Edits counts every change to the catalog and its grant table: a
+// frozen copy is current for as long as it does not move.
+func (c *Catalog) Edits() uint64 { return c.version + c.auth.Edits() }
+
+// New returns a catalog bound to an ADT registry, with a fresh grant
+// table.
 func New(reg *adt.Registry) *Catalog {
 	return &Catalog{
 		adts:    reg,
+		auth:    authz.New(),
 		tuples:  make(map[string]*types.TupleType),
 		enums:   make(map[string]*types.Enum),
 		vars:    make(map[string]*Variable),
@@ -158,11 +174,33 @@ func New(reg *adt.Registry) *Catalog {
 	}
 }
 
+// Freeze returns an immutable copy of the catalog and its grant table.
+// Schema objects are shared, never copied: a definition is immutable
+// once registered. A copy costs a few map copies of the schema's size;
+// the store makes one when Edits has moved, so it is paid once per DDL
+// statement or grant change, never by a reader.
+func (c *Catalog) Freeze() *Catalog {
+	return &Catalog{
+		adts:    c.adts,
+		auth:    c.auth.Freeze(),
+		tuples:  maps.Clone(c.tuples),
+		enums:   maps.Clone(c.enums),
+		vars:    maps.Clone(c.vars),
+		funcs:   maps.Clone(c.funcs),
+		procs:   maps.Clone(c.procs),
+		indexes: maps.Clone(c.indexes),
+		byExt:   maps.Clone(c.byExt),
+		version: c.version,
+	}
+}
+
 // ADTs returns the ADT registry.
 func (c *Catalog) ADTs() *adt.Registry { return c.adts }
 
-// nameTaken reports whether any schema object uses the name. Caller
-// holds c.mu.
+// Auth returns the grant table: users, groups, owners and privileges.
+func (c *Catalog) Auth() *authz.Authorizer { return c.auth }
+
+// nameTaken reports whether any schema object uses the name.
 func (c *Catalog) nameTaken(name string) bool {
 	if _, ok := c.tuples[name]; ok {
 		return true
@@ -181,20 +219,16 @@ func (c *Catalog) nameTaken(name string) bool {
 
 // DefineTuple registers a schema type.
 func (c *Catalog) DefineTuple(t *types.TupleType) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.nameTaken(t.Name) {
 		return fmt.Errorf("name %s already in use", t.Name)
 	}
 	c.tuples[t.Name] = t
-	c.version.Add(1)
+	c.bump()
 	return nil
 }
 
 // TupleType implements codec.TypeResolver.
 func (c *Catalog) TupleType(name string) (*types.TupleType, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	t, ok := c.tuples[name]
 	return t, ok
 }
@@ -203,8 +237,6 @@ func (c *Catalog) TupleType(name string) (*types.TupleType, bool) {
 //
 // extra:output
 func (c *Catalog) TupleTypeNames() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	out := make([]string, 0, len(c.tuples))
 	for n := range c.tuples {
 		out = append(out, n)
@@ -215,20 +247,16 @@ func (c *Catalog) TupleTypeNames() []string {
 
 // DefineEnum registers an enumeration type.
 func (c *Catalog) DefineEnum(e *types.Enum) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.nameTaken(e.Name) {
 		return fmt.Errorf("name %s already in use", e.Name)
 	}
 	c.enums[e.Name] = e
-	c.version.Add(1)
+	c.bump()
 	return nil
 }
 
 // EnumType implements codec.TypeResolver.
 func (c *Catalog) EnumType(name string) (*types.Enum, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	e, ok := c.enums[name]
 	return e, ok
 }
@@ -237,8 +265,6 @@ func (c *Catalog) EnumType(name string) (*types.Enum, bool) {
 //
 // extra:output
 func (c *Catalog) EnumNames() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	out := make([]string, 0, len(c.enums))
 	for n := range c.enums {
 		out = append(out, n)
@@ -249,37 +275,31 @@ func (c *Catalog) EnumNames() []string {
 
 // CreateVar registers a database variable.
 func (c *Catalog) CreateVar(name string, comp types.Component) (*Variable, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.nameTaken(name) {
 		return nil, fmt.Errorf("name %s already in use", name)
 	}
 	v := &Variable{Name: name, Comp: comp}
 	c.vars[name] = v
-	c.version.Add(1)
+	c.bump()
 	return v, nil
 }
 
 // DropVar removes a database variable and its indexes.
 func (c *Catalog) DropVar(name string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if _, ok := c.vars[name]; !ok {
 		return fmt.Errorf("no database variable %s", name)
 	}
+	c.bump()
 	delete(c.vars, name)
 	for _, ix := range c.byExt[name] {
 		delete(c.indexes, ix.Name)
 	}
 	delete(c.byExt, name)
-	c.version.Add(1)
 	return nil
 }
 
 // Var looks up a database variable.
 func (c *Catalog) Var(name string) (*Variable, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	v, ok := c.vars[name]
 	return v, ok
 }
@@ -288,8 +308,6 @@ func (c *Catalog) Var(name string) (*Variable, bool) {
 //
 // extra:output
 func (c *Catalog) VarNames() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	out := make([]string, 0, len(c.vars))
 	for n := range c.vars {
 		out = append(out, n)
@@ -302,16 +320,16 @@ func (c *Catalog) VarNames() []string {
 // created by "declare function" have none until filled in).
 func (f *Function) HasBody() bool { return f.Expr != nil || f.Query != nil }
 
-// DefineFunction registers an EXCESS function and returns the canonical
-// object. Functions may be overloaded on their receiver
-// (first-parameter) type, which is how a subtype redefines an inherited
-// function; two definitions with the same receiver are rejected — except
-// that a define fills in a prior bodyless declaration in place (so call
-// sites bound against the declaration see the body).
+// DefineFunction registers an EXCESS function and returns it. Functions
+// may be overloaded on their receiver (first-parameter) type, which is
+// how a subtype redefines an inherited function; two definitions with
+// the same receiver are rejected — except that a define replaces a
+// prior bodyless declaration. Call sites bound against the declaration
+// find the body through FindFunction at call time, so no registered
+// Function is ever edited in place.
 func (c *Catalog) DefineFunction(f *Function) (*Function, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, g := range c.funcs[f.Name] {
+	list := c.funcs[f.Name]
+	for i, g := range list {
 		gr, fr := g.Receiver(), f.Receiver()
 		same := (gr == nil && fr == nil) || (gr != nil && fr != nil && gr.Name == fr.Name)
 		if !same {
@@ -321,39 +339,24 @@ func (c *Catalog) DefineFunction(f *Function) (*Function, error) {
 			if len(g.Params) != len(f.Params) || !g.Returns.Equal(f.Returns) {
 				return nil, fmt.Errorf("definition of %s does not match its declaration", f.Name)
 			}
-			g.Expr, g.Query, g.Late = f.Expr, f.Query, f.Late
-			c.version.Add(1)
-			return g, nil
+			list = slices.Clone(list) // frozen catalogs share the old slice
+			list[i] = f
+			c.funcs[f.Name] = list
+			c.bump()
+			return f, nil
 		}
 		if fr == nil {
 			return nil, fmt.Errorf("function %s already defined", f.Name)
 		}
 		return nil, fmt.Errorf("function %s already defined for type %s", f.Name, fr.Name)
 	}
-	c.funcs[f.Name] = append(c.funcs[f.Name], f)
-	c.version.Add(1)
+	c.funcs[f.Name] = append(list, f)
+	c.bump()
 	return f, nil
-}
-
-// RemoveFunction unregisters a function (rollback of a failed
-// definition).
-func (c *Catalog) RemoveFunction(f *Function) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	list := c.funcs[f.Name]
-	for i, g := range list {
-		if g == f {
-			c.funcs[f.Name] = append(list[:i], list[i+1:]...)
-			c.version.Add(1)
-			return
-		}
-	}
 }
 
 // Functions returns the overloads registered under name.
 func (c *Catalog) Functions(name string) []*Function {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	return c.funcs[name]
 }
 
@@ -362,8 +365,6 @@ func (c *Catalog) Functions(name string) []*Function {
 // supertype of recv wins. With recv nil, only the free-standing overload
 // matches.
 func (c *Catalog) FindFunction(name string, recv *types.TupleType) (*Function, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	var best *Function
 	for _, f := range c.funcs[name] {
 		fr := f.Receiver()
@@ -385,20 +386,16 @@ func (c *Catalog) FindFunction(name string, recv *types.TupleType) (*Function, b
 
 // DefineProcedure registers an EXCESS procedure.
 func (c *Catalog) DefineProcedure(p *Procedure) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if _, dup := c.procs[p.Name]; dup {
 		return fmt.Errorf("procedure %s already defined", p.Name)
 	}
 	c.procs[p.Name] = p
-	c.version.Add(1)
+	c.bump()
 	return nil
 }
 
 // Procedure looks up a procedure by name.
 func (c *Catalog) Procedure(name string) (*Procedure, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	p, ok := c.procs[name]
 	return p, ok
 }
@@ -406,28 +403,22 @@ func (c *Catalog) Procedure(name string) (*Procedure, bool) {
 // AddIndex registers a secondary index (already built by the object
 // store).
 func (c *Catalog) AddIndex(ix *Index) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if _, dup := c.indexes[ix.Name]; dup {
 		return fmt.Errorf("index %s already defined", ix.Name)
 	}
 	c.indexes[ix.Name] = ix
 	c.byExt[ix.Extent] = append(c.byExt[ix.Extent], ix)
-	c.version.Add(1)
+	c.bump()
 	return nil
 }
 
 // IndexesOn returns the indexes over an extent.
 func (c *Catalog) IndexesOn(extent string) []*Index {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	return c.byExt[extent]
 }
 
 // Index looks up an index by name.
 func (c *Catalog) Index(name string) (*Index, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	ix, ok := c.indexes[name]
 	return ix, ok
 }
@@ -436,8 +427,6 @@ func (c *Catalog) Index(name string) (*Index, bool) {
 //
 // extra:output
 func (c *Catalog) FunctionNames() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	out := make([]string, 0, len(c.funcs))
 	for n := range c.funcs {
 		out = append(out, n)
@@ -450,8 +439,6 @@ func (c *Catalog) FunctionNames() []string {
 //
 // extra:output
 func (c *Catalog) ProcedureNames() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	out := make([]string, 0, len(c.procs))
 	for n := range c.procs {
 		out = append(out, n)
@@ -464,8 +451,6 @@ func (c *Catalog) ProcedureNames() []string {
 //
 // extra:output
 func (c *Catalog) IndexNames() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	out := make([]string, 0, len(c.indexes))
 	for n := range c.indexes {
 		out = append(out, n)

@@ -103,19 +103,14 @@ func (c *Catalog) ResolveComponent(e *ast.ComponentExpr) (types.Component, error
 // self-referential types ("kids: { own ref Person }" inside Person) work;
 // mutually recursive pairs require the referenced type to exist first.
 func (c *Catalog) DefineTupleFromAST(d *ast.DefineType) (*types.TupleType, error) {
-	c.mu.Lock()
 	if c.nameTaken(d.Name) {
-		c.mu.Unlock()
 		return nil, ast.Errorf(d, "name %s already in use", d.Name)
 	}
 	fwd := types.NewForward(d.Name)
 	c.tuples[d.Name] = fwd // provisionally visible for self-reference
-	c.mu.Unlock()
 
 	fail := func(err error) (*types.TupleType, error) {
-		c.mu.Lock()
 		delete(c.tuples, d.Name)
-		c.mu.Unlock()
 		return nil, err
 	}
 	var supers []types.Super
@@ -144,6 +139,6 @@ func (c *Catalog) DefineTupleFromAST(d *ast.DefineType) (*types.TupleType, error
 	if err := fwd.Complete(supers, attrs); err != nil {
 		return fail(ast.Errorf(d, "%s", err))
 	}
-	c.version.Add(1)
+	c.bump()
 	return fwd, nil
 }

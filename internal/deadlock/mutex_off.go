@@ -15,13 +15,5 @@ type Mutex struct {
 // SetName is a no-op without the deadlockcheck tag.
 func (m *Mutex) SetName(string) {}
 
-// RWMutex is a plain sync.RWMutex in the untagged build.
-type RWMutex struct {
-	sync.RWMutex
-}
-
-// SetName is a no-op without the deadlockcheck tag.
-func (m *RWMutex) SetName(string) {}
-
 // Register installs a rank for a lock name; a no-op without the tag.
 func Register(string, int) {}

@@ -166,54 +166,3 @@ func (m *Mutex) Unlock() {
 	release(m.name)
 	m.mu.Unlock()
 }
-
-// RWMutex wraps sync.RWMutex with rank-order checking. Shared
-// acquisitions participate in the order exactly like exclusive ones —
-// an RLock taken out of rank still inverts against a writer.
-type RWMutex struct {
-	mu   sync.RWMutex
-	name string
-}
-
-// SetName names the lock and activates tracking for it.
-func (m *RWMutex) SetName(name string) { m.name = name }
-
-func (m *RWMutex) Lock() {
-	beforeAcquire(m.name)
-	m.mu.Lock()
-	afterAcquire(m.name)
-}
-
-func (m *RWMutex) Unlock() {
-	release(m.name)
-	m.mu.Unlock()
-}
-
-func (m *RWMutex) RLock() {
-	beforeAcquire(m.name)
-	m.mu.RLock()
-	afterAcquire(m.name)
-}
-
-func (m *RWMutex) RUnlock() {
-	release(m.name)
-	m.mu.RUnlock()
-}
-
-func (m *RWMutex) TryLock() bool {
-	if !m.mu.TryLock() {
-		return false
-	}
-	beforeAcquire(m.name)
-	afterAcquire(m.name)
-	return true
-}
-
-func (m *RWMutex) TryRLock() bool {
-	if !m.mu.TryRLock() {
-		return false
-	}
-	beforeAcquire(m.name)
-	afterAcquire(m.name)
-	return true
-}

@@ -2,6 +2,7 @@ package sema
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"repro/internal/catalog"
@@ -21,9 +22,15 @@ func NewSession() *Session {
 	return &Session{Ranges: make(map[string]*ast.RangeDecl)}
 }
 
-// Declare records a range declaration, replacing any previous one for
-// the same variable.
-func (s *Session) Declare(d *ast.RangeDecl) { s.Ranges[d.Var] = d }
+// With returns a copy of the session with the range declaration added,
+// replacing any previous one for the same variable. The receiver is not
+// changed: a statement checking against it keeps the declarations it
+// started with while another declares.
+func (s *Session) With(d *ast.RangeDecl) *Session {
+	r := maps.Clone(s.Ranges)
+	r[d.Var] = d
+	return &Session{Ranges: r}
+}
 
 // Checker binds and type-checks one statement. A fresh Checker is used
 // per statement; Session and Catalog persist across statements.

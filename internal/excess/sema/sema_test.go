@@ -189,7 +189,7 @@ func TestAggregateRules(t *testing.T) {
 
 func TestUniversalRules(t *testing.T) {
 	cat, s := env(t)
-	s.Declare(&ast.RangeDecl{Var: "AE", All: true, Src: &ast.Path{Root: "Employees"}})
+	s = s.With(&ast.RangeDecl{Var: "AE", All: true, Src: &ast.Path{Root: "Employees"}})
 	if _, err := checkRetrieve(t, cat, s, `retrieve (D.dname) from D in Departments where AE.salary > 10`); err != nil {
 		t.Fatalf("universal use: %v", err)
 	}

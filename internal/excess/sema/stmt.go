@@ -346,44 +346,37 @@ func BuildFunction(cat *catalog.Catalog, session *Session, d *ast.DefineFunction
 	if f.Expr == nil && f.Query == nil && !d.DeclOnly {
 		return nil, fmt.Errorf("function %s has no body", d.Name)
 	}
-	// Register the signature before checking the body so that recursive
-	// derived data can name itself (and "declare function" forward
-	// declarations enable mutual recursion); roll back if the body fails
-	// to check. Definition-time body checking is what the paper's
-	// data-abstraction story requires.
-	canon, err := cat.DefineFunction(f)
-	if err != nil {
+	if d.DeclOnly {
+		return cat.DefineFunction(f)
+	}
+	// Check the body against a private copy of the catalog that already
+	// holds the signature, so that recursive derived data can name itself
+	// (and "declare function" forward declarations enable mutual
+	// recursion); only a body that checks is registered, so a failed
+	// definition leaves the catalog untouched. Definition-time body
+	// checking is what the paper's data-abstraction story requires.
+	probe := cat.Freeze()
+	if _, err := probe.DefineFunction(f); err != nil {
 		return nil, err
 	}
-	if d.DeclOnly {
-		return canon, nil
-	}
-	fail := func(e error) (*catalog.Function, error) {
-		if canon == f {
-			cat.RemoveFunction(f)
-		} else {
-			canon.Expr, canon.Query = nil, nil // back to a declaration
-		}
-		return nil, e
-	}
-	ck := NewChecker(cat, session, params)
+	ck := NewChecker(probe, session, params)
 	switch {
 	case d.Expr != nil:
 		b, err := ck.bindExpr(d.Expr)
 		if err != nil {
-			return fail(fmt.Errorf("function %s: %w", d.Name, err))
+			return nil, fmt.Errorf("function %s: %w", d.Name, err)
 		}
 		if bt := b.Type(); bt != nil && !types.AssignableTo(bt, ret.Type) {
 			if tt, okT := effectiveTuple(bt); !okT || !assignableTuple(tt, ret.Type) {
-				return fail(fmt.Errorf("function %s returns %s, body has type %s", d.Name, ret.Type, bt))
+				return nil, fmt.Errorf("function %s returns %s, body has type %s", d.Name, ret.Type, bt)
 			}
 		}
 	case d.Query != nil:
 		if _, err := ck.CheckRetrieve(d.Query); err != nil {
-			return fail(fmt.Errorf("function %s: %w", d.Name, err))
+			return nil, fmt.Errorf("function %s: %w", d.Name, err)
 		}
 	}
-	return canon, nil
+	return cat.DefineFunction(f)
 }
 
 // BuildProcedure resolves a define-procedure statement. Body statements

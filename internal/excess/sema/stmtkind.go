@@ -41,8 +41,8 @@ func KindOf(st ast.Statement) string {
 }
 
 // ReadOnly reports whether a statement only reads engine state, which
-// is what lets the database layer run it under the shared side of its
-// readers-writer statement lock. Only a retrieve without an into clause
+// is what lets the database layer run it on a pinned snapshot without
+// its commit lock. Only a retrieve without an into clause
 // qualifies: retrieve into materializes a new database variable, the
 // QUEL update statements and DDL mutate the store or catalog, a range
 // declaration writes the session's range table, grant/revoke write the

@@ -68,7 +68,13 @@ func (ex *State) callFunction(fn *catalog.Function, args []value.Value) (value.V
 		return nil, fmt.Errorf("function %s: %d arguments, want %d", fn.Name, len(args), len(fn.Params))
 	}
 	if !fn.HasBody() {
-		return nil, fmt.Errorf("function %s is declared but not defined", fn.Name)
+		// A call site checked against a declaration runs the definition
+		// the statement's catalog has for it, if any.
+		def, ok := ex.cat.FindFunction(fn.Name, fn.Receiver())
+		if !ok || !def.HasBody() {
+			return nil, fmt.Errorf("function %s is declared but not defined", fn.Name)
+		}
+		fn = def
 	}
 	frame := make(map[string]value.Value, len(fn.Params))
 	for i, p := range fn.Params {

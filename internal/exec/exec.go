@@ -10,6 +10,7 @@ package exec
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/algebra"
@@ -24,21 +25,21 @@ import (
 )
 
 // Executor is the immutable engine core shared by every session: the
-// object store, the catalog, the optimizer options and the memoized
-// bound-function cache (under its own lock). One Executor serves a
-// database and is safe for concurrent statements — all per-statement
-// mutable state (parameter frames, call depth, the pinned snapshot,
-// runtime counts) lives in a State, one per executing statement
-// (NewState). Any number of read statements may run simultaneously,
-// each through its own State; the database layer excludes writers from
-// readers with its readers-writer statement lock.
+// object store, the working catalog, the optimizer options and the
+// memoized bound-function cache (under its own lock). One Executor
+// serves a database and is safe for concurrent statements — all
+// per-statement mutable state (parameter frames, call depth, the pinned
+// snapshot and its catalog, runtime counts) lives in a State, one per
+// executing statement (NewState). Any number of read statements may run
+// simultaneously, each through its own State, against snapshots writers
+// never touch.
 type Executor struct {
 	store *object.Store
-	cat   *catalog.Catalog
+	cat   *catalog.Catalog // the working catalog: write statements only
 
-	// opts is written only through SetOptions, which the database layer
-	// calls under its exclusive statement lock; statements read it.
-	opts algebra.Options
+	// opts is replaced whole by SetOptions; a State copies it when it is
+	// made and when it is bound.
+	opts atomic.Pointer[algebra.Options]
 
 	// fnCache memoizes bound function bodies: bodies are stored as AST
 	// (stored-command style) and bind, plan and compile on first call
@@ -71,11 +72,15 @@ type State struct {
 	// is pinned to (BindSnapshot); all reads route through reader(). Nil
 	// means the statement reads the live store (write path).
 	snap *object.Snapshot
+	// cat is the catalog the statement checks, plans and calls functions
+	// against: the snapshot's frozen one, or the working one on the
+	// write path. It shadows Executor.cat in State methods.
+	cat *catalog.Catalog
 
 	// opts is the statement's private copy of the optimizer options,
-	// taken under the database lock by NewState/BindSnapshot/BindLive so
-	// execution after the lock is released never races SetOptions. It
-	// shadows Executor.opts in State methods.
+	// taken by NewState/BindSnapshot/BindLive, so a SetOptions while the
+	// statement runs does not reach it. It shadows Executor.opts in
+	// State methods.
 	opts algebra.Options
 
 	params []map[string]value.Value // function/procedure parameter frames
@@ -93,22 +98,25 @@ type State struct {
 
 // New returns an executor over the store and catalog.
 func New(store *object.Store, cat *catalog.Catalog) *Executor {
-	return &Executor{
+	ex := &Executor{
 		store:   store,
 		cat:     cat,
 		fnCache: make(map[*catalog.Function]*boundBody),
 	}
+	ex.opts.Store(&algebra.Options{})
+	return ex
 }
 
 // NewState returns a per-statement execution state over the engine
-// core, reusing a pooled one when available.
+// core, reusing a pooled one when available. It reads the working
+// catalog until BindSnapshot pins it to a snapshot.
 func (ex *Executor) NewState() *State {
 	if v := ex.statePool.Get(); v != nil {
 		s := v.(*State)
-		s.opts = ex.opts
+		s.cat, s.opts = ex.cat, ex.Options()
 		return s
 	}
-	return &State{Executor: ex, opts: ex.opts}
+	return &State{Executor: ex, cat: ex.cat, opts: ex.Options()}
 }
 
 // Release resets the statement-scoped fields and returns the state to
@@ -118,20 +126,18 @@ func (ex *State) Release() {
 	ex.depth = 0
 	ex.tr = nil
 	ex.snap = nil
+	ex.cat = nil
 	ex.derefs = 0
 	ex.Executor.statePool.Put(ex)
 }
 
 // SetOptions configures the optimizer (used by the benchmarks to compare
-// optimized and naive plans). It must not race with running statements;
-// the database layer calls it with both statement locks held (writers
-// excluded by wmu, readers copy opts under db.mu).
-//
-// extra:requires db.wmu.W
-func (ex *Executor) SetOptions(o algebra.Options) { ex.opts = o }
+// optimized and naive plans). Statements already running keep the
+// options they copied.
+func (ex *Executor) SetOptions(o algebra.Options) { ex.opts.Store(&o) }
 
 // Options returns the current optimizer options.
-func (ex *Executor) Options() algebra.Options { return ex.opts }
+func (ex *Executor) Options() algebra.Options { return *ex.opts.Load() }
 
 // SetMetrics attaches the engine metrics registry; the executor then
 // counts hash-join traffic (join.hash.*) and cardinality-estimate misses

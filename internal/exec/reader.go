@@ -51,26 +51,32 @@ func (ex *State) derefGet(id oid.OID) (*value.Tuple, bool, error) {
 
 // BindSnapshot pins the state to an immutable store snapshot: every read
 // the statement performs (scans, derefs, variable reads, index probes,
-// cardinality estimates) resolves against it, so the statement observes
-// one version no matter what writers commit meanwhile. Also re-copies
-// the optimizer options; the caller must hold at least the shared
-// database lock so the copy cannot race SetOptions.
-//
-// extra:requires db.mu.R
+// cardinality estimates) and every catalog lookup (checking, planning,
+// function calls) resolves against it, so the statement observes one
+// version of data and schema no matter what writers commit meanwhile.
+// Also re-copies the optimizer options.
 func (ex *State) BindSnapshot(sn *object.Snapshot) {
 	ex.snap = sn
-	ex.opts = ex.Executor.opts
+	ex.cat = sn.Catalog()
+	ex.opts = ex.Executor.Options()
 }
 
-// BindLive points the state at the live store (write statements: a
-// writer must see its own uncommitted mutations). The caller must hold
-// the exclusive write lock.
+// BindLive points the state at the live store and the working catalog
+// (write statements: a writer must see its own uncommitted mutations).
+// The caller must hold the exclusive write lock.
 //
 // extra:requires db.wmu.W
 func (ex *State) BindLive() {
 	ex.snap = nil
-	ex.opts = ex.Executor.opts
+	ex.cat = ex.Executor.cat
+	ex.opts = ex.Executor.Options()
 }
+
+// Catalog returns the catalog the statement is bound to.
+func (ex *State) Catalog() *catalog.Catalog { return ex.cat }
+
+// Options returns the statement's copy of the optimizer options.
+func (ex *State) Options() algebra.Options { return ex.opts }
 
 // SnapshotVersion returns the version of the pinned snapshot, or 0 when
 // the state reads the live store (write path).

@@ -112,9 +112,9 @@ func (ex *State) RetrieveProgram(cq *sema.CheckedRetrieve, plan *algebra.Plan, p
 	}
 	if cq.Into != "" {
 		// A retrieve with an into clause is write-classified by
-		// sema.ReadOnly, so the dispatcher took the exclusive lock; the
+		// sema.ReadOnly, so the dispatcher took the commit lock; the
 		// checker cannot see through the Into guard.
-		//extravet:ignore lockcheck snapcheck (into-retrieves run under the exclusive statement lock)
+		//extravet:ignore lockcheck snapcheck (into-retrieves run under the commit lock)
 		if err := ex.materializeInto(cq, res); err != nil {
 			return nil, err
 		}

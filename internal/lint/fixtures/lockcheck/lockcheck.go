@@ -10,22 +10,22 @@ import "sync"
 
 type DB struct {
 	wmu sync.Mutex   // extra:lock db.wmu
-	mu  sync.RWMutex // extra:lock db.mu
+	mu  sync.RWMutex // extra:lock db.rw
 }
 
 // mutate writes DB state.
 //
-// extra:requires db.mu.W
+// extra:requires db.rw.W
 func (d *DB) mutate() {}
 
 // read observes DB state.
 //
-// extra:requires db.mu.R
+// extra:requires db.rw.R
 func (d *DB) read() {}
 
 // withLock takes and releases the lock itself.
 //
-// extra:acquires db.mu.W
+// extra:acquires db.rw.W
 func (d *DB) withLock() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -35,7 +35,7 @@ func (d *DB) withLock() {
 // lockShared returns with the shared lock still held, handing the
 // unlock back to the caller (the lockStatements shape).
 //
-// extra:holds db.mu.R
+// extra:holds db.rw.R
 func (d *DB) lockShared() func() {
 	d.mu.RLock()
 	return d.mu.RUnlock
@@ -76,17 +76,17 @@ func badAfterTryUnlock(d *DB) {
 	if d.mu.TryLock() {
 		d.mu.Unlock()
 	}
-	d.mutate() // want `requires db.mu.W, but badAfterTryUnlock holds no lock`
+	d.mutate() // want `requires db.rw.W, but badAfterTryUnlock holds no lock`
 }
 
 func badNoLock(d *DB) {
-	d.mutate() // want `requires db.mu.W, but badNoLock holds no lock`
+	d.mutate() // want `requires db.rw.W, but badNoLock holds no lock`
 }
 
 func badSharedForWrite(d *DB) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	d.mutate() // want `requires db.mu.W, but badSharedForWrite holds db.mu.R`
+	d.mutate() // want `requires db.rw.W, but badSharedForWrite holds db.rw.R`
 }
 
 func badReentrant(d *DB) {
@@ -99,13 +99,13 @@ func badAfterUnlock(d *DB) {
 	d.mu.Lock()
 	d.mutate()
 	d.mu.Unlock()
-	d.mutate() // want `requires db.mu.W, but badAfterUnlock holds no lock`
+	d.mutate() // want `requires db.rw.W, but badAfterUnlock holds no lock`
 }
 
 func badHoldsThenWrite(d *DB) {
 	unlock := d.lockShared()
 	defer unlock()
-	d.mutate() // want `requires db.mu.W, but badHoldsThenWrite holds db.mu.R`
+	d.mutate() // want `requires db.rw.W, but badHoldsThenWrite holds db.rw.R`
 }
 
 // planCache mirrors the engine's second annotated lock (the plan
@@ -206,13 +206,13 @@ type (
 // there are fine; the read-classified retrieve arm only has the shared
 // lock.
 //
-// extra:requires db.mu.R
-// extra:dispatch db.mu ReadOnly
+// extra:requires db.rw.R
+// extra:dispatch db.rw ReadOnly
 func run(d *DB, st any) {
 	switch st.(type) {
 	case *Retrieve:
 		d.read()
-		d.mutate() // want `requires db.mu.W, but run holds db.mu.R`
+		d.mutate() // want `requires db.rw.W, but run holds db.rw.R`
 	case *Append, *Delete, *Replace, *SetStmt, *Execute,
 		*DefineType, *DefineEnum, *DefineFunction, *DefineProcedure,
 		*DefineIndex, *Create, *Drop, *RangeDecl, *Grant, *Revoke:
@@ -222,11 +222,8 @@ func run(d *DB, st any) {
 	}
 }
 
-// Two-lock MVCC shape: wmu is the commit lock serializing write
-// batches; mu shrinks to pin windows (shared) and DDL windows
-// (exclusive). The fixtures below pin down the split — commits need
-// only wmu, the commit lock says nothing about mu, and the read path
-// holds mu only while pinning, never during execution.
+// MVCC shape: wmu is the commit lock serializing write batches, and
+// the read path takes no lock at all. Commits need only wmu.
 
 // commit publishes a write batch's snapshot. Only the commit lock is
 // needed; readers never block on it.
@@ -235,78 +232,23 @@ func run(d *DB, st any) {
 func (d *DB) commit() {}
 
 // runWrite is the write-batch shape: the commit lock for the whole
-// batch, the statement lock only around the DDL arm.
+// batch.
 //
 // extra:acquires db.wmu.W
-// extra:acquires db.mu.W
-func (d *DB) runWrite(ddl bool) {
+func (d *DB) runWrite() {
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
-	if ddl {
-		d.mu.Lock()
-		d.mutate()
-		d.commit()
-		d.mu.Unlock()
-		return
-	}
 	d.commit()
-}
-
-// beginPin opens a read statement's pin window: shared statement lock
-// held on return, released by the caller when planning is done.
-//
-// extra:holds db.mu.R
-func (d *DB) beginPin() { d.mu.RLock() }
-
-// execPinned executes a compiled plan against a pinned snapshot. No
-// lock annotation at all: execution requires neither the statement
-// lock nor the commit lock.
-func (d *DB) execPinned() {}
-
-// goodSnapshotRead is the MVCC read-statement shape: pin, plan inside
-// the shared window, release, then execute lock-free. The executor
-// call after RUnlock is clean — proof the old statement-scoped db.mu
-// hold is gone from the read path.
-func goodSnapshotRead(d *DB) {
-	d.beginPin()
-	d.read() // planning happens inside the pin window
-	d.mu.RUnlock()
-	d.execPinned() // execution happens outside it, no diagnostic
-}
-
-func goodWriteBatch(d *DB) {
-	d.runWrite(true)
-	d.runWrite(false)
-}
-
-func badCatalogAfterPin(d *DB) {
-	d.beginPin()
-	d.mu.RUnlock()
-	d.read() // want `requires db.mu.R, but badCatalogAfterPin holds no lock`
 }
 
 func badCommitNoLock(d *DB) {
 	d.commit() // want `requires db.wmu.W, but badCommitNoLock holds no lock`
 }
 
-// The commit lock is not the statement lock: holding wmu does not
-// authorize catalog mutation, and vice versa.
-func badCommitLockForCatalog(d *DB) {
-	d.wmu.Lock()
-	defer d.wmu.Unlock()
-	d.mutate() // want `requires db.mu.W, but badCommitLockForCatalog holds no lock`
-}
-
-func badStatementLockForCommit(d *DB) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.commit() // want `requires db.wmu.W, but badStatementLockForCommit holds no lock`
-}
-
 func badReentrantBatch(d *DB) {
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
-	d.runWrite(false) // want `self-deadlock`
+	d.runWrite() // want `self-deadlock`
 }
 
 // keep the otherwise-unused fixture entry points alive for the compiler
@@ -314,7 +256,6 @@ var _ = []func(*DB){
 	goodExclusive, goodShared, goodAcquirer, goodHolds,
 	goodTryLock, badAfterTryUnlock,
 	badNoLock, badSharedForWrite, badReentrant, badAfterUnlock, badHoldsThenWrite,
-	goodSnapshotRead, goodWriteBatch, badCatalogAfterPin, badCommitNoLock,
-	badCommitLockForCatalog, badStatementLockForCommit, badReentrantBatch,
+	(*DB).runWrite, badCommitNoLock, badReentrantBatch,
 }
 var _ = run

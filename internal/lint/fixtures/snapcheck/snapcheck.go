@@ -1,8 +1,8 @@
 // Package snapcheck is an extravet fixture reproducing the engine's
-// pinned-read shape: a DB with the commit/statement lock split, a
-// snapshottable version-bearing store, and a BindSnapshot pin point.
-// extra:snapshot roots must stay read-only, lock-free (beyond the
-// shared pin) and snapshot-bound; the bad fixtures each break one of
+// pinned-read shape: a DB with one commit lock, a snapshottable
+// version-bearing store whose snapshots carry the catalog, and a
+// BindSnapshot pin point. extra:snapshot roots must stay read-only,
+// lock-free and snapshot-bound; the bad fixtures each break one of
 // those in a different way.
 package snapcheck
 
@@ -12,15 +12,28 @@ import (
 )
 
 // Snap is an immutable snapshot; reads through it are always legal.
-type Snap struct{ vars map[string]int }
+type Snap struct {
+	vars map[string]int
+	cat  *Cat
+}
 
 func (sn *Snap) Get(name string) int { return sn.vars[name] }
+
+// Catalog returns the snapshot's frozen catalog.
+func (sn *Snap) Catalog() *Cat { return sn.cat }
+
+// Cat is a catalog: the working one belongs to the store, frozen ones
+// to snapshots.
+type Cat struct{ types map[string]int }
+
+func (c *Cat) Type(name string) int { return c.types[name] }
 
 // Store is version-bearing and snapshottable, so live reads outside
 // Snapshot/Version/Pool are flagged in snapshot context.
 type Store struct {
 	version atomic.Uint64
 	vars    map[string]int
+	cat     *Cat
 }
 
 func (s *Store) bump() { s.version.Add(1) }
@@ -34,6 +47,9 @@ func (s *Store) Version() uint64 { return s.version.Load() }
 // Get reads live state; illegal from snapshot context.
 func (s *Store) Get(name string) int { return s.vars[name] }
 
+// Catalog returns the working catalog; illegal from snapshot context.
+func (s *Store) Catalog() *Cat { return s.cat }
+
 // Set mutates live state.
 func (s *Store) Set(name string, v int) {
 	s.bump()
@@ -41,25 +57,21 @@ func (s *Store) Set(name string, v int) {
 }
 
 type DB struct {
-	wmu   sync.Mutex   // extra:lock db.wmu
-	mu    sync.RWMutex // extra:lock db.mu
+	wmu   sync.Mutex // extra:lock db.wmu
 	store *Store
 }
 
-// BindSnapshot opens the pin window; its callers are the roots the
-// analyzer floods from.
+// BindSnapshot pins a snapshot; its callers are the roots the analyzer
+// floods from.
 func (d *DB) BindSnapshot() *Snap { return d.store.Snapshot() }
 
-// goodRead is the runReadStmt shape: shared pin, bind, read the bound
-// snapshot. Clean.
+// goodRead is the runReadStmt shape: bind, then read the bound
+// snapshot and its catalog. Clean.
 //
-// extra:acquires db.mu.R
 // extra:snapshot
 func (d *DB) goodRead() int {
-	d.mu.RLock()
 	sn := d.BindSnapshot()
-	d.mu.RUnlock()
-	return sn.Get("k")
+	return sn.Get("k") + sn.Catalog().Type("T")
 }
 
 // goodDump pins via Store.Snapshot directly (the Dump shape). Clean.
@@ -91,14 +103,14 @@ func (d *DB) badLocksCommit() {
 	d.wmu.Unlock()
 }
 
-// badExclusive upgrades to the exclusive statement lock mid-read.
+// badWorkingCatalog plans against the catalog a writer is editing
+// instead of the snapshot's own.
 //
 // extra:snapshot
-func (d *DB) badExclusive() {
+func (d *DB) badWorkingCatalog() int {
 	sn := d.BindSnapshot()
 	_ = sn
-	d.mu.Lock() // want `acquires db.mu.W in snapshot context`
-	d.mu.Unlock()
+	return d.store.Catalog().Type("T") // want `on the live store from snapshot context`
 }
 
 // badCallsWriter reaches write context through an annotated callee.
@@ -120,12 +132,12 @@ func (d *DB) badCallsMutator() {
 }
 
 // scribble writes store state directly; reached only from a snapshot
-// root, so the write is reported here, inside the pin window.
+// root, so the write is reported here, in snapshot context.
 func scribble(s *Store) {
 	s.vars["k"] = 3 // want `mutates store state in snapshot context`
 }
 
-// badMutates writes the store inside the pin window via a helper.
+// badMutates writes the store from a pinned read via a helper.
 //
 // extra:snapshot
 func (d *DB) badMutates() {

@@ -5,8 +5,8 @@
 // analyzers that encode the engine's concurrency and determinism
 // invariants:
 //
-//   - lockcheck: annotation-driven lock discipline for the DB's
-//     readers-writer statement lock and the engine's side locks;
+//   - lockcheck: annotation-driven lock discipline for the DB's commit
+//     lock and the engine's side locks;
 //   - atomiccheck: fields touched through sync/atomic must never be
 //     accessed with plain loads or stores, and 64-bit function-style
 //     atomics must be alignment-safe;
@@ -21,10 +21,10 @@
 //     reach a WAL append (an extra:logs function), and must size its
 //     record against wal.MaxRecord before the first mutation — the
 //     no-rollback contract of DESIGN.md §13;
-//   - snapcheck: functions annotated extra:snapshot open a pinned-read
-//     window; nothing reachable from them may mutate the store, acquire
-//     the commit lock (or the statement lock exclusively), or read the
-//     live store instead of the bound snapshot;
+//   - snapcheck: functions annotated extra:snapshot pin a snapshot;
+//     nothing reachable from them may mutate the store or the catalog,
+//     acquire the commit lock, or read the live store (or its working
+//     catalog) instead of the bound snapshot;
 //   - spanleak: trace span Start and sync.Pool Get must be paired with
 //     EndSpan/EndPhase/Put on every return path, protecting the
 //     zero-alloc tracing substrate and the executor pools.
@@ -100,8 +100,8 @@ type FuncInfo struct {
 }
 
 // Annotations are the extra: markers parsed from a doc comment. Each is
-// a whitespace-split argument list; e.g. "// extra:requires db.mu.W"
-// yields Requires == []string{"db.mu.W"}.
+// a whitespace-split argument list; e.g. "// extra:requires db.wmu.W"
+// yields Requires == []string{"db.wmu.W"}.
 type Annotations struct {
 	Requires []string // extra:requires <lock>.<R|W> — caller must hold
 	Acquires []string // extra:acquires <lock>.<R|W> — taken AND released inside

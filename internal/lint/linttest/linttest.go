@@ -2,7 +2,7 @@
 // checks their diagnostics against expectations written in the fixture
 // source, in the style of golang.org/x/tools' analysistest:
 //
-//	func bad(d *DB) { d.mutate() } // want `requires db.mu.W`
+//	func bad(d *DB) { d.mutate() } // want `requires db.rw.W`
 //
 // A `// want` comment expects at least one diagnostic on its line whose
 // message matches the quoted regular expression. Diagnostics on lines

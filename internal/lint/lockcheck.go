@@ -40,9 +40,9 @@ var LockCheck = &Analyzer{
 }
 
 // StmtClass classifies every EXCESS statement kind the way
-// sema.ReadOnly does at run time: "read" statements run under the
-// shared side of the DB statement lock, "write" statements under the
-// exclusive side, and "mixed" statements (retrieve, which is read-only
+// sema.ReadOnly does at run time: "read" statements run on a pinned
+// snapshot with no lock, "write" statements under the commit lock, and
+// "mixed" statements (retrieve, which is read-only
 // unless it has an into clause) are classified dynamically. The sema
 // package's exhaustiveness test asserts this table matches
 // sema.ReadOnly and covers every ast.Statement implementation, so the
@@ -72,7 +72,7 @@ const (
 	modeW    = 2
 )
 
-// parseLockRef splits "db.mu.W" into ("db.mu", modeW).
+// parseLockRef splits "db.wmu.W" into ("db.wmu", modeW).
 func parseLockRef(s string) (string, int, bool) {
 	i := strings.LastIndex(s, ".")
 	if i < 0 {
@@ -135,7 +135,7 @@ func lockAnnotation(cg *ast.CommentGroup) string {
 }
 
 // resolveLockExpr maps the receiver of a Lock/Unlock call (e.g. the
-// `db.mu` of `db.mu.RLock()`) to its declared lock name.
+// `db.wmu` of `db.wmu.Lock()`) to its declared lock name.
 func resolveLockExpr(lt lockTable, info *types.Info, e ast.Expr) (string, bool) {
 	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
 	if !ok {
@@ -309,8 +309,8 @@ func heldName(m int, lock string) string {
 
 // dispatchEvents implements the extra:dispatch annotation: inside
 // type-switch arms over statement kinds that StmtClass marks "write",
-// the statement lock is held exclusively (the database layer classified
-// the statement and took the exclusive side before dispatching). It
+// the named lock is held exclusively (the database layer classified the
+// statement and took the lock before dispatching). It
 // also cross-checks arm coverage against the classification table, so a
 // new statement type cannot be dispatched without being classified.
 func dispatchEvents(pass *Pass, fi *FuncInfo, lock string, baseMode int) []lockEvent {

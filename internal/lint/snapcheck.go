@@ -7,31 +7,31 @@ import (
 )
 
 // SnapCheck mechanizes the MVCC pinned-read contract (DESIGN.md §12):
-// a read statement binds an immutable snapshot inside a short pin
-// window and then executes lock-free against it. Nothing reachable
-// from that execution may mutate the store, serialize on the commit
-// lock, or read the live store (whose extents a concurrent writer is
-// growing) instead of the bound snapshot.
+// a read statement binds an immutable snapshot — data, catalog and
+// grants — and executes lock-free against it. Nothing reachable from
+// that execution may mutate the store or the catalog, serialize on the
+// commit lock, or read the live store (whose extents and working
+// catalog a concurrent writer is editing) instead of the bound
+// snapshot.
 //
-// "// extra:snapshot" marks the roots: the functions that open a
-// pinned-read window (the State.BindSnapshot consumers plus Dump,
-// which pins via Store.Snapshot directly). The analyzer floods the
-// static call graph from those roots and reports, at the offending
-// call or acquisition:
+// "// extra:snapshot" marks the roots: the functions that pin a
+// snapshot (the State.BindSnapshot consumers plus Dump, which pins via
+// Store.Snapshot directly). The analyzer floods the static call graph
+// from those roots and reports, at the offending call or acquisition:
 //
-//   - any acquisition of the commit lock db.wmu, or an exclusive
-//     acquisition of the statement lock db.mu (shared pins are the
-//     mechanism, so R-mode stays legal);
+//   - any acquisition of the commit lock db.wmu;
 //   - any call into write context: a callee annotated
-//     extra:requires/acquires/holds on one of those locks at a
-//     forbidden mode, or annotated extra:mutates (a publication
-//     point) — such callees are boundaries, reported at the edge and
-//     not descended into;
-//   - any direct store mutation (the verbump write scan);
+//     extra:requires/acquires/holds on that lock, or annotated
+//     extra:mutates (a publication point) — such callees are
+//     boundaries, reported at the edge and not descended into;
+//   - any direct mutation of a version-bearing store, the catalog and
+//     the grant table included (the verbump write scan);
 //   - any call to a live-store method other than the versioned
 //     allowlist (Snapshot, Version, Pool): an un-versioned read of
 //     live state from snapshot context is exactly the stale-read bug
-//     MVCC exists to prevent.
+//     MVCC exists to prevent. The working catalog is reached only
+//     through such a method (Store.Catalog), so a read of it is caught
+//     here too; the frozen catalog comes from Snapshot.Catalog.
 //
 // Two hygiene rules keep the annotation honest: every function that
 // calls BindSnapshot must carry extra:snapshot (so new read paths
@@ -45,12 +45,10 @@ var SnapCheck = &Analyzer{
 
 // snapForbidden maps lock names to the weakest acquisition mode that is
 // illegal from snapshot context. The names follow the engine's
-// extra:lock vocabulary: db.wmu is the commit lock (any acquisition
-// serializes reads behind writers), db.mu the statement lock (exclusive
-// only — shared pins are how the window opens).
+// extra:lock vocabulary: db.wmu is the commit lock, and any acquisition
+// serializes reads behind writers.
 var snapForbidden = map[string]int{
 	"db.wmu": modeR,
-	"db.mu":  modeW,
 }
 
 // snapStoreAllow are live-store methods legal from snapshot context:
@@ -165,10 +163,8 @@ func runSnapCheck(pass *Pass) {
 				}
 			}
 			// Live-store reads outside the versioned allowlist. Only
-			// stores that actually offer snapshots count: the catalog is
-			// version-bearing too, but it has no Snapshot method — schema
-			// reads are protected by the shared db.mu pin (DDL needs
-			// db.mu.W, which the rule above already forbids here).
+			// stores that offer snapshots count: the catalog a pinned
+			// read holds is its snapshot's own, frozen one.
 			if recv := callee.Type().(*types.Signature).Recv(); recv != nil &&
 				isStoreType(recv.Type(), snapStores) && !snapStoreAllow[callee.Name()] {
 				pass.Reportf(call.Pos(), "%s calls (%s).%s on the live store from snapshot context; read through the pinned Snapshot instead", obj.Name(), recv.Type().String(), callee.Name())

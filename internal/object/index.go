@@ -115,18 +115,12 @@ func (s *Store) BuildIndex(name, extent string, path []string, unique bool) (*ca
 // extra:requires db.wmu.W
 func (s *Store) BuildKey(extent string, attrs []string, n int) (*catalog.Index, error) {
 	v, ok := s.cat.Var(extent)
-	if !ok || !v.IsObjectSet() {
+	if !ok {
 		return nil, fmt.Errorf("key constraints apply to object-set extents; %s is not one", extent)
 	}
-	elem, _ := v.ElemType()
-	tt := elem.Type.(*types.TupleType)
-	paths := make([][]string, 0, len(attrs))
-	for _, a := range attrs {
-		p := []string{a}
-		if err := validateIndexPath(tt, p); err != nil {
-			return nil, err
-		}
-		paths = append(paths, p)
+	paths, err := KeyPaths(v, attrs)
+	if err != nil {
+		return nil, err
 	}
 	ix := &catalog.Index{
 		Name:     fmt.Sprintf("%s_key%d", extent, n),
@@ -143,6 +137,27 @@ func (s *Store) BuildKey(extent string, attrs []string, n int) (*catalog.Index, 
 	}
 	s.markIndexes()
 	return ix, nil
+}
+
+// KeyPaths checks a key constraint on a variable — an object-set extent
+// whose element type has the key's attributes as own indexable scalars —
+// and returns the attributes as index paths. Callers check a create
+// statement's keys with it before creating anything.
+func KeyPaths(v *catalog.Variable, attrs []string) ([][]string, error) {
+	if !v.IsObjectSet() {
+		return nil, fmt.Errorf("key constraints apply to object-set extents; %s is not one", v.Name)
+	}
+	elem, _ := v.ElemType()
+	tt := elem.Type.(*types.TupleType)
+	paths := make([][]string, 0, len(attrs))
+	for _, a := range attrs {
+		p := []string{a}
+		if err := validateIndexPath(tt, p); err != nil {
+			return nil, err
+		}
+		paths = append(paths, p)
+	}
+	return paths, nil
 }
 
 // backfill loads an index from the extent's current objects, enforcing

@@ -113,13 +113,15 @@ func (pv *pageView[K, V]) refresh(h *storage.HeapFile, d *pageDirt, freeze func(
 	return nv, nil
 }
 
-// Snapshot is an immutable view of the store at one version. All methods
+// Snapshot is an immutable view of the store at one version: the data,
+// and the frozen catalog and grant table that describe it. All methods
 // are safe for concurrent use by any number of goroutines with no
 // locking: nothing reachable from a published Snapshot is ever mutated.
 // The read API mirrors Store's so the executor can run a statement
 // against either through one interface.
 type Snapshot struct {
 	version uint64
+	cat     *catalog.Catalog
 	objs    *objMap
 	extents map[string]*extentSnap
 	elems   map[string]*elemSnap
@@ -129,6 +131,10 @@ type Snapshot struct {
 
 // Version returns the store version this snapshot was published at.
 func (sn *Snapshot) Version() uint64 { return sn.version }
+
+// Catalog returns the frozen catalog the snapshot was published with:
+// exactly the schema, indexes and grants its data was written under.
+func (sn *Snapshot) Catalog() *catalog.Catalog { return sn.cat }
 
 // Get fetches an object by OID as of the snapshot. Missing objects
 // (deleted before the snapshot, or created after it) report ok=false.
@@ -227,25 +233,11 @@ func (sn *Snapshot) GetVar(name string) (value.Value, error) {
 }
 
 // IndexLookup returns the OIDs whose indexed key is in [lo, hi] as of
-// the snapshot. When the index was defined after the snapshot's frozen
-// tree set (only possible in the narrow window between a DDL statement
-// and its commit), the whole extent is returned — callers re-check the
-// predicate, so over-approximation is safe.
+// the snapshot. Every index of the snapshot's catalog has its tree
+// frozen in the snapshot: Commit freezes both from one working state.
 func (sn *Snapshot) IndexLookup(ix *catalog.Index, lo, hi []byte, incLo, incHi bool) []oid.OID {
-	t, ok := sn.indexes[ix.Name]
-	if !ok {
-		es := sn.extents[ix.Extent]
-		if es == nil {
-			return nil
-		}
-		out := make([]oid.OID, 0, es.n)
-		for _, c := range es.chunks {
-			out = append(out, c.keys...)
-		}
-		return out
-	}
 	var out []oid.OID
-	t.Range(lo, hi, incLo, incHi, func(_ []byte, v uint64) bool {
+	sn.indexes[ix.Name].Range(lo, hi, incLo, incHi, func(_ []byte, v uint64) bool {
 		out = append(out, oid.OID(v))
 		return true
 	})
@@ -383,19 +375,21 @@ func (s *Store) markIndexes()        { s.dirtyIdx = true }
 // Commit publishes the store's current state as a new immutable
 // snapshot: dirty objects are decoded once and path-copied into the
 // previous snapshot's object map, the dirty pages of each extent get
-// fresh chunks in its scan view, everything else is shared, and the
-// whole bundle is installed with one atomic store. No-op when nothing
-// changed since the last commit (published reports whether a new
-// snapshot actually went out — the WAL layer logs exactly the
-// statements that published). The caller must hold the write lock (the
-// same exclusion every mutating method requires); readers never block
-// on it — they keep their pinned snapshot.
+// fresh chunks in its scan view, the catalog is frozen if it changed,
+// everything else is shared, and the whole bundle is installed with
+// one atomic store. No-op when nothing changed since the last commit
+// (published reports whether a new snapshot actually went out — the WAL
+// layer logs exactly the statements that published). The caller must
+// hold the write lock (the same exclusion every mutating method
+// requires); readers never block on it — they keep their pinned
+// snapshot.
 //
 // extra:requires db.wmu.W
 // extra:bumps
 func (s *Store) Commit() (published bool, err error) {
+	catEdited := s.cat.Edits() != s.catEdits
 	if len(s.dirtyObjs) == 0 && len(s.dirtyExts) == 0 && len(s.dirtyElems) == 0 &&
-		len(s.dirtyVars) == 0 && !s.dirtyIdx {
+		len(s.dirtyVars) == 0 && !s.dirtyIdx && !catEdited {
 		return false, nil
 	}
 	start := time.Now()
@@ -404,6 +398,11 @@ func (s *Store) Commit() (published bool, err error) {
 	// version it was built from and from every earlier snapshot.
 	s.bump()
 	prev := s.snap.Load()
+	cat := prev.cat
+	if catEdited {
+		cat = s.cat.Freeze()
+		s.catEdits = s.cat.Edits()
+	}
 
 	// Extent members are frozen below, with the page they are on; that
 	// leaves the deleted and the nursery components, which no scan view
@@ -502,14 +501,15 @@ func (s *Store) Commit() (published bool, err error) {
 	// commit so dropped indexes disappear without their own dirty
 	// tracking.
 	indexes := make(map[string]*storage.BTree)
-	for _, name := range s.cat.IndexNames() {
-		if ix, ok := s.cat.Index(name); ok {
+	for _, name := range cat.IndexNames() {
+		if ix, ok := cat.Index(name); ok {
 			indexes[name] = ix.Tree.Clone()
 		}
 	}
 
 	s.snap.Store(&Snapshot{
 		version: s.version.Load(),
+		cat:     cat,
 		objs:    edit.done(),
 		extents: exts,
 		elems:   elems,

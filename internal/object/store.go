@@ -75,6 +75,7 @@ type Store struct {
 	// touched state. They are guarded by the same write lock as the
 	// maps; snap itself is atomic.
 	snap       atomic.Pointer[Snapshot]
+	catEdits   uint64 // cat.Edits() when the published catalog was frozen
 	dirtyObjs  map[oid.OID]struct{}
 	dirtyExts  map[string]*pageDirt
 	dirtyElems map[string]*pageDirt
@@ -110,10 +111,12 @@ func New(pool *storage.BufferPool, cat *catalog.Catalog) *Store {
 		dirtyExts:  make(map[string]*pageDirt),
 		dirtyElems: make(map[string]*pageDirt),
 		dirtyVars:  make(map[string]struct{}),
+		catEdits:   cat.Edits(),
 	}
 	// Publish the empty snapshot so readers of a fresh database have a
 	// valid (empty) view before the first commit.
 	s.snap.Store(&Snapshot{
+		cat:     cat.Freeze(),
 		objs:    &objMap{},
 		extents: map[string]*extentSnap{},
 		elems:   map[string]*elemSnap{},
@@ -125,6 +128,10 @@ func New(pool *storage.BufferPool, cat *catalog.Catalog) *Store {
 
 // Pool returns the underlying buffer pool (for stats and benchmarks).
 func (s *Store) Pool() *storage.BufferPool { return s.pool }
+
+// Catalog returns the working catalog, which write statements edit and
+// Commit publishes frozen. Readers use their snapshot's catalog instead.
+func (s *Store) Catalog() *catalog.Catalog { return s.cat }
 
 // InitVar provisions storage for a newly created database variable.
 // Object-set extents get a heap file; ref/value sets get an element heap;

@@ -82,15 +82,15 @@ func newPlanCache(capacity int, reg *metrics.Registry) *planCache {
 	}
 }
 
-// planKey builds the key a statement text has in this session right
-// now. The caller holds the catalog, the options and the session's
-// ranges still (see planRetrieve).
-func (s *Session) planKey(text string) planKey {
+// planKeyFor builds the key a statement text has for a State — its
+// catalog version and its copy of the options — and a session's range
+// declarations (see planRetrieve).
+func planKeyFor(es *exec.State, sem *sema.Session, text string) planKey {
 	return planKey{
 		text:   text,
-		catVer: s.db.cat.Version(),
-		optsFP: s.db.exec.Options().Fingerprint(),
-		ranges: rangesFingerprint(s.sem),
+		catVer: es.Catalog().Version(),
+		optsFP: es.Options().Fingerprint(),
+		ranges: rangesFingerprint(sem),
 	}
 }
 

@@ -53,21 +53,18 @@ type Stmt struct {
 // written $1..$n.
 func (db *DB) Prepare(src string) (*Stmt, error) { return db.def.Prepare(src) }
 
-// Prepare parses and type-checks one statement for this session.
-//
-// extra:acquires db.mu.R
+// Prepare parses and type-checks one statement for this session,
+// against the published catalog.
 func (s *Session) Prepare(src string) (*Stmt, error) {
 	db := s.db
 	st, err := parse.One(src, db.reg)
 	if err != nil {
 		return nil, err
 	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.closed {
+	if db.closed.Load() {
 		return nil, errDBClosed
 	}
-	ck := s.checker(nil)
+	ck := s.checker(db.Catalog(), nil)
 	if err := probeCheck(ck, st); err != nil {
 		return nil, err
 	}

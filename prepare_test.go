@@ -103,7 +103,7 @@ func TestPrepareReprepareAfterDDL(t *testing.T) {
 	if got := names(st.MustExec(80)); got != "Ann,Cal" {
 		t.Fatalf("pre-DDL rows: %q", got)
 	}
-	verBefore := db.cat.Version()
+	verBefore := db.Catalog().Version()
 
 	db.MustExec(`define index emp_sal on Employees (salary)`)
 	db.MustExec(`append to Employees (name = "Eve", age = 30, salary = 200)`)

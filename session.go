@@ -6,14 +6,17 @@ import (
 	"fmt"
 	"runtime/pprof"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/algebra"
 	"repro/internal/authz"
+	"repro/internal/catalog"
 	"repro/internal/excess/ast"
 	"repro/internal/excess/parse"
 	"repro/internal/excess/sema"
 	"repro/internal/exec"
+	"repro/internal/object"
 	"repro/internal/trace"
 	"repro/internal/types"
 	"repro/internal/value"
@@ -28,60 +31,47 @@ import (
 // snapshot and execute against it without holding any lock, writes
 // serialize on the DB's write lock.
 //
-// A single Session may also be used from multiple goroutines for
-// read-only statements; statements that mutate session state (range
-// declarations, set user, procedure execution) are write-classified and
-// serialized by the write lock.
+// A single Session may also be used from multiple goroutines. Its user
+// and its range declarations are values replaced whole (SetUser, a
+// range declaration), so a statement reads each once and keeps what it
+// read.
 type Session struct {
 	db   *DB
 	id   int64
-	user string
-	sem  *sema.Session
+	user atomic.Pointer[string]
+	sem  atomic.Pointer[sema.Session]
 }
 
 // NewSession returns a new session with its own range-declaration table
 // and user identity (initially "dba"). The zero-cost way to run read
 // statements in parallel: one session per goroutine.
-func (db *DB) NewSession() *Session {
-	return &Session{
-		db:   db,
-		id:   db.nextSession.Add(1),
-		user: "dba",
-		sem:  sema.NewSession(),
-	}
+func (db *DB) NewSession() *Session { return newSession(db, db.nextSession.Add(1)) }
+
+func newSession(db *DB, id int64) *Session {
+	s := &Session{db: db, id: id}
+	s.setUser("dba")
+	s.sem.Store(sema.NewSession())
+	return s
 }
+
+func (s *Session) setUser(name string) { s.user.Store(&name) }
 
 // ID returns the session's identifier (0 is the DB's default session);
 // slow-query log entries carry it for per-session attribution.
 func (s *Session) ID() int64 { return s.id }
 
-// SetUser switches the session's current user; subsequent statements run
-// with that user's privileges. It takes both engine locks: write batches
-// read s.user under the write lock, read statements under the shared
-// statement lock during their pin window.
-//
-// extra:acquires db.wmu.W
-// extra:acquires db.mu.W
+// SetUser switches the session's current user; statements that start
+// afterwards run with that user's privileges.
 func (s *Session) SetUser(name string) error {
-	s.db.wmu.Lock()
-	defer s.db.wmu.Unlock()
-	s.db.mu.Lock()
-	defer s.db.mu.Unlock()
-	if !s.db.auth.UserExists(name) {
+	if !s.db.Catalog().Auth().UserExists(name) {
 		return fmt.Errorf("no user %s", name)
 	}
-	s.user = name
+	s.setUser(name)
 	return nil
 }
 
 // CurrentUser returns the session's user.
-//
-// extra:acquires db.mu.R
-func (s *Session) CurrentUser() string {
-	s.db.mu.RLock()
-	defer s.db.mu.RUnlock()
-	return s.user
-}
+func (s *Session) CurrentUser() string { return *s.user.Load() }
 
 // allReadOnly reports whether every statement of a batch can run on the
 // snapshot read path.
@@ -90,22 +80,6 @@ func allReadOnly(stmts []ast.Statement) bool {
 		if !sema.ReadOnly(st) {
 			return false
 		}
-	}
-	return true
-}
-
-// ddlStatement reports whether a write-classified statement mutates
-// catalog or session-visible metadata (types, variables, indexes,
-// functions, procedures, ranges, privileges, identity) rather than data
-// alone. DDL runs inside the exclusive statement lock so the catalog
-// and the published snapshot move together — a reader pinning a
-// snapshot mid-DDL would otherwise plan against a catalog its snapshot
-// has never heard of. Pure DML (append, delete, replace, set) needs
-// only the write lock; readers stay unblocked while it runs.
-func ddlStatement(st ast.Statement) bool {
-	switch st.(type) {
-	case *ast.Append, *ast.Delete, *ast.Replace, *ast.SetStmt:
-		return false
 	}
 	return true
 }
@@ -126,23 +100,20 @@ type stmtCall struct {
 
 	es   *exec.State
 	tr   trace.StmtTrace
-	user string // read under a lock; the call is sealed outside any, where s.user would race SetUser
+	user string // the user the call runs as: the session's when it opened, a procedure's owner in its body
 	lsn  uint64 // highest WAL position the call appended at
 }
 
-// open gives the call what it must read under an engine lock: the
-// session's user and an execution State (NewState copies the optimizer
-// options, which SetOptimizer replaces under both locks).
+// open gives the call the session's user and an execution State.
 func (c *stmtCall) open(s *Session) {
-	c.user = s.user
+	c.user = s.CurrentUser()
 	c.es = s.db.exec.NewState()
 	c.es.SetTrace(c.tr.Active())
 }
 
 // Exec parses and runs one or more EXCESS statements, returning the
 // result of the last retrieve (nil if none). Parsing happens before any
-// lock is taken (it only reads the ADT registry, which has its own
-// lock). An all-read-only batch takes the MVCC snapshot path and runs
+// lock is taken (it only reads the ADT registry). An all-read-only batch takes the MVCC snapshot path and runs
 // concurrently with writers; a batch with any write statement
 // serializes on the write lock.
 func (s *Session) Exec(src string) (*Result, error) {
@@ -160,10 +131,10 @@ func (s *Session) Exec(src string) (*Result, error) {
 // it came through.
 //
 // An all-read-only batch runs under MVCC: each statement pins the
-// store's latest published snapshot during a short shared-lock window
-// and then executes lock-free against it (runReadStmt), so a reader
-// never waits behind a bulk update and holds nothing a writer waits on
-// during execution. Any other batch holds the write lock throughout;
+// store's latest published snapshot — data, schema and grants in one
+// atomic load — and plans and executes against it without a lock
+// (runReadStmt), so a reader never waits behind a bulk update or a DDL
+// statement and holds nothing a writer waits on. Any other batch holds the write lock throughout;
 // each statement mutates the live store, publishes a fresh snapshot
 // when it completes and is appended to the WAL (runWriteStmt), so
 // concurrent snapshot readers observe the batch statement by statement
@@ -186,9 +157,7 @@ func (s *Session) run(c *stmtCall) (*Result, error) {
 		if !readOnly {
 			db.wmu.Lock()
 			defer db.wmu.Unlock()
-			// closed is written under both locks (Close takes wmu first), so
-			// reading it under wmu alone is race-free.
-			if db.closed {
+			if db.closed.Load() {
 				return errDBClosed
 			}
 			c.open(s)
@@ -242,29 +211,23 @@ func (s *Session) run(c *stmtCall) (*Result, error) {
 // rollback, so whatever the statement wrote before failing is live
 // state and must become visible to snapshot readers exactly as it is to
 // the next write statement (such statements are logged with the Erred
-// flag — their partial effects are durable state too). The call
-// remembers the LSN it logged at; run awaits durability after releasing
-// the write lock. DDL-classified statements hold the exclusive
-// statement lock across run + publish so no reader pins a snapshot in
-// the gap where the catalog has moved but the snapshot has not.
+// flag — their partial effects are durable state too). A DDL statement
+// edits the working catalog, which only writers see; the snapshot
+// publishes it together with the data, so no reader ever pairs a
+// catalog with data of another version. The call remembers the LSN it
+// logged at; run awaits durability after releasing the write lock.
 //
 // extra:requires db.wmu.W
-// extra:acquires db.mu.W
 // extra:mutates
 func (s *Session) runWriteStmt(c *stmtCall, st ast.Statement) (*Result, error) {
 	db := s.db
-	if ddlStatement(st) {
-		db.mu.Lock()
-		defer db.mu.Unlock()
-	}
 	// Size the WAL record before running the statement: one the log
 	// cannot hold refuses the statement here, with nothing mutated and
 	// nothing published (the engine has no rollback to undo with).
-	rec, rerr := db.stmtRecord(s, st, c.params)
+	rec, rerr := db.stmtRecord(s.id, c.user, st, c.params)
 	if rerr != nil {
 		return nil, rerr
 	}
-	catVer := db.cat.Version()
 	r, err := s.runStmt(c, st)
 	freeze := c.tr.Active().StartSpan(trace.KindStorage, "commit.freeze")
 	published, cerr := db.store.Commit()
@@ -272,7 +235,7 @@ func (s *Session) runWriteStmt(c *stmtCall, st ast.Statement) (*Result, error) {
 	if cerr != nil && err == nil {
 		err = cerr
 	}
-	lsn, lerr := db.logStmt(rec, err, published || db.cat.Version() != catVer)
+	lsn, lerr := db.logStmt(rec, err, published)
 	if lerr != nil && err == nil {
 		err = lerr
 	}
@@ -284,14 +247,12 @@ func (s *Session) runWriteStmt(c *stmtCall, st ast.Statement) (*Result, error) {
 
 // runReadStmt runs one read-only statement (a retrieve without an into
 // clause — the only read-classified kind) against a pinned snapshot.
-// The shared statement lock is held only for the pin window: snapshot
-// pin, plan-cache lookup, check, authorization, planning and closure
-// compilation — everything that must agree with the catalog version the
-// snapshot was published under. A call's first window also opens it.
-// Execution happens after the window, entirely against the immutable
-// snapshot.
+// Pinning is one atomic load, and the snapshot carries its catalog and
+// grants: the plan-cache lookup, check, authorization, planning,
+// closure compilation and execution all agree on one version of data
+// and schema with no lock held. A call's first statement also opens
+// it.
 //
-// extra:acquires db.mu.R
 // extra:snapshot
 func (s *Session) runReadStmt(c *stmtCall, st ast.Statement) (*Result, error) {
 	db := s.db
@@ -299,7 +260,7 @@ func (s *Session) runReadStmt(c *stmtCall, st ast.Statement) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("unhandled read statement %T", st)
 	}
-	if !db.beginPin() {
+	if db.closed.Load() {
 		return nil, errDBClosed
 	}
 	if c.es == nil {
@@ -311,7 +272,6 @@ func (s *Session) runReadStmt(c *stmtCall, st ast.Statement) (*Result, error) {
 		c.tr.Active().AttrInt(0, "snapshot.version", int64(c.es.SnapshotVersion()))
 	}
 	cq, plan, prog, err := s.planRetrieve(c, r)
-	db.mu.RUnlock()
 	if err != nil {
 		return nil, err
 	}
@@ -328,8 +288,8 @@ type analysis struct {
 }
 
 // execPlan runs a compiled retrieve against whatever the call's State
-// is bound to — on the read path the pin window has closed and no
-// engine lock is held, so however long the scan runs, writers proceed.
+// is bound to — on the read path no engine lock is held, so however
+// long the scan runs, writers proceed.
 // Sampled statements and EXPLAIN ANALYZE run instrumented: the plan's
 // runtime actuals become operator spans and the pool counter delta
 // becomes storage attribution after the run. EnableRuntime mutates the
@@ -365,13 +325,13 @@ func (s *Session) execPlan(c *stmtCall, cq *sema.CheckedRetrieve, plan *algebra.
 // planRetrieve is the retrieve-compile step: the only place a planKey
 // is built for execution, the plan cache consulted and filled, and a
 // retrieve checked, authorized, planned and compiled to its program.
-// Callers
-// hold the catalog still — a reader's pin window, or the commit lock
-// (with the exclusive statement lock: retrieves are DDL-classified on
-// the write path) — so the key, the checked catalog state and the bound
-// view all agree on one catalog version. A hit skips check, plan and
-// compile entirely; authorization still runs on every execution —
-// privileges change without bumping the catalog.
+// The key, the check, the plan and the authorization all read the
+// catalog the call's State is bound to — a reader's snapshot catalog,
+// or the working catalog under the commit lock — and the session's
+// range declarations as read once here, so they agree on one catalog
+// version. A hit skips check, plan and compile entirely; authorization
+// still runs on every execution — privileges change without bumping the
+// catalog.
 //
 // A retrieve without an into clause is served from the cache (into
 // creates schema and is never repeated), ad hoc or prepared; inside a
@@ -381,19 +341,20 @@ func (s *Session) execPlan(c *stmtCall, cq *sema.CheckedRetrieve, plan *algebra.
 // and the map probe and keeps its plan out of reach of FIFO eviction.
 func (s *Session) planRetrieve(c *stmtCall, st *ast.Retrieve) (*sema.CheckedRetrieve, *algebra.Plan, *exec.Program, error) {
 	db := s.db
+	sem := s.sem.Load()
 	var key planKey
 	var last, e *planEntry
 	useCache := st.Into == "" && (c.params == nil || c.prepared != nil)
 	if useCache {
 		if c.prepared != nil {
-			key, last = s.planKey(c.prepared.keyText), c.prepared.last.Load()
+			key, last = planKeyFor(c.es, sem, c.prepared.keyText), c.prepared.last.Load()
 		} else {
-			key = s.planKey(ast.Print(st))
+			key = planKeyFor(c.es, sem, ast.Print(st))
 		}
 		e = db.plans.get(key, last)
 	}
 	if e != nil {
-		if err := s.authQuery(e.cq.Query, nil, targetExprs(e.cq)...); err != nil {
+		if err := c.authQuery(e.cq.Query, nil, targetExprs(e.cq)...); err != nil {
 			return nil, nil, nil, err
 		}
 		if c.prepared != nil && e != last {
@@ -402,12 +363,12 @@ func (s *Session) planRetrieve(c *stmtCall, st *ast.Retrieve) (*sema.CheckedRetr
 		return e.cq, e.plan, e.prog, nil
 	}
 	pt := c.tr.StartPhase(trace.PhaseCheck)
-	cq, err := s.checker(c.params).CheckRetrieve(st)
+	cq, err := sema.NewChecker(c.es.Catalog(), sem, c.params.typesOrNil()).CheckRetrieve(st)
 	c.tr.EndPhase(pt)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if err := s.authQuery(cq.Query, nil, targetExprs(cq)...); err != nil {
+	if err := c.authQuery(cq.Query, nil, targetExprs(cq)...); err != nil {
 		return nil, nil, nil, err
 	}
 	pt = c.tr.StartPhase(trace.PhasePlan)
@@ -505,6 +466,7 @@ func (s *Session) MustQuery(src string) *Result {
 func (s *Session) runStmt(c *stmtCall, st ast.Statement) (*Result, error) {
 	db := s.db
 	es, params := c.es, c.params
+	cat := es.Catalog()
 	db.cKind[sema.KindOf(st)].Inc()
 	// Non-retrieve statements do not split phases; their whole cost
 	// lands in the execute phase. Retrieves are timed per phase by
@@ -515,19 +477,24 @@ func (s *Session) runStmt(c *stmtCall, st ast.Statement) (*Result, error) {
 	}
 	switch st := st.(type) {
 	case *ast.DefineType:
-		_, err := db.cat.DefineTupleFromAST(st)
+		_, err := cat.DefineTupleFromAST(st)
 		if err == nil {
-			db.auth.SetOwner(st.Name, s.user)
+			cat.Auth().SetOwner(st.Name, c.user)
 		}
 		return nil, err
 	case *ast.DefineEnum:
-		return nil, db.cat.DefineEnum(&types.Enum{Name: st.Name, Labels: st.Labels})
+		return nil, cat.DefineEnum(&types.Enum{Name: st.Name, Labels: st.Labels})
 	case *ast.Create:
-		comp, err := db.cat.ResolveComponent(st.Comp)
+		comp, err := cat.ResolveComponent(st.Comp)
 		if err != nil {
 			return nil, err
 		}
-		v, err := db.cat.CreateVar(st.Name, comp)
+		for _, key := range st.Keys {
+			if _, err := object.KeyPaths(&catalog.Variable{Name: st.Name, Comp: comp}, key); err != nil {
+				return nil, err
+			}
+		}
+		v, err := cat.CreateVar(st.Name, comp)
 		if err != nil {
 			return nil, err
 		}
@@ -539,45 +506,45 @@ func (s *Session) runStmt(c *stmtCall, st ast.Statement) (*Result, error) {
 				return nil, err
 			}
 		}
-		db.auth.SetOwner(st.Name, s.user)
+		cat.Auth().SetOwner(st.Name, c.user)
 		return nil, nil
 	case *ast.Drop:
-		if err := db.auth.Check(s.user, st.Name, authz.Update); err != nil {
+		if err := cat.Auth().Check(c.user, st.Name, authz.Update); err != nil {
 			return nil, err
 		}
-		v, ok := db.cat.Var(st.Name)
+		v, ok := cat.Var(st.Name)
 		if !ok {
 			return nil, fmt.Errorf("no database variable %s", st.Name)
 		}
 		if err := db.store.DropVar(v); err != nil {
 			return nil, err
 		}
-		return nil, db.cat.DropVar(st.Name)
+		return nil, cat.DropVar(st.Name)
 	case *ast.DefineFunction:
-		_, err := sema.BuildFunction(db.cat, s.sem, st)
+		_, err := sema.BuildFunction(cat, s.sem.Load(), st)
 		return nil, err
 	case *ast.DefineProcedure:
-		p, err := sema.BuildProcedure(db.cat, st)
+		p, err := sema.BuildProcedure(cat, st)
 		if err != nil {
 			return nil, err
 		}
-		p.Owner = s.user
-		return nil, db.cat.DefineProcedure(p)
+		p.Owner = c.user
+		return nil, cat.DefineProcedure(p)
 	case *ast.DefineIndex:
 		_, err := db.store.BuildIndex(st.Name, st.Extent, st.Path, st.Unique)
 		return nil, err
 	case *ast.RangeDecl:
 		// Validate eagerly so "range of E is Nonexistent" fails here.
-		probe := sema.NewChecker(db.cat, sema.NewSession(), params.typesOrNil())
+		probe := sema.NewChecker(cat, sema.NewSession(), params.typesOrNil())
 		if _, err := probe.ProbeRange(st); err != nil {
 			return nil, err
 		}
-		s.sem.Declare(st)
+		s.sem.Store(s.sem.Load().With(st))
 		return nil, nil
 	case *ast.Grant:
-		return nil, db.auth.Grant(s.user, st.Priv, st.On, st.To)
+		return nil, cat.Auth().Grant(c.user, st.Priv, st.On, st.To)
 	case *ast.Revoke:
-		return nil, db.auth.Revoke(s.user, st.Priv, st.On, st.From)
+		return nil, cat.Auth().Revoke(c.user, st.Priv, st.On, st.From)
 	case *ast.Retrieve:
 		cq, plan, prog, err := s.planRetrieve(c, st)
 		if err != nil {
@@ -588,11 +555,11 @@ func (s *Session) runStmt(c *stmtCall, st ast.Statement) (*Result, error) {
 			return nil, err
 		}
 		if cq.Into != "" {
-			db.auth.SetOwner(cq.Into, s.user)
+			cat.Auth().SetOwner(cq.Into, c.user)
 		}
 		return res, nil
 	case *ast.Append:
-		ck := s.checker(params)
+		ck := s.checker(cat, params)
 		ca, err := ck.CheckAppend(st)
 		if err != nil {
 			return nil, err
@@ -601,40 +568,40 @@ func (s *Session) runStmt(c *stmtCall, st ast.Statement) (*Result, error) {
 		if wr == "" {
 			wr = ca.OwnerVar
 		}
-		if err := s.authQuery(ca.Query, []string{wr}); err != nil {
+		if err := c.authQuery(ca.Query, []string{wr}); err != nil {
 			return nil, err
 		}
 		_, err = withParamsN(es, params, func() (int, error) { return es.Append(ca) })
 		return nil, err
 	case *ast.Delete:
-		ck := s.checker(params)
+		ck := s.checker(cat, params)
 		cd, err := ck.CheckDelete(st)
 		if err != nil {
 			return nil, err
 		}
-		if err := s.authQuery(cd.Query, []string{cd.Var.Extent}); err != nil {
+		if err := c.authQuery(cd.Query, []string{cd.Var.Extent}); err != nil {
 			return nil, err
 		}
 		_, err = withParamsN(es, params, func() (int, error) { return es.Delete(cd) })
 		return nil, err
 	case *ast.Replace:
-		ck := s.checker(params)
+		ck := s.checker(cat, params)
 		cr, err := ck.CheckReplace(st)
 		if err != nil {
 			return nil, err
 		}
-		if err := s.authQuery(cr.Query, []string{cr.Var.Extent}); err != nil {
+		if err := c.authQuery(cr.Query, []string{cr.Var.Extent}); err != nil {
 			return nil, err
 		}
 		_, err = withParamsN(es, params, func() (int, error) { return es.Replace(cr) })
 		return nil, err
 	case *ast.SetStmt:
-		ck := s.checker(params)
+		ck := s.checker(cat, params)
 		cs, err := ck.CheckSet(st)
 		if err != nil {
 			return nil, err
 		}
-		if err := s.authQuery(cs.Query, []string{cs.VarName}); err != nil {
+		if err := c.authQuery(cs.Query, []string{cs.VarName}); err != nil {
 			return nil, err
 		}
 		_, err = withParams(es, params, func() (*Result, error) { return nil, es.Set(cs) })
@@ -645,8 +612,10 @@ func (s *Session) runStmt(c *stmtCall, st ast.Statement) (*Result, error) {
 	return nil, fmt.Errorf("unhandled statement %T", st)
 }
 
-func (s *Session) checker(params *paramScope) *sema.Checker {
-	return sema.NewChecker(s.db.cat, s.sem, params.typesOrNil())
+// checker returns a checker over the catalog and the session's range
+// declarations as they stand.
+func (s *Session) checker(cat *catalog.Catalog, params *paramScope) *sema.Checker {
+	return sema.NewChecker(cat, s.sem.Load(), params.typesOrNil())
 }
 
 // withParams runs fn with the procedure parameter frame installed on the
@@ -673,12 +642,12 @@ func withParamsN(es *exec.State, params *paramScope, fn func() (int, error)) (in
 // extra:requires db.wmu.W
 func (s *Session) runExecute(c *stmtCall, stmt *ast.Execute) error {
 	es, params := c.es, c.params
-	ck := s.checker(params)
+	ck := s.checker(es.Catalog(), params)
 	ce, err := ck.CheckExecute(stmt)
 	if err != nil {
 		return err
 	}
-	if err := s.authQuery(ce.Query, nil); err != nil {
+	if err := c.authQuery(ce.Query, nil); err != nil {
 		return err
 	}
 	ptypes := make(map[string]types.Type, len(ce.Proc.Params))
@@ -688,19 +657,15 @@ func (s *Session) runExecute(c *stmtCall, stmt *ast.Execute) error {
 	// Definer rights: the body runs with the owner's privileges, so a
 	// procedure can encapsulate updates its caller could not perform
 	// directly (the IDM stored-command pattern the paper builds data
-	// abstraction from). The swap is safe because execute statements are
-	// DDL-classified: runWriteStmt holds the exclusive statement lock in
-	// addition to the write lock, so no concurrent reader's pin window
-	// observes the temporary identity.
-	caller := s.user
-	if ce.Proc.Owner != "" {
-		s.user = ce.Proc.Owner
-	}
-	defer func() { s.user = caller }()
+	// abstraction from). The identity belongs to the body's call; the
+	// session's user never changes.
 	// Body statements run untraced (the body's call has a trace of its
 	// own that nobody samples or reads): their cost is already inside the
 	// invoking execute's span.
-	body := stmtCall{es: es}
+	body := stmtCall{es: es, user: c.user}
+	if ce.Proc.Owner != "" {
+		body.user = ce.Proc.Owner
+	}
 	_, err = withParamsN(es, params, func() (int, error) {
 		return es.Execute(ce, func(frame map[string]value.Value) error {
 			body.params = &paramScope{types: ptypes, values: frame}
@@ -717,11 +682,12 @@ func (s *Session) runExecute(c *stmtCall, stmt *ast.Execute) error {
 
 // authQuery enforces select on every extent and database variable a
 // query reads (range sources, whole-extent aggregates, variable reads in
-// any expression) and update on the write targets. Reads inside EXCESS
+// any expression) and update on the write targets, for the call's user
+// against the grants of the call's catalog. Reads inside EXCESS
 // function bodies are deliberately exempt — that exemption is the data
 // abstraction mechanism of §4.2.3.
-func (s *Session) authQuery(q sema.Query, writes []string, exprs ...sema.Expr) error {
-	db := s.db
+func (c *stmtCall) authQuery(q sema.Query, writes []string, exprs ...sema.Expr) error {
+	auth := c.es.Catalog().Auth()
 	reads := map[string]bool{}
 	for _, v := range q.Vars {
 		if v.Extent != "" {
@@ -743,7 +709,7 @@ func (s *Session) authQuery(q sema.Query, writes []string, exprs ...sema.Expr) e
 		collect(e)
 	}
 	for name := range reads {
-		if err := db.auth.Check(s.user, name, authz.Select); err != nil {
+		if err := auth.Check(c.user, name, authz.Select); err != nil {
 			return err
 		}
 	}
@@ -751,7 +717,7 @@ func (s *Session) authQuery(q sema.Query, writes []string, exprs ...sema.Expr) e
 		if w == "" {
 			continue
 		}
-		if err := db.auth.Check(s.user, w, authz.Update); err != nil {
+		if err := auth.Check(c.user, w, authz.Update); err != nil {
 			return err
 		}
 	}

@@ -136,10 +136,10 @@ func (db *DB) restoreCheckpoint(path string) (uint64, error) {
 func (db *DB) replayRecord(r *wal.Record, sessions map[int64]*Session) error {
 	s := sessions[r.Session]
 	if s == nil {
-		s = &Session{db: db, id: r.Session, user: "dba", sem: sema.NewSession()}
+		s = newSession(db, r.Session)
 		sessions[r.Session] = s
 	}
-	s.user = r.User
+	s.setUser(r.User)
 	var err error
 	switch r.Kind {
 	case wal.RecordStmt:
@@ -201,7 +201,7 @@ func (db *DB) replayInsert(r *wal.Record) error {
 	if len(r.Data) != 1 {
 		return fmt.Errorf("insert record wants 1 data field, has %d", len(r.Data))
 	}
-	v, err := codec.DecodeOne(r.Data[0], db.cat)
+	v, err := codec.DecodeOne(r.Data[0], db.store.Catalog())
 	if err != nil {
 		return err
 	}
@@ -259,7 +259,7 @@ func oidFromBytes(b []byte) oid.OID {
 // replay needs them).
 //
 // extra:logs
-func (db *DB) stmtRecord(s *Session, st ast.Statement, params *paramScope) (*wal.Record, error) {
+func (db *DB) stmtRecord(session int64, user string, st ast.Statement, params *paramScope) (*wal.Record, error) {
 	if db.wal == nil || sema.ReadOnly(st) {
 		return nil, nil
 	}
@@ -269,8 +269,8 @@ func (db *DB) stmtRecord(s *Session, st ast.Statement, params *paramScope) (*wal
 	}
 	rec := &wal.Record{
 		Kind:    wal.RecordStmt,
-		Session: s.id,
-		User:    s.user,
+		Session: session,
+		User:    user,
 		Src:     ast.Print(st),
 	}
 	if params != nil {
@@ -292,8 +292,8 @@ func (db *DB) stmtRecord(s *Session, st ast.Statement, params *paramScope) (*wal
 // now that it has. Returns the assigned LSN (0 when nothing was
 // logged); the caller must await durability with waitDurable after
 // releasing the commit lock. A mutation that failed without publishing
-// a snapshot or moving the catalog left no durable trace and is
-// skipped.
+// a snapshot (which a catalog edit also does) left no durable trace and
+// is skipped.
 //
 // extra:requires db.wmu.W
 // extra:logs
@@ -339,7 +339,8 @@ func encodeParams(p *paramScope) ([][]byte, error) {
 // statement: values decode from their codec bytes, slot types come from
 // re-probing the statement the same way Prepare did.
 func decodeParams(db *DB, s *Session, st ast.Statement, data [][]byte) (*paramScope, error) {
-	ck := sema.NewChecker(db.cat, s.sem, nil)
+	cat := db.store.Catalog()
+	ck := s.checker(cat, nil)
 	if err := probeCheck(ck, st); err != nil {
 		return nil, err
 	}
@@ -348,7 +349,7 @@ func decodeParams(db *DB, s *Session, st ast.Statement, data [][]byte) (*paramSc
 	vmap := make(map[string]value.Value, len(data))
 	for i, enc := range data {
 		name := "$" + strconv.Itoa(i+1)
-		v, err := codec.DecodeOne(enc, db.cat)
+		v, err := codec.DecodeOne(enc, cat)
 		if err != nil {
 			return nil, fmt.Errorf("wal: decode parameter %s: %w", name, err)
 		}
@@ -376,7 +377,7 @@ func (db *DB) Checkpoint() error {
 		return fmt.Errorf("checkpoint: database has no WAL (open with WithWAL)")
 	}
 	db.wmu.Lock()
-	if db.closed {
+	if db.closed.Load() {
 		db.wmu.Unlock()
 		return errDBClosed
 	}
