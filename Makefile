@@ -35,16 +35,18 @@ fuzz:
 # compile-once, tracing and group-commit benchmarks: a smoke test that
 # keeps them running (-benchtime=1x), not a measurement.
 bench:
-	$(GO) test -short -run '^$$' -bench 'Join|AccessMethod|RefChase|ExprFilter|BindingClone|WriterInterference|ParallelRead|CompileOnce|Tracing|GroupCommit' -benchtime=1x ./...
+	$(GO) test -short -run '^$$' -bench 'Join|AccessMethod|RefChase|ExprFilter|BindingClone|WriterInterference|ParallelRead|CompileOnce|KeyedLookup|Tracing|GroupCommit' -benchtime=1x ./...
 
 # The gate on what repeats exactly: allocations per scanned row, commit
 # and range-write work independent of database size, a plan-cache hit
-# that compiles nothing, and tracing that allocates nothing when off.
+# that compiles nothing, ad-hoc literals that share one cached shape, a
+# $n key that bounds its index probe, and tracing that allocates nothing
+# when off.
 # Wall clock is left to paired runs of bench/. No -race: the race
 # detector perturbs allocation counts, and scanalloc_test.go is built
 # only without it.
 work-gate:
-	$(GO) test -count=1 -v -run '^(TestScanAllocsPerRow|TestRangeReplaceWorkIndependentOfSize|TestCommitWorkIndependentOfSize|TestRangeUpdateWorkIndependentOfSize|TestPlanCacheHitCompilesNothing|TestZeroAllocWhenDisabled)$$' . ./internal/object/ ./internal/trace/
+	$(GO) test -count=1 -v -run '^(TestScanAllocsPerRow|TestRangeReplaceWorkIndependentOfSize|TestCommitWorkIndependentOfSize|TestRangeUpdateWorkIndependentOfSize|TestPlanCacheHitCompilesNothing|TestZeroAllocWhenDisabled|TestAdhocLiteralsShareOnePlan|TestParamKeyUsesIndex)$$' . ./internal/object/ ./internal/trace/
 
 # The repository benchmark (bench/, a module of its own that drives the
 # engine through its public and internal APIs) must keep compiling and

@@ -46,13 +46,17 @@ func (db *DB) Explain(src string) (string, error) {
 	defer es.Release()
 	es.BindSnapshot(db.store.Snapshot())
 	sem := db.def.sem.Load()
-	// When the default session already executed this statement, show the
-	// plan the engine would actually serve — the cache hit, rendered with
-	// its "(cached)" marker. The lookup does not populate the cache:
+	// When the default session already executed this statement's shape,
+	// show the plan the engine would actually serve — the cache hit,
+	// rendered with its "(cached)" marker and with the statement's own
+	// literals in its slots. The lookup does not populate the cache:
 	// explaining a statement is not executing it.
 	if r.Into == "" {
-		if e := db.plans.peek(planKeyFor(es, sem, ast.Print(r))); e != nil {
-			return e.plan.Explain(), nil
+		shape, args, slots := liftLiterals(r)
+		if e := db.plans.peek(planKeyFor(es, sem, planKeyText(shape, slots))); e != nil {
+			plan := e.plan.Clone()
+			plan.Args = args
+			return plan.Explain(), nil
 		}
 	}
 	cq, err := sema.NewChecker(es.Catalog(), sem, nil).CheckRetrieve(r)

@@ -59,7 +59,6 @@ import (
 	"repro/internal/object"
 	"repro/internal/storage"
 	"repro/internal/trace"
-	"repro/internal/types"
 	"repro/internal/value"
 	"repro/internal/wal"
 )
@@ -425,18 +424,27 @@ func targetExprs(cq *sema.CheckedRetrieve) []sema.Expr {
 	return texprs
 }
 
-// paramScope carries the parameter names/types/values of an executing
-// procedure body.
+// paramScope is the parameter frame of an executing statement — a
+// prepared statement's $1..$n arguments, or a procedure body's
+// parameters — by slot: the frame's names and types, which a prepared
+// statement or a procedure shares between executions, and the values.
 type paramScope struct {
-	types  map[string]types.Type
-	values map[string]value.Value
+	frame  []sema.Param
+	values []value.Value
 }
 
-func (p *paramScope) typesOrNil() map[string]types.Type {
+func (p *paramScope) frameOrNil() []sema.Param {
 	if p == nil {
 		return nil
 	}
-	return p.types
+	return p.frame
+}
+
+func (p *paramScope) valuesOrNil() []value.Value {
+	if p == nil {
+		return nil
+	}
+	return p.values
 }
 
 // CheckConsistency runs the object store's structural fsck: ownership

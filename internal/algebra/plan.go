@@ -23,14 +23,89 @@ import (
 )
 
 // AccessPath selects how an extent-scan node locates its objects: nil
-// means a heap scan; otherwise a B+-tree range probe with the given
-// encoded bounds (an empty range when they contradict each other).
+// means a heap scan; otherwise a B+-tree range probe on Index. Bounds
+// holds every conjunct of the node's filter on the index path, each with
+// a closed key expression; the executor evaluates them once per run and
+// tightens them into one range (Range). FromPred is the probe as the
+// plan shows it: the operators of the conjuncts that bound it.
 type AccessPath struct {
 	Index    *catalog.Index
-	Lo, Hi   []byte
-	IncLo    bool
-	IncHi    bool
-	FromPred string // display: the operators of the conjuncts that bound the probe
+	Bounds   []KeyBound
+	FromPred string
+}
+
+// KeyBound is one conjunct's contribution to an index probe: the
+// operator as seen from the path side and the expression on the other
+// side. The key is closed — a literal, an ADT call over literals, or a
+// parameter ($n, or a function or procedure parameter) — so it has one
+// value for the whole run.
+type KeyBound struct {
+	Op  string
+	Key sema.Expr
+}
+
+// KeyRange is a probe's range for one run: encoded bounds (nil when
+// unbounded on that side), or Empty when a key is null — a comparison
+// with null is never true, so no object qualifies.
+type KeyRange struct {
+	Lo, Hi       []byte
+	IncLo, IncHi bool
+	Empty        bool
+}
+
+// Range tightens the probe's bounds over their keys' values (keys[i] is
+// the value of Bounds[i].Key) with the rules the planner ranks by.
+// Contradictory bounds give an empty B+-tree range. ok is false when a
+// key has no index encoding: the node then runs as its scan, and the
+// filter, which keeps every conjunct, decides.
+func (a *AccessPath) Range(keys []value.Value) (r KeyRange, ok bool) {
+	p := probe{ix: a.Index}
+	for i, k := range keys {
+		if value.IsNull(k) {
+			return KeyRange{Empty: true}, true
+		}
+		enc, ok := codec.EncodeKey(k)
+		if !ok {
+			return KeyRange{}, false
+		}
+		p.tighten(a.Bounds[i].Op, i, enc, true)
+	}
+	return KeyRange{Lo: p.lo.key, Hi: p.hi.key, IncLo: p.lo.inc, IncHi: p.hi.inc}, true
+}
+
+// ConstRange is Range folded at compile time, for a probe whose keys are
+// all literals; ok is false when some key is not.
+func (a *AccessPath) ConstRange() (r KeyRange, ok bool) {
+	keys := make([]value.Value, len(a.Bounds))
+	for i, b := range a.Bounds {
+		if keys[i], ok = constValue(b.Key, nil); !ok {
+			return KeyRange{}, false
+		}
+	}
+	return a.Range(keys)
+}
+
+// fromPred is the bracket EXPLAIN shows for the probe. A plan whose
+// literals were lifted into slots is explained with the call's values
+// (args): tightened by value, its bracket is the one the literal form
+// plans, so a cached shape explains like the statement that was typed.
+func (a *AccessPath) fromPred(args []value.Value) string {
+	if args == nil {
+		return a.FromPred
+	}
+	p := probe{ix: a.Index}
+	for i, b := range a.Bounds {
+		v, ok := constValue(b.Key, args)
+		if !ok || value.IsNull(v) {
+			return a.FromPred
+		}
+		enc, ok := codec.EncodeKey(v)
+		if !ok {
+			return a.FromPred
+		}
+		p.tighten(b.Op, i, enc, true)
+	}
+	return strings.Join(p.sources(), " ")
 }
 
 // HashJoinPath selects the hash-join access method for an extent-scan
@@ -72,6 +147,10 @@ type Plan struct {
 	// Cached marks a plan served from the engine plan cache; EXPLAIN
 	// renders it with a "(cached)" marker.
 	Cached bool
+	// Args, set on a per-call clone of a plan whose literals the session
+	// lifted into parameter slots, holds the call's literals by slot:
+	// EXPLAIN renders each slot as its literal.
+	Args []value.Value
 }
 
 // Clone returns a shallow copy of the plan with its own Nodes slice and
@@ -417,46 +496,64 @@ var methodTable = map[string]struct {
 
 // probeBound is one side of a probe under construction: the tightest
 // bound seen so far and the conjunct (by filter position) that gave it.
+// known is false for a key whose value only the run will have.
 type probeBound struct {
-	key []byte // nil: unbounded on this side
-	inc bool
-	op  string
-	at  int
+	set   bool // false: unbounded on this side
+	known bool
+	key   []byte
+	inc   bool
+	op    string
+	at    int
 }
 
 // probe merges every conjunct on one index's path into one key range.
 type probe struct {
 	ix     *catalog.Index
 	lo, hi probeBound
+	bounds []KeyBound
 }
 
-// tighten narrows the probe by one conjunct. A lower bound is tighter
-// when its key is larger, an upper one when smaller; at equal keys the
-// exclusive bound is the tighter. Contradictory bounds (lo above hi, or
-// equal and not both inclusive) stay as they are: the B+-tree range
-// they describe is empty.
-func (p *probe) tighten(op string, at int, key []byte) {
+// tighten narrows the probe by one conjunct whose key is encoded as key
+// when known. A lower bound is tighter when its key is larger, an upper
+// one when smaller; at equal keys the exclusive bound is the tighter.
+// Contradictory bounds (lo above hi, or equal and not both inclusive)
+// stay as they are: the B+-tree range they describe is empty.
+func (p *probe) tighten(op string, at int, key []byte, known bool) {
 	m := methodTable[op]
-	if m.lo {
-		if c := bytes.Compare(key, p.lo.key); p.lo.key == nil || c > 0 || c == 0 && p.lo.inc && !m.incLo {
-			p.lo = probeBound{key: key, inc: m.incLo, op: op, at: at}
-		}
+	b := probeBound{set: true, known: known, key: key, op: op, at: at}
+	if m.lo && p.lo.replacedBy(b, m.incLo, 1) {
+		p.lo, p.lo.inc = b, m.incLo
 	}
-	if m.hi {
-		if c := bytes.Compare(key, p.hi.key); p.hi.key == nil || c < 0 || c == 0 && p.hi.inc && !m.incHi {
-			p.hi = probeBound{key: key, inc: m.incHi, op: op, at: at}
-		}
+	if m.hi && p.hi.replacedBy(b, m.incHi, -1) {
+		p.hi, p.hi.inc = b, m.incHi
 	}
+}
+
+// replacedBy reports whether a new bound n (inclusive when inc) is
+// tighter than the current bound on a side where a larger key is tighter
+// (dir 1) or a smaller one (dir -1). A key not known at plan time cannot
+// be compared: it replaces only an absent bound, or a range bound when
+// it is an equality — the tighter bound whenever the equality lies in
+// the range, which is the only case where the probe returns anything.
+func (b probeBound) replacedBy(n probeBound, inc bool, dir int) bool {
+	if !b.set {
+		return true
+	}
+	if !b.known || !n.known {
+		return n.op == "=" && b.op != "="
+	}
+	c := bytes.Compare(n.key, b.key) * dir
+	return c > 0 || c == 0 && b.inc && !inc
 }
 
 // sources returns the operators of the conjuncts supplying the lower
 // then the upper bound, once when one conjunct supplies both.
 func (p *probe) sources() []string {
 	var ops []string
-	if p.lo.key != nil {
+	if p.lo.set {
 		ops = append(ops, p.lo.op)
 	}
-	if p.hi.key != nil && (p.lo.key == nil || p.hi.at != p.lo.at) {
+	if p.hi.set && (!p.lo.set || p.hi.at != p.lo.at) {
 		ops = append(ops, p.hi.op)
 	}
 	return ops
@@ -474,8 +571,7 @@ func (p *probe) rank() int {
 // access renders the probe as an access path; FromPred is "=", ">=",
 // ">= <" and so on.
 func (p *probe) access() *AccessPath {
-	return &AccessPath{Index: p.ix, Lo: p.lo.key, Hi: p.hi.key, IncLo: p.lo.inc, IncHi: p.hi.inc,
-		FromPred: strings.Join(p.sources(), " ")}
+	return &AccessPath{Index: p.ix, Bounds: p.bounds, FromPred: strings.Join(p.sources(), " ")}
 }
 
 // selectAccessPath upgrades a heap scan to an index probe. For every
@@ -498,6 +594,7 @@ func selectAccessPath(cat *catalog.Catalog, n *Node) {
 		if !ok {
 			continue
 		}
+		enc, known := constKey(key)
 		for _, ix := range indexes {
 			if !samePath(ix.Path, attrs) {
 				continue
@@ -512,7 +609,8 @@ func selectAccessPath(cat *catalog.Catalog, n *Node) {
 				p = &probe{ix: ix}
 				probes = append(probes, p)
 			}
-			p.tighten(op, at, key)
+			p.tighten(op, at, enc, known)
+			p.bounds = append(p.bounds, KeyBound{Op: op, Key: key})
 		}
 	}
 	var best *probe
@@ -526,21 +624,21 @@ func selectAccessPath(cat *catalog.Catalog, n *Node) {
 	}
 }
 
-// indexBound decomposes a conjunct "path op const" (or the mirrored
-// "const op path") whose operator is in the method table into the
+// indexBound decomposes a conjunct "path op key" (or the mirrored
+// "key op path") whose operator is in the method table into the
 // attribute path it constrains, the operator as seen from the path side
-// and the encoded key.
-func indexBound(cj sema.Expr, v *sema.Var) (attrs []string, op string, key []byte, ok bool) {
+// and the key expression.
+func indexBound(cj sema.Expr, v *sema.Var) (attrs []string, op string, key sema.Expr, ok bool) {
 	b, isBin := cj.(*sema.Binary)
 	if !isBin || b.Class != sema.OpCompare {
 		return nil, "", nil, false
 	}
-	pathSide, op := b.L, b.Op
-	if key, ok = constKey(b.R); !ok {
-		if key, ok = constKey(b.L); !ok {
+	pathSide, op, key := b.L, b.Op, b.R
+	if !keyOperand(key) {
+		if !keyOperand(b.L) {
 			return nil, "", nil, false
 		}
-		pathSide, op = b.R, mirror(op)
+		pathSide, op, key = b.R, mirror(op), b.L
 	}
 	if _, inTable := methodTable[op]; !inTable {
 		return nil, "", nil, false
@@ -549,6 +647,17 @@ func indexBound(cj sema.Expr, v *sema.Var) (attrs []string, op string, key []byt
 		return nil, "", nil, false
 	}
 	return attrs, op, key, true
+}
+
+// keyOperand reports whether a comparison operand can key an index
+// probe: a parameter, whose value the run supplies, or a constant with
+// an index encoding.
+func keyOperand(e sema.Expr) bool {
+	if _, isParam := e.(*sema.ParamRef); isParam {
+		return true
+	}
+	_, ok := constKey(e)
+	return ok
 }
 
 func mirror(op string) string {
@@ -570,27 +679,34 @@ func mirror(op string) string {
 // call whose arguments are all literals ("date(\"04/01/1987\")") folds
 // to a constant at plan time.
 func constKey(e sema.Expr) ([]byte, bool) {
-	v, ok := constValue(e)
+	v, ok := constValue(e, nil)
 	if !ok || value.IsNull(v) {
 		return nil, false
 	}
 	return codec.EncodeKey(v)
 }
 
-func constValue(e sema.Expr) (value.Value, bool) {
+// constValue evaluates a closed expression: a literal, an ADT call over
+// closed arguments, or a parameter whose value args holds by slot (nil
+// args: parameters are not known).
+func constValue(e sema.Expr, args []value.Value) (value.Value, bool) {
 	switch x := e.(type) {
 	case *sema.Const:
 		return x.Val, true
+	case *sema.ParamRef:
+		if x.Slot < len(args) {
+			return args[x.Slot], true
+		}
 	case *sema.ADTCall:
-		args := make([]value.Value, len(x.Args))
+		vals := make([]value.Value, len(x.Args))
 		for i, a := range x.Args {
-			v, ok := constValue(a)
+			v, ok := constValue(a, args)
 			if !ok {
 				return nil, false
 			}
-			args[i] = v
+			vals[i] = v
 		}
-		v, err := x.Fn.Impl(args)
+		v, err := x.Fn.Impl(vals)
 		if err != nil {
 			return nil, false
 		}

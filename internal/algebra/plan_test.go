@@ -191,8 +191,13 @@ func TestIndexSelection(t *testing.T) {
 		if n.Access.Index != sal {
 			continue
 		}
+		rng, ok := n.Access.ConstRange()
+		if !ok {
+			t.Errorf("%s: literal bounds did not fold to a range", c.where)
+			continue
+		}
 		var got, want []int64
-		sal.Tree.Range(n.Access.Lo, n.Access.Hi, n.Access.IncLo, n.Access.IncHi, func(_ []byte, v uint64) bool {
+		sal.Tree.Range(rng.Lo, rng.Hi, rng.IncLo, rng.IncHi, func(_ []byte, v uint64) bool {
 			got = append(got, int64(v))
 			return true
 		})

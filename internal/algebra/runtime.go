@@ -88,17 +88,17 @@ func (p *Plan) Report(sum AnalyzeSummary) *AnalyzeReport {
 	r := &AnalyzeReport{Runtime: p.Runtime, Summary: sum}
 	for i := range p.Nodes {
 		n := &p.Nodes[i]
-		an := AnalyzeNode{Op: describeNode(n), Actual: p.Runtime.Nodes[i]}
+		an := AnalyzeNode{Op: p.DescribeNode(i), Actual: p.Runtime.Nodes[i]}
 		for _, f := range n.Filter {
-			an.Filters = append(an.Filters, ExprString(f))
+			an.Filters = append(an.Filters, p.exprString(f))
 		}
 		r.Plan = append(r.Plan, an)
 	}
 	for _, f := range p.Final {
-		r.Final = append(r.Final, ExprString(f))
+		r.Final = append(r.Final, p.exprString(f))
 	}
 	for _, f := range p.ForAll {
-		r.ForAll = append(r.ForAll, ExprString(f))
+		r.ForAll = append(r.ForAll, p.exprString(f))
 	}
 	return r
 }
@@ -114,7 +114,7 @@ func (p *Plan) ExplainAnalyze(sum AnalyzeSummary) string {
 	for i := range p.Nodes {
 		n := &p.Nodes[i]
 		indent := strings.Repeat("  ", i)
-		fmt.Fprintf(&b, "%s-> %s\n", indent, describeNode(n))
+		fmt.Fprintf(&b, "%s-> %s\n", indent, p.DescribeNode(i))
 		nr := rt.Nodes[i]
 		fmt.Fprintf(&b, "%s   (actual rows=%d loops=%d in=%d time=%s pool=%dh/%dm)\n",
 			indent, nr.RowsOut, nr.Loops, nr.RowsIn, fmtDur(nr.Time), nr.PoolHits, nr.PoolMisses)
@@ -123,12 +123,12 @@ func (p *Plan) ExplainAnalyze(sum AnalyzeSummary) string {
 				indent, nr.HashBuildRows, nr.HashProbes, nr.HashHits)
 		}
 		for _, f := range n.Filter {
-			fmt.Fprintf(&b, "%s   filter: %s\n", indent, ExprString(f))
+			fmt.Fprintf(&b, "%s   filter: %s\n", indent, p.exprString(f))
 		}
 	}
 	indent := strings.Repeat("  ", len(p.Nodes))
 	for _, f := range p.Final {
-		fmt.Fprintf(&b, "%sresidual: %s\n", indent, ExprString(f))
+		fmt.Fprintf(&b, "%sresidual: %s\n", indent, p.exprString(f))
 	}
 	if len(p.Final) > 0 {
 		fmt.Fprintf(&b, "%s   (actual in=%d out=%d)\n", indent, rt.FinalIn, rt.FinalOut)
@@ -140,7 +140,7 @@ func (p *Plan) ExplainAnalyze(sum AnalyzeSummary) string {
 		}
 		fmt.Fprintf(&b, "%sforall %s:\n", indent, strings.Join(names, ", "))
 		for _, f := range p.ForAll {
-			fmt.Fprintf(&b, "%s  must hold: %s\n", indent, ExprString(f))
+			fmt.Fprintf(&b, "%s  must hold: %s\n", indent, p.exprString(f))
 		}
 		fmt.Fprintf(&b, "%s  (actual checked=%d passed=%d)\n", indent, rt.ForAllChecked, rt.ForAllPassed)
 	}

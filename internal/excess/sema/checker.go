@@ -32,12 +32,30 @@ func (s *Session) With(d *ast.RangeDecl) *Session {
 	return &Session{Ranges: r}
 }
 
+// Param is one slot of a parameter frame: a function or procedure
+// parameter, or a prepared statement's $N (slot N-1). A ParamRef reads
+// the frame by position, so a frame's slots are in the order its caller
+// fills them in: declaration order for a function or procedure.
+type Param struct {
+	Name string
+	T    types.Type
+}
+
+// PlaceholderSlot returns the frame slot of a placeholder name "$N".
+func PlaceholderSlot(name string) (int, bool) {
+	var n int
+	if _, err := fmt.Sscanf(name, "$%d", &n); err != nil || n < 1 {
+		return 0, false
+	}
+	return n - 1, true
+}
+
 // Checker binds and type-checks one statement. A fresh Checker is used
 // per statement; Session and Catalog persist across statements.
 type Checker struct {
 	cat     *catalog.Catalog
 	session *Session
-	params  map[string]types.Type // function/procedure parameter scope
+	params  []Param // the parameter frame in scope, by slot
 
 	vars  map[string]*Var
 	order []*Var
@@ -51,15 +69,48 @@ type Checker struct {
 }
 
 // NewChecker returns a checker over the catalog and session. params may
-// be nil; it provides the parameter scope when checking function and
-// procedure bodies.
+// be nil; otherwise it types a prepared statement's slots by placeholder
+// name ("$N", slot N-1). Other names are ignored: a function or
+// procedure body, whose frame is ordered by declaration, is checked
+// through NewFrameChecker.
 func NewChecker(cat *catalog.Catalog, session *Session, params map[string]types.Type) *Checker {
+	names := make([]string, 0, len(params))
+	for name := range params {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var frame []Param
+	for _, name := range names {
+		if n, ok := PlaceholderSlot(name); ok {
+			for len(frame) <= n {
+				frame = append(frame, Param{Name: fmt.Sprintf("$%d", len(frame)+1)})
+			}
+			frame[n].T = params[name]
+		}
+	}
+	return NewFrameChecker(cat, session, frame)
+}
+
+// NewFrameChecker returns a checker over the catalog and session with a
+// parameter frame in scope (nil for none): a parameter reference binds
+// to its slot there.
+func NewFrameChecker(cat *catalog.Catalog, session *Session, frame []Param) *Checker {
 	return &Checker{
 		cat:     cat,
 		session: session,
-		params:  params,
+		params:  frame,
 		vars:    make(map[string]*Var),
 	}
+}
+
+// param looks a name up in the parameter frame.
+func (c *Checker) param(name string) (*ParamRef, bool) {
+	for i, p := range c.params {
+		if p.Name == name {
+			return &ParamRef{Name: name, Slot: i, T: p.T}, true
+		}
+	}
+	return nil, false
 }
 
 // Query is the bound from/where context of a statement: the range
@@ -174,14 +225,14 @@ func (c *Checker) inferPlaceholder(e Expr, t types.Type) {
 	if !ok || p.T != nil || t == nil {
 		return
 	}
-	var n int
-	if _, err := fmt.Sscanf(p.Name, "$%d", &n); err != nil || n < 1 {
+	n, ok := PlaceholderSlot(p.Name)
+	if !ok {
 		return
 	}
 	p.T = t
-	c.notePlaceholder(n)
-	if c.phTypes[n-1] == nil {
-		c.phTypes[n-1] = t
+	c.notePlaceholder(n + 1)
+	if c.phTypes[n] == nil {
+		c.phTypes[n] = t
 	}
 }
 
@@ -484,7 +535,7 @@ func EqualExpr(a, b Expr) bool {
 		return ok && x.Var == y.Var
 	case *ParamRef:
 		y, ok := b.(*ParamRef)
-		return ok && x.Name == y.Name
+		return ok && x.Slot == y.Slot && x.Name == y.Name
 	case *DBVarRead:
 		y, ok := b.(*DBVarRead)
 		return ok && x.Name == y.Name

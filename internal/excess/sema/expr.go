@@ -18,32 +18,44 @@ var builtinAggs = map[string]bool{
 // by the executor for function bodies).
 func (c *Checker) BindExpr(e ast.Expr) (Expr, error) { return c.bindExpr(e) }
 
-// bindExpr binds and type-checks an expression.
-func (c *Checker) bindExpr(e ast.Expr) (Expr, error) {
+// Literal binds an int, float or string literal to its constant: the
+// literals the session may lift into typed parameter slots, which
+// therefore check, key an index and evaluate exactly as the constant
+// does.
+func Literal(e ast.Expr) (*Const, bool) {
 	switch x := e.(type) {
 	case *ast.IntLit:
-		return &Const{Val: value.NewInt(x.V), T: types.Int4}, nil
+		return &Const{Val: value.NewInt(x.V), T: types.Int4}, true
 	case *ast.FloatLit:
-		return &Const{Val: value.NewFloat(x.V), T: types.Float8}, nil
+		return &Const{Val: value.NewFloat(x.V), T: types.Float8}, true
 	case *ast.StrLit:
-		return &Const{Val: value.NewStr(x.V), T: types.Varchar}, nil
+		return &Const{Val: value.NewStr(x.V), T: types.Varchar}, true
+	}
+	return nil, false
+}
+
+// bindExpr binds and type-checks an expression.
+func (c *Checker) bindExpr(e ast.Expr) (Expr, error) {
+	if k, ok := Literal(e); ok {
+		return k, nil
+	}
+	switch x := e.(type) {
 	case *ast.BoolLit:
 		return &Const{Val: value.Bool(x.V), T: types.Boolean}, nil
 	case *ast.NullLit:
 		return &Const{Val: value.Null{}, T: nil}, nil
 	case *ast.Placeholder:
 		// A prepared-statement parameter binds like a function parameter
-		// named "$N"; the executor resolves it through the same frame
-		// stack. Its type starts unknown and is back-filled from the
-		// surrounding comparison or arithmetic context (inferPlaceholder).
+		// in slot N-1 of the frame; the executor reads it from the frame
+		// by position. Unless the frame types it, its type starts unknown
+		// and is back-filled from the surrounding comparison or arithmetic
+		// context (inferPlaceholder).
 		c.notePlaceholder(x.N)
 		name := fmt.Sprintf("$%d", x.N)
-		if c.params != nil {
-			if t, ok := c.params[name]; ok {
-				return &ParamRef{Name: name, T: t}, nil
-			}
+		if p, ok := c.param(name); ok {
+			return p, nil
 		}
-		return &ParamRef{Name: name}, nil
+		return &ParamRef{Name: name, Slot: x.N - 1}, nil
 	case *ast.Path:
 		return c.bindPath(x)
 	case *ast.Unary:
@@ -117,11 +129,8 @@ func (c *Checker) bindPath(p *ast.Path) (Expr, error) {
 func (c *Checker) bindRoot(p *ast.Path) (Expr, error) {
 	name := p.Root
 	// 1. Function/procedure parameters.
-	if c.params != nil {
-		if t, ok := c.params[name]; ok {
-			var e Expr = &ParamRef{Name: name, T: t}
-			return c.rootIndex(p, e)
-		}
+	if pr, ok := c.param(name); ok {
+		return c.rootIndex(p, pr)
 	}
 	// 2. Already-bound range variables.
 	if v, ok := c.vars[name]; ok {

@@ -277,9 +277,13 @@ func (t *TupleCtor) Type() types.Type { return t.TT }
 // Multi implements Expr.
 func (t *TupleCtor) Multi() bool { return false }
 
-// ParamRef reads a function/procedure parameter binding.
+// ParamRef reads a parameter binding: slot Slot of the innermost
+// parameter frame, which is the frame the expression was checked
+// against (a function's or procedure's parameters, or a prepared
+// statement's $1..$n).
 type ParamRef struct {
 	Name string
+	Slot int
 	T    types.Type
 }
 

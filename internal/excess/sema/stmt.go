@@ -321,16 +321,16 @@ func (c *Checker) CheckExecute(e *ast.Execute) (*CheckedExecute, error) {
 // in the parameter scope.
 func BuildFunction(cat *catalog.Catalog, session *Session, d *ast.DefineFunction) (*catalog.Function, error) {
 	f := &catalog.Function{Name: d.Name, Late: d.Late}
-	params := map[string]types.Type{}
+	seen := map[string]bool{}
 	for _, p := range d.Params {
 		t, err := cat.ResolveType(p.Type)
 		if err != nil {
 			return nil, err
 		}
-		if _, dup := params[p.Name]; dup {
+		if seen[p.Name] {
 			return nil, ast.Errorf(&p, "duplicate parameter %s", p.Name)
 		}
-		params[p.Name] = t
+		seen[p.Name] = true
 		f.Params = append(f.Params, catalog.FuncParam{Name: p.Name, Type: t})
 	}
 	ret, err := cat.ResolveComponent(d.Returns)
@@ -359,7 +359,7 @@ func BuildFunction(cat *catalog.Catalog, session *Session, d *ast.DefineFunction
 	if _, err := probe.DefineFunction(f); err != nil {
 		return nil, err
 	}
-	ck := NewChecker(probe, session, params)
+	ck := NewFrameChecker(probe, session, Frame(f.Params))
 	switch {
 	case d.Expr != nil:
 		b, err := ck.bindExpr(d.Expr)
@@ -377,6 +377,16 @@ func BuildFunction(cat *catalog.Catalog, session *Session, d *ast.DefineFunction
 		}
 	}
 	return cat.DefineFunction(f)
+}
+
+// Frame is the parameter frame of a function or procedure: its
+// parameters in declaration order.
+func Frame(params []catalog.FuncParam) []Param {
+	frame := make([]Param, len(params))
+	for i, p := range params {
+		frame[i] = Param{Name: p.Name, T: p.Type}
+	}
+	return frame
 }
 
 // BuildProcedure resolves a define-procedure statement. Body statements

@@ -76,12 +76,8 @@ func (ex *State) callFunction(fn *catalog.Function, args []value.Value) (value.V
 		}
 		fn = def
 	}
-	frame := make(map[string]value.Value, len(fn.Params))
-	for i, p := range fn.Params {
-		frame[p.Name] = args[i]
-	}
 	ex.depth++
-	ex.params = append(ex.params, frame)
+	ex.params = append(ex.params, args) // the arguments are the frame, by slot
 	defer func() {
 		ex.params = ex.params[:len(ex.params)-1]
 		ex.depth--
@@ -167,11 +163,7 @@ func (ex *State) bindBody(fn *catalog.Function) (*boundBody, error) {
 	if old != nil {
 		b.expr, b.query = old.expr, old.query
 	} else {
-		paramTypes := make(map[string]types.Type, len(fn.Params))
-		for _, p := range fn.Params {
-			paramTypes[p.Name] = p.Type
-		}
-		ck := sema.NewChecker(ex.cat, sema.NewSession(), paramTypes)
+		ck := sema.NewFrameChecker(ex.cat, sema.NewSession(), sema.Frame(fn.Params))
 		var err error
 		if fn.Expr != nil {
 			b.expr, err = ck.BindExpr(fn.Expr)

@@ -77,6 +77,10 @@ type nodeProgram struct {
 	filter       []compiledExpr
 	build, probe compiledExpr
 	local        []compiledExpr
+	// An index probe's key expressions, one per Access.Bounds entry, or,
+	// when every key is a literal, the range they fold to (fixed).
+	keys  []compiledExpr
+	fixed *algebra.KeyRange
 }
 
 // aggProgram is one query-level aggregate: its argument and its over
@@ -218,6 +222,15 @@ func (c compiler) program(cq *sema.CheckedRetrieve, p *algebra.Plan) *Program {
 		n, np := &p.Nodes[i], &prog.nodes[i]
 		np.varProgram = c.varProgram(n.Var)
 		np.filter = c.exprs(n.Filter)
+		if a := n.Access; a != nil {
+			if rng, ok := a.ConstRange(); ok {
+				np.fixed = &rng
+			} else {
+				for _, b := range a.Bounds {
+					np.keys = append(np.keys, c.expr(b.Key))
+				}
+			}
+		}
 		if n.Hash != nil {
 			np.build, np.probe = c.expr(n.Hash.Build), c.expr(n.Hash.Probe)
 			for j, f := range n.Filter {
@@ -255,8 +268,9 @@ func (c compiler) program(cq *sema.CheckedRetrieve, p *algebra.Plan) *Program {
 }
 
 // CompilePlan compiles a retrieve's plan into its Program: node filters,
-// hash-join keys, the residual and forall conjuncts, targets, group keys
-// and aggregate arguments. The database layer compiles once per plan
+// index-probe keys (folded to a range when they are literals), hash-join
+// keys, the residual and forall conjuncts, targets, group keys and
+// aggregate arguments. The database layer compiles once per plan
 // and keeps the program beside the plan in the plan-cache entry; the
 // compile phase of the statement trace times it.
 func (ex *State) CompilePlan(cq *sema.CheckedRetrieve, p *algebra.Plan) *Program {
@@ -377,7 +391,9 @@ func compileInt(e sema.Expr) (intExpr, bool) {
 
 	// Boxed leaf (path step, parameter, variable, call): evaluate through
 	// the boxed lane and unbox. The static type guarantees the runtime
-	// value is Int or Null.
+	// value is Int or Null. A parameter's leaf is a load from its frame
+	// slot, so a literal lifted into a slot costs about what the constant
+	// did.
 	bf, _, _ := compile(e)
 	return func(ex *State, ctx *evalCtx) (int64, bool, error) {
 		v, err := bf(ex, ctx)
@@ -423,14 +439,8 @@ func compile(e sema.Expr) (fn compiledExpr, cv value.Value, isConst bool) {
 		return readVar(x.Var, true), nil, false
 
 	case *sema.ParamRef:
-		name := x.Name
 		return func(ex *State, _ *evalCtx) (value.Value, error) {
-			for i := len(ex.params) - 1; i >= 0; i-- {
-				if v, ok := ex.params[i][name]; ok {
-					return v, nil
-				}
-			}
-			return nil, fmt.Errorf("parameter %s not bound", name)
+			return ex.param(x)
 		}, nil, false
 
 	case *sema.PathExpr:

@@ -26,12 +26,7 @@ func (ex *State) eval(ctx *evalCtx, e sema.Expr) (value.Value, error) {
 		}
 		return v, nil
 	case *sema.ParamRef:
-		for i := len(ex.params) - 1; i >= 0; i-- {
-			if v, ok := ex.params[i][x.Name]; ok {
-				return v, nil
-			}
-		}
-		return nil, fmt.Errorf("parameter %s not bound", x.Name)
+		return ex.param(x)
 	case *sema.DBVarRead:
 		return ex.reader().GetVar(x.Name)
 	case *sema.ExtentSet:

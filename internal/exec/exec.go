@@ -83,7 +83,7 @@ type State struct {
 	// State methods.
 	opts algebra.Options
 
-	params []map[string]value.Value // function/procedure parameter frames
+	params [][]value.Value // parameter frames by slot, innermost last
 	depth  int
 
 	// derefs counts objects fetched by OID (derefGet): index probes,
@@ -314,6 +314,10 @@ type runner struct {
 
 type nodeRun struct {
 	sink
+	// keys is the node's index-probe range for this run, evaluated when
+	// the run starts; nil when the node scans.
+	keys  *algebra.KeyRange
+	rng   algebra.KeyRange
 	table *joinTable // hash-join build side, built on the first probe
 	// Instrumented runs: time spent in later nodes during the current
 	// loop, and the pool counters at the last attribution.
@@ -333,6 +337,9 @@ func (ex *State) Run(p *algebra.Plan, prog *Program, yield func(*evalCtx) error)
 		nodes: make([]nodeRun, len(p.Nodes))}
 	for i := range r.nodes {
 		r.nodes[i].emit = r.nodeEmit(i)
+		if err := r.probeRange(i); err != nil {
+			return err
+		}
 	}
 	if len(p.Universal) > 0 && len(prog.forAll) > 0 {
 		r.univ = make([]sink, len(p.Universal))
@@ -355,6 +362,34 @@ func (ex *State) Run(p *algebra.Plan, prog *Program, yield func(*evalCtx) error)
 		}
 	}
 	return err
+}
+
+// probeRange sets node i's index-probe range for the run. Its keys are
+// closed expressions — literals, folded when the plan was compiled, or
+// parameters — so each is evaluated once, here, not per outer binding.
+// A key without an index encoding leaves the node scanning.
+func (r *runner) probeRange(i int) error {
+	a, np, nr := r.plan.Nodes[i].Access, &r.prog.nodes[i], &r.nodes[i]
+	switch {
+	case a == nil:
+		return nil
+	case np.fixed != nil:
+		nr.keys = np.fixed
+		return nil
+	}
+	keys := make([]value.Value, len(np.keys))
+	for k, key := range np.keys {
+		v, err := key(r.ex, &r.ctx)
+		if err != nil {
+			return err
+		}
+		keys[k] = v
+	}
+	if rng, ok := a.Range(keys); ok {
+		nr.rng = rng
+		nr.keys = &nr.rng
+	}
+	return nil
 }
 
 // runNode binds plan node i for every element of its source, recursing
@@ -383,7 +418,7 @@ func (r *runner) enumerate(i int) error {
 	if n.Hash != nil {
 		return r.hashProbe(i)
 	}
-	return r.ex.enumerate(&r.ctx, n.Var, n.Access, &r.prog.nodes[i].varProgram, &r.nodes[i].sink)
+	return r.ex.enumerate(&r.ctx, n.Var, n.Access, r.nodes[i].keys, &r.prog.nodes[i].varProgram, &r.nodes[i].sink)
 }
 
 // nodeEmit builds node i's emit: bind the variable, apply the node's
@@ -471,7 +506,7 @@ func (r *runner) forAll(j int) error {
 		r.holds = ok
 		return err
 	}
-	return r.ex.enumerate(&r.ctx, r.plan.Universal[j], nil, &r.prog.universal[j], &r.univ[j])
+	return r.ex.enumerate(&r.ctx, r.plan.Universal[j], nil, nil, &r.prog.universal[j], &r.univ[j])
 }
 
 func (r *runner) universalEmit(j int) func(value.Value, prov) error {
@@ -486,15 +521,19 @@ func (r *runner) universalEmit(j int) func(value.Value, prov) error {
 
 // enumerate produces the bindings of one variable into s: an index
 // probe, a heap scan or an element-extent scan for an extent variable,
-// a walk to the collection for a path-ranging one. access is the
-// variable's index probe, nil for a scan.
-func (ex *State) enumerate(ctx *evalCtx, v *sema.Var, access *algebra.AccessPath, vp *varProgram, s *sink) error {
+// a walk to the collection for a path-ranging one. ix and keys are the
+// variable's index probe and its range for the run; keys is nil for a
+// scan.
+func (ex *State) enumerate(ctx *evalCtx, v *sema.Var, ix *algebra.AccessPath, keys *algebra.KeyRange, vp *varProgram, s *sink) error {
 	switch v.Kind {
 	case sema.VarExtent:
 		r := ex.reader()
 		if r.IsObjectExtent(v.Extent) {
-			if access != nil {
-				ids := r.IndexLookup(access.Index, access.Lo, access.Hi, access.IncLo, access.IncHi)
+			if keys != nil {
+				if keys.Empty {
+					return nil
+				}
+				ids := r.IndexLookup(ix.Index, keys.Lo, keys.Hi, keys.IncLo, keys.IncHi)
 				for _, id := range ids {
 					tv, ok, err := ex.derefGet(id)
 					if err != nil {

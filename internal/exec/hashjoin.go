@@ -90,7 +90,7 @@ func mentionsOnlyVar(e sema.Expr, v *sema.Var) bool {
 // pass over the node's source (scan or index probe), applying the filter
 // conjuncts local to the node's variable, keying each surviving row on
 // the build expression.
-func (ex *State) buildJoinTable(n *algebra.Node, np *nodeProgram) (*joinTable, error) {
+func (ex *State) buildJoinTable(n *algebra.Node, np *nodeProgram, keys *algebra.KeyRange) (*joinTable, error) {
 	// The build is a discrete materializing step (unlike the per-row
 	// pipeline), so it earns a live operator span when sampled.
 	sp := ex.tr.StartSpan(trace.KindOperator, "hash build "+n.Var.Extent+" binding "+n.Var.Name)
@@ -124,7 +124,7 @@ func (ex *State) buildJoinTable(n *algebra.Node, np *nodeProgram) (*joinTable, e
 		t.buildRows++
 		return nil
 	}}
-	if err := ex.enumerate(ctx, n.Var, n.Access, &np.varProgram, &s); err != nil {
+	if err := ex.enumerate(ctx, n.Var, n.Access, keys, &np.varProgram, &s); err != nil {
 		return nil, err
 	}
 	if ex.cHashBuilds != nil {
@@ -147,7 +147,7 @@ func (r *runner) hashProbe(i int) error {
 	t := nr.table
 	if t == nil {
 		var err error
-		if t, err = ex.buildJoinTable(n, np); err != nil {
+		if t, err = ex.buildJoinTable(n, np, nr.keys); err != nil {
 			return err
 		}
 		nr.table = t

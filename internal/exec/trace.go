@@ -88,7 +88,7 @@ func (ex *State) Set(cs *sema.CheckedSet) error {
 // parameters (the generalized IDM stored command).
 //
 // extra:requires db.wmu.W
-func (ex *State) Execute(ce *sema.CheckedExecute, runBody func(params map[string]value.Value) error) (int, error) {
+func (ex *State) Execute(ce *sema.CheckedExecute, runBody func(frame []value.Value) error) (int, error) {
 	sp := ex.opSpan("execute " + ce.Proc.Name)
 	n, err := ex.executeStmt(ce, runBody)
 	ex.endOpSpan(sp, n)

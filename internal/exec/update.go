@@ -489,22 +489,20 @@ func (ex *State) setStmt(cs *sema.CheckedSet) error {
 // parameters (the generalized IDM stored command).
 //
 // extra:requires db.wmu.W
-func (ex *State) executeStmt(ce *sema.CheckedExecute, runBody func(params map[string]value.Value) error) (int, error) {
-	type frame = map[string]value.Value
-	var frames []frame
+func (ex *State) executeStmt(ce *sema.CheckedExecute, runBody func(frame []value.Value) error) (int, error) {
+	var frames [][]value.Value
 	plan := ex.Plan(ce.Query)
 	c := ex.compiler()
 	prog := c.program(nil, plan)
 	args := c.exprs(ce.Args)
 	err := ex.Run(plan, prog, func(ctx *evalCtx) error {
-		f := make(frame, len(args))
+		f := make([]value.Value, len(args))
 		for i, a := range args {
 			v, err := a(ex, ctx)
 			if err != nil {
 				return err
 			}
-			p := ce.Proc.Params[i]
-			f[p.Name] = coerceParam(v, p.Type)
+			f[i] = coerceParam(v, ce.Proc.Params[i].Type)
 		}
 		frames = append(frames, f)
 		return nil
@@ -532,9 +530,35 @@ func coerceParam(v value.Value, t types.Type) value.Value {
 	return v
 }
 
-// PushParams installs a parameter frame (used when running procedure
-// bodies through the statement dispatcher).
-func (ex *State) PushParams(f map[string]value.Value) { ex.params = append(ex.params, f) }
+// PushFrame installs a parameter frame, values by slot: a prepared
+// statement's arguments, a procedure body's parameters, or the literals
+// the database layer lifted out of an ad-hoc statement.
+func (ex *State) PushFrame(vals []value.Value) { ex.params = append(ex.params, vals) }
+
+// PushParams installs a frame given by placeholder name ("$N" fills slot
+// N-1; other names are ignored), for callers that bind a prepared
+// statement's arguments by name.
+func (ex *State) PushParams(f map[string]value.Value) {
+	var vals []value.Value
+	for name, v := range f {
+		if n, ok := sema.PlaceholderSlot(name); ok {
+			for len(vals) <= n {
+				vals = append(vals, value.Null{})
+			}
+			vals[n] = v
+		}
+	}
+	ex.PushFrame(vals)
+}
 
 // PopParams removes the top parameter frame.
 func (ex *State) PopParams() { ex.params = ex.params[:len(ex.params)-1] }
+
+// param reads a parameter from the innermost frame: a ParamRef is
+// checked against exactly the frame its reader runs inside.
+func (ex *State) param(p *sema.ParamRef) (value.Value, error) {
+	if n := len(ex.params); n > 0 && p.Slot < len(ex.params[n-1]) {
+		return ex.params[n-1][p.Slot], nil
+	}
+	return nil, fmt.Errorf("parameter %s not bound", p.Name)
+}

@@ -76,7 +76,7 @@ func TestJoinMethodEquivalence(t *testing.T) {
 		`retrieve (D.dname) from D in Departments where AE.dept isnot D or AE.salary > 10`)
 	rng := rand.New(rand.NewSource(321))
 	for i := 0; i < 40; i++ {
-		queries = append(queries, randomQuery(rng))
+		queries = append(queries, randomQuery(rng).literal())
 	}
 
 	for _, q := range queries {

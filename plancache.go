@@ -1,6 +1,7 @@
 package extra
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 	"sync"
@@ -10,13 +11,21 @@ import (
 	"repro/internal/excess/sema"
 	"repro/internal/exec"
 	"repro/internal/metrics"
+	"repro/internal/types"
+	"repro/internal/value"
 )
 
-// planCache is the engine-wide compiled-statement cache: a text-keyed map
-// from normalized retrieve source to its checked form and optimized plan,
-// so a statement executed repeatedly (the OLTP shape the paper's
-// application interfaces generate) pays parse/check/plan once and a map
-// hit thereafter.
+// planCache is the engine-wide compiled-statement cache: a map from a
+// retrieve's shape to its checked form and optimized plan, so a
+// statement executed repeatedly (the OLTP shape the paper's application
+// interfaces generate) pays parse/check/plan once and a map hit
+// thereafter.
+//
+// A shape is the printed statement with its parameter slots and their
+// types (planKeyText). An ad-hoc statement's comparison literals are
+// lifted into slots first (liftLiterals), so "E.name = \"Smith\"" and
+// "E.name = \"Jones\"" are one entry, shared with a prepared
+// "E.name = $1" whose slot has the same type.
 //
 // The key embeds everything planning reads besides the statement text:
 //
@@ -92,6 +101,90 @@ func planKeyFor(es *exec.State, sem *sema.Session, text string) planKey {
 		optsFP: es.Options().Fingerprint(),
 		ranges: rangesFingerprint(sem),
 	}
+}
+
+// planKeyText is the text component of a retrieve's planKey: the
+// printed statement, then the type of each parameter slot, which its
+// checked tree depends on as much as on the text. Ad-hoc statements and
+// Prepare build it here, so equal shapes with equal slot types share
+// one entry.
+func planKeyText(st *ast.Retrieve, slots []types.Type) string {
+	text := ast.Print(st)
+	if len(slots) == 0 {
+		return text
+	}
+	var b strings.Builder
+	b.WriteString(text)
+	for _, t := range slots {
+		fmt.Fprintf(&b, "\x00%v", t)
+	}
+	return b.String()
+}
+
+// liftLiterals turns an ad-hoc retrieve into its shape: in the where
+// clause, every comparison (= != < <= > >=) with a path on one side and
+// an int, float or string literal directly on the other gets the
+// literal replaced by the next $n slot. A slot is typed by its literal's
+// own type and carries its value (sema.Literal), so the shape checks,
+// keys an index and evaluates exactly as the literal form. Null,
+// boolean, negated and ADT-call literals stay in the text. It returns
+// the shape, the literals' values and types by slot, and st itself,
+// unmodified, when there is nothing to lift.
+func liftLiterals(st *ast.Retrieve) (*ast.Retrieve, []value.Value, []types.Type) {
+	var l lifter
+	where := l.expr(st.Where)
+	if len(l.vals) == 0 {
+		return st, nil, nil
+	}
+	shape := *st
+	shape.Where = where
+	return &shape, l.vals, l.types
+}
+
+// lifter rewrites a where clause copy-on-write, collecting the lifted
+// literals in slot order.
+type lifter struct {
+	vals  []value.Value
+	types []types.Type
+}
+
+func (l *lifter) expr(e ast.Expr) ast.Expr {
+	switch x := e.(type) {
+	case *ast.Binary:
+		b := *x
+		b.L, b.R = l.expr(x.L), l.expr(x.R)
+		switch x.Op {
+		case "=", "!=", "<", "<=", ">", ">=":
+			if _, isPath := b.L.(*ast.Path); isPath {
+				b.R = l.slot(b.R)
+			} else if _, isPath := b.R.(*ast.Path); isPath {
+				b.L = l.slot(b.L)
+			}
+		}
+		if b.L == x.L && b.R == x.R {
+			return x
+		}
+		return &b
+	case *ast.Unary:
+		if y := l.expr(x.X); y != x.X {
+			u := *x
+			u.X = y
+			return &u
+		}
+	}
+	return e
+}
+
+// slot replaces a literal operand by the next slot.
+func (l *lifter) slot(e ast.Expr) ast.Expr {
+	k, ok := sema.Literal(e)
+	if !ok {
+		return e
+	}
+	l.vals = append(l.vals, k.Val)
+	l.types = append(l.types, k.T)
+	line, col := e.Pos()
+	return &ast.Placeholder{Position: ast.Position{Line: line, Col: col}, N: len(l.vals)}
 }
 
 // rangesFingerprint renders a session's range declarations into a stable

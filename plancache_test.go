@@ -142,14 +142,15 @@ func TestPlanCacheRangeDeclarations(t *testing.T) {
 	}
 }
 
-// TestPlanCacheEviction fills the cache past capacity and checks FIFO
+// TestPlanCacheEviction fills the cache past capacity with distinct
+// shapes — a fresh literal alone is a hit on its shape — and checks FIFO
 // eviction keeps it bounded.
 func TestPlanCacheEviction(t *testing.T) {
 	db := mustOpen(t)
 	db.MustExec(`define type P: ( a: int4 ) create Ps : { own P } append to Ps (a = 1)`)
 	n := defaultPlanCacheCap + 10
 	for i := 0; i < n; i++ {
-		db.MustQuery(fmt.Sprintf(`retrieve (P.a) from P in Ps where P.a = %d`, i))
+		db.MustQuery(fmt.Sprintf(`retrieve (a%d = P.a) from P in Ps where P.a = %d`, i, i))
 	}
 	s := db.MetricsSnapshot()
 	if got := s.Counters["plan.cache.evictions"]; got != uint64(n-defaultPlanCacheCap) {
@@ -216,5 +217,132 @@ func TestPlanCacheHitCompilesNothing(t *testing.T) {
 	}
 	if got := s.Counters["plan.cache.hits"]; got != 10 {
 		t.Errorf("plan.cache.hits = %d, want 10", got)
+	}
+}
+
+// TestAdhocLiteralsShareOnePlan: ad-hoc statements that differ only in
+// their comparison literals are one shape, so 1 000 point lookups with
+// distinct literals plan and compile once — one miss, 999 hits — and
+// every lookup still returns the rows of its own literal.
+func TestAdhocLiteralsShareOnePlan(t *testing.T) {
+	db := mustOpen(t)
+	loadCompany(t, db)
+	db.MustExec(`define index emp_sal on Employees (salary)`)
+	salaries := map[int]string{90: "Ann", 50: "Ben", 120: "Cal", 45: "Dee"}
+	base := db.MetricsSnapshot()
+	var compiledFirst uint64
+	for i := 0; i < 1000; i++ {
+		res := db.MustQuery(fmt.Sprintf(`retrieve (E.name) from E in Employees where E.salary = %d`, i))
+		want, hit := salaries[i]
+		if (len(res.Rows) == 1) != hit || hit && res.Rows[0][0].String() != `"`+want+`"` {
+			t.Fatalf("salary = %d returned %v, want %q", i, res.Rows, want)
+		}
+		if i == 0 {
+			compiledFirst = db.MetricsSnapshot().Counters["expr.compile.count"] - base.Counters["expr.compile.count"]
+		}
+	}
+	s := db.MetricsSnapshot()
+	if got := s.Counters["plan.cache.misses"] - base.Counters["plan.cache.misses"]; got != 1 {
+		t.Errorf("plan.cache.misses moved by %d, want 1", got)
+	}
+	if got := s.Counters["plan.cache.hits"] - base.Counters["plan.cache.hits"]; got != 999 {
+		t.Errorf("plan.cache.hits moved by %d, want 999", got)
+	}
+	if compiledFirst == 0 {
+		t.Error("expr.compile.count did not move on the first lookup")
+	}
+	if got := s.Counters["expr.compile.count"] - base.Counters["expr.compile.count"]; got != compiledFirst {
+		t.Errorf("expr.compile.count moved by %d over 1 000 lookups, %d on the first: the shape compiled more than once", got, compiledFirst)
+	}
+	if got := db.plans.len(); got != 1 {
+		t.Errorf("cache holds %d entries, want 1", got)
+	}
+}
+
+// TestAdhocShapeSharedWithPrepared: an ad-hoc statement and a prepared
+// one with $n slots of the same types are one entry, whichever runs
+// first; slot types stay in the key, so a float literal is a shape of
+// its own; and EXPLAIN of a cached shape shows the caller's literals.
+func TestAdhocShapeSharedWithPrepared(t *testing.T) {
+	db := mustOpen(t)
+	loadCompany(t, db)
+	db.MustExec(`define index emp_sal on Employees (salary)`)
+	st, err := db.Prepare(`retrieve (E.name) from E in Employees where E.salary >= $1 and E.salary < $2`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if got := len(st.MustExec(40, 60).Rows); got != 2 {
+		t.Fatalf("prepared range returned %d rows, want 2", got)
+	}
+	adhoc := `retrieve (E.name) from E in Employees where E.salary >= 80 and E.salary < 100`
+	if got := db.MustQuery(adhoc).String(); got != "name\n-----\n\"Ann\"\n" {
+		t.Fatalf("ad-hoc range returned\n%s", got)
+	}
+	s := db.MetricsSnapshot()
+	if s.Counters["plan.cache.misses"] != 1 || s.Counters["plan.cache.hits"] != 1 {
+		t.Errorf("misses %d, hits %d: want the ad-hoc statement served the prepared shape",
+			s.Counters["plan.cache.misses"], s.Counters["plan.cache.hits"])
+	}
+	plan, err := db.Explain(adhoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "(cached)\n-> index probe emp_sal on Employees [>= <] binding E\n" +
+		"   filter: (E.salary >= 80)\n   filter: (E.salary < 100)\n"
+	if plan != want {
+		t.Errorf("EXPLAIN of the cached shape:\n%s\nwant\n%s", plan, want)
+	}
+	db.MustQuery(`retrieve (E.name) from E in Employees where E.salary >= 80.5 and E.salary < 100`)
+	if got := db.plans.len(); got != 2 {
+		t.Errorf("cache holds %d entries, want 2: a float8 slot is another shape", got)
+	}
+}
+
+// TestPointReadMixHitFraction runs the point-read mix — per 14
+// statements, 6 prepared lookups, 5 ad-hoc lookups from a set of 64
+// texts and 3 ad-hoc lookups with literals never seen before — and
+// requires the ad-hoc statements to hit the plan cache at least 95 % of
+// the time: fresh literals are hits on their shape and no longer push
+// the hot texts out.
+func TestPointReadMixHitFraction(t *testing.T) {
+	db := mustOpen(t)
+	loadCompany(t, db)
+	db.MustExec(`define index emp_sal on Employees (salary)`)
+	db.MustExec(`define index emp_name on Employees (name)`)
+	var prepared []*Stmt
+	for i := 0; i < 6; i++ {
+		st, err := db.Prepare(fmt.Sprintf(`retrieve (E.name, E.age) from E in Employees where E.salary = %d`, 40+10*i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		prepared = append(prepared, st)
+	}
+	var hits, misses uint64
+	adhoc := func(src string) {
+		before := db.MetricsSnapshot()
+		db.MustQuery(src)
+		after := db.MetricsSnapshot()
+		hits += after.Counters["plan.cache.hits"] - before.Counters["plan.cache.hits"]
+		misses += after.Counters["plan.cache.misses"] - before.Counters["plan.cache.misses"]
+	}
+	fresh := 0
+	for round := 0; round < 100; round++ {
+		for i := 0; i < 6; i++ {
+			prepared[i].MustExec()
+		}
+		for i := 0; i < 5; i++ {
+			adhoc(fmt.Sprintf(`retrieve (E.name, E.salary) from E in Employees where E.name = "hot-%02d"`, (round*5+i)%64))
+		}
+		for i := 0; i < 3; i++ {
+			fresh++
+			adhoc(fmt.Sprintf(`retrieve (E.name, E.age) from E in Employees where E.salary = %d`, 1000+fresh))
+		}
+	}
+	frac := float64(hits) / float64(hits+misses)
+	t.Logf("ad-hoc plan-cache hit fraction %.4f (%d hits, %d misses)", frac, hits, misses)
+	if frac < 0.95 {
+		t.Errorf("ad-hoc hit fraction %.4f, want >= 0.95", frac)
 	}
 }

@@ -3,7 +3,6 @@ package extra
 import (
 	"fmt"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -37,12 +36,14 @@ type Stmt struct {
 	stmts []ast.Statement // the one statement, in the shape the pipeline takes
 	// ptypes holds the inferred type of each $N slot (index N-1); nil
 	// entries are dynamically typed (converted from the Go native's own
-	// shape at bind time).
+	// shape at bind time). frame is the slots as the checker and the
+	// executor see them, the dynamically typed ones as varchar.
 	ptypes []types.Type
-	// keyText is the text component of a retrieve's planKey: the printed
-	// statement plus the slot types, which its checked tree equally
-	// depends on. A parameterless statement's is exactly what an ad-hoc
-	// execution prints, so the two share one cache entry.
+	frame  []sema.Param
+	// keyText is the text component of a retrieve's planKey (planKeyText):
+	// the printed statement plus the slot types, which its checked tree
+	// equally depends on. An ad-hoc statement of the same shape — its
+	// literals lifted into slots of the same types — shares the entry.
 	keyText string
 	last    atomic.Pointer[planEntry]
 	closed  atomic.Bool
@@ -68,14 +69,10 @@ func (s *Session) Prepare(src string) (*Stmt, error) {
 	if err := probeCheck(ck, st); err != nil {
 		return nil, err
 	}
-	stmt := &Stmt{sess: s, src: src, stmts: []ast.Statement{st}, ptypes: ck.Placeholders()}
+	ptypes := ck.Placeholders()
+	stmt := &Stmt{sess: s, src: src, stmts: []ast.Statement{st}, ptypes: ptypes, frame: placeholderFrame(ptypes, len(ptypes))}
 	if r, ok := st.(*ast.Retrieve); ok {
-		var b strings.Builder
-		b.WriteString(ast.Print(r))
-		for _, t := range stmt.ptypes {
-			fmt.Fprintf(&b, "\x00%v", t)
-		}
-		stmt.keyText = b.String()
+		stmt.keyText = planKeyText(r, ptypes)
 	}
 	return stmt, nil
 }
@@ -157,20 +154,28 @@ func (st *Stmt) bindArgs(args []any) (*paramScope, error) {
 		return nil, nil
 	}
 	db := st.sess.db
-	tmap := make(map[string]types.Type, len(args))
-	vmap := make(map[string]value.Value, len(args))
+	vals := make([]value.Value, len(args))
 	for i, raw := range args {
-		name := "$" + strconv.Itoa(i+1)
-		t := st.ptypes[i]
-		if t == nil {
-			t = types.Varchar // dynamically typed slot; shape from the native
-		}
-		v, err := db.valueFromGo(types.Component{Mode: types.Own, Type: t}, raw)
+		p := st.frame[i]
+		v, err := db.valueFromGo(types.Component{Mode: types.Own, Type: p.T}, raw)
 		if err != nil {
-			return nil, fmt.Errorf("parameter %s: %w", name, err)
+			return nil, fmt.Errorf("parameter %s: %w", p.Name, err)
 		}
-		tmap[name] = t
-		vmap[name] = v
+		vals[i] = v
 	}
-	return &paramScope{types: tmap, values: vmap}, nil
+	return &paramScope{frame: st.frame, values: vals}, nil
+}
+
+// placeholderFrame is the frame of n $N slots typed by ptypes (index
+// N-1), a slot the statement does not type being varchar: its argument
+// keeps the Go native's own shape.
+func placeholderFrame(ptypes []types.Type, n int) []sema.Param {
+	frame := make([]sema.Param, n)
+	for i := range frame {
+		frame[i] = sema.Param{Name: "$" + strconv.Itoa(i+1), T: types.Varchar}
+		if i < len(ptypes) && ptypes[i] != nil {
+			frame[i].T = ptypes[i]
+		}
+	}
+	return frame
 }

@@ -340,6 +340,18 @@ func TestEntryPointParity(t *testing.T) {
 		if got.String() != want.String() {
 			t.Errorf("%q: prepared rows differ from ad-hoc rows:\n%s\nvs\n%s", tc.adhoc, got, want)
 		}
+		// The ad-hoc text prepared as it is: its literals stay in the
+		// statement (a prepared text is never lifted), where the ad-hoc run
+		// lifted them into the slots of a cached shape.
+		lit, err := prepared.Prepare(tc.adhoc)
+		if err != nil {
+			t.Fatalf("prepare %q: %v", tc.adhoc, err)
+		}
+		route("Prepare+Exec "+tc.adhoc, prepared, tc.kind, func() { got = lit.MustExec() })
+		lit.Close()
+		if got.String() != want.String() {
+			t.Errorf("%q: prepared literal rows differ from ad-hoc rows:\n%s\nvs\n%s", tc.adhoc, got, want)
+		}
 		route("ExplainAnalyzeReport "+tc.adhoc, adhoc, tc.kind, func() {
 			analyzed := adhoc.MetricsSnapshot().Counters["stmt.analyze"]
 			rep, err := adhoc.ExplainAnalyzeReport(tc.adhoc)

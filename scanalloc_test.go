@@ -14,10 +14,11 @@ import (
 	"repro/internal/workload"
 )
 
-// scanShape is one prepared scan whose allocations are counted: src with
-// args that match no row, so the count is the scan's alone. perEmp and
-// perKid are the allocations each scanned employee and each unnested
-// kid must cost.
+// scanShape is one scan whose allocations are counted: src with args
+// that match no row, so the count is the scan's alone. A shape without
+// args runs src ad hoc, its literals lifted into slots the way the
+// session lifts them. perEmp and perKid are the allocations each scanned
+// employee and each unnested kid must cost.
 type scanShape struct {
 	name           string
 	src            string
@@ -41,6 +42,9 @@ func TestScanAllocsPerRow(t *testing.T) {
 		{"ref path", `retrieve (E.name) from E in Employees where E.dept.floor = $1`, []any{99}, 0, 0},
 		// The unnest starts at E's tuple and binds each kid unboxed.
 		{"unnest", `retrieve (E.name, K.name) from E in Employees, K in E.kids where K.age < $1`, []any{0}, 0, 0},
+		// An ad-hoc filter's literals, lifted into slots, are read from the
+		// statement's frame: no more per row than the prepared form.
+		{"lifted ad-hoc filter", `retrieve (E.name, E.salary) from E in Employees where E.age >= 200 and E.age < 201`, nil, 0, 0},
 	}
 	overhead := make([]uint64, len(shapes))
 	for si, n := range []int{2000, 20000} {
@@ -55,7 +59,13 @@ func TestScanAllocsPerRow(t *testing.T) {
 				t.Fatal(err)
 			}
 			exec := func() {
-				if res := st.MustExec(sh.args...); len(res.Rows) != 0 {
+				var res *extra.Result
+				if sh.args == nil {
+					res = db.MustQuery(sh.src)
+				} else {
+					res = st.MustExec(sh.args...)
+				}
+				if len(res.Rows) != 0 {
 					t.Fatalf("%s: %d rows, want none", sh.name, len(res.Rows))
 				}
 			}

@@ -271,11 +271,11 @@ func (s *Session) runReadStmt(c *stmtCall, st ast.Statement) (*Result, error) {
 	if c.tr.Sampled() {
 		c.tr.Active().AttrInt(0, "snapshot.version", int64(c.es.SnapshotVersion()))
 	}
-	cq, plan, prog, err := s.planRetrieve(c, r)
+	cr, err := s.planRetrieve(c, r)
 	if err != nil {
 		return nil, err
 	}
-	return s.execPlan(c, cq, plan, prog)
+	return s.execPlan(c, cr)
 }
 
 // analysis is what EXPLAIN ANALYZE keeps of a retrieve's instrumented
@@ -287,6 +287,17 @@ type analysis struct {
 	pool       PoolStats
 }
 
+// compiledRetrieve is a retrieve ready to run: its checked form, plan
+// and program, and the parameter frame the program reads — the call's
+// arguments, or the literals planRetrieve lifted into slots (lifted).
+type compiledRetrieve struct {
+	cq     *sema.CheckedRetrieve
+	plan   *algebra.Plan
+	prog   *exec.Program
+	frame  []value.Value
+	lifted bool
+}
+
 // execPlan runs a compiled retrieve against whatever the call's State
 // is bound to — on the read path no engine lock is held, so however
 // long the scan runs, writers proceed.
@@ -295,27 +306,37 @@ type analysis struct {
 // becomes storage attribution after the run. EnableRuntime mutates the
 // plan, and cached plans are shared by concurrent statements, so the
 // instrumented run uses a private clone; the clone keeps the nodes'
-// positions, so it runs the program compiled for the original.
-func (s *Session) execPlan(c *stmtCall, cq *sema.CheckedRetrieve, plan *algebra.Plan, prog *exec.Program) (*Result, error) {
+// positions, so it runs the program compiled for the original. The
+// clone of a lifted shape carries the call's literals, so it explains
+// as the statement that was typed.
+func (s *Session) execPlan(c *stmtCall, cr compiledRetrieve) (*Result, error) {
 	db := s.db
+	plan := cr.plan
 	var rt *algebra.PlanRuntime
 	var poolBase PoolStats
 	if c.tr.Sampled() || c.analysis != nil {
 		plan = plan.Clone()
+		if cr.lifted {
+			plan.Args = cr.frame
+		}
 		rt = plan.EnableRuntime()
 		poolBase = db.pool.Stats()
 	}
 	pt := c.tr.StartPhase(trace.PhaseExecute)
-	res, err := withParams(c.es, c.params, func() (*Result, error) {
-		return c.es.RetrieveProgram(cq, plan, prog)
-	})
+	if cr.frame != nil {
+		c.es.PushFrame(cr.frame)
+	}
+	res, err := c.es.RetrieveProgram(cr.cq, plan, cr.prog)
+	if cr.frame != nil {
+		c.es.PopParams()
+	}
 	if rt != nil {
 		delta := db.pool.Stats().Sub(poolBase)
 		if c.tr.Sampled() {
 			addRetrieveSpans(&c.tr, pt, plan, rt, delta)
 		}
 		if c.analysis != nil {
-			*c.analysis = analysis{plan: plan, aggregated: cq.Aggregated, pool: delta}
+			*c.analysis = analysis{plan: plan, aggregated: cr.cq.Aggregated, pool: delta}
 		}
 	}
 	c.tr.EndPhase(pt)
@@ -336,40 +357,59 @@ func (s *Session) execPlan(c *stmtCall, cq *sema.CheckedRetrieve, plan *algebra.
 // A retrieve without an into clause is served from the cache (into
 // creates schema and is never repeated), ad hoc or prepared; inside a
 // procedure frame it is not, because the checked tree captures the
-// frame's parameter types. A prepared statement brings its pre-printed
-// key text and the entry it was last served, which spares it the print
-// and the map probe and keeps its plan out of reach of FIFO eviction.
-func (s *Session) planRetrieve(c *stmtCall, st *ast.Retrieve) (*sema.CheckedRetrieve, *algebra.Plan, *exec.Program, error) {
+// frame's parameter types. An ad-hoc statement is cached as its shape:
+// its comparison literals are lifted into typed slots (liftLiterals)
+// and the program reads them from a frame of their values, so a fresh
+// literal is a hit. A shape that does not check is checked again as
+// typed, so its error quotes the statement the caller wrote. A prepared
+// statement brings its pre-printed key text and the entry it was last
+// served, which spares it the print and the map probe and keeps its
+// plan out of reach of FIFO eviction.
+func (s *Session) planRetrieve(c *stmtCall, st *ast.Retrieve) (compiledRetrieve, error) {
 	db := s.db
 	sem := s.sem.Load()
+	cr := compiledRetrieve{frame: c.params.valuesOrNil()}
+	frame := c.params.frameOrNil()
 	var key planKey
 	var last, e *planEntry
 	useCache := st.Into == "" && (c.params == nil || c.prepared != nil)
+	shape := st
 	if useCache {
 		if c.prepared != nil {
 			key, last = planKeyFor(c.es, sem, c.prepared.keyText), c.prepared.last.Load()
 		} else {
-			key = planKeyFor(c.es, sem, ast.Print(st))
+			var slots []types.Type
+			shape, cr.frame, slots = liftLiterals(st)
+			cr.lifted = cr.frame != nil
+			frame = placeholderFrame(slots, len(slots))
+			key = planKeyFor(c.es, sem, planKeyText(shape, slots))
 		}
 		e = db.plans.get(key, last)
 	}
 	if e != nil {
 		if err := c.authQuery(e.cq.Query, nil, targetExprs(e.cq)...); err != nil {
-			return nil, nil, nil, err
+			return compiledRetrieve{}, err
 		}
 		if c.prepared != nil && e != last {
 			c.prepared.last.Store(e)
 		}
-		return e.cq, e.plan, e.prog, nil
+		cr.cq, cr.plan, cr.prog = e.cq, e.plan, e.prog
+		return cr, nil
 	}
 	pt := c.tr.StartPhase(trace.PhaseCheck)
-	cq, err := sema.NewChecker(c.es.Catalog(), sem, c.params.typesOrNil()).CheckRetrieve(st)
+	cq, err := sema.NewFrameChecker(c.es.Catalog(), sem, frame).CheckRetrieve(shape)
+	if err != nil && shape != st {
+		// The shape did not check: check and run the statement as typed,
+		// uncached, so an error quotes what the caller wrote.
+		cr.frame, cr.lifted, useCache = nil, false, false
+		cq, err = sema.NewFrameChecker(c.es.Catalog(), sem, nil).CheckRetrieve(st)
+	}
 	c.tr.EndPhase(pt)
 	if err != nil {
-		return nil, nil, nil, err
+		return compiledRetrieve{}, err
 	}
 	if err := c.authQuery(cq.Query, nil, targetExprs(cq)...); err != nil {
-		return nil, nil, nil, err
+		return compiledRetrieve{}, err
 	}
 	pt = c.tr.StartPhase(trace.PhasePlan)
 	plan := c.es.Plan(cq.Query)
@@ -383,7 +423,8 @@ func (s *Session) planRetrieve(c *stmtCall, st *ast.Retrieve) (*sema.CheckedRetr
 			c.prepared.last.Store(e)
 		}
 	}
-	return cq, plan, prog, nil
+	cr.cq, cr.plan, cr.prog = cq, plan, prog
+	return cr, nil
 }
 
 // labeled runs fn, attaching runtime/pprof labels (session, stmt_kind)
@@ -535,7 +576,7 @@ func (s *Session) runStmt(c *stmtCall, st ast.Statement) (*Result, error) {
 		return nil, err
 	case *ast.RangeDecl:
 		// Validate eagerly so "range of E is Nonexistent" fails here.
-		probe := sema.NewChecker(cat, sema.NewSession(), params.typesOrNil())
+		probe := sema.NewFrameChecker(cat, sema.NewSession(), params.frameOrNil())
 		if _, err := probe.ProbeRange(st); err != nil {
 			return nil, err
 		}
@@ -546,16 +587,16 @@ func (s *Session) runStmt(c *stmtCall, st ast.Statement) (*Result, error) {
 	case *ast.Revoke:
 		return nil, cat.Auth().Revoke(c.user, st.Priv, st.On, st.From)
 	case *ast.Retrieve:
-		cq, plan, prog, err := s.planRetrieve(c, st)
+		cr, err := s.planRetrieve(c, st)
 		if err != nil {
 			return nil, err
 		}
-		res, err := s.execPlan(c, cq, plan, prog)
+		res, err := s.execPlan(c, cr)
 		if err != nil {
 			return nil, err
 		}
-		if cq.Into != "" {
-			cat.Auth().SetOwner(cq.Into, c.user)
+		if cr.cq.Into != "" {
+			cat.Auth().SetOwner(cr.cq.Into, c.user)
 		}
 		return res, nil
 	case *ast.Append:
@@ -615,14 +656,14 @@ func (s *Session) runStmt(c *stmtCall, st ast.Statement) (*Result, error) {
 // checker returns a checker over the catalog and the session's range
 // declarations as they stand.
 func (s *Session) checker(cat *catalog.Catalog, params *paramScope) *sema.Checker {
-	return sema.NewChecker(cat, s.sem.Load(), params.typesOrNil())
+	return sema.NewFrameChecker(cat, s.sem.Load(), params.frameOrNil())
 }
 
-// withParams runs fn with the procedure parameter frame installed on the
+// withParams runs fn with the call's parameter frame installed on the
 // statement's execution state.
 func withParams(es *exec.State, params *paramScope, fn func() (*Result, error)) (*Result, error) {
 	if params != nil {
-		es.PushParams(params.values)
+		es.PushFrame(params.values)
 		defer es.PopParams()
 	}
 	return fn()
@@ -630,7 +671,7 @@ func withParams(es *exec.State, params *paramScope, fn func() (*Result, error)) 
 
 func withParamsN(es *exec.State, params *paramScope, fn func() (int, error)) (int, error) {
 	if params != nil {
-		es.PushParams(params.values)
+		es.PushFrame(params.values)
 		defer es.PopParams()
 	}
 	return fn()
@@ -650,10 +691,7 @@ func (s *Session) runExecute(c *stmtCall, stmt *ast.Execute) error {
 	if err := c.authQuery(ce.Query, nil); err != nil {
 		return err
 	}
-	ptypes := make(map[string]types.Type, len(ce.Proc.Params))
-	for _, p := range ce.Proc.Params {
-		ptypes[p.Name] = p.Type
-	}
+	pframe := sema.Frame(ce.Proc.Params)
 	// Definer rights: the body runs with the owner's privileges, so a
 	// procedure can encapsulate updates its caller could not perform
 	// directly (the IDM stored-command pattern the paper builds data
@@ -667,8 +705,8 @@ func (s *Session) runExecute(c *stmtCall, stmt *ast.Execute) error {
 		body.user = ce.Proc.Owner
 	}
 	_, err = withParamsN(es, params, func() (int, error) {
-		return es.Execute(ce, func(frame map[string]value.Value) error {
-			body.params = &paramScope{types: ptypes, values: frame}
+		return es.Execute(ce, func(frame []value.Value) error {
+			body.params = &paramScope{frame: pframe, values: frame}
 			for _, bodyStmt := range ce.Proc.Body {
 				if _, err := s.runStmt(&body, bodyStmt); err != nil {
 					return fmt.Errorf("procedure %s: %w", ce.Proc.Name, err)

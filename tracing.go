@@ -130,7 +130,7 @@ func addRetrieveSpans(tr *trace.StmtTrace, pt trace.PhaseTimer, plan *algebra.Pl
 	parent := execSpan
 	for i := range plan.Nodes {
 		nr := rt.Nodes[i]
-		sp := a.AddSpan(parent, trace.KindOperator, algebra.DescribeNode(&plan.Nodes[i]), start, durs[i])
+		sp := a.AddSpan(parent, trace.KindOperator, plan.DescribeNode(i), start, durs[i])
 		a.AttrInt(sp, "loops", nr.Loops)
 		a.AttrInt(sp, "rows_in", nr.RowsIn)
 		a.AttrInt(sp, "rows_out", nr.RowsOut)

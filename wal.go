@@ -14,7 +14,6 @@ import (
 	"repro/internal/excess/parse"
 	"repro/internal/excess/sema"
 	"repro/internal/oid"
-	"repro/internal/types"
 	"repro/internal/value"
 	"repro/internal/wal"
 )
@@ -321,11 +320,7 @@ func (db *DB) waitDurable(lsn uint64) error {
 // encodeParams serializes a prepared statement's $1..$n arguments.
 func encodeParams(p *paramScope) ([][]byte, error) {
 	out := make([][]byte, len(p.values))
-	for i := range out {
-		v, ok := p.values["$"+strconv.Itoa(i+1)]
-		if !ok {
-			return nil, fmt.Errorf("wal: parameter $%d missing from frame", i+1)
-		}
+	for i, v := range p.values {
 		enc, err := codec.Encode(nil, v)
 		if err != nil {
 			return nil, fmt.Errorf("wal: encode parameter $%d: %w", i+1, err)
@@ -344,23 +339,16 @@ func decodeParams(db *DB, s *Session, st ast.Statement, data [][]byte) (*paramSc
 	if err := probeCheck(ck, st); err != nil {
 		return nil, err
 	}
-	ptypes := ck.Placeholders()
-	tmap := make(map[string]types.Type, len(data))
-	vmap := make(map[string]value.Value, len(data))
+	frame := placeholderFrame(ck.Placeholders(), len(data))
+	vals := make([]value.Value, len(data))
 	for i, enc := range data {
-		name := "$" + strconv.Itoa(i+1)
 		v, err := codec.DecodeOne(enc, cat)
 		if err != nil {
-			return nil, fmt.Errorf("wal: decode parameter %s: %w", name, err)
+			return nil, fmt.Errorf("wal: decode parameter %s: %w", frame[i].Name, err)
 		}
-		t := types.Type(types.Varchar)
-		if i < len(ptypes) && ptypes[i] != nil {
-			t = ptypes[i]
-		}
-		tmap[name] = t
-		vmap[name] = v
+		vals[i] = v
 	}
-	return &paramScope{types: tmap, values: vmap}, nil
+	return &paramScope{frame: frame, values: vals}, nil
 }
 
 // Checkpoint makes the WAL short: it forces the log durable, writes an
