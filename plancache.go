@@ -1,7 +1,6 @@
 package extra
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 	"sync"
@@ -116,7 +115,10 @@ func planKeyText(st *ast.Retrieve, slots []types.Type) string {
 	var b strings.Builder
 	b.WriteString(text)
 	for _, t := range slots {
-		fmt.Fprintf(&b, "\x00%v", t)
+		b.WriteByte(0)
+		if t != nil { // an untyped prepared slot
+			b.WriteString(t.String())
+		}
 	}
 	return b.String()
 }
@@ -151,19 +153,20 @@ type lifter struct {
 func (l *lifter) expr(e ast.Expr) ast.Expr {
 	switch x := e.(type) {
 	case *ast.Binary:
-		b := *x
-		b.L, b.R = l.expr(x.L), l.expr(x.R)
+		lhs, rhs := l.expr(x.L), l.expr(x.R)
 		switch x.Op {
 		case "=", "!=", "<", "<=", ">", ">=":
-			if _, isPath := b.L.(*ast.Path); isPath {
-				b.R = l.slot(b.R)
-			} else if _, isPath := b.R.(*ast.Path); isPath {
-				b.L = l.slot(b.L)
+			if _, isPath := lhs.(*ast.Path); isPath {
+				rhs = l.slot(rhs)
+			} else if _, isPath := rhs.(*ast.Path); isPath {
+				lhs = l.slot(lhs)
 			}
 		}
-		if b.L == x.L && b.R == x.R {
+		if lhs == x.L && rhs == x.R {
 			return x
 		}
+		b := *x
+		b.L, b.R = lhs, rhs
 		return &b
 	case *ast.Unary:
 		if y := l.expr(x.X); y != x.X {
