@@ -496,3 +496,44 @@ type TupleLit struct {
 }
 
 func (*TupleLit) expr() {}
+
+// WalkExpr visits e and every expression nested in it: operands, call
+// receivers and arguments, aggregate parts, constructor elements and
+// path index expressions.
+func WalkExpr(e Expr, fn func(Expr)) {
+	if e == nil {
+		return
+	}
+	fn(e)
+	switch x := e.(type) {
+	case *Path:
+		WalkExpr(x.RootIndex, fn)
+		for _, st := range x.Steps {
+			WalkExpr(st.Index, fn)
+		}
+	case *Unary:
+		WalkExpr(x.X, fn)
+	case *Binary:
+		WalkExpr(x.L, fn)
+		WalkExpr(x.R, fn)
+	case *Call:
+		WalkExpr(x.Recv, fn)
+		for _, a := range x.Args {
+			WalkExpr(a, fn)
+		}
+	case *Aggregate:
+		WalkExpr(x.Arg, fn)
+		for _, b := range x.By {
+			WalkExpr(b, fn)
+		}
+		WalkExpr(x.Over, fn)
+	case *SetLit:
+		for _, el := range x.Elems {
+			WalkExpr(el, fn)
+		}
+	case *TupleLit:
+		for _, f := range x.Fields {
+			WalkExpr(f.Expr, fn)
+		}
+	}
+}

@@ -131,11 +131,12 @@ func planKeyText(st *ast.Retrieve, slots []types.Type) string {
 // keys an index and evaluates exactly as the literal form. Null,
 // boolean, negated and ADT-call literals stay in the text. It returns
 // the shape, the literals' values and types by slot, and st itself,
-// unmodified, when there is nothing to lift.
+// unmodified, when there is nothing to lift — or when the statement has
+// $n placeholders of its own, which a frame of literals must not bind.
 func liftLiterals(st *ast.Retrieve) (*ast.Retrieve, []value.Value, []types.Type) {
 	var l lifter
 	where := l.expr(st.Where)
-	if len(l.vals) == 0 {
+	if len(l.vals) == 0 || hasPlaceholder(st) {
 		return st, nil, nil
 	}
 	shape := *st
@@ -176,6 +177,24 @@ func (l *lifter) expr(e ast.Expr) ast.Expr {
 		}
 	}
 	return e
+}
+
+// hasPlaceholder reports whether a retrieve mentions a $n anywhere.
+func hasPlaceholder(st *ast.Retrieve) bool {
+	found := false
+	see := func(e ast.Expr) {
+		if _, ok := e.(*ast.Placeholder); ok {
+			found = true
+		}
+	}
+	for _, t := range st.Targets {
+		ast.WalkExpr(t.Expr, see)
+	}
+	for _, b := range st.From {
+		ast.WalkExpr(b.Src, see)
+	}
+	ast.WalkExpr(st.Where, see)
+	return found
 }
 
 // slot replaces a literal operand by the next slot.

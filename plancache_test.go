@@ -300,19 +300,25 @@ func TestAdhocShapeSharedWithPrepared(t *testing.T) {
 }
 
 // TestPointReadMixHitFraction runs the point-read mix — per 14
-// statements, 6 prepared lookups, 5 ad-hoc lookups from a set of 64
-// texts and 3 ad-hoc lookups with literals never seen before — and
-// requires the ad-hoc statements to hit the plan cache at least 95 % of
-// the time: fresh literals are hits on their shape and no longer push
-// the hot texts out.
+// statements, 6 prepared lookups from a set of 64 with their keys in the
+// text, 5 ad-hoc lookups from a set of 64 texts and 3 ad-hoc lookups
+// with literals never seen before — and requires the ad-hoc statements
+// to hit the plan cache at least 95 % of the time: fresh literals are
+// hits on their shape and no longer push the hot texts out. The cache
+// holds the 64 prepared texts and two ad-hoc shapes, so FIFO never
+// evicts.
 func TestPointReadMixHitFraction(t *testing.T) {
 	db := mustOpen(t)
 	loadCompany(t, db)
 	db.MustExec(`define index emp_sal on Employees (salary)`)
 	db.MustExec(`define index emp_name on Employees (name)`)
 	var prepared []*Stmt
-	for i := 0; i < 6; i++ {
-		st, err := db.Prepare(fmt.Sprintf(`retrieve (E.name, E.age) from E in Employees where E.salary = %d`, 40+10*i))
+	for i := 0; i < 64; i++ {
+		src := fmt.Sprintf(`retrieve (E.name, E.age) from E in Employees where E.salary = %d`, i)
+		if i >= 32 {
+			src = fmt.Sprintf(`retrieve (E.name, E.salary, E.age) from E in Employees where E.name = "p-%02d"`, i)
+		}
+		st, err := db.Prepare(src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -330,7 +336,7 @@ func TestPointReadMixHitFraction(t *testing.T) {
 	fresh := 0
 	for round := 0; round < 100; round++ {
 		for i := 0; i < 6; i++ {
-			prepared[i].MustExec()
+			prepared[(round*6+i)%64].MustExec()
 		}
 		for i := 0; i < 5; i++ {
 			adhoc(fmt.Sprintf(`retrieve (E.name, E.salary) from E in Employees where E.name = "hot-%02d"`, (round*5+i)%64))
@@ -341,8 +347,25 @@ func TestPointReadMixHitFraction(t *testing.T) {
 		}
 	}
 	frac := float64(hits) / float64(hits+misses)
-	t.Logf("ad-hoc plan-cache hit fraction %.4f (%d hits, %d misses)", frac, hits, misses)
+	s := db.MetricsSnapshot()
+	t.Logf("ad-hoc plan-cache hit fraction %.4f (%d hits, %d misses); cache size %d, %d evictions",
+		frac, hits, misses, s.Gauges["plan.cache.size"], s.Counters["plan.cache.evictions"])
 	if frac < 0.95 {
 		t.Errorf("ad-hoc hit fraction %.4f, want >= 0.95", frac)
+	}
+	if got := s.Counters["plan.cache.evictions"]; got != 0 {
+		t.Errorf("%d evictions: the mix's shapes should fit the cache", got)
+	}
+}
+
+// TestAdhocPlaceholderNotLifted: an ad-hoc statement with a $n of its
+// own is not lifted — a frame of its literals would bind that $n — so it
+// fails as unbound exactly as before.
+func TestAdhocPlaceholderNotLifted(t *testing.T) {
+	db := mustOpen(t)
+	loadCompany(t, db)
+	_, err := db.Query(`retrieve (E.name) from E in Employees where E.salary = $1 and E.age = 41`)
+	if err == nil || !strings.Contains(err.Error(), "parameter $1 not bound") {
+		t.Fatalf("got %v, want parameter $1 not bound", err)
 	}
 }

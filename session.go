@@ -369,19 +369,16 @@ func (s *Session) planRetrieve(c *stmtCall, st *ast.Retrieve) (compiledRetrieve,
 	db := s.db
 	sem := s.sem.Load()
 	cr := compiledRetrieve{frame: c.params.valuesOrNil()}
-	frame := c.params.frameOrNil()
 	var key planKey
 	var last, e *planEntry
 	useCache := st.Into == "" && (c.params == nil || c.prepared != nil)
-	shape := st
+	shape, slots := st, []types.Type(nil)
 	if useCache {
 		if c.prepared != nil {
 			key, last = planKeyFor(c.es, sem, c.prepared.keyText), c.prepared.last.Load()
 		} else {
-			var slots []types.Type
 			shape, cr.frame, slots = liftLiterals(st)
 			cr.lifted = cr.frame != nil
-			frame = placeholderFrame(slots, len(slots))
 			key = planKeyFor(c.es, sem, planKeyText(shape, slots))
 		}
 		e = db.plans.get(key, last)
@@ -395,6 +392,10 @@ func (s *Session) planRetrieve(c *stmtCall, st *ast.Retrieve) (compiledRetrieve,
 		}
 		cr.cq, cr.plan, cr.prog = e.cq, e.plan, e.prog
 		return cr, nil
+	}
+	frame := c.params.frameOrNil()
+	if cr.lifted {
+		frame = placeholderFrame(slots, len(slots))
 	}
 	pt := c.tr.StartPhase(trace.PhaseCheck)
 	cq, err := sema.NewFrameChecker(c.es.Catalog(), sem, frame).CheckRetrieve(shape)
