@@ -98,6 +98,7 @@ type Registry struct {
 
 // regTables is one immutable version of the registry.
 type regTables struct {
+	version  uint64 // bumped by every registration
 	classes  map[string]*Class
 	ops      map[string][]*Operator // symbol -> overloads (mixed prefix/infix)
 	setFuncs map[string]*SetFunc
@@ -124,6 +125,7 @@ func (r *Registry) edit(fn func(t *regTables) error) error {
 	defer r.mu.Unlock()
 	old := r.cur.Load()
 	t := &regTables{
+		version:  old.version + 1,
 		classes:  maps.Clone(old.classes),
 		ops:      maps.Clone(old.ops),
 		setFuncs: maps.Clone(old.setFuncs),
@@ -134,6 +136,11 @@ func (r *Registry) edit(fn func(t *regTables) error) error {
 	r.cur.Store(t)
 	return nil
 }
+
+// Version identifies the registry's current contents: every
+// registration moves it. What was parsed under one version (operator
+// symbols, precedences) may parse differently under another.
+func (r *Registry) Version() uint64 { return r.cur.Load().version }
 
 // Define registers a new ADT and returns its Class. It fails if the name
 // is taken.

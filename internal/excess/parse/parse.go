@@ -72,6 +72,12 @@ func One(src string, ops OpTable) (ast.Statement, error) {
 	if err != nil {
 		return nil, err
 	}
+	return Single(ss)
+}
+
+// Single returns the one statement of a parsed input, or One's error
+// when it holds another number.
+func Single(ss []ast.Statement) (ast.Statement, error) {
 	if len(ss) != 1 {
 		return nil, fmt.Errorf("expected one statement, got %d", len(ss))
 	}

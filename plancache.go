@@ -39,6 +39,13 @@ import (
 // statements ($n placeholders included) and EXPLAIN ANALYZE all reach it
 // through Session.planRetrieve, which also says what is not cacheable.
 //
+// In front of the parser the cache keeps a memo of the raw texts of
+// read-only statements: a repeated text skips parsing, and then lifting
+// and keying run on the memoized statement, which nothing mutates (the
+// lifter copies on write). A parse depends on the ADT registry, so an
+// entry answers only under the registry version it was parsed under.
+// The memo is bounded and evicts FIFO like the plans.
+//
 // Entries store the Checked form, a Cached=true Clone of the plan and
 // the plan's compiled program (exec.Program), so a hit neither plans nor
 // compiles. Clone and program are shared by every hit and never mutated
@@ -55,6 +62,9 @@ type planCache struct {
 	// (shared pointers into the checked tree), so recency tracking is not
 	// worth a lock upgrade on the hit path.
 	fifo []planKey
+	// texts is the raw-text memo, textFIFO its insertion order.
+	texts    map[string]parsedText
+	textFIFO []string
 
 	hits, misses, evictions *metrics.Counter
 	size                    *metrics.Gauge
@@ -74,6 +84,13 @@ type planEntry struct {
 	prog *exec.Program
 }
 
+// parsedText is a memoized parse: the statements and the ADT registry
+// version they were parsed under.
+type parsedText struct {
+	stmts  []ast.Statement
+	regVer uint64
+}
+
 const defaultPlanCacheCap = 256
 
 func newPlanCache(capacity int, reg *metrics.Registry) *planCache {
@@ -83,6 +100,7 @@ func newPlanCache(capacity int, reg *metrics.Registry) *planCache {
 	return &planCache{
 		cap:       capacity,
 		m:         make(map[planKey]*planEntry, capacity),
+		texts:     make(map[string]parsedText, capacity),
 		hits:      reg.Counter("plan.cache.hits"),
 		misses:    reg.Counter("plan.cache.misses"),
 		evictions: reg.Counter("plan.cache.evictions"),
@@ -276,6 +294,37 @@ func (pc *planCache) put(key planKey, cq *sema.CheckedRetrieve, plan *algebra.Pl
 	pc.fifo = append(pc.fifo, key)
 	pc.size.Set(int64(len(pc.m)))
 	return e
+}
+
+// parsed returns the memoized parse of src under registry version
+// regVer.
+//
+// extra:acquires plancache.mu.R
+func (pc *planCache) parsed(src string, regVer uint64) ([]ast.Statement, bool) {
+	pc.mu.RLock()
+	p, ok := pc.texts[src]
+	pc.mu.RUnlock()
+	if !ok || p.regVer != regVer {
+		return nil, false
+	}
+	return p.stmts, true
+}
+
+// putParsed memoizes the parse of a read-only statement's text,
+// evicting the oldest text at capacity.
+//
+// extra:acquires plancache.mu.W
+func (pc *planCache) putParsed(src string, regVer uint64, stmts []ast.Statement) {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	if _, dup := pc.texts[src]; !dup {
+		for len(pc.texts) >= pc.cap && len(pc.textFIFO) > 0 {
+			delete(pc.texts, pc.textFIFO[0])
+			pc.textFIFO = pc.textFIFO[1:]
+		}
+		pc.textFIFO = append(pc.textFIFO, src)
+	}
+	pc.texts[src] = parsedText{stmts: stmts, regVer: regVer}
 }
 
 // peek is get without counter traffic, for EXPLAIN: an explain is not an

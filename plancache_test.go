@@ -369,3 +369,44 @@ func TestAdhocPlaceholderNotLifted(t *testing.T) {
 		t.Fatalf("got %v, want parameter $1 not bound", err)
 	}
 }
+
+// TestParseMemo: the text of a read-only statement is parsed once and
+// served from the plan cache's raw-text memo afterwards, under the ADT
+// registry version it was parsed under; write statements are never
+// memoized, and the memo stays bounded.
+func TestParseMemo(t *testing.T) {
+	db := mustOpen(t)
+	loadCompany(t, db)
+	q := `retrieve (E.name) from E in Employees where E.salary > 80`
+	want := db.MustQuery(q).String()
+	memo, ok := db.plans.parsed(q, db.reg.Version())
+	if !ok {
+		t.Fatal("a retrieve's text was not memoized")
+	}
+	if got := db.MustQuery(q).String(); got != want {
+		t.Fatalf("memoized text returned\n%s\nwant\n%s", got, want)
+	}
+	if again, _ := db.plans.parsed(q, db.reg.Version()); len(again) != 1 || again[0] != memo[0] {
+		t.Error("a memo hit parsed the text again")
+	}
+	w := `replace E (age = E.age) from E in Employees where E.salary > 1000`
+	db.MustExec(w)
+	if _, ok := db.plans.parsed(w, db.reg.Version()); ok {
+		t.Error("a write statement's text was memoized")
+	}
+	if _, err := db.Registry().Define("Memo"); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := db.plans.parsed(q, db.reg.Version()); ok {
+		t.Error("a parse from before an ADT registration answered after it")
+	}
+	if got := db.MustQuery(q).String(); got != want {
+		t.Fatalf("after the registration the text returned\n%s\nwant\n%s", got, want)
+	}
+	for i := 0; i < defaultPlanCacheCap+10; i++ {
+		db.MustQuery(fmt.Sprintf(`retrieve (E.name) from E in Employees where E.salary > %d`, i))
+	}
+	if got := len(db.plans.texts); got != defaultPlanCacheCap {
+		t.Errorf("memo holds %d texts, want %d", got, defaultPlanCacheCap)
+	}
+}

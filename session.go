@@ -118,7 +118,7 @@ func (c *stmtCall) open(s *Session) {
 // serializes on the write lock.
 func (s *Session) Exec(src string) (*Result, error) {
 	start := time.Now()
-	stmts, err := parse.Statements(src, s.db.reg)
+	stmts, err := s.parse(src)
 	if err != nil {
 		s.db.cErrors.Inc()
 		return nil, err
@@ -461,7 +461,11 @@ func (s *Session) Query(src string) (*Result, error) {
 // point words ErrNotRetrieve.
 func (s *Session) parseRetrieve(src, notRetrieve string) (stmtCall, error) {
 	start := time.Now()
-	st, err := parse.One(src, s.db.reg)
+	stmts, err := s.parse(src)
+	var st ast.Statement
+	if err == nil {
+		st, err = parse.Single(stmts)
+	}
 	parseDur := time.Since(start)
 	if _, ok := st.(*ast.Retrieve); err == nil && !ok {
 		err = fmt.Errorf(notRetrieve, ErrNotRetrieve)
@@ -471,6 +475,21 @@ func (s *Session) parseRetrieve(src, notRetrieve string) (stmtCall, error) {
 		return stmtCall{}, err
 	}
 	return stmtCall{stmts: []ast.Statement{st}, src: src, start: start, parseDur: parseDur}, nil
+}
+
+// parse parses a statement text through the plan cache's raw-text memo:
+// a read-only statement's text seen before under the current ADT
+// registry is not parsed again.
+func (s *Session) parse(src string) ([]ast.Statement, error) {
+	regVer := s.db.reg.Version()
+	if stmts, ok := s.db.plans.parsed(src, regVer); ok {
+		return stmts, nil
+	}
+	stmts, err := parse.Statements(src, s.db.reg)
+	if err == nil && len(stmts) == 1 && sema.ReadOnly(stmts[0]) {
+		s.db.plans.putParsed(src, regVer, stmts)
+	}
+	return stmts, err
 }
 
 // MustExec runs statements and panics on error; for examples and tests.
