@@ -3,6 +3,7 @@ package extra
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -408,5 +409,49 @@ func TestParseMemo(t *testing.T) {
 	}
 	if got := len(db.plans.texts); got != defaultPlanCacheCap {
 		t.Errorf("memo holds %d texts, want %d", got, defaultPlanCacheCap)
+	}
+}
+
+// TestConcurrentShapesAndMemo: sessions on several goroutines share one
+// cached shape, one prepared plan and the memoized texts while each runs
+// its own literals; every lookup returns its own literal's rows.
+func TestConcurrentShapesAndMemo(t *testing.T) {
+	db := mustOpen(t)
+	loadCompany(t, db)
+	db.MustExec(`define index emp_sal on Employees (salary)`)
+	names := map[int]string{90: `"Ann"`, 50: `"Ben"`, 120: `"Cal"`, 45: `"Dee"`}
+	st, err := db.Prepare(`retrieve (E.name) from E in Employees where E.salary = $1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			s := db.NewSession()
+			for i := 0; i < 200; i++ {
+				sal := []int{90, 50, 120, 45, 1000 + g*1000 + i}[i%5]
+				check := func(how string, res *Result, err error) {
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					want, hit := names[sal]
+					if (len(res.Rows) == 1) != hit || hit && res.Rows[0][0].String() != want {
+						t.Errorf("%s salary = %d returned %v, want %s", how, sal, res.Rows, want)
+					}
+				}
+				res, err := s.Query(fmt.Sprintf(`retrieve (E.name) from E in Employees where E.salary = %d`, sal))
+				check("ad hoc", res, err)
+				res, err = st.Exec(sal)
+				check("prepared", res, err)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got := db.plans.len(); got != 1 {
+		t.Errorf("cache holds %d entries, want the one shape", got)
 	}
 }
