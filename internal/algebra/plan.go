@@ -59,30 +59,55 @@ type KeyRange struct {
 // key has no index encoding: the node then runs as its scan, and the
 // filter, which keeps every conjunct, decides.
 func (a *AccessPath) Range(keys []value.Value) (r KeyRange, ok bool) {
-	p := probe{ix: a.Index}
+	p, empty, ok := a.tightened(keys)
+	switch {
+	case !ok:
+		return KeyRange{}, false
+	case empty:
+		return KeyRange{Empty: true}, true
+	}
+	return KeyRange{Lo: p.lo.key, Hi: p.hi.key, IncLo: p.lo.inc, IncHi: p.hi.inc}, true
+}
+
+// tightened merges the bounds over their keys' values into one probe;
+// empty reports a null key, ok false a key without an index encoding.
+func (a *AccessPath) tightened(keys []value.Value) (p probe, empty, ok bool) {
+	p.ix = a.Index
 	for i, k := range keys {
 		if value.IsNull(k) {
-			return KeyRange{Empty: true}, true
+			return p, true, true
 		}
 		enc, ok := codec.EncodeKey(k)
 		if !ok {
-			return KeyRange{}, false
+			return p, false, false
 		}
 		p.tighten(a.Bounds[i].Op, i, enc, true)
 	}
-	return KeyRange{Lo: p.lo.key, Hi: p.hi.key, IncLo: p.lo.inc, IncHi: p.hi.inc}, true
+	return p, false, true
 }
 
 // ConstRange is Range folded at compile time, for a probe whose keys are
 // all literals; ok is false when some key is not.
 func (a *AccessPath) ConstRange() (r KeyRange, ok bool) {
-	keys := make([]value.Value, len(a.Bounds))
-	for i, b := range a.Bounds {
-		if keys[i], ok = constValue(b.Key, nil); !ok {
-			return KeyRange{}, false
-		}
+	keys, ok := a.keyValues(nil)
+	if !ok {
+		return KeyRange{}, false
 	}
 	return a.Range(keys)
+}
+
+// keyValues evaluates the bounds' keys, parameters from args by slot;
+// ok is false when some key is not known.
+func (a *AccessPath) keyValues(args []value.Value) ([]value.Value, bool) {
+	keys := make([]value.Value, len(a.Bounds))
+	for i, b := range a.Bounds {
+		v, ok := constValue(b.Key, args)
+		if !ok {
+			return nil, false
+		}
+		keys[i] = v
+	}
+	return keys, true
 }
 
 // fromPred is the bracket EXPLAIN shows for the probe. A plan whose
@@ -93,17 +118,13 @@ func (a *AccessPath) fromPred(args []value.Value) string {
 	if args == nil {
 		return a.FromPred
 	}
-	p := probe{ix: a.Index}
-	for i, b := range a.Bounds {
-		v, ok := constValue(b.Key, args)
-		if !ok || value.IsNull(v) {
-			return a.FromPred
-		}
-		enc, ok := codec.EncodeKey(v)
-		if !ok {
-			return a.FromPred
-		}
-		p.tighten(b.Op, i, enc, true)
+	keys, ok := a.keyValues(args)
+	if !ok {
+		return a.FromPred
+	}
+	p, empty, ok := a.tightened(keys)
+	if empty || !ok {
+		return a.FromPred
 	}
 	return strings.Join(p.sources(), " ")
 }
@@ -522,10 +543,12 @@ func (p *probe) tighten(op string, at int, key []byte, known bool) {
 	m := methodTable[op]
 	b := probeBound{set: true, known: known, key: key, op: op, at: at}
 	if m.lo && p.lo.replacedBy(b, m.incLo, 1) {
-		p.lo, p.lo.inc = b, m.incLo
+		p.lo = b
+		p.lo.inc = m.incLo
 	}
 	if m.hi && p.hi.replacedBy(b, m.incHi, -1) {
-		p.hi, p.hi.inc = b, m.incHi
+		p.hi = b
+		p.hi.inc = m.incHi
 	}
 }
 
