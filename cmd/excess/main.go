@@ -19,10 +19,11 @@
 //	\explain QUERY  show the optimizer's plan for a retrieve
 //	\analyze [json] QUERY
 //	                execute a retrieve and show per-operator actuals
-//	\slow           list slow-query log entries (with session and trace attribution)
+//	\slow           list slow-query log entries (with session and trace
+//	                attribution): the slow statements of the trace ring
 //	\trace on|off|last|every N
 //	                control statement-trace sampling; \trace last renders
-//	                the most recent sampled statement's span tree
+//	                the most recent retained statement's span tree
 //	\user [NAME]    show or switch the shell session's user
 //	\checkpoint     write a checkpoint and truncate the write-ahead log
 //	\wal            show write-ahead-log LSN watermarks
@@ -58,8 +59,8 @@ func main() {
 	walSync := flag.String("walsync", "group", "WAL sync mode: group, each or none")
 	pool := flag.Int("pool", 256, "buffer pool size in pages")
 	load := flag.String("load", "", "replay a Dump snapshot before starting")
-	slow := flag.Duration("slow", 0, "slow-query log threshold for \\slow (0 = default 100ms)")
-	traceN := flag.Int("trace", 0, "sample every Nth statement into the trace ring (0 = off)")
+	slow := flag.Duration("slow", 0, "slow-query threshold: statements this slow are kept in the trace ring and listed by \\slow (0 = default 100ms)")
+	traceN := flag.Int("trace", 0, "sample every Nth statement into the trace ring of 64, which it shares with the slow statements (0 = off)")
 	serve := flag.String("serve", "", "serve the ops plane (/metrics, /statz, /traces, pprof) on this address")
 	flag.Parse()
 
@@ -77,11 +78,9 @@ func main() {
 	}
 	opts = append(opts, extra.WithPoolSize(*pool))
 	if *slow > 0 {
-		opts = append(opts, extra.WithSlowQueryLog(*slow, 64))
+		opts = append(opts, extra.WithSlowQueryLog(*slow))
 	}
-	if *traceN > 0 {
-		opts = append(opts, extra.WithTracing(*traceN, 64))
-	}
+	opts = append(opts, extra.WithTracing(*traceN, 64))
 	if *serve != "" {
 		opts = append(opts, extra.WithDebugServer(*serve))
 	}
@@ -341,13 +340,9 @@ func meta(db *extra.DB, sess *extra.Session, cmd string) bool {
 			break
 		}
 		for _, e := range entries {
-			link := ""
-			if e.TraceID != 0 {
-				link = fmt.Sprintf(" trace=%d", e.TraceID)
-			}
-			fmt.Printf("  [session %d] %s  total=%v rows=%d (parse=%v check=%v plan=%v execute=%v)%s\n",
+			fmt.Printf("  [session %d] %s  total=%v rows=%d (parse=%v check=%v plan=%v execute=%v) trace=%d\n",
 				e.Session, strings.Join(strings.Fields(e.Src), " "), e.Total, e.Rows,
-				e.Parse, e.Check, e.Plan, e.Execute, link)
+				e.Parse, e.Check, e.Plan, e.Execute, e.TraceID)
 		}
 	case `\trace`:
 		if len(fields) < 2 {

@@ -17,7 +17,7 @@ func openOps(t *testing.T) (*DB, string) {
 	db, err := Open(
 		WithDebugServer("127.0.0.1:0"),
 		WithTracing(1, 8),
-		WithSlowQueryLog(time.Nanosecond, 8),
+		WithSlowQueryLog(time.Nanosecond),
 	)
 	if err != nil {
 		t.Fatal(err)

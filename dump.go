@@ -226,7 +226,7 @@ func (db *DB) Load(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	scratch, err := open(config{poolPages: 64, slowCap: 1, traceCap: 1}, db.reg)
+	scratch, err := open(config{poolPages: 64, traceCap: 1}, db.reg)
 	if err != nil {
 		return fmt.Errorf("load staging: %w", err)
 	}

@@ -45,7 +45,6 @@ package extra
 
 import (
 	"errors"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -127,20 +126,12 @@ type DB struct {
 	// so DDL invalidates it wholesale.
 	plans *planCache
 
-	// Slow-query log: a ring buffer of the last slowCap statements that
-	// exceeded slowThreshold. Guarded by slowMu — its own lock, not the
-	// commit lock, because concurrent readers finish statements
-	// concurrently and each may need to append an entry.
-	slowMu        sync.Mutex // extra:lock db.slowMu
-	slowThreshold time.Duration
-	slowCap       int
-	slow          []SlowQuery
-	slowNext      int
-
-	// tracer owns statement-trace sampling and the ring of completed
-	// span trees (see tracing.go); labelStmts turns on per-statement
-	// runtime/pprof labels, set when the ops-plane debug server is up so
-	// CPU profiles attribute samples to sessions and statement kinds.
+	// tracer owns statement-trace sampling, the slow threshold and the
+	// one ring of retained span trees, sampled or slow, of which the
+	// slow-query log is a view (see tracing.go); labelStmts turns on
+	// per-statement runtime/pprof labels, set when the ops-plane debug
+	// server is up so CPU profiles attribute samples to sessions and
+	// statement kinds.
 	tracer     *trace.Tracer
 	labelStmts atomic.Bool
 	debug      *debugServer
@@ -161,7 +152,6 @@ type config struct {
 	poolPages     int
 	filePath      string
 	slowThreshold time.Duration
-	slowCap       int
 	traceEvery    int
 	traceCap      int
 	debugAddr     string
@@ -179,21 +169,19 @@ func WithFileStore(path string) Option {
 	return func(c *config) { c.filePath = path }
 }
 
-// WithSlowQueryLog configures the slow-query log: statements slower
-// than threshold are kept in a ring buffer of the last capacity
-// entries, retrievable via SlowQueries. A threshold of 0 disables
-// logging. The default is 100ms with capacity 32.
-func WithSlowQueryLog(threshold time.Duration, capacity int) Option {
-	return func(c *config) {
-		c.slowThreshold = threshold
-		c.slowCap = capacity
-	}
+// WithSlowQueryLog sets the slow-query threshold: a statement that
+// succeeds in at least threshold is retained in the trace ring (see
+// WithTracing for its capacity), sampled or not, and listed by
+// SlowQueries. A threshold of 0 disables logging. The default is
+// 100ms.
+func WithSlowQueryLog(threshold time.Duration) Option {
+	return func(c *config) { c.slowThreshold = threshold }
 }
 
 // Open creates a database. The ADT registry comes preloaded with the
 // built-in Date and Complex types of the paper's figures.
 func Open(opts ...Option) (*DB, error) {
-	cfg := config{poolPages: 256, slowThreshold: 100 * time.Millisecond, slowCap: 32, traceCap: 16}
+	cfg := config{poolPages: 256, slowThreshold: 100 * time.Millisecond, traceCap: 32}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -204,9 +192,6 @@ func Open(opts ...Option) (*DB, error) {
 // uses it to validate a dump in a scratch database that shares the real
 // database's registry, so application-registered ADTs resolve there too.
 func open(cfg config, reg *adt.Registry) (*DB, error) {
-	if cfg.slowCap < 1 {
-		cfg.slowCap = 1
-	}
 	var ps storage.PageStore
 	if cfg.filePath != "" {
 		fs, err := storage.OpenFileStore(cfg.filePath)
@@ -244,11 +229,9 @@ func open(cfg config, reg *adt.Registry) (*DB, error) {
 
 		plans: newPlanCache(defaultPlanCacheCap, mreg),
 
-		slowThreshold: cfg.slowThreshold,
-		slowCap:       cfg.slowCap,
-
 		tracer: trace.NewTracer(cfg.traceEvery, cfg.traceCap),
 	}
+	db.tracer.SetSlowThreshold(cfg.slowThreshold)
 	db.wmu.SetName("db.wmu")
 	db.exec.SetMetrics(mreg)
 	db.store.SetMetrics(mreg)
@@ -356,10 +339,11 @@ func (db *DB) MetricsSnapshot() MetricsSnapshot {
 }
 
 // SlowQuery is one slow-query log entry: the statement source with its
-// phase breakdown, result size and the session that ran it. When the
-// statement was also trace-sampled, TraceID links to the full span tree
-// (DB.TraceByID, the shell's \trace, or the ops plane's /traces/{id});
-// 0 means the statement was not sampled.
+// phase breakdown, result size and the session that ran it. TraceID is
+// the id of the retained trace the entry is read from, which resolves
+// through DB.TraceByID, the shell's \trace and the ops plane's
+// /traces/{id} while the trace is retained: the full span tree when the
+// statement was also sampled, its phases otherwise.
 type SlowQuery struct {
 	Src     string        `json:"src"`
 	Session int64         `json:"session"`
@@ -373,30 +357,32 @@ type SlowQuery struct {
 	TraceID uint64        `json:"trace_id,omitempty"`
 }
 
-// SlowQueries returns the retained slow statements, oldest first.
-//
-// extra:acquires db.slowMu.W
+// SlowQueries returns the retained slow statements, oldest first: a
+// view over the trace ring's traces marked slow when they finished,
+// each phase field the sum of the trace's spans for that phase.
 func (db *DB) SlowQueries() []SlowQuery {
-	db.slowMu.Lock()
-	defer db.slowMu.Unlock()
-	out := make([]SlowQuery, 0, len(db.slow))
-	if len(db.slow) == db.slowCap {
-		out = append(out, db.slow[db.slowNext:]...)
-		out = append(out, db.slow[:db.slowNext]...)
-		return out
+	trs := db.tracer.Traces()
+	out := make([]SlowQuery, 0, len(trs))
+	for _, tr := range trs {
+		if !tr.Slow {
+			continue
+		}
+		d := tr.PhaseDurs()
+		out = append(out, SlowQuery{
+			Src: tr.Src, Session: tr.Session, When: tr.Start.Add(tr.Dur), Total: tr.Dur,
+			Parse:   d[trace.PhaseParse],
+			Check:   d[trace.PhaseCheck],
+			Plan:    d[trace.PhasePlan],
+			Execute: d[trace.PhaseExecute],
+			Rows:    tr.Rows, TraceID: tr.ID,
+		})
 	}
-	return append(out, db.slow...)
+	return out
 }
 
 // SetSlowQueryThreshold adjusts the slow-query threshold at run time;
-// 0 disables logging.
-//
-// extra:acquires db.slowMu.W
-func (db *DB) SetSlowQueryThreshold(d time.Duration) {
-	db.slowMu.Lock()
-	defer db.slowMu.Unlock()
-	db.slowThreshold = d
-}
+// 0 disables logging. Entries already logged stay.
+func (db *DB) SetSlowQueryThreshold(d time.Duration) { db.tracer.SetSlowThreshold(d) }
 
 // Exec parses and runs one or more EXCESS statements on the default
 // session, returning the result of the last retrieve (nil if none).

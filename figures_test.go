@@ -363,6 +363,7 @@ func mustOpen(t *testing.T) *DB {
 	}
 	t.Cleanup(func() {
 		checkCanonical(t, db)
+		requireSealed(t, db, "at cleanup")
 		db.Close()
 	})
 	return db

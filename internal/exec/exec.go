@@ -405,7 +405,7 @@ func (r *runner) runNode(i int) error {
 	}
 	rt, nr := &r.plan.Runtime.Nodes[i], &r.nodes[i]
 	rt.Loops++
-	nr.base, nr.child = r.ex.store.Pool().Stats(), 0
+	nr.base, nr.child = r.ex.PoolStats(), 0
 	start := time.Now()
 	err := r.enumerate(i)
 	r.account(i)
@@ -448,7 +448,7 @@ func (r *runner) nodeEmit(i int) func(value.Value, prov) error {
 			t0 := time.Now()
 			err = r.runNode(i + 1)
 			nr.child += time.Since(t0)
-			nr.base = ex.store.Pool().Stats() // children's traffic is theirs
+			nr.base = ex.PoolStats() // children's traffic is theirs
 		}
 		ctx.b.unbind(v)
 		return err
@@ -459,7 +459,7 @@ func (r *runner) nodeEmit(i int) func(value.Value, prov) error {
 // node i.
 func (r *runner) account(i int) {
 	rt, nr := &r.plan.Runtime.Nodes[i], &r.nodes[i]
-	cur := r.ex.store.Pool().Stats()
+	cur := r.ex.PoolStats()
 	rt.PoolHits += cur.Hits - nr.base.Hits
 	rt.PoolMisses += cur.Misses - nr.base.Misses
 	nr.base = cur

@@ -87,6 +87,17 @@ func (ex *State) SnapshotVersion() uint64 {
 	return ex.snap.Version()
 }
 
+// PoolStats returns the buffer pool's counters when the state reads the
+// live store, and zero when it is pinned to a snapshot, which pins no
+// page: an instrumented read then never charges a concurrent writer's
+// page traffic to its own operators.
+func (ex *State) PoolStats() storage.PoolStats {
+	if ex.snap != nil {
+		return storage.PoolStats{}
+	}
+	return ex.store.Pool().Stats()
+}
+
 // Plan builds an optimized plan for a checked query. Cardinality
 // estimation flows through the State's bound view: a pinned statement
 // plans against its snapshot, not against extents a concurrent writer

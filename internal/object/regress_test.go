@@ -91,10 +91,10 @@ func TestUpdateMoveSurvivesFailedWrite(t *testing.T) {
 }
 
 // TestUpdateMoveInOneFramePool pins that a growing update moves its
-// record in the smallest pool there is. Each shard of a pool under 32
-// frames is a single frame, and the insert at the new place needs it:
-// a move that kept the old page pinned across the insert failed with
-// the pool exhausted.
+// record in the smallest pool there is. A one-frame pool has no second
+// frame, and the insert at the new place needs the one there is: a move
+// that kept the old page pinned across the insert failed with the pool
+// exhausted.
 func TestUpdateMoveInOneFramePool(t *testing.T) {
 	cat := catalog.New(adt.NewRegistry())
 	f := &fixture{cat: cat, store: New(storage.NewBufferPool(storage.NewMemStore(), 1), cat)}
@@ -145,9 +145,9 @@ func TestUpdateMoveInOneFramePool(t *testing.T) {
 
 // TestDropVarFailedHalfWayCommits pins that a drop which fails part-way
 // leaves a store that can still commit. A multi-page extent is dropped
-// over a one-frame-per-shard pool whose second eviction write-back
-// fails, so some members are deleted and the rest stay. The drop used
-// to mark the extent as dropped before deleting anything; the extent
+// over a four-frame pool whose second eviction write-back fails, so
+// some members are deleted and the rest stay. The drop used to mark
+// the extent as dropped before deleting anything; the extent
 // then stayed live with that mark, every later commit froze its pages
 // as new, found records nothing had written, and failed.
 func TestDropVarFailedHalfWayCommits(t *testing.T) {

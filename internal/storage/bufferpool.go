@@ -53,35 +53,23 @@ type frame struct {
 	lru   *list.Element // position in the LRU list when unpinned
 }
 
-// poolShard is one independently locked slice of the pool: its own frame
-// map, LRU list and capacity. Pages hash to shards by PageID, so two
-// concurrent readers touching different pages rarely contend on the
-// same shard mutex.
-type poolShard struct {
-	mu     sync.Mutex
-	frames map[PageID]*frame
-	lru    *list.List // of *frame; front = least recently used
-	cap    int
-}
-
-// maxPoolShards bounds the shard count; tiny pools get one shard per
-// frame instead.
-const maxPoolShards = 16
-
 // BufferPool caches pages of a PageStore in a fixed number of frames
-// with LRU replacement of unpinned frames, sharded by page ID so
-// concurrent readers on different pages do not serialize on one lock.
-// All page access in the system goes through a pool, so total pool size
-// genuinely bounds the working set (capacity is split across shards;
-// eviction is per shard, which approximates global LRU the way any
-// partitioned cache does).
+// with LRU replacement of unpinned frames, under one mutex. All page
+// access in the system goes through a pool, so pool size genuinely
+// bounds the working set. Only the write path touches the pool — write
+// statements, commit, checkpoint, close and the consistency check, all
+// under the database's commit lock — so the mutex is uncontended;
+// snapshot readers read frozen objects and pin no page.
 //
 // Stat counters are lock-free atomics, incremented at the event site
 // and read with single atomic loads: a Stats() snapshot never observes
 // a torn counter and each counter is monotonic across snapshots.
 type BufferPool struct {
 	store  PageStore
-	shards []poolShard
+	mu     sync.Mutex
+	frames map[PageID]*frame
+	lru    *list.List // of *frame; front = least recently used
+	cap    int
 
 	hits, misses, evictions, flushes, writeBacks atomic.Uint64
 }
@@ -92,31 +80,12 @@ func NewBufferPool(store PageStore, capacity int) *BufferPool {
 	if capacity < 1 {
 		capacity = 1
 	}
-	nshards := maxPoolShards
-	if capacity < nshards {
-		nshards = capacity
-	}
-	bp := &BufferPool{
+	return &BufferPool{
 		store:  store,
-		shards: make([]poolShard, nshards),
+		frames: make(map[PageID]*frame, capacity),
+		lru:    list.New(),
+		cap:    capacity,
 	}
-	base, rem := capacity/nshards, capacity%nshards
-	for i := range bp.shards {
-		sh := &bp.shards[i]
-		sh.cap = base
-		if i < rem {
-			sh.cap++
-		}
-		sh.frames = make(map[PageID]*frame, sh.cap)
-		sh.lru = list.New()
-	}
-	return bp
-}
-
-// shard maps a page to its shard. Heap files allocate page IDs
-// sequentially, so consecutive pages round-robin across shards.
-func (bp *BufferPool) shard(id PageID) *poolShard {
-	return &bp.shards[uint64(id)%uint64(len(bp.shards))]
 }
 
 // Store returns the backing page store.
@@ -148,25 +117,24 @@ func (bp *BufferPool) ResetStats() {
 // Pin fetches the page into a frame and pins it. Every Pin must be paired
 // with an Unpin. The returned buffer is valid until Unpin.
 func (bp *BufferPool) Pin(id PageID) ([]byte, error) {
-	sh := bp.shard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if f, ok := sh.frames[id]; ok {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	if f, ok := bp.frames[id]; ok {
 		bp.hits.Add(1)
 		if f.lru != nil {
-			sh.lru.Remove(f.lru)
+			bp.lru.Remove(f.lru)
 			f.lru = nil
 		}
 		f.pins++
 		return f.buf, nil
 	}
 	bp.misses.Add(1)
-	f, err := bp.newFrame(sh, id)
+	f, err := bp.newFrame(id)
 	if err != nil {
 		return nil, err
 	}
 	if err := bp.store.Read(id, f.buf); err != nil {
-		delete(sh.frames, id)
+		delete(bp.frames, id)
 		return nil, err
 	}
 	f.pins = 1
@@ -180,10 +148,9 @@ func (bp *BufferPool) PinNew() (PageID, []byte, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	sh := bp.shard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	f, err := bp.newFrame(sh, id)
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	f, err := bp.newFrame(id)
 	if err != nil {
 		bp.store.Free(id) //nolint:errcheck // the frame error is the one to report
 		return 0, nil, err
@@ -196,28 +163,28 @@ func (bp *BufferPool) PinNew() (PageID, []byte, error) {
 	return id, f.buf, nil
 }
 
-// newFrame finds or evicts a frame for id within one shard and registers
-// it. Caller holds sh.mu.
-func (bp *BufferPool) newFrame(sh *poolShard, id PageID) (*frame, error) {
+// newFrame finds or evicts a frame for id and registers it. Caller
+// holds bp.mu.
+func (bp *BufferPool) newFrame(id PageID) (*frame, error) {
 	var f *frame
-	if len(sh.frames) < sh.cap {
+	if len(bp.frames) < bp.cap {
 		f = &frame{buf: make([]byte, PageSize)}
 	} else {
-		el := sh.lru.Front()
+		el := bp.lru.Front()
 		if el == nil {
-			return nil, fmt.Errorf("buffer pool exhausted: all %d frames of the shard pinned", sh.cap)
+			return nil, fmt.Errorf("buffer pool exhausted: all %d frames pinned", bp.cap)
 		}
 		victim := el.Value.(*frame)
-		sh.lru.Remove(el)
+		bp.lru.Remove(el)
 		victim.lru = nil
 		if victim.dirty {
 			if err := bp.store.Write(victim.id, victim.buf); err != nil {
 				// The victim stays resident, dirty and evictable.
-				victim.lru = sh.lru.PushFront(victim)
+				victim.lru = bp.lru.PushFront(victim)
 				return nil, fmt.Errorf("evict page %d: %w", victim.id, err)
 			}
 		}
-		delete(sh.frames, victim.id)
+		delete(bp.frames, victim.id)
 		// Count the eviction and the flush before the write-back, and
 		// read them in the opposite order (Stats): a sample then never
 		// shows more write-backs than evictions or flushes.
@@ -230,16 +197,15 @@ func (bp *BufferPool) newFrame(sh *poolShard, id PageID) (*frame, error) {
 		f.dirty = false
 	}
 	f.id = id
-	sh.frames[id] = f
+	bp.frames[id] = f
 	return f, nil
 }
 
 // MarkDirty records that the pinned page was modified.
 func (bp *BufferPool) MarkDirty(id PageID) {
-	sh := bp.shard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if f, ok := sh.frames[id]; ok {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	if f, ok := bp.frames[id]; ok {
 		f.dirty = true
 	}
 }
@@ -247,52 +213,46 @@ func (bp *BufferPool) MarkDirty(id PageID) {
 // Unpin releases one pin. When the pin count reaches zero the frame
 // becomes eligible for eviction.
 func (bp *BufferPool) Unpin(id PageID) {
-	sh := bp.shard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	f, ok := sh.frames[id]
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	f, ok := bp.frames[id]
 	if !ok || f.pins == 0 {
 		return
 	}
 	f.pins--
 	if f.pins == 0 {
-		f.lru = sh.lru.PushBack(f)
+		f.lru = bp.lru.PushBack(f)
 	}
 }
 
 // FlushAll writes every dirty frame back to the store. Used at snapshot
 // points and on close.
 func (bp *BufferPool) FlushAll() error {
-	for i := range bp.shards {
-		sh := &bp.shards[i]
-		sh.mu.Lock()
-		for _, f := range sh.frames {
-			if !f.dirty {
-				continue
-			}
-			if err := bp.store.Write(f.id, f.buf); err != nil {
-				sh.mu.Unlock()
-				return err
-			}
-			f.dirty = false
-			bp.flushes.Add(1)
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	for _, f := range bp.frames {
+		if !f.dirty {
+			continue
 		}
-		sh.mu.Unlock()
+		if err := bp.store.Write(f.id, f.buf); err != nil {
+			return err
+		}
+		f.dirty = false
+		bp.flushes.Add(1)
 	}
 	return nil
 }
 
 // Drop discards the frame for a freed page without writing it back.
 func (bp *BufferPool) Drop(id PageID) {
-	sh := bp.shard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	f, ok := sh.frames[id]
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	f, ok := bp.frames[id]
 	if !ok {
 		return
 	}
 	if f.lru != nil {
-		sh.lru.Remove(f.lru)
+		bp.lru.Remove(f.lru)
 	}
-	delete(sh.frames, id)
+	delete(bp.frames, id)
 }

@@ -5,8 +5,7 @@ import (
 	"testing"
 )
 
-// TestPoolConcurrentPins hammers the sharded pool from several
-// goroutines, mixing hits, misses and evictions, and checks the atomic
+// TestPoolConcurrentPins hammers the pool from several goroutines, mixing hits, misses and evictions, and checks the atomic
 // counters stay coherent: run with -race, and every sampled snapshot
 // must be monotonic with hits+misses equal to the pins issued so far or
 // less (never more).
@@ -21,9 +20,9 @@ func TestPoolConcurrentPins(t *testing.T) {
 		}
 		ids[i] = id
 	}
-	// Half the pages fit, so evictions happen; each of the 16 shards has
-	// as many frames as there are goroutines, each of which holds one pin
-	// at a time, so no shard can run out of unpinned frames.
+	// Half the pages fit, so evictions happen; the pool has many more
+	// frames than there are goroutines, each of which holds one pin at a
+	// time, so it cannot run out of unpinned frames.
 	bp := NewBufferPool(store, 128)
 
 	const goroutines = 8

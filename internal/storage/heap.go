@@ -268,8 +268,8 @@ func (h *HeapFile) unlink(rid RID) (PageID, error) {
 // one, so a failed insert (no frame, a failed write-back) leaves the old
 // record in place; if the old page cannot be had again for the delete,
 // the new copy is deleted and the update fails. No pin is held across
-// the insert, which in a pool of one-frame shards may need the very
-// frame the old page is in. An error with a non-nil RID means the record
+// the insert, which in a one-frame pool needs the very frame the old
+// page is in. An error with a non-nil RID means the record
 // was written there and only releasing its old overflow chain failed.
 func (h *HeapFile) Update(rid RID, rec []byte) (RID, error) {
 	buf, err := h.pool.Pin(rid.Page)

@@ -1,22 +1,26 @@
 // Package trace is the engine's per-statement observability substrate:
 // hierarchical spans (statement → phase → operator → storage event) with
 // attributes, head-based sampling, and a fixed-size ring of completed
-// statement traces. Where package metrics answers "how is the engine
-// doing in aggregate", a trace answers "what did this one statement do,
-// in order, and where did its time go".
+// statement traces, the sampled ones and the slow ones. Where package
+// metrics answers "how is the engine doing in aggregate", a trace
+// answers "what did this one statement do, in order, and where did its
+// time go".
 //
 // The overhead contract is the point of the design: when a statement is
-// not sampled, the whole apparatus collapses to one atomic load (the
-// sampling decision) and nil-receiver no-ops — zero allocations, no
-// locks, nothing on the page-pin hot path. Storage attribution
-// deliberately reads the buffer pool's existing atomic counters around
-// storage calls instead of hooking every Pin; under concurrent
-// statements the deltas can include a neighbour's traffic, which is the
-// documented price of keeping Pin untouched.
+// not sampled, the whole apparatus collapses to two atomic loads (the
+// sampling decision and, at the end, the slow threshold) and
+// nil-receiver no-ops — zero allocations, no locks, nothing on the
+// page-pin hot path. An unsampled statement over the slow threshold is
+// retained anyway, as its root span and one span per phase, so the slow
+// log is a view over the ring rather than a second store. Storage
+// attribution deliberately reads the buffer pool's existing atomic
+// counters around storage calls instead of hooking every Pin; under
+// concurrent statements the deltas can include a neighbour's traffic,
+// which is the documented price of keeping Pin untouched.
 //
 // A statement executes on one goroutine, so an Active trace needs no
 // internal locking; only the Tracer's completed-trace ring takes a
-// mutex, once per sampled statement.
+// mutex, once per retained statement.
 package trace
 
 import (
@@ -96,16 +100,20 @@ var phaseNames = [numPhases]string{"parse", "check", "plan", "compile", "execute
 // Name returns the phase's span name.
 func (p Phase) Name() string { return phaseNames[p] }
 
-// Tracer owns the sampling policy and the ring of completed traces. One
-// Tracer serves a database; it is safe for concurrent use. The zero
-// value is not usable; call NewTracer.
+// Tracer owns the sampling policy, the slow threshold and the ring of
+// completed traces. One Tracer serves a database; it is safe for
+// concurrent use. The zero value is not usable; call NewTracer.
 type Tracer struct {
 	// every is the head-sampling rate: 0 disables tracing, 1 samples
 	// every statement, N samples one statement in N. An atomic so the
 	// shell and the ops plane can flip it while statements run.
 	every atomic.Int64
-	seq   atomic.Uint64 // statements seen (sampling wheel)
-	ids   atomic.Uint64 // trace id allocator
+	// slow is the slow threshold in nanoseconds (0 = none): a statement
+	// that succeeds in at least this long is retained and marked Slow,
+	// sampled or not.
+	slow atomic.Int64
+	seq  atomic.Uint64 // statements seen (sampling wheel)
+	ids  atomic.Uint64 // trace id allocator
 
 	// Lifecycle accounting for the leak tests: every span started must
 	// be finished by the time its statement completes.
@@ -114,7 +122,7 @@ type Tracer struct {
 	tracesStarted  atomic.Uint64
 	tracesFinished atomic.Uint64
 
-	// The completed-trace ring, guarded by its own mutex: sampled
+	// The completed-trace ring, guarded by its own mutex: retained
 	// statements finishing concurrently contend only here, once per
 	// statement.
 	mu   sync.Mutex // extra:lock tracer.mu
@@ -141,6 +149,20 @@ func (t *Tracer) SetEvery(n int) { t.every.Store(int64(n)) }
 // Every returns the current sampling rate.
 func (t *Tracer) Every() int { return int(t.every.Load()) }
 
+// SetSlowThreshold sets the duration at or over which a successful
+// statement is retained and marked Slow; 0 retains none for slowness.
+// Traces already retained keep the mark they finished with.
+func (t *Tracer) SetSlowThreshold(d time.Duration) { t.slow.Store(int64(d)) }
+
+// isSlow reports whether a statement that succeeded in total is slow.
+func (t *Tracer) isSlow(total time.Duration) bool {
+	if t == nil {
+		return false
+	}
+	th := t.slow.Load()
+	return th > 0 && int64(total) >= th
+}
+
 // Sample makes the head-based sampling decision for one statement:
 // nil when tracing is off or the statement lost the draw — the caller
 // then pays nothing further. The decision is made once, at statement
@@ -156,6 +178,11 @@ func (t *Tracer) Sample() *Active {
 	if every > 1 && t.seq.Add(1)%uint64(every) != 0 {
 		return nil
 	}
+	return t.begin()
+}
+
+// begin starts a trace with a fresh id.
+func (t *Tracer) begin() *Active {
 	t.tracesStarted.Add(1)
 	return &Active{
 		tracer: t,
@@ -353,7 +380,10 @@ func (a *Active) AttrInt(idx int, key string, v int64) {
 
 // Trace is one completed, immutable statement trace. Spans[0] is the
 // statement root; children always follow their parent in the slice, so
-// slice order is a valid pre-order rendering order.
+// slice order is a valid pre-order rendering order. Slow records that
+// the statement succeeded at or over the slow threshold in force when
+// it finished; a trace retained only for that carries the root and its
+// phase spans.
 type Trace struct {
 	ID      uint64        `json:"id"`
 	Src     string        `json:"src"`
@@ -363,7 +393,24 @@ type Trace struct {
 	Rows    int           `json:"rows"`
 	Start   time.Time     `json:"start"`
 	Dur     time.Duration `json:"dur_ns"`
+	Slow    bool          `json:"slow,omitempty"`
 	Spans   []Span        `json:"spans"`
+}
+
+// PhaseDurs sums the trace's phase spans by phase.
+func (tr *Trace) PhaseDurs() [numPhases]time.Duration {
+	var d [numPhases]time.Duration
+	for _, sp := range tr.Spans {
+		if sp.Kind != KindPhase {
+			continue
+		}
+		for p, name := range phaseNames {
+			if sp.Name == name {
+				d[p] += sp.Dur
+			}
+		}
+	}
+	return d
 }
 
 // StmtTrace is the always-on per-statement accumulator the database
@@ -373,14 +420,17 @@ type Trace struct {
 // collects the span tree. The zero value is ready to use and the
 // unsampled path performs no allocation.
 type StmtTrace struct {
-	Durs [numPhases]time.Duration
-	Rows int
-	act  *Active
+	Durs   [numPhases]time.Duration
+	Rows   int
+	act    *Active
+	tracer *Tracer   // set by Begin: judges slowness at Finish
+	start  time.Time // set by Begin: where a phase-only trace starts
 }
 
 // Begin makes the sampling decision and, when sampled, opens the
 // statement root span at start.
 func (st *StmtTrace) Begin(t *Tracer, start time.Time) {
+	st.tracer, st.start = t, start
 	if a := t.Sample(); a != nil {
 		st.act = a
 		// The root span deliberately stays open for the whole statement;
@@ -467,15 +517,38 @@ func (pt PhaseTimer) Span() int { return pt.span }
 // Start returns the phase's start time.
 func (pt PhaseTimer) Start() time.Time { return pt.t0 }
 
-// Finish seals a sampled statement into an immutable Trace and records
-// it in the tracer's ring, returning it (nil when unsampled). Any spans
+// Finish seals a statement that ended with err after total into an
+// immutable Trace and records it in the tracer's ring, returning it. A
+// statement is retained when it was sampled, or when it succeeded at
+// or over the slow threshold; otherwise Finish returns nil having
+// touched nothing shared. An unsampled slow statement is retained as
+// its root span plus one span per non-zero phase, laid end to end from
+// its start. A sampled statement's error annotates its root. Any spans
 // still open — an error unwound the statement mid-phase — are closed
 // with the statement's end time so the leak invariant holds.
-func (st *StmtTrace) Finish(src string, session int64, user, kind string, total time.Duration) *Trace {
-	if st == nil || st.act == nil {
+func (st *StmtTrace) Finish(src string, session int64, user, kind string, total time.Duration, err error) *Trace {
+	if st == nil {
 		return nil
 	}
 	a := st.act
+	slow := err == nil && st.tracer.isSlow(total)
+	if a == nil {
+		if !slow {
+			return nil
+		}
+		a = st.tracer.begin()
+		a.AddSpan(-1, KindStatement, "statement", st.start, total)
+		at := st.start
+		for p, d := range st.Durs {
+			if d > 0 {
+				a.AddSpan(0, KindPhase, phaseNames[p], at, d)
+				at = at.Add(d)
+			}
+		}
+	}
+	if err != nil {
+		a.Attr(0, "error", err.Error())
+	}
 	root := &a.spans[0]
 	root.Dur = total
 	end := root.Start.Add(total)
@@ -499,6 +572,7 @@ func (st *StmtTrace) Finish(src string, session int64, user, kind string, total 
 		Rows:    st.Rows,
 		Start:   root.Start,
 		Dur:     total,
+		Slow:    slow,
 		Spans:   a.spans,
 	}
 	a.tracer.Record(tr)

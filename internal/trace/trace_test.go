@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -37,7 +38,7 @@ func canned(t *testing.T, tracer *Tracer) *Trace {
 
 	st := &StmtTrace{act: a, Rows: 3}
 	return st.Finish(`retrieve (E.name, E.salary) from E in Employees where E.dept.floor = 2`,
-		1, "", "retrieve", 1200*time.Microsecond)
+		1, "", "retrieve", 1200*time.Microsecond, nil)
 }
 
 func TestSamplingDisabledIsNil(t *testing.T) {
@@ -60,7 +61,7 @@ func TestSamplingOneInN(t *testing.T) {
 			// Keep the leak invariant: every sampled trace finishes.
 			st := &StmtTrace{act: a}
 			a.StartSpanAt(KindStatement, "statement", time.Now())
-			st.Finish("q", 0, "", "retrieve", time.Microsecond)
+			st.Finish("q", 0, "", "retrieve", time.Microsecond, nil)
 		}
 	}
 	if n != 10 {
@@ -96,15 +97,17 @@ func TestNilActiveSafe(t *testing.T) {
 	st.RecordPhase(PhaseParse, time.Now(), time.Microsecond)
 	pt := st.StartPhase(PhaseExecute)
 	st.EndPhase(pt)
-	if st.Finish("q", 0, "", "retrieve", 0) != nil {
+	if st.Finish("q", 0, "", "retrieve", 0, nil) != nil {
 		t.Error("nil Finish returned a trace")
 	}
 }
 
 // TestZeroAllocWhenDisabled pins the overhead contract: with tracing
-// off, the per-statement trace primitives allocate nothing.
+// off and the statement under the slow threshold, the per-statement
+// trace primitives allocate nothing.
 func TestZeroAllocWhenDisabled(t *testing.T) {
 	tracer := NewTracer(0, 4)
+	tracer.SetSlowThreshold(time.Hour)
 	allocs := testing.AllocsPerRun(100, func() {
 		var st StmtTrace
 		st.Begin(tracer, time.Now())
@@ -113,10 +116,51 @@ func TestZeroAllocWhenDisabled(t *testing.T) {
 		st.Active().AddSpan(-1, KindStorage, "buffer pool", time.Now(), 0)
 		st.EndPhase(pt)
 		st.Rows = 3
-		st.Finish("q", 1, "", "retrieve", time.Microsecond)
+		st.Finish("q", 1, "", "retrieve", time.Microsecond, nil)
 	})
 	if allocs != 0 {
 		t.Errorf("disabled tracing allocates %.0f per statement, want 0", allocs)
+	}
+}
+
+// TestSlowUnsampledRetained pins the retention rule's second case: an
+// unsampled statement that succeeds at or over the threshold is kept as
+// its root plus one span per non-zero phase, laid end to end from its
+// start, and marked Slow; a failed one, or one under the threshold, is
+// not kept.
+func TestSlowUnsampledRetained(t *testing.T) {
+	tracer := NewTracer(0, 4)
+	tracer.SetSlowThreshold(time.Millisecond)
+	finish := func(total time.Duration, err error) *Trace {
+		var st StmtTrace
+		t0 := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+		st.Begin(tracer, t0)
+		st.RecordPhase(PhaseParse, t0, 2*time.Millisecond)
+		st.Durs[PhaseExecute] = 3 * time.Millisecond
+		st.Rows = 7
+		return st.Finish("q", 5, "u", "retrieve", total, err)
+	}
+	if finish(500*time.Microsecond, nil) != nil || finish(6*time.Millisecond, errTest) != nil {
+		t.Fatal("a fast or failed unsampled statement was retained")
+	}
+	tr := finish(6*time.Millisecond, nil)
+	if tr == nil || !tr.Slow || tr.ID == 0 || tr.Rows != 7 || tr.Src != "q" {
+		t.Fatalf("slow statement retained as %+v", tr)
+	}
+	if len(tr.Spans) != 3 || tr.Spans[1].Name != "parse" || tr.Spans[2].Name != "execute" ||
+		!tr.Spans[2].Start.Equal(tr.Spans[1].Start.Add(2*time.Millisecond)) {
+		t.Fatalf("phase spans not laid end to end: %+v", tr.Spans)
+	}
+	if d := tr.PhaseDurs(); d[PhaseParse] != 2*time.Millisecond || d[PhaseExecute] != 3*time.Millisecond {
+		t.Errorf("PhaseDurs = %v", d)
+	}
+	tracer.SetSlowThreshold(0)
+	if !tracer.Last().Slow {
+		t.Error("a threshold change rewrote a retained trace's mark")
+	}
+	s := tracer.Stats()
+	if s.TracesStarted != 1 || s.TracesStarted != s.TracesFinished || s.SpansStarted != s.SpansFinished {
+		t.Errorf("lifecycle counters unbalanced: %+v", s)
 	}
 }
 
@@ -144,7 +188,7 @@ func TestFinishClosesOpenSpans(t *testing.T) {
 	st.Begin(tracer, start)
 	st.Active().StartSpan(KindPhase, "execute")
 	st.Active().StartSpan(KindOperator, "scan")
-	tr := st.Finish("q", 2, "", "retrieve", 3*time.Millisecond)
+	tr := st.Finish("q", 2, "", "retrieve", 3*time.Millisecond, nil)
 	if tr == nil {
 		t.Fatal("no trace")
 	}
@@ -169,7 +213,7 @@ func TestRingEvictionAndLookup(t *testing.T) {
 		var st StmtTrace
 		st.Begin(tracer, time.Now())
 		ids = append(ids, st.TraceID())
-		st.Finish("q", int64(i), "", "retrieve", time.Microsecond)
+		st.Finish("q", int64(i), "", "retrieve", time.Microsecond, nil)
 	}
 	got := tracer.Traces()
 	if len(got) != 3 {
@@ -210,7 +254,7 @@ func TestConcurrentLifecycle(t *testing.T) {
 				st.Active().AttrInt(op, "rows_out", int64(i))
 				st.Active().EndSpan(op)
 				st.EndPhase(pt)
-				st.Finish("q", int64(g), "", "retrieve", time.Microsecond)
+				st.Finish("q", int64(g), "", "retrieve", time.Microsecond, nil)
 				if i%17 == 0 {
 					tracer.Last()
 					tracer.Traces()
@@ -261,3 +305,6 @@ func TestRenderTree(t *testing.T) {
 		t.Error("nil render")
 	}
 }
+
+// errTest is a statement error for the retention tests.
+var errTest = errors.New("test failure")

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/trace"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -205,9 +207,10 @@ func TestMetricsAfterStatements(t *testing.T) {
 
 // TestSlowQueryLog exercises the threshold and the ring buffer: with a
 // zero-distance threshold every statement lands in the log, and the
-// ring keeps only the most recent entries, oldest first.
+// trace ring (capacity 2, tracing off) keeps only the most recent
+// entries, oldest first.
 func TestSlowQueryLog(t *testing.T) {
-	db, err := Open(WithSlowQueryLog(time.Nanosecond, 2))
+	db, err := Open(WithSlowQueryLog(time.Nanosecond), WithTracing(0, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,11 +244,62 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 }
 
+// TestSlowStatementRetainedAsTrace pins the slow-query log as a view
+// over the trace ring: with tracing off, a statement over the threshold
+// is retained as a trace of its phases, the log entry is read from that
+// trace under its own id, and the default ring keeps 32 of them.
+func TestSlowStatementRetainedAsTrace(t *testing.T) {
+	db := mustOpen(t)
+	loadCompany(t, db)
+	db.SetSlowQueryThreshold(time.Nanosecond)
+	q := `retrieve (E.name, E.salary) from E in Employees where E.dept.floor = 2`
+	db.MustQuery(q)
+	slow := db.SlowQueries()
+	if len(slow) == 0 {
+		t.Fatal("no slow entries")
+	}
+	e := slow[len(slow)-1]
+	tr := db.TraceByID(e.TraceID)
+	if e.TraceID == 0 || tr == nil || tr.Src != q || tr.Rows != 3 || e.Rows != 3 {
+		t.Fatalf("entry %+v does not resolve to the statement's trace: %+v", e, tr)
+	}
+	if every := db.Tracer().Every(); every != 0 {
+		t.Fatalf("setup: sampling is on (every %d)", every)
+	}
+	var parse, check, plan, execute time.Duration
+	for _, sp := range tr.Spans {
+		switch {
+		case sp.Kind == trace.KindOperator || sp.Kind == trace.KindStorage:
+			t.Errorf("unsampled slow trace has span %q of kind %v", sp.Name, sp.Kind)
+		case sp.Name == "parse":
+			parse += sp.Dur
+		case sp.Name == "check":
+			check += sp.Dur
+		case sp.Name == "plan":
+			plan += sp.Dur
+		case sp.Name == "execute":
+			execute += sp.Dur
+		}
+	}
+	if parse != e.Parse || check != e.Check || plan != e.Plan || execute != e.Execute || execute == 0 {
+		t.Errorf("phase spans parse=%v check=%v plan=%v execute=%v, entry %+v", parse, check, plan, execute, e)
+	}
+	if s := db.Tracer().Stats(); s.TracesStarted != s.TracesFinished || s.SpansStarted != s.SpansFinished {
+		t.Errorf("lifecycle counters unbalanced: %+v", s)
+	}
+	for i := 0; i < 40; i++ {
+		db.MustQuery(`retrieve (D.dname) from D in Departments`)
+	}
+	if n := len(db.SlowQueries()); n != 32 {
+		t.Errorf("default ring kept %d slow statements, want 32", n)
+	}
+}
+
 // TestExplainAnalyzeIsAStatement: EXPLAIN ANALYZE is a mode of statement
 // execution, so an analyzed retrieve over the slow threshold is in the
 // slow-query log like any other, linked to its retained trace.
 func TestExplainAnalyzeIsAStatement(t *testing.T) {
-	db, err := Open(WithSlowQueryLog(time.Nanosecond, 4), WithTracing(1, 4))
+	db, err := Open(WithSlowQueryLog(time.Nanosecond), WithTracing(1, 4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,21 +99,7 @@ func TestSchemaSnapshotPinnedTriple(t *testing.T) {
 func TestSchemaSnapshotReaderAcrossDDL(t *testing.T) {
 	db := mustOpen(t)
 	loadCompany(t, db)
-	entered, release := make(chan struct{}), make(chan struct{})
-	var once sync.Once
-	reg := db.Registry()
-	if _, err := reg.Define("Gate"); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.RegisterFunc("Gate", &adt.Func{
-		Name: "hold", Params: []types.Type{types.Int4}, Result: types.Int4,
-		Impl: func(args []value.Value) (value.Value, error) {
-			once.Do(func() { close(entered); <-release })
-			return args[0], nil
-		},
-	}); err != nil {
-		t.Fatal(err)
-	}
+	entered, release := defineHold(t, db)
 	if err := db.CreateUser("bob"); err != nil {
 		t.Fatal(err)
 	}
@@ -165,6 +151,127 @@ func TestSchemaSnapshotReaderAcrossDDL(t *testing.T) {
 	}
 	if _, err := bob.Query(`retrieve (E.name) from E in Employees`); err == nil {
 		t.Error("a read started after the drop and the revoke succeeded")
+	}
+}
+
+// defineHold registers hold(int4) → int4, which returns its argument
+// and, on its first call only, signals entered and waits for release:
+// a statement calling it stops there, mid-scan, holding whatever it
+// holds.
+func defineHold(t *testing.T, db *DB) (entered, release chan struct{}) {
+	t.Helper()
+	entered, release = make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	reg := db.Registry()
+	if _, err := reg.Define("Gate"); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.RegisterFunc("Gate", &adt.Func{
+		Name: "hold", Params: []types.Type{types.Int4}, Result: types.Int4,
+		Impl: func(args []value.Value) (value.Value, error) {
+			once.Do(func() { close(entered); <-release })
+			return args[0], nil
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return entered, release
+}
+
+// TestAnalyzedSnapshotReadPoolAttribution: an EXPLAIN ANALYZE'd read is
+// stopped mid-scan while a writer on another session pins pages. The
+// read is bound to a snapshot, which pins no page, so none of the
+// writer's traffic is charged to it: every operator's pool hits and
+// misses, and the summary's, read 0.
+func TestAnalyzedSnapshotReadPoolAttribution(t *testing.T) {
+	db := mustOpen(t)
+	loadCompany(t, db)
+	entered, release := defineHold(t, db)
+	type outcome struct {
+		rep *ExplainOutput
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		rep, err := db.ExplainAnalyzeReport(`retrieve (E.name, D.dname) from E in Employees, D in Departments where E.dept is D and hold(E.age) > 0`)
+		done <- outcome{rep, err}
+	}()
+	<-entered
+	before := db.PoolStats()
+	db.NewSession().MustExec(`append to Employees (name = "Wes", age = 29, salary = 40)`)
+	if moved := db.PoolStats().Sub(before); moved.Hits+moved.Misses == 0 {
+		t.Fatal("setup: the write pinned no page")
+	}
+	close(release)
+	out := <-done
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	for _, n := range out.rep.Plan {
+		if n.Actual.PoolHits != 0 || n.Actual.PoolMisses != 0 {
+			t.Errorf("%s charged a writer's pool traffic: %d hits, %d misses", n.Op, n.Actual.PoolHits, n.Actual.PoolMisses)
+		}
+	}
+	if sum := out.rep.Summary; sum.PoolHits != 0 || sum.PoolMisses != 0 {
+		t.Errorf("summary charged a writer's pool traffic: %d hits, %d misses", sum.PoolHits, sum.PoolMisses)
+	}
+}
+
+// TestSnapshotReadsPinNoPage pins the invariant the buffer pool's one
+// LRU under one mutex relies on: a snapshot read touches no page. Every
+// read shape of the repository benchmark's read path runs prepared and
+// ad hoc — index probe, range scan and count, ref path, unnest, and a
+// hash join with a by aggregate — and the pool counters do not move.
+func TestSnapshotReadsPinNoPage(t *testing.T) {
+	db := mustOpen(t)
+	loadCompany(t, db)
+	db.MustExec(`define index emp_sal on Employees (salary)`)
+	db.MustExec(`define index emp_name on Employees (name)`)
+	prepared := []struct {
+		src  string
+		args []any
+	}{
+		{`retrieve (E.name, E.age) from E in Employees where E.salary = 90`, nil},
+		{`retrieve (E.name, E.salary, E.age) from E in Employees where E.name = "Ann"`, nil},
+		{`retrieve (E.name, E.salary) from E in Employees where E.age >= $1 and E.age < $2`, []any{30, 40}},
+		{`retrieve (n = count(E.name)) from E in Employees where E.age >= $1 and E.age < $2`, []any{30, 40}},
+		{`retrieve (E.name) from E in Employees where E.dept.floor = $1`, []any{2}},
+		{`retrieve (E.name, K.name) from E in Employees, K in E.kids where K.age < $1`, []any{10}},
+		{`retrieve (d = D.dname, s = sum(E.salary by D.dname)) from E in Employees, D in Departments where E.dept.dname = D.dname and D.floor = $1`, []any{2}},
+	}
+	adhoc := []string{
+		`retrieve (E.name, E.age) from E in Employees where E.salary = 50`,
+		`retrieve (E.name, E.salary) from E in Employees where E.name = "Ben"`,
+		`retrieve (E.name, E.salary) from E in Employees where E.age >= 30 and E.age < 40`,
+		`retrieve (n = count(E.name)) from E in Employees where E.age >= 30 and E.age < 40`,
+		`retrieve (E.name) from E in Employees where E.dept.floor = 1`,
+		`retrieve (E.name, K.name) from E in Employees, K in E.kids where K.age < 10`,
+		`retrieve (d = D.dname, s = sum(E.salary by D.dname)) from E in Employees, D in Departments where E.dept.dname = D.dname and D.floor = 2`,
+	}
+	stmts := make([]*Stmt, len(prepared))
+	for i, p := range prepared {
+		st, err := db.Prepare(p.src)
+		if err != nil {
+			t.Fatalf("prepare %q: %v", p.src, err)
+		}
+		stmts[i] = st
+	}
+	before := db.PoolStats()
+	for round := 0; round < 2; round++ { // a miss fills the plan cache, a hit reads it
+		for i, st := range stmts {
+			res, err := st.Exec(prepared[i].args...)
+			if err != nil || len(res.Rows) == 0 {
+				t.Fatalf("prepared %q: %d rows, %v", prepared[i].src, len(res.Rows), err)
+			}
+		}
+		for _, q := range adhoc {
+			if res := db.MustQuery(q); len(res.Rows) == 0 {
+				t.Fatalf("ad hoc %q returned no rows", q)
+			}
+		}
+	}
+	if moved := db.PoolStats().Sub(before); moved.Hits != 0 || moved.Misses != 0 {
+		t.Errorf("snapshot reads pinned pages: %+v", moved)
 	}
 }
 

@@ -98,9 +98,11 @@ func TestTraceUpdateSpans(t *testing.T) {
 }
 
 // TestTraceSampling covers run-time sampling control: off by default,
-// 1-in-N, and the slow-query link carrying the sampled trace id.
+// 1-in-N, and the slow-query link carrying the sampled trace id. With
+// sampling off a slow statement is still retained; with the threshold
+// at 0 as well, nothing is.
 func TestTraceSampling(t *testing.T) {
-	db, err := Open(WithSlowQueryLog(time.Nanosecond, 8), WithTracing(1, 8))
+	db, err := Open(WithSlowQueryLog(time.Nanosecond), WithTracing(1, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,8 +121,17 @@ func TestTraceSampling(t *testing.T) {
 	if linked == nil || linked.Src != last.Src {
 		t.Errorf("TraceByID(%d) does not resolve to the slow statement", last.TraceID)
 	}
-	// Turning sampling off stops retention.
+	// With sampling off an unsampled slow statement is retained, as its
+	// phases only.
 	db.SetTraceSampling(0)
+	db.MustQuery(`retrieve (P.a) from P in Ps where P.a = 1`)
+	if tr := db.LastTrace(); tr == nil || !tr.Slow || !strings.Contains(tr.Src, "P.a = 1") {
+		t.Errorf("unsampled slow statement not retained: %+v", tr)
+	} else if tr.ID == last.TraceID {
+		t.Errorf("unsampled slow statement reused trace id %d", tr.ID)
+	}
+	// Turning sampling off and the threshold to 0 stops retention.
+	db.SetSlowQueryThreshold(0)
 	before := len(db.Traces())
 	db.MustQuery(`retrieve (P.a) from P in Ps`)
 	if got := len(db.Traces()); got != before {

@@ -9,9 +9,10 @@ import (
 
 // This file is the database layer's side of statement tracing: the
 // sampling configuration surface, the conversion of finished statements
-// into metrics + slow-log + retained traces, and the synthesis of
-// operator/storage spans from an instrumented retrieve's runtime
-// actuals. The span model itself lives in internal/trace.
+// into metrics and retained traces (of which the slow-query log is a
+// view), and the synthesis of operator/storage spans from an
+// instrumented retrieve's runtime actuals. The span model itself lives
+// in internal/trace.
 
 // Trace re-exports one completed statement trace (see DB.LastTrace,
 // DB.TraceByID and trace.Render).
@@ -22,9 +23,11 @@ type TracerStats = trace.Stats
 
 // WithTracing configures statement tracing at Open: one statement in
 // every is sampled into a full span tree (0 disables, 1 traces every
-// statement) and the last capacity sampled traces are retained. The
-// default is tracing off with a ring of 16; sampling can be changed at
-// run time with SetTraceSampling.
+// statement) and the last capacity retained traces are kept. One ring
+// holds the sampled traces and the slow statements (see
+// WithSlowQueryLog), first in, first out, so with sampling on the two
+// share capacity. The default is tracing off with a ring of 32;
+// sampling can be changed at run time with SetTraceSampling.
 func WithTracing(every, capacity int) Option {
 	return func(c *config) {
 		c.traceEvery = every
@@ -38,11 +41,12 @@ func (db *DB) Tracer() *trace.Tracer { return db.tracer }
 
 // SetTraceSampling adjusts the head-sampling rate at run time: 0
 // disables tracing, 1 traces every statement, N traces one in N. The
-// decision is made once per statement, so an unsampled statement pays
-// one atomic load and nothing else.
+// decision is made once per statement, so an unsampled statement that
+// is not slow pays two atomic loads (the draw and the slow threshold)
+// and nothing else.
 func (db *DB) SetTraceSampling(every int) { db.tracer.SetEvery(every) }
 
-// LastTrace returns the most recently completed sampled trace, or nil.
+// LastTrace returns the most recently retained trace, or nil.
 func (db *DB) LastTrace() *Trace { return db.tracer.Last() }
 
 // TraceByID returns the retained trace with the given id, or nil when
@@ -52,60 +56,27 @@ func (db *DB) TraceByID(id uint64) *Trace { return db.tracer.Get(id) }
 // Traces returns the retained traces, oldest first.
 func (db *DB) Traces() []*Trace { return db.tracer.Traces() }
 
-// finishTrace records one finished Exec/Query call: phase histograms
-// and row counts into the registry for every statement, the slow-query
-// ring (with the sampled trace's id, when there is one) when over
-// threshold, and the sealed span tree into the tracer's ring when the
-// statement was sampled. The histograms are atomic; only the slow-query
-// ring needs its lock, so concurrent readers finishing simultaneously
-// contend only on that. user is captured by the caller inside its lock
-// window — snapshot readers finish outside any engine lock, where
-// reading s.user directly would race SetUser.
-//
-// extra:acquires db.slowMu.W
-func (db *DB) finishTrace(sid int64, user, src, kind string, tr *trace.StmtTrace, start time.Time) {
+// finishTrace records one finished Exec/Query call that ended with err:
+// a success feeds the phase histograms and the row count (an error is
+// counted in stmt.errors by the caller), and the trace is sealed into
+// the ring when the statement was sampled — an error annotated, failed
+// statements being the ones worth looking at — or succeeded over the
+// slow threshold. Only a retained statement takes a lock, the ring's.
+// user is captured by the caller inside its lock window — snapshot
+// readers finish outside any engine lock, where reading s.user
+// directly would race SetUser.
+func (db *DB) finishTrace(sid int64, user, src, kind string, tr *trace.StmtTrace, start time.Time, err error) {
 	total := time.Since(start)
-	db.hParse.Observe(tr.Dur(trace.PhaseParse))
-	db.hCheck.Observe(tr.Dur(trace.PhaseCheck))
-	db.hPlan.Observe(tr.Dur(trace.PhasePlan))
-	db.hCompile.Observe(tr.Dur(trace.PhaseCompile))
-	db.hExecute.Observe(tr.Dur(trace.PhaseExecute))
-	db.hStmt.Observe(total)
-	db.cRows.Add(uint64(tr.Rows))
-	traceID := tr.TraceID()
-	tr.Finish(src, sid, user, kind, total)
-	db.slowMu.Lock()
-	defer db.slowMu.Unlock()
-	if db.slowThreshold > 0 && total >= db.slowThreshold {
-		entry := SlowQuery{
-			Src: src, Session: sid, When: time.Now(), Total: total,
-			Parse:   tr.Dur(trace.PhaseParse),
-			Check:   tr.Dur(trace.PhaseCheck),
-			Plan:    tr.Dur(trace.PhasePlan),
-			Execute: tr.Dur(trace.PhaseExecute),
-			Rows:    tr.Rows, TraceID: traceID,
-		}
-		if len(db.slow) < db.slowCap {
-			db.slow = append(db.slow, entry)
-			db.slowNext = len(db.slow) % db.slowCap
-		} else {
-			db.slow[db.slowNext] = entry
-			db.slowNext = (db.slowNext + 1) % db.slowCap
-		}
+	if err == nil {
+		db.hParse.Observe(tr.Dur(trace.PhaseParse))
+		db.hCheck.Observe(tr.Dur(trace.PhaseCheck))
+		db.hPlan.Observe(tr.Dur(trace.PhasePlan))
+		db.hCompile.Observe(tr.Dur(trace.PhaseCompile))
+		db.hExecute.Observe(tr.Dur(trace.PhaseExecute))
+		db.hStmt.Observe(total)
+		db.cRows.Add(uint64(tr.Rows))
 	}
-}
-
-// abortTrace seals a sampled trace when its statement errored, so spans
-// never leak on the unwind path. Error statements keep the seed's
-// metrics behavior (counted in stmt.errors, not observed in the phase
-// histograms), but the trace — annotated with the error — is retained:
-// failed statements are exactly the ones worth looking at.
-func (db *DB) abortTrace(sid int64, user, src, kind string, tr *trace.StmtTrace, start time.Time, err error) {
-	if !tr.Sampled() {
-		return
-	}
-	tr.Active().Attr(0, "error", err.Error())
-	tr.Finish(src, sid, user, kind, time.Since(start))
+	tr.Finish(src, sid, user, kind, total, err)
 }
 
 // addRetrieveSpans converts an instrumented retrieve's runtime actuals
