@@ -27,9 +27,12 @@ lint: vet
 vet:
 	$(GO) vet ./...
 
-# 30-second parse/print/reparse stability smoke over the EXCESS parser.
+# 30-second fuzz smokes: parse/print/reparse stability over the EXCESS
+# parser, and generated retrieves checked against the reference
+# evaluator (oracle_test.go).
 fuzz:
 	$(GO) test -fuzz=FuzzParsePrintReparse -fuzztime=30s ./internal/excess/parse/
+	$(GO) test -run '^$$' -fuzz=FuzzRetrieve -fuzztime=30s .
 
 # One run each of the join, access-method, compiled-filter, concurrency,
 # compile-once, tracing and group-commit benchmarks: a smoke test that

@@ -28,6 +28,8 @@
 //	\checkpoint     write a checkpoint and truncate the write-ahead log
 //	\wal            show write-ahead-log LSN watermarks
 //	\optimizer on|off
+//	                off plans naively: no pushdown, index selection,
+//	                reordering or hash joins
 //	\prepare NAME STMT
 //	                prepare a statement with $1..$n parameter slots
 //	\exec NAME [ARG ...]
@@ -474,8 +476,7 @@ func meta(db *extra.DB, sess *extra.Session, cmd string) bool {
 	case `\optimizer`:
 		if len(fields) == 2 && fields[1] == "off" {
 			db.SetOptimizer(extra.OptimizerOptions{
-				NoPushdown: true, NoIndexSelect: true, NoReorder: true,
-				NoHashJoin: true, NoCompiledExprs: true,
+				NoPushdown: true, NoIndexSelect: true, NoReorder: true, NoHashJoin: true,
 			})
 			fmt.Println("  optimizer off (naive plans)")
 		} else {

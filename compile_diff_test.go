@@ -1,20 +1,19 @@
 package extra
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 	"testing"
 )
 
-// TestCompiledInterpretedCorpus is the expression compiler's
-// differential oracle over the paper's figure corpus: every query runs
-// once with closure-compiled expressions and once through the
-// interpreting walker (NoCompiledExprs), and the rendered results must
-// be byte-identical. The shapes cover constant folding, slot-indexed
-// variable access, reference paths, array indexing, ADT calls,
-// aggregates with by/over, nested sets, universal quantification and
-// short-circuit logic.
+// TestCompiledInterpretedCorpus checks the closure-compiled engine
+// against the interpreting reference evaluator (oracle_test.go) over the
+// paper's figure corpus: every query must return the oracle's rows as a
+// multiset. The shapes cover constant folding, slot-indexed variable
+// access, reference paths, array indexing, ADT calls, aggregates with
+// by/over, nested sets, universal quantification and short-circuit
+// logic. The oracle shares no execution code with the engine, so a bug
+// in the path walk or the run loop shows here.
 func TestCompiledInterpretedCorpus(t *testing.T) {
 	t.Run("company", func(t *testing.T) {
 		db := mustOpen(t)
@@ -22,7 +21,7 @@ func TestCompiledInterpretedCorpus(t *testing.T) {
 		db.MustExec(`define index emp_sal on Employees (salary)`)
 		db.MustExec(`range of AE is all Employees`)
 		db.MustExec(sameFloorFn)
-		diffCorpus(t, db, []string{
+		oracleCorpus(t, db, []string{
 			// Figure 5: implicit joins, nested sets, explicit joins.
 			`retrieve (E.name, E.salary) from E in Employees where E.dept.floor = 2`,
 			`retrieve (C.name) from C in Employees.kids where Employees.dept.floor = 2`,
@@ -32,10 +31,10 @@ func TestCompiledInterpretedCorpus(t *testing.T) {
 			`retrieve (f = E.dept.floor, a = avg(E.salary by E.dept.floor)) from E in Employees`,
 			`retrieve (distinct_depts = count(E.dept.dname over E.dept.dname)) from E in Employees`,
 			`retrieve (n = count(Employees))`,
-			// Universal quantification (residue stays interpreter-shaped).
+			// Universal quantification.
 			`retrieve (D.dname) from D in Departments where AE.dept isnot D or AE.salary > 10`,
 			// Constant folding: the parenthesized subexpression folds to a
-			// literal at compile time; both paths must agree.
+			// literal at compile time.
 			`retrieve (E.name) from E in Employees where E.salary % 97 < ((13*17+5)*3 - 100) % 50 + 20`,
 			`retrieve (E.name) from E in Employees where E.salary * 2 + 10 > 100 and (3 * 4 + 1) > 10`,
 			// Arithmetic in targets, unary minus, string equality.
@@ -58,17 +57,21 @@ func TestCompiledInterpretedCorpus(t *testing.T) {
 			`retrieve (D, n = count(E.name by D)) from D in Departments, E in Employees where E.dept is D`,
 			`retrieve (E.name, D.dname) from E in Employees, D in Departments where E.salary = 50 and E.dept is D`,
 			`retrieve (E.name, K.name, K.age) from E in Employees, K in E.kids`,
+			// Membership, set operators over a multi-valued path and a
+			// set constructor, string concatenation.
+			`retrieve (E.name) from E in Employees where "Al" in E.kids.name`,
+			`retrieve (E.name, u = E.kids.name union {"Zed", "Al"}, i = E.kids.name intersect {"Al", "Bea"}, d = E.kids.name diff {"Al"}) from E in Employees`,
+			`retrieve (E.name, s = E.name + "!") from E in Employees where E.kids.name contains "Dot" or E.age > 40`,
 		})
 
-		// Error parity: division by zero fails identically in both lanes.
-		for _, opts := range []OptimizerOptions{{}, {NoCompiledExprs: true}} {
-			db.SetOptimizer(opts)
-			_, err := db.Query(`retrieve (E.name) from E in Employees where E.salary / (E.age - E.age) > 1`)
-			if err == nil || !strings.Contains(err.Error(), "division by zero") {
-				t.Errorf("NoCompiledExprs=%v: division by zero = %v", opts.NoCompiledExprs, err)
-			}
+		// Error parity: division by zero fails in the engine and the oracle.
+		q := `retrieve (E.name) from E in Employees where E.salary / (E.age - E.age) > 1`
+		if _, err := db.Query(q); err == nil || !strings.Contains(err.Error(), "division by zero") {
+			t.Errorf("engine: division by zero = %v", err)
 		}
-		db.SetOptimizer(OptimizerOptions{})
+		if _, err := OracleRows(db, q); err == nil || !strings.Contains(err.Error(), "division by zero") {
+			t.Errorf("oracle: division by zero = %v", err)
+		}
 	})
 
 	// Attribute steps read the field at its position in the static type
@@ -105,7 +108,7 @@ func TestCompiledInterpretedCorpus(t *testing.T) {
 		if got := db.MustQuery(`retrieve (A.advisee.gpa) from A in Advisors where A.aname = "Ada"`).String(); !strings.Contains(got, "3.5") {
 			t.Fatalf("a ref Student reaching a StudentEmp read gpa as:\n%s", got)
 		}
-		diffCorpus(t, db, []string{
+		oracleCorpus(t, db, []string{
 			`retrieve (A.aname, A.advisee.name, A.advisee.gpa) from A in Advisors`,
 			`retrieve (A.aname) from A in Advisors where A.advisee.gpa > 3.0`,
 			`retrieve (A.aname, S.name, S.gpa) from A in Advisors, S in A.mentees`,
@@ -118,7 +121,7 @@ func TestCompiledInterpretedCorpus(t *testing.T) {
 	t.Run("function arguments", func(t *testing.T) {
 		db := mustOpen(t)
 		loadNodes(t, db)
-		diffCorpus(t, db, []string{
+		oracleCorpus(t, db, []string{
 			`retrieve (R.label, s = Size(R)) from R in Roots`,
 			`retrieve (C.label, s = Size(C)) from R in Roots, C in R.sub`,
 		})
@@ -133,7 +136,7 @@ func TestCompiledInterpretedCorpus(t *testing.T) {
 		db.MustExec(`set StarEmployee = E from E in Employees where E.name = "Ann"`)
 		db.MustExec(`set TopTen[1] = E from E in Employees where E.name = "Ann"`)
 		db.MustExec(`set TopTen[2] = E from E in Employees where E.name = "Ben"`)
-		diffCorpus(t, db, []string{
+		oracleCorpus(t, db, []string{
 			// Database-variable reads, array indexing, ADT values.
 			`retrieve (Today)`,
 			`retrieve (StarEmployee.name, StarEmployee.salary)`,
@@ -146,33 +149,30 @@ func TestCompiledInterpretedCorpus(t *testing.T) {
 	})
 }
 
-// diffCorpus runs each query compiled and interpreted, comparing the
-// rendered result tables byte for byte.
-func diffCorpus(t *testing.T, db *DB, queries []string) {
+// oracleCorpus runs each query through the engine and the reference
+// evaluator; both must succeed with the same rows.
+func oracleCorpus(t *testing.T, db *DB, queries []string) {
 	t.Helper()
 	for _, q := range queries {
-		db.SetOptimizer(OptimizerOptions{})
-		compiled, err := db.Query(q)
+		want, err := OracleRows(db, q)
 		if err != nil {
-			t.Fatalf("compiled %q: %v", q, err)
+			t.Fatalf("oracle %q: %v", q, err)
 		}
-		db.SetOptimizer(OptimizerOptions{NoCompiledExprs: true})
-		interpreted, err := db.Query(q)
+		res, err := db.Query(q)
 		if err != nil {
-			t.Fatalf("interpreted %q: %v", q, err)
+			t.Fatalf("engine %q: %v", q, err)
 		}
-		if got, want := compiled.String(), interpreted.String(); got != want {
-			t.Errorf("compiled and interpreted results differ for %q:\n--- compiled ---\n%s\n--- interpreted ---\n%s", q, got, want)
+		if err := DiffRows(q, CanonRows(res), want); err != nil {
+			t.Error(err)
 		}
-		db.SetOptimizer(OptimizerOptions{})
 	}
 }
 
 // TestRangeOverIndexedArray ranges a variable over one element of an
 // array of sets, with a literal and with a variable index: the walk
 // applies the index to the array instead of fanning out over it, and
-// the index expression sees the outer variable's binding. Both lanes
-// must agree.
+// the index expression sees the outer variable's binding. The engine
+// and the oracle must return exactly these rows.
 func TestRangeOverIndexedArray(t *testing.T) {
 	db := mustOpen(t)
 	db.MustExec(`
@@ -188,22 +188,42 @@ func TestRangeOverIndexedArray(t *testing.T) {
 		`retrieve (T.name, X) from T in Gs, X in T.groups[2]`,
 		`retrieve (T.name, X) from T in Gs, X in T.groups[T.i]`,
 	} {
-		for _, opts := range []OptimizerOptions{{}, {NoCompiledExprs: true}} {
-			db.SetOptimizer(opts)
-			res, err := db.Query(q)
-			if err != nil {
-				t.Fatalf("NoCompiledExprs=%v: %s: %v", opts.NoCompiledExprs, q, err)
-			}
-			var rows []string
-			for _, r := range res.Rows {
-				rows = append(rows, r[0].String()+" "+r[1].String())
-			}
-			if got := strings.Join(rows, ", "); got != `"a" "y", "a" "z"` {
-				t.Errorf("NoCompiledExprs=%v: %s = %s", opts.NoCompiledExprs, q, got)
-			}
+		oracleCorpus(t, db, []string{q})
+		res, err := db.Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		var rows []string
+		for _, r := range res.Rows {
+			rows = append(rows, r[0].String()+" "+r[1].String())
+		}
+		if got := strings.Join(rows, ", "); got != `"a" "y", "a" "z"` {
+			t.Errorf("%s = %s", q, got)
 		}
 	}
-	db.SetOptimizer(OptimizerOptions{})
+}
+
+// TestAppendThroughIndexedArray appends into one element of an array of
+// sets, addressed by a literal index and by an index that reads the
+// range variable: the index is resolved while the binding exists. A
+// delete of the elements a variable index reaches goes through the same
+// path.
+func TestAppendThroughIndexedArray(t *testing.T) {
+	db := mustOpen(t)
+	db.MustExec(`
+		define type G: ( name: varchar, i: int4, groups: [2] { own varchar } )
+		create Gs : { own G }
+	`)
+	db.MustExec(`append to Gs (name = "a", i = 2, groups = {{"x"}, {"y", "z"}})`)
+	db.MustExec(`append to Gs (name = "b", i = 1, groups = {{"p"}, {"q"}})`)
+	all := `retrieve (T.name, T.groups) from T in Gs`
+	db.MustExec(`append to T.groups[T.i] ("v") from T in Gs`)
+	wantRows(t, db, all, `a [{"x"}, {"y", "z", "v"}]; b [{"p", "v"}, {"q"}]`)
+	db.MustExec(`append to T.groups[2] ("w") from T in Gs where T.name = "b"`)
+	wantRows(t, db, all, `a [{"x"}, {"y", "z", "v"}]; b [{"p", "v"}, {"q", "w"}]`)
+	db.MustExec(`delete X from T in Gs, X in T.groups[T.i] where X = "v" or X = "y"`)
+	wantRows(t, db, all, `a [{"x"}, {"z"}]; b [{"p"}, {"q", "w"}]`)
+	wantRows(t, db, `retrieve (T.name, X) from T in Gs, X in T.groups[T.i]`, `a z; b p`)
 }
 
 // sameFloorFn is a retrieve-bodied function whose bare target X is an
@@ -235,26 +255,19 @@ func loadNodes(t *testing.T, db *DB) {
 	`)
 }
 
-// bothLanes runs fn once per expression lane, compiled and interpreted,
-// each on a fresh database built by setup; fn gets the lane's options.
-func bothLanes(t *testing.T, setup func(t *testing.T, db *DB), fn func(t *testing.T, db *DB, opts OptimizerOptions)) {
-	for _, opts := range []OptimizerOptions{{}, {NoCompiledExprs: true}} {
-		t.Run(fmt.Sprintf("NoCompiledExprs=%v", opts.NoCompiledExprs), func(t *testing.T) {
-			db := mustOpen(t)
-			setup(t, db)
-			db.SetOptimizer(opts)
-			fn(t, db, opts)
-		})
-	}
-}
-
 // wantRows runs q and compares its rows, each rendered as its cells
-// joined by spaces (strings unquoted), sorted and joined by "; ".
+// joined by spaces (strings unquoted), sorted and joined by "; ", and
+// checks them against the reference evaluator.
 func wantRows(t *testing.T, db *DB, q, want string) {
 	t.Helper()
 	res, err := db.Query(q)
 	if err != nil {
 		t.Fatalf("%s: %v", q, err)
+	}
+	if oracle, err := OracleRows(db, q); err != nil {
+		t.Errorf("oracle %s: %v", q, err)
+	} else if err := DiffRows(q, CanonRows(res), oracle); err != nil {
+		t.Error(err)
 	}
 	rows := make([]string, len(res.Rows))
 	for i, r := range res.Rows {
@@ -270,113 +283,104 @@ func wantRows(t *testing.T, db *DB, q, want string) {
 	}
 }
 
-// TestObjectVariablesReadWhole pins, with exact rows in both expression
-// lanes, every place an object-valued range variable is read whole —
-// boxed into a value.Object — instead of through an attribute step: a
-// function body's bare target, membership, a ref assignment, a function
-// argument, an identity key on either side of a hash join, a by key, a
-// forall over an object extent and an unnest's parent. The lanes share
-// the binding code, so a diff between them could not catch a bug there.
+// TestObjectVariablesReadWhole pins, with exact rows, every place an
+// object-valued range variable is read whole — boxed into a
+// value.Object — instead of through an attribute step: a function
+// body's bare target, membership, a ref assignment, a function argument,
+// an identity key on either side of a hash join, a by key, a forall over
+// an object extent and an unnest's parent.
 func TestObjectVariablesReadWhole(t *testing.T) {
-	company := func(t *testing.T, db *DB) {
-		loadCompany(t, db)
-		db.MustExec(sameFloorFn)
-		db.MustExec(`define index emp_sal on Employees (salary)`)
-		db.MustExec(`range of EV is all Employees`)
-		db.MustExec(`create Stars : { ref Employee }`)
-		db.MustExec(`append to Stars (E) from E in Employees where E.salary > 80`)
+	db := mustOpen(t)
+	loadCompany(t, db)
+	db.MustExec(sameFloorFn)
+	db.MustExec(`define index emp_sal on Employees (salary)`)
+	db.MustExec(`range of EV is all Employees`)
+	db.MustExec(`create Stars : { ref Employee }`)
+	db.MustExec(`append to Stars (E) from E in Employees where E.salary > 80`)
+	wantRows(t, db, `retrieve (E.name, n = count(SameFloor(E))) from E in Employees`,
+		"Ann 3; Ben 1; Cal 3; Dee 3")
+	wantRows(t, db, `retrieve (B.name) from A in Employees, B in Employees where A.name = "Ann" and B in SameFloor(A)`,
+		"Ann; Cal; Dee")
+	// D is the probe key of the hash join here, with E bound by an
+	// index probe on the build side...
+	join := `retrieve (E.name, D.dname) from E in Employees, D in Departments where E.dept is D`
+	wantRows(t, db, join, "Ann Toys; Ben Shoes; Cal Books; Dee Toys")
+	probe := `retrieve (E.name, D.dname) from E in Employees, D in Departments where E.salary = 50 and E.dept is D`
+	if plan, err := db.Explain(probe); err != nil || !strings.Contains(plan, "index probe emp_sal") {
+		t.Fatalf("expected an index probe for E: %v\n%s", err, plan)
 	}
-	bothLanes(t, company, func(t *testing.T, db *DB, opts OptimizerOptions) {
-		wantRows(t, db, `retrieve (E.name, n = count(SameFloor(E))) from E in Employees`,
-			"Ann 3; Ben 1; Cal 3; Dee 3")
-		wantRows(t, db, `retrieve (B.name) from A in Employees, B in Employees where A.name = "Ann" and B in SameFloor(A)`,
-			"Ann; Cal; Dee")
-		// D is the probe key of the hash join here, with E bound by an
-		// index probe on the build side...
-		join := `retrieve (E.name, D.dname) from E in Employees, D in Departments where E.dept is D`
-		wantRows(t, db, join, "Ann Toys; Ben Shoes; Cal Books; Dee Toys")
-		probe := `retrieve (E.name, D.dname) from E in Employees, D in Departments where E.salary = 50 and E.dept is D`
-		if plan, err := db.Explain(probe); err != nil || !strings.Contains(plan, "index probe emp_sal") {
-			t.Fatalf("expected an index probe for E: %v\n%s", err, plan)
-		}
-		wantRows(t, db, probe, "Ben Shoes")
-		// ...and the build key in the order written, D inner.
-		inOrder := opts
-		inOrder.NoReorder = true
-		db.SetOptimizer(inOrder)
-		if plan, err := db.Explain(join); err != nil || !strings.Contains(plan, "build D via scan") {
-			t.Fatalf("expected D on the build side: %v\n%s", err, plan)
-		}
-		wantRows(t, db, join, "Ann Toys; Ben Shoes; Cal Books; Dee Toys")
-		db.SetOptimizer(opts)
-		wantRows(t, db, `retrieve (D, n = count(E.name by D)) from D in Departments, E in Employees where E.dept is D`,
-			`Department(dname="Books", floor=2) 1; Department(dname="Shoes", floor=1) 1; Department(dname="Toys", floor=2) 2`)
-		wantRows(t, db, `retrieve (D.dname) from D in Departments where EV.dept isnot D or EV.salary > 60`,
-			"Books")
-		wantRows(t, db, `retrieve (E.name, K.name, K.age) from E in Employees, K in E.kids`,
-			"Ann Al 6; Ann Amy 5; Ben Bea 5; Dee Dot 5")
-		wantRows(t, db, `retrieve (C.name) from C in Employees.kids where Employees.dept.floor = 2`,
-			"Al; Amy; Dot")
-		// Members of a ref-set extent bind as objects too.
-		wantRows(t, db, `retrieve (S.name, S.dept.dname) from S in Stars`,
-			"Ann Toys; Cal Books")
-		wantRows(t, db, `retrieve (S.name) from S in Stars, E in Employees where S is E and E.age < 50`,
-			"Ann")
+	wantRows(t, db, probe, "Ben Shoes")
+	// ...and the build key in the order written, D inner.
+	db.SetOptimizer(OptimizerOptions{NoReorder: true})
+	if plan, err := db.Explain(join); err != nil || !strings.Contains(plan, "build D via scan") {
+		t.Fatalf("expected D on the build side: %v\n%s", err, plan)
+	}
+	wantRows(t, db, join, "Ann Toys; Ben Shoes; Cal Books; Dee Toys")
+	db.SetOptimizer(OptimizerOptions{})
+	wantRows(t, db, `retrieve (D, n = count(E.name by D)) from D in Departments, E in Employees where E.dept is D`,
+		`Department(dname="Books", floor=2) 1; Department(dname="Shoes", floor=1) 1; Department(dname="Toys", floor=2) 2`)
+	wantRows(t, db, `retrieve (D.dname) from D in Departments where EV.dept isnot D or EV.salary > 60`,
+		"Books")
+	wantRows(t, db, `retrieve (E.name, K.name, K.age) from E in Employees, K in E.kids`,
+		"Ann Al 6; Ann Amy 5; Ben Bea 5; Dee Dot 5")
+	wantRows(t, db, `retrieve (C.name) from C in Employees.kids where Employees.dept.floor = 2`,
+		"Al; Amy; Dot")
+	// Members of a ref-set extent bind as objects too.
+	wantRows(t, db, `retrieve (S.name, S.dept.dname) from S in Stars`,
+		"Ann Toys; Cal Books")
+	wantRows(t, db, `retrieve (S.name) from S in Stars, E in Employees where S is E and E.age < 50`,
+		"Ann")
 
-		// A ref assignment stores the bound object's identity.
-		db.MustExec(`append to Employees (name = "Eve", age = 30, salary = 60, dept = D) from D in Departments where D.dname = "Shoes"`)
-		wantRows(t, db, `retrieve (E.name, E.dept.dname) from E in Employees where E.dept.floor = 1`,
-			"Ben Shoes; Eve Shoes")
-		db.MustExec(`replace E (dept = D) from E in Employees, D in Departments where E.name = "Eve" and D.dname = "Books"`)
-		wantRows(t, db, `retrieve (E.name) from E in Employees, D in Departments where E.dept is D and D.dname = "Books"`,
-			"Cal; Eve")
-	})
+	// A ref assignment stores the bound object's identity.
+	db.MustExec(`append to Employees (name = "Eve", age = 30, salary = 60, dept = D) from D in Departments where D.dname = "Shoes"`)
+	wantRows(t, db, `retrieve (E.name, E.dept.dname) from E in Employees where E.dept.floor = 1`,
+		"Ben Shoes; Eve Shoes")
+	db.MustExec(`replace E (dept = D) from E in Employees, D in Departments where E.name = "Eve" and D.dname = "Books"`)
+	wantRows(t, db, `retrieve (E.name) from E in Employees, D in Departments where E.dept is D and D.dname = "Books"`,
+		"Cal; Eve")
 
-	bothLanes(t, loadNodes, func(t *testing.T, db *DB, _ OptimizerOptions) {
-		wantRows(t, db, `retrieve (R.label, s = Size(R)) from R in Roots`, "r 4")
-		wantRows(t, db, `retrieve (C.label, s = Size(C)) from R in Roots, C in R.sub`, "a 2; b 1")
-	})
+	db = mustOpen(t)
+	loadNodes(t, db)
+	wantRows(t, db, `retrieve (R.label, s = Size(R)) from R in Roots`, "r 4")
+	wantRows(t, db, `retrieve (C.label, s = Size(C)) from R in Roots, C in R.sub`, "a 2; b 1")
 }
 
 // TestObjectBindingProvenance runs replace and delete over object
 // variables bound by a scan, an index probe, an unnest and a ref-set
-// extent, in both expression lanes, and pins the exact state each
-// leaves: the update finds its object through the binding's provenance,
-// which carries the object's identity beside its tuple.
+// extent, and pins the exact state each leaves: the update finds its
+// object through the binding's provenance, which carries the object's
+// identity beside its tuple.
 func TestObjectBindingProvenance(t *testing.T) {
-	setup := func(t *testing.T, db *DB) {
-		loadCompany(t, db)
-		db.MustExec(`define index emp_age on Employees (age)`)
-		db.MustExec(`create Stars : { ref Employee }`)
-		db.MustExec(`append to Stars (E) from E in Employees`)
-	}
-	bothLanes(t, setup, func(t *testing.T, db *DB, _ OptimizerOptions) {
-		for _, q := range []string{
-			`retrieve (E.name) from E in Employees where E.age = 33`,
-			`retrieve (E.name) from E in Employees where E.age = 28`,
-		} {
-			if plan, err := db.Explain(q); err != nil || !strings.Contains(plan, "index probe emp_age") {
-				t.Fatalf("expected an index probe for %s: %v\n%s", q, err, plan)
-			}
+	db := mustOpen(t)
+	loadCompany(t, db)
+	db.MustExec(`define index emp_age on Employees (age)`)
+	db.MustExec(`create Stars : { ref Employee }`)
+	db.MustExec(`append to Stars (E) from E in Employees`)
+	for _, q := range []string{
+		`retrieve (E.name) from E in Employees where E.age = 33`,
+		`retrieve (E.name) from E in Employees where E.age = 28`,
+	} {
+		if plan, err := db.Explain(q); err != nil || !strings.Contains(plan, "index probe emp_age") {
+			t.Fatalf("expected an index probe for %s: %v\n%s", q, err, plan)
 		}
-		// Scan.
-		db.MustExec(`replace E (salary = E.salary + 1) from E in Employees where E.salary > 80`)
-		// Index probe.
-		db.MustExec(`replace E (salary = 0) from E in Employees where E.age = 33`)
-		// Unnest.
-		db.MustExec(`replace K (age = K.age + 10) from E in Employees, K in E.kids where E.name = "Ann"`)
-		db.MustExec(`delete K from E in Employees, K in E.kids where K.name = "Bea"`)
-		// Ref-set extent: the membership goes, the object stays.
-		db.MustExec(`delete S from S in Stars where S.name = "Cal"`)
-		wantRows(t, db, `retrieve (S.name) from S in Stars`, "Ann; Ben; Dee")
-		// Index probe, then scan: Dee and Cal go, with their kids.
-		db.MustExec(`delete E from E in Employees where E.age = 28`)
-		db.MustExec(`delete E from E in Employees where E.name = "Cal"`)
+	}
+	// Scan.
+	db.MustExec(`replace E (salary = E.salary + 1) from E in Employees where E.salary > 80`)
+	// Index probe.
+	db.MustExec(`replace E (salary = 0) from E in Employees where E.age = 33`)
+	// Unnest.
+	db.MustExec(`replace K (age = K.age + 10) from E in Employees, K in E.kids where E.name = "Ann"`)
+	db.MustExec(`delete K from E in Employees, K in E.kids where K.name = "Bea"`)
+	// Ref-set extent: the membership goes, the object stays.
+	db.MustExec(`delete S from S in Stars where S.name = "Cal"`)
+	wantRows(t, db, `retrieve (S.name) from S in Stars`, "Ann; Ben; Dee")
+	// Index probe, then scan: Dee and Cal go, with their kids.
+	db.MustExec(`delete E from E in Employees where E.age = 28`)
+	db.MustExec(`delete E from E in Employees where E.name = "Cal"`)
 
-		wantRows(t, db, `retrieve (E.name, E.salary) from E in Employees`, "Ann 91; Ben 0")
-		wantRows(t, db, `retrieve (E.name, K.name, K.age) from E in Employees, K in E.kids`,
-			"Ann Al 16; Ann Amy 15")
-		wantRows(t, db, `retrieve (S.name) from S in Stars`, "Ann; Ben")
-		wantRows(t, db, `retrieve (n = count(Employees.kids))`, "2")
-	})
+	wantRows(t, db, `retrieve (E.name, E.salary) from E in Employees`, "Ann 91; Ben 0")
+	wantRows(t, db, `retrieve (E.name, K.name, K.age) from E in Employees, K in E.kids`,
+		"Ann Al 16; Ann Amy 15")
+	wantRows(t, db, `retrieve (S.name) from S in Stars`, "Ann; Ben")
+	wantRows(t, db, `retrieve (n = count(Employees.kids))`, "2")
 }

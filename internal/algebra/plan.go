@@ -206,14 +206,13 @@ const hashProbeCost = 8
 
 // Options control optimization; the zero value enables everything.
 // Disabling yields the naive plan (original variable order, no pushdown,
-// no index selection, nested-loop joins, interpreted expressions) used as
-// the baseline in the optimizer benchmarks and differential tests.
+// no index selection, nested-loop joins) used as the baseline in the
+// optimizer benchmarks and differential tests.
 type Options struct {
-	NoPushdown      bool
-	NoIndexSelect   bool
-	NoReorder       bool
-	NoHashJoin      bool // keep equi-joins as nested rescans
-	NoCompiledExprs bool // interpret expressions instead of compiling closures
+	NoPushdown    bool
+	NoIndexSelect bool
+	NoReorder     bool
+	NoHashJoin    bool // keep equi-joins as nested rescans
 }
 
 // Fingerprint packs the option flags into a bitmask. The plan cache
@@ -222,8 +221,7 @@ type Options struct {
 func (o Options) Fingerprint() uint64 {
 	var f uint64
 	for i, b := range []bool{
-		o.NoPushdown, o.NoIndexSelect, o.NoReorder,
-		o.NoHashJoin, o.NoCompiledExprs,
+		o.NoPushdown, o.NoIndexSelect, o.NoReorder, o.NoHashJoin,
 	} {
 		if b {
 			f |= 1 << i

@@ -10,25 +10,10 @@ import (
 	"repro/internal/value"
 )
 
-// evalFuncCall invokes an EXCESS function. Late functions re-dispatch on
-// the runtime type of the first argument (the paper's virtual-function
-// distinction); early functions run the statically chosen definition.
-func (ex *State) evalFuncCall(ctx *evalCtx, c *sema.FuncCall) (value.Value, error) {
-	args := make([]value.Value, len(c.Args))
-	for i, a := range c.Args {
-		v, err := ex.eval(ctx, a)
-		if err != nil {
-			return nil, err
-		}
-		args[i] = v
-	}
-	return ex.dispatchCall(c, args)
-}
-
 // dispatchCall shapes evaluated arguments for the call's parameter slots
-// and invokes the function, re-dispatching late-bound calls on the
-// runtime type of the first argument. Shared by the interpreter and
-// compiled closures.
+// and invokes the function. Late functions re-dispatch on the runtime
+// type of the first argument (the paper's virtual-function distinction);
+// early functions run the statically chosen definition.
 func (ex *State) dispatchCall(c *sema.FuncCall, args []value.Value) (value.Value, error) {
 	for i, v := range args {
 		// Schema-typed parameters receive objects: a reference argument
@@ -185,33 +170,6 @@ func (ex *State) bindBody(fn *catalog.Function) (*boundBody, error) {
 	ex.fnCache[fn] = b
 	ex.fnMu.Unlock()
 	return b, nil
-}
-
-// evalAgg evaluates a set-argument aggregate: its argument is a
-// collection computed for the current binding (count(E.kids),
-// avg(Employees.salary)). Query-level aggregates are computed by the
-// grouped retrieve path and delivered through ctx.aggVals.
-func (ex *State) evalAgg(ctx *evalCtx, a *sema.Agg) (value.Value, error) {
-	if !a.SetArg {
-		if ctx.aggVals != nil {
-			if v, ok := ctx.aggVals[a]; ok {
-				return v, nil
-			}
-		}
-		return nil, fmt.Errorf("query-level aggregate %s outside an aggregated retrieve", a.Op)
-	}
-	arg, err := ex.eval(ctx, a.Arg)
-	if err != nil {
-		return nil, err
-	}
-	if value.IsNull(arg) {
-		return foldAgg(a, nil)
-	}
-	elems, ok := elemsOf(arg)
-	if !ok {
-		return nil, fmt.Errorf("aggregate %s over non-collection %s", a.Op, arg)
-	}
-	return foldAgg(a, elems)
 }
 
 // foldAgg folds the elements with the aggregate's operator. Nulls are

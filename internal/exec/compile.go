@@ -10,11 +10,9 @@ import (
 )
 
 // This file compiles a plan into a Program: every expression the plan
-// evaluates per row, lowered once to a Go closure. The interpreting
-// walker (eval.go) dispatches on the node type of every subexpression on
-// every row; a compiled expression pays that dispatch once, at compile
-// time, and the per-row work is a chain of direct closure calls with the
-// decisions baked in:
+// evaluates per row, lowered once to a Go closure. Compilation pays the
+// dispatch on the node type of every subexpression once; the per-row
+// work is a chain of direct closure calls with the decisions baked in:
 //
 //   - constant subtrees (literals, arithmetic/comparison over literals,
 //     ADT calls over literals — ADT member functions are side-effect
@@ -32,12 +30,11 @@ import (
 //   - operator class and ADT/function targets are resolved at compile
 //     time instead of switch-dispatched per row.
 //
-// Semantics are shared with the interpreter by construction: closures
-// call the same kernels (applyBinary, logicCombine, arith, dispatchCall,
-// applyStep) the walker calls, so the two paths cannot drift. The
-// walker is kept as a differential oracle behind
-// algebra.Options.NoCompiledExprs: under it a Program holds interpreter
-// closures, so both lanes run the same program through the same loop.
+// The closures are the engine's only expression evaluator. The
+// operator semantics live in the kernels they call (applyBinary,
+// logicCombine, arith, dispatchCall, applyStep, foldAgg, coerce); the
+// root package's tests check results against a reference evaluator
+// that shares none of this code.
 
 // compiledExpr is an expression compiled to a closure over the
 // execution state and the current binding.
@@ -92,8 +89,7 @@ type aggProgram struct {
 
 // stepProg is one path step ready to run. tt is the static tuple type
 // the attribute was resolved in and pos its field there; tt is nil when
-// the static type is unknown (and in the interpreted lane), which reads
-// the attribute by name.
+// the static type is unknown, which reads the attribute by name.
 type stepProg struct {
 	attr  string
 	tt    *types.TupleType
@@ -156,24 +152,18 @@ func resolveSteps(t types.Type, steps []sema.Step, index func(sema.Expr) compile
 }
 
 // compiler lowers the expressions of one program, counting each under
-// expr.compile.count. Under Options.NoCompiledExprs it wraps every
-// expression in an interpreter closure instead and resolves no
-// attribute positions.
+// expr.compile.count.
 type compiler struct {
-	ex        *State
-	interpret bool
+	ex *State
 }
 
 func (ex *State) compiler() compiler {
-	return compiler{ex: ex, interpret: ex.opts.NoCompiledExprs}
+	return compiler{ex: ex}
 }
 
 func (c compiler) expr(e sema.Expr) compiledExpr {
 	if c.ex.cExprCompile != nil {
 		c.ex.cExprCompile.Inc()
-	}
-	if c.interpret {
-		return interp(e)
 	}
 	fn, _, _ := compile(e)
 	return fn
@@ -202,9 +192,6 @@ func (c compiler) varProgram(v *sema.Var) varProgram {
 	case sema.VarExprPath:
 		vp.base = c.expr(v.Base)
 		t = v.Base.Type()
-	}
-	if c.interpret {
-		t = nil
 	}
 	vp.steps = resolveSteps(t, v.Steps, c.expr)
 	return vp
@@ -275,15 +262,6 @@ func (c compiler) program(cq *sema.CheckedRetrieve, p *algebra.Plan) *Program {
 // compile phase of the statement trace times it.
 func (ex *State) CompilePlan(cq *sema.CheckedRetrieve, p *algebra.Plan) *Program {
 	return ex.compiler().program(cq, p)
-}
-
-// interp wraps an expression in a closure over the interpreting walker:
-// the NoCompiledExprs lane of a program, and the compiler's fallback for
-// the rare or context-dependent kinds.
-func interp(e sema.Expr) compiledExpr {
-	return func(ex *State, ctx *evalCtx) (value.Value, error) {
-		return ex.eval(ctx, e)
-	}
 }
 
 // intExpr is the unboxed integer lane of the compiler. Expression trees
@@ -523,11 +501,107 @@ func compile(e sema.Expr) (fn compiledExpr, cv value.Value, isConst bool) {
 			}
 		}
 		return fn, nil, false
-	}
 
-	// Rare or context-dependent kinds (aggregates, constructors, extent
-	// and database-variable reads) stay on the interpreting walker.
-	return interp(e), nil, false
+	case *sema.Agg:
+		return compileAgg(x), nil, false
+
+	case *sema.SetCtor:
+		elemfs := make([]compiledExpr, len(x.Elems))
+		for i, el := range x.Elems {
+			elemfs[i], _, _ = compile(el)
+		}
+		return func(ex *State, ctx *evalCtx) (value.Value, error) {
+			s := &value.Set{Elems: make([]value.Value, 0, len(elemfs))}
+			for _, ef := range elemfs {
+				v, err := ef(ex, ctx)
+				if err != nil {
+					return nil, err
+				}
+				s.Elems = append(s.Elems, v)
+			}
+			return s, nil
+		}, nil, false
+
+	case *sema.TupleCtor:
+		return compileTupleCtor(x), nil, false
+
+	case *sema.ExtentSet:
+		return func(ex *State, _ *evalCtx) (value.Value, error) {
+			return ex.materializeExtent(x.Name)
+		}, nil, false
+
+	case *sema.DBVarRead:
+		return func(ex *State, _ *evalCtx) (value.Value, error) {
+			return ex.reader().GetVar(x.Name)
+		}, nil, false
+	}
+	return func(*State, *evalCtx) (value.Value, error) {
+		return nil, fmt.Errorf("unhandled expression %T", e)
+	}, nil, false
+}
+
+// compileAgg compiles an aggregate. A set-argument aggregate folds the
+// collection its argument yields for the current binding (count(E.kids),
+// avg(Employees.salary)); a query-level one reads the value the grouped
+// retrieve folded across the group (ctx.aggVals).
+func compileAgg(a *sema.Agg) compiledExpr {
+	if !a.SetArg {
+		return func(_ *State, ctx *evalCtx) (value.Value, error) {
+			if v, ok := ctx.aggVals[a]; ok {
+				return v, nil
+			}
+			return nil, fmt.Errorf("query-level aggregate %s outside an aggregated retrieve", a.Op)
+		}
+	}
+	argf, _, _ := compile(a.Arg)
+	return func(ex *State, ctx *evalCtx) (value.Value, error) {
+		arg, err := argf(ex, ctx)
+		if err != nil {
+			return nil, err
+		}
+		if value.IsNull(arg) {
+			return foldAgg(a, nil)
+		}
+		elems, ok := elemsOf(arg)
+		if !ok {
+			return nil, fmt.Errorf("aggregate %s over non-collection %s", a.Op, arg)
+		}
+		return foldAgg(a, elems)
+	}
+}
+
+// compileTupleCtor compiles a tuple constructor: each field is computed
+// and shaped for its attribute's component (coerce); unassigned
+// attributes stay null.
+func compileTupleCtor(t *sema.TupleCtor) compiledExpr {
+	type field struct {
+		pos  int
+		comp types.Component
+		fn   compiledExpr
+	}
+	fields := make([]field, len(t.Fields))
+	for i, f := range t.Fields {
+		a, _ := t.TT.Attr(f.Name)
+		fields[i] = field{pos: t.TT.AttrIndex(f.Name), comp: a.Comp}
+		fields[i].fn, _, _ = compile(f.Expr)
+	}
+	tt := t.TT
+	return func(ex *State, ctx *evalCtx) (value.Value, error) {
+		tv := value.NewTuple(tt)
+		for i := range fields {
+			f := &fields[i]
+			v, err := f.fn(ex, ctx)
+			if err != nil {
+				return nil, err
+			}
+			cv, err := ex.coerce(v, f.comp)
+			if err != nil {
+				return nil, err
+			}
+			tv.Fields[f.pos] = cv
+		}
+		return tv, nil
+	}
 }
 
 // readVar compiles a read of a range variable's slot. whole boxes an
@@ -566,8 +640,7 @@ func compileUnary(u *sema.Unary) (compiledExpr, value.Value, bool) {
 	return fn, nil, false
 }
 
-// applyUnary applies a unary operator to an evaluated operand — shared
-// with the interpreter through evalUnary.
+// applyUnary applies a unary operator to an evaluated operand.
 func applyUnary(u *sema.Unary, v value.Value) (value.Value, error) {
 	if u.Fn != nil {
 		return u.Fn.Impl([]value.Value{deobject(v)})

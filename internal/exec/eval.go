@@ -12,53 +12,6 @@ import (
 
 const maxCallDepth = 64
 
-// eval evaluates a bound expression in the given context. Nulls
-// propagate: any operation over null yields null (and predicates treat
-// null as false).
-func (ex *State) eval(ctx *evalCtx, e sema.Expr) (value.Value, error) {
-	switch x := e.(type) {
-	case *sema.Const:
-		return x.Val, nil
-	case *sema.VarRef:
-		v, ok := ctx.b.get(x.Var)
-		if !ok {
-			return nil, fmt.Errorf("variable %s not bound", x.Var.Name)
-		}
-		return v, nil
-	case *sema.ParamRef:
-		return ex.param(x)
-	case *sema.DBVarRead:
-		return ex.reader().GetVar(x.Name)
-	case *sema.ExtentSet:
-		return ex.materializeExtent(x.Name)
-	case *sema.PathExpr:
-		return ex.evalPath(ctx, x)
-	case *sema.Unary:
-		return ex.evalUnary(ctx, x)
-	case *sema.Binary:
-		return ex.evalBinary(ctx, x)
-	case *sema.FuncCall:
-		return ex.evalFuncCall(ctx, x)
-	case *sema.ADTCall:
-		return ex.evalADTCall(ctx, x)
-	case *sema.Agg:
-		return ex.evalAgg(ctx, x)
-	case *sema.SetCtor:
-		s := &value.Set{}
-		for _, el := range x.Elems {
-			v, err := ex.eval(ctx, el)
-			if err != nil {
-				return nil, err
-			}
-			s.Elems = append(s.Elems, v)
-		}
-		return s, nil
-	case *sema.TupleCtor:
-		return ex.evalTupleCtor(ctx, x)
-	}
-	return nil, fmt.Errorf("unhandled expression %T", e)
-}
-
 // materializeExtent builds a set value of the extent's members (objects
 // as Objects, elements as values) for whole-extent aggregation.
 func (ex *State) materializeExtent(name string) (value.Value, error) {
@@ -89,33 +42,9 @@ func (ex *State) materializeExtent(name string) (value.Value, error) {
 	return s, err
 }
 
-// evalPath walks the bound path steps with implicit dereferencing and
-// multi-valued traversal.
-func (ex *State) evalPath(ctx *evalCtx, p *sema.PathExpr) (value.Value, error) {
-	cur, err := ex.eval(ctx, p.Base)
-	if err != nil {
-		return nil, err
-	}
-	multi := p.Base.Multi()
-	for _, st := range p.Steps {
-		sp := stepProg{attr: st.Attr}
-		if st.Index != nil {
-			sp.index = interp(st.Index)
-		}
-		cur, multi, err = ex.applyStep(ctx, cur, multi, &sp)
-		if err != nil {
-			return nil, err
-		}
-		if value.IsNull(cur) {
-			return value.Null{}, nil
-		}
-	}
-	return cur, nil
-}
-
-// applyStep applies one step, mapping over collections (multi-valued
-// path semantics: stepping through a set maps and flattens one level).
-// Shared by the interpreter and compiled closures.
+// applyStep applies one step of a compiled path, mapping over
+// collections (multi-valued path semantics: stepping through a set maps
+// and flattens one level).
 func (ex *State) applyStep(ctx *evalCtx, cur value.Value, multi bool, st *stepProg) (value.Value, bool, error) {
 	if value.IsNull(cur) {
 		return value.Null{}, multi, nil
@@ -145,14 +74,6 @@ func (ex *State) applyStep(ctx *evalCtx, cur value.Value, multi bool, st *stepPr
 	return nv, multi, err
 }
 
-func (ex *State) evalUnary(ctx *evalCtx, u *sema.Unary) (value.Value, error) {
-	v, err := ex.eval(ctx, u.X)
-	if err != nil {
-		return nil, err
-	}
-	return applyUnary(u, v)
-}
-
 // deobject converts runtime Objects to plain tuples for value contexts
 // (ADT calls never see objects, but defensive conversion is cheap).
 func deobject(v value.Value) value.Value {
@@ -160,33 +81,6 @@ func deobject(v value.Value) value.Value {
 		return o.Tuple
 	}
 	return v
-}
-
-func (ex *State) evalBinary(ctx *evalCtx, b *sema.Binary) (value.Value, error) {
-	// Short-circuit logic first.
-	if b.Class == sema.OpLogic {
-		l, err := ex.eval(ctx, b.L)
-		if err != nil {
-			return nil, err
-		}
-		if v, done := logicShort(b.Op, l); done {
-			return v, nil
-		}
-		r, err := ex.eval(ctx, b.R)
-		if err != nil {
-			return nil, err
-		}
-		return logicCombine(b.Op, l, r), nil
-	}
-	l, err := ex.eval(ctx, b.L)
-	if err != nil {
-		return nil, err
-	}
-	r, err := ex.eval(ctx, b.R)
-	if err != nil {
-		return nil, err
-	}
-	return ex.applyBinary(b, l, r)
 }
 
 // logicShort reports whether the left operand alone decides an and/or
@@ -204,7 +98,7 @@ func logicShort(op string, l value.Value) (value.Value, bool) {
 }
 
 // logicCombine combines both evaluated operands of an and/or under
-// three-valued logic (shared by the interpreter and compiled closures).
+// three-valued logic.
 func logicCombine(op string, l, r value.Value) value.Value {
 	lb, lok := value.AsBool(l)
 	rb, rok := value.AsBool(r)
@@ -226,10 +120,9 @@ func logicCombine(op string, l, r value.Value) value.Value {
 }
 
 // applyBinary applies a non-logic binary operator to already-evaluated
-// operands — the shared kernel of the interpreter (evalBinary) and the
-// compiled closures (compile.go). Only OpIdent touches the state (live
-// identity needs the store), so every other class is safe to fold at
-// compile time with a nil receiver.
+// operands. Only OpIdent touches the state (live identity needs the
+// store), so every other class is safe to fold at compile time with a
+// nil receiver.
 func (ex *State) applyBinary(b *sema.Binary, l, r value.Value) (value.Value, error) {
 	switch b.Class {
 	case sema.OpIdent:
@@ -440,38 +333,6 @@ func arith(op string, l, r value.Value) (value.Value, error) {
 		return nil, fmt.Errorf("%% requires integers")
 	}
 	return nil, fmt.Errorf("unhandled arithmetic %s", op)
-}
-
-func (ex *State) evalADTCall(ctx *evalCtx, c *sema.ADTCall) (value.Value, error) {
-	args := make([]value.Value, len(c.Args))
-	for i, a := range c.Args {
-		v, err := ex.eval(ctx, a)
-		if err != nil {
-			return nil, err
-		}
-		if value.IsNull(v) {
-			return value.Null{}, nil
-		}
-		args[i] = deobject(v)
-	}
-	return c.Fn.Impl(args)
-}
-
-func (ex *State) evalTupleCtor(ctx *evalCtx, t *sema.TupleCtor) (value.Value, error) {
-	tv := value.NewTuple(t.TT)
-	for _, f := range t.Fields {
-		v, err := ex.eval(ctx, f.Expr)
-		if err != nil {
-			return nil, err
-		}
-		a, _ := t.TT.Attr(f.Name)
-		cv, err := ex.coerce(v, a.Comp)
-		if err != nil {
-			return nil, err
-		}
-		tv.Set(f.Name, cv)
-	}
-	return tv, nil
 }
 
 // coerce shapes a computed value for storage in a component slot, with

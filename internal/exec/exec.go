@@ -231,14 +231,6 @@ func (b *binding) unbind(v *sema.Var) {
 	}
 }
 
-// get returns a variable's current value.
-func (b *binding) get(v *sema.Var) (value.Value, bool) {
-	if v.Slot < len(b.used) && b.used[v.Slot] {
-		return b.val(v.Slot), true
-	}
-	return nil, false
-}
-
 // val returns the value bound in slot, boxing an object binding.
 func (b *binding) val(slot int) value.Value {
 	if pr := &b.provs[slot]; pr.tup != nil {

@@ -33,6 +33,15 @@ func (ex *State) appendStmt(ca *sema.CheckedAppend) (int, error) {
 	if ca.Owner != nil {
 		ownerFn = c.expr(ca.Owner)
 	}
+	// An index step of the collection path may read the statement's
+	// variables (T.groups[T.i]), so it is resolved to its integer while
+	// the binding exists, and the job records the constant.
+	index := make([]compiledExpr, len(ca.Steps))
+	for i, st := range ca.Steps {
+		if st.Index != nil {
+			index[i] = c.expr(st.Index)
+		}
+	}
 	collect := func(ctx *evalCtx) error {
 		elem, err := elemFn(ex, ctx)
 		if err != nil {
@@ -62,9 +71,17 @@ func (ex *State) appendStmt(ca *sema.CheckedAppend) (int, error) {
 				ownerOID, ownerVar = owner0.oid, owner0.dbvar
 				steps = owner0.steps
 			}
-			// Walk remaining structural steps (attribute names) to record
-			// the collection location relative to the owner.
-			steps = append(steps, ca.Steps...)
+			// Record the collection location relative to the owner.
+			for i, st := range ca.Steps {
+				if index[i] != nil {
+					iv, err := index[i](ex, ctx)
+					if err != nil {
+						return err
+					}
+					st.Index = &sema.Const{Val: iv}
+				}
+				steps = append(steps, st)
+			}
 			j.owner = prov{parentOID: ownerOID, parentVar: ownerVar, steps: steps}
 		}
 		jobs = append(jobs, j)
@@ -171,11 +188,12 @@ func (ex *State) mutateCollection(loc prov, fn func(coll *[]value.Value) error) 
 				cur = tv.Get(attr)
 			}
 			if st.Index != nil {
-				iv, err := ex.eval(&evalCtx{b: &binding{}}, st.Index)
-				if err != nil {
-					return nil, err
+				// Provenance records index steps as constants (stepOnce,
+				// resolveOwner, appendStmt).
+				var i int64
+				if c, isConst := st.Index.(*sema.Const); isConst {
+					i, _ = value.AsInt(c.Val)
 				}
-				i, _ := value.AsInt(iv)
 				elems, ok := elemsOf(cur)
 				if !ok || i < 1 || int(i) > len(elems) {
 					return nil, fmt.Errorf("bad index step in update path")
@@ -429,7 +447,13 @@ func (ex *State) replaceStmt(cr *sema.CheckedReplace) (int, error) {
 func (ex *State) setStmt(cs *sema.CheckedSet) error {
 	var rows []*binding
 	plan := ex.Plan(cs.Query)
-	err := ex.Run(plan, ex.CompilePlan(nil, plan), func(ctx *evalCtx) error {
+	c := ex.compiler()
+	rhs := c.expr(cs.RHS)
+	var index compiledExpr
+	if cs.Index != nil {
+		index = c.expr(cs.Index)
+	}
+	err := ex.Run(plan, c.program(nil, plan), func(ctx *evalCtx) error {
 		rows = append(rows, ctx.b.clone())
 		if len(rows) > 1 {
 			return fmt.Errorf("set statement matched more than one binding")
@@ -446,17 +470,17 @@ func (ex *State) setStmt(cs *sema.CheckedSet) error {
 		rows = []*binding{newBinding()}
 	}
 	ctx := &evalCtx{b: rows[0]}
-	v, err := ex.eval(ctx, cs.RHS)
+	v, err := rhs(ex, ctx)
 	if err != nil {
 		return err
 	}
 	if v, err = ex.coerce(v, cs.Comp); err != nil {
 		return err
 	}
-	if cs.Index == nil {
+	if index == nil {
 		return ex.store.SetVar(cs.VarName, v)
 	}
-	iv, err := ex.eval(ctx, cs.Index)
+	iv, err := index(ex, ctx)
 	if err != nil {
 		return err
 	}

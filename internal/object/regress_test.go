@@ -17,9 +17,9 @@ import (
 
 // TestReleaseBumpsVersion pins the fix for the missing version bump in
 // Store.Release: ownership is stored state, so releasing a component
-// must advance the mutation counter or deref/extent caches keyed on it
-// serve stale data. (The verbump analyzer guards the same contract
-// statically.)
+// must advance the mutation counter, or the next snapshot would carry
+// the version of a different state. (The verbump analyzer guards the
+// same contract statically.)
 func TestReleaseBumpsVersion(t *testing.T) {
 	f := newFixture(t)
 	id, err := f.store.Insert("People", f.newPerson("Ann", 41))

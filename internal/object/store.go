@@ -61,10 +61,11 @@ type Store struct {
 	rids    map[string]map[storage.RID]oid.OID // extent -> reverse RID map
 
 	// version counts mutations (inserts, updates, deletes, variable and
-	// element writes, restores). Caches keyed on object state — the
-	// executor's deref memoization — compare it to detect staleness, so
-	// every mutating method must call bump. Atomic so concurrent readers
-	// can validate their statement-local caches while a writer is
+	// element writes, releases, restores). Commit stamps it on the
+	// snapshot it publishes (Snapshot.Version, the snapshot.version
+	// trace attribute and the mvcc.version gauge), so every mutating
+	// method must call bump or two different states would share a
+	// version. Atomic so observers can read it while a writer is
 	// mid-statement.
 	version atomic.Uint64
 

@@ -1,7 +1,6 @@
 package extra_test
 
 import (
-	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -28,36 +27,26 @@ var fig6Queries = []string{
 }
 
 // joinOptionGrid is every combination of the join-related optimizer
-// switches plus the expression-compiler switch; each must produce the
-// same rows as the fully naive (interpreted) plan.
+// switches; each must produce the rows of the reference evaluator, as
+// must the fully naive plan.
 func joinOptionGrid() []extra.OptimizerOptions {
 	var grid []extra.OptimizerOptions
 	for _, noHash := range []bool{false, true} {
 		for _, noReorder := range []bool{false, true} {
-			for _, noCompile := range []bool{false, true} {
-				grid = append(grid, extra.OptimizerOptions{
-					NoHashJoin: noHash, NoReorder: noReorder, NoCompiledExprs: noCompile,
-				})
-			}
+			grid = append(grid, extra.OptimizerOptions{NoHashJoin: noHash, NoReorder: noReorder})
 		}
 	}
 	return grid
 }
 
 var naiveOpts = extra.OptimizerOptions{
-	NoPushdown: true, NoIndexSelect: true, NoReorder: true,
-	NoHashJoin: true, NoCompiledExprs: true,
-}
-
-func optLabel(o extra.OptimizerOptions) string {
-	return fmt.Sprintf("hash=%v reorder=%v compile=%v",
-		!o.NoHashJoin, !o.NoReorder, !o.NoCompiledExprs)
+	NoPushdown: true, NoIndexSelect: true, NoReorder: true, NoHashJoin: true,
 }
 
 // TestJoinMethodEquivalence runs the Figure 5/6 queries and a batch of
 // randomized multi-variable queries under every combination of hash-join
-// / reorder / compile switches, asserting each returns exactly the rows
-// of the fully naive nested-loop plan.
+// and reorder switches and under the fully naive nested-loop plan,
+// asserting each returns exactly the rows of the reference evaluator.
 func TestJoinMethodEquivalence(t *testing.T) {
 	db, _, err := workload.New(workload.Params{
 		Departments: 9, Employees: 150, MaxKids: 3, Floors: 4, MaxSalary: 1000, Seed: 7,
@@ -80,21 +69,18 @@ func TestJoinMethodEquivalence(t *testing.T) {
 	}
 
 	for _, q := range queries {
-		db.SetOptimizer(naiveOpts)
-		naive, err := db.Query(q)
+		want, err := extra.OracleRows(db, q)
 		if err != nil {
-			t.Fatalf("naive %q: %v", q, err)
+			t.Fatalf("oracle %q: %v", q, err)
 		}
-		want := canon(naive)
-		for _, opts := range joinOptionGrid() {
+		for _, opts := range append(joinOptionGrid(), naiveOpts) {
 			db.SetOptimizer(opts)
 			got, err := db.Query(q)
 			if err != nil {
-				t.Fatalf("%s %q: %v", optLabel(opts), q, err)
+				t.Fatalf("%+v %q: %v", opts, q, err)
 			}
-			if canon(got) != want {
-				t.Fatalf("rows disagree for %q under %s:\ngot (%d rows): %s\nnaive (%d rows): %s",
-					q, optLabel(opts), len(got.Rows), canon(got), len(naive.Rows), want)
+			if err := extra.DiffRows(q, extra.CanonRows(got), want); err != nil {
+				t.Fatalf("%+v: %v", opts, err)
 			}
 		}
 	}
@@ -177,10 +163,11 @@ func TestHashJoinAnalyzeCounters(t *testing.T) {
 	}
 }
 
-// TestDerefCacheInvalidation is the staleness contract: an update to a
-// referenced object between two identical queries must be visible to the
-// second, whatever the first left behind in the pooled statement state.
-func TestDerefCacheInvalidation(t *testing.T) {
+// TestRefUpdateVisibleToNextQuery is the staleness contract: an update
+// to a referenced object between two identical queries must be visible
+// to the second, whatever the first left behind in the pooled statement
+// state.
+func TestRefUpdateVisibleToNextQuery(t *testing.T) {
 	db, _, err := workload.New(workload.Params{
 		Departments: 4, Employees: 20, MaxKids: 2, Floors: 3, MaxSalary: 500, Seed: 3,
 	}, 0)

@@ -27,7 +27,8 @@ import (
 // fixed cases add what random generation rarely reaches: two $n lower
 // bounds on one index, contradictory $n bounds, a $n bound to null, $n
 // bounds on both indexes, and ranges whose literal would decide index
-// against scan if the planner looked at it.
+// against scan if the planner looked at it. Every query, and every
+// Figure 5/6 query, is also checked against the reference evaluator.
 func TestPlanEquivalence(t *testing.T) {
 	db, _, err := workload.New(workload.Params{
 		Departments: 8, Employees: 120, MaxKids: 3, Floors: 4, MaxSalary: 1000, Seed: 99,
@@ -52,9 +53,17 @@ func TestPlanEquivalence(t *testing.T) {
 	for i := 0; i < 150; i++ {
 		queries = append(queries, randomQuery(rng))
 	}
+	for _, q := range append(append([]string{}, fig5Queries...), fig6Queries...) {
+		if err := extra.OracleCheck(db, q); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for _, q := range queries {
 		lit, param := q.literal(), q.param()
 		db.SetOptimizer(extra.OptimizerOptions{})
+		if err := extra.OracleCheck(db, lit); err != nil {
+			t.Fatal(err)
+		}
 		ways := map[string]func() (*extra.Result, error){
 			"ad hoc":                     func() (*extra.Result, error) { return db.Query(lit) },
 			"prepared, literals in text": func() (*extra.Result, error) { return execPrepared(db, lit) },
