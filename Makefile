@@ -34,14 +34,15 @@ fuzz:
 	$(GO) test -fuzz=FuzzParsePrintReparse -fuzztime=30s ./internal/excess/parse/
 	$(GO) test -run '^$$' -fuzz=FuzzRetrieve -fuzztime=30s .
 
-# One run each of the join, access-method, compiled-filter, concurrency,
+# One run each of the join, aggregate, access-method, compiled-filter, concurrency,
 # compile-once, tracing and group-commit benchmarks: a smoke test that
 # keeps them running (-benchtime=1x), not a measurement.
 bench:
-	$(GO) test -short -run '^$$' -bench 'Join|AccessMethod|RefChase|ExprFilter|BindingClone|WriterInterference|ParallelRead|CompileOnce|KeyedLookup|Tracing|GroupCommit' -benchtime=1x ./...
+	$(GO) test -short -run '^$$' -bench 'Join|Aggregate|AccessMethod|RefChase|ExprFilter|BindingClone|WriterInterference|ParallelRead|CompileOnce|KeyedLookup|Tracing|GroupCommit' -benchtime=1x ./...
 
-# The gate on what repeats exactly: allocations per scanned row, commit
-# and range-write work independent of database size, a plan-cache hit
+# The gate on what repeats exactly: allocations per scanned row, a hash
+# join that builds on the smaller side, commit and range-write work
+# independent of database size, a plan-cache hit
 # that compiles nothing, ad-hoc literals that share one cached shape, a
 # $n key that bounds its index probe, and tracing that allocates nothing
 # when off.
@@ -49,7 +50,7 @@ bench:
 # detector perturbs allocation counts, and scanalloc_test.go is built
 # only without it.
 work-gate:
-	$(GO) test -count=1 -v -run '^(TestScanAllocsPerRow|TestRangeReplaceWorkIndependentOfSize|TestCommitWorkIndependentOfSize|TestRangeUpdateWorkIndependentOfSize|TestPlanCacheHitCompilesNothing|TestZeroAllocWhenDisabled|TestAdhocLiteralsShareOnePlan|TestParamKeyUsesIndex|TestSnapshotReadsPinNoPage)$$' . ./internal/object/ ./internal/trace/
+	$(GO) test -count=1 -v -run '^(TestScanAllocsPerRow|TestHashJoinBuildsSmallerSide|TestRangeReplaceWorkIndependentOfSize|TestCommitWorkIndependentOfSize|TestRangeUpdateWorkIndependentOfSize|TestPlanCacheHitCompilesNothing|TestZeroAllocWhenDisabled|TestAdhocLiteralsShareOnePlan|TestParamKeyUsesIndex|TestSnapshotReadsPinNoPage)$$' . ./internal/object/ ./internal/trace/
 
 # The repository benchmark (bench/, a module of its own that drives the
 # engine through its public and internal APIs) must keep compiling and

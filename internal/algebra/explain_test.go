@@ -13,12 +13,12 @@ func TestExplainRendering(t *testing.T) {
 	p := Build(f.cat, fakeStats{"Employees": 100, "Departments": 5}, cq.Query, Options{})
 	out := p.Explain()
 	for _, want := range []string{
-		// The is-join upgrades the Employees node to a hash join whose
-		// build side feeds from the selected index probe.
-		"hash join Employees",
-		"via index probe emp_sal",
-		"probe D",
-		"scan Departments",
+		// Employees, the larger extent, probes through its selected
+		// index first; the is-join upgrades the later Departments node
+		// to a hash join that builds on the smaller extent.
+		"index probe emp_sal on Employees",
+		"hash join Departments",
+		"(build D via scan, probe E.dept)",
 		"unnest E.kids binding K",
 		"filter: (E.salary = 10)",
 		"(E.dept is D)",

@@ -435,33 +435,61 @@ func earliestNode(e sema.Expr, nodes []Node, bound map[*sema.Var]bool) int {
 // equality conjunct links to an already-placed variable is charged the
 // amortized hash cost (one build scan spread over the outer loop, plus a
 // constant probe) instead of its full rescan cardinality, which pulls
-// equi-joined extents in right after their join partners.
+// equi-joined extents in right after their join partners. Of two
+// extents an equality conjunct links, the larger by estimate is placed
+// first: the later node, which binds the smaller one, is the hash join,
+// so the table holds the smaller input and the larger one probes it.
+// Equal estimates keep the cheapest-first choice. Each extent is
+// estimated once.
 func reorder(vars []*sema.Var, conjs []sema.Expr, stats Stats, opt Options) []*sema.Var {
+	hash := !opt.NoHashJoin && !opt.NoPushdown
+	est := map[*sema.Var]int{} // extent variables only
+	for _, v := range vars {
+		if v.Kind == sema.VarExtent {
+			est[v] = DefaultCardinality
+			if stats != nil {
+				est[v] = stats.EstimateLen(v.Extent)
+			}
+		}
+	}
 	placed := map[*sema.Var]bool{}
 	var out []*sema.Var
+	linked := func(v *sema.Var) bool {
+		for _, cj := range conjs {
+			if _, _, _, ok := equiJoinKeys(cj, v, placed); ok {
+				return true
+			}
+		}
+		return false
+	}
 	cost := func(v *sema.Var) int {
-		switch v.Kind {
-		case sema.VarExtent:
-			n := DefaultCardinality
-			if stats != nil {
-				n = stats.EstimateLen(v.Extent)
-			}
-			if !opt.NoHashJoin && !opt.NoPushdown {
-				for _, cj := range conjs {
-					if _, _, _, ok := equiJoinKeys(cj, v, placed); ok {
-						// Build once (amortized across outer bindings),
-						// probe per row.
-						if c := hashProbeCost + n/16; c < n {
-							n = c
-						}
-						break
-					}
-				}
-			}
-			return n
-		default:
+		n, ok := est[v]
+		if !ok {
 			return 1 // nested/db-path variables are cheap once parents bound
 		}
+		// Build once (amortized across outer bindings), probe per row.
+		if c := hashProbeCost + n/16; hash && c < n && linked(v) {
+			n = c
+		}
+		return n
+	}
+	// larger returns the largest unplaced extent that an equality
+	// conjunct links to extent v, when it is larger than v and v has no
+	// placed partner to probe: placing it first leaves v the build side.
+	larger := func(v *sema.Var) (best *sema.Var) {
+		if _, ok := est[v]; !hash || !ok || linked(v) {
+			return nil
+		}
+		for _, u := range vars {
+			if n, ok := est[u]; ok && !placed[u] && n > est[v] && (best == nil || n > est[best]) {
+				placed[u] = true
+				if linked(v) {
+					best = u
+				}
+				delete(placed, u)
+			}
+		}
+		return best
 	}
 	ready := func(v *sema.Var) bool {
 		return v.Parent == nil || placed[v.Parent]
@@ -487,6 +515,9 @@ func reorder(vars []*sema.Var, conjs []sema.Expr, stats Stats, opt Options) []*s
 					break
 				}
 			}
+		}
+		for u := larger(best); u != nil; u = larger(best) {
+			best = u
 		}
 		placed[best] = true
 		out = append(out, best)

@@ -80,20 +80,37 @@ func TestPushdown(t *testing.T) {
 	if len(p.Nodes) != 2 {
 		t.Fatalf("nodes: %d", len(p.Nodes))
 	}
-	// Reordering: Departments (10) scans before Employees (1000).
-	if p.Nodes[0].Var.Extent != "Departments" {
-		t.Errorf("cheapest-first ordering: %s first", p.Nodes[0].Var.Extent)
+	// Reordering: the is-join links the two extents, so Employees (1000)
+	// goes first and Departments (10) is the hash join's build side.
+	if p.Nodes[0].Var.Extent != "Employees" {
+		t.Errorf("larger-first ordering: %s first", p.Nodes[0].Var.Extent)
+	}
+	if p.Nodes[1].Hash == nil {
+		t.Errorf("Departments is not a hash join")
 	}
 	// Single-variable conjuncts sit on their own node; the join conjunct
 	// lands on the later node.
 	if len(p.Nodes[0].Filter) != 1 {
-		t.Errorf("Departments filters: %d", len(p.Nodes[0].Filter))
+		t.Errorf("Employees filters: %d", len(p.Nodes[0].Filter))
 	}
 	if len(p.Nodes[1].Filter) != 2 {
-		t.Errorf("Employees filters: %d", len(p.Nodes[1].Filter))
+		t.Errorf("Departments filters: %d", len(p.Nodes[1].Filter))
 	}
 	if len(p.Final) != 0 {
 		t.Errorf("residual conjuncts: %d", len(p.Final))
+	}
+
+	// Without hash joins the extents order cheapest-first.
+	p = Build(f.cat, stats, cq.Query, Options{NoHashJoin: true})
+	if p.Nodes[0].Var.Extent != "Departments" {
+		t.Errorf("NoHashJoin: cheapest-first ordering: %s first", p.Nodes[0].Var.Extent)
+	}
+
+	// Equal estimates keep declaration order.
+	cq = f.check(t, `retrieve (E.name, D.dname) from D in Departments, E in Employees where E.dept is D`)
+	p = Build(f.cat, fakeStats{"Employees": 10, "Departments": 10}, cq.Query, Options{})
+	if p.Nodes[0].Var.Extent != "Departments" || p.Nodes[1].Hash == nil {
+		t.Errorf("equal estimates: %s first, hash join %v", p.Nodes[0].Var.Extent, p.Nodes[1].Hash != nil)
 	}
 }
 

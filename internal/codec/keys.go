@@ -20,10 +20,6 @@ import (
 // and ADTs without an ordinal form).
 func EncodeKey(v value.Value) ([]byte, bool) {
 	switch x := v.(type) {
-	case value.Int:
-		return encFloat(float64(x.V)), true
-	case value.Float:
-		return encFloat(x.V), true
 	case value.Bool:
 		if x {
 			return []byte{1}, true
@@ -31,6 +27,27 @@ func EncodeKey(v value.Value) ([]byte, bool) {
 		return []byte{0}, true
 	case value.Str:
 		return encBytes([]byte(x.V)), true
+	}
+	w, ok := KeyWord(v)
+	if !ok {
+		return nil, false
+	}
+	b := make([]byte, 8)
+	binary.BigEndian.PutUint64(b, w)
+	return b, true
+}
+
+// KeyWord returns the key encoding of a fixed-width scalar (a number, an
+// enum, or an ADT with an ordinal form) as the integer whose big-endian
+// bytes EncodeKey returns; false for any other value. Two such values
+// share a key exactly when they share a word, and building one
+// allocates nothing.
+func KeyWord(v value.Value) (uint64, bool) {
+	switch x := v.(type) {
+	case value.Int:
+		return encFloat(float64(x.V)), true
+	case value.Float:
+		return encFloat(x.V), true
 	case value.EnumVal:
 		return encInt(int64(x.Ord)), true
 	case value.ADTVal:
@@ -41,33 +58,25 @@ func EncodeKey(v value.Value) ([]byte, bool) {
 			return encInt(dateKey(d)), true
 		}
 	}
-	return nil, false
+	return 0, false
 }
 
 func dateKey(d adt.DateRep) int64 {
 	return int64(d.Year)*10000 + int64(d.Month)*100 + int64(d.Day)
 }
 
-// encInt encodes a signed integer so that unsigned byte order matches
-// signed numeric order: big-endian with the sign bit flipped.
-func encInt(v int64) []byte {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], uint64(v)^(1<<63))
-	return b[:]
-}
+// encInt encodes a signed integer so that unsigned order matches signed
+// numeric order: the sign bit flipped.
+func encInt(v int64) uint64 { return uint64(v) ^ (1 << 63) }
 
 // encFloat encodes an IEEE double order-preservingly: positive values get
 // their sign bit set; negative values are bit-complemented.
-func encFloat(f float64) []byte {
+func encFloat(f float64) uint64 {
 	bits := math.Float64bits(f)
 	if bits&(1<<63) != 0 {
-		bits = ^bits
-	} else {
-		bits |= 1 << 63
+		return ^bits
 	}
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], bits)
-	return b[:]
+	return bits | 1<<63
 }
 
 // encBytes escapes embedded zero bytes (0x00 -> 0x00 0xFF) and appends a

@@ -141,8 +141,8 @@ func (ex *Executor) Options() algebra.Options { return *ex.opts.Load() }
 
 // SetMetrics attaches the engine metrics registry; the executor then
 // counts hash-join traffic (join.hash.*) and cardinality-estimate misses
-// (stats.misses). Handles are resolved once here so hot paths pay one
-// atomic add per event.
+// (stats.misses). Handles are resolved once here; a run adds its hash
+// tables' counts once, when it ends.
 func (ex *Executor) SetMetrics(reg *metrics.Registry) {
 	ex.cStatsMiss = reg.Counter("stats.misses")
 	ex.cHashBuilds = reg.Counter("join.hash.builds")
@@ -344,13 +344,22 @@ func (ex *State) Run(p *algebra.Plan, prog *Program, yield func(*evalCtx) error)
 	err := r.runNode(0)
 	if rt != nil {
 		rt.DerefMisses += ex.derefs - derefs
-		for i := range r.nodes {
-			if t := r.nodes[i].table; t != nil {
-				nr := &rt.Nodes[i]
-				nr.HashBuildRows += t.buildRows
-				nr.HashProbes += t.probes
-				nr.HashHits += t.hits
-			}
+	}
+	// Hash tables count their own traffic; the run folds it into the
+	// registry and the plan's actuals once.
+	for i := range r.nodes {
+		t := r.nodes[i].table
+		if t != nil && ex.cHashBuilds != nil {
+			ex.cHashBuilds.Inc()
+			ex.cHashBuildRows.Add(uint64(t.buildRows))
+			ex.cHashProbes.Add(uint64(t.probes))
+			ex.cHashHits.Add(uint64(t.hits))
+		}
+		if t != nil && rt != nil {
+			nr := &rt.Nodes[i]
+			nr.HashBuildRows += t.buildRows
+			nr.HashProbes += t.probes
+			nr.HashHits += t.hits
 		}
 	}
 	return err

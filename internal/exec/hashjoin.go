@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"encoding/binary"
 	"strings"
 
 	"repro/internal/algebra"
@@ -19,58 +18,83 @@ type joinEntry struct {
 }
 
 // joinTable is the materialized build side of a hash-join node. Rows are
-// grouped by encoded join key; rows whose key cannot be encoded go to
+// grouped by join key; rows whose key has no comparable form go to
 // overflow and are probed on every outer binding (the retained conjunct
 // re-checks them, so over-matching is safe and under-matching is the only
 // hazard). For identity joins, rows with no identity (value-set elements)
 // collect in nulls: `x is y` holds when both sides are null, so a
 // null-identity probe pairs with exactly those rows.
 type joinTable struct {
-	groups   map[string][]joinEntry
+	groups   map[hashKey][]joinEntry
 	overflow []joinEntry
 	nulls    []joinEntry
 
 	buildRows, probes, hits int64
 }
 
-// Join-key outcomes.
+// hashKey is the comparable form of a join or grouping key: a kind tag
+// plus an integer (numbers, enums, ordinal ADTs, identities) or a string
+// the value already holds (a char value's text, a display form that is
+// a constant). Building one allocates nothing.
+type hashKey struct {
+	kind uint8
+	n    uint64
+	s    string
+}
+
+// hashKey kinds: n holds an identity, a codec.KeyWord, an integer or a
+// float's bits; s a string's text or a display form.
 const (
-	keyOK         = iota // key encodes; probe its group (plus overflow)
-	keyNull              // null key: no equality match / identity-null match
-	keyUnhashable        // value has no stable encoding; compare exhaustively
+	hkOID uint8 = iota + 1
+	hkWord
+	hkStr
+	hkNull
+	hkInt
+	hkFloat
+	hkShow
 )
 
-// joinKey maps a join-key value to its hash-table key. The encoding must
-// never separate two values the retained conjunct would accept (false
-// negatives lose rows); false positives are filtered by the re-check.
+// Join-key outcomes.
+const (
+	keyOK         = iota // key has a comparable form; probe its group (plus overflow)
+	keyNull              // null key: no equality match / identity-null match
+	keyUnhashable        // value has no comparable form; compare exhaustively
+)
+
+// joinKey maps a join-key value to its hash-table key. Two values share a
+// key exactly when their index key encodings (codec.EncodeKey) agree,
+// char values trimmed; the key must never separate two values the
+// retained conjunct would accept (false negatives lose rows), and false
+// positives are filtered by the re-check.
 //   - identity joins key on the live OID; dangling refs and non-objects
 //     have a null identity;
-//   - equality joins reuse the index key encoding, which already unifies
-//     int/float through the float transform; strings are trimmed of
-//     trailing blanks because char[n] comparison ignores them and the
-//     stored padding is invisible to value.Equal;
+//   - numbers, enums and ordinal ADTs key on their encoded word, which
+//     unifies int and float through the float transform; a bool on its
+//     display form;
+//   - strings are trimmed of trailing blanks because char[n] comparison
+//     ignores them and the stored padding is invisible to value.Equal;
 //   - everything else (tuples, collections, exotic ADTs) is unhashable.
-func (ex *State) joinKey(h *algebra.HashJoinPath, v value.Value) (string, int) {
+func (ex *State) joinKey(h *algebra.HashJoinPath, v value.Value) (hashKey, int) {
 	if h.Ident {
 		id, ok := ex.liveOID(v)
 		if !ok {
-			return "", keyNull
+			return hashKey{}, keyNull
 		}
-		var b [8]byte
-		binary.BigEndian.PutUint64(b[:], uint64(id))
-		return string(b[:]), keyOK
+		return hashKey{kind: hkOID, n: uint64(id)}, keyOK
 	}
-	v = deobject(v)
-	if value.IsNull(v) {
-		return "", keyNull
+	switch x := deobject(v).(type) {
+	case nil, value.Null:
+		return hashKey{}, keyNull
+	case value.Str:
+		return hashKey{kind: hkStr, s: strings.TrimRight(x.V, " ")}, keyOK
+	case value.Bool:
+		return hashKey{kind: hkShow, s: x.String()}, keyOK
+	default:
+		if w, ok := codec.KeyWord(x); ok {
+			return hashKey{kind: hkWord, n: w}, keyOK
+		}
 	}
-	if s, ok := v.(value.Str); ok {
-		return "s" + strings.TrimRight(s.V, " "), keyOK
-	}
-	if k, ok := codec.EncodeKey(v); ok {
-		return "k" + string(k), keyOK
-	}
-	return "", keyUnhashable
+	return hashKey{}, keyUnhashable
 }
 
 // mentionsOnlyVar reports whether every range variable in e is v — such
@@ -95,7 +119,7 @@ func (ex *State) buildJoinTable(n *algebra.Node, np *nodeProgram, keys *algebra.
 	// pipeline), so it earns a live operator span when sampled.
 	sp := ex.tr.StartSpan(trace.KindOperator, "hash build "+n.Var.Extent+" binding "+n.Var.Name)
 	defer ex.tr.EndSpan(sp)
-	t := &joinTable{groups: make(map[string][]joinEntry)}
+	t := &joinTable{groups: make(map[hashKey][]joinEntry)}
 	b := newBinding()
 	defer b.release()
 	ctx := &evalCtx{b: b}
@@ -127,10 +151,6 @@ func (ex *State) buildJoinTable(n *algebra.Node, np *nodeProgram, keys *algebra.
 	if err := ex.enumerate(ctx, n.Var, n.Access, keys, &np.varProgram, &s); err != nil {
 		return nil, err
 	}
-	if ex.cHashBuilds != nil {
-		ex.cHashBuilds.Inc()
-		ex.cHashBuildRows.Add(uint64(t.buildRows))
-	}
 	ex.tr.AttrInt(sp, "build_rows", t.buildRows)
 	return t, nil
 }
@@ -153,9 +173,6 @@ func (r *runner) hashProbe(i int) error {
 		nr.table = t
 	}
 	t.probes++
-	if ex.cHashProbes != nil {
-		ex.cHashProbes.Inc()
-	}
 	kv, err := np.probe(ex, &r.ctx)
 	if err != nil {
 		return err
@@ -163,9 +180,6 @@ func (r *runner) hashProbe(i int) error {
 	send := func(entries []joinEntry) error {
 		for _, e := range entries {
 			t.hits++
-			if ex.cHashHits != nil {
-				ex.cHashHits.Inc()
-			}
 			if err := nr.emit(e.val, e.pr); err != nil {
 				return err
 			}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/algebra"
@@ -145,7 +146,15 @@ type groupState struct {
 
 type aggState struct {
 	vals []value.Value
-	over map[string]bool // dedup keys seen (for "over")
+	over map[hashKey]bool // dedup keys seen (for "over")
+}
+
+// groupNode is one level of the group table: the groups whose first k
+// by-values agree, keyed on value k+1. A row finds its group with one
+// map lookup per by-expression and allocates only when it opens one.
+type groupNode struct {
+	g    *groupState
+	next map[hashKey]*groupNode
 }
 
 // retrieveGrouped implements query-level aggregation: rows are grouped
@@ -155,18 +164,28 @@ type aggState struct {
 // aggregating one level of a complex object while partitioning on
 // another, which also subsumes QUEL's unique aggregates).
 func (ex *State) retrieveGrouped(cq *sema.CheckedRetrieve, plan *algebra.Plan, prog *Program, res *Result) error {
-	groups := map[string]*groupState{}
-	var order []string
+	root := &groupNode{next: map[hashKey]*groupNode{}}
+	var order []*groupState
 	err := ex.Run(plan, prog, func(ctx *evalCtx) error {
-		key, err := ex.groupKey(ctx, prog.groupBy)
-		if err != nil {
-			return err
+		n := root
+		for _, by := range prog.groupBy {
+			v, err := by(ex, ctx)
+			if err != nil {
+				return err
+			}
+			k := groupKey(v)
+			next := n.next[k]
+			if next == nil {
+				next = &groupNode{next: map[hashKey]*groupNode{}}
+				n.next[k] = next
+			}
+			n = next
 		}
-		g, ok := groups[key]
-		if !ok {
+		g := n.g
+		if g == nil {
 			g = &groupState{rep: ctx.b.clone(), aggs: make([]aggState, len(prog.aggs))}
-			groups[key] = g
-			order = append(order, key)
+			n.g = g
+			order = append(order, g)
 		}
 		for k := range prog.aggs {
 			a, st := &prog.aggs[k], &g.aggs[k]
@@ -175,9 +194,9 @@ func (ex *State) retrieveGrouped(cq *sema.CheckedRetrieve, plan *algebra.Plan, p
 				if err != nil {
 					return err
 				}
-				ok := valueKey(ov)
+				ok := groupKey(ov)
 				if st.over == nil {
-					st.over = map[string]bool{}
+					st.over = map[hashKey]bool{}
 				}
 				if st.over[ok] {
 					continue // already counted this partition value
@@ -198,11 +217,9 @@ func (ex *State) retrieveGrouped(cq *sema.CheckedRetrieve, plan *algebra.Plan, p
 	// A global aggregate (no by-expressions) over zero bindings still
 	// produces one row: count = 0, sum = 0, the others null.
 	if len(order) == 0 && len(cq.GroupBy) == 0 {
-		groups[""] = &groupState{rep: newBinding(), aggs: make([]aggState, len(prog.aggs))}
-		order = append(order, "")
+		order = append(order, &groupState{rep: newBinding(), aggs: make([]aggState, len(prog.aggs))})
 	}
-	for _, key := range order {
-		g := groups[key]
+	for _, g := range order {
 		aggVals := make(map[*sema.Agg]value.Value, len(prog.aggs))
 		for k := range prog.aggs {
 			v, err := foldAgg(prog.aggs[k].agg, g.aggs[k].vals)
@@ -217,39 +234,40 @@ func (ex *State) retrieveGrouped(cq *sema.CheckedRetrieve, plan *algebra.Plan, p
 		}
 		res.Rows = append(res.Rows, row)
 	}
-	for _, key := range order {
-		groups[key].rep.release()
+	for _, g := range order {
+		g.rep.release()
 	}
 	return nil
 }
 
-// groupKey renders the grouping values of the current binding.
-func (ex *State) groupKey(ctx *evalCtx, groups []compiledExpr) (string, error) {
-	if len(groups) == 0 {
-		return "", nil
-	}
-	var b strings.Builder
-	for _, g := range groups {
-		v, err := g(ex, ctx)
-		if err != nil {
-			return "", err
-		}
-		b.WriteString(valueKey(v))
-		b.WriteByte(0)
-	}
-	return b.String(), nil
-}
-
-// valueKey renders a value for grouping/dedup purposes: objects and refs
-// group by identity, everything else by display form.
-func valueKey(v value.Value) string {
+// groupKey is the grouping and dedup key of a value: objects and refs
+// group by identity, null in a group of its own, every other value by
+// its display form. Ints, floats and strings key on what their display
+// form is a function of, without rendering it: an integral float that
+// displays as an int (|f| < 1e6, not -0) keys as that int, and every
+// NaN displays alike.
+func groupKey(v value.Value) hashKey {
 	if id, ok := value.OIDOf(v); ok {
-		return "#" + id.String()
+		return hashKey{kind: hkOID, n: uint64(id)}
 	}
-	if value.IsNull(v) {
-		return "\x00null"
+	switch x := v.(type) {
+	case nil, value.Null:
+		return hashKey{kind: hkNull}
+	case value.Int:
+		return hashKey{kind: hkInt, n: uint64(x.V)}
+	case value.Float:
+		f := x.V
+		if f == math.Trunc(f) && math.Abs(f) < 1e6 && !(f == 0 && math.Signbit(f)) {
+			return hashKey{kind: hkInt, n: uint64(int64(f))}
+		}
+		if math.IsNaN(f) {
+			f = math.NaN()
+		}
+		return hashKey{kind: hkFloat, n: math.Float64bits(f)}
+	case value.Str:
+		return hashKey{kind: hkStr, s: x.V}
 	}
-	return v.String()
+	return hashKey{kind: hkShow, s: v.String()}
 }
 
 // materializeInto stores a retrieve result as a fresh database variable:

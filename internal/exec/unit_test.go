@@ -1,9 +1,13 @@
 package exec
 
 import (
+	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/adt"
+	"repro/internal/algebra"
+	"repro/internal/codec"
 	"repro/internal/excess/sema"
 	"repro/internal/types"
 	"repro/internal/value"
@@ -100,6 +104,19 @@ func TestFoldAgg(t *testing.T) {
 	}
 }
 
+// valueKey is the rendered grouping key groupKey must agree with:
+// objects and refs by identity, null apart, everything else by display
+// form.
+func valueKey(v value.Value) string {
+	if id, ok := value.OIDOf(v); ok {
+		return "#" + id.String()
+	}
+	if value.IsNull(v) {
+		return "\x00null"
+	}
+	return v.String()
+}
+
 func TestValueKeyAndHelpers(t *testing.T) {
 	if valueKey(value.Null{}) != "\x00null" {
 		t.Error("null key")
@@ -128,6 +145,67 @@ func TestValueKeyAndHelpers(t *testing.T) {
 	}
 	if deobject(value.NewInt(1)).String() != "1" {
 		t.Error("deobject scalar")
+	}
+}
+
+// TestHashKeyEquivalence pins the comparable keys to rendered reference
+// keys: on a corpus of edge values, two values share a grouping key
+// exactly when their valueKey strings agree, and a join key exactly when
+// their trimmed index encodings do.
+func TestHashKeyEquivalence(t *testing.T) {
+	tup := value.NewTuple(types.MustTupleType("T", nil, nil))
+	color := &types.Enum{Name: "Color", Labels: []string{"red", "green"}}
+	corpus := []value.Value{
+		nil, value.Null{}, value.Ref{}, value.Ref{OID: 5}, value.Object{OID: 5, Tuple: tup}, value.Ref{OID: 6},
+		value.NewInt(0), value.NewInt(3), value.NewInt(-5), value.NewInt(999999), value.NewInt(1000000),
+		value.NewFloat(0), value.NewFloat(math.Copysign(0, -1)), value.NewFloat(3), value.NewFloat(-5),
+		value.NewFloat(3.5), value.NewFloat(999999), value.NewFloat(1e6), value.NewFloat(1e-5),
+		value.NewFloat(math.NaN()), value.NewFloat(-math.NaN()), value.NewFloat(math.Inf(1)), value.NewFloat(math.Inf(-1)),
+		value.NewStr(""), value.NewStr("a"), value.NewStr("a  "), value.NewStr("a\x00"), value.NewStr("3"),
+		value.Bool(true), value.Bool(false),
+		value.EnumVal{Enum: color, Ord: 0}, value.EnumVal{Enum: color, Ord: 1},
+		value.EnumVal{Enum: color, Ord: 7},
+		value.ADTVal{ADT: "Date", Rep: adt.DateRep{Year: 2024, Month: 1, Day: 2}},
+		value.ADTVal{ADT: "Date", Rep: adt.DateRep{Year: 2024, Month: 1, Day: 3}},
+		&value.Set{Elems: []value.Value{value.NewInt(1)}},
+	}
+	oldJoinKey := func(v value.Value) (string, int) {
+		v = deobject(v)
+		if value.IsNull(v) {
+			return "", keyNull
+		}
+		if s, ok := v.(value.Str); ok {
+			return "s" + strings.TrimRight(s.V, " "), keyOK
+		}
+		if k, ok := codec.EncodeKey(v); ok {
+			return "k" + string(k), keyOK
+		}
+		return "", keyUnhashable
+	}
+	var ex *State
+	h := &algebra.HashJoinPath{}
+	for _, a := range corpus {
+		ja, sta := ex.joinKey(h, a)
+		oa, osta := oldJoinKey(a)
+		if sta != osta {
+			t.Errorf("join key of %v: status %d, want %d", a, sta, osta)
+		}
+		for _, b := range corpus {
+			if got, want := groupKey(a) == groupKey(b), valueKey(a) == valueKey(b); got != want {
+				t.Errorf("group keys of %v and %v: equal %v, want %v", a, b, got, want)
+			}
+			jb, stb := ex.joinKey(h, b)
+			ob, _ := oldJoinKey(b)
+			if sta == keyOK && stb == keyOK && (ja == jb) != (oa == ob) {
+				t.Errorf("join keys of %v and %v: equal %v, want %v", a, b, ja == jb, oa == ob)
+			}
+		}
+	}
+	// Dates, out-of-range enums and sets group by their rendered form.
+	for _, v := range corpus[:len(corpus)-4] {
+		if n := testing.AllocsPerRun(10, func() { groupKey(v); ex.joinKey(h, v) }); n != 0 {
+			t.Errorf("keys of %v: %v allocations", v, n)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package extra_test
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -124,6 +125,54 @@ func TestHashJoinExplain(t *testing.T) {
 	}
 	if !strings.Contains(plan, "hash join") {
 		t.Fatalf("expected a hash join for the equality join:\n%s", plan)
+	}
+}
+
+// TestHashJoinBuildsSmallerSide is the work gate of the build-side rule:
+// a value join between 20 departments and 2 000, then 20 000, employees
+// materializes only the departments its local filter keeps, at both
+// sizes, and the larger extent probes them. The analyzed run carries the
+// floor as a literal, which the session lifts into the slot the prepared
+// $1 fills, so both run one plan; its rows match the reference evaluator.
+func TestHashJoinBuildsSmallerSide(t *testing.T) {
+	const (
+		prepared = `retrieve (d = D.dname, s = sum(E.salary by D.dname)) from E in Employees, D in Departments where E.dept.dname = D.dname and D.floor = $1`
+		literal  = `retrieve (d = D.dname, s = sum(E.salary by D.dname)) from E in Employees, D in Departments where E.dept.dname = D.dname and D.floor = 2`
+	)
+	for _, n := range []int{2000, 20000} {
+		db, _, err := workload.New(workload.Params{Departments: 20, Employees: n, Floors: 5, Seed: 7}, 8192)
+		if err != nil {
+			t.Fatal(err)
+		}
+		onFloor := db.MustQuery(`retrieve (n = count(D.dname)) from D in Departments where D.floor = 2`).Rows[0][0].String()
+		if onFloor == "0" {
+			t.Fatal("no department on floor 2")
+		}
+		st, err := db.Prepare(prepared)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := db.MetricsSnapshot().Counters["join.hash.buildrows"]
+		res := st.MustExec(2)
+		if d := db.MetricsSnapshot().Counters["join.hash.buildrows"] - before; fmt.Sprint(d) != onFloor {
+			t.Errorf("%d employees: join.hash.buildrows grew by %d, want the %s departments on floor 2", n, d, onFloor)
+		}
+		want, err := extra.OracleRows(db, literal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := extra.DiffRows(literal, extra.CanonRows(res), want); err != nil {
+			t.Error(err)
+		}
+		out, err := db.ExplainAnalyze(literal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if build := fmt.Sprintf("hash build=%s probes=%d ", onFloor, n); !strings.Contains(out, build) {
+			t.Errorf("%d employees: analyze lacks %q:\n%s", n, build, out)
+		}
+		st.Close()
+		db.Close()
 	}
 }
 

@@ -435,7 +435,7 @@ func TestExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"index probe emp_sal", "scan Departments", "filter:", "(E.dept is D)"} {
+	for _, want := range []string{"index probe emp_sal", "build D via scan", "filter:", "(E.dept is D)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("explain missing %q:\n%s", want, out)
 		}

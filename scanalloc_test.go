@@ -18,12 +18,16 @@ import (
 // that match no row, so the count is the scan's alone. A shape without
 // args runs src ad hoc, its literals lifted into slots the way the
 // session lifts them. perEmp and perKid are the allocations each scanned
-// employee and each unnested kid must cost.
+// employee and each unnested kid must cost. A grouped shape instead
+// returns the same rows at both sizes; each aggregate's per-group value
+// slice grows with the logarithm of the group's size, so it is pinned by
+// the allocations the added employees cost, not by an equal overhead.
 type scanShape struct {
 	name           string
 	src            string
 	args           []any
 	perEmp, perKid uint64
+	grouped        bool
 }
 
 // TestScanAllocsPerRow is the count-based form of "a compiled plan
@@ -37,16 +41,22 @@ type scanShape struct {
 func TestScanAllocsPerRow(t *testing.T) {
 	shapes := []scanShape{
 		// The scan binds E without boxing a value.Object.
-		{"range filter", `retrieve (E.name, E.salary) from E in Employees where E.age >= $1 and E.age < $2`, []any{200, 201}, 0, 0},
+		{"range filter", `retrieve (E.name, E.salary) from E in Employees where E.age >= $1 and E.age < $2`, []any{200, 201}, 0, 0, false},
 		// E.dept dereferences without boxing the department.
-		{"ref path", `retrieve (E.name) from E in Employees where E.dept.floor = $1`, []any{99}, 0, 0},
+		{"ref path", `retrieve (E.name) from E in Employees where E.dept.floor = $1`, []any{99}, 0, 0, false},
 		// The unnest starts at E's tuple and binds each kid unboxed.
-		{"unnest", `retrieve (E.name, K.name) from E in Employees, K in E.kids where K.age < $1`, []any{0}, 0, 0},
+		{"unnest", `retrieve (E.name, K.name) from E in Employees, K in E.kids where K.age < $1`, []any{0}, 0, 0, false},
 		// An ad-hoc filter's literals, lifted into slots, are read from the
 		// statement's frame: no more per row than the prepared form.
-		{"lifted ad-hoc filter", `retrieve (E.name, E.salary) from E in Employees where E.age >= 200 and E.age < 201`, nil, 0, 0},
+		{"lifted ad-hoc filter", `retrieve (E.name, E.salary) from E in Employees where E.age >= 200 and E.age < 201`, nil, 0, 0, false},
+		// A by keys each row's group on its compiled value, unrendered.
+		{"by", `retrieve (f = E.dept.floor, n = count(E.name by E.dept.floor)) from E in Employees where E.age >= $1`, []any{0}, 0, 0, true},
+		// The hash join builds on the departments of one floor and keys
+		// builds and probes on the compiled values.
+		{"hash join", `retrieve (d = D.dname, s = sum(E.salary by D.dname)) from E in Employees, D in Departments where E.dept.dname = D.dname and D.floor = $1`, []any{2}, 0, 0, true},
 	}
 	overhead := make([]uint64, len(shapes))
+	grouped := make([]int, len(shapes)) // rows at 2000 employees
 	for si, n := range []int{2000, 20000} {
 		db, _, err := workload.New(workload.Params{Employees: n, MaxKids: 2, Seed: 7}, 8192)
 		if err != nil {
@@ -65,12 +75,28 @@ func TestScanAllocsPerRow(t *testing.T) {
 				} else {
 					res = st.MustExec(sh.args...)
 				}
-				if len(res.Rows) != 0 {
+				switch {
+				case !sh.grouped && len(res.Rows) != 0:
 					t.Fatalf("%s: %d rows, want none", sh.name, len(res.Rows))
+				case sh.grouped && si == 0:
+					grouped[i] = len(res.Rows)
+				case sh.grouped && len(res.Rows) != grouped[i]:
+					t.Fatalf("%s: %d rows at %d employees, %d at 2000", sh.name, len(res.Rows), n, grouped[i])
 				}
 			}
 			exec() // plans, compiles and fills the pools
 			got := uint64(testing.AllocsPerRun(5, exec))
+			if sh.grouped {
+				if si == 0 {
+					overhead[i] = got
+				} else if per := (float64(got) - float64(overhead[i])) / float64(n-2000); per >= 0.01 {
+					t.Errorf("%s: %d allocations at %d employees, %d at 2000: %.4f per added employee",
+						sh.name, got, n, overhead[i], per)
+				}
+				t.Logf("%s, %d employees: %d rows, %d allocations", sh.name, n, grouped[i], got)
+				st.Close()
+				continue
+			}
 			rows := sh.perEmp*uint64(n) + sh.perKid*kids
 			if got < rows {
 				t.Fatalf("%s, %d employees: %d allocations, fewer than the %d rows alone", sh.name, n, got, rows)

@@ -72,10 +72,10 @@ func TestTraceHashJoinSpans(t *testing.T) {
 		t.Fatal("no trace")
 	}
 	out := trace.Render(tr)
-	if !strings.Contains(out, "▸ hash build Employees binding E") {
+	if !strings.Contains(out, "▸ hash build Departments binding D") {
 		t.Errorf("no hash build span:\n%s", out)
 	}
-	if !strings.Contains(out, "hash_probes=3") || !strings.Contains(out, "build_rows=4") {
+	if !strings.Contains(out, "hash_probes=4") || !strings.Contains(out, "build_rows=3") {
 		t.Errorf("hash attribution missing:\n%s", out)
 	}
 }
