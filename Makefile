@@ -44,13 +44,14 @@ bench:
 # join that builds on the smaller side, commit and range-write work
 # independent of database size, a plan-cache hit
 # that compiles nothing, ad-hoc literals that share one cached shape, a
-# $n key that bounds its index probe, and tracing that allocates nothing
-# when off.
+# $n key that bounds its index probe, tracing that allocates nothing
+# when off, and reads — a retrieve's, or a write statement's read phase
+# — that pin no buffer-pool page.
 # Wall clock is left to paired runs of bench/. No -race: the race
 # detector perturbs allocation counts, and scanalloc_test.go is built
 # only without it.
 work-gate:
-	$(GO) test -count=1 -v -run '^(TestScanAllocsPerRow|TestHashJoinBuildsSmallerSide|TestRangeReplaceWorkIndependentOfSize|TestCommitWorkIndependentOfSize|TestRangeUpdateWorkIndependentOfSize|TestPlanCacheHitCompilesNothing|TestZeroAllocWhenDisabled|TestAdhocLiteralsShareOnePlan|TestParamKeyUsesIndex|TestSnapshotReadsPinNoPage)$$' . ./internal/object/ ./internal/trace/
+	$(GO) test -count=1 -v -run '^(TestScanAllocsPerRow|TestHashJoinBuildsSmallerSide|TestRangeReplaceWorkIndependentOfSize|TestCommitWorkIndependentOfSize|TestRangeUpdateWorkIndependentOfSize|TestPlanCacheHitCompilesNothing|TestZeroAllocWhenDisabled|TestAdhocLiteralsShareOnePlan|TestParamKeyUsesIndex|TestSnapshotReadsPinNoPage|TestWriteReadPhasePinsNoPage)$$' . ./internal/object/ ./internal/trace/
 
 # The repository benchmark (bench/, a module of its own that drives the
 # engine through its public and internal APIs) must keep compiling and

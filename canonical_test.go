@@ -3,7 +3,9 @@ package extra
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/codec"
 )
@@ -45,5 +47,44 @@ func checkCanonical(t *testing.T, db *DB) {
 	}
 	if !reflect.DeepEqual(live, snap) {
 		t.Errorf("snapshot export differs from live export (%d vs %d objects)", len(snap), len(live))
+	}
+}
+
+// TestLoadPinsNoDumpLine: a loaded object's extent name is the catalog's
+// copy of the variable name, not a field of the dump line it came from.
+// The store keeps that name with every object for as long as it lives,
+// and a field of the line is a substring sharing the line's bytes, so
+// keeping it would keep every hex line a Load read.
+func TestLoadPinsNoDumpLine(t *testing.T) {
+	src := mustOpen(t)
+	loadCompany(t, src)
+	var dump strings.Builder
+	if err := src.Dump(&dump); err != nil {
+		t.Fatal(err)
+	}
+	db := mustOpen(t)
+	if err := db.Load(strings.NewReader(dump.String())); err != nil {
+		t.Fatal(err)
+	}
+	objs, err := db.store.Snapshot().ExportObjects()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat, checked := db.Catalog(), 0
+	for _, o := range objs {
+		if o.Extent == "" {
+			continue
+		}
+		v, ok := cat.Var(o.Extent)
+		if !ok {
+			t.Fatalf("object %s: no variable %s", o.OID, o.Extent)
+		}
+		if unsafe.StringData(o.Extent) != unsafe.StringData(v.Name) {
+			t.Errorf("object %s: its extent name %q is not the catalog's", o.OID, o.Extent)
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("setup: no extent object loaded")
 	}
 }

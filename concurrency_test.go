@@ -723,3 +723,54 @@ func TestConcurrentSessionsShareOneProgram(t *testing.T) {
 		t.Errorf("plan.cache.misses = %d, want %d: the sessions did not share the cached programs", got, len(queries)+1)
 	}
 }
+
+// TestProcedureBodyReadsItsOwnWrites: a write statement reads the
+// store's frozen view, and a procedure call freezes a fresh one before
+// each body statement. So each run of a body sees what the runs before
+// it wrote (Bonus runs once per second-floor department, and Ann gains
+// twice), and a body statement sees what the statements before it wrote
+// (Hire's replace finds the employee its append created). Readers see
+// one publication per call: a reader that pins its snapshot while the
+// call is stopped between its two body statements sees the state before
+// the call, and one that pins after sees the state after it.
+func TestProcedureBodyReadsItsOwnWrites(t *testing.T) {
+	db := mustOpen(t)
+	loadCompany(t, db)
+	entered, release := defineHold(t, db)
+	db.MustExec(`
+		define procedure Bonus (who: varchar, amount: int4) as
+		  replace E (salary = E.salary + amount) from E in Employees where E.name = who
+		define procedure Hire (who: varchar, pay: int4) as
+		  append to Employees (name = who, age = 20, salary = 0);
+		  replace E (salary = pay) from E in Employees where E.name = who and hold(E.age) > 0
+	`)
+	db.MustExec(`execute Bonus ("Ann", 10) from D in Departments where D.floor = 2`)
+	if res := db.MustQuery(`retrieve (E.salary) from E in Employees where E.name = "Ann"`); res.Rows[0][0].String() != "110" {
+		t.Fatalf("Ann's salary after two runs of Bonus: %v, want 110", res.Rows[0][0])
+	}
+
+	zed := func() string {
+		res := db.NewSession().MustQuery(`retrieve (E.salary) from E in Employees where E.name = "Zed"`)
+		var out []string
+		for _, row := range res.Rows {
+			out = append(out, row[0].String())
+		}
+		return strings.Join(out, ",")
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := db.NewSession().Exec(`execute Hire ("Zed", 77)`)
+		done <- err
+	}()
+	<-entered // Hire's append has run; its replace is mid-scan
+	if got := zed(); got != "" {
+		t.Errorf("a reader pinned during the call sees Zed with salary %s, want no Zed", got)
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := zed(); got != "77" {
+		t.Errorf("after the call Zed's salary reads %q, want 77", got)
+	}
+}

@@ -423,9 +423,9 @@ func (db *DB) loadDataLine(line string) error {
 		if len(fields) != 5 {
 			return fmt.Errorf("malformed OBJ line")
 		}
-		ext := fields[1]
-		if ext == "-" {
-			ext = ""
+		ext := ""
+		if fields[1] != "-" {
+			ext = db.varName(fields[1])
 		}
 		id, err := strconv.ParseUint(fields[2], 10, 64)
 		if err != nil {
@@ -450,7 +450,7 @@ func (db *DB) loadDataLine(line string) error {
 		if err != nil {
 			return err
 		}
-		return db.store.RestoreElem(fields[1], data)
+		return db.store.RestoreElem(db.varName(fields[1]), data)
 	case "VAR":
 		if len(fields) != 3 {
 			return fmt.Errorf("malformed VAR line")
@@ -459,9 +459,22 @@ func (db *DB) loadDataLine(line string) error {
 		if err != nil {
 			return err
 		}
-		return db.store.RestoreVar(fields[1], data)
+		return db.store.RestoreVar(db.varName(fields[1]), data)
 	}
 	return fmt.Errorf("unknown data record %q", fields[0])
+}
+
+// varName returns the working catalog's own copy of a variable name read
+// from a data line. The store keeps the name it is given — in every
+// object's directory entry, and from there in the snapshot — and a field
+// of the line is a substring that would pin the whole hex line for as
+// long as the object lives. An unknown name is returned as given; the
+// restore rejects it.
+func (db *DB) varName(name string) string {
+	if v, ok := db.store.Catalog().Var(name); ok {
+		return v.Name
+	}
+	return name
 }
 
 // typesInDependencyOrder sorts schema types so that supertypes and

@@ -68,10 +68,10 @@ func (db *DB) Explain(src string) (string, error) {
 }
 
 // ExplainAnalyze executes a retrieve with per-operator instrumentation
-// and renders the plan tree annotated with actuals: rows in/out, loops,
-// self time and buffer-pool hits/misses per operator, plus residual
-// filter, quantification, aggregation and phase-timing totals. Unlike
-// Explain, the query (including any into clause) really runs.
+// and renders the plan tree annotated with actuals: rows in/out, loops
+// and self time per operator, plus residual filter, quantification,
+// aggregation, object-fetch and phase-timing totals. Unlike Explain,
+// the query (including any into clause) really runs.
 //
 // extra:output
 func (db *DB) ExplainAnalyze(src string) (string, error) {
@@ -136,8 +136,6 @@ func (db *DB) analyze(src string) (*algebra.Plan, algebra.AnalyzeSummary, error)
 		Execute:    c.tr.Dur(trace.PhaseExecute),
 		Rows:       len(res.Rows),
 		Aggregated: an.aggregated,
-		PoolHits:   an.pool.Hits,
-		PoolMisses: an.pool.Misses,
 	}
 	if an.aggregated {
 		sum.Groups = len(res.Rows)

@@ -32,11 +32,12 @@
 // immutable snapshot — data, schema and grants together — with one
 // atomic load and executes entirely against it, lock-free — readers
 // never block behind a writer, no matter how long the write runs.
-// Writes serialize on a dedicated write mutex, mutate the live store
-// and the working catalog, and publish a new snapshot (copy-on-write:
-// only the extents, variables and index trees the statement dirtied are
-// rebuilt, the catalog only when it changed) via an atomic pointer
-// swap.
+// Writes serialize on a dedicated write mutex, read a frozen view of
+// the store's working state (a snapshot too, not yet published), mutate
+// the live store and the working catalog, and publish a new snapshot
+// (copy-on-write: only the extents, variables and index trees the
+// statement dirtied are rebuilt, the catalog only when it changed) via
+// an atomic pointer swap.
 // DB.NewSession returns a per-client Session with its own user
 // identity and range declarations; the DB-level Exec/Query methods are
 // shorthands for a built-in default session. A DB and its Sessions are

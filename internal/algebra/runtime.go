@@ -10,12 +10,10 @@ import (
 // instrumented run (EXPLAIN ANALYZE). Plans execute on one goroutine,
 // so plain fields suffice.
 type NodeRuntime struct {
-	Loops      int64         `json:"loops"`    // times the node was opened (once per outer binding)
-	RowsIn     int64         `json:"rows_in"`  // elements the access method produced
-	RowsOut    int64         `json:"rows_out"` // bindings surviving the node's filter
-	Time       time.Duration `json:"time_ns"`  // self time: enumeration + filters, excluding inner nodes
-	PoolHits   uint64        `json:"pool_hits"`
-	PoolMisses uint64        `json:"pool_misses"`
+	Loops   int64         `json:"loops"`    // times the node was opened (once per outer binding)
+	RowsIn  int64         `json:"rows_in"`  // elements the access method produced
+	RowsOut int64         `json:"rows_out"` // bindings surviving the node's filter
+	Time    time.Duration `json:"time_ns"`  // self time: enumeration + filters, excluding inner nodes
 
 	// Hash-join actuals (nodes with a HashJoinPath).
 	HashBuildRows int64 `json:"hash_build_rows,omitempty"` // rows materialized into the table
@@ -52,8 +50,8 @@ func (p *Plan) EnableRuntime() *PlanRuntime {
 }
 
 // AnalyzeSummary carries the statement-level actuals that live outside
-// the plan tree: phase durations measured by the database layer,
-// result shape, and buffer-pool deltas for the whole statement.
+// the plan tree: phase durations measured by the database layer and
+// result shape.
 type AnalyzeSummary struct {
 	Parse      time.Duration `json:"parse_ns"`
 	Check      time.Duration `json:"check_ns"`
@@ -62,8 +60,6 @@ type AnalyzeSummary struct {
 	Rows       int           `json:"rows"`   // result rows (groups, for aggregates)
 	Groups     int           `json:"groups"` // distinct groups seen (aggregated queries)
 	Aggregated bool          `json:"aggregated"`
-	PoolHits   uint64        `json:"pool_hits"`
-	PoolMisses uint64        `json:"pool_misses"`
 }
 
 // AnalyzeReport is the machine-readable EXPLAIN ANALYZE document.
@@ -116,8 +112,8 @@ func (p *Plan) ExplainAnalyze(sum AnalyzeSummary) string {
 		indent := strings.Repeat("  ", i)
 		fmt.Fprintf(&b, "%s-> %s\n", indent, p.DescribeNode(i))
 		nr := rt.Nodes[i]
-		fmt.Fprintf(&b, "%s   (actual rows=%d loops=%d in=%d time=%s pool=%dh/%dm)\n",
-			indent, nr.RowsOut, nr.Loops, nr.RowsIn, fmtDur(nr.Time), nr.PoolHits, nr.PoolMisses)
+		fmt.Fprintf(&b, "%s   (actual rows=%d loops=%d in=%d time=%s)\n",
+			indent, nr.RowsOut, nr.Loops, nr.RowsIn, fmtDur(nr.Time))
 		if n.Hash != nil {
 			fmt.Fprintf(&b, "%s   (hash build=%d probes=%d hits=%d)\n",
 				indent, nr.HashBuildRows, nr.HashProbes, nr.HashHits)
@@ -148,7 +144,6 @@ func (p *Plan) ExplainAnalyze(sum AnalyzeSummary) string {
 		fmt.Fprintf(&b, "aggregate: %d bindings into %d groups\n", rt.Output, sum.Groups)
 	}
 	fmt.Fprintf(&b, "rows: %d\n", sum.Rows)
-	fmt.Fprintf(&b, "buffer pool: %d hits, %d misses\n", sum.PoolHits, sum.PoolMisses)
 	if rt.DerefMisses > 0 {
 		fmt.Fprintf(&b, "derefs: %d\n", rt.DerefMisses)
 	}

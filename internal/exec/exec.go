@@ -68,10 +68,13 @@ type Executor struct {
 type State struct {
 	*Executor
 
-	// snap, when non-nil, is the immutable store snapshot this statement
-	// is pinned to (BindSnapshot); all reads route through reader(). Nil
-	// means the statement reads the live store (write path).
-	snap *object.Snapshot
+	// snap is the immutable store snapshot the statement reads: the
+	// published one (BindSnapshot), or the view a write statement froze
+	// (BindLive). write marks the latter; viewErr is its freeze's error,
+	// which Run reports.
+	snap    *object.Snapshot
+	write   bool
+	viewErr error
 	// cat is the catalog the statement checks, plans and calls functions
 	// against: the snapshot's frozen one, or the working one on the
 	// write path. It shadows Executor.cat in State methods.
@@ -108,8 +111,8 @@ func New(store *object.Store, cat *catalog.Catalog) *Executor {
 }
 
 // NewState returns a per-statement execution state over the engine
-// core, reusing a pooled one when available. It reads the working
-// catalog until BindSnapshot pins it to a snapshot.
+// core, reusing a pooled one when available. It reads nothing until
+// BindSnapshot or BindLive binds it to a snapshot.
 func (ex *Executor) NewState() *State {
 	if v := ex.statePool.Get(); v != nil {
 		s := v.(*State)
@@ -125,7 +128,7 @@ func (ex *State) Release() {
 	ex.params = ex.params[:0]
 	ex.depth = 0
 	ex.tr = nil
-	ex.snap = nil
+	ex.snap, ex.write, ex.viewErr = nil, false, nil
 	ex.cat = nil
 	ex.derefs = 0
 	ex.Executor.statePool.Put(ex)
@@ -312,9 +315,8 @@ type nodeRun struct {
 	rng   algebra.KeyRange
 	table *joinTable // hash-join build side, built on the first probe
 	// Instrumented runs: time spent in later nodes during the current
-	// loop, and the pool counters at the last attribution.
+	// loop.
 	child time.Duration
-	base  storage.PoolStats
 }
 
 // Run enumerates the bindings of a plan through its program, applying
@@ -323,6 +325,9 @@ type nodeRun struct {
 // Runtime accumulator (EXPLAIN ANALYZE), per-operator actuals are
 // recorded as a side effect.
 func (ex *State) Run(p *algebra.Plan, prog *Program, yield func(*evalCtx) error) error {
+	if ex.viewErr != nil {
+		return ex.viewErr
+	}
 	b := newBinding()
 	defer b.release()
 	r := &runner{ex: ex, plan: p, prog: prog, ctx: evalCtx{b: b}, yield: yield,
@@ -395,8 +400,8 @@ func (r *runner) probeRange(i int) error {
 
 // runNode binds plan node i for every element of its source, recursing
 // to the next node; past the last node the binding is complete. An
-// instrumented run also counts loops, self time (child time subtracted)
-// and the buffer-pool traffic of this node's fetches and filters.
+// instrumented run also counts loops and self time (child time
+// subtracted).
 func (r *runner) runNode(i int) error {
 	if i == len(r.nodes) {
 		return r.output()
@@ -406,10 +411,9 @@ func (r *runner) runNode(i int) error {
 	}
 	rt, nr := &r.plan.Runtime.Nodes[i], &r.nodes[i]
 	rt.Loops++
-	nr.base, nr.child = r.ex.PoolStats(), 0
+	nr.child = 0
 	start := time.Now()
 	err := r.enumerate(i)
-	r.account(i)
 	rt.Time += time.Since(start) - nr.child
 	return err
 }
@@ -445,25 +449,13 @@ func (r *runner) nodeEmit(i int) func(value.Value, prov) error {
 		ok, err := ex.pass(ctx, filter)
 		if err == nil && ok {
 			rt.RowsOut++
-			r.account(i) // pool traffic so far is this node's fetch/filter work
 			t0 := time.Now()
 			err = r.runNode(i + 1)
 			nr.child += time.Since(t0)
-			nr.base = ex.PoolStats() // children's traffic is theirs
 		}
 		ctx.b.unbind(v)
 		return err
 	}
-}
-
-// account attributes the pool traffic since the last attribution to
-// node i.
-func (r *runner) account(i int) {
-	rt, nr := &r.plan.Runtime.Nodes[i], &r.nodes[i]
-	cur := r.ex.PoolStats()
-	rt.PoolHits += cur.Hits - nr.base.Hits
-	rt.PoolMisses += cur.Misses - nr.base.Misses
-	nr.base = cur
 }
 
 // output applies the residual filter and universal quantification to a
@@ -641,10 +633,10 @@ func (ex *State) nestStart(ctx *evalCtx, v *sema.Var, vp *varProgram) (value.Val
 // boundaries), then emits each element. A collection in the middle of
 // the path fans out over its elements when the next step is an
 // attribute step; an index step applies to the collection itself. Only
-// a statement on the live store (an update) records the owner's steps:
-// update provenance is all they are for.
+// a write statement records the owner's steps: update provenance is all
+// they are for.
 func (ex *State) walkCollection(ctx *evalCtx, cur value.Value, owner collOwner, steps []stepProg, emit func(value.Value, prov) error) error {
-	track := ex.snap == nil
+	track := ex.write
 	for si := range steps {
 		var err error
 		cur, owner, err = ex.stepOnce(ctx, cur, owner, &steps[si], track)

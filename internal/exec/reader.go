@@ -6,47 +6,22 @@ import (
 	"repro/internal/excess/sema"
 	"repro/internal/object"
 	"repro/internal/oid"
-	"repro/internal/storage"
 	"repro/internal/value"
 )
 
-// storeReader is the read surface a statement executes against. Both the
-// live *object.Store (write statements, which must see their own earlier
-// mutations) and the immutable *object.Snapshot (read statements pinned
-// by the session layer) implement it; State.reader picks per statement.
-type storeReader interface {
-	Get(id oid.OID) (*value.Tuple, bool, error)
-	Exists(id oid.OID) bool
-	GetVar(name string) (value.Value, error)
-	ScanExtent(extent string, fn func(id oid.OID, tv *value.Tuple) error) error
-	ScanElems(extent string, fn func(rid storage.RID, v value.Value) error) error
-	ExtentLen(extent string) (int, error)
-	ElemLen(extent string) (int, error)
-	IsObjectExtent(name string) bool
-	IsElemExtent(name string) bool
-	IndexLookup(ix *catalog.Index, lo, hi []byte, incLo, incHi bool) []oid.OID
-}
+// reader returns the snapshot this statement reads: the published one a
+// read statement pinned (BindSnapshot), or the view of the working state
+// a write statement froze when it started (BindLive). Every read goes
+// through it — scans, index probes, derefs, variable reads and
+// cardinality estimates; only a write statement's apply phase reaches
+// the working store, through ex.store.
+func (ex *State) reader() *object.Snapshot { return ex.snap }
 
-var (
-	_ storeReader = (*object.Store)(nil)
-	_ storeReader = (*object.Snapshot)(nil)
-)
-
-// reader returns the view this statement reads from: the pinned snapshot
-// when one is bound, the live store otherwise.
-func (ex *State) reader() storeReader {
-	if ex.snap != nil {
-		return ex.snap
-	}
-	return ex.store
-}
-
-// derefGet fetches an object by OID from the statement's view, counting
-// the fetch. A snapshot hands out its immutable decoded tuple; the live
-// store decodes a fresh one.
+// derefGet fetches an object by OID from the statement's snapshot,
+// counting the fetch. The tuple is the snapshot's own, immutable one.
 func (ex *State) derefGet(id oid.OID) (*value.Tuple, bool, error) {
 	ex.derefs++
-	return ex.reader().Get(id)
+	return ex.snap.Get(id)
 }
 
 // BindSnapshot pins the state to an immutable store snapshot: every read
@@ -56,18 +31,28 @@ func (ex *State) derefGet(id oid.OID) (*value.Tuple, bool, error) {
 // version of data and schema no matter what writers commit meanwhile.
 // Also re-copies the optimizer options.
 func (ex *State) BindSnapshot(sn *object.Snapshot) {
-	ex.snap = sn
+	ex.snap, ex.write, ex.viewErr = sn, false, nil
 	ex.cat = sn.Catalog()
 	ex.opts = ex.Executor.Options()
 }
 
-// BindLive points the state at the live store and the working catalog
-// (write statements: a writer must see its own uncommitted mutations).
-// The caller must hold the exclusive write lock.
+// BindLive binds a write statement: its reads go to the store's current
+// frozen view (object.Store.View), which holds every earlier statement's
+// and, in a procedure body, every earlier body statement's writes; its
+// writes go to the working store, and it checks and plans against the
+// working catalog. Call it before each statement: a view is frozen
+// once, and what the statement writes reaches the next one's view. A
+// freeze that fails binds the published snapshot for planning and fails
+// the statement's read phase (Run) with its error. The caller must hold
+// the exclusive write lock.
 //
 // extra:requires db.wmu.W
 func (ex *State) BindLive() {
-	ex.snap = nil
+	sn, err := ex.store.View()
+	if err != nil {
+		sn = ex.store.Snapshot() // for planning only: Run fails with err
+	}
+	ex.snap, ex.write, ex.viewErr = sn, true, err
 	ex.cat = ex.Executor.cat
 	ex.opts = ex.Executor.Options()
 }
@@ -78,44 +63,25 @@ func (ex *State) Catalog() *catalog.Catalog { return ex.cat }
 // Options returns the statement's copy of the optimizer options.
 func (ex *State) Options() algebra.Options { return ex.opts }
 
-// SnapshotVersion returns the version of the pinned snapshot, or 0 when
-// the state reads the live store (write path).
-func (ex *State) SnapshotVersion() uint64 {
-	if ex.snap == nil {
-		return 0
-	}
-	return ex.snap.Version()
-}
-
-// PoolStats returns the buffer pool's counters when the state reads the
-// live store, and zero when it is pinned to a snapshot, which pins no
-// page: an instrumented read then never charges a concurrent writer's
-// page traffic to its own operators.
-func (ex *State) PoolStats() storage.PoolStats {
-	if ex.snap != nil {
-		return storage.PoolStats{}
-	}
-	return ex.store.Pool().Stats()
-}
+// SnapshotVersion returns the version of the snapshot the state reads.
+func (ex *State) SnapshotVersion() uint64 { return ex.snap.Version() }
 
 // Plan builds an optimized plan for a checked query. Cardinality
-// estimation flows through the State's bound view: a pinned statement
-// plans against its snapshot, not against extents a concurrent writer
-// is growing.
+// estimation flows through the State's snapshot: a pinned statement
+// plans against it, not against extents a concurrent writer is growing.
 func (ex *State) Plan(q sema.Query) *algebra.Plan {
 	return algebra.Build(ex.cat, ex, q, ex.opts)
 }
 
-// EstimateLen implements algebra.Stats against the bound view. Extents
-// without statistics fall back to algebra.DefaultCardinality; such
+// EstimateLen implements algebra.Stats against the State's snapshot.
+// Extents without statistics fall back to algebra.DefaultCardinality; such
 // misses are counted (the stats.misses metric) so bad cardinality
 // guesses are observable.
 func (ex *State) EstimateLen(extent string) int {
-	r := ex.reader()
-	if n, err := r.ExtentLen(extent); err == nil {
+	if n, err := ex.snap.ExtentLen(extent); err == nil {
 		return n
 	}
-	if n, err := r.ElemLen(extent); err == nil {
+	if n, err := ex.snap.ElemLen(extent); err == nil {
 		return n
 	}
 	if ex.cStatsMiss != nil {

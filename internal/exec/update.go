@@ -281,7 +281,7 @@ func (ex *State) deleteStmt(cd *sema.CheckedDelete) (int, error) {
 	err := ex.Run(plan, ex.CompilePlan(nil, plan), func(ctx *evalCtx) error {
 		pr := ctx.b.getProv(cd.Var)
 		switch {
-		case pr.extent != "" && !pr.oid.IsNil() && ex.store.IsObjectExtent(pr.extent):
+		case pr.extent != "" && !pr.oid.IsNil() && ex.reader().IsObjectExtent(pr.extent):
 			objs = append(objs, pr.oid)
 		case pr.extent != "":
 			elems = append(elems, pr)

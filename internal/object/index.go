@@ -261,22 +261,3 @@ func (s *Store) indexMove(extent string, id oid.OID, old, tv *value.Tuple) {
 		}
 	}
 }
-
-// IndexLookup returns the OIDs whose indexed key is in [lo, hi] (nil
-// bounds unbounded). The caller re-checks the predicate against the
-// fetched objects, so over-approximation is safe.
-func IndexLookup(ix *catalog.Index, lo, hi []byte, incLo, incHi bool) []oid.OID {
-	var out []oid.OID
-	ix.Tree.Range(lo, hi, incLo, incHi, func(_ []byte, v uint64) bool {
-		out = append(out, oid.OID(v))
-		return true
-	})
-	return out
-}
-
-// IndexLookup is the live-store range probe, reading the current working
-// tree. Write-path statements use it; pinned readers go through
-// Snapshot.IndexLookup instead.
-func (s *Store) IndexLookup(ix *catalog.Index, lo, hi []byte, incLo, incHi bool) []oid.OID {
-	return IndexLookup(ix, lo, hi, incLo, incHi)
-}

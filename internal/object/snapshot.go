@@ -13,24 +13,26 @@ import (
 	"repro/internal/value"
 )
 
-// The snapshot layer gives read statements an immutable view of the
+// The snapshot layer gives every statement an immutable view of the
 // store: a writer builds new extent/tuple state under the write lock and
 // publishes it atomically with Commit, while readers pinned to an older
 // Snapshot keep seeing exactly the versions that were live when they
 // pinned. A Snapshot *is* the store at one version, forever, so a reader
-// fetches from it directly and needs no cache of its own in front.
+// fetches from it directly and needs no cache of its own in front. A
+// write statement reads one too: View freezes the working state without
+// publishing it, and the statement's reads bind that.
 //
 // Mutating methods record what they touched in the store's dirty sets —
 // the objects, and the heap page and slot of every record written or
-// removed. Commit decodes only the dirty objects and shares everything
+// removed. A freeze decodes only the dirty objects and shares everything
 // else with the previous snapshot by reference: the object map is a
 // persistent trie (objmap.go), an extent's scan view is one immutable
 // chunk per heap page, and an index tree is frozen with an O(1)
 // path-copying Clone. A dirty page's new chunk stores the records the
 // window wrote and inherits every other member from the page's previous
-// chunk. The cost of a commit follows the size of the write, not the
+// chunk. The cost of a freeze follows the size of the write, not the
 // size of the database. The sharing rests on one invariant: nothing
-// reachable from a published Snapshot is mutated, and a node is writable
+// reachable from a frozen Snapshot is mutated, and a node is writable
 // only by the epoch that allocated it.
 
 // pageChunk is the frozen content of one heap page of an extent: the
@@ -116,9 +118,8 @@ func (pv *pageView[K, V]) refresh(h *storage.HeapFile, d *pageDirt, freeze func(
 // Snapshot is an immutable view of the store at one version: the data,
 // and the frozen catalog and grant table that describe it. All methods
 // are safe for concurrent use by any number of goroutines with no
-// locking: nothing reachable from a published Snapshot is ever mutated.
-// The read API mirrors Store's so the executor can run a statement
-// against either through one interface.
+// locking: nothing reachable from a frozen Snapshot is ever mutated.
+// It is the executor's one read surface.
 type Snapshot struct {
 	version uint64
 	cat     *catalog.Catalog
@@ -234,7 +235,7 @@ func (sn *Snapshot) GetVar(name string) (value.Value, error) {
 
 // IndexLookup returns the OIDs whose indexed key is in [lo, hi] as of
 // the snapshot. Every index of the snapshot's catalog has its tree
-// frozen in the snapshot: Commit freezes both from one working state.
+// frozen in the snapshot: a freeze takes both from one working state.
 func (sn *Snapshot) IndexLookup(ix *catalog.Index, lo, hi []byte, incLo, incHi bool) []oid.OID {
 	var out []oid.OID
 	sn.indexes[ix.Name].Range(lo, hi, incLo, incHi, func(_ []byte, v uint64) bool {
@@ -304,12 +305,15 @@ func (s *Store) Snapshot() *Snapshot {
 	return s.snap.Load()
 }
 
-// SetMetrics attaches the engine metrics registry; Commit then records
-// every publication: mvcc.commit.freeze (time to build and publish the
-// snapshot), mvcc.commit.dirty_objs (objects it decoded or removed),
-// mvcc.commit.dirty_pages (heap pages whose slots it walked), and the mvcc.version
-// gauge. The two counts are of work done, not of marks found, so a
-// commit that did more than its write called for shows here.
+// SetMetrics attaches the engine metrics registry; every freeze that
+// finds work then records mvcc.commit.freeze (time to build the
+// snapshot), mvcc.commit.dirty_objs (objects it decoded or removed) and
+// mvcc.commit.dirty_pages (heap pages whose slots it walked), and every
+// publication the mvcc.version gauge. A write statement freezes once
+// (in its Commit) unless it is a procedure call, whose body statements
+// each take a View. The two counts are of work done, not of marks
+// found, so a freeze that did more than its write called for shows
+// here.
 func (s *Store) SetMetrics(reg *metrics.Registry) {
 	s.obs.Store(&commitObs{
 		freeze:     reg.Histogram("mvcc.commit.freeze"),
@@ -319,8 +323,9 @@ func (s *Store) SetMetrics(reg *metrics.Registry) {
 	})
 }
 
-// commitObs is where Commit reports. It is attached, not stored state:
-// an atomic pointer, so attaching takes no lock and bumps no version.
+// commitObs is where freeze and Commit report. It is attached, not
+// stored state: an atomic pointer, so attaching takes no lock and bumps
+// no version.
 type commitObs struct {
 	freeze, dirtyObjs, dirtyPages *metrics.Histogram
 	version                       *metrics.Gauge
@@ -336,13 +341,13 @@ func dirtOf(m map[string]*pageDirt, name string) *pageDirt {
 }
 
 // markObj records that an object changed (or is about to be deleted) so
-// Commit refreshes it, and that the slot holding its record did, so
-// Commit decodes that record into its page's chunk. Call while the omap
-// entry exists and names the record's slot: after an insert, before a
-// delete, and on both sides of an update that may move the record. Every
-// write of an extent record marks its slot with the object now in it;
-// Commit relies on that to take every unmarked slot's member from the
-// previous chunk.
+// the next freeze refreshes it, and that the slot holding its record
+// did, so the freeze decodes that record into its page's chunk. Call
+// while the omap entry exists and names the record's slot: after an
+// insert, before a delete, and on both sides of an update that may move
+// the record. Every write of an extent record marks its slot with the
+// object now in it; a freeze relies on that to take every unmarked
+// slot's member from the previous chunk.
 func (s *Store) markObj(id oid.OID) {
 	s.dirtyObjs[id] = struct{}{}
 	if info, ok := s.omap[id]; ok && info.extent != "" {
@@ -372,36 +377,73 @@ func (s *Store) markElemPage(name string, pid storage.PageID) {
 func (s *Store) markVar(name string) { s.dirtyVars[name] = struct{}{} }
 func (s *Store) markIndexes()        { s.dirtyIdx = true }
 
-// Commit publishes the store's current state as a new immutable
-// snapshot: dirty objects are decoded once and path-copied into the
-// previous snapshot's object map, the dirty pages of each extent get
-// fresh chunks in its scan view, the catalog is frozen if it changed,
-// everything else is shared, and the whole bundle is installed with
-// one atomic store. No-op when nothing changed since the last commit
+// View returns the store's current state as an immutable snapshot
+// without publishing it: what changed since the last freeze is frozen on
+// top of the last frozen head, exactly as Commit would, and becomes the
+// new head. Concurrent readers keep the published snapshot; the next
+// Commit publishes the head. When nothing changed it returns the head
+// as it is, in O(1). The read phase of a write statement binds it, so
+// every statement, read or write, reads a Snapshot. The caller must hold
+// the write lock.
+//
+// extra:requires db.wmu.W
+// extra:bumps
+func (s *Store) View() (*Snapshot, error) {
+	if err := s.freeze(); err != nil {
+		return nil, err
+	}
+	return s.head, nil
+}
+
+// Commit freezes what is left unfrozen and publishes the head with one
+// atomic store. No-op when the head is already the published snapshot
 // (published reports whether a new snapshot actually went out — the WAL
-// layer logs exactly the statements that published). The caller must
-// hold the write lock (the same exclusion every mutating method
-// requires); readers never block on it — they keep their pinned
+// layer logs exactly the statements that published). However many Views
+// a write statement took, readers see one publication for it. The
+// caller must hold the write lock (the same exclusion every mutating
+// method requires); readers never block on it — they keep their pinned
 // snapshot.
 //
 // extra:requires db.wmu.W
 // extra:bumps
 func (s *Store) Commit() (published bool, err error) {
+	if err := s.freeze(); err != nil {
+		return false, err
+	}
+	if s.head == s.snap.Load() {
+		return false, nil
+	}
+	s.snap.Store(s.head)
+	if o := s.obs.Load(); o != nil {
+		o.version.Set(int64(s.head.version))
+	}
+	return true, nil
+}
+
+// freeze builds the next head from the dirty sets: dirty objects are
+// decoded once and path-copied into the head's object map, the dirty
+// pages of each extent get fresh chunks in its scan view, the catalog is
+// frozen if it changed, and everything else is shared. No-op when
+// nothing changed since the last freeze. On error the head and the
+// dirty sets are left as they were, so the next freeze redoes the work.
+//
+// extra:requires db.wmu.W
+// extra:bumps
+func (s *Store) freeze() error {
 	catEdited := s.cat.Edits() != s.catEdits
 	if len(s.dirtyObjs) == 0 && len(s.dirtyExts) == 0 && len(s.dirtyElems) == 0 &&
 		len(s.dirtyVars) == 0 && !s.dirtyIdx && !catEdited {
-		return false, nil
+		return nil
 	}
 	start := time.Now()
-	// Publication is itself a store-state change: bump so every published
+	// A freeze is itself a store-state change: bump so every frozen
 	// snapshot carries a version of its own, distinct from the working
 	// version it was built from and from every earlier snapshot.
 	s.bump()
-	prev := s.snap.Load()
+	prev := s.head
 	cat := prev.cat
 	if catEdited {
 		cat = s.cat.Freeze()
-		s.catEdits = s.cat.Edits()
 	}
 
 	// Extent members are frozen below, with the page they are on; that
@@ -421,11 +463,11 @@ func (s *Store) Commit() (published bool, err error) {
 		}
 		rec, err := s.nursery.Get(info.rid)
 		if err != nil {
-			return false, err
+			return err
 		}
 		so, err := s.freezeObj(id, info, rec)
 		if err != nil {
-			return false, err
+			return err
 		}
 		edit.set(id, so)
 	}
@@ -452,7 +494,7 @@ func (s *Store) Commit() (published bool, err error) {
 			return c, err
 		})
 		if err != nil {
-			return false, err
+			return err
 		}
 		exts[name] = es
 	}
@@ -473,7 +515,7 @@ func (s *Store) Commit() (published bool, err error) {
 			return s.freezeElemPage(h, pid)
 		})
 		if err != nil {
-			return false, err
+			return err
 		}
 		elems[name] = es
 	}
@@ -490,7 +532,7 @@ func (s *Store) Commit() (published bool, err error) {
 		}
 		v, err := s.GetVar(name)
 		if err != nil {
-			return false, err
+			return err
 		}
 		vars[name] = v
 	}
@@ -507,7 +549,7 @@ func (s *Store) Commit() (published bool, err error) {
 		}
 	}
 
-	s.snap.Store(&Snapshot{
+	s.head = &Snapshot{
 		version: s.version.Load(),
 		cat:     cat,
 		objs:    edit.done(),
@@ -515,12 +557,12 @@ func (s *Store) Commit() (published bool, err error) {
 		elems:   elems,
 		vars:    vars,
 		indexes: indexes,
-	})
+	}
+	s.catEdits = s.cat.Edits()
 	if o := s.obs.Load(); o != nil {
 		o.freeze.Observe(time.Since(start))
 		o.dirtyObjs.ObserveCount(workObjs)
 		o.dirtyPages.ObserveCount(workPages)
-		o.version.Set(int64(s.version.Load()))
 	}
 	// A fresh map, not clear: ranging over or clearing a map costs its
 	// capacity, and this one has held every object of the largest load.
@@ -529,7 +571,7 @@ func (s *Store) Commit() (published bool, err error) {
 	clear(s.dirtyElems)
 	clear(s.dirtyVars)
 	s.dirtyIdx = false
-	return true, nil
+	return nil
 }
 
 // freezeObj decodes one live object's record into its frozen snapshot

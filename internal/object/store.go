@@ -46,7 +46,10 @@ type objInfo struct {
 // working state at all — they pin the immutable Snapshot published by
 // the last Commit and read that without any locking. The database
 // layer enforces this by classifying statements: writes serialize on
-// db.wmu and call Commit when done, reads call Snapshot.
+// db.wmu, read through View and call Commit when done, reads call
+// Snapshot. The direct read methods serve a write statement's apply
+// phase, the store's own bookkeeping and the tests' oracles; no
+// statement's read phase uses them.
 type Store struct {
 	pool    *storage.BufferPool
 	cat     *catalog.Catalog
@@ -70,13 +73,16 @@ type Store struct {
 	version atomic.Uint64
 
 	// snap is the latest published immutable snapshot; readers load it
-	// once per statement and never look at the maps above. The dirty
-	// sets record what changed since the last Commit — objects, and per
-	// extent the heap pages written — so publication refreshes only
-	// touched state. They are guarded by the same write lock as the
-	// maps; snap itself is atomic.
+	// once per statement and never look at the maps above. head is the
+	// latest frozen one: snap, or a newer snapshot View froze that the
+	// next Commit publishes. The dirty sets record what changed since
+	// the last freeze — objects, and per extent the heap pages written —
+	// so a freeze refreshes only touched state. head and the dirty sets
+	// are guarded by the same write lock as the maps; snap itself is
+	// atomic.
 	snap       atomic.Pointer[Snapshot]
-	catEdits   uint64 // cat.Edits() when the published catalog was frozen
+	head       *Snapshot
+	catEdits   uint64 // cat.Edits() when head's catalog was frozen
 	dirtyObjs  map[oid.OID]struct{}
 	dirtyExts  map[string]*pageDirt
 	dirtyElems map[string]*pageDirt
@@ -116,14 +122,15 @@ func New(pool *storage.BufferPool, cat *catalog.Catalog) *Store {
 	}
 	// Publish the empty snapshot so readers of a fresh database have a
 	// valid (empty) view before the first commit.
-	s.snap.Store(&Snapshot{
+	s.head = &Snapshot{
 		cat:     cat.Freeze(),
 		objs:    &objMap{},
 		extents: map[string]*extentSnap{},
 		elems:   map[string]*elemSnap{},
 		vars:    map[string]value.Value{},
 		indexes: map[string]*storage.BTree{},
-	})
+	}
+	s.snap.Store(s.head)
 	return s
 }
 
@@ -443,13 +450,4 @@ func (s *Store) ScanExtent(extent string, fn func(id oid.OID, tv *value.Tuple) e
 		}
 		return fn(id, v.(*value.Tuple))
 	})
-}
-
-// ExtentLen returns the number of objects in an object-set extent.
-func (s *Store) ExtentLen(extent string) (int, error) {
-	h, ok := s.extents[extent]
-	if !ok {
-		return 0, fmt.Errorf("no object extent %s", extent)
-	}
-	return h.Len()
 }

@@ -135,22 +135,6 @@ func (s *Store) DeleteElem(extent string, rid storage.RID) error {
 	return h.Delete(rid)
 }
 
-// ElemLen counts the elements of a ref/value-set extent.
-func (s *Store) ElemLen(extent string) (int, error) {
-	h, ok := s.elems[extent]
-	if !ok {
-		return 0, fmt.Errorf("no element extent %s", extent)
-	}
-	return h.Len()
-}
-
-// IsElemExtent reports whether the name is a ref/value-set extent in
-// this store.
-func (s *Store) IsElemExtent(name string) bool {
-	_, ok := s.elems[name]
-	return ok
-}
-
 // IsObjectExtent reports whether the name is an object-set extent.
 func (s *Store) IsObjectExtent(name string) bool {
 	_, ok := s.extents[name]

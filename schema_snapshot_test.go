@@ -178,45 +178,6 @@ func defineHold(t *testing.T, db *DB) (entered, release chan struct{}) {
 	return entered, release
 }
 
-// TestAnalyzedSnapshotReadPoolAttribution: an EXPLAIN ANALYZE'd read is
-// stopped mid-scan while a writer on another session pins pages. The
-// read is bound to a snapshot, which pins no page, so none of the
-// writer's traffic is charged to it: every operator's pool hits and
-// misses, and the summary's, read 0.
-func TestAnalyzedSnapshotReadPoolAttribution(t *testing.T) {
-	db := mustOpen(t)
-	loadCompany(t, db)
-	entered, release := defineHold(t, db)
-	type outcome struct {
-		rep *ExplainOutput
-		err error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		rep, err := db.ExplainAnalyzeReport(`retrieve (E.name, D.dname) from E in Employees, D in Departments where E.dept is D and hold(E.age) > 0`)
-		done <- outcome{rep, err}
-	}()
-	<-entered
-	before := db.PoolStats()
-	db.NewSession().MustExec(`append to Employees (name = "Wes", age = 29, salary = 40)`)
-	if moved := db.PoolStats().Sub(before); moved.Hits+moved.Misses == 0 {
-		t.Fatal("setup: the write pinned no page")
-	}
-	close(release)
-	out := <-done
-	if out.err != nil {
-		t.Fatal(out.err)
-	}
-	for _, n := range out.rep.Plan {
-		if n.Actual.PoolHits != 0 || n.Actual.PoolMisses != 0 {
-			t.Errorf("%s charged a writer's pool traffic: %d hits, %d misses", n.Op, n.Actual.PoolHits, n.Actual.PoolMisses)
-		}
-	}
-	if sum := out.rep.Summary; sum.PoolHits != 0 || sum.PoolMisses != 0 {
-		t.Errorf("summary charged a writer's pool traffic: %d hits, %d misses", sum.PoolHits, sum.PoolMisses)
-	}
-}
-
 // TestSnapshotReadsPinNoPage pins the invariant the buffer pool's one
 // LRU under one mutex relies on: a snapshot read touches no page. Every
 // read shape of the repository benchmark's read path runs prepared and

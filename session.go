@@ -134,9 +134,10 @@ func (s *Session) Exec(src string) (*Result, error) {
 // store's latest published snapshot — data, schema and grants in one
 // atomic load — and plans and executes against it without a lock
 // (runReadStmt), so a reader never waits behind a bulk update or a DDL
-// statement and holds nothing a writer waits on. Any other batch holds the write lock throughout;
-// each statement mutates the live store, publishes a fresh snapshot
-// when it completes and is appended to the WAL (runWriteStmt), so
+// statement and holds nothing a writer waits on. Any other batch holds
+// the write lock throughout; each statement reads the store's frozen
+// view, mutates the working store, publishes a fresh snapshot when it
+// completes and is appended to the WAL (runWriteStmt), so
 // concurrent snapshot readers observe the batch statement by statement
 // and never a torn statement. The durability wait happens after the
 // lock is released: that hand-off is what lets concurrent committers
@@ -161,7 +162,6 @@ func (s *Session) run(c *stmtCall) (*Result, error) {
 				return errDBClosed
 			}
 			c.open(s)
-			c.es.BindLive()
 		}
 		return s.labeled(kind, func() error {
 			for _, st := range c.stmts {
@@ -205,8 +205,10 @@ func (s *Session) run(c *stmtCall) (*Result, error) {
 	return last, nil
 }
 
-// runWriteStmt runs one statement of a write batch, publishes the
-// resulting store snapshot, and appends the statement to the WAL.
+// runWriteStmt runs one statement of a write batch — its reads bound to
+// the store's frozen view of every earlier statement's writes, its
+// writes to the working store —, publishes the resulting store
+// snapshot, and appends the statement to the WAL.
 // Publication happens even when the statement errors: the engine has no
 // rollback, so whatever the statement wrote before failing is live
 // state and must become visible to snapshot readers exactly as it is to
@@ -228,6 +230,7 @@ func (s *Session) runWriteStmt(c *stmtCall, st ast.Statement) (*Result, error) {
 	if rerr != nil {
 		return nil, rerr
 	}
+	c.es.BindLive()
 	r, err := s.runStmt(c, st)
 	freeze := c.tr.Active().StartSpan(trace.KindStorage, "commit.freeze")
 	published, cerr := db.store.Commit()
@@ -279,12 +282,10 @@ func (s *Session) runReadStmt(c *stmtCall, st ast.Statement) (*Result, error) {
 }
 
 // analysis is what EXPLAIN ANALYZE keeps of a retrieve's instrumented
-// run: the private plan clone carrying the runtime actuals, and the
-// buffer-pool traffic that bracketed it.
+// run: the private plan clone carrying the runtime actuals.
 type analysis struct {
 	plan       *algebra.Plan
 	aggregated bool
-	pool       PoolStats
 }
 
 // compiledRetrieve is a retrieve ready to run: its checked form, plan
@@ -302,9 +303,7 @@ type compiledRetrieve struct {
 // is bound to — on the read path no engine lock is held, so however
 // long the scan runs, writers proceed.
 // Sampled statements and EXPLAIN ANALYZE run instrumented: the plan's
-// runtime actuals become operator spans and the pool counter delta
-// becomes storage attribution after the run; a State bound to a
-// snapshot pins no page and reads the delta as 0. EnableRuntime
+// runtime actuals become operator spans after the run. EnableRuntime
 // mutates the plan, and cached plans are shared by concurrent
 // statements, so the instrumented run uses a private clone; the clone
 // keeps the nodes' positions, so it runs the program compiled for the
@@ -313,14 +312,12 @@ type compiledRetrieve struct {
 func (s *Session) execPlan(c *stmtCall, cr compiledRetrieve) (*Result, error) {
 	plan := cr.plan
 	var rt *algebra.PlanRuntime
-	var poolBase PoolStats
 	if c.tr.Sampled() || c.analysis != nil {
 		plan = plan.Clone()
 		if cr.lifted {
 			plan.Args = cr.frame
 		}
 		rt = plan.EnableRuntime()
-		poolBase = c.es.PoolStats()
 	}
 	pt := c.tr.StartPhase(trace.PhaseExecute)
 	if cr.frame != nil {
@@ -331,12 +328,11 @@ func (s *Session) execPlan(c *stmtCall, cr compiledRetrieve) (*Result, error) {
 		c.es.PopParams()
 	}
 	if rt != nil {
-		delta := c.es.PoolStats().Sub(poolBase)
 		if c.tr.Sampled() {
-			addRetrieveSpans(&c.tr, pt, plan, rt, delta)
+			addRetrieveSpans(&c.tr, pt, plan, rt)
 		}
 		if c.analysis != nil {
-			*c.analysis = analysis{plan: plan, aggregated: cr.cq.Aggregated, pool: delta}
+			*c.analysis = analysis{plan: plan, aggregated: cr.cq.Aggregated}
 		}
 	}
 	c.tr.EndPhase(pt)
@@ -512,15 +508,16 @@ func (s *Session) MustQuery(src string) *Result {
 
 // runStmt dispatches one statement of a write batch (or a procedure
 // body, whose call carries the procedure frame and an unsampled trace of
-// its own) through the call's execution state, reading and mutating the
-// live store. Callers hold the write lock for the whole call; the
+// its own) through the call's execution state, which the caller bound
+// with BindLive: it reads the store's frozen view and mutates the
+// working store. Callers hold the write lock for the whole call; the
 // dispatch annotation keeps the lock checker cross-checking the arms
 // against lint.StmtClass so a new statement kind cannot be dispatched
 // without being classified. Read-only retrieves never arrive here from
 // the entry points (they take runReadStmt's snapshot path); the
 // Retrieve arm serves mixed batches, retrieve-into and procedure
-// bodies, all of which must see the batch's own earlier uncommitted
-// writes.
+// bodies, all of which see the earlier statements' writes through the
+// view.
 //
 // extra:requires db.wmu.W
 // extra:dispatch db.wmu sema.ReadOnly
@@ -690,7 +687,10 @@ func withParams[T any](es *exec.State, params *paramScope, fn func() (T, error))
 }
 
 // runExecute evaluates a procedure invocation: the body runs once per
-// binding of the from/where clause with arguments as parameters.
+// binding of the from/where clause with arguments as parameters. Each
+// body statement binds a fresh view, so it reads what the earlier ones
+// (and earlier runs of the body) wrote; the invocation still publishes
+// once, when runWriteStmt commits it.
 //
 // extra:requires db.wmu.W
 func (s *Session) runExecute(c *stmtCall, stmt *ast.Execute) error {
@@ -720,6 +720,7 @@ func (s *Session) runExecute(c *stmtCall, stmt *ast.Execute) error {
 		return es.Execute(ce, func(frame []value.Value) error {
 			body.params = &paramScope{frame: pframe, values: frame}
 			for _, bodyStmt := range ce.Proc.Body {
+				es.BindLive()
 				if _, err := s.runStmt(&body, bodyStmt); err != nil {
 					return fmt.Errorf("procedure %s: %w", ce.Proc.Name, err)
 				}

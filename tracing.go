@@ -81,16 +81,13 @@ func (db *DB) finishTrace(sid int64, user, src, kind string, tr *trace.StmtTrace
 
 // addRetrieveSpans converts an instrumented retrieve's runtime actuals
 // into spans under the (still open) execute phase: one operator span
-// per plan node, nested to mirror the nested-iteration pipeline, plus
-// storage spans attributing buffer-pool traffic and object fetches.
+// per plan node, nested to mirror the nested-iteration pipeline, plus a
+// storage span counting object fetches.
 //
 // A node's span duration is its own self time plus everything inner —
 // the pipeline's cumulative cost from that node down — matching how the
-// operators actually contain each other at run time. The pool delta
-// comes from the pool's atomic counters bracketing the run: under
-// concurrent statements a neighbour's traffic can bleed into it, the
-// documented price of keeping Pin unhooked (see DESIGN.md §9).
-func addRetrieveSpans(tr *trace.StmtTrace, pt trace.PhaseTimer, plan *algebra.Plan, rt *algebra.PlanRuntime, delta PoolStats) {
+// operators actually contain each other at run time.
+func addRetrieveSpans(tr *trace.StmtTrace, pt trace.PhaseTimer, plan *algebra.Plan, rt *algebra.PlanRuntime) {
 	a := tr.Active()
 	execSpan := pt.Span()
 	start := pt.Start()
@@ -105,23 +102,12 @@ func addRetrieveSpans(tr *trace.StmtTrace, pt trace.PhaseTimer, plan *algebra.Pl
 		a.AttrInt(sp, "loops", nr.Loops)
 		a.AttrInt(sp, "rows_in", nr.RowsIn)
 		a.AttrInt(sp, "rows_out", nr.RowsOut)
-		a.AttrInt(sp, "pool_hits", int64(nr.PoolHits))
-		a.AttrInt(sp, "pool_misses", int64(nr.PoolMisses))
 		if plan.Nodes[i].Hash != nil {
 			a.AttrInt(sp, "hash_probes", nr.HashProbes)
 			a.AttrInt(sp, "hash_hits", nr.HashHits)
 		}
 		parent = sp
 	}
-	sp := a.AddSpan(execSpan, trace.KindStorage, "buffer pool", start, 0)
-	a.AttrInt(sp, "hits", int64(delta.Hits))
-	a.AttrInt(sp, "misses", int64(delta.Misses))
-	if delta.Evictions > 0 {
-		a.AttrInt(sp, "evictions", int64(delta.Evictions))
-	}
-	if delta.WriteBacks > 0 {
-		a.AttrInt(sp, "writebacks", int64(delta.WriteBacks))
-	}
-	sp = a.AddSpan(execSpan, trace.KindStorage, "derefs", start, 0)
+	sp := a.AddSpan(execSpan, trace.KindStorage, "derefs", start, 0)
 	a.AttrInt(sp, "count", rt.DerefMisses)
 }
