@@ -118,6 +118,70 @@ func TestCompiledInterpretedCorpus(t *testing.T) {
 		})
 	})
 
+	// The path kernel reads fields in one loop and dereferences refs in
+	// it: the int lane through a dangling ref, a two-ref chain with a
+	// dangling or nil hop, a subtype reached by ref (a StudentEmp's year
+	// is read by name), and a range over a ref set filtered on an int
+	// attribute. One department and one student are deleted; Dee has no
+	// refs.
+	t.Run("path kernel", func(t *testing.T) {
+		db := mustOpen(t)
+		db.MustExec(`
+			define type Person: ( name: varchar, age: int4 )
+			define type Department: ( dname: varchar, floor: int4 )
+			define type Employee inherits Person: ( salary: int4, dept: ref Department )
+			define type Student inherits Person: ( gpa: float8, year: int4 )
+			define type StudentEmp inherits Employee, Student: ( hours: int4 )
+			define type Advisor: ( aname: varchar, advisee: ref Student, boss: ref Employee, mentees: { ref Student } )
+			create Departments : { own Department }
+			create Employees : { own Employee }
+			create Students : { own Student }
+			create StudentEmps : { own StudentEmp }
+			create Advisors : { own Advisor }
+		`)
+		db.MustExec(`
+			append to Departments (dname = "Toys", floor = 2)
+			append to Departments (dname = "Shoes", floor = 3)
+			append to Employees (name = "Eve", age = 40, salary = 50, dept = D) from D in Departments where D.dname = "Toys"
+			append to Employees (name = "Fay", age = 35, salary = 60, dept = D) from D in Departments where D.dname = "Shoes"
+			append to Employees (name = "Gus", age = 50, salary = 70)
+			append to StudentEmps (name = "Pat", age = 22, salary = 10, dept = D, gpa = 3.5, year = 4, hours = 20) from D in Departments where D.dname = "Toys"
+			append to StudentEmps (name = "Quin", age = 9, salary = 5, dept = D, gpa = 2.5, year = 1, hours = 8) from D in Departments where D.dname = "Shoes"
+			append to Students (name = "Sam", age = 20, gpa = 3.1, year = 2)
+			append to Students (name = "Gone", age = 30, gpa = 2.0, year = 3)
+			append to Advisors (aname = "Ada", advisee = S, boss = E) from S in StudentEmps, E in Employees where S.name = "Pat" and E.name = "Eve"
+			append to Advisors (aname = "Bob", advisee = S, boss = E) from S in Students, E in Employees where S.name = "Sam" and E.name = "Fay"
+			append to Advisors (aname = "Cy", advisee = S, boss = E) from S in Students, E in Employees where S.name = "Gone" and E.name = "Gus"
+			append to Advisors (aname = "Dee")
+			append to Advisors (aname = "Eli", advisee = S, boss = B) from S in StudentEmps, B in StudentEmps where S.name = "Quin" and B.name = "Pat"
+			append to A.mentees (S) from A in Advisors, S in StudentEmps where A.aname = "Bob" or A.aname = "Eli"
+			append to A.mentees (S) from A in Advisors, S in Students where A.aname = "Bob" or A.aname = "Cy"
+			delete D from D in Departments where D.dname = "Shoes"
+			delete S from S in Students where S.name = "Gone"
+		`)
+		oracleCorpus(t, db, []string{
+			// Int-lane filters through a dangling or nil ref.
+			`retrieve (A.aname) from A in Advisors where A.advisee.age > 10`,
+			`retrieve (A.aname) from A in Advisors where not (A.advisee.age > 10)`,
+			// A two-ref chain with a dangling or nil hop: as a target, in
+			// an or filter, in arithmetic.
+			`retrieve (A.aname, f = A.boss.dept.floor) from A in Advisors`,
+			`retrieve (A.aname) from A in Advisors where A.boss.dept.floor = 2 or A.advisee.age < 21`,
+			`retrieve (A.aname, x = A.boss.dept.floor * 10 + A.boss.age) from A in Advisors`,
+			`retrieve (A.aname) from A in Advisors where A.boss.salary + A.advisee.age > 30`,
+			// A subtype reached by ref, in the int lane: a StudentEmp's
+			// year sits elsewhere than a Student's.
+			`retrieve (A.aname, y = A.advisee.year) from A in Advisors where A.advisee.year > 1`,
+			`retrieve (S.name) from S in StudentEmps where S.dept.floor = 2`,
+			`retrieve (S.name, t = S.salary + S.hours) from S in StudentEmps where S.salary + S.hours > 10`,
+			`retrieve (A.aname, h = A.boss.dept.floor) from A in Advisors where A.boss.salary < 20`,
+			// A range over a ref set filtered on an int attribute.
+			`retrieve (A.aname, S.name) from A in Advisors, S in A.mentees where S.age > 15`,
+			`retrieve (A.aname, S.name, S.year) from A in Advisors, S in A.mentees where S.year + 1 > 2`,
+			`retrieve (A.aname, S.name, S.age) from A in Advisors, S in A.mentees where S.age - 10 < A.advisee.age`,
+		})
+	})
+
 	t.Run("function arguments", func(t *testing.T) {
 		db := mustOpen(t)
 		loadNodes(t, db)

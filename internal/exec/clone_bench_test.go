@@ -17,7 +17,7 @@ func BenchmarkBindingClone(b *testing.B) {
 			src := newBinding()
 			for i := 0; i < nvars; i++ {
 				v := &sema.Var{Name: fmt.Sprintf("v%d", i), Slot: i}
-				src.bind(v, value.NewInt(int64(i)), prov{})
+				src.bind(v, value.NewInt(int64(i)), slot{})
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -20,9 +20,9 @@ import (
 //     uses to fold index keys) are evaluated once and become a
 //     load-of-value;
 //   - variable reads index the binding's slot slice directly with the
-//     slot number captured in the closure (sema.Var.Slot); a path that
-//     starts with an attribute of an object variable reads the bound
-//     tuple, so the object is boxed only where it is read whole;
+//     slot number captured in the closure (sema.Var.Slot); a path over
+//     an object variable starts at the bound tuple (compilePath), so the
+//     object is boxed only where it is read whole;
 //   - attribute steps read the field at the position the attribute has
 //     in the static tuple type, falling back to the name lookup only
 //     when the runtime tuple has another type (a subtype reached
@@ -414,7 +414,7 @@ func compile(e sema.Expr) (fn compiledExpr, cv value.Value, isConst bool) {
 		return constFn(x.Val), x.Val, true
 
 	case *sema.VarRef:
-		return readVar(x.Var, true), nil, false
+		return readVar(x.Var), nil, false
 
 	case *sema.ParamRef:
 		return func(ex *State, _ *evalCtx) (value.Value, error) {
@@ -422,32 +422,7 @@ func compile(e sema.Expr) (fn compiledExpr, cv value.Value, isConst bool) {
 		}, nil, false
 
 	case *sema.PathExpr:
-		bf, _, _ := compile(x.Base)
-		if vr, ok := x.Base.(*sema.VarRef); ok && len(x.Steps) > 0 && x.Steps[0].Attr != "" {
-			bf = readVar(vr.Var, false)
-		}
-		steps := resolveSteps(x.Base.Type(), x.Steps, func(e sema.Expr) compiledExpr {
-			f, _, _ := compile(e)
-			return f
-		})
-		baseMulti := x.Base.Multi()
-		return func(ex *State, ctx *evalCtx) (value.Value, error) {
-			cur, err := bf(ex, ctx)
-			if err != nil {
-				return nil, err
-			}
-			multi := baseMulti
-			for i := range steps {
-				cur, multi, err = ex.applyStep(ctx, cur, multi, &steps[i])
-				if err != nil {
-					return nil, err
-				}
-				if value.IsNull(cur) {
-					return value.Null{}, nil
-				}
-			}
-			return cur, nil
-		}, nil, false
+		return compilePath(x), nil, false
 
 	case *sema.Unary:
 		return compileUnary(x)
@@ -604,20 +579,85 @@ func compileTupleCtor(t *sema.TupleCtor) compiledExpr {
 	}
 }
 
-// readVar compiles a read of a range variable's slot. whole boxes an
-// object binding into its value.Object; otherwise the binding reads as
-// its tuple, which is all a path whose first step is an attribute needs.
-func readVar(v *sema.Var, whole bool) compiledExpr {
-	slot, name := v.Slot, v.Name
+// readVar compiles a read of a range variable's slot, boxing an object
+// binding into its value.Object: the variable is read whole.
+func readVar(v *sema.Var) compiledExpr {
+	i, name := v.Slot, v.Name
 	return func(_ *State, ctx *evalCtx) (value.Value, error) {
-		b := ctx.b
-		if slot < len(b.used) && b.used[slot] {
-			if tv := b.provs[slot].tup; tv != nil && !whole {
-				return tv, nil
-			}
-			return b.val(slot), nil
+		if b := ctx.b; i < len(b.used) && b.used[i] {
+			return b.val(i), nil
 		}
 		return nil, fmt.Errorf("variable %s not bound", name)
+	}
+}
+
+// compilePath compiles a path to one loop, the field-read kernel of the
+// per-row pipeline. A path over a range variable starts at its slot's
+// tuple, unboxed; an attribute step of a tuple reads the field at its
+// static position (stepProg.field); a reference is dereferenced against
+// the snapshot and its target's field read in the same iteration. Only
+// collection fan-out, index steps and other shapes go through applyStep.
+// A null or dangling hop ends the path in null.
+func compilePath(x *sema.PathExpr) compiledExpr {
+	vr, isVar := x.Base.(*sema.VarRef)
+	var bf compiledExpr // the base, when it is not a variable
+	if !isVar || len(x.Steps) == 0 {
+		bf, _, _ = compile(x.Base)
+		if len(x.Steps) == 0 {
+			return bf
+		}
+	}
+	i, name := -1, ""
+	if isVar {
+		i, name = vr.Var.Slot, vr.Var.Name
+	}
+	steps := resolveSteps(x.Base.Type(), x.Steps, func(e sema.Expr) compiledExpr {
+		f, _, _ := compile(e)
+		return f
+	})
+	return func(ex *State, ctx *evalCtx) (value.Value, error) {
+		var cur value.Value
+		var err error
+		if bf == nil {
+			b := ctx.b
+			if i >= len(b.used) || !b.used[i] {
+				return nil, fmt.Errorf("variable %s not bound", name)
+			}
+			if cur = b.vals[i]; b.slots[i].tup != nil {
+				cur = b.slots[i].tup
+			}
+		} else if cur, err = bf(ex, ctx); err != nil {
+			return nil, err
+		}
+		for k := range steps {
+			st := &steps[k]
+			if st.index != nil {
+				cur, err = ex.applyStep(ctx, cur, st)
+			} else {
+				switch c := cur.(type) {
+				case *value.Tuple:
+					cur = st.field(c)
+				case value.Ref:
+					tv, live, derr := ex.derefGet(c.OID)
+					if derr != nil {
+						return nil, derr
+					}
+					if !live {
+						return value.Null{}, nil
+					}
+					cur = st.field(tv)
+				default:
+					cur, err = ex.applyStep(ctx, cur, st)
+				}
+			}
+			if err != nil {
+				return nil, err
+			}
+			if value.IsNull(cur) {
+				return value.Null{}, nil
+			}
+		}
+		return cur, nil
 	}
 }
 

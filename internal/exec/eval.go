@@ -45,18 +45,18 @@ func (ex *State) materializeExtent(name string) (value.Value, error) {
 // applyStep applies one step of a compiled path, mapping over
 // collections (multi-valued path semantics: stepping through a set maps
 // and flattens one level).
-func (ex *State) applyStep(ctx *evalCtx, cur value.Value, multi bool, st *stepProg) (value.Value, bool, error) {
+func (ex *State) applyStep(ctx *evalCtx, cur value.Value, st *stepProg) (value.Value, error) {
 	if value.IsNull(cur) {
-		return value.Null{}, multi, nil
+		return value.Null{}, nil
 	}
 	// An attribute step applied to a collection maps over its elements.
 	if st.attr != "" {
 		if elems, isColl := elemsOf(cur); isColl {
 			out := &value.Set{}
 			for _, e := range elems {
-				r, _, err := ex.applyStep(ctx, e, false, st)
+				r, err := ex.applyStep(ctx, e, st)
 				if err != nil {
-					return nil, false, err
+					return nil, err
 				}
 				if value.IsNull(r) {
 					continue
@@ -67,11 +67,11 @@ func (ex *State) applyStep(ctx *evalCtx, cur value.Value, multi bool, st *stepPr
 					out.Elems = append(out.Elems, r)
 				}
 			}
-			return out, true, nil
+			return out, nil
 		}
 	}
 	nv, _, err := ex.stepOnce(ctx, cur, collOwner{}, st, false)
-	return nv, multi, err
+	return nv, err
 }
 
 // deobject converts runtime Objects to plain tuples for value contexts

@@ -155,29 +155,36 @@ func (ex *Executor) SetMetrics(reg *metrics.Registry) {
 	ex.cExprCompile = reg.Counter("expr.compile.count")
 }
 
-// prov records where a binding's value lives, for update statements. An
-// object binding also carries its tuple here and leaves its value nil:
-// the value.Object is boxed only where the variable is read whole.
+// prov is the location of a nested collection element, for update
+// statements: the object or database variable that owns the collection,
+// the path from the owner to it, and the element's position there.
 type prov struct {
-	oid       oid.OID      // identity, when the binding is an object
-	tup       *value.Tuple // the object's tuple, when the binding is an object
-	extent    string       // extent name for extent-variable bindings
-	rid       storage.RID  // element record for ref/value-set extents
-	parentOID oid.OID      // nested: owning object of the collection
-	parentVar string       // nested: owning database variable
-	steps     []sema.Step  // nested: path from owner to the collection
-	elemIdx   int          // nested: position within the collection
+	parentOID oid.OID
+	parentVar string
+	steps     []sema.Step
+	elemIdx   int
 }
 
-// binding holds the current value and provenance of each range variable,
-// indexed by the variable's checker-assigned slot (sema.Var.Slot).
-// Slot-indexed slices replace the earlier map[*sema.Var] representation:
-// a variable read is one bounds check and an index instead of a pointer
-// hash, a clone is three memcpys, and compiled expressions (compile.go)
-// bake the slot index into their closures.
+// slot is what a binding holds for one variable beside its value: an
+// object binding's identity and tuple (its value stays nil, so the
+// value.Object is boxed only where the variable is read whole), an
+// element-extent binding's record, and, in a write statement only, a
+// nested element's location.
+type slot struct {
+	oid oid.OID
+	tup *value.Tuple
+	rid storage.RID
+	loc *prov
+}
+
+// binding holds the current value and slot of each range variable,
+// indexed by the variable's checker-assigned slot (sema.Var.Slot). A
+// variable read is one bounds check and an index, a clone is three
+// memcpys, and compiled expressions (compile.go) bake the slot index
+// into their closures.
 type binding struct {
 	vals  []value.Value
-	provs []prov
+	slots []slot
 	used  []bool
 }
 
@@ -194,58 +201,65 @@ func newBinding() *binding {
 // release drops the binding's element references (so a pooled binding
 // never pins store objects) and returns it to the pool, keeping the
 // slice capacity. The caller must not touch the binding afterwards;
-// clones are unaffected (they own their slices, and provenance step
+// clones are unaffected (they own their slices, and location step
 // slices are never mutated in place).
 func (b *binding) release() {
-	for i := range b.vals {
-		b.vals[i] = nil
-		b.provs[i] = prov{}
-		b.used[i] = false
-	}
+	clear(b.vals)
+	clear(b.slots)
+	clear(b.used)
 	b.vals = b.vals[:0]
-	b.provs = b.provs[:0]
+	b.slots = b.slots[:0]
 	b.used = b.used[:0]
 	bindingPool.Put(b)
 }
 
-// grow extends the slot slices to cover slot.
-func (b *binding) grow(slot int) {
-	for len(b.vals) <= slot {
+// grow extends the slot slices to cover slot i.
+func (b *binding) grow(i int) {
+	for len(b.vals) <= i {
 		b.vals = append(b.vals, nil)
-		b.provs = append(b.provs, prov{})
+		b.slots = append(b.slots, slot{})
 		b.used = append(b.used, false)
 	}
 }
 
-// bind sets a variable's value and provenance.
-func (b *binding) bind(v *sema.Var, val value.Value, pr prov) {
+// bind sets a variable's value and slot.
+func (b *binding) bind(v *sema.Var, val value.Value, s slot) {
 	b.grow(v.Slot)
 	b.vals[v.Slot] = val
-	b.provs[v.Slot] = pr
+	b.slots[v.Slot] = s
 	b.used[v.Slot] = true
 }
 
-// unbind clears a variable's slot.
+// unbind marks a variable's slot unbound. Every read checks the mark,
+// and the next bind overwrites what the slot still holds; release
+// clears it.
 func (b *binding) unbind(v *sema.Var) {
-	if v.Slot < len(b.vals) {
-		b.vals[v.Slot] = nil
-		b.provs[v.Slot] = prov{}
+	if v.Slot < len(b.used) {
 		b.used[v.Slot] = false
 	}
 }
 
-// val returns the value bound in slot, boxing an object binding.
-func (b *binding) val(slot int) value.Value {
-	if pr := &b.provs[slot]; pr.tup != nil {
-		return value.Object{OID: pr.oid, Tuple: pr.tup}
+// val returns the value bound in slot i, boxing an object binding.
+func (b *binding) val(i int) value.Value {
+	if s := &b.slots[i]; s.tup != nil {
+		return value.Object{OID: s.oid, Tuple: s.tup}
 	}
-	return b.vals[slot]
+	return b.vals[i]
 }
 
-// getProv returns a variable's provenance (the zero prov when unbound).
-func (b *binding) getProv(v *sema.Var) prov {
-	if v.Slot < len(b.provs) {
-		return b.provs[v.Slot]
+// getSlot returns a bound variable's slot (the zero slot when unbound).
+func (b *binding) getSlot(v *sema.Var) slot {
+	if v.Slot < len(b.used) && b.used[v.Slot] {
+		return b.slots[v.Slot]
+	}
+	return slot{}
+}
+
+// location returns a bound variable's nested location; the zero location
+// when it has none (an extent member, or a read statement's binding).
+func (s slot) location() prov {
+	if s.loc != nil {
+		return *s.loc
 	}
 	return prov{}
 }
@@ -253,7 +267,7 @@ func (b *binding) getProv(v *sema.Var) prov {
 func (b *binding) clone() *binding {
 	n := bindingPool.Get().(*binding)
 	n.vals = append(n.vals[:0], b.vals...)
-	n.provs = append(n.provs[:0], b.provs...)
+	n.slots = append(n.slots[:0], b.slots...)
 	n.used = append(n.used[:0], b.used...)
 	return n
 }
@@ -286,7 +300,7 @@ func (ex *State) pass(ctx *evalCtx, conjs []compiledExpr) (bool, error) {
 // so a variable enumerated once per outer binding (an inner extent
 // rescan) builds them once per run, not once per row.
 type sink struct {
-	emit func(value.Value, prov) error
+	emit func(value.Value, slot) error
 	obj  func(oid.OID, *value.Tuple) error
 	elem func(storage.RID, value.Value) error
 }
@@ -428,12 +442,12 @@ func (r *runner) enumerate(i int) error {
 
 // nodeEmit builds node i's emit: bind the variable, apply the node's
 // filter, run the next node, unbind.
-func (r *runner) nodeEmit(i int) func(value.Value, prov) error {
+func (r *runner) nodeEmit(i int) func(value.Value, slot) error {
 	ex, ctx, v := r.ex, &r.ctx, r.plan.Nodes[i].Var
 	filter := r.prog.nodes[i].filter
 	if r.plan.Runtime == nil {
-		return func(val value.Value, pr prov) error {
-			ctx.b.bind(v, val, pr)
+		return func(val value.Value, s slot) error {
+			ctx.b.bind(v, val, s)
 			ok, err := ex.pass(ctx, filter)
 			if err == nil && ok {
 				err = r.runNode(i + 1)
@@ -443,9 +457,9 @@ func (r *runner) nodeEmit(i int) func(value.Value, prov) error {
 		}
 	}
 	rt, nr := &r.plan.Runtime.Nodes[i], &r.nodes[i]
-	return func(val value.Value, pr prov) error {
+	return func(val value.Value, s slot) error {
 		rt.RowsIn++
-		ctx.b.bind(v, val, pr)
+		ctx.b.bind(v, val, s)
 		ok, err := ex.pass(ctx, filter)
 		if err == nil && ok {
 			rt.RowsOut++
@@ -502,10 +516,10 @@ func (r *runner) forAll(j int) error {
 	return r.ex.enumerate(&r.ctx, r.plan.Universal[j], nil, nil, &r.prog.universal[j], &r.univ[j])
 }
 
-func (r *runner) universalEmit(j int) func(value.Value, prov) error {
+func (r *runner) universalEmit(j int) func(value.Value, slot) error {
 	b, v := r.ctx.b, r.plan.Universal[j]
-	return func(val value.Value, pr prov) error {
-		b.bind(v, val, pr)
+	return func(val value.Value, s slot) error {
+		b.bind(v, val, s)
 		err := r.forAll(j + 1)
 		b.unbind(v)
 		return err
@@ -535,25 +549,24 @@ func (ex *State) enumerate(ctx *evalCtx, v *sema.Var, ix *algebra.AccessPath, ke
 					if !ok {
 						continue
 					}
-					if err := s.emit(nil, prov{oid: id, tup: tv, extent: v.Extent}); err != nil {
+					if err := s.emit(nil, slot{oid: id, tup: tv}); err != nil {
 						return err
 					}
 				}
 				return nil
 			}
 			if s.obj == nil {
-				emit, extent := s.emit, v.Extent
+				emit := s.emit
 				s.obj = func(id oid.OID, tv *value.Tuple) error {
-					return emit(nil, prov{oid: id, tup: tv, extent: extent})
+					return emit(nil, slot{oid: id, tup: tv})
 				}
 			}
 			return r.ScanExtent(v.Extent, s.obj)
 		}
 		if r.IsElemExtent(v.Extent) {
 			if s.elem == nil {
-				emit, extent := s.emit, v.Extent
+				emit := s.emit
 				s.elem = func(rid storage.RID, ev value.Value) error {
-					pr := prov{extent: extent, rid: rid}
 					if r, isRef := ev.(value.Ref); isRef {
 						tv, ok, err := ex.derefGet(r.OID)
 						if err != nil {
@@ -562,10 +575,9 @@ func (ex *State) enumerate(ctx *evalCtx, v *sema.Var, ix *algebra.AccessPath, ke
 						if !ok {
 							return nil // dangling membership reads as absent
 						}
-						pr.oid, pr.tup = r.OID, tv
-						return emit(nil, pr)
+						return emit(nil, slot{oid: r.OID, tup: tv, rid: rid})
 					}
-					return emit(ev, pr)
+					return emit(ev, slot{rid: rid})
 				}
 			}
 			return r.ScanElems(v.Extent, s.elem)
@@ -595,20 +607,24 @@ type collOwner struct {
 func (ex *State) nestStart(ctx *evalCtx, v *sema.Var, vp *varProgram) (value.Value, collOwner, error) {
 	switch v.Kind {
 	case sema.VarNested:
-		// An object parent starts the walk at its tuple, unboxed.
-		b, slot := ctx.b, v.Parent.Slot
-		if slot >= len(b.used) || !b.used[slot] {
+		// An object parent starts the walk at its tuple, unboxed; a parent
+		// without a location (a read statement's) has no owner.
+		b, i := ctx.b, v.Parent.Slot
+		if i >= len(b.used) || !b.used[i] {
 			return nil, collOwner{}, fmt.Errorf("parent of %s not bound", v.Name)
 		}
-		pr := &b.provs[slot]
-		if pr.tup != nil {
-			return pr.tup, collOwner{oid: pr.oid}, nil
+		ps := &b.slots[i]
+		if ps.tup != nil {
+			return ps.tup, collOwner{oid: ps.oid}, nil
 		}
-		pv := b.vals[slot]
+		pv := b.vals[i]
 		if o, isObj := pv.(value.Object); isObj {
 			return pv, collOwner{oid: o.OID}, nil
 		}
-		return pv, collOwner{oid: pr.parentOID, dbvar: pr.parentVar}, nil
+		if ps.loc == nil {
+			return pv, collOwner{}, nil
+		}
+		return pv, collOwner{oid: ps.loc.parentOID, dbvar: ps.loc.parentVar}, nil
 	case sema.VarExprPath:
 		val, err := vp.base(ex, ctx)
 		if err != nil {
@@ -633,9 +649,9 @@ func (ex *State) nestStart(ctx *evalCtx, v *sema.Var, vp *varProgram) (value.Val
 // boundaries), then emits each element. A collection in the middle of
 // the path fans out over its elements when the next step is an
 // attribute step; an index step applies to the collection itself. Only
-// a write statement records the owner's steps: update provenance is all
-// they are for.
-func (ex *State) walkCollection(ctx *evalCtx, cur value.Value, owner collOwner, steps []stepProg, emit func(value.Value, prov) error) error {
+// a write statement records the owner's steps and gives each element its
+// location: update statements are all they are for.
+func (ex *State) walkCollection(ctx *evalCtx, cur value.Value, owner collOwner, steps []stepProg, emit func(value.Value, slot) error) error {
 	track := ex.write
 	for si := range steps {
 		var err error
@@ -676,7 +692,10 @@ func (ex *State) walkCollection(ctx *evalCtx, cur value.Value, owner collOwner, 
 		return fmt.Errorf("path does not end in a collection (got %T)", cur)
 	}
 	for idx, e := range coll {
-		pr := prov{parentOID: owner.oid, parentVar: owner.dbvar, steps: owner.steps, elemIdx: idx}
+		var s slot
+		if track {
+			s.loc = &prov{parentOID: owner.oid, parentVar: owner.dbvar, steps: owner.steps, elemIdx: idx}
+		}
 		ev := e
 		if r, isRef := e.(value.Ref); isRef {
 			tv, live, err := ex.derefGet(r.OID)
@@ -686,9 +705,9 @@ func (ex *State) walkCollection(ctx *evalCtx, cur value.Value, owner collOwner, 
 			if !live {
 				continue
 			}
-			pr.oid, pr.tup, ev = r.OID, tv, nil
+			s.oid, s.tup, ev = r.OID, tv, nil
 		}
-		if err := emit(ev, pr); err != nil {
+		if err := emit(ev, s); err != nil {
 			return err
 		}
 	}
@@ -699,7 +718,7 @@ func (ex *State) walkCollection(ctx *evalCtx, cur value.Value, owner collOwner, 
 // first if needed and tracking the collection owner; ctx binds the
 // variables an index expression reads. A dereference hands the step the
 // fetched tuple itself, so no value.Object is boxed for it. track guards
-// the owner-steps provenance bookkeeping: only update paths consume it,
+// the owner-steps location bookkeeping: only update paths consume it,
 // and the per-step slice copy is the dominant allocation of a path walk
 // when left on.
 func (ex *State) stepOnce(ctx *evalCtx, cur value.Value, owner collOwner, st *stepProg, track bool) (value.Value, collOwner, error) {

@@ -11,10 +11,10 @@ import (
 )
 
 // joinEntry is one build-side row of a join table: the bound value plus
-// its provenance, exactly what enumerate would have emitted.
+// its slot, exactly what enumerate would have emitted.
 type joinEntry struct {
 	val value.Value
-	pr  prov
+	s   slot
 }
 
 // joinTable is the materialized build side of a hash-join node. Rows are
@@ -123,8 +123,8 @@ func (ex *State) buildJoinTable(n *algebra.Node, np *nodeProgram, keys *algebra.
 	b := newBinding()
 	defer b.release()
 	ctx := &evalCtx{b: b}
-	s := sink{emit: func(v value.Value, pr prov) error {
-		b.bind(n.Var, v, pr)
+	s := sink{emit: func(v value.Value, vs slot) error {
+		b.bind(n.Var, v, vs)
 		defer b.unbind(n.Var)
 		if ok, err := ex.pass(ctx, np.local); err != nil || !ok {
 			return err
@@ -133,7 +133,7 @@ func (ex *State) buildJoinTable(n *algebra.Node, np *nodeProgram, keys *algebra.
 		if err != nil {
 			return err
 		}
-		e := joinEntry{val: v, pr: pr}
+		e := joinEntry{val: v, s: vs}
 		switch key, st := ex.joinKey(n.Hash, kv); st {
 		case keyOK:
 			t.groups[key] = append(t.groups[key], e)
@@ -180,7 +180,7 @@ func (r *runner) hashProbe(i int) error {
 	send := func(entries []joinEntry) error {
 		for _, e := range entries {
 			t.hits++
-			if err := nr.emit(e.val, e.pr); err != nil {
+			if err := nr.emit(e.val, e.s); err != nil {
 				return err
 			}
 		}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/excess/sema"
 	"repro/internal/oid"
+	"repro/internal/storage"
 	"repro/internal/types"
 	"repro/internal/value"
 )
@@ -115,7 +116,7 @@ func (ex *State) resolveOwner(v value.Value, b *binding, e sema.Expr) (collOwner
 	if vr, isVar := e.(*sema.VarRef); isVar {
 		// An own element without identity: address it positionally within
 		// its container so the nested mutation lands inside the element.
-		pr := b.getProv(vr.Var)
+		pr := b.getSlot(vr.Var).location()
 		steps := append(append([]sema.Step(nil), pr.steps...),
 			sema.Step{Index: &sema.Const{Val: value.NewInt(int64(pr.elemIdx + 1))}})
 		return collOwner{oid: pr.parentOID, dbvar: pr.parentVar, steps: steps}, nil
@@ -188,7 +189,7 @@ func (ex *State) mutateCollection(loc prov, fn func(coll *[]value.Value) error) 
 				cur = tv.Get(attr)
 			}
 			if st.Index != nil {
-				// Provenance records index steps as constants (stepOnce,
+				// Locations record index steps as constants (stepOnce,
 				// resolveOwner, appendStmt).
 				var i int64
 				if c, isConst := st.Index.(*sema.Const); isConst {
@@ -272,21 +273,21 @@ func (ex *State) mutateCollection(loc prov, fn func(coll *[]value.Value) error) 
 // extra:requires db.wmu.W
 func (ex *State) deleteStmt(cd *sema.CheckedDelete) (int, error) {
 	var objs []oid.OID
-	var elems []prov
-	type nestedDel struct {
-		loc prov
-	}
-	var nested []nestedDel
+	var elems []storage.RID
+	var nested []prov
+	v := cd.Var
+	inExtent := v.Kind == sema.VarExtent
+	objExtent := inExtent && ex.reader().IsObjectExtent(v.Extent)
 	plan := ex.Plan(cd.Query)
 	err := ex.Run(plan, ex.CompilePlan(nil, plan), func(ctx *evalCtx) error {
-		pr := ctx.b.getProv(cd.Var)
+		s := ctx.b.getSlot(v)
 		switch {
-		case pr.extent != "" && !pr.oid.IsNil() && ex.reader().IsObjectExtent(pr.extent):
-			objs = append(objs, pr.oid)
-		case pr.extent != "":
-			elems = append(elems, pr)
+		case objExtent && !s.oid.IsNil():
+			objs = append(objs, s.oid)
+		case inExtent:
+			elems = append(elems, s.rid)
 		default:
-			nested = append(nested, nestedDel{loc: pr})
+			nested = append(nested, s.location())
 		}
 		return nil
 	})
@@ -303,8 +304,8 @@ func (ex *State) deleteStmt(cd *sema.CheckedDelete) (int, error) {
 		}
 		n++
 	}
-	for _, pr := range elems {
-		if err := ex.store.DeleteElem(pr.extent, pr.rid); err != nil {
+	for _, rid := range elems {
+		if err := ex.store.DeleteElem(v.Extent, rid); err != nil {
 			return n, err
 		}
 		n++
@@ -318,12 +319,12 @@ func (ex *State) deleteStmt(cd *sema.CheckedDelete) (int, error) {
 	}
 	grouped := map[groupKey][]prov{}
 	var gorder []groupKey
-	for _, nd := range nested {
-		k := groupKey{oid: nd.loc.parentOID, v: nd.loc.parentVar, p: stepsKey(nd.loc.steps)}
+	for _, loc := range nested {
+		k := groupKey{oid: loc.parentOID, v: loc.parentVar, p: stepsKey(loc.steps)}
 		if _, ok := grouped[k]; !ok {
 			gorder = append(gorder, k)
 		}
-		grouped[k] = append(grouped[k], nd.loc)
+		grouped[k] = append(grouped[k], loc)
 	}
 	for _, k := range gorder {
 		locs := grouped[k]
@@ -370,7 +371,8 @@ func stepsKey(steps []sema.Step) string {
 // extra:requires db.wmu.W
 func (ex *State) replaceStmt(cr *sema.CheckedReplace) (int, error) {
 	type job struct {
-		pr   prov
+		oid  oid.OID // the object to rewrite, or nil for an own element at loc
+		loc  prov
 		vals []value.Value
 	}
 	var jobs []job
@@ -382,7 +384,8 @@ func (ex *State) replaceStmt(cr *sema.CheckedReplace) (int, error) {
 		assigns[i] = c.expr(as.Expr)
 	}
 	err := ex.Run(plan, prog, func(ctx *evalCtx) error {
-		j := job{pr: ctx.b.getProv(cr.Var)}
+		s := ctx.b.getSlot(cr.Var)
+		j := job{oid: s.oid, loc: s.location()}
 		for i, as := range cr.Assigns {
 			v, err := assigns[i](ex, ctx)
 			if err != nil {
@@ -401,8 +404,8 @@ func (ex *State) replaceStmt(cr *sema.CheckedReplace) (int, error) {
 		return 0, err
 	}
 	for _, j := range jobs {
-		if !j.pr.oid.IsNil() {
-			tv, ok, err := ex.store.Get(j.pr.oid)
+		if !j.oid.IsNil() {
+			tv, ok, err := ex.store.Get(j.oid)
 			if err != nil {
 				return 0, err
 			}
@@ -412,13 +415,13 @@ func (ex *State) replaceStmt(cr *sema.CheckedReplace) (int, error) {
 			for i, as := range cr.Assigns {
 				tv.Set(as.Attr, j.vals[i])
 			}
-			if err := ex.store.Update(j.pr.oid, tv); err != nil {
+			if err := ex.store.Update(j.oid, tv); err != nil {
 				return 0, err
 			}
 			continue
 		}
 		// Own element without identity: rewrite it inside its container.
-		loc := j.pr
+		loc := j.loc
 		err := ex.mutateCollection(loc, func(coll *[]value.Value) error {
 			if loc.elemIdx < 0 || loc.elemIdx >= len(*coll) {
 				return fmt.Errorf("stale element index in replace")

@@ -161,9 +161,17 @@ func KeyPaths(v *catalog.Variable, attrs []string) ([][]string, error) {
 }
 
 // backfill loads an index from the extent's current objects, enforcing
-// uniqueness as it goes.
+// uniqueness as it goes. It reads the store's frozen view, whose chunks
+// hold the decoded objects in heap scan order, so the tree is built as a
+// heap scan would build it without pinning or decoding a page.
+//
+// extra:requires db.wmu.W
 func (s *Store) backfill(ix *catalog.Index) error {
-	return s.ScanExtent(ix.Extent, func(id oid.OID, tv *value.Tuple) error {
+	view, err := s.View()
+	if err != nil {
+		return err
+	}
+	return view.ScanExtent(ix.Extent, func(id oid.OID, tv *value.Tuple) error {
 		key, ok := indexKey(tv, ix)
 		if !ok {
 			return nil

@@ -7,6 +7,7 @@
 package extra_test
 
 import (
+	"runtime"
 	"testing"
 
 	extra "repro"
@@ -30,6 +31,26 @@ type scanShape struct {
 	grouped        bool
 }
 
+// scanShapes are the scans TestScanAllocsPerRow counts and
+// BenchmarkScanPerRow times.
+var scanShapes = []scanShape{
+	// The scan binds E without boxing a value.Object.
+	{"range filter", `retrieve (E.name, E.salary) from E in Employees where E.age >= $1 and E.age < $2`, []any{200, 201}, 0, 0, false},
+	// E.dept dereferences without boxing the department.
+	{"ref path", `retrieve (E.name) from E in Employees where E.dept.floor = $1`, []any{99}, 0, 0, false},
+	// The unnest starts at E's tuple and binds each kid unboxed; a read
+	// gives the kid no update location.
+	{"unnest", `retrieve (E.name, K.name) from E in Employees, K in E.kids where K.age < $1`, []any{0}, 0, 0, false},
+	// An ad-hoc filter's literals, lifted into slots, are read from the
+	// statement's frame: no more per row than the prepared form.
+	{"lifted ad-hoc filter", `retrieve (E.name, E.salary) from E in Employees where E.age >= 200 and E.age < 201`, nil, 0, 0, false},
+	// A by keys each row's group on its compiled value, unrendered.
+	{"by", `retrieve (f = E.dept.floor, n = count(E.name by E.dept.floor)) from E in Employees where E.age >= $1`, []any{0}, 0, 0, true},
+	// The hash join builds on the departments of one floor and keys
+	// builds and probes on the compiled values.
+	{"hash join", `retrieve (d = D.dname, s = sum(E.salary by D.dname)) from E in Employees, D in Departments where E.dept.dname = D.dname and D.floor = $1`, []any{2}, 0, 0, true},
+}
+
 // TestScanAllocsPerRow is the count-based form of "a compiled plan
 // scans without garbage": a prepared Stmt.Exec of each scan shape
 // allocates a fixed per-statement overhead plus perEmp per employee
@@ -39,42 +60,21 @@ type scanShape struct {
 // tuple directly. Counts repeat exactly, so this gates CI on a host whose
 // clock cannot.
 func TestScanAllocsPerRow(t *testing.T) {
-	shapes := []scanShape{
-		// The scan binds E without boxing a value.Object.
-		{"range filter", `retrieve (E.name, E.salary) from E in Employees where E.age >= $1 and E.age < $2`, []any{200, 201}, 0, 0, false},
-		// E.dept dereferences without boxing the department.
-		{"ref path", `retrieve (E.name) from E in Employees where E.dept.floor = $1`, []any{99}, 0, 0, false},
-		// The unnest starts at E's tuple and binds each kid unboxed.
-		{"unnest", `retrieve (E.name, K.name) from E in Employees, K in E.kids where K.age < $1`, []any{0}, 0, 0, false},
-		// An ad-hoc filter's literals, lifted into slots, are read from the
-		// statement's frame: no more per row than the prepared form.
-		{"lifted ad-hoc filter", `retrieve (E.name, E.salary) from E in Employees where E.age >= 200 and E.age < 201`, nil, 0, 0, false},
-		// A by keys each row's group on its compiled value, unrendered.
-		{"by", `retrieve (f = E.dept.floor, n = count(E.name by E.dept.floor)) from E in Employees where E.age >= $1`, []any{0}, 0, 0, true},
-		// The hash join builds on the departments of one floor and keys
-		// builds and probes on the compiled values.
-		{"hash join", `retrieve (d = D.dname, s = sum(E.salary by D.dname)) from E in Employees, D in Departments where E.dept.dname = D.dname and D.floor = $1`, []any{2}, 0, 0, true},
-	}
-	overhead := make([]uint64, len(shapes))
-	grouped := make([]int, len(shapes)) // rows at 2000 employees
+	overhead := make([]uint64, len(scanShapes))
+	grouped := make([]int, len(scanShapes)) // rows at 2000 employees
 	for si, n := range []int{2000, 20000} {
 		db, _, err := workload.New(workload.Params{Employees: n, MaxKids: 2, Seed: 7}, 8192)
 		if err != nil {
 			t.Fatal(err)
 		}
 		kids := countKids(t, db)
-		for i, sh := range shapes {
+		for i, sh := range scanShapes {
 			st, err := db.Prepare(sh.src)
 			if err != nil {
 				t.Fatal(err)
 			}
 			exec := func() {
-				var res *extra.Result
-				if sh.args == nil {
-					res = db.MustQuery(sh.src)
-				} else {
-					res = st.MustExec(sh.args...)
-				}
+				res := sh.run(db, st)
 				switch {
 				case !sh.grouped && len(res.Rows) != 0:
 					t.Fatalf("%s: %d rows, want none", sh.name, len(res.Rows))
@@ -112,6 +112,49 @@ func TestScanAllocsPerRow(t *testing.T) {
 			st.Close()
 		}
 		db.Close()
+	}
+}
+
+// run executes the shape once: st with the shape's args, or src ad hoc.
+func (sh *scanShape) run(db *extra.DB, st *extra.Stmt) *extra.Result {
+	if sh.args == nil {
+		return db.MustQuery(sh.src)
+	}
+	return st.MustExec(sh.args...)
+}
+
+// BenchmarkScanPerRow times each scan shape at 20 000 employees and
+// reports its cost per scanned employee: ns/row, the time per
+// statement over the employees it scans, beside allocs/row, what
+// TestScanAllocsPerRow pins.
+func BenchmarkScanPerRow(b *testing.B) {
+	const n = 20000
+	db, _, err := workload.New(workload.Params{Employees: n, MaxKids: 2, Seed: 7}, 8192)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	for i := range scanShapes {
+		sh := &scanShapes[i]
+		b.Run(sh.name, func(b *testing.B) {
+			st, err := db.Prepare(sh.src)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer st.Close()
+			sh.run(db, st) // plans, compiles and fills the pools
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for k := 0; k < b.N; k++ {
+				sh.run(db, st)
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			rows := float64(b.N) * n
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/rows, "ns/row")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/rows, "allocs/row")
+		})
 	}
 }
 

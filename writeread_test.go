@@ -105,3 +105,26 @@ func writeReadDB(t *testing.T, depts int) *extra.DB {
 	}
 	return db
 }
+
+// TestDefineIndexPinsNoPage: define index builds its tree from the
+// store's frozen view, so on a loaded database it pins no buffer-pool
+// page, at 2 000 employees as at 20 000. A backfill that scanned the
+// heap would pin every page of the extent. The index then answers a
+// probe as the reference evaluator does.
+func TestDefineIndexPinsNoPage(t *testing.T) {
+	for _, n := range []int{2000, 20000} {
+		db, _, err := workload.New(workload.Params{Employees: n, MaxKids: 2, Seed: 7}, 8192)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := db.PoolStats()
+		db.MustExec(`define index emp_age on Employees (age)`)
+		if moved := db.PoolStats().Sub(before); moved.Hits != 0 || moved.Misses != 0 {
+			t.Errorf("define index at %d employees pinned pages: %+v", n, moved)
+		}
+		if err := extra.OracleCheck(db, `retrieve (E.name, E.age) from E in Employees where E.age = 40`); err != nil {
+			t.Errorf("%d employees: %v", n, err)
+		}
+		db.Close()
+	}
+}
