@@ -27,9 +27,6 @@
 //	\user [NAME]    show or switch the shell session's user
 //	\checkpoint     write a checkpoint and truncate the write-ahead log
 //	\wal            show write-ahead-log LSN watermarks
-//	\optimizer on|off
-//	                off plans naively: no pushdown, index selection,
-//	                reordering or hash joins
 //	\prepare NAME STMT
 //	                prepare a statement with $1..$n parameter slots
 //	\exec NAME [ARG ...]
@@ -259,7 +256,7 @@ func meta(db *extra.DB, sess *extra.Session, cmd string) bool {
 	case `\quit`, `\q`:
 		return false
 	case `\help`, `\h`:
-		fmt.Println(`\types \type NAME \vars \adts \stats [json] \explain QUERY \analyze [json] QUERY \slow \trace on|off|last|every N \user [NAME] \checkpoint \wal \optimizer on|off \prepare NAME STMT \exec NAME [ARG ...] \prepared \deallocate NAME \quit`)
+		fmt.Println(`\types \type NAME \vars \adts \stats [json] \explain QUERY \analyze [json] QUERY \slow \trace on|off|last|every N \user [NAME] \checkpoint \wal \prepare NAME STMT \exec NAME [ARG ...] \prepared \deallocate NAME \quit`)
 	case `\types`:
 		for _, n := range db.Catalog().TupleTypeNames() {
 			fmt.Println(" ", n)
@@ -473,16 +470,6 @@ func meta(db *extra.DB, sess *extra.Session, cmd string) bool {
 		st.Close()
 		delete(prepared, fields[1])
 		fmt.Printf("  deallocated %s\n", fields[1])
-	case `\optimizer`:
-		if len(fields) == 2 && fields[1] == "off" {
-			db.SetOptimizer(extra.OptimizerOptions{
-				NoPushdown: true, NoIndexSelect: true, NoReorder: true, NoHashJoin: true,
-			})
-			fmt.Println("  optimizer off (naive plans)")
-		} else {
-			db.SetOptimizer(extra.OptimizerOptions{})
-			fmt.Println("  optimizer on")
-		}
 	default:
 		fmt.Println("unknown meta command; try \\help")
 	}

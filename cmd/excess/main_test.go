@@ -34,7 +34,7 @@ func TestMetaCommands(t *testing.T) {
 	// All meta commands run without touching stdin; \quit returns false.
 	for _, cmd := range []string{
 		`\help`, `\types`, `\type Person`, `\type NoSuch`, `\vars`, `\adts`,
-		`\stats`, `\stats json`, `\optimizer off`, `\optimizer on`, `\explain retrieve (1)`,
+		`\stats`, `\stats json`, `\explain retrieve (1)`,
 		`\analyze retrieve (P.name) from P in People`,
 		`\analyze json retrieve (P.name) from P in People`,
 		`\analyze`, `\slow`, `\user`,

@@ -50,7 +50,6 @@ import (
 	"time"
 
 	"repro/internal/adt"
-	"repro/internal/algebra"
 	"repro/internal/catalog"
 	"repro/internal/deadlock"
 	"repro/internal/excess/sema"
@@ -71,10 +70,6 @@ type Result = exec.Result
 
 // Row re-exports the executor's result row.
 type Row = exec.Row
-
-// OptimizerOptions re-exports the optimizer switches (zero value: all
-// optimizations on).
-type OptimizerOptions = algebra.Options
 
 // PoolStats re-exports buffer pool counters.
 type PoolStats = storage.PoolStats
@@ -297,11 +292,6 @@ func (db *DB) Registry() *adt.Registry { return db.reg }
 // schema and grants of the latest snapshot. It never changes; a later
 // DDL statement publishes a new one.
 func (db *DB) Catalog() *catalog.Catalog { return db.store.Snapshot().Catalog() }
-
-// SetOptimizer configures query optimization (benchmarks use this to
-// compare optimized and naive plans). A statement copies the options
-// when it starts and keeps its copy.
-func (db *DB) SetOptimizer(o OptimizerOptions) { db.exec.SetOptions(o) }
 
 // PoolStats returns buffer pool counters: one atomic load per counter,
 // safe to sample while statements run.

@@ -10,7 +10,7 @@ import (
 func TestExplainRendering(t *testing.T) {
 	f := newFixture(t)
 	cq := f.check(t, `retrieve (E.name) from E in Employees, D in Departments, K in E.kids where E.salary = 10 and E.dept is D`)
-	p := Build(f.cat, fakeStats{"Employees": 100, "Departments": 5}, cq.Query, Options{})
+	p := Build(f.cat, fakeStats{"Employees": 100, "Departments": 5}, cq.Query)
 	out := p.Explain()
 	for _, want := range []string{
 		// Employees, the larger extent, probes through its selected
@@ -27,19 +27,13 @@ func TestExplainRendering(t *testing.T) {
 			t.Errorf("explain missing %q:\n%s", want, out)
 		}
 	}
-
-	// With hash joins disabled the node reverts to the plain index probe.
-	p = Build(f.cat, fakeStats{"Employees": 100, "Departments": 5}, cq.Query, Options{NoHashJoin: true})
-	if out := p.Explain(); !strings.Contains(out, "index probe emp_sal on Employees") {
-		t.Errorf("explain missing index probe with NoHashJoin:\n%s", out)
-	}
 }
 
 func TestExplainUniversalAndResidual(t *testing.T) {
 	f := newFixture(t)
 	f.session = f.session.With(&ast.RangeDecl{Var: "AE", All: true, Src: &ast.Path{Root: "Employees"}})
 	cq := f.check(t, `retrieve (D.dname) from D in Departments where AE.salary > 10 and 1 = 1`)
-	p := Build(f.cat, nil, cq.Query, Options{})
+	p := Build(f.cat, nil, cq.Query)
 	out := p.Explain()
 	if !strings.Contains(out, "forall AE") || !strings.Contains(out, "must hold: (AE.salary > 10)") {
 		t.Errorf("explain forall:\n%s", out)

@@ -204,34 +204,10 @@ const DefaultCardinality = 1000
 // instead of the full rescan cardinality.
 const hashProbeCost = 8
 
-// Options control optimization; the zero value enables everything.
-// Disabling yields the naive plan (original variable order, no pushdown,
-// no index selection, nested-loop joins) used as the baseline in the
-// optimizer benchmarks and differential tests.
-type Options struct {
-	NoPushdown    bool
-	NoIndexSelect bool
-	NoReorder     bool
-	NoHashJoin    bool // keep equi-joins as nested rescans
-}
-
-// Fingerprint packs the option flags into a bitmask. The plan cache
-// keys on it, so toggling any optimizer knob can never serve a plan
-// built under different options. A new flag must be added here.
-func (o Options) Fingerprint() uint64 {
-	var f uint64
-	for i, b := range []bool{
-		o.NoPushdown, o.NoIndexSelect, o.NoReorder, o.NoHashJoin,
-	} {
-		if b {
-			f |= 1 << i
-		}
-	}
-	return f
-}
-
-// Build lowers a checked query to a plan under the given options.
-func Build(cat *catalog.Catalog, stats Stats, q sema.Query, opt Options) *Plan {
+// Build lowers a checked query to a plan: it orders the variables,
+// pushes each conjunct down to the earliest node that binds its
+// variables, and selects index probes and hash joins.
+func Build(cat *catalog.Catalog, stats Stats, q sema.Query) *Plan {
 	p := &Plan{}
 	var exist []*sema.Var
 	for _, v := range q.Vars {
@@ -253,50 +229,30 @@ func Build(cat *catalog.Catalog, stats Stats, q sema.Query, opt Options) *Plan {
 		}
 	}
 
-	order := exist
-	if !opt.NoReorder {
-		order = reorder(exist, existConjs, stats, opt)
-	}
-	for _, v := range order {
+	for _, v := range reorder(exist, existConjs, stats) {
 		p.Nodes = append(p.Nodes, Node{Var: v})
 	}
 
-	if opt.NoPushdown {
-		p.Final = existConjs
-	} else {
-		// Rule: attach each conjunct at the earliest node where every
-		// variable it mentions is bound.
-		bound := map[*sema.Var]bool{}
-		for i := range p.Nodes {
-			bound[p.Nodes[i].Var] = true
-			for _, cj := range existConjs {
-				if cj == nil {
-					continue
-				}
-				if at := earliestNode(cj, p.Nodes[:i+1], bound); at == i {
-					p.Nodes[i].Filter = append(p.Nodes[i].Filter, cj)
-				}
-			}
-		}
+	// Rule: attach each conjunct at the earliest node where every
+	// variable it mentions is bound; the node's filter is then complete,
+	// so its access method is chosen from it.
+	bound := map[*sema.Var]bool{}
+	for i := range p.Nodes {
+		bound[p.Nodes[i].Var] = true
 		for _, cj := range existConjs {
-			if !mentionsAnyVar(cj) {
-				p.Final = append(p.Final, cj) // constant predicates
+			if cj == nil {
+				continue
+			}
+			if at := earliestNode(cj, p.Nodes[:i+1], bound); at == i {
+				p.Nodes[i].Filter = append(p.Nodes[i].Filter, cj)
 			}
 		}
+		selectAccessPath(cat, &p.Nodes[i])
+		selectHashJoin(&p.Nodes[i], bound)
 	}
-
-	if !opt.NoIndexSelect {
-		for i := range p.Nodes {
-			selectAccessPath(cat, &p.Nodes[i])
-		}
-	}
-	if !opt.NoHashJoin {
-		// Hash-join selection needs pushed-down filters: with pushdown off
-		// the join conjuncts all sit in Final and no node qualifies.
-		bound := map[*sema.Var]bool{}
-		for i := range p.Nodes {
-			selectHashJoin(&p.Nodes[i], bound)
-			bound[p.Nodes[i].Var] = true
+	for _, cj := range existConjs {
+		if !mentionsAnyVar(cj) {
+			p.Final = append(p.Final, cj) // constant predicates
 		}
 	}
 	return p
@@ -325,7 +281,7 @@ func selectHashJoin(n *Node, bound map[*sema.Var]bool) {
 
 // equiJoinKeys decomposes a conjunct into hash-join keys: it must be
 // "build = probe" or "build is probe" (either orientation) where build
-// mentions only v and probe mentions only already-bound variables.
+// mentions only v and probe mentions only bound variables other than v.
 // Identity keys may be null on either side (a path like E.dept can
 // dangle, and "null is null" holds); the executor keeps null-identity
 // build rows in a separate list paired only with null-identity probes,
@@ -431,18 +387,16 @@ func earliestNode(e sema.Expr, nodes []Node, bound map[*sema.Var]bool) int {
 
 // reorder places extent variables cheapest-first while keeping nested
 // variables after their parents (a greedy cost-ordered topological sort —
-// the join-ordering rule). When hash joins are enabled, an extent that an
-// equality conjunct links to an already-placed variable is charged the
-// amortized hash cost (one build scan spread over the outer loop, plus a
-// constant probe) instead of its full rescan cardinality, which pulls
-// equi-joined extents in right after their join partners. Of two
-// extents an equality conjunct links, the larger by estimate is placed
-// first: the later node, which binds the smaller one, is the hash join,
-// so the table holds the smaller input and the larger one probes it.
-// Equal estimates keep the cheapest-first choice. Each extent is
-// estimated once.
-func reorder(vars []*sema.Var, conjs []sema.Expr, stats Stats, opt Options) []*sema.Var {
-	hash := !opt.NoHashJoin && !opt.NoPushdown
+// the join-ordering rule). An extent that an equality conjunct links to
+// an already-placed variable is charged the amortized hash cost (one
+// build scan spread over the outer loop, plus a constant probe) instead
+// of its full rescan cardinality, which pulls equi-joined extents in
+// right after their join partners. Of two extents an equality conjunct
+// links, the larger by estimate is placed first: the later node, which
+// binds the smaller one, is the hash join, so the table holds the
+// smaller input and the larger one probes it. Equal estimates keep the
+// cheapest-first choice. Each extent is estimated once.
+func reorder(vars []*sema.Var, conjs []sema.Expr, stats Stats) []*sema.Var {
 	est := map[*sema.Var]int{} // extent variables only
 	for _, v := range vars {
 		if v.Kind == sema.VarExtent {
@@ -468,7 +422,7 @@ func reorder(vars []*sema.Var, conjs []sema.Expr, stats Stats, opt Options) []*s
 			return 1 // nested/db-path variables are cheap once parents bound
 		}
 		// Build once (amortized across outer bindings), probe per row.
-		if c := hashProbeCost + n/16; hash && c < n && linked(v) {
+		if c := hashProbeCost + n/16; c < n && linked(v) {
 			n = c
 		}
 		return n
@@ -477,7 +431,7 @@ func reorder(vars []*sema.Var, conjs []sema.Expr, stats Stats, opt Options) []*s
 	// conjunct links to extent v, when it is larger than v and v has no
 	// placed partner to probe: placing it first leaves v the build side.
 	larger := func(v *sema.Var) (best *sema.Var) {
-		if _, ok := est[v]; !hash || !ok || linked(v) {
+		if _, ok := est[v]; !ok || linked(v) {
 			return nil
 		}
 		for _, u := range vars {

@@ -76,7 +76,7 @@ func TestPushdown(t *testing.T) {
 	f := newFixture(t)
 	cq := f.check(t, `retrieve (E.name, D.dname) from E in Employees, D in Departments where E.salary > 10 and D.floor = 2 and E.dept is D`)
 	stats := fakeStats{"Employees": 1000, "Departments": 10}
-	p := Build(f.cat, stats, cq.Query, Options{})
+	p := Build(f.cat, stats, cq.Query)
 	if len(p.Nodes) != 2 {
 		t.Fatalf("nodes: %d", len(p.Nodes))
 	}
@@ -100,38 +100,19 @@ func TestPushdown(t *testing.T) {
 		t.Errorf("residual conjuncts: %d", len(p.Final))
 	}
 
-	// Without hash joins the extents order cheapest-first.
-	p = Build(f.cat, stats, cq.Query, Options{NoHashJoin: true})
-	if p.Nodes[0].Var.Extent != "Departments" {
-		t.Errorf("NoHashJoin: cheapest-first ordering: %s first", p.Nodes[0].Var.Extent)
+	// Without an equality conjunct to hash on, the extents order
+	// cheapest-first and the later one is a nested rescan.
+	cq = f.check(t, `retrieve (E.name, D.dname) from E in Employees, D in Departments where E.salary > D.floor`)
+	p = Build(f.cat, stats, cq.Query)
+	if p.Nodes[0].Var.Extent != "Departments" || p.Nodes[1].Hash != nil {
+		t.Errorf("non-equi join: %s first, hash join %v", p.Nodes[0].Var.Extent, p.Nodes[1].Hash != nil)
 	}
 
 	// Equal estimates keep declaration order.
 	cq = f.check(t, `retrieve (E.name, D.dname) from D in Departments, E in Employees where E.dept is D`)
-	p = Build(f.cat, fakeStats{"Employees": 10, "Departments": 10}, cq.Query, Options{})
+	p = Build(f.cat, fakeStats{"Employees": 10, "Departments": 10}, cq.Query)
 	if p.Nodes[0].Var.Extent != "Departments" || p.Nodes[1].Hash == nil {
 		t.Errorf("equal estimates: %s first, hash join %v", p.Nodes[0].Var.Extent, p.Nodes[1].Hash != nil)
-	}
-}
-
-func TestNoOptimization(t *testing.T) {
-	f := newFixture(t)
-	cq := f.check(t, `retrieve (E.name) from E in Employees, D in Departments where E.salary > 10 and D.floor = 2`)
-	p := Build(f.cat, fakeStats{"Employees": 1000, "Departments": 10}, cq.Query,
-		Options{NoPushdown: true, NoIndexSelect: true, NoReorder: true})
-	if p.Nodes[0].Var.Extent != "Employees" {
-		t.Error("NoReorder changed variable order")
-	}
-	for i := range p.Nodes {
-		if len(p.Nodes[i].Filter) != 0 {
-			t.Error("NoPushdown attached filters")
-		}
-		if p.Nodes[i].Access != nil {
-			t.Error("NoIndexSelect chose an index")
-		}
-	}
-	if len(p.Final) != 2 {
-		t.Errorf("final conjuncts: %d", len(p.Final))
 	}
 }
 
@@ -189,7 +170,7 @@ func TestIndexSelection(t *testing.T) {
 	}
 	for _, c := range cases {
 		cq := f.check(t, q+c.where)
-		p := Build(f.cat, nil, cq.Query, Options{})
+		p := Build(f.cat, nil, cq.Query)
 		n := p.Nodes[0]
 		if got := accessName(n.Access); got != c.index {
 			t.Errorf("%s: probes %q, want %q", c.where, got, c.index)
@@ -237,7 +218,7 @@ func accessName(ap *AccessPath) string {
 func TestNestedAfterParent(t *testing.T) {
 	f := newFixture(t)
 	cq := f.check(t, `retrieve (K.kname) from E in Employees, K in E.kids where E.salary > 10`)
-	p := Build(f.cat, fakeStats{"Employees": 5}, cq.Query, Options{})
+	p := Build(f.cat, fakeStats{"Employees": 5}, cq.Query)
 	if len(p.Nodes) != 2 || p.Nodes[0].Var.Name != "E" || p.Nodes[1].Var.Name != "K" {
 		t.Fatalf("nested ordering: %s then %s", p.Nodes[0].Var.Name, p.Nodes[1].Var.Name)
 	}
@@ -247,7 +228,7 @@ func TestUniversalSeparation(t *testing.T) {
 	f := newFixture(t)
 	f.session = f.session.With(&ast.RangeDecl{Var: "AE", All: true, Src: &ast.Path{Root: "Employees"}})
 	cq := f.check(t, `retrieve (D.dname) from D in Departments where AE.salary > 10 and D.floor = 1`)
-	p := Build(f.cat, nil, cq.Query, Options{})
+	p := Build(f.cat, nil, cq.Query)
 	if len(p.Universal) != 1 || p.Universal[0].Name != "AE" {
 		t.Fatalf("universal vars: %+v", p.Universal)
 	}
@@ -263,7 +244,7 @@ func TestUniversalSeparation(t *testing.T) {
 func TestConstantPredicate(t *testing.T) {
 	f := newFixture(t)
 	cq := f.check(t, `retrieve (E.name) from E in Employees where 1 = 2`)
-	p := Build(f.cat, nil, cq.Query, Options{})
+	p := Build(f.cat, nil, cq.Query)
 	if len(p.Final) != 1 {
 		t.Errorf("constant predicate should be residual: %d", len(p.Final))
 	}
@@ -274,7 +255,7 @@ func TestConstantFoldedIndexBound(t *testing.T) {
 	// An ADT constructor with literal arguments folds to an index bound.
 	f.cat.AddIndex(&catalog.Index{Name: "emp_day", Extent: "Employees", Path: []string{"salary"}, Tree: storage.NewBTree()})
 	cq := f.check(t, `retrieve (E.name) from E in Employees where E.salary = year(date("04/01/1987"))`)
-	p := Build(f.cat, nil, cq.Query, Options{})
+	p := Build(f.cat, nil, cq.Query)
 	if p.Nodes[0].Access == nil {
 		t.Fatal("folded ADT constant did not select the index")
 	}

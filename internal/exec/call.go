@@ -112,10 +112,9 @@ func (ex *State) callFunction(fn *catalog.Function, args []value.Value) (value.V
 
 // boundBody is a function body ready to run, kept the way a plan-cache
 // entry keeps a retrieve: the checked body (an expression or a
-// retrieve), and for one catalog version and optimizer-option
-// fingerprint its compiled closure, or its plan and program. A call
-// therefore checks, plans and compiles nothing; DDL or a toggled
-// optimizer knob re-plans on the next call. A boundBody is immutable
+// retrieve), and for one catalog version its compiled closure, or its
+// plan and program. A call therefore checks, plans and compiles
+// nothing; DDL re-plans on the next call. A boundBody is immutable
 // once cached and shared freely between statements.
 type boundBody struct {
 	expr   sema.Expr
@@ -124,12 +123,11 @@ type boundBody struct {
 	plan   *algebra.Plan
 	prog   *Program
 	catVer uint64
-	optsFP uint64
 }
 
 // bindBody returns the bound body of a function for the current catalog
-// version and options, binding it on first use (bodies are stored as
-// AST, stored-command style) and re-planning it when either moved. The
+// version, binding it on first use (bodies are stored as AST,
+// stored-command style) and re-planning it when the version moved. The
 // catalog's schema objects are immutable once defined, so the checked
 // body of an earlier version is reused. The work happens outside fnMu,
 // which guards only the map: two first calls racing may both build, and
@@ -137,14 +135,14 @@ type boundBody struct {
 //
 // extra:acquires fnMu.W
 func (ex *State) bindBody(fn *catalog.Function) (*boundBody, error) {
-	catVer, optsFP := ex.cat.Version(), ex.opts.Fingerprint()
+	catVer := ex.cat.Version()
 	ex.fnMu.Lock()
 	old := ex.fnCache[fn]
 	ex.fnMu.Unlock()
-	if old != nil && old.catVer == catVer && old.optsFP == optsFP {
+	if old != nil && old.catVer == catVer {
 		return old, nil
 	}
-	b := &boundBody{catVer: catVer, optsFP: optsFP}
+	b := &boundBody{catVer: catVer}
 	if old != nil {
 		b.expr, b.query = old.expr, old.query
 	} else {

@@ -10,7 +10,6 @@ package exec
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/algebra"
@@ -25,21 +24,16 @@ import (
 )
 
 // Executor is the immutable engine core shared by every session: the
-// object store, the working catalog, the optimizer options and the
-// memoized bound-function cache (under its own lock). One Executor
-// serves a database and is safe for concurrent statements — all
-// per-statement mutable state (parameter frames, call depth, the pinned
-// snapshot and its catalog, runtime counts) lives in a State, one per
-// executing statement (NewState). Any number of read statements may run
-// simultaneously, each through its own State, against snapshots writers
-// never touch.
+// object store, the working catalog and the memoized bound-function
+// cache (under its own lock). One Executor serves a database and is
+// safe for concurrent statements — all per-statement mutable state
+// (parameter frames, call depth, the pinned snapshot and its catalog,
+// runtime counts) lives in a State, one per executing statement
+// (NewState). Any number of read statements may run simultaneously,
+// each through its own State, against snapshots writers never touch.
 type Executor struct {
 	store *object.Store
 	cat   *catalog.Catalog // the working catalog: write statements only
-
-	// opts is replaced whole by SetOptions; a State copies it when it is
-	// made and when it is bound.
-	opts atomic.Pointer[algebra.Options]
 
 	// fnCache memoizes bound function bodies: bodies are stored as AST
 	// (stored-command style) and bind, plan and compile on first call
@@ -80,12 +74,6 @@ type State struct {
 	// write path. It shadows Executor.cat in State methods.
 	cat *catalog.Catalog
 
-	// opts is the statement's private copy of the optimizer options,
-	// taken by NewState/BindSnapshot/BindLive, so a SetOptions while the
-	// statement runs does not reach it. It shadows Executor.opts in
-	// State methods.
-	opts algebra.Options
-
 	params [][]value.Value // parameter frames by slot, innermost last
 	depth  int
 
@@ -101,13 +89,11 @@ type State struct {
 
 // New returns an executor over the store and catalog.
 func New(store *object.Store, cat *catalog.Catalog) *Executor {
-	ex := &Executor{
+	return &Executor{
 		store:   store,
 		cat:     cat,
 		fnCache: make(map[*catalog.Function]*boundBody),
 	}
-	ex.opts.Store(&algebra.Options{})
-	return ex
 }
 
 // NewState returns a per-statement execution state over the engine
@@ -116,10 +102,10 @@ func New(store *object.Store, cat *catalog.Catalog) *Executor {
 func (ex *Executor) NewState() *State {
 	if v := ex.statePool.Get(); v != nil {
 		s := v.(*State)
-		s.cat, s.opts = ex.cat, ex.Options()
+		s.cat = ex.cat
 		return s
 	}
-	return &State{Executor: ex, cat: ex.cat, opts: ex.Options()}
+	return &State{Executor: ex, cat: ex.cat}
 }
 
 // Release resets the statement-scoped fields and returns the state to
@@ -133,14 +119,6 @@ func (ex *State) Release() {
 	ex.derefs = 0
 	ex.Executor.statePool.Put(ex)
 }
-
-// SetOptions configures the optimizer (used by the benchmarks to compare
-// optimized and naive plans). Statements already running keep the
-// options they copied.
-func (ex *Executor) SetOptions(o algebra.Options) { ex.opts.Store(&o) }
-
-// Options returns the current optimizer options.
-func (ex *Executor) Options() algebra.Options { return *ex.opts.Load() }
 
 // SetMetrics attaches the engine metrics registry; the executor then
 // counts hash-join traffic (join.hash.*) and cardinality-estimate misses

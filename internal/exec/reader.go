@@ -29,11 +29,9 @@ func (ex *State) derefGet(id oid.OID) (*value.Tuple, bool, error) {
 // cardinality estimates) and every catalog lookup (checking, planning,
 // function calls) resolves against it, so the statement observes one
 // version of data and schema no matter what writers commit meanwhile.
-// Also re-copies the optimizer options.
 func (ex *State) BindSnapshot(sn *object.Snapshot) {
 	ex.snap, ex.write, ex.viewErr = sn, false, nil
 	ex.cat = sn.Catalog()
-	ex.opts = ex.Executor.Options()
 }
 
 // BindLive binds a write statement: its reads go to the store's current
@@ -54,14 +52,10 @@ func (ex *State) BindLive() {
 	}
 	ex.snap, ex.write, ex.viewErr = sn, true, err
 	ex.cat = ex.Executor.cat
-	ex.opts = ex.Executor.Options()
 }
 
 // Catalog returns the catalog the statement is bound to.
 func (ex *State) Catalog() *catalog.Catalog { return ex.cat }
-
-// Options returns the statement's copy of the optimizer options.
-func (ex *State) Options() algebra.Options { return ex.opts }
 
 // SnapshotVersion returns the version of the snapshot the state reads.
 func (ex *State) SnapshotVersion() uint64 { return ex.snap.Version() }
@@ -70,7 +64,7 @@ func (ex *State) SnapshotVersion() uint64 { return ex.snap.Version() }
 // estimation flows through the State's snapshot: a pinned statement
 // plans against it, not against extents a concurrent writer is growing.
 func (ex *State) Plan(q sema.Query) *algebra.Plan {
-	return algebra.Build(ex.cat, ex, q, ex.opts)
+	return algebra.Build(ex.cat, ex, q)
 }
 
 // EstimateLen implements algebra.Stats against the State's snapshot.

@@ -27,27 +27,23 @@ var fig6Queries = []string{
 	`retrieve (distinct_depts = count(E.dept.dname over E.dept.dname)) from E in Employees`,
 }
 
-// joinOptionGrid is every combination of the join-related optimizer
-// switches; each must produce the rows of the reference evaluator, as
-// must the fully naive plan.
-func joinOptionGrid() []extra.OptimizerOptions {
-	var grid []extra.OptimizerOptions
-	for _, noHash := range []bool{false, true} {
-		for _, noReorder := range []bool{false, true} {
-			grid = append(grid, extra.OptimizerOptions{NoHashJoin: noHash, NoReorder: noReorder})
-		}
-	}
-	return grid
+// joinShapes are queries whose plans take the planner's less common
+// paths, each with a fragment its EXPLAIN must contain: a join with no
+// equality conjunct runs as a nested rescan, a conjunct that mentions no
+// variable stays in the residual filter, and a join of two extents of
+// equal size keeps the order written, the second one hashed.
+var joinShapes = []struct{ q, plan string }{
+	{`retrieve (E.name, D.dname) from E in Employees, D in Departments where E.dept.floor < D.floor`,
+		"-> scan Departments binding D\n  -> scan Employees binding E"},
+	{`retrieve (E.name, D.dname) from E in Employees, D in Departments where E.dept is D and 2 > 1`,
+		"residual: (2 > 1)"},
+	{`retrieve (E.name, F.name) from E in Employees, F in Employees where E.dept is F.dept and F.salary < 300`,
+		"-> scan Employees binding E\n  -> hash join Employees [(E.dept is F.dept)]"},
 }
 
-var naiveOpts = extra.OptimizerOptions{
-	NoPushdown: true, NoIndexSelect: true, NoReorder: true, NoHashJoin: true,
-}
-
-// TestJoinMethodEquivalence runs the Figure 5/6 queries and a batch of
-// randomized multi-variable queries under every combination of hash-join
-// and reorder switches and under the fully naive nested-loop plan,
-// asserting each returns exactly the rows of the reference evaluator.
+// TestJoinMethodEquivalence runs the Figure 5/6 queries, the join
+// shapes and a batch of randomized multi-variable queries, asserting
+// each returns exactly the rows of the reference evaluator.
 func TestJoinMethodEquivalence(t *testing.T) {
 	db, _, err := workload.New(workload.Params{
 		Departments: 9, Employees: 150, MaxKids: 3, Floors: 4, MaxSalary: 1000, Seed: 7,
@@ -64,6 +60,16 @@ func TestJoinMethodEquivalence(t *testing.T) {
 	// hands off the quantified residue).
 	queries = append(queries,
 		`retrieve (D.dname) from D in Departments where AE.dept isnot D or AE.salary > 10`)
+	for _, s := range joinShapes {
+		plan, err := db.Explain(s.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(plan, s.plan) {
+			t.Fatalf("%q: plan lacks %q:\n%s", s.q, s.plan, plan)
+		}
+		queries = append(queries, s.q)
+	}
 	rng := rand.New(rand.NewSource(321))
 	for i := 0; i < 40; i++ {
 		queries = append(queries, randomQuery(rng).literal())
@@ -74,22 +80,19 @@ func TestJoinMethodEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("oracle %q: %v", q, err)
 		}
-		for _, opts := range append(joinOptionGrid(), naiveOpts) {
-			db.SetOptimizer(opts)
-			got, err := db.Query(q)
-			if err != nil {
-				t.Fatalf("%+v %q: %v", opts, q, err)
-			}
-			if err := extra.DiffRows(q, extra.CanonRows(got), want); err != nil {
-				t.Fatalf("%+v: %v", opts, err)
-			}
+		got, err := db.Query(q)
+		if err != nil {
+			t.Fatalf("%q: %v", q, err)
+		}
+		if err := extra.DiffRows(q, extra.CanonRows(got), want); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
 
 // TestHashJoinExplain pins the observable optimizer decision: an
-// explicit is-join plans as a hash join, and disabling the switch
-// reverts to the nested scan.
+// explicit is-join plans as a hash join, and a join with no equality
+// conjunct plans none and still matches the reference evaluator.
 func TestHashJoinExplain(t *testing.T) {
 	db, _, err := workload.New(workload.Params{
 		Departments: 6, Employees: 40, MaxKids: 2, Floors: 3, MaxSalary: 500, Seed: 5,
@@ -108,17 +111,19 @@ func TestHashJoinExplain(t *testing.T) {
 		t.Fatalf("expected a hash join in the plan:\n%s", plan)
 	}
 
-	db.SetOptimizer(extra.OptimizerOptions{NoHashJoin: true})
-	plan, err = db.Explain(q)
+	nonEqui := `retrieve (E.name, D.dname) from E in Employees, D in Departments where E.dept.floor < D.floor`
+	plan, err = db.Explain(nonEqui)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(plan, "hash join") {
-		t.Fatalf("NoHashJoin still produced a hash join:\n%s", plan)
+		t.Fatalf("a non-equi join planned a hash join:\n%s", plan)
+	}
+	if err := extra.OracleCheck(db, nonEqui); err != nil {
+		t.Fatal(err)
 	}
 
 	// The equality form over a scalar join key must also qualify.
-	db.SetOptimizer(extra.OptimizerOptions{})
 	plan, err = db.Explain(`retrieve (E.name, F.name) from E in Employees, F in Employees where E.dept.floor = F.dept.floor`)
 	if err != nil {
 		t.Fatal(err)

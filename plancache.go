@@ -30,8 +30,6 @@ import (
 //
 //   - the catalog version, bumped by every DDL statement — a schema change
 //     invalidates the whole cache at once without enumerating entries;
-//   - the optimizer-option fingerprint, so toggling a knob (benchmarks do
-//     this mid-run) never serves a plan built under different rules;
 //   - the session's range-declaration fingerprint, because "retrieve
 //     (E.name)" means different things after "range of E is ..." changes.
 //
@@ -73,7 +71,6 @@ type planCache struct {
 type planKey struct {
 	text   string
 	catVer uint64
-	optsFP uint64
 	ranges string
 }
 
@@ -109,13 +106,12 @@ func newPlanCache(capacity int, reg *metrics.Registry) *planCache {
 }
 
 // planKeyFor builds the key a statement text has for a State — its
-// catalog version and its copy of the options — and a session's range
-// declarations (see planRetrieve).
+// catalog version — and a session's range declarations (see
+// planRetrieve).
 func planKeyFor(es *exec.State, sem *sema.Session, text string) planKey {
 	return planKey{
 		text:   text,
 		catVer: es.Catalog().Version(),
-		optsFP: es.Options().Fingerprint(),
 		ranges: rangesFingerprint(sem),
 	}
 }

@@ -93,31 +93,6 @@ func TestPlanCacheExplainCachedMarker(t *testing.T) {
 	}
 }
 
-// TestPlanCacheOptionsFingerprint: toggling an optimizer switch must
-// never serve a plan built under different options.
-func TestPlanCacheOptionsFingerprint(t *testing.T) {
-	db := mustOpen(t)
-	loadCompany(t, db)
-	db.MustExec(`define index emp_sal on Employees (salary)`)
-	q := `retrieve (E.name) from E in Employees where E.salary > 80`
-	db.MustQuery(q)
-	plan, _ := db.Explain(q)
-	if !strings.Contains(plan, "(cached)") || !strings.Contains(plan, "index probe") {
-		t.Fatalf("expected a cached index-probe plan:\n%s", plan)
-	}
-
-	db.SetOptimizer(OptimizerOptions{NoIndexSelect: true})
-	plan, _ = db.Explain(q)
-	if strings.Contains(plan, "(cached)") || strings.Contains(plan, "index probe") {
-		t.Fatalf("option flip served the old fingerprint's plan:\n%s", plan)
-	}
-	db.MustQuery(q)
-	plan, _ = db.Explain(q)
-	if !strings.Contains(plan, "(cached)") || strings.Contains(plan, "index probe") {
-		t.Fatalf("NoIndexSelect execution not cached under its own key:\n%s", plan)
-	}
-}
-
 // TestPlanCacheRangeDeclarations: the same statement text means
 // different queries under different range declarations, per session and
 // across redeclaration — the ranges fingerprint keeps the keys apart.

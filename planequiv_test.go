@@ -3,7 +3,6 @@ package extra_test
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -13,22 +12,22 @@ import (
 )
 
 // TestPlanEquivalence is the optimizer's correctness property: for
-// randomly generated queries over the synthetic company, the optimized
-// plan (pushdown + reordering + index selection) must return exactly the
-// same multiset of rows as the same plan without index selection and as
-// the naive plan. This exercises conjunct placement, index bound
-// construction — merged two-sided, contradictory and equality-inside-
-// range probes included — and join reordering end to end.
+// randomly generated queries over the synthetic company, the plan
+// (pushdown + reordering + index selection) must return exactly the
+// multiset of rows the reference evaluator does. This exercises
+// conjunct placement, index bound construction — merged two-sided,
+// contradictory and equality-inside-range probes included — and join
+// reordering end to end.
 //
-// Every query runs optimized three ways: (a) ad hoc, its literals lifted
-// into slots of a cached shape; (b) prepared with its literals in the
-// text, which is not lifted; (c) prepared with $n bound to the same
-// values, so the index bounds are parameters the run evaluates. The
-// fixed cases add what random generation rarely reaches: two $n lower
-// bounds on one index, contradictory $n bounds, a $n bound to null, $n
-// bounds on both indexes, and ranges whose literal would decide index
-// against scan if the planner looked at it. Every query, and every
-// Figure 5/6 query, is also checked against the reference evaluator.
+// Every query runs three ways: (a) ad hoc, its literals lifted into
+// slots of a cached shape; (b) prepared with its literals in the text,
+// which is not lifted; (c) prepared with $n bound to the same values, so
+// the index bounds are parameters the run evaluates. The fixed cases add
+// what random generation rarely reaches: two $n lower bounds on one
+// index, contradictory $n bounds, a $n bound to null, $n bounds on both
+// indexes, and ranges whose literal would decide index against scan if
+// the planner looked at it. The Figure 5/6 queries are checked against
+// the reference evaluator as well.
 func TestPlanEquivalence(t *testing.T) {
 	db, _, err := workload.New(workload.Params{
 		Departments: 8, Employees: 120, MaxKids: 3, Floors: 4, MaxSalary: 1000, Seed: 99,
@@ -60,37 +59,22 @@ func TestPlanEquivalence(t *testing.T) {
 	}
 	for _, q := range queries {
 		lit, param := q.literal(), q.param()
-		db.SetOptimizer(extra.OptimizerOptions{})
-		if err := extra.OracleCheck(db, lit); err != nil {
-			t.Fatal(err)
+		want, err := extra.OracleRows(db, lit)
+		if err != nil {
+			t.Fatalf("oracle %q: %v", lit, err)
 		}
 		ways := map[string]func() (*extra.Result, error){
 			"ad hoc":                     func() (*extra.Result, error) { return db.Query(lit) },
 			"prepared, literals in text": func() (*extra.Result, error) { return execPrepared(db, lit) },
 			"prepared, $n bound":         func() (*extra.Result, error) { return execPrepared(db, param, q.args...) },
 		}
-		got := map[string]*extra.Result{}
 		for way, run := range ways {
 			res, err := run()
 			if err != nil {
-				t.Fatalf("optimized %s %q: %v", way, lit, err)
+				t.Fatalf("%s %q: %v", way, lit, err)
 			}
-			got[way] = res
-		}
-		for _, base := range []extra.OptimizerOptions{
-			{NoIndexSelect: true},
-			{NoPushdown: true, NoIndexSelect: true, NoReorder: true},
-		} {
-			db.SetOptimizer(base)
-			ref, err := db.Query(lit)
-			if err != nil {
-				t.Fatalf("%+v %q: %v", base, lit, err)
-			}
-			for way, res := range got {
-				if got, want := canon(res), canon(ref); got != want {
-					t.Fatalf("plans disagree for %q (%s, $n form %q):\noptimized (%d rows): %s\n%+v (%d rows): %s",
-						lit, way, param, len(res.Rows), got, base, len(ref.Rows), want)
-				}
+			if err := extra.DiffRows(fmt.Sprintf("%s (%s, $n form %q)", lit, way, param), extra.CanonRows(res), want); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
@@ -287,18 +271,4 @@ func TestParamKeyUsesIndex(t *testing.T) {
 		}
 		db.Close()
 	}
-}
-
-// canon renders a result as a sorted multiset string.
-func canon(r *extra.Result) string {
-	lines := make([]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		parts := make([]string, len(row))
-		for i, v := range row {
-			parts[i] = v.String()
-		}
-		lines = append(lines, strings.Join(parts, "|"))
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
 }

@@ -22,8 +22,8 @@ import (
 // plan live in the engine plan cache like any other statement's, under
 // the key text the Stmt printed once; the Stmt keeps a pointer to the
 // entry it was last served and revalidates it with the comparison the
-// cache itself uses, so DDL, a redeclared range or a toggled optimizer
-// knob transparently compiles afresh instead of serving a stale plan.
+// cache itself uses, so DDL or a redeclared range transparently
+// compiles afresh instead of serving a stale plan.
 // Non-retrieve statements amortize parsing and parameter typing; their
 // checked forms capture catalog state that updates themselves
 // invalidate, so they re-check per execution.
