@@ -28,31 +28,33 @@ vet:
 	$(GO) vet ./...
 
 # 30-second fuzz smokes: parse/print/reparse stability over the EXCESS
-# parser, and generated retrieves checked against the reference
-# evaluator (oracle_test.go).
+# parser, generated retrieves checked against the reference evaluator
+# (oracle_test.go), and the same with each text run cold and then
+# answered by the front-end memo.
 fuzz:
 	$(GO) test -fuzz=FuzzParsePrintReparse -fuzztime=30s ./internal/excess/parse/
 	$(GO) test -run '^$$' -fuzz=FuzzRetrieve -fuzztime=30s .
+	$(GO) test -run '^$$' -fuzz=FuzzShapeMemo -fuzztime=30s .
 
 # One run each of the join, aggregate, access-method, compiled-filter,
-# per-row scan, concurrency, compile-once, tracing and group-commit
-# benchmarks: a smoke test that keeps them running (-benchtime=1x), not a
-# measurement.
+# per-row scan, concurrency, compile-once, tracing, group-commit and
+# scan/parse layer benchmarks: a smoke test that keeps them running
+# (-benchtime=1x), not a measurement.
 bench:
-	$(GO) test -short -run '^$$' -bench 'Join|Aggregate|AccessMethod|RefChase|ExprFilter|ScanPerRow|BindingClone|WriterInterference|ParallelRead|CompileOnce|KeyedLookup|Tracing|GroupCommit' -benchtime=1x ./...
+	$(GO) test -short -run '^$$' -bench 'Join|Aggregate|AccessMethod|RefChase|ExprFilter|ScanPerRow|BindingClone|WriterInterference|ParallelRead|CompileOnce|KeyedLookup|Tracing|GroupCommit|ScanStatement|ParseStatement' -benchtime=1x ./...
 
 # The gate on what repeats exactly: allocations per scanned row, a hash
 # join that builds on the smaller side, commit and range-write work
 # independent of database size, a plan-cache hit
-# that compiles nothing, ad-hoc literals that share one cached shape, a
-# $n key that bounds its index probe, tracing that allocates nothing
+# that compiles nothing, ad-hoc literals that share one cached shape and
+# skip the parser, a $n key that bounds its index probe, tracing that allocates nothing
 # when off, and reads — a retrieve's, a write statement's read phase, or
 # define index's backfill — that pin no buffer-pool page.
 # Wall clock is left to paired runs of bench/. No -race: the race
 # detector perturbs allocation counts, and scanalloc_test.go is built
 # only without it.
 work-gate:
-	$(GO) test -count=1 -v -run '^(TestScanAllocsPerRow|TestHashJoinBuildsSmallerSide|TestRangeReplaceWorkIndependentOfSize|TestCommitWorkIndependentOfSize|TestRangeUpdateWorkIndependentOfSize|TestPlanCacheHitCompilesNothing|TestZeroAllocWhenDisabled|TestAdhocLiteralsShareOnePlan|TestParamKeyUsesIndex|TestSnapshotReadsPinNoPage|TestWriteReadPhasePinsNoPage|TestDefineIndexPinsNoPage)$$' . ./internal/object/ ./internal/trace/
+	$(GO) test -count=1 -v -run '^(TestScanAllocsPerRow|TestHashJoinBuildsSmallerSide|TestRangeReplaceWorkIndependentOfSize|TestCommitWorkIndependentOfSize|TestRangeUpdateWorkIndependentOfSize|TestPlanCacheHitCompilesNothing|TestZeroAllocWhenDisabled|TestAdhocLiteralsShareOnePlan|TestAdhocShapeSkipsParser|TestParamKeyUsesIndex|TestSnapshotReadsPinNoPage|TestWriteReadPhasePinsNoPage|TestDefineIndexPinsNoPage)$$' . ./internal/object/ ./internal/trace/
 
 # The repository benchmark (bench/, a module of its own that drives the
 # engine through its public and internal APIs) must keep compiling and

@@ -67,6 +67,11 @@ func TestDebugServerMetrics(t *testing.T) {
 		"# TYPE extra_plan_cache_size gauge",
 		"extra_plan_cache_size 1",
 		"extra_expr_compile_count_total ",
+		// The front end: the repeated text is an exact memo hit, and
+		// every other statement text went to the parser.
+		"extra_parse_memo_text_hits_total 1",
+		"extra_parse_memo_shape_hits_total 0",
+		"# TYPE extra_parse_full_total counter",
 		"# TYPE extra_phase_compile_ns histogram",
 		// The write path: every publication is timed and sized. The two
 		// size histograms are counts and carry no time unit.

@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/excess/ast"
-	"repro/internal/excess/parse"
+	"repro/internal/excess/scan"
 	"repro/internal/excess/sema"
 	"repro/internal/trace"
 )
@@ -28,7 +28,11 @@ type ExplainOutput = algebra.AnalyzeReport
 // extra:output
 // extra:snapshot
 func (db *DB) Explain(src string) (string, error) {
-	st, err := parse.One(src, db.reg)
+	toks, err := scan.All(src)
+	if err != nil {
+		return "", err
+	}
+	st, err := db.parseSingle(toks)
 	if err != nil {
 		return "", err
 	}
@@ -52,7 +56,7 @@ func (db *DB) Explain(src string) (string, error) {
 	// literals in its slots. The lookup does not populate the cache:
 	// explaining a statement is not executing it.
 	if r.Into == "" {
-		shape, args, slots := liftLiterals(r)
+		shape, args, slots, _ := liftLiterals(r, toks)
 		if e := db.plans.peek(planKeyFor(es, sem, planKeyText(shape, slots))); e != nil {
 			plan := e.plan.Clone()
 			plan.Args = args

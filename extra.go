@@ -113,7 +113,7 @@ type DB struct {
 	// registry lookup on the statement path). Histograms and counters
 	// are internally atomic: safe to observe from concurrent readers.
 	hParse, hCheck, hPlan, hCompile, hExecute, hStmt *metrics.Histogram
-	cRows, cErrors                                   *metrics.Counter
+	cRows, cErrors, cParses                          *metrics.Counter            // cParses: parse.full, every text the parser reads
 	cKind                                            map[string]*metrics.Counter // stmt.<kind> by sema.KindOf name; read-only after Open
 
 	// plans is the engine-wide compiled-statement cache (see
@@ -221,6 +221,7 @@ func open(cfg config, reg *adt.Registry) (*DB, error) {
 		hStmt:    mreg.Histogram("stmt.latency"),
 		cRows:    mreg.Counter("rows.returned"),
 		cErrors:  mreg.Counter("stmt.errors"),
+		cParses:  mreg.Counter("parse.full"),
 		cKind:    cKind,
 
 		plans: newPlanCache(defaultPlanCacheCap, mreg),

@@ -2,10 +2,15 @@ package extra_test
 
 import (
 	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 
 	extra "repro"
+	"repro/internal/excess/token"
 	"repro/internal/workload"
 )
 
@@ -19,15 +24,7 @@ import (
 //
 //	go test -run '^$' -fuzz FuzzRetrieve -fuzztime 30s .
 func FuzzRetrieve(f *testing.F) {
-	db, _, err := workload.New(workload.Params{
-		Departments: 5, Employees: 40, MaxKids: 2, Floors: 3, MaxSalary: 1000, Seed: 17,
-	}, 0)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Cleanup(func() { db.Close() })
-	db.MustExec(`define index emp_sal on Employees (salary)`)
-	db.MustExec(`range of AE is all Employees`)
+	db := fuzzCompany(f)
 	figures := append(append([]string{}, fig5Queries...), fig6Queries...)
 	for shape := range len(fuzzShapes) + len(figures) {
 		f.Add([]byte{byte(shape)})
@@ -44,6 +41,129 @@ func FuzzRetrieve(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// fuzzCompany is the small seeded company the fuzz targets query, with
+// an index on salary and a range declaration.
+func fuzzCompany(f *testing.F) *extra.DB {
+	db, _, err := workload.New(workload.Params{
+		Departments: 5, Employees: 40, MaxKids: 2, Floors: 3, MaxSalary: 1000, Seed: 17,
+	}, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { db.Close() })
+	db.MustExec(`define index emp_sal on Employees (salary)`)
+	db.MustExec(`range of AE is all Employees`)
+	return db
+}
+
+// FuzzShapeMemo checks the front-end memo against the reference
+// evaluator. The fuzz input drives a shaped randomQuery whose literals
+// it writes in assorted ways — negated, parenthesized, as floats,
+// beside a string with escapes — in a text whose keywords' case,
+// spacing and comments it also varies. Each text runs cold, with the
+// memo emptied, and then again with every literal redrawn in the same
+// way, which the memo answers by the token shape the first run left or,
+// where a literal it kept differs, by the full path. Both runs must
+// return the oracle's rows or fail where the oracle fails.
+//
+//	go test -run '^$' -fuzz FuzzShapeMemo -fuzztime 30s .
+func FuzzShapeMemo(f *testing.F) {
+	db := fuzzCompany(f)
+	for seed := range 40 {
+		f.Add([]byte{byte(seed), byte(seed * 7)})
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		// Once the input is spent, the choices come from a source seeded
+		// by the whole input, so short inputs differ past their bytes.
+		h := fnv.New64a()
+		h.Write(data)
+		rng := rand.New(&byteSource{data: data[1:], rest: rand.NewSource(int64(h.Sum64()))})
+		q := randomQuery(rng)
+		fuzzShapes[int(data[0])%len(fuzzShapes)](&q)
+		m := fuzzText{q: q, styles: make([]int, len(q.args)), seed: rng.Int63()}
+		for i := range m.styles {
+			m.styles[i] = rng.Intn(len(literalStyles))
+		}
+		if rng.Intn(2) == 0 {
+			m.str = stringLiterals[rng.Intn(len(stringLiterals))]
+		}
+		first := m.render(rng.Intn(2) == 0)
+		extra.ForgetParses(db)
+		if err := extra.OracleCheck(db, first); err != nil {
+			t.Fatalf("cold: %v", err)
+		}
+		for i, v := range q.args {
+			if n, ok := v.(int); ok {
+				m.q.args[i] = n + rng.Intn(41) - 20
+			}
+		}
+		if m.str != "" {
+			m.str = stringLiterals[rng.Intn(len(stringLiterals))]
+		}
+		if err := extra.OracleCheck(db, m.render(rng.Intn(2) == 0)); err != nil {
+			t.Fatalf("after %s: %v", first, err)
+		}
+	})
+}
+
+// literalStyles are the ways FuzzShapeMemo writes an int operand.
+var literalStyles = []func(n int) string{
+	func(n int) string { return strconv.Itoa(n) },
+	func(n int) string { return "-" + strconv.Itoa(max(n, -n)) }, // not "--", a comment
+	func(n int) string { return "- " + strconv.Itoa(-n) },
+	func(n int) string { return "(" + strconv.Itoa(n) + ")" },
+	func(n int) string { return "-(" + strconv.Itoa(-n) + ")" },
+	func(n int) string { return strconv.Itoa(n) + ".0" },
+	func(n int) string { return strconv.Itoa(n) + "e0" },
+}
+
+// stringLiterals are the strings FuzzShapeMemo compares names with.
+var stringLiterals = []string{`"emp-000003"`, `"emp-000004"`, `"a\"b"`, `"\\"`, `"é"`, `""`, `"x -- y"`}
+
+// fuzzText is a FuzzShapeMemo text: a generated query, the style of
+// each of its operands, an optional string comparison, and the seed of
+// its spelling.
+type fuzzText struct {
+	q      genQuery
+	styles []int
+	str    string
+	seed   int64
+}
+
+// render writes the text; shout upper-cases its keywords. Its spacing
+// and comments are drawn from the seed, so both runs of a text are
+// spelled alike unless shout differs.
+func (m fuzzText) render(shout bool) string {
+	q := m.q
+	if m.str != "" {
+		q.where += " and E.name != " + m.str
+	}
+	src := q.fill(func(i int, v any) string {
+		n, ok := v.(int)
+		if !ok {
+			return fmt.Sprint(v)
+		}
+		return literalStyles[m.styles[i]](n)
+	})
+	rng := rand.New(rand.NewSource(m.seed))
+	var b strings.Builder
+	for i, w := range strings.Split(src, " ") {
+		if i > 0 {
+			b.WriteString([]string{" ", "  ", "\t", " -- note\n"}[rng.Intn(4)])
+		}
+		if shout {
+			if _, ok := token.Lookup(w); ok {
+				w = strings.ToUpper(w)
+			}
+		}
+		b.WriteString(w)
+	}
+	return b.String()
 }
 
 // fuzzShapes layer Figure 5/6 shapes over a random query: grouped and

@@ -151,13 +151,16 @@ func (p *Parser) unaryExpr() (ast.Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			// Fold negative literals for cleaner ASTs.
+			// Fold negative literals for cleaner ASTs. The folded literal
+			// starts at the minus sign: its position is no literal
+			// token's, which is how a reader of the token stream tells
+			// "-5" from "5".
 			switch lit := x.(type) {
 			case *ast.IntLit:
-				lit.V = -lit.V
+				lit.Position, lit.V = pos, -lit.V
 				return lit, nil
 			case *ast.FloatLit:
-				lit.V = -lit.V
+				lit.Position, lit.V = pos, -lit.V
 				return lit, nil
 			}
 			return &ast.Unary{Position: pos, Op: "-", X: x}, nil

@@ -41,7 +41,15 @@ func New(src string, ops OpTable) (*Parser, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Parser{toks: toks, ops: ops}, nil
+	return FromTokens(toks, ops), nil
+}
+
+// FromTokens returns a Parser over a text its caller already scanned:
+// toks is a whole token stream, ending with EOF, as scan.All returns
+// it. The parser reads toks only while it parses; no statement it
+// returns refers to the slice.
+func FromTokens(toks []token.Token, ops OpTable) *Parser {
+	return &Parser{toks: toks, ops: ops}
 }
 
 // Statements parses the entire input as a statement sequence.
@@ -50,6 +58,11 @@ func Statements(src string, ops OpTable) ([]ast.Statement, error) {
 	if err != nil {
 		return nil, err
 	}
+	return p.All()
+}
+
+// All parses the rest of the token stream as a statement sequence.
+func (p *Parser) All() ([]ast.Statement, error) {
 	var out []ast.Statement
 	for {
 		for p.at(token.SEMI) {

@@ -1,11 +1,13 @@
 package parse
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/adt"
 	"repro/internal/excess/ast"
+	"repro/internal/excess/scan"
 )
 
 func one(t *testing.T, src string) ast.Statement {
@@ -325,5 +327,66 @@ func TestMultipleStatements(t *testing.T) {
 	}
 	if len(ss) != 4 {
 		t.Fatalf("got %d statements", len(ss))
+	}
+}
+
+// TestFromTokensMatchesStatements: parsing a scanned token stream gives
+// the statements, and the errors, that parsing its text does.
+func TestFromTokensMatchesStatements(t *testing.T) {
+	reg := adt.NewRegistry()
+	for _, src := range []string{
+		`retrieve (E.name) from E in Employees where E.salary = -5 and E.age > 3`,
+		`range of E is Employees; retrieve (E.name)`,
+		`retrieve E.name`,
+		`retrieve (x = 99999999999999999999)`,
+	} {
+		want, werr := Statements(src, reg)
+		toks, err := scan.All(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gerr := FromTokens(toks, reg).All()
+		if fmt.Sprint(werr) != fmt.Sprint(gerr) {
+			t.Errorf("%s: error %v, want %v", src, gerr, werr)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d statements, want %d", src, len(got), len(want))
+		}
+		for i := range got {
+			if ast.Print(got[i]) != ast.Print(want[i]) {
+				t.Errorf("%s: statement %d is %s, want %s", src, i, ast.Print(got[i]), ast.Print(want[i]))
+			}
+		}
+	}
+}
+
+// TestFoldedLiteralStartsAtMinus: a negative literal folded into one
+// node is positioned at its minus sign, not at its digits' token.
+func TestFoldedLiteralStartsAtMinus(t *testing.T) {
+	// expr parses "retrieve (x = " + src + ")": the minus is column 19.
+	for src, col := range map[string]int{"x = -5": 19, "x = - 5": 19, "x = -(5)": 19, "x = - -2.5": 19} {
+		b, ok := expr(t, src).(*ast.Binary)
+		if !ok {
+			t.Fatalf("%s: not a comparison", src)
+		}
+		if _, c := b.R.Pos(); c != col {
+			t.Errorf("%s: literal at column %d, want %d", src, c, col)
+		}
+	}
+}
+
+// lookupText is the benchmark's point-read lookup: an ad-hoc indexed
+// retrieve with a fresh integer literal.
+const lookupText = `retrieve (E.name, E.age) from E in Employees where E.salary = 52817`
+
+// BenchmarkParseStatement scans and parses the point-read lookup, the
+// work a statement pays when no memo answers it.
+func BenchmarkParseStatement(b *testing.B) {
+	b.ReportAllocs()
+	reg := adt.NewRegistry()
+	for i := 0; i < b.N; i++ {
+		if _, err := Statements(lookupText, reg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -5,6 +5,9 @@
 // are maximal runs of operator punctuation, which lets ADT designers
 // introduce new operators ("any legal EXCESS identifier or sequence of
 // punctuation characters", per the paper) without changing the scanner.
+//
+// ASCII text, which is nearly all EXCESS text, is classified by a byte
+// table; other runes take the unicode package's classification.
 package scan
 
 import (
@@ -32,16 +35,66 @@ func New(src string) *Scanner {
 // opChars are the characters that may form operator tokens.
 const opChars = "+-*/%<>=!&|^~@#?$"
 
-func isOpChar(r rune) bool { return strings.ContainsRune(opChars, r) }
+// ASCII byte classes.
+const (
+	clLetter = 1 << iota // a letter or '_': starts and continues an identifier
+	clDigit
+	clOp
+)
 
-func isIdentStart(r rune) bool { return r == '_' || unicode.IsLetter(r) }
+var class = func() (c [utf8.RuneSelf]uint8) {
+	for b := 'a'; b <= 'z'; b++ {
+		c[b] |= clLetter
+		c[b-'a'+'A'] |= clLetter
+	}
+	c['_'] |= clLetter
+	for b := '0'; b <= '9'; b++ {
+		c[b] |= clDigit
+	}
+	for _, b := range opChars {
+		c[b] |= clOp
+	}
+	return c
+}()
+
+// punct maps the single-character punctuation tokens.
+var punct = [utf8.RuneSelf]token.Kind{
+	'(': token.LPAREN, ')': token.RPAREN, '{': token.LBRACE, '}': token.RBRACE,
+	'[': token.LBRACKET, ']': token.RBRACKET, ',': token.COMMA, ':': token.COLON,
+	';': token.SEMI, '.': token.DOT,
+}
+
+func is(r rune, cl uint8) bool { return r >= 0 && r < utf8.RuneSelf && class[r]&cl != 0 }
+
+func isOpChar(r rune) bool { return is(r, clOp) }
+
+func isIdentStart(r rune) bool {
+	if r < utf8.RuneSelf {
+		return is(r, clLetter)
+	}
+	return unicode.IsLetter(r)
+}
+
 func isIdentCont(r rune) bool {
-	return r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r)
+	if r < utf8.RuneSelf {
+		return is(r, clLetter|clDigit)
+	}
+	return unicode.IsLetter(r) || unicode.IsDigit(r)
+}
+
+func isDigit(r rune) bool {
+	if r < utf8.RuneSelf {
+		return is(r, clDigit)
+	}
+	return unicode.IsDigit(r)
 }
 
 func (s *Scanner) peek() rune {
 	if s.pos >= len(s.src) {
 		return -1
+	}
+	if c := s.src[s.pos]; c < utf8.RuneSelf {
+		return rune(c)
 	}
 	r, _ := utf8.DecodeRuneInString(s.src[s.pos:])
 	return r
@@ -51,7 +104,10 @@ func (s *Scanner) next() rune {
 	if s.pos >= len(s.src) {
 		return -1
 	}
-	r, w := utf8.DecodeRuneInString(s.src[s.pos:])
+	r, w := rune(s.src[s.pos]), 1
+	if r >= utf8.RuneSelf {
+		r, w = utf8.DecodeRuneInString(s.src[s.pos:])
+	}
 	s.pos += w
 	if r == '\n' {
 		s.line++
@@ -60,6 +116,18 @@ func (s *Scanner) next() rune {
 		s.col++
 	}
 	return r
+}
+
+// skipASCII advances over the run of ASCII bytes of class cl.
+func (s *Scanner) skipASCII(cl uint8) {
+	for s.pos < len(s.src) {
+		c := s.src[s.pos]
+		if c >= utf8.RuneSelf || class[c]&cl == 0 {
+			return
+		}
+		s.pos++
+		s.col++
+	}
 }
 
 func (s *Scanner) skipSpace() {
@@ -91,15 +159,19 @@ func (s *Scanner) Next() (token.Token, error) {
 		return mk(token.EOF, ""), nil
 	case isIdentStart(r):
 		start := s.pos
-		for isIdentCont(s.peek()) {
+		for {
+			s.skipASCII(clLetter | clDigit)
+			if !isIdentCont(s.peek()) {
+				break
+			}
 			s.next()
 		}
 		word := s.src[start:s.pos]
-		if k, ok := token.Keywords[strings.ToLower(word)]; ok {
+		if k, ok := token.Lookup(word); ok {
 			return mk(k, word), nil
 		}
 		return mk(token.IDENT, word), nil
-	case unicode.IsDigit(r):
+	case isDigit(r):
 		return s.number(line, col)
 	case r == '"':
 		return s.stringLit(line, col)
@@ -115,34 +187,15 @@ func (s *Scanner) Next() (token.Token, error) {
 		return mk(token.OP, s.src[start:s.pos]), nil
 	}
 	s.next()
-	switch r {
-	case '(':
-		return mk(token.LPAREN, "("), nil
-	case ')':
-		return mk(token.RPAREN, ")"), nil
-	case '{':
-		return mk(token.LBRACE, "{"), nil
-	case '}':
-		return mk(token.RBRACE, "}"), nil
-	case '[':
-		return mk(token.LBRACKET, "["), nil
-	case ']':
-		return mk(token.RBRACKET, "]"), nil
-	case ',':
-		return mk(token.COMMA, ","), nil
-	case ':':
-		return mk(token.COLON, ":"), nil
-	case ';':
-		return mk(token.SEMI, ";"), nil
-	case '.':
-		return mk(token.DOT, "."), nil
+	if r < utf8.RuneSelf && punct[r] != token.EOF {
+		return mk(punct[r], s.src[s.pos-1:s.pos]), nil
 	}
 	return token.Token{}, fmt.Errorf("%d:%d: unexpected character %q", line, col, r)
 }
 
 func (s *Scanner) number(line, col int) (token.Token, error) {
 	start := s.pos
-	for unicode.IsDigit(s.peek()) {
+	for isDigit(s.peek()) {
 		s.next()
 	}
 	isFloat := false
@@ -152,23 +205,23 @@ func (s *Scanner) number(line, col int) (token.Token, error) {
 	if s.peek() == '.' && s.pos+1 < len(s.src) && unicode.IsDigit(rune(s.src[s.pos+1])) {
 		isFloat = true
 		s.next()
-		for unicode.IsDigit(s.peek()) {
+		for isDigit(s.peek()) {
 			s.next()
 		}
 	}
 	if s.peek() == 'e' || s.peek() == 'E' {
-		save := s.pos
+		savePos, saveCol := s.pos, s.col
 		s.next()
 		if s.peek() == '+' || s.peek() == '-' {
 			s.next()
 		}
-		if unicode.IsDigit(s.peek()) {
+		if isDigit(s.peek()) {
 			isFloat = true
-			for unicode.IsDigit(s.peek()) {
+			for isDigit(s.peek()) {
 				s.next()
 			}
 		} else {
-			s.pos = save // not an exponent; back off
+			s.pos, s.col = savePos, saveCol // not an exponent; back off
 		}
 	}
 	text := s.src[start:s.pos]
@@ -180,6 +233,19 @@ func (s *Scanner) number(line, col int) (token.Token, error) {
 
 func (s *Scanner) stringLit(line, col int) (token.Token, error) {
 	s.next() // opening quote
+	// A string of plain ASCII without escapes is its own source text.
+	for i := s.pos; i < len(s.src); i++ {
+		c := s.src[i]
+		if c == '"' {
+			text := s.src[s.pos:i]
+			s.col += i + 1 - s.pos
+			s.pos = i + 1
+			return token.Token{Kind: token.STRING, Text: text, Line: line, Col: col}, nil
+		}
+		if c == '\\' || c == '\n' || c >= utf8.RuneSelf {
+			break
+		}
+	}
 	var b strings.Builder
 	for {
 		r := s.next()
@@ -208,16 +274,24 @@ func (s *Scanner) stringLit(line, col int) (token.Token, error) {
 
 // All tokenizes the whole input.
 func All(src string) ([]token.Token, error) {
+	return Append(nil, src)
+}
+
+// Append tokenizes the whole input onto dst, which a caller scanning
+// many texts reuses. The tokens end with EOF.
+func Append(dst []token.Token, src string) ([]token.Token, error) {
+	if dst == nil {
+		dst = make([]token.Token, 0, len(src)/3+2)
+	}
 	s := New(src)
-	var out []token.Token
 	for {
 		t, err := s.Next()
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, t)
+		dst = append(dst, t)
 		if t.Kind == token.EOF {
-			return out, nil
+			return dst, nil
 		}
 	}
 }

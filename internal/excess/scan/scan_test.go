@@ -1,6 +1,7 @@
 package scan
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/excess/token"
@@ -135,5 +136,95 @@ func TestPunctuation(t *testing.T) {
 func TestBadCharacter(t *testing.T) {
 	if _, err := All("a ` b"); err == nil {
 		t.Error("backquote accepted")
+	}
+}
+
+// TestExponentBackOffColumns: a number that backs off a non-exponent
+// "e" ("1e", "1e+") leaves the column where the number ended, so the
+// tokens after it and an error in them are reported where they stand.
+func TestExponentBackOffColumns(t *testing.T) {
+	toks, err := All("x = 1e y")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		text string
+		col  int
+	}{{"x", 1}, {"=", 3}, {"1", 5}, {"e", 6}, {"y", 8}}
+	for i, w := range want {
+		if toks[i].Text != w.text || toks[i].Col != w.col {
+			t.Errorf("token %d = %q at column %d, want %q at %d", i, toks[i].Text, toks[i].Col, w.text, w.col)
+		}
+	}
+	toks, err = All("1e+ y")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if toks[1].Text != "e" || toks[1].Col != 2 || toks[2].Text != "+" || toks[2].Col != 3 || toks[3].Col != 5 {
+		t.Errorf("1e+ y scanned as %v", toks)
+	}
+	if _, err := All("1e+ `"); err == nil || err.Error() != "1:5: unexpected character '`'" {
+		t.Errorf("error after a backed-off exponent: %v", err)
+	}
+}
+
+// TestLookupKeywords: every keyword is found in any case, without the
+// lookup allocating for an ASCII word.
+func TestLookupKeywords(t *testing.T) {
+	for w, k := range token.Keywords {
+		for _, spelling := range []string{w, strings.ToUpper(w), strings.ToUpper(w[:1]) + w[1:]} {
+			if got, ok := token.Lookup(spelling); !ok || got != k {
+				t.Errorf("Lookup(%q) = %v, %v; want %v", spelling, got, ok, k)
+			}
+		}
+	}
+	for _, w := range []string{"Employees", "retrieved", "ret", ""} {
+		if k, ok := token.Lookup(w); ok {
+			t.Errorf("Lookup(%q) = %v, want no keyword", w, k)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { token.Lookup("INTERSECT") }); n != 0 {
+		t.Errorf("Lookup allocated %.0f times", n)
+	}
+}
+
+// TestStringFastPathMatchesDecoding: a plain string is its source text
+// and a string with escapes or non-ASCII runes is decoded; both leave
+// the following token at the same column.
+func TestStringFastPathMatchesDecoding(t *testing.T) {
+	for _, c := range []struct {
+		src, text string
+		next      int
+	}{
+		{`"abc" x`, "abc", 7},
+		{`"a\"b" x`, `a"b`, 8},
+		{`"né" x`, "né", 6},
+		{`"" x`, "", 4},
+	} {
+		toks, err := All(c.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if toks[0].Kind != token.STRING || toks[0].Text != c.text || toks[1].Col != c.next {
+			t.Errorf("%s scanned as %v", c.src, toks)
+		}
+	}
+}
+
+// lookupText is the benchmark's point-read lookup: an ad-hoc indexed
+// retrieve with a fresh integer literal.
+const lookupText = `retrieve (E.name, E.age) from E in Employees where E.salary = 52817`
+
+// BenchmarkScanStatement scans the point-read lookup into a reused
+// token buffer.
+func BenchmarkScanStatement(b *testing.B) {
+	b.ReportAllocs()
+	var buf []token.Token
+	for i := 0; i < b.N; i++ {
+		toks, err := Append(buf[:0], lookupText)
+		if err != nil {
+			b.Fatal(err)
+		}
+		buf = toks
 	}
 }

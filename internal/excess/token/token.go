@@ -1,7 +1,11 @@
 // Package token defines the lexical tokens of the EXCESS language.
 package token
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+	"unicode/utf8"
+)
 
 // Kind classifies a token.
 type Kind int
@@ -113,6 +117,42 @@ var Keywords = func() map[string]Kind {
 	}
 	return m
 }()
+
+// keywordLens has bit n of entry c set when a keyword of length n
+// begins with the letter 'a'+c: most identifiers are told from keywords
+// without a map probe.
+var keywordLens = func() (m [26]uint32) {
+	for w := range Keywords {
+		m[w[0]-'a'] |= 1 << len(w)
+	}
+	return m
+}()
+
+// Lookup returns the keyword kind an identifier-shaped word spells,
+// matched case-insensitively. An ASCII word is lowered into a stack
+// buffer, so the lookup does not allocate.
+func Lookup(word string) (Kind, bool) {
+	var buf [16]byte // longer than any keyword
+	if len(word) == 0 || len(word) > len(buf) {
+		return 0, false
+	}
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		if c >= utf8.RuneSelf {
+			k, ok := Keywords[strings.ToLower(word)]
+			return k, ok
+		}
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	if c := buf[0]; c < 'a' || c > 'z' || keywordLens[c-'a']&(1<<len(word)) == 0 {
+		return 0, false
+	}
+	k, ok := Keywords[string(buf[:len(word)])]
+	return k, ok
+}
 
 // Token is one lexical token with its source position.
 type Token struct {

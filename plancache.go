@@ -2,12 +2,15 @@ package extra
 
 import (
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/algebra"
 	"repro/internal/excess/ast"
 	"repro/internal/excess/sema"
+	"repro/internal/excess/token"
 	"repro/internal/exec"
 	"repro/internal/metrics"
 	"repro/internal/types"
@@ -37,12 +40,20 @@ import (
 // statements ($n placeholders included) and EXPLAIN ANALYZE all reach it
 // through Session.planRetrieve, which also says what is not cacheable.
 //
-// In front of the parser the cache keeps a memo of the raw texts of
-// read-only statements: a repeated text skips parsing, and then lifting
-// and keying run on the memoized statement, which nothing mutates (the
-// lifter copies on write). A parse depends on the ADT registry, so an
-// entry answers only under the registry version it was parsed under.
-// The memo is bounded and evicts FIFO like the plans.
+// In front of the parser the cache keeps one bounded memo of read-only
+// retrieves under two kinds of key (memoEntry). An exact text maps to
+// the statement's lifted shape, its literals and its key text, so a
+// repeated text is neither scanned, lifted nor printed. A token shape —
+// the text's tokens with its int, float and string literals abstracted
+// (appendShapeKey) — maps to the statement parsed from the first text of that
+// shape and a mask saying, per literal token, which slot it fills or
+// which text it must have; a text with fresh literals is scanned once
+// and its literals become the frame, with no parse, lift or print. A
+// parse depends on the ADT registry, so an entry answers only under the
+// registry version it was parsed under; anything else the memo cannot
+// answer exactly (a fixed literal that differs, an int that overflows)
+// takes the full path. The memo evicts in FIFO order, except that an
+// entry used since it was last passed gets a second pass.
 //
 // Entries store the Checked form, a Cached=true Clone of the plan and
 // the plan's compiled program (exec.Program), so a hit neither plans nor
@@ -60,12 +71,15 @@ type planCache struct {
 	// (shared pointers into the checked tree), so recency tracking is not
 	// worth a lock upgrade on the hit path.
 	fifo []planKey
-	// texts is the raw-text memo, textFIFO its insertion order.
-	texts    map[string]parsedText
-	textFIFO []string
+	// memo is the front-end memo, memoFIFO its insertion order.
+	memo     map[string]*memoEntry
+	memoFIFO []*memoEntry
 
 	hits, misses, evictions *metrics.Counter
 	size                    *metrics.Gauge
+	// The memo's traffic: texts answered exactly, texts answered by
+	// their token shape, and texts that went to the parser.
+	textHits, shapeHits, memoMisses *metrics.Counter
 }
 
 type planKey struct {
@@ -81,12 +95,47 @@ type planEntry struct {
 	prog *exec.Program
 }
 
-// parsedText is a memoized parse: the statements and the ADT registry
-// version they were parsed under.
-type parsedText struct {
-	stmts  []ast.Statement
+// memoEntry is the memo's knowledge of one read-only retrieve, parsed
+// under ADT registry version regVer. A text entry's key is the text and
+// its adhoc carries the text's literals. A shape entry's key is a token
+// shape; its statement and adhoc are the first such text's, and mask has
+// one element per literal token of the shape, in text order. Entries
+// are shared by every hit and never mutated, except for used.
+type memoEntry struct {
+	key    string
 	regVer uint64
+	stmts  []ast.Statement // the one *ast.Retrieve
+	lifted []*adhoc        // its lifted form
+	mask   []litMask       // shape entries only
+	// used is set by a hit; eviction clears it and passes the entry over
+	// once.
+	used atomic.Bool
 }
+
+// litMask is what a shape entry knows of one literal token: the slot it
+// fills (1-based), or, for a literal left in the statement (slot 0), the
+// text it must have.
+type litMask struct {
+	slot int
+	text string
+}
+
+// adhoc is a cacheable ad-hoc retrieve as the front end lifted it: the
+// statement it was parsed as, its shape with the literals in slots, the
+// slots' types, the shape's plan-key text (planKeyText) and the
+// literals' values by slot. planRetrieve serves it without lifting or
+// printing.
+type adhoc struct {
+	st      *ast.Retrieve
+	shape   *ast.Retrieve
+	slots   []types.Type
+	keyText string
+	frame   []value.Value
+}
+
+// shapePrefix begins every shape key. No statement text begins with it
+// (it scans as an error), so one map holds both kinds of key.
+const shapePrefix = 0
 
 const defaultPlanCacheCap = 256
 
@@ -95,13 +144,16 @@ func newPlanCache(capacity int, reg *metrics.Registry) *planCache {
 		capacity = 1
 	}
 	return &planCache{
-		cap:       capacity,
-		m:         make(map[planKey]*planEntry, capacity),
-		texts:     make(map[string]parsedText, capacity),
-		hits:      reg.Counter("plan.cache.hits"),
-		misses:    reg.Counter("plan.cache.misses"),
-		evictions: reg.Counter("plan.cache.evictions"),
-		size:      reg.Gauge("plan.cache.size"),
+		cap:        capacity,
+		m:          make(map[planKey]*planEntry, capacity),
+		memo:       make(map[string]*memoEntry, capacity),
+		hits:       reg.Counter("plan.cache.hits"),
+		misses:     reg.Counter("plan.cache.misses"),
+		evictions:  reg.Counter("plan.cache.evictions"),
+		size:       reg.Gauge("plan.cache.size"),
+		textHits:   reg.Counter("parse.memo.text_hits"),
+		shapeHits:  reg.Counter("parse.memo.shape_hits"),
+		memoMisses: reg.Counter("parse.memo.misses"),
 	}
 }
 
@@ -147,20 +199,36 @@ func planKeyText(st *ast.Retrieve, slots []types.Type) string {
 // the shape, the literals' values and types by slot, and st itself,
 // unmodified, when there is nothing to lift — or when the statement has
 // $n placeholders of its own, which a frame of literals must not bind.
-func liftLiterals(st *ast.Retrieve) (*ast.Retrieve, []value.Value, []types.Type) {
-	var l lifter
+//
+// toks is the text st was parsed from. A literal is lifted only when it
+// stands at a literal token's position — a folded negative literal
+// stands at its minus sign — and the mask records, per literal token,
+// the slot it went to or the text it kept: what a text of the same
+// token shape needs to be lifted without a parse (memoEntry).
+func liftLiterals(st *ast.Retrieve, toks []token.Token) (*ast.Retrieve, []value.Value, []types.Type, []litMask) {
+	l := lifter{toks: toks}
+	for _, t := range toks {
+		if isLiteral(t.Kind) {
+			l.mask = append(l.mask, litMask{text: t.Text})
+		}
+	}
+	if hasPlaceholder(st) {
+		return st, nil, nil, l.mask
+	}
 	where := l.expr(st.Where)
-	if len(l.vals) == 0 || hasPlaceholder(st) {
-		return st, nil, nil
+	if len(l.vals) == 0 {
+		return st, nil, nil, l.mask
 	}
 	shape := *st
 	shape.Where = where
-	return &shape, l.vals, l.types
+	return &shape, l.vals, l.types, l.mask
 }
 
 // lifter rewrites a where clause copy-on-write, collecting the lifted
-// literals in slot order.
+// literals in slot order and marking their tokens in the mask.
 type lifter struct {
+	toks  []token.Token
+	mask  []litMask
 	vals  []value.Value
 	types []types.Type
 }
@@ -217,10 +285,98 @@ func (l *lifter) slot(e ast.Expr) ast.Expr {
 	if !ok {
 		return e
 	}
+	line, col := e.Pos()
+	i := l.literalToken(line, col)
+	if i < 0 {
+		return e
+	}
 	l.vals = append(l.vals, k.Val)
 	l.types = append(l.types, k.T)
-	line, col := e.Pos()
+	l.mask[i] = litMask{slot: len(l.vals)}
 	return &ast.Placeholder{Position: ast.Position{Line: line, Col: col}, N: len(l.vals)}
+}
+
+// literalToken returns the index in the mask of the literal token at a
+// position, or -1 when no literal token starts there.
+func (l *lifter) literalToken(line, col int) int {
+	i := 0
+	for _, t := range l.toks {
+		if !isLiteral(t.Kind) {
+			continue
+		}
+		if t.Line == line && t.Col == col {
+			return i
+		}
+		i++
+	}
+	return -1
+}
+
+func isLiteral(k token.Kind) bool {
+	return k == token.INT || k == token.FLOAT || k == token.STRING
+}
+
+// appendShapeKey appends the token shape of a scanned text to key: a
+// keyword by its kind (keywords are case-insensitive), an identifier or
+// operator by its text, a literal by its kind alone. Every token is its
+// kind's byte, and an identifier's or operator's text ends with a 0 byte,
+// which neither contains, so equal keys are equal token shapes.
+func appendShapeKey(key []byte, toks []token.Token) []byte {
+	key = append(key, shapePrefix)
+	for _, t := range toks {
+		key = append(key, byte(t.Kind))
+		if t.Kind == token.IDENT || t.Kind == token.OP {
+			key = append(key, t.Text...)
+			key = append(key, 0)
+		}
+	}
+	return key
+}
+
+// instantiate lifts a text of the shape entry's token shape without
+// parsing it: each literal token the mask gives a slot becomes that
+// slot's value, and every other literal token must be spelled as the
+// first text's was. ok is false when the text needs the full path: a
+// kept literal differs, or a literal does not convert as the parser
+// would take it (an int that overflows).
+func (e *memoEntry) instantiate(toks []token.Token) (ad *adhoc, ok bool) {
+	first := e.lifted[0]
+	var frame []value.Value
+	if len(first.slots) > 0 {
+		frame = make([]value.Value, len(first.slots))
+	}
+	i := 0
+	for _, t := range toks {
+		if !isLiteral(t.Kind) {
+			continue
+		}
+		m := e.mask[i]
+		i++
+		if m.slot == 0 {
+			if t.Text != m.text {
+				return nil, false
+			}
+			continue
+		}
+		if frame[m.slot-1], ok = literalValue(t); !ok {
+			return nil, false
+		}
+	}
+	return &adhoc{st: first.st, shape: first.shape, slots: first.slots, keyText: first.keyText, frame: frame}, true
+}
+
+// literalValue converts a literal token as the parser and sema.Literal
+// do: an int to int4, a float to float8, a string to varchar.
+func literalValue(t token.Token) (value.Value, bool) {
+	switch t.Kind {
+	case token.INT:
+		v, err := strconv.ParseInt(t.Text, 10, 64)
+		return value.NewInt(v), err == nil
+	case token.FLOAT:
+		v, err := strconv.ParseFloat(t.Text, 64)
+		return value.NewFloat(v), err == nil
+	}
+	return value.NewStr(t.Text), true
 }
 
 // rangesFingerprint renders a session's range declarations into a stable
@@ -292,35 +448,66 @@ func (pc *planCache) put(key planKey, cq *sema.CheckedRetrieve, plan *algebra.Pl
 	return e
 }
 
-// parsed returns the memoized parse of src under registry version
-// regVer.
+// memoText returns the text entry for src under registry version
+// regVer, or nil.
 //
 // extra:acquires plancache.mu.R
-func (pc *planCache) parsed(src string, regVer uint64) ([]ast.Statement, bool) {
+func (pc *planCache) memoText(src string, regVer uint64) *memoEntry {
 	pc.mu.RLock()
-	p, ok := pc.texts[src]
+	e := pc.memo[src]
 	pc.mu.RUnlock()
-	if !ok || p.regVer != regVer {
-		return nil, false
-	}
-	return p.stmts, true
+	return e.answer(regVer, false)
 }
 
-// putParsed memoizes the parse of a read-only statement's text,
-// evicting the oldest text at capacity.
+// memoShape returns the shape entry for a shape key under registry
+// version regVer, or nil. The key is the caller's buffer; the probe does
+// not copy it.
+//
+// extra:acquires plancache.mu.R
+func (pc *planCache) memoShape(key []byte, regVer uint64) *memoEntry {
+	pc.mu.RLock()
+	e := pc.memo[string(key)]
+	pc.mu.RUnlock()
+	return e.answer(regVer, true)
+}
+
+// answer returns e when it answers a lookup of its kind under regVer,
+// marking it used.
+func (e *memoEntry) answer(regVer uint64, shape bool) *memoEntry {
+	if e == nil || e.regVer != regVer || (e.key[0] == shapePrefix) != shape {
+		return nil
+	}
+	if !e.used.Load() {
+		e.used.Store(true)
+	}
+	return e
+}
+
+// memoize inserts an entry, replacing one parsed under another registry
+// version and evicting at capacity: the oldest entry goes, unless it was
+// used since it was last passed, when it goes to the back instead.
 //
 // extra:acquires plancache.mu.W
-func (pc *planCache) putParsed(src string, regVer uint64, stmts []ast.Statement) {
+func (pc *planCache) memoize(e *memoEntry) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	if _, dup := pc.texts[src]; !dup {
-		for len(pc.texts) >= pc.cap && len(pc.textFIFO) > 0 {
-			delete(pc.texts, pc.textFIFO[0])
-			pc.textFIFO = pc.textFIFO[1:]
-		}
-		pc.textFIFO = append(pc.textFIFO, src)
+	if old, dup := pc.memo[e.key]; dup && old.regVer == e.regVer {
+		return // a concurrent statement memoized the same key; keep theirs
 	}
-	pc.texts[src] = parsedText{stmts: stmts, regVer: regVer}
+	for len(pc.memo) >= pc.cap && len(pc.memoFIFO) > 0 {
+		old := pc.memoFIFO[0]
+		pc.memoFIFO = pc.memoFIFO[1:]
+		if pc.memo[old.key] != old {
+			continue // replaced under a newer registry version
+		}
+		if old.used.Swap(false) {
+			pc.memoFIFO = append(pc.memoFIFO, old)
+			continue
+		}
+		delete(pc.memo, old.key)
+	}
+	pc.memo[e.key] = e
+	pc.memoFIFO = append(pc.memoFIFO, e)
 }
 
 // peek is get without counter traffic, for EXPLAIN: an explain is not an

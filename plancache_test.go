@@ -347,33 +347,39 @@ func TestAdhocPlaceholderNotLifted(t *testing.T) {
 }
 
 // TestParseMemo: the text of a read-only statement is parsed once and
-// served from the plan cache's raw-text memo afterwards, under the ADT
-// registry version it was parsed under; write statements are never
-// memoized, and the memo stays bounded.
+// answered by the memo afterwards — its exact text with no scan, a text
+// of the same token shape with no parse — under the ADT registry
+// version it was parsed under; write statements are never memoized,
+// and the memo stays bounded.
 func TestParseMemo(t *testing.T) {
 	db := mustOpen(t)
 	loadCompany(t, db)
 	q := `retrieve (E.name) from E in Employees where E.salary > 80`
 	want := db.MustQuery(q).String()
-	memo, ok := db.plans.parsed(q, db.reg.Version())
-	if !ok {
+	memo := db.plans.memoText(q, db.reg.Version())
+	if memo == nil {
 		t.Fatal("a retrieve's text was not memoized")
 	}
 	if got := db.MustQuery(q).String(); got != want {
 		t.Fatalf("memoized text returned\n%s\nwant\n%s", got, want)
 	}
-	if again, _ := db.plans.parsed(q, db.reg.Version()); len(again) != 1 || again[0] != memo[0] {
+	if again := db.plans.memoText(q, db.reg.Version()); again != memo {
 		t.Error("a memo hit parsed the text again")
+	}
+	fresh := `retrieve (E.name) from E in Employees where E.salary > 95`
+	db.MustQuery(fresh)
+	if e := db.plans.memoText(fresh, db.reg.Version()); e == nil || e.stmts[0] != memo.stmts[0] {
+		t.Error("a fresh literal of a memoized shape was parsed again")
 	}
 	w := `replace E (age = E.age) from E in Employees where E.salary > 1000`
 	db.MustExec(w)
-	if _, ok := db.plans.parsed(w, db.reg.Version()); ok {
+	if db.plans.memoText(w, db.reg.Version()) != nil {
 		t.Error("a write statement's text was memoized")
 	}
 	if _, err := db.Registry().Define("Memo"); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := db.plans.parsed(q, db.reg.Version()); ok {
+	if db.plans.memoText(q, db.reg.Version()) != nil {
 		t.Error("a parse from before an ADT registration answered after it")
 	}
 	if got := db.MustQuery(q).String(); got != want {
@@ -382,8 +388,8 @@ func TestParseMemo(t *testing.T) {
 	for i := 0; i < defaultPlanCacheCap+10; i++ {
 		db.MustQuery(fmt.Sprintf(`retrieve (E.name) from E in Employees where E.salary > %d`, i))
 	}
-	if got := len(db.plans.texts); got != defaultPlanCacheCap {
-		t.Errorf("memo holds %d texts, want %d", got, defaultPlanCacheCap)
+	if got := len(db.plans.memo); got != defaultPlanCacheCap {
+		t.Errorf("memo holds %d entries, want %d", got, defaultPlanCacheCap)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/excess/ast"
-	"repro/internal/excess/parse"
 	"repro/internal/excess/sema"
 	"repro/internal/types"
 	"repro/internal/value"
@@ -58,7 +57,7 @@ func (db *DB) Prepare(src string) (*Stmt, error) { return db.def.Prepare(src) }
 // against the published catalog.
 func (s *Session) Prepare(src string) (*Stmt, error) {
 	db := s.db
-	st, err := parse.One(src, db.reg)
+	st, err := db.parseOne(src)
 	if err != nil {
 		return nil, err
 	}

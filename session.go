@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime/pprof"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -14,7 +15,9 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/excess/ast"
 	"repro/internal/excess/parse"
+	"repro/internal/excess/scan"
 	"repro/internal/excess/sema"
+	"repro/internal/excess/token"
 	"repro/internal/exec"
 	"repro/internal/object"
 	"repro/internal/trace"
@@ -97,6 +100,12 @@ type stmtCall struct {
 	params   *paramScope   // $n arguments (prepared, replayed) or a procedure frame
 	prepared *Stmt         // set by Stmt.Exec: key text and the retained plan entry
 	analysis *analysis     // set by EXPLAIN ANALYZE: run instrumented and keep the plan
+	// lifted holds the ad-hoc retrieves the front end lifted for the plan
+	// cache (Session.parse); memoized says stmts came from the memo, where
+	// a statement may be another text's parse of the same token shape.
+	lifted   []*adhoc
+	memoized bool
+	scanned  *tokenBuf // the text's tokens when the front end scanned it; pooled again when the call ends
 
 	es   *exec.State
 	tr   trace.StmtTrace
@@ -117,13 +126,14 @@ func (c *stmtCall) open(s *Session) {
 // concurrently with writers; a batch with any write statement
 // serializes on the write lock.
 func (s *Session) Exec(src string) (*Result, error) {
-	start := time.Now()
-	stmts, err := s.parse(src)
-	if err != nil {
+	c := stmtCall{src: src, start: time.Now()}
+	if err := s.parse(&c); err != nil {
+		c.release()
 		s.db.cErrors.Inc()
 		return nil, err
 	}
-	return s.run(&stmtCall{stmts: stmts, src: src, start: start, parseDur: time.Since(start)})
+	c.parseDur = time.Since(c.start)
+	return s.run(&c)
 }
 
 // run is the statement envelope, the one place a statement is traced,
@@ -145,6 +155,7 @@ func (s *Session) Exec(src string) (*Result, error) {
 //
 // extra:acquires db.wmu.W
 func (s *Session) run(c *stmtCall) (*Result, error) {
+	defer c.release()
 	db := s.db
 	kind := "batch"
 	if len(c.stmts) == 1 {
@@ -353,30 +364,35 @@ func (s *Session) execPlan(c *stmtCall, cr compiledRetrieve) (*Result, error) {
 // A retrieve without an into clause is served from the cache (into
 // creates schema and is never repeated), ad hoc or prepared; inside a
 // procedure frame it is not, because the checked tree captures the
-// frame's parameter types. An ad-hoc statement is cached as its shape:
-// its comparison literals are lifted into typed slots (liftLiterals)
+// frame's parameter types. An ad-hoc statement is cached as the shape
+// the front end lifted (adhoc): its comparison literals are typed slots
 // and the program reads them from a frame of their values, so a fresh
 // literal is a hit. A shape that does not check is checked again as
-// typed, so its error quotes the statement the caller wrote. A prepared
-// statement brings its pre-printed key text and the entry it was last
-// served, which spares it the print and the map probe and keeps its
-// plan out of reach of FIFO eviction.
+// typed, so its error quotes the statement the caller wrote — parsed
+// from the caller's text when the memo served another text's parse. A
+// prepared statement brings its pre-printed key text and the entry it
+// was last served, which spares it the map probe and keeps its plan out
+// of reach of FIFO eviction.
 func (s *Session) planRetrieve(c *stmtCall, st *ast.Retrieve) (compiledRetrieve, error) {
 	db := s.db
 	sem := s.sem.Load()
 	cr := compiledRetrieve{frame: c.params.valuesOrNil()}
 	var key planKey
 	var last, e *planEntry
-	useCache := st.Into == "" && (c.params == nil || c.prepared != nil)
+	useCache := st.Into == ""
 	shape, slots := st, []types.Type(nil)
+	switch ad := c.liftedFor(st); {
+	case !useCache:
+	case c.prepared != nil:
+		key, last = planKeyFor(c.es, sem, c.prepared.keyText), c.prepared.last.Load()
+	case ad != nil:
+		shape, slots = ad.shape, ad.slots
+		cr.frame, cr.lifted = ad.frame, ad.frame != nil
+		key = planKeyFor(c.es, sem, ad.keyText)
+	default: // a procedure body's retrieve
+		useCache = false
+	}
 	if useCache {
-		if c.prepared != nil {
-			key, last = planKeyFor(c.es, sem, c.prepared.keyText), c.prepared.last.Load()
-		} else {
-			shape, cr.frame, slots = liftLiterals(st)
-			cr.lifted = cr.frame != nil
-			key = planKeyFor(c.es, sem, planKeyText(shape, slots))
-		}
 		e = db.plans.get(key, last)
 	}
 	if e != nil {
@@ -395,11 +411,17 @@ func (s *Session) planRetrieve(c *stmtCall, st *ast.Retrieve) (compiledRetrieve,
 	}
 	pt := c.tr.StartPhase(trace.PhaseCheck)
 	cq, err := sema.NewFrameChecker(c.es.Catalog(), sem, frame).CheckRetrieve(shape)
-	if err != nil && shape != st {
+	if err != nil && (shape != st || c.memoized) {
 		// The shape did not check: check and run the statement as typed,
 		// uncached, so an error quotes what the caller wrote.
 		cr.frame, cr.lifted, useCache = nil, false, false
-		cq, err = sema.NewFrameChecker(c.es.Catalog(), sem, nil).CheckRetrieve(st)
+		typed := st
+		if c.memoized {
+			typed, err = s.reparse(c)
+		}
+		if err == nil {
+			cq, err = sema.NewFrameChecker(c.es.Catalog(), sem, nil).CheckRetrieve(typed)
+		}
 	}
 	c.tr.EndPhase(pt)
 	if err != nil {
@@ -422,6 +444,17 @@ func (s *Session) planRetrieve(c *stmtCall, st *ast.Retrieve) (compiledRetrieve,
 	}
 	cr.cq, cr.plan, cr.prog = cq, plan, prog
 	return cr, nil
+}
+
+// liftedFor returns the front end's lifted form of one of the call's
+// statements, or nil.
+func (c *stmtCall) liftedFor(st *ast.Retrieve) *adhoc {
+	for _, ad := range c.lifted {
+		if ad.st == st {
+			return ad
+		}
+	}
+	return nil
 }
 
 // labeled runs fn, attaching runtime/pprof labels (session, stmt_kind)
@@ -456,36 +489,146 @@ func (s *Session) Query(src string) (*Result, error) {
 // one retrieve (Query, EXPLAIN ANALYZE); notRetrieve is how that entry
 // point words ErrNotRetrieve.
 func (s *Session) parseRetrieve(src, notRetrieve string) (stmtCall, error) {
-	start := time.Now()
-	stmts, err := s.parse(src)
+	c := stmtCall{src: src, start: time.Now()}
+	err := s.parse(&c)
 	var st ast.Statement
 	if err == nil {
-		st, err = parse.Single(stmts)
+		st, err = parse.Single(c.stmts)
 	}
-	parseDur := time.Since(start)
+	c.parseDur = time.Since(c.start)
 	if _, ok := st.(*ast.Retrieve); err == nil && !ok {
 		err = fmt.Errorf(notRetrieve, ErrNotRetrieve)
 	}
 	if err != nil {
+		c.release()
 		s.db.cErrors.Inc()
 		return stmtCall{}, err
 	}
-	return stmtCall{stmts: []ast.Statement{st}, src: src, start: start, parseDur: parseDur}, nil
+	return c, nil
 }
 
-// parse parses a statement text through the plan cache's raw-text memo:
-// a read-only statement's text seen before under the current ADT
-// registry is not parsed again.
-func (s *Session) parse(src string) ([]ast.Statement, error) {
-	regVer := s.db.reg.Version()
-	if stmts, ok := s.db.plans.parsed(src, regVer); ok {
-		return stmts, nil
+// tokenBuf is the front end's scan buffer, pooled across statements:
+// one text's tokens and its shape key.
+type tokenBuf struct {
+	toks []token.Token
+	key  []byte
+}
+
+var tokenBufs = sync.Pool{New: func() any { return new(tokenBuf) }}
+
+// release returns the call's scan buffer to the pool, unless a large
+// batch grew it.
+func (c *stmtCall) release() {
+	if b := c.scanned; b != nil && cap(b.toks) <= 1024 {
+		tokenBufs.Put(b)
 	}
-	stmts, err := parse.Statements(src, s.db.reg)
-	if err == nil && len(stmts) == 1 && sema.ReadOnly(stmts[0]) {
-		s.db.plans.putParsed(src, regVer, stmts)
+	c.scanned = nil
+}
+
+// parse is the front end: it reads the call's text into its statements
+// and, for each cacheable ad-hoc retrieve among them, its lifted form
+// (adhoc), consulting the plan cache's memo. A text seen before is
+// answered by its text entry without a scan. Otherwise the text is
+// scanned once: a text of a known token shape is answered by the shape
+// entry, and any other goes to the parser with the tokens already
+// scanned. A single read-only retrieve the parser read is memoized under
+// both keys; a shape hit memoizes its text.
+func (s *Session) parse(c *stmtCall) error {
+	db := s.db
+	pc := db.plans
+	regVer := db.reg.Version()
+	if e := pc.memoText(c.src, regVer); e != nil {
+		pc.textHits.Inc()
+		c.stmts, c.lifted, c.memoized = e.stmts, e.lifted, true
+		return nil
 	}
-	return stmts, err
+	buf := tokenBufs.Get().(*tokenBuf)
+	c.scanned = buf
+	toks, err := scan.Append(buf.toks[:0], c.src)
+	buf.toks = toks
+	if err != nil {
+		pc.memoMisses.Inc()
+		return err
+	}
+	var key []byte
+	if toks[0].Kind == token.RETRIEVE {
+		buf.key = appendShapeKey(buf.key[:0], toks)
+		key = buf.key
+		if e := pc.memoShape(key, regVer); e != nil {
+			if ad, ok := e.instantiate(toks); ok {
+				pc.shapeHits.Inc()
+				t := &memoEntry{key: c.src, regVer: regVer, stmts: e.stmts, lifted: []*adhoc{ad}}
+				pc.memoize(t)
+				c.stmts, c.lifted, c.memoized = t.stmts, t.lifted, true
+				return nil
+			}
+		}
+	}
+	pc.memoMisses.Inc()
+	if c.stmts, err = db.parseTokens(toks); err != nil {
+		return err
+	}
+	for _, st := range c.stmts {
+		r, ok := st.(*ast.Retrieve)
+		if !ok || r.Into != "" {
+			continue
+		}
+		shape, frame, slots, mask := liftLiterals(r, toks)
+		c.lifted = append(c.lifted, &adhoc{st: r, shape: shape, slots: slots, keyText: planKeyText(shape, slots), frame: frame})
+		if len(c.stmts) == 1 {
+			pc.memoize(&memoEntry{key: c.src, regVer: regVer, stmts: c.stmts, lifted: c.lifted})
+			if key != nil {
+				pc.memoize(&memoEntry{key: string(key), regVer: regVer, stmts: c.stmts, lifted: c.lifted, mask: mask})
+			}
+		}
+	}
+	return nil
+}
+
+// parseTokens parses a scanned text. Every statement text the engine
+// parses goes through here, counted by parse.full.
+func (db *DB) parseTokens(toks []token.Token) ([]ast.Statement, error) {
+	db.cParses.Inc()
+	return parse.FromTokens(toks, db.reg).All()
+}
+
+// parseOne scans and parses a text that holds exactly one statement.
+func (db *DB) parseOne(src string) (ast.Statement, error) {
+	toks, err := scan.All(src)
+	if err != nil {
+		return nil, err
+	}
+	return db.parseSingle(toks)
+}
+
+// parseSingle parses a scanned text that holds exactly one statement.
+func (db *DB) parseSingle(toks []token.Token) (ast.Statement, error) {
+	stmts, err := db.parseTokens(toks)
+	if err != nil {
+		return nil, err
+	}
+	return parse.Single(stmts)
+}
+
+// reparse parses the caller's own text for a call the memo answered
+// with the statement of another text of its shape: from the tokens the
+// front end scanned, when it scanned the text in this call.
+func (s *Session) reparse(c *stmtCall) (*ast.Retrieve, error) {
+	var st ast.Statement
+	var err error
+	if c.scanned != nil {
+		st, err = s.db.parseSingle(c.scanned.toks)
+	} else {
+		st, err = s.db.parseOne(c.src)
+	}
+	if err != nil {
+		return nil, err
+	}
+	r, ok := st.(*ast.Retrieve)
+	if !ok {
+		return nil, ErrNotRetrieve
+	}
+	return r, nil
 }
 
 // MustExec runs statements and panics on error; for examples and tests.

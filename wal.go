@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/excess/ast"
-	"repro/internal/excess/parse"
 	"repro/internal/excess/sema"
 	"repro/internal/oid"
 	"repro/internal/value"
@@ -168,7 +167,7 @@ func (db *DB) replayRecord(r *wal.Record, sessions map[int64]*Session) error {
 func (s *Session) replayStmt(r *wal.Record) error {
 	db := s.db
 	start := time.Now()
-	st, err := parse.One(r.Src, db.reg)
+	st, err := db.parseOne(r.Src)
 	if err != nil {
 		return fmt.Errorf("reparse %q: %w", r.Src, err)
 	}
