@@ -27,30 +27,15 @@ func (db *DB) AddToGroup(user, group string) error {
 	return db.editGrants(func(a *authz.Authorizer) error { return a.AddToGroup(user, group) })
 }
 
-// editGrants applies one edit to the working grant table under the
-// commit lock and publishes it: the grant table is part of the catalog,
-// which every snapshot carries, so the edit reaches readers the way
-// DDL does. Grants are not durable (stmtRecord logs no grant
-// statement either), so there is no record to size and logStmt logs
-// nothing.
+// editGrants applies one edit to the working grant table and publishes
+// it through the Go API's write path: the grant table is part of the
+// catalog, which every snapshot carries, so the edit reaches readers
+// the way DDL does. Grants are not durable (stmtRecord logs no grant
+// statement either), so the edit has no record.
 //
 // extra:acquires db.wmu.W
-// extra:mutates
 func (db *DB) editGrants(edit func(*authz.Authorizer) error) error {
-	db.wmu.Lock()
-	defer db.wmu.Unlock()
-	if db.closed.Load() {
-		return errDBClosed
-	}
-	err := edit(db.store.Catalog().Auth())
-	published, cerr := db.store.Commit() //extravet:ignore walcheck (grants are not durable: there is no record to size)
-	if cerr != nil && err == nil {
-		err = cerr
-	}
-	if _, lerr := db.logStmt(nil, err, published); lerr != nil && err == nil {
-		err = lerr
-	}
-	return err
+	return db.apiWrite()(nil, func() error { return edit(db.store.Catalog().Auth()) })
 }
 
 // SetUser switches the default session's current user; subsequent

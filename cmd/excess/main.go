@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	excess [-file pages.db] [-wal dir] [-walsync group|each|none] [-pool 256] [-load snapshot.xd] [-slow 1ms] [-trace N] [-serve addr] [script.xs ...]
+//	excess [-wal dir] [-walsync group|each|none] [-load snapshot.xd] [-slow 1ms] [-trace N] [-serve addr] [script.xs ...]
 //
 // With script arguments the files are executed in order and the shell
 // exits; otherwise an interactive prompt reads statements from stdin.
@@ -53,10 +53,8 @@ import (
 )
 
 func main() {
-	file := flag.String("file", "", "back pages with this file instead of memory")
 	walDir := flag.String("wal", "", "write-ahead-log directory (enables durability and crash recovery)")
 	walSync := flag.String("walsync", "group", "WAL sync mode: group, each or none")
-	pool := flag.Int("pool", 256, "buffer pool size in pages")
 	load := flag.String("load", "", "replay a Dump snapshot before starting")
 	slow := flag.Duration("slow", 0, "slow-query threshold: statements this slow are kept in the trace ring and listed by \\slow (0 = default 100ms)")
 	traceN := flag.Int("trace", 0, "sample every Nth statement into the trace ring of 64, which it shares with the slow statements (0 = off)")
@@ -64,9 +62,6 @@ func main() {
 	flag.Parse()
 
 	var opts []extra.Option
-	if *file != "" {
-		opts = append(opts, extra.WithFileStore(*file))
-	}
 	if *walDir != "" {
 		mode, err := extra.ParseWALSyncMode(*walSync)
 		if err != nil {
@@ -75,7 +70,6 @@ func main() {
 		}
 		opts = append(opts, extra.WithWAL(*walDir), extra.WithWALSync(mode))
 	}
-	opts = append(opts, extra.WithPoolSize(*pool))
 	if *slow > 0 {
 		opts = append(opts, extra.WithSlowQueryLog(*slow))
 	}

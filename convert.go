@@ -48,97 +48,44 @@ func (db *DB) Insert(extent string, attrs Attrs) (Obj, error) {
 	if err != nil {
 		return Obj{}, err
 	}
-	id, lsn, err := db.insertTuple(extent, tv)
-	if derr := db.waitDurable(lsn); derr != nil && err == nil {
-		err = derr
-	}
+	id, err := db.insertTuple(extent, tv)
 	if err != nil {
 		return Obj{}, err
 	}
 	return Obj{id: id, typ: tt.Name}, nil
 }
 
-// insertTuple is Insert's critical section: store the tuple, publish,
-// and log. The tuple is serialized before insertion so the WAL holds
-// the pre-insert value — replay re-runs the same insertion and the
-// sequential OID generator re-allocates the same identity. Recovery
-// replays through here too (db.wal is nil then, so nothing re-logs).
+// insertTuple stores one tuple through the Go API's write path. The
+// tuple is serialized before insertion so the WAL holds the pre-insert
+// value — replay re-runs the same insertion and the sequential OID
+// generator re-allocates the same identity. Recovery replays through
+// here too (db.wal is nil then, so nothing re-logs).
 //
 // extra:acquires db.wmu.W
-// extra:mutates
-func (db *DB) insertTuple(extent string, tv *value.Tuple) (oid.OID, uint64, error) {
-	db.wmu.Lock()
-	defer db.wmu.Unlock()
+func (db *DB) insertTuple(extent string, tv *value.Tuple) (oid.OID, error) {
 	var rec *wal.Record
 	if db.wal != nil {
-		// An unencodable or oversize tuple refuses the insert while
-		// nothing has mutated: the engine has no rollback, and a
-		// published insert the log cannot hold would be invisible to
-		// recovery.
 		enc, err := codec.Encode(nil, tv)
 		if err != nil {
-			return 0, 0, err
+			return 0, err
 		}
-		rec = &wal.Record{
-			Kind: wal.RecordInsert,
-			User: "dba",
-			Src:  extent,
-			Data: [][]byte{enc},
-		}
-		if sz := rec.PayloadSize(); sz > wal.MaxRecord {
-			return 0, 0, fmt.Errorf("insert refused: %w (payload %d bytes, limit %d)", wal.ErrTooLarge, sz, wal.MaxRecord)
-		}
+		rec = &wal.Record{Kind: wal.RecordInsert, User: "dba", Src: extent, Data: [][]byte{enc}}
 	}
-	id, err := db.store.Insert(extent, tv)
-	published, cerr := db.store.Commit()
-	if cerr != nil && err == nil {
-		err = cerr
-	}
-	lsn, lerr := db.logStmt(rec, err, published)
-	if lerr != nil && err == nil {
-		err = lerr
-	}
-	return id, lsn, err
+	var id oid.OID
+	err := db.apiWrite()(rec, func() (err error) {
+		id, err = db.store.Insert(extent, tv)
+		return err
+	})
+	return id, err
 }
 
 // SetRef stores a reference attribute on an object (bulk wiring of
-// relationships without EXCESS).
+// relationships without EXCESS), through the Go API's write path.
 //
 // extra:acquires db.wmu.W
 func (db *DB) SetRef(obj Obj, attr string, target Obj) error {
-	lsn, err := db.setRefLocked(obj, attr, target)
-	if derr := db.waitDurable(lsn); derr != nil && err == nil {
-		err = derr
-	}
-	return err
-}
-
-// setRefLocked is SetRef's critical section: update, publish, log.
-//
-// extra:acquires db.wmu.W
-// extra:mutates
-func (db *DB) setRefLocked(obj Obj, attr string, target Obj) (uint64, error) {
-	db.wmu.Lock()
-	defer db.wmu.Unlock()
-	tv, ok, err := db.store.Get(obj.id)
-	if err != nil {
-		return 0, err
-	}
-	if !ok {
-		return 0, fmt.Errorf("object %s no longer exists", obj)
-	}
-	if i := tv.Type.AttrIndex(attr); i < 0 {
-		return 0, fmt.Errorf("type %s has no attribute %s", tv.Type.Name, attr)
-	}
-	var nv value.Value = value.Null{}
-	if target.Valid() {
-		nv = value.Ref{OID: target.id, Type: target.typ}
-	}
 	var rec *wal.Record
 	if db.wal != nil {
-		// Build and size the record before touching the store: the
-		// engine has no rollback, so a published write the log cannot
-		// hold would be invisible to recovery.
 		targetOID, targetTyp := []byte(nil), []byte(nil)
 		if target.Valid() {
 			targetOID, targetTyp = oidBytes(target.id), []byte(target.typ)
@@ -149,21 +96,25 @@ func (db *DB) setRefLocked(obj Obj, attr string, target Obj) (uint64, error) {
 			Src:  attr,
 			Data: [][]byte{oidBytes(obj.id), []byte(obj.typ), targetOID, targetTyp},
 		}
-		if sz := rec.PayloadSize(); sz > wal.MaxRecord {
-			return 0, fmt.Errorf("setref refused: %w (payload %d bytes, limit %d)", wal.ErrTooLarge, sz, wal.MaxRecord)
+	}
+	return db.apiWrite()(rec, func() error {
+		tv, ok, err := db.store.Get(obj.id)
+		if err != nil {
+			return err
 		}
-	}
-	tv.Set(attr, nv)
-	err = db.store.Update(obj.id, tv)
-	published, cerr := db.store.Commit()
-	if cerr != nil && err == nil {
-		err = cerr
-	}
-	lsn, lerr := db.logStmt(rec, err, published)
-	if lerr != nil && err == nil {
-		err = lerr
-	}
-	return lsn, err
+		if !ok {
+			return fmt.Errorf("object %s no longer exists", obj)
+		}
+		if i := tv.Type.AttrIndex(attr); i < 0 {
+			return fmt.Errorf("type %s has no attribute %s", tv.Type.Name, attr)
+		}
+		var nv value.Value = value.Null{}
+		if target.Valid() {
+			nv = value.Ref{OID: target.id, Type: target.typ}
+		}
+		tv.Set(attr, nv)
+		return db.store.Update(obj.id, tv)
+	})
 }
 
 // tupleFromAttrs converts a Go attribute map into a typed tuple value.

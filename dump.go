@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -346,57 +347,37 @@ type dataLine struct {
 }
 
 // restoreData replays one chunk of --data records (loadStream caps
-// chunks at loadChunkBytes) in one write-lock critical section and
-// publishes a single snapshot at the end, so a concurrent reader sees
+// chunks at loadChunkBytes) through publish, in one write-lock critical
+// section with a single snapshot at the end, so a concurrent reader sees
 // each chunk atomically. The chunk is one WAL record (replay stops at
-// the same first bad line the original run did); the returned LSN is 0
-// when nothing was logged, and the caller awaits durability outside
-// the lock.
+// the same first bad line the original run did). It is built even
+// without a WAL, so Load's staging pass — a WAL-less scratch database —
+// refuses an oversize chunk exactly where the durable pass would. The
+// returned LSN is 0 when nothing was logged, and the caller awaits
+// durability outside the lock.
 //
 // extra:acquires db.wmu.W
-// extra:mutates
 func (db *DB) restoreData(lines []dataLine) (uint64, error) {
 	if len(lines) == 0 {
 		return 0, nil
 	}
-	// The chunk becomes one WAL record; refuse one the log cannot hold
-	// (a single dump line above the limit) before anything is applied.
-	// Checked even without a WAL so Load's staging pass — a WAL-less
-	// scratch database — fails exactly where the durable pass would.
-	srcLen := len(lines) - 1 // newline joins
-	for _, l := range lines {
-		srcLen += len(l.text)
+	texts := make([]string, len(lines))
+	for i, l := range lines {
+		texts[i] = l.text
 	}
-	if srcLen > wal.MaxRecord-64 { // 64 covers the record's framing fields
-		return 0, &LoadError{Line: lines[0].no, Err: fmt.Errorf("%w: %d-byte data line cannot be restored durably (limit %d)", wal.ErrTooLarge, srcLen, wal.MaxRecord)}
-	}
+	rec := &wal.Record{Kind: wal.RecordLoad, User: "dba", Src: strings.Join(texts, "\n")}
 	db.wmu.Lock()
 	defer db.wmu.Unlock()
-	if db.closed.Load() {
-		return 0, errDBClosed
-	}
-	var rec *wal.Record
-	if db.wal != nil {
-		texts := make([]string, len(lines))
-		for i, l := range lines {
-			texts[i] = l.text
+	lsn, err := db.publish(rec, nil, func() error {
+		for _, l := range lines {
+			if err := db.loadDataLine(l.text); err != nil {
+				return &LoadError{Line: l.no, Err: err}
+			}
 		}
-		rec = &wal.Record{Kind: wal.RecordLoad, User: "dba", Src: strings.Join(texts, "\n")}
-	}
-	var err error
-	for _, l := range lines {
-		if lerr := db.loadDataLine(l.text); lerr != nil {
-			err = &LoadError{Line: l.no, Err: lerr}
-			break
-		}
-	}
-	published, cerr := db.store.Commit()
-	if cerr != nil && err == nil {
-		err = cerr
-	}
-	lsn, lerr := db.logStmt(rec, err, published)
-	if lerr != nil && err == nil {
-		err = lerr
+		return nil
+	})
+	if errors.Is(err, wal.ErrTooLarge) {
+		err = &LoadError{Line: lines[0].no, Err: err}
 	}
 	return lsn, err
 }

@@ -146,7 +146,6 @@ type Option func(*config)
 
 type config struct {
 	poolPages     int
-	filePath      string
 	slowThreshold time.Duration
 	traceEvery    int
 	traceCap      int
@@ -158,11 +157,6 @@ type config struct {
 // WithPoolSize sets the buffer pool capacity in pages (default 256).
 func WithPoolSize(pages int) Option {
 	return func(c *config) { c.poolPages = pages }
-}
-
-// WithFileStore backs pages with the given file instead of memory.
-func WithFileStore(path string) Option {
-	return func(c *config) { c.filePath = path }
 }
 
 // WithSlowQueryLog sets the slow-query threshold: a statement that
@@ -188,18 +182,8 @@ func Open(opts ...Option) (*DB, error) {
 // uses it to validate a dump in a scratch database that shares the real
 // database's registry, so application-registered ADTs resolve there too.
 func open(cfg config, reg *adt.Registry) (*DB, error) {
-	var ps storage.PageStore
-	if cfg.filePath != "" {
-		fs, err := storage.OpenFileStore(cfg.filePath)
-		if err != nil {
-			return nil, err
-		}
-		ps = fs
-	} else {
-		ps = storage.NewMemStore()
-	}
 	cat := catalog.New(reg)
-	pool := storage.NewBufferPool(ps, cfg.poolPages)
+	pool := storage.NewBufferPool(storage.NewMemStore(), cfg.poolPages)
 	store := object.New(pool, cat)
 	mreg := metrics.NewRegistry()
 	cKind := make(map[string]*metrics.Counter, len(sema.Kinds))
@@ -237,7 +221,6 @@ func open(cfg config, reg *adt.Registry) (*DB, error) {
 		// Recovery before anything else can observe the DB: checkpoint
 		// restore, then log replay, then the log is live for appends.
 		if err := db.openWAL(cfg.walDir, cfg.walSync); err != nil {
-			db.pool.Store().Close()
 			return nil, err
 		}
 	}
@@ -246,42 +229,29 @@ func open(cfg config, reg *adt.Registry) (*DB, error) {
 			if db.wal != nil {
 				db.wal.Close()
 			}
-			db.pool.Store().Close()
 			return nil, err
 		}
 	}
 	return db, nil
 }
 
-// Close flushes dirty pages and releases the page store. It takes the
-// write lock (draining any in-flight write batch), so no write is
-// mid-flight when the pool flushes. A read that started before Close
-// finishes against its snapshot, which no page holds.
+// Close shuts the database: it stops the ops plane and, with a WAL,
+// closes the log, which drains and fsyncs whatever its flusher still
+// holds, so a clean Close leaves nothing for the next recovery to lose.
+// It takes the commit lock, draining any in-flight write batch; every
+// later write returns an error and publishes nothing. Pages are an
+// in-memory representation, so there is nothing else to flush. A read
+// that started before Close finishes against its snapshot.
 //
 // extra:acquires db.wmu.W
 func (db *DB) Close() error {
 	db.stopDebugServer()
 	db.wmu.Lock()
 	defer db.wmu.Unlock()
-	if db.closed.Swap(true) {
+	if db.closed.Swap(true) || db.wal == nil {
 		return nil
 	}
-	var walErr error
-	if db.wal != nil {
-		// Drains and fsyncs whatever the flusher still holds, so a clean
-		// Close leaves nothing for the next recovery to lose.
-		walErr = db.wal.Close()
-	}
-	if err := db.pool.FlushAll(); err != nil {
-		return err
-	}
-	if err := db.pool.Store().Sync(); err != nil {
-		return err
-	}
-	if err := db.pool.Store().Close(); err != nil {
-		return err
-	}
-	return walErr
+	return db.wal.Close()
 }
 
 // Registry exposes the ADT registry for registering new abstract data

@@ -168,21 +168,6 @@ func (s *Store) claim(id oid.OID, owner oid.OID) error {
 	return nil
 }
 
-// Release detaches an own-ref component from its owner without
-// destroying it (used when an update moves a component between owners in
-// one statement). Ownership is part of the object's stored state (Owner
-// reads it, the fsck checks it), so releasing bumps the store version
-// like any other mutation.
-//
-// extra:requires db.wmu.W
-func (s *Store) Release(id oid.OID) {
-	if info, ok := s.omap[id]; ok {
-		info.owner = oid.Nil
-		s.markObj(id)
-		s.bump()
-	}
-}
-
 // collectOwned gathers the OIDs of own-ref components reachable through
 // own structure (not through plain refs).
 func collectOwned(comp types.Component, v value.Value, out map[oid.OID]bool) {

@@ -15,30 +15,6 @@ import (
 	"repro/internal/value"
 )
 
-// TestReleaseBumpsVersion pins the fix for the missing version bump in
-// Store.Release: ownership is stored state, so releasing a component
-// must advance the mutation counter, or the next snapshot would carry
-// the version of a different state. (The verbump analyzer guards the
-// same contract statically.)
-func TestReleaseBumpsVersion(t *testing.T) {
-	f := newFixture(t)
-	id, err := f.store.Insert("People", f.newPerson("Ann", 41))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v0 := f.store.Version()
-	f.store.Release(id)
-	if got := f.store.Version(); got != v0+1 {
-		t.Errorf("Release did not bump version: %d -> %d", v0, got)
-	}
-	// Releasing a missing object mutates nothing and must not bump.
-	v1 := f.store.Version()
-	f.store.Release(oid.OID(1 << 40))
-	if got := f.store.Version(); got != v1 {
-		t.Errorf("Release of missing object bumped version: %d -> %d", v1, got)
-	}
-}
-
 // TestUpdateMoveSurvivesFailedWrite pins the fix for a record lost by a
 // failed move. An update that grows a record past its page's free space
 // moves it; when the new page cannot be had because evicting a dirty

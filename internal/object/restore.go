@@ -153,14 +153,3 @@ func (s *Store) RestoreVar(name string, data []byte) error {
 	}
 	return err
 }
-
-// MaxOID returns the highest live OID (for generator advancement).
-func (s *Store) MaxOID() oid.OID {
-	var m oid.OID
-	for id := range s.omap {
-		if id > m {
-			m = id
-		}
-	}
-	return m
-}

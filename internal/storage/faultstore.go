@@ -11,9 +11,9 @@ var ErrInjected = errors.New("injected fault")
 
 // FaultStore wraps a PageStore and injects storage failures: fail the
 // Nth page write outright, tear it (persist only a prefix of the page,
-// then fail — what a power cut mid-sector-chain leaves), fail Sync, or
-// return short/corrupt reads. It is the page-store half of the
-// robustness harness; the WAL-side half is wal.FaultFile.
+// then fail — what a power cut mid-sector-chain leaves), or return
+// short/corrupt reads. It is the page-store half of the robustness
+// harness; the WAL-side half is wal.FaultFile.
 type FaultStore struct {
 	inner PageStore
 
@@ -26,7 +26,6 @@ type FaultStore struct {
 	// bytes of the page, zero-filling the rest (a short read surfaced as
 	// corrupt page contents). 0 = disarmed.
 	shortReadLen int
-	failSync     bool
 	writes       int
 	reads        int
 }
@@ -55,15 +54,6 @@ func (f *FaultStore) ShortReads(n int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.shortReadLen = n
-}
-
-// FailSync makes every subsequent Sync fail.
-//
-// extra:acquires faultstore.mu.W
-func (f *FaultStore) FailSync(fail bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.failSync = fail
 }
 
 // Writes returns how many page writes the store has seen.
@@ -142,19 +132,3 @@ func (f *FaultStore) Free(id PageID) error { return f.inner.Free(id) }
 
 // NumPages implements PageStore.
 func (f *FaultStore) NumPages() int { return f.inner.NumPages() }
-
-// Sync implements PageStore.
-//
-// extra:acquires faultstore.mu.W
-func (f *FaultStore) Sync() error {
-	f.mu.Lock()
-	fail := f.failSync
-	f.mu.Unlock()
-	if fail {
-		return ErrInjected
-	}
-	return f.inner.Sync()
-}
-
-// Close implements PageStore.
-func (f *FaultStore) Close() error { return f.inner.Close() }

@@ -91,21 +91,6 @@ func TestFaultStoreShortReads(t *testing.T) {
 	}
 }
 
-func TestFaultStoreFailSync(t *testing.T) {
-	fs := NewFaultStore(NewMemStore())
-	if err := fs.Sync(); err != nil {
-		t.Fatalf("unfaulted sync: %v", err)
-	}
-	fs.FailSync(true)
-	if err := fs.Sync(); !errors.Is(err, ErrInjected) {
-		t.Fatalf("sync error = %v, want ErrInjected", err)
-	}
-	fs.FailSync(false)
-	if err := fs.Sync(); err != nil {
-		t.Fatalf("disarmed sync: %v", err)
-	}
-}
-
 // TestPoolSurvivesFailedWriteBack pins two fixes on the eviction path
 // a failed write-back takes. The dirty victim used to leave the LRU list
 // without leaving the pool, so its frame could never be evicted again

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 	"testing/quick"
 )
@@ -256,40 +254,5 @@ func TestHeapInsertProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestFileStoreBackedHeap(t *testing.T) {
-	dir := t.TempDir()
-	fs, err := OpenFileStore(filepath.Join(dir, "pages.db"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := NewBufferPool(fs, 8)
-	h := NewHeapFile(pool)
-	var rids []RID
-	for i := 0; i < 200; i++ {
-		rid, err := h.Insert([]byte(fmt.Sprintf("disk-%d", i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rids = append(rids, rid)
-	}
-	if err := pool.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	// Verify bytes actually hit the file.
-	st, err := os.Stat(filepath.Join(dir, "pages.db"))
-	if err != nil || st.Size() == 0 {
-		t.Fatalf("page file empty: %v", err)
-	}
-	for i, rid := range rids {
-		got, err := h.Get(rid)
-		if err != nil || string(got) != fmt.Sprintf("disk-%d", i) {
-			t.Fatalf("file-backed get %d: %v", i, err)
-		}
-	}
-	if err := fs.Close(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -2,12 +2,13 @@ package storage
 
 import (
 	"fmt"
-	"os"
 	"sync"
 )
 
-// PageStore is the backing medium for pages: the "disk" under the buffer
-// pool. Implementations must be safe for concurrent use.
+// PageStore is the medium under the buffer pool. Pages are an in-memory
+// representation of the write path, not a durable medium: recovery
+// reads the checkpoint dump and the logical WAL, never a page.
+// Implementations must be safe for concurrent use.
 type PageStore interface {
 	// Allocate reserves a fresh page and returns its id. The page
 	// contents are undefined until first written.
@@ -20,17 +21,11 @@ type PageStore interface {
 	Free(id PageID) error
 	// NumPages returns the number of allocated pages (for stats).
 	NumPages() int
-	// Sync forces written pages onto stable storage (no-op for media
-	// without a durability boundary). The engine calls it at checkpoint
-	// and close; Write alone may buffer through the OS.
-	Sync() error
-	// Close releases underlying resources.
-	Close() error
 }
 
-// MemStore is an in-memory PageStore, the default medium. It models the
-// "disk" for tests and benchmarks without I/O noise while still forcing
-// all access through the buffer pool.
+// MemStore is an in-memory PageStore, the engine's one medium. It
+// models the "disk" without I/O noise while still forcing all access
+// through the buffer pool.
 type MemStore struct {
 	mu    sync.Mutex
 	pages map[PageID][]byte
@@ -101,98 +96,3 @@ func (m *MemStore) NumPages() int {
 	defer m.mu.Unlock()
 	return len(m.pages)
 }
-
-// Sync implements PageStore; memory has no durability boundary.
-func (m *MemStore) Sync() error { return nil }
-
-// Close implements PageStore.
-func (m *MemStore) Close() error { return nil }
-
-// FileStore is a file-backed PageStore: page id N lives at byte offset
-// (N-1)*PageSize. Freed pages are recycled from an in-memory free list
-// (rebuilt empty on open; a production system would persist it).
-type FileStore struct {
-	mu   sync.Mutex
-	f    *os.File
-	next PageID
-	free []PageID
-}
-
-// OpenFileStore opens (creating if needed) a page file at path.
-func OpenFileStore(path string) (*FileStore, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("open page file: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &FileStore{f: f, next: PageID(st.Size() / PageSize)}, nil
-}
-
-// Allocate implements PageStore.
-func (s *FileStore) Allocate() (PageID, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n := len(s.free); n > 0 {
-		id := s.free[n-1]
-		s.free = s.free[:n-1]
-		return id, nil
-	}
-	s.next++
-	id := s.next
-	// Extend the file so reads of never-written pages succeed.
-	zero := make([]byte, PageSize)
-	if _, err := s.f.WriteAt(zero, int64(id-1)*PageSize); err != nil {
-		return 0, fmt.Errorf("extend page file: %w", err)
-	}
-	return id, nil
-}
-
-// Read implements PageStore.
-func (s *FileStore) Read(id PageID, buf []byte) error {
-	if id == 0 {
-		return fmt.Errorf("read of nil page")
-	}
-	_, err := s.f.ReadAt(buf[:PageSize], int64(id-1)*PageSize)
-	if err != nil {
-		return fmt.Errorf("read page %d: %w", id, err)
-	}
-	return nil
-}
-
-// Write implements PageStore.
-func (s *FileStore) Write(id PageID, buf []byte) error {
-	if id == 0 {
-		return fmt.Errorf("write of nil page")
-	}
-	_, err := s.f.WriteAt(buf[:PageSize], int64(id-1)*PageSize)
-	if err != nil {
-		return fmt.Errorf("write page %d: %w", id, err)
-	}
-	return nil
-}
-
-// Free implements PageStore.
-func (s *FileStore) Free(id PageID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.free = append(s.free, id)
-	return nil
-}
-
-// NumPages implements PageStore.
-func (s *FileStore) NumPages() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return int(s.next) - len(s.free)
-}
-
-// Sync implements PageStore: page writes go through WriteAt and buffer
-// in the OS until fsynced here.
-func (s *FileStore) Sync() error { return s.f.Sync() }
-
-// Close implements PageStore.
-func (s *FileStore) Close() error { return s.f.Close() }

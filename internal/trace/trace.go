@@ -12,11 +12,10 @@
 // nil-receiver no-ops — zero allocations, no locks, nothing on the
 // page-pin hot path. An unsampled statement over the slow threshold is
 // retained anyway, as its root span and one span per phase, so the slow
-// log is a view over the ring rather than a second store. Storage
-// attribution deliberately reads the buffer pool's existing atomic
-// counters around storage calls instead of hooking every Pin; under
-// concurrent statements the deltas can include a neighbour's traffic,
-// which is the documented price of keeping Pin untouched.
+// log is a view over the ring rather than a second store. Storage spans
+// are two: commit.freeze, a write's snapshot publication, and derefs,
+// the objects a retrieve fetched by oid. No span attributes buffer-pool
+// traffic; the pool's counters are read from the metrics snapshot.
 //
 // A statement executes on one goroutine, so an Active trace needs no
 // internal locking; only the Tracer's completed-trace ring takes a
@@ -42,8 +41,9 @@ const (
 	// KindOperator is one plan operator (scan, index probe, hash build,
 	// unnest) or update action.
 	KindOperator
-	// KindStorage is a storage-layer event group: buffer pool traffic,
-	// object fetches, heap/B+-tree page IO attribution.
+	// KindStorage is a storage-layer event: a write's snapshot
+	// publication (commit.freeze) or a retrieve's object fetches by oid
+	// (derefs).
 	KindStorage
 )
 

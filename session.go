@@ -169,9 +169,6 @@ func (s *Session) run(c *stmtCall) (*Result, error) {
 		if !readOnly {
 			db.wmu.Lock()
 			defer db.wmu.Unlock()
-			if db.closed.Load() {
-				return errDBClosed
-			}
 			c.open(s)
 		}
 		return s.labeled(kind, func() error {
@@ -216,43 +213,28 @@ func (s *Session) run(c *stmtCall) (*Result, error) {
 	return last, nil
 }
 
-// runWriteStmt runs one statement of a write batch — its reads bound to
-// the store's frozen view of every earlier statement's writes, its
-// writes to the working store —, publishes the resulting store
-// snapshot, and appends the statement to the WAL.
-// Publication happens even when the statement errors: the engine has no
-// rollback, so whatever the statement wrote before failing is live
-// state and must become visible to snapshot readers exactly as it is to
-// the next write statement (such statements are logged with the Erred
-// flag — their partial effects are durable state too). A DDL statement
+// runWriteStmt runs one statement of a write batch through publish —
+// its reads bound to the store's frozen view of every earlier
+// statement's writes, its writes to the working store — so the
+// statement is sized, run, published and logged as one. A DDL statement
 // edits the working catalog, which only writers see; the snapshot
 // publishes it together with the data, so no reader ever pairs a
 // catalog with data of another version. The call remembers the LSN it
 // logged at; run awaits durability after releasing the write lock.
 //
 // extra:requires db.wmu.W
-// extra:mutates
 func (s *Session) runWriteStmt(c *stmtCall, st ast.Statement) (*Result, error) {
 	db := s.db
-	// Size the WAL record before running the statement: one the log
-	// cannot hold refuses the statement here, with nothing mutated and
-	// nothing published (the engine has no rollback to undo with).
-	rec, rerr := db.stmtRecord(s.id, c.user, st, c.params)
-	if rerr != nil {
-		return nil, rerr
+	rec, err := db.stmtRecord(s.id, c.user, st, c.params)
+	if err != nil {
+		return nil, err
 	}
-	c.es.BindLive()
-	r, err := s.runStmt(c, st)
-	freeze := c.tr.Active().StartSpan(trace.KindStorage, "commit.freeze")
-	published, cerr := db.store.Commit()
-	c.tr.Active().EndSpan(freeze)
-	if cerr != nil && err == nil {
-		err = cerr
-	}
-	lsn, lerr := db.logStmt(rec, err, published)
-	if lerr != nil && err == nil {
-		err = lerr
-	}
+	var r *Result
+	lsn, err := db.publish(rec, c.tr.Active(), func() (err error) {
+		c.es.BindLive()
+		r, err = s.runStmt(c, st)
+		return err
+	})
 	if lsn > c.lsn {
 		c.lsn = lsn
 	}

@@ -13,19 +13,23 @@ import (
 	"repro/internal/excess/ast"
 	"repro/internal/excess/sema"
 	"repro/internal/oid"
+	"repro/internal/trace"
 	"repro/internal/value"
 	"repro/internal/wal"
 )
 
-// Durability. With WithWAL the engine write-ahead-logs every committed
-// write statement at its Store.Commit publication point and replays the
-// log on the next Open, so acknowledged commits survive a crash. The
-// page file is not the recovery source — the checkpoint dump plus the
-// log is: recovery loads the checkpoint (an atomic Dump carrying the
-// covered LSN) and re-executes the logged statement sequence after it,
-// which reproduces the store deterministically (sequential OID
-// allocation, printed-statement round-trips and deterministic iteration
-// are all pinned by this repo's tests and vet checks).
+// Durability. Every write reaches readers and the log through one
+// envelope, publish: under the commit lock it refuses a closed
+// database, sizes the write's record against wal.MaxRecord while
+// nothing has mutated, runs the mutation, publishes the store snapshot
+// (Store.Commit) and, with WithWAL, appends the record. Open replays
+// the log, so acknowledged commits survive a crash. Pages are an
+// in-memory representation and are never read back: recovery loads the
+// checkpoint (an atomic Dump carrying the covered LSN) and re-executes
+// the logged sequence after it, which reproduces the store
+// deterministically (sequential OID allocation, printed-statement
+// round-trips and deterministic iteration are all pinned by this
+// repo's tests and vet checks).
 //
 // Group commit (the default sync mode) appends under the commit lock —
 // no I/O — and waits for durability only after the lock is released, so
@@ -207,7 +211,7 @@ func (db *DB) replayInsert(r *wal.Record) error {
 	if !ok {
 		return fmt.Errorf("insert record holds %T, want tuple", v)
 	}
-	_, _, err = db.insertTuple(r.Src, tv)
+	_, err = db.insertTuple(r.Src, tv)
 	return err
 }
 
@@ -242,11 +246,8 @@ func oidFromBytes(b []byte) oid.OID {
 
 // stmtRecord builds the WAL record a write statement will be logged
 // as, or nil for statement classes that are never logged. It runs
-// BEFORE the statement executes: the engine has no rollback, so a
-// record the log cannot hold (wal.ErrTooLarge) must refuse the
-// statement while nothing has mutated — logging failures discovered
-// after publication would leave live state the log does not reproduce,
-// and every later record would replay against the wrong state.
+// before the statement executes, so publish can refuse a record the log
+// cannot hold while nothing has mutated.
 //
 // Policy: read-only statements in a mixed batch touch nothing and are
 // skipped; grant/revoke mutate only the in-memory authorizer, which is
@@ -255,8 +256,6 @@ func oidFromBytes(b []byte) oid.OID {
 // partial effects (Erred), and statements whose effects live outside
 // the store (range declarations shape later statements' meaning, so
 // replay needs them).
-//
-// extra:logs
 func (db *DB) stmtRecord(session int64, user string, st ast.Statement, params *paramScope) (*wal.Record, error) {
 	if db.wal == nil || sema.ReadOnly(st) {
 		return nil, nil
@@ -278,25 +277,87 @@ func (db *DB) stmtRecord(session int64, user string, st ast.Statement, params *p
 		}
 		rec.Data = data
 	}
-	if sz := rec.PayloadSize(); sz > wal.MaxRecord {
-		return nil, fmt.Errorf("statement refused: %w (payload %d bytes, limit %d)", wal.ErrTooLarge, sz, wal.MaxRecord)
-	}
 	return rec, nil
 }
 
-// logStmt is the one place a publication point appends to the log: the
-// record was built and sized before the mutation ran (stmtRecord for a
-// statement; Insert, SetRef and Load build their own), and is appended
-// now that it has. Returns the assigned LSN (0 when nothing was
-// logged); the caller must await durability with waitDurable after
-// releasing the commit lock. A mutation that failed without publishing
-// a snapshot (which a catalog edit also does) left no durable trace and
-// is skipped.
+// publish is the one publication point: a write statement, a Load data
+// chunk, a Go-API insert, reference write or grant edit reaches
+// readers and the log only through it. Under the commit lock it refuses
+// a closed database, then sizes rec while nothing has mutated: the
+// engine has no rollback, and a published write the log cannot hold
+// would be invisible to recovery. It then runs mutate, publishes the
+// store's snapshot and appends rec (logStmt). A nil rec is a write that
+// is never logged. Publication happens even when mutate errs: its
+// partial effects are live state, to snapshot readers as to the next
+// writer, and the record carries the Erred flag. act, when non-nil,
+// receives the commit.freeze span. The caller awaits the returned LSN
+// with waitDurable after releasing the lock.
+//
+// extra:requires db.wmu.W
+// extra:mutates
+func (db *DB) publish(rec *wal.Record, act *trace.Active, mutate func() error) (uint64, error) {
+	if db.closed.Load() {
+		return 0, errDBClosed
+	}
+	if rec != nil {
+		if sz := rec.PayloadSize(); sz > wal.MaxRecord {
+			return 0, fmt.Errorf("%s refused: %w (payload %d bytes, limit %d)", refusedWhat[rec.Kind], wal.ErrTooLarge, sz, wal.MaxRecord)
+		}
+	}
+	err := mutate()
+	freeze := act.StartSpan(trace.KindStorage, "commit.freeze")
+	published, cerr := db.store.Commit()
+	act.EndSpan(freeze)
+	if cerr != nil && err == nil {
+		err = cerr
+	}
+	lsn, lerr := db.logStmt(rec, err, published)
+	if lerr != nil && err == nil {
+		err = lerr
+	}
+	return lsn, err
+}
+
+// refusedWhat names each record kind in publish's oversize refusal.
+var refusedWhat = map[wal.Kind]string{
+	wal.RecordStmt:   "statement",
+	wal.RecordLoad:   "load",
+	wal.RecordInsert: "insert",
+	wal.RecordSetRef: "setref",
+}
+
+// apiWrite is the Go API's write path (Insert, SetRef and the grant
+// edits): it takes the commit lock and returns, with the lock held, the
+// function that runs one write through publish, releases the lock and
+// only then awaits the write's durability, so API writers share fsyncs
+// the way statements do. Call the returned function at once.
+//
+// extra:holds db.wmu.W
+func (db *DB) apiWrite() func(rec *wal.Record, mutate func() error) error {
+	db.wmu.Lock()
+	return func(rec *wal.Record, mutate func() error) error {
+		lsn, err := func() (uint64, error) {
+			defer db.wmu.Unlock()
+			return db.publish(rec, nil, mutate)
+		}()
+		if derr := db.waitDurable(lsn); derr != nil && err == nil {
+			err = derr
+		}
+		return err
+	}
+}
+
+// logStmt appends a published write's record: the record was built and
+// sized before the mutation ran, and is appended now that it has.
+// Returns the assigned LSN (0 when nothing was logged). Nothing is
+// logged without a WAL, for a nil record, or for a write that failed
+// without publishing a snapshot (which a catalog edit also does): it
+// left no durable trace.
 //
 // extra:requires db.wmu.W
 // extra:logs
 func (db *DB) logStmt(rec *wal.Record, runErr error, effects bool) (uint64, error) {
-	if rec == nil {
+	if rec == nil || db.wal == nil {
 		return 0, nil
 	}
 	if runErr != nil && !effects {
@@ -351,10 +412,11 @@ func decodeParams(db *DB, s *Session, st ast.Statement, data [][]byte) (*paramSc
 }
 
 // Checkpoint makes the WAL short: it forces the log durable, writes an
-// atomic dump annotated with the covered LSN, fsyncs the page store,
-// and garbage-collects the log segments the dump now covers. The commit
-// lock is held across flush + dump so no commit can slip between the
-// pinned LSN and the pinned snapshot; writers stall for the duration.
+// atomic dump annotated with the covered LSN, and garbage-collects the
+// log segments the dump now covers. The dump and the log are the whole
+// durable state; no page is written. The commit lock is held across
+// flush + dump so no commit can slip between the pinned LSN and the
+// pinned snapshot; writers stall for the duration.
 // Crash-safe at every point: until the dump's rename lands, recovery
 // uses the previous checkpoint and the unremoved log.
 //
@@ -377,9 +439,6 @@ func (db *DB) Checkpoint() error {
 			}
 			return db.Dump(f)
 		})
-	}
-	if err == nil {
-		err = db.pool.Store().Sync()
 	}
 	db.wmu.Unlock()
 	if err != nil {

@@ -609,7 +609,7 @@ func TestWALOversizeStatementRefusedBeforeMutation(t *testing.T) {
 // because the engine has no rollback and an acknowledged-but-unlogged
 // mutation would vanish on recovery. The oversize record is provoked
 // with a forged target handle whose type name exceeds wal.MaxRecord —
-// setRefLocked embeds that name in the record and does not validate the
+// SetRef embeds that name in the record and does not validate the
 // target before sizing.
 func TestWALOversizeSetRefRefusedBeforeMutation(t *testing.T) {
 	dir := t.TempDir()
@@ -692,4 +692,65 @@ func canonicalDump(dump string) string {
 	}
 	flush()
 	return strings.Join(out, "\n")
+}
+
+// Every write path refuses a closed database before it mutates: a Go-API
+// write or a Load after Close returns errDBClosed and publishes
+// nothing, with or without a WAL.
+func TestWriteAfterCloseRefused(t *testing.T) {
+	const schema = `
+		define type Person: ( name: varchar, mentor: ref Person )
+		create People : { own Person }`
+	src, err := Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	src.MustExec(schema)
+	src.MustExec(`append to People (name = "a")`)
+	dump := dumpOf(t, src)
+
+	writes := []struct {
+		name string
+		run  func(db *DB, p Obj) error
+	}{
+		{"Insert", func(db *DB, _ Obj) error {
+			_, err := db.Insert("People", Attrs{"name": "late"})
+			return err
+		}},
+		{"SetRef", func(db *DB, p Obj) error { return db.SetRef(p, "mentor", p) }},
+		{"CreateUser", func(db *DB, _ Obj) error { return db.CreateUser("late") }},
+		{"Load", func(db *DB, _ Obj) error { return db.Load(strings.NewReader(dump)) }},
+	}
+	for _, withWAL := range []bool{false, true} {
+		for _, w := range writes {
+			t.Run(fmt.Sprintf("%s/wal=%v", w.name, withWAL), func(t *testing.T) {
+				var opts []Option
+				if withWAL {
+					opts = append(opts, WithWAL(t.TempDir()), WithWALSync(WALSyncEach))
+				}
+				db, err := Open(opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var p Obj
+				if w.name != "Load" { // Load wants a fresh database
+					db.MustExec(schema)
+					if p, err = db.Insert("People", Attrs{"name": "m"}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := db.Close(); err != nil {
+					t.Fatal(err)
+				}
+				before := db.store.Snapshot().Version()
+				if err := w.run(db, p); !errors.Is(err, errDBClosed) {
+					t.Fatalf("%s after Close: err = %v, want errDBClosed", w.name, err)
+				}
+				if got := db.store.Snapshot().Version(); got != before {
+					t.Fatalf("%s after Close published: snapshot version %d -> %d", w.name, before, got)
+				}
+			})
+		}
+	}
 }
