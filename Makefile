@@ -48,13 +48,14 @@ bench:
 # independent of database size, a plan-cache hit
 # that compiles nothing, ad-hoc literals that share one cached shape and
 # skip the parser, a $n key that bounds its index probe, tracing that allocates nothing
-# when off, and reads — a retrieve's, a write statement's read phase, or
-# define index's backfill — that pin no buffer-pool page.
+# when off, reads — a retrieve's, a write statement's read phase, or
+# define index's backfill — that pin no buffer-pool page, and writes
+# whose commit decodes no record and pins only the pages written.
 # Wall clock is left to paired runs of bench/. No -race: the race
 # detector perturbs allocation counts, and scanalloc_test.go is built
 # only without it.
 work-gate:
-	$(GO) test -count=1 -v -run '^(TestScanAllocsPerRow|TestHashJoinBuildsSmallerSide|TestRangeReplaceWorkIndependentOfSize|TestCommitWorkIndependentOfSize|TestRangeUpdateWorkIndependentOfSize|TestPlanCacheHitCompilesNothing|TestZeroAllocWhenDisabled|TestAdhocLiteralsShareOnePlan|TestAdhocShapeSkipsParser|TestParamKeyUsesIndex|TestSnapshotReadsPinNoPage|TestWriteReadPhasePinsNoPage|TestDefineIndexPinsNoPage)$$' . ./internal/object/ ./internal/trace/
+	$(GO) test -count=1 -v -run '^(TestScanAllocsPerRow|TestHashJoinBuildsSmallerSide|TestRangeReplaceWorkIndependentOfSize|TestCommitWorkIndependentOfSize|TestRangeUpdateWorkIndependentOfSize|TestPlanCacheHitCompilesNothing|TestZeroAllocWhenDisabled|TestAdhocLiteralsShareOnePlan|TestAdhocShapeSkipsParser|TestParamKeyUsesIndex|TestSnapshotReadsPinNoPage|TestWriteReadPhasePinsNoPage|TestDefineIndexPinsNoPage|TestWriteDecodesNothing)$$' . ./internal/object/ ./internal/trace/
 
 # The repository benchmark (bench/, a module of its own that drives the
 # engine through its public and internal APIs) must keep compiling and

@@ -2,6 +2,7 @@ package extra
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -10,15 +11,15 @@ import (
 	"time"
 )
 
-// openOps opens a DB with the ops plane on an ephemeral port and
-// tracing always on, loaded with the company schema.
-func openOps(t *testing.T) (*DB, string) {
+// openOps opens a DB with the ops plane on an ephemeral port, tracing
+// always on and opts besides, loaded with the company schema.
+func openOps(t *testing.T, opts ...Option) (*DB, string) {
 	t.Helper()
-	db, err := Open(
+	db, err := Open(append([]Option{
 		WithDebugServer("127.0.0.1:0"),
 		WithTracing(1, 8),
 		WithSlowQueryLog(time.Nanosecond),
-	)
+	}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func get(t *testing.T, url string) (int, string) {
 }
 
 func TestDebugServerMetrics(t *testing.T) {
-	db, base := openOps(t)
+	db, base := openOps(t, WithWAL(t.TempDir()))
 	db.MustQuery(`retrieve (E.name) from E in Employees where E.dept.floor = 2`)
 	db.MustQuery(`retrieve (E.name) from E in Employees where E.dept.floor = 2`)
 	code, body := get(t, base+"/metrics")
@@ -78,11 +79,25 @@ func TestDebugServerMetrics(t *testing.T) {
 		"# TYPE extra_mvcc_commit_freeze_ns histogram",
 		"# TYPE extra_mvcc_commit_dirty_objs histogram",
 		`extra_mvcc_commit_dirty_pages_bucket{le="+Inf"} `,
+		"# TYPE extra_mvcc_commit_decoded histogram",
 		"# TYPE extra_mvcc_version gauge",
+		// The log: every write the company load made was appended, and
+		// each commit waited for its fsync.
+		"# TYPE extra_wal_append_records_total counter",
+		"# TYPE extra_wal_append_bytes_total counter",
+		"# TYPE extra_wal_wait_durable_ns histogram",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, body)
 		}
+	}
+	snap := db.MetricsSnapshot()
+	recs, waits := snap.Counters["wal.append.records"], snap.Histograms["wal.wait_durable"].Count
+	if recs == 0 || snap.Counters["wal.append.bytes"] < recs || waits == 0 || waits > recs {
+		t.Errorf("WAL metrics: %d records, %d bytes, %d waits", recs, snap.Counters["wal.append.bytes"], waits)
+	}
+	if want := fmt.Sprintf("extra_wal_append_records_total %d\n", recs); !strings.Contains(body, want) {
+		t.Errorf("/metrics missing %q", want)
 	}
 	// Minimal exposition sanity: every sample line ends in a number.
 	for _, line := range strings.Split(strings.TrimRight(body, "\n"), "\n") {

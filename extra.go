@@ -114,6 +114,8 @@ type DB struct {
 	// are internally atomic: safe to observe from concurrent readers.
 	hParse, hCheck, hPlan, hCompile, hExecute, hStmt *metrics.Histogram
 	cRows, cErrors, cParses                          *metrics.Counter            // cParses: parse.full, every text the parser reads
+	cWALRecords, cWALBytes                           *metrics.Counter            // wal.append.records/bytes: what logStmt appended
+	hWALWait                                         *metrics.Histogram          // wal.wait_durable: a commit's wait for its fsync
 	cKind                                            map[string]*metrics.Counter // stmt.<kind> by sema.KindOf name; read-only after Open
 
 	// plans is the engine-wide compiled-statement cache (see
@@ -207,6 +209,10 @@ func open(cfg config, reg *adt.Registry) (*DB, error) {
 		cErrors:  mreg.Counter("stmt.errors"),
 		cParses:  mreg.Counter("parse.full"),
 		cKind:    cKind,
+
+		cWALRecords: mreg.Counter("wal.append.records"),
+		cWALBytes:   mreg.Counter("wal.append.bytes"),
+		hWALWait:    mreg.Histogram("wal.wait_durable"),
 
 		plans: newPlanCache(defaultPlanCacheCap, mreg),
 

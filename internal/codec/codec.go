@@ -43,7 +43,8 @@ const (
 	tRef
 )
 
-// ADTCodec serializes an ADT representation.
+// ADTCodec serializes an ADT representation. Decode must not keep data:
+// the object store decodes records straight from buffer-pool frames.
 type ADTCodec struct {
 	Encode func(rep any) ([]byte, error)
 	Decode func(data []byte) (any, error)

@@ -2,6 +2,7 @@ package object
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 
 	"repro/internal/oid"
@@ -13,7 +14,9 @@ import (
 // CheckConsistency validates the object store's structural invariants —
 // the database fsck. It verifies that:
 //
-//   - every live object's record decodes to a tuple of its recorded type;
+//   - every live object's record decodes to a tuple equal, kinds and
+//     all, to the object's working value — the tuple the store reads in
+//     the record's place (Store.working) — and of its recorded type;
 //   - ownership is symmetric: an own-ref component's recorded owner holds
 //     a reference to it, and every own-ref reference points to a live
 //     nursery object owned by the referencing object;
@@ -35,18 +38,20 @@ func (s *Store) CheckConsistency() []string {
 		bad = append(bad, fmt.Sprintf(format, args...))
 	}
 
-	// Pass 1: decode every object, record owned references.
+	// Pass 1: decode every object's record and hold it against the
+	// working value; record owned references.
 	ownedRefs := map[oid.OID]oid.OID{} // component -> owner (from data)
 	for _, id := range sortedOIDs(s.omap) {
 		info := s.omap[id]
-		tv, ok, err := s.Get(id)
+		tv, err := s.working(id, info)
 		if err != nil {
 			report("object %s: unreadable: %v", id, err)
 			continue
 		}
-		if !ok {
-			report("object %s: in omap but not fetchable", id)
-			continue
+		if onPage, err := s.readRecord(id, info); err != nil {
+			report("object %s: record unreadable: %v", id, err)
+		} else if !reflect.DeepEqual(onPage, tv) {
+			report("object %s: record decodes to %s, working value is %s", id, onPage, tv)
 		}
 		if tv.Type != info.typ {
 			report("object %s: decoded type %s, recorded %s", id, tv.Type.Name, info.typ.Name)

@@ -35,7 +35,7 @@ func bigFixture(tb testing.TB, n int) (*fixture, *metrics.Registry) {
 
 // commitWork is what one commit did, in counts that repeat exactly.
 type commitWork struct {
-	objs, pages uint64 // decoded or removed, re-read: the commit's own account
+	objs, pages uint64 // sealed or removed, walked: the commit's own account
 	pins        uint64 // buffer pool pins during Commit
 }
 
@@ -68,13 +68,13 @@ func measureCommit(tb testing.TB, f *fixture, reg *metrics.Registry) commitWork 
 }
 
 // TestCommitWorkIndependentOfSize is the count-based form of "commit
-// cost is proportional to the write": a one-row commit decodes the same
+// cost is proportional to the write": a one-row commit seals the same
 // objects and pins the same pages on a store ten times the size, and
 // none of 64 in a row differs from the rest (no periodic flatten, no
 // extent re-scan when a page fills). Counts repeat exactly, so this can
 // gate CI on a host whose clock cannot.
 func TestCommitWorkIndependentOfSize(t *testing.T) {
-	want := commitWork{objs: 2, pages: 1, pins: 2} // person + kid; the person's page; that page and the kid's record
+	want := commitWork{objs: 2, pages: 1, pins: 1} // person + kid; the person's page; that page alone: the kid's tuple is the one its insert stored
 	for _, n := range []int{2000, 20000} {
 		f, reg := bigFixture(t, n)
 		for i := 0; i < 64; i++ {

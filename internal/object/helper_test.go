@@ -58,3 +58,20 @@ func IndexLookup(ix *catalog.Index, lo, hi []byte, incLo, incHi bool) []oid.OID 
 func (s *Store) IndexLookup(ix *catalog.Index, lo, hi []byte, incLo, incHi bool) []oid.OID {
 	return IndexLookup(ix, lo, hi, incLo, incHi)
 }
+
+// plantRecord overwrites the heap record of a live object with the
+// encoding of tv in place, leaving the store's working value alone: a
+// record that diverges from what the store reads in its place, for the
+// fsck to find.
+func (s *Store) plantRecord(id oid.OID, tv *value.Tuple) error {
+	info := s.omap[id]
+	enc, err := encode(tv)
+	if err != nil {
+		return err
+	}
+	nrid, err := s.heapFor(info).Update(info.rid, enc)
+	if err == nil && nrid != info.rid {
+		err = fmt.Errorf("planted record of %s moved from %s to %s", id, info.rid, nrid)
+	}
+	return err
+}

@@ -2,6 +2,7 @@ package object
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/oid"
 	"repro/internal/types"
@@ -119,7 +120,10 @@ func (s *Store) internalizeKeeping(comp types.Component, v value.Value, owner oi
 				}
 				return value.Str{K: types.KChar, V: string(r)}, nil
 			}
-			return x, nil
+			// The stored tuple is the snapshot's from the next freeze on,
+			// for as long as the object lives. A string literal is a slice
+			// of its statement's text, which it must not keep alive.
+			return value.Str{K: x.K, V: strings.Clone(x.V)}, nil
 		default:
 			return v, nil
 		}
@@ -144,6 +148,7 @@ func (s *Store) createOwned(tv *value.Tuple, owner oid.OID, kept map[oid.OID]boo
 		return oid.Nil, err
 	}
 	s.omap[id] = &objInfo{extent: "", rid: rid, typ: tv.Type, owner: owner}
+	s.work[id] = iv.(*value.Tuple)
 	s.markObj(id)
 	return id, nil
 }

@@ -73,12 +73,19 @@ func (s *Store) ExportVar(name string) ([]byte, error) {
 
 // RestoreObject re-creates an object with its original identity. The
 // extent (or the nursery for components) must already exist; the tuple
-// is stored and indexed without internalization.
+// is stored and indexed without internalization. An OID live at the last
+// freeze is refused too, deleted since or not: a restored object's
+// working value is its record, and the head's tuple must not shadow it.
+//
+// The decoded tuple is not kept in work. The freeze decodes restored
+// records again, page by page, so a loaded extent's tuples are laid out
+// in the order its scans visit them; keeping the tuples decoded here, in
+// dump order, costs every later scan of the extent memory locality.
 //
 // extra:requires db.wmu.W
 func (s *Store) RestoreObject(o ExportObject) error {
 	s.bump()
-	if s.Exists(o.OID) {
+	if s.Exists(o.OID) || s.head.Exists(o.OID) {
 		return fmt.Errorf("restore: OID %s already live", o.OID)
 	}
 	v, err := codec.DecodeOne(o.Data, s.cat)

@@ -2,6 +2,7 @@ package object
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -24,7 +25,10 @@ import (
 //
 // Mutating methods record what they touched in the store's dirty sets —
 // the objects, and the heap page and slot of every record written or
-// removed. A freeze decodes only the dirty objects and shares everything
+// removed — and keep the tuple each object write stored (Store.work). A
+// freeze seals those tuples into the snapshot, decoding no object record
+// but one Load restored (element and variable records, which have no
+// working value, it decodes from their pages), and shares everything
 // else with the previous snapshot by reference: the object map is a
 // persistent trie (objmap.go), an extent's scan view is one immutable
 // chunk per heap page, and an index tree is frozen with an O(1)
@@ -42,6 +46,34 @@ import (
 type pageChunk[K, V any] struct {
 	keys []K
 	vals []V
+}
+
+// pageBuf is where a freeze builds one page's chunk: the slot walk
+// appends to it, and the chunk takes an exact-size copy, so a chunk a
+// snapshot keeps holds no spare capacity. A freeze reuses one per kind
+// of extent from page to page and drops it when done.
+type pageBuf[K, V any] struct {
+	keys []K
+	vals []V
+}
+
+// reserve makes room for n more records without reallocating.
+func (b *pageBuf[K, V]) reserve(n int) {
+	b.keys, b.vals = slices.Grow(b.keys, n), slices.Grow(b.vals, n)
+}
+
+func (b *pageBuf[K, V]) add(k K, v V) {
+	b.keys, b.vals = append(b.keys, k), append(b.vals, v)
+}
+
+// chunk returns a copy of the page built and empties the buffer.
+func (b *pageBuf[K, V]) chunk() *pageChunk[K, V] {
+	c := &pageChunk[K, V]{keys: make([]K, len(b.keys)), vals: make([]V, len(b.vals))}
+	copy(c.keys, b.keys)
+	copy(c.vals, b.vals)
+	clear(b.vals) // hold no value past its page
+	b.keys, b.vals = b.keys[:0], b.vals[:0]
+	return c
 }
 
 // pageView is the scan-order view of one extent: a chunk per data page
@@ -307,18 +339,21 @@ func (s *Store) Snapshot() *Snapshot {
 
 // SetMetrics attaches the engine metrics registry; every freeze that
 // finds work then records mvcc.commit.freeze (time to build the
-// snapshot), mvcc.commit.dirty_objs (objects it decoded or removed) and
-// mvcc.commit.dirty_pages (heap pages whose slots it walked), and every
-// publication the mvcc.version gauge. A write statement freezes once
-// (in its Commit) unless it is a procedure call, whose body statements
-// each take a View. The two counts are of work done, not of marks
-// found, so a freeze that did more than its write called for shows
-// here.
+// snapshot), mvcc.commit.dirty_objs (objects it sealed into the snapshot
+// or removed from it), mvcc.commit.dirty_pages (heap pages whose slots it
+// walked) and mvcc.commit.decoded (records it decoded from a page: what
+// Load restored, and the elements and variables a window wrote, which
+// have no working value), and every publication the mvcc.version gauge.
+// A write statement freezes once (in its Commit) unless it is a
+// procedure call, whose body statements each take a View. The counts
+// are of work done, not of marks found, so a freeze that did more than
+// its write called for shows here.
 func (s *Store) SetMetrics(reg *metrics.Registry) {
 	s.obs.Store(&commitObs{
 		freeze:     reg.Histogram("mvcc.commit.freeze"),
 		dirtyObjs:  reg.CountHistogram("mvcc.commit.dirty_objs"),
 		dirtyPages: reg.CountHistogram("mvcc.commit.dirty_pages"),
+		decoded:    reg.CountHistogram("mvcc.commit.decoded"),
 		version:    reg.Gauge("mvcc.version"),
 	})
 }
@@ -327,8 +362,8 @@ func (s *Store) SetMetrics(reg *metrics.Registry) {
 // stored state: an atomic pointer, so attaching takes no lock and bumps
 // no version.
 type commitObs struct {
-	freeze, dirtyObjs, dirtyPages *metrics.Histogram
-	version                       *metrics.Gauge
+	freeze, dirtyObjs, dirtyPages, decoded *metrics.Histogram
+	version                                *metrics.Gauge
 }
 
 func dirtOf(m map[string]*pageDirt, name string) *pageDirt {
@@ -342,7 +377,8 @@ func dirtOf(m map[string]*pageDirt, name string) *pageDirt {
 
 // markObj records that an object changed (or is about to be deleted) so
 // the next freeze refreshes it, and that the slot holding its record
-// did, so the freeze decodes that record into its page's chunk. Call
+// did, so the freeze puts the object's working value in that slot's
+// place in its page's chunk. Call
 // while the omap entry exists and names the record's slot: after an
 // insert, before a delete, and on both sides of an update that may move
 // the record. Every write of an extent record marks its slot with the
@@ -420,8 +456,8 @@ func (s *Store) Commit() (published bool, err error) {
 	return true, nil
 }
 
-// freeze builds the next head from the dirty sets: dirty objects are
-// decoded once and path-copied into the head's object map, the dirty
+// freeze builds the next head from the dirty sets: the working values of
+// dirty objects are path-copied into the head's object map, the dirty
 // pages of each extent get fresh chunks in its scan view, the catalog is
 // frozen if it changed, and everything else is shared. No-op when
 // nothing changed since the last freeze. On error the head and the
@@ -450,7 +486,9 @@ func (s *Store) freeze() error {
 	// leaves the deleted and the nursery components, which no scan view
 	// holds.
 	edit := prev.objs.edit()
-	workObjs, workPages := 0, 0
+	workObjs, workPages, decoded := 0, 0, 0
+	var objBuf pageBuf[oid.OID, *value.Tuple]
+	var elemBuf pageBuf[storage.RID, value.Value]
 	for _, id := range sortedOIDs(s.dirtyObjs) {
 		info, live := s.omap[id]
 		if live && info.extent != "" {
@@ -461,15 +499,15 @@ func (s *Store) freeze() error {
 			edit.del(id)
 			continue
 		}
-		rec, err := s.nursery.Get(info.rid)
-		if err != nil {
-			return err
+		tv, ok := s.stored(id)
+		if !ok {
+			var err error
+			if tv, err = s.working(id, info); err != nil {
+				return err
+			}
+			decoded++
 		}
-		so, err := s.freezeObj(id, info, rec)
-		if err != nil {
-			return err
-		}
-		edit.set(id, so)
+		edit.set(id, snapObj{owner: info.owner, tv: tv})
 	}
 
 	// Dropped entries disappear by not being carried over: the carry
@@ -489,8 +527,9 @@ func (s *Store) freeze() error {
 		d := s.dirtyExts[name]
 		es, err := prev.extents[name].refresh(h, d, func(pid storage.PageID, pc *pageChunk[oid.OID, *value.Tuple]) (*pageChunk[oid.OID, *value.Tuple], error) {
 			workPages++
-			c, decoded, err := s.freezeExtentPage(edit, name, h, pid, d.pages[pid], pc)
-			workObjs += decoded
+			c, sealed, dec, err := s.freezeExtentPage(edit, &objBuf, name, h, pid, d.pages[pid], pc)
+			workObjs += sealed
+			decoded += dec
 			return c, err
 		})
 		if err != nil {
@@ -512,7 +551,11 @@ func (s *Store) freeze() error {
 		}
 		es, err := prev.elems[name].refresh(h, s.dirtyElems[name], func(pid storage.PageID, _ *pageChunk[storage.RID, value.Value]) (*pageChunk[storage.RID, value.Value], error) {
 			workPages++
-			return s.freezeElemPage(h, pid)
+			c, err := s.freezeElemPage(&elemBuf, h, pid)
+			if c != nil {
+				decoded += len(c.keys)
+			}
+			return c, err
 		})
 		if err != nil {
 			return err
@@ -526,7 +569,7 @@ func (s *Store) freeze() error {
 			vars[k] = v
 		}
 	}
-	for name := range s.dirtyVars {
+	for _, name := range sortedKeys(s.dirtyVars) {
 		if _, live := s.varRID[name]; !live {
 			continue
 		}
@@ -534,6 +577,7 @@ func (s *Store) freeze() error {
 		if err != nil {
 			return err
 		}
+		decoded++
 		vars[name] = v
 	}
 
@@ -563,10 +607,12 @@ func (s *Store) freeze() error {
 		o.freeze.Observe(time.Since(start))
 		o.dirtyObjs.ObserveCount(workObjs)
 		o.dirtyPages.ObserveCount(workPages)
+		o.decoded.ObserveCount(decoded)
 	}
-	// A fresh map, not clear: ranging over or clearing a map costs its
-	// capacity, and this one has held every object of the largest load.
+	// Fresh maps, not clear: ranging over or clearing a map costs its
+	// capacity, and these have held every object of the largest write.
 	s.dirtyObjs = make(map[oid.OID]struct{})
+	s.work = make(map[oid.OID]*value.Tuple)
 	clear(s.dirtyExts)
 	clear(s.dirtyElems)
 	clear(s.dirtyVars)
@@ -574,62 +620,54 @@ func (s *Store) freeze() error {
 	return nil
 }
 
-// freezeObj decodes one live object's record into its frozen snapshot
-// form. The decoded tuple shares nothing with rec, so it is safe to hand
-// to every future reader.
-func (s *Store) freezeObj(id oid.OID, info *objInfo, rec []byte) (snapObj, error) {
-	v, err := codec.DecodeOne(rec, s.cat)
-	if err != nil {
-		return snapObj{}, err
-	}
-	tv, ok := v.(*value.Tuple)
-	if !ok {
-		return snapObj{}, fmt.Errorf("object %s is not a tuple", id)
-	}
-	return snapObj{extent: info.extent, owner: info.owner, tv: tv}, nil
-}
-
 // freezeExtentPage builds the chunk of one page of an object extent by
-// walking the page's slot directory. A slot marked in the window (slots,
-// indexed by slot id) holds the record of the object named there, which
-// is decoded, and that is the only place it is decoded. Any other live
-// slot holds a record the window did not write, which is still the
-// record it held at the last commit, since slot ids are stable and every
-// write marks its slot: it is the next member of the previous chunk that
-// is not dirty. So only written records cost a lookup, a copy or a
-// decode; Load's bulk commit, where there is no previous chunk and every
-// slot is marked, takes the same path. It also returns how many records
-// it decoded.
-func (s *Store) freezeExtentPage(edit *objEdit, extent string, h *storage.HeapFile, pid storage.PageID, slots []oid.OID, prev *pageChunk[oid.OID, *value.Tuple]) (*pageChunk[oid.OID, *value.Tuple], int, error) {
-	marked := func(sl storage.SlotID) oid.OID {
-		if int(sl) < len(slots) {
-			return slots[sl]
-		}
-		return oid.Nil
+// walking the page's slot directory under one pin, copying no record. A
+// slot marked in the window (slots, indexed by slot id) holds the record
+// of the object named there, which contributes its working value; only a
+// record Load restored is decoded, straight from the pinned page (an
+// overflow record once the walk is done), and that is the only place it
+// is decoded. Any other live slot holds a record the window did not
+// write, which is still the record it held at the last commit, since
+// slot ids are stable and every write marks its slot: it is the next
+// member of the previous chunk that is not dirty. So only written
+// records cost a lookup; Load's bulk commit, where there is no previous
+// chunk and every slot is marked, takes the same path and lays the
+// decoded tuples out in scan order. It also returns how many objects it
+// sealed and how many records it decoded.
+func (s *Store) freezeExtentPage(edit *objEdit, b *pageBuf[oid.OID, *value.Tuple], extent string, h *storage.HeapFile, pid storage.PageID, slots []oid.OID, prev *pageChunk[oid.OID, *value.Tuple]) (*pageChunk[oid.OID, *value.Tuple], int, int, error) {
+	// The page's live slots are members of prev the window left alone
+	// and slots it marked, so this bounds them.
+	n := len(slots)
+	if prev != nil {
+		n += len(prev.keys)
 	}
-	recs, err := h.ReadPage(pid, func(sl storage.SlotID) bool { return !marked(sl).IsNil() })
-	if err != nil {
-		return nil, 0, err
-	}
-	c := &pageChunk[oid.OID, *value.Tuple]{
-		keys: make([]oid.OID, len(recs)),
-		vals: make([]*value.Tuple, len(recs)),
-	}
-	decoded, next := 0, 0 // next: the previous chunk's next member to consider
-	for i, r := range recs {
-		if id := marked(r.RID.Slot); !id.IsNil() {
+	b.reserve(n)
+	var spilled []int                // chunk positions of restored overflow records
+	sealed, decoded, next := 0, 0, 0 // next: the previous chunk's next member to consider
+	err := h.WalkPage(pid, func(sl storage.SlotID, rec []byte) error {
+		rid := storage.RID{Page: pid, Slot: sl}
+		if int(sl) < len(slots) && !slots[sl].IsNil() {
+			id := slots[sl]
 			info, live := s.omap[id]
-			if !live || info.extent != extent || info.rid != r.RID {
-				return nil, 0, fmt.Errorf("extent %s: record %s is marked for %s, which is not there", extent, r.RID, id)
+			if !live || info.extent != extent || info.rid != rid {
+				return fmt.Errorf("extent %s: record %s is marked for %s, which is not there", extent, rid, id)
 			}
-			so, err := s.freezeObj(id, info, r.Data)
-			if err != nil {
-				return nil, 0, err
+			tv, ok := s.stored(id)
+			if !ok && rec == nil {
+				spilled = append(spilled, len(b.keys))
+			} else if !ok {
+				var err error
+				if tv, err = decodeTuple(id, rec, s.cat); err != nil {
+					return err
+				}
+				decoded++
 			}
-			edit.set(id, so)
-			decoded++
-			c.keys[i], c.vals[i] = id, so.tv
-			continue
+			if tv != nil {
+				edit.set(id, snapObj{extent: extent, owner: info.owner, tv: tv})
+			}
+			sealed++
+			b.add(id, tv)
+			return nil
 		}
 		for prev != nil && next < len(prev.keys) {
 			if _, dirty := s.dirtyObjs[prev.keys[next]]; !dirty {
@@ -638,30 +676,55 @@ func (s *Store) freezeExtentPage(edit *objEdit, extent string, h *storage.HeapFi
 			next++
 		}
 		if prev == nil || next == len(prev.keys) {
-			return nil, 0, fmt.Errorf("extent %s: record %s was not written and has no previous member", extent, r.RID)
+			return fmt.Errorf("extent %s: record %s was not written and has no previous member", extent, rid)
 		}
-		c.keys[i], c.vals[i] = prev.keys[next], prev.vals[next]
+		b.add(prev.keys[next], prev.vals[next])
 		next++
+		return nil
+	})
+	for k := 0; err == nil && k < len(spilled); k++ {
+		i := spilled[k]
+		id, info := b.keys[i], s.omap[b.keys[i]]
+		if b.vals[i], err = s.readRecord(id, info); err == nil {
+			edit.set(id, snapObj{extent: extent, owner: info.owner, tv: b.vals[i]})
+			decoded++
+		}
 	}
-	return c, decoded, nil
+	c := b.chunk() // empties the buffer, on error too
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	return c, sealed, decoded, nil
 }
 
-// freezeElemPage builds the chunk of one page of an element extent.
-func (s *Store) freezeElemPage(h *storage.HeapFile, pid storage.PageID) (*pageChunk[storage.RID, value.Value], error) {
-	recs, err := h.ReadPage(pid, nil)
+// freezeElemPage builds the chunk of one page of an element extent,
+// decoding every element straight from the pinned page (an overflow
+// record once the walk is done).
+func (s *Store) freezeElemPage(b *pageBuf[storage.RID, value.Value], h *storage.HeapFile, pid storage.PageID) (*pageChunk[storage.RID, value.Value], error) {
+	var spilled []int
+	err := h.WalkPage(pid, func(sl storage.SlotID, rec []byte) error {
+		var v value.Value
+		if rec == nil {
+			spilled = append(spilled, len(b.keys))
+		} else {
+			var err error
+			if v, err = codec.DecodeOne(rec, s.cat); err != nil {
+				return err
+			}
+		}
+		b.add(storage.RID{Page: pid, Slot: sl}, v)
+		return nil
+	})
+	for k := 0; err == nil && k < len(spilled); k++ {
+		i := spilled[k]
+		var rec []byte
+		if rec, err = h.Get(b.keys[i]); err == nil {
+			b.vals[i], err = codec.DecodeOne(rec, s.cat)
+		}
+	}
+	c := b.chunk() // empties the buffer, on error too
 	if err != nil {
 		return nil, err
-	}
-	c := &pageChunk[storage.RID, value.Value]{
-		keys: make([]storage.RID, len(recs)),
-		vals: make([]value.Value, len(recs)),
-	}
-	for i, r := range recs {
-		v, err := codec.DecodeOne(r.Data, s.cat)
-		if err != nil {
-			return nil, err
-		}
-		c.keys[i], c.vals[i] = r.RID, v
 	}
 	return c, nil
 }

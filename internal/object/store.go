@@ -15,7 +15,10 @@
 //     destroyed when its owner is destroyed.
 //
 // Objects are serialized with package codec onto heap files managed by
-// the storage package; all access flows through the buffer pool.
+// the storage package, and every write goes through the buffer pool. The
+// store also keeps the tuple each object write stored, and reads that:
+// no write and no freeze reads an object's record back, except one Load
+// restored (see working).
 package object
 
 import (
@@ -62,6 +65,13 @@ type Store struct {
 	varOID  map[string]oid.OID // pseudo-owner OID per variable
 	omap    map[oid.OID]*objInfo
 	rids    map[string]map[storage.RID]oid.OID // extent -> reverse RID map
+
+	// work holds, per object written since the last freeze, the tuple
+	// its last write stored: the store-owned, internalized value whose
+	// encoding is on the heap page. A freeze hands these tuples to the
+	// snapshot it builds and starts a fresh map, so nothing mutates them
+	// once stored. RestoreObject leaves its tuple out (see working).
+	work map[oid.OID]*value.Tuple
 
 	// version counts mutations (inserts, updates, deletes, variable and
 	// element writes, releases, restores). Commit stamps it on the
@@ -114,6 +124,7 @@ func New(pool *storage.BufferPool, cat *catalog.Catalog) *Store {
 		varOID:     make(map[string]oid.OID),
 		omap:       make(map[oid.OID]*objInfo),
 		rids:       make(map[string]map[storage.RID]oid.OID),
+		work:       make(map[oid.OID]*value.Tuple),
 		dirtyObjs:  make(map[oid.OID]struct{}),
 		dirtyExts:  make(map[string]*pageDirt),
 		dirtyElems: make(map[string]*pageDirt),
@@ -275,32 +286,72 @@ func (s *Store) Insert(extent string, tv *value.Tuple) (oid.OID, error) {
 	}
 	s.omap[id] = &objInfo{extent: extent, rid: rid, typ: tv.Type}
 	s.rids[extent][rid] = id
+	s.work[id] = iv.(*value.Tuple)
 	s.markObj(id)
 	s.indexInsert(extent, id, iv.(*value.Tuple))
 	return id, nil
 }
 
-// Get fetches an object by OID. Missing objects (deleted, or never
-// created) report ok=false — a dangling reference reads as null.
+// Get fetches an object by OID: a copy of its working value, which the
+// caller may mutate. Missing objects (deleted, or never created) report
+// ok=false — a dangling reference reads as null.
 func (s *Store) Get(id oid.OID) (*value.Tuple, bool, error) {
 	info, ok := s.omap[id]
 	if !ok {
 		return nil, false, nil
 	}
-	h := s.heapFor(info)
-	rec, err := h.Get(info.rid)
+	tv, err := s.working(id, info)
 	if err != nil {
 		return nil, false, err
 	}
-	v, err := codec.DecodeOne(rec, s.cat)
+	return value.Copy(tv).(*value.Tuple), true, nil
+}
+
+// working returns the working value of the live object id, which the
+// caller must not mutate, in this order: the tuple the last write since
+// the last freeze stored (work); else the head snapshot's frozen tuple,
+// since no write has touched the object since that freeze; else — only
+// for an object RestoreObject wrote since the last freeze, which the
+// head cannot hold (RestoreObject refuses an OID it does) — its record,
+// decoded from the heap.
+func (s *Store) working(id oid.OID, info *objInfo) (*value.Tuple, error) {
+	if tv, ok := s.stored(id); ok {
+		return tv, nil
+	}
+	return s.readRecord(id, info)
+}
+
+// readRecord reads the live object's record from its heap and decodes it.
+func (s *Store) readRecord(id oid.OID, info *objInfo) (*value.Tuple, error) {
+	rec, err := s.heapFor(info).Get(info.rid)
 	if err != nil {
-		return nil, false, err
+		return nil, err
+	}
+	return decodeTuple(id, rec, s.cat)
+}
+
+// stored is working without the heap: it reports false exactly for an
+// object RestoreObject wrote since the last freeze.
+func (s *Store) stored(id oid.OID) (*value.Tuple, bool) {
+	if tv, ok := s.work[id]; ok {
+		return tv, true
+	}
+	so, ok := s.head.objs.get(id)
+	return so.tv, ok
+}
+
+// decodeTuple decodes an object record. The tuple shares nothing with
+// rec, which may be a buffer-pool frame.
+func decodeTuple(id oid.OID, rec []byte, cat *catalog.Catalog) (*value.Tuple, error) {
+	v, err := codec.DecodeOne(rec, cat)
+	if err != nil {
+		return nil, err
 	}
 	tv, ok := v.(*value.Tuple)
 	if !ok {
-		return nil, false, fmt.Errorf("object %s is not a tuple", id)
+		return nil, fmt.Errorf("object %s is not a tuple", id)
 	}
-	return tv, true, nil
+	return tv, nil
 }
 
 // TypeOf returns the runtime type of a live object.
@@ -346,12 +397,9 @@ func (s *Store) Delete(id oid.OID) error {
 		return fmt.Errorf("delete of missing object %s", id)
 	}
 	s.markObj(id) // while the omap entry still names the extent
-	tv, ok, err := s.Get(id)
+	tv, err := s.working(id, info)
 	if err != nil {
 		return err
-	}
-	if !ok {
-		return fmt.Errorf("object %s vanished", id)
 	}
 	if err := s.heapFor(info).Delete(info.rid); err != nil {
 		return err
@@ -361,6 +409,7 @@ func (s *Store) Delete(id oid.OID) error {
 		delete(s.rids[info.extent], info.rid)
 	}
 	delete(s.omap, id)
+	delete(s.work, id)
 	comp := types.Component{Mode: types.Own, Type: tv.Type}
 	return s.destroyOwned(comp, tv)
 }
@@ -378,12 +427,9 @@ func (s *Store) Update(id oid.OID, tv *value.Tuple) error {
 		return fmt.Errorf("update of missing object %s", id)
 	}
 	s.markObj(id)
-	old, ok, err := s.Get(id)
+	old, err := s.working(id, info)
 	if err != nil {
 		return err
-	}
-	if !ok {
-		return fmt.Errorf("object %s vanished", id)
 	}
 	comp := types.Component{Mode: types.Own, Type: info.typ}
 	oldOwned := map[oid.OID]bool{}
@@ -414,6 +460,7 @@ func (s *Store) Update(id oid.OID, tv *value.Tuple) error {
 		s.rids[info.extent][nrid] = id
 	}
 	info.rid = nrid
+	s.work[id] = iv.(*value.Tuple)
 	s.markObj(id) // the record may have moved to another page
 	info.typ = iv.(*value.Tuple).Type
 	if info.extent != "" {
@@ -444,10 +491,10 @@ func (s *Store) ScanExtent(extent string, fn func(id oid.OID, tv *value.Tuple) e
 		if !ok {
 			return fmt.Errorf("extent %s: record %s has no OID", extent, rid)
 		}
-		v, err := codec.DecodeOne(rec, s.cat)
+		tv, err := decodeTuple(id, rec, s.cat)
 		if err != nil {
 			return err
 		}
-		return fn(id, v.(*value.Tuple))
+		return fn(id, tv)
 	})
 }

@@ -1,0 +1,181 @@
+package object
+
+import (
+	"reflect"
+	"strings"
+	"testing"
+	"unsafe"
+
+	"repro/internal/metrics"
+	"repro/internal/oid"
+	"repro/internal/storage"
+	"repro/internal/types"
+	"repro/internal/value"
+)
+
+// TestCheckConsistencyFindsDivergentRecord: the store reads an object's
+// working value, never its record, so the fsck is what holds the two
+// together. A record planted under the store — another name, or the same
+// age under another integer kind, which value.Equal would let pass — is
+// reported, whether the working value is the tuple the insert stored or,
+// after a commit, the snapshot's.
+func TestCheckConsistencyFindsDivergentRecord(t *testing.T) {
+	plants := []struct {
+		name  string
+		plant func(f *fixture) *value.Tuple
+	}{
+		{"another name", func(f *fixture) *value.Tuple { return f.newPerson("Bob", 41) }},
+		{"another integer kind", func(f *fixture) *value.Tuple {
+			tv := f.newPerson("Ann", 0)
+			tv.Set("age", value.Int{K: types.KInt2, V: 41})
+			return tv
+		}},
+	}
+	for _, p := range plants {
+		for _, commit := range []bool{false, true} {
+			f := newFixture(t)
+			id, err := f.store.Insert("People", f.newPerson("Ann", 41))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if commit {
+				if _, err := f.store.Commit(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if bad := f.store.CheckConsistency(); len(bad) != 0 {
+				t.Fatalf("%s: consistent store reported %q", p.name, bad)
+			}
+			if err := f.store.plantRecord(id, p.plant(f)); err != nil {
+				t.Fatal(err)
+			}
+			bad := f.store.CheckConsistency()
+			if len(bad) != 1 || !strings.Contains(bad[0], id.String()) || !strings.Contains(bad[0], "working value") {
+				t.Errorf("%s, committed %v: fsck reported %q, want the divergent record of %s", p.name, commit, bad, id)
+			}
+		}
+	}
+}
+
+// TestStoredStringsOwnTheirBytes: the tuple a write stores is the
+// snapshot's from the next freeze on, so a string it holds must not be a
+// slice of the caller's larger string (a statement's text, for a string
+// literal) and keep that alive.
+func TestStoredStringsOwnTheirBytes(t *testing.T) {
+	f := newFixture(t)
+	text := `append to People (name = "Ann", age = 41)`
+	name := text[strings.IndexByte(text, '"')+1 : strings.LastIndexByte(text, '"')]
+	id, err := f.store.Insert("People", f.newPerson(name, 41))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.store.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	tv, _, _ := f.store.Snapshot().Get(id)
+	got, _ := value.AsString(tv.Get("name"))
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(text)))
+	if p := uintptr(unsafe.Pointer(unsafe.StringData(got))); got != name || (p >= lo && p < lo+uintptr(len(text))) {
+		t.Errorf("stored name %q shares the bytes of the text it was cut from", got)
+	}
+}
+
+// TestFreezeDecodesRestoredRecords: what RestoreObject and RestoreElem
+// write has no working value, so the freeze decodes it from the page —
+// an inline record straight from the pinned frame, an overflow record
+// after the walk — and counts each decode in mvcc.commit.decoded. The
+// snapshot then holds what was restored, and the next write to the same
+// page decodes nothing.
+func TestFreezeDecodesRestoredRecords(t *testing.T) {
+	f := newFixture(t)
+	reg := metrics.NewRegistry()
+	f.store.SetMetrics(reg)
+	v, err := f.cat.CreateVar("Names", types.Component{Mode: types.Own, Type: &types.Set{
+		Elem: types.Component{Mode: types.Own, Type: types.Varchar}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.store.InitVar(v); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.store.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	big := strings.Repeat("b", 2*storage.PageSize) // an overflow record
+	names := []string{"Ann", big}
+	for i, name := range names {
+		enc, err := encode(f.newPerson(name, 40))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.store.RestoreObject(ExportObject{Extent: "People", OID: oid.OID(100 + i), Data: enc}); err != nil {
+			t.Fatal(err)
+		}
+		if enc, err = encode(value.NewStr(name)); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.store.RestoreElem("Names", enc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decoded := func() uint64 { return reg.Snapshot().Histograms["mvcc.commit.decoded"].SumNS }
+	if _, err := f.store.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := decoded(); got != 4 {
+		t.Errorf("the commit decoded %d records, want the 4 restored", got)
+	}
+	sn := f.store.Snapshot()
+	var gotObjs, gotElems []string
+	sn.ScanExtent("People", func(_ oid.OID, tv *value.Tuple) error {
+		s, _ := value.AsString(tv.Get("name"))
+		gotObjs = append(gotObjs, s)
+		return nil
+	})
+	sn.ScanElems("Names", func(_ storage.RID, v value.Value) error {
+		s, _ := value.AsString(v)
+		gotElems = append(gotElems, s)
+		return nil
+	})
+	if !reflect.DeepEqual(gotObjs, names) || !reflect.DeepEqual(gotElems, names) {
+		t.Errorf("snapshot holds %d objects and %d elements, not the restored ones", len(gotObjs), len(gotElems))
+	}
+	if _, err := f.store.Insert("People", f.newPerson("Cid", 7)); err != nil {
+		t.Fatal(err)
+	}
+	before := decoded()
+	if _, err := f.store.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := decoded() - before; got != 0 {
+		t.Errorf("an insert beside the restored objects decoded %d records", got)
+	}
+	if bad := f.store.CheckConsistency(); len(bad) != 0 {
+		t.Errorf("fsck: %q", bad)
+	}
+}
+
+// TestRestoreRefusesOIDOfLastFreeze: an object's working value is the
+// head's tuple until a write stores another, so RestoreObject must not
+// give an OID the head holds a record of its own, even once the object
+// was deleted: the store would read the head's tuple in its place.
+func TestRestoreRefusesOIDOfLastFreeze(t *testing.T) {
+	f := newFixture(t)
+	id, err := f.store.Insert("People", f.newPerson("Ann", 41))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.store.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.store.Delete(id); err != nil {
+		t.Fatal(err)
+	}
+	enc, err := encode(f.newPerson("Bob", 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.store.RestoreObject(ExportObject{Extent: "People", OID: id, Data: enc}); err == nil {
+		t.Errorf("restored %s over the head's object of that OID", id)
+	}
+}

@@ -324,79 +324,59 @@ func (h *HeapFile) Update(rid RID, rec []byte) (RID, error) {
 	return nrid, nil
 }
 
-// Record is one live record of a data page.
-type Record struct {
-	RID  RID
-	Data []byte
-}
-
-// ReadPage walks the slot directory of one data page and returns its
-// live records in slot order, pinning the page once. Only the records in
-// slots want reports true for (all of them when want is nil) carry Data,
-// with overflow chains followed; the others carry just their RID. The
-// Data slices are copies safe to hold; the inline ones of a page share
-// one buffer.
-func (h *HeapFile) ReadPage(pid PageID, want func(SlotID) bool) ([]Record, error) {
+// WalkPage walks the slot directory of one data page under one pin and
+// calls fn for each live slot in slot order with the slot's inline
+// record. rec is the page frame itself: fn must not keep it, and must
+// not touch the pool. An overflow record comes as nil; read it with Get
+// once WalkPage has returned.
+func (h *HeapFile) WalkPage(pid PageID, fn func(s SlotID, rec []byte) error) error {
 	buf, err := h.pool.Pin(pid)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	p := Page{Buf: buf}
-	n, size := 0, 0
-	err = p.Slots(func(s SlotID, stored []byte) error {
+	defer h.pool.Unpin(pid)
+	return Page{Buf: buf}.Slots(func(s SlotID, stored []byte) error {
 		if len(stored) == 0 {
-			return fmt.Errorf("empty stored record")
+			return fmt.Errorf("page %d: empty stored record", pid)
 		}
-		n++
-		if want == nil || want(s) {
-			size += len(stored)
+		if stored[0] != tagInline {
+			return fn(s, nil)
 		}
-		return nil
+		return fn(s, stored[1:])
 	})
-	if err != nil {
-		h.pool.Unpin(pid)
-		return nil, fmt.Errorf("page %d: %w", pid, err)
-	}
-	recs := make([]Record, 0, n)
-	data := make([]byte, 0, size)
-	_ = p.Slots(func(s SlotID, stored []byte) error {
-		r := Record{RID: RID{Page: pid, Slot: s}}
-		if want == nil || want(s) {
-			at := len(data)
-			data = append(data, stored...)
-			r.Data = data[at:len(data):len(data)]
-		}
-		recs = append(recs, r)
-		return nil
-	})
-	h.pool.Unpin(pid)
-	// Resolve the tags with the data page unpinned: an overflow chain
-	// pins pages of its own.
-	for i := range recs {
-		stored := recs[i].Data
-		if stored == nil {
-			continue
-		}
-		if stored[0] == tagInline {
-			recs[i].Data = stored[1:]
-			continue
-		}
-		if recs[i].Data, err = h.decode(stored); err != nil {
-			return nil, fmt.Errorf("%s: %w", recs[i].RID, err)
-		}
-	}
-	return recs, nil
 }
 
-// Scan calls fn for every record in the file, in page then slot order.
+// Scan calls fn for every record in the file, in page then slot order,
+// with a copy of the record: fn may keep it, and may use the pool. The
+// inline records of a page are copied into one buffer during its walk.
 func (h *HeapFile) Scan(fn func(rid RID, rec []byte) error) error {
+	var slots []SlotID
+	var ends []int // where each record ends in data; -1 for an overflow record
 	for _, pid := range h.pages {
-		recs, err := h.ReadPage(pid, nil)
-		if err != nil {
+		slots, ends = slots[:0], ends[:0]
+		data := make([]byte, 0, PageSize)
+		if err := h.WalkPage(pid, func(s SlotID, rec []byte) error {
+			end := -1
+			if rec != nil {
+				data = append(data, rec...)
+				end = len(data)
+			}
+			slots, ends = append(slots, s), append(ends, end)
+			return nil
+		}); err != nil {
 			return err
 		}
-		for _, r := range recs {
-			if err := fn(r.RID, r.Data); err != nil {
+		start := 0
+		for i, s := range slots {
+			rid := RID{Page: pid, Slot: s}
+			var rec []byte
+			var err error
+			if end := ends[i]; end >= 0 {
+				rec, start = data[start:end:end], end
+			} else if rec, err = h.Get(rid); err != nil {
+				return err
+			}
+			if err := fn(rid, rec); err != nil {
 				return err
 			}
 		}

@@ -7,6 +7,7 @@
 package extra_test
 
 import (
+	"bytes"
 	"runtime"
 	"testing"
 
@@ -126,7 +127,11 @@ func (sh *scanShape) run(db *extra.DB, st *extra.Stmt) *extra.Result {
 // BenchmarkScanPerRow times each scan shape at 20 000 employees and
 // reports its cost per scanned employee: ns/row, the time per
 // statement over the employees it scans, beside allocs/row, what
-// TestScanAllocsPerRow pins.
+// TestScanAllocsPerRow pins. Each shape runs on two databases of the
+// same company: one built by 20 000 Inserts, and ("loaded ...") one
+// that Loaded its dump, the layout the repository benchmark scans,
+// where the tuples were decoded at Load's commit in scan order. A
+// change to where the store allocates tuples shows in the second.
 func BenchmarkScanPerRow(b *testing.B) {
 	const n = 20000
 	db, _, err := workload.New(workload.Params{Employees: n, MaxKids: 2, Seed: 7}, 8192)
@@ -134,27 +139,44 @@ func BenchmarkScanPerRow(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer db.Close()
-	for i := range scanShapes {
-		sh := &scanShapes[i]
-		b.Run(sh.name, func(b *testing.B) {
-			st, err := db.Prepare(sh.src)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer st.Close()
-			sh.run(db, st) // plans, compiles and fills the pools
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			b.ResetTimer()
-			for k := 0; k < b.N; k++ {
-				sh.run(db, st)
-			}
-			b.StopTimer()
-			runtime.ReadMemStats(&after)
-			rows := float64(b.N) * n
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/rows, "ns/row")
-			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/rows, "allocs/row")
-		})
+	var dump bytes.Buffer
+	if err := db.Dump(&dump); err != nil {
+		b.Fatal(err)
+	}
+	loaded, err := extra.Open(extra.WithPoolSize(8192))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer loaded.Close()
+	if err := loaded.Load(&dump); err != nil {
+		b.Fatal(err)
+	}
+	for _, layout := range []struct {
+		prefix string
+		db     *extra.DB
+	}{{"", db}, {"loaded ", loaded}} {
+		for i := range scanShapes {
+			sh := &scanShapes[i]
+			b.Run(layout.prefix+sh.name, func(b *testing.B) {
+				st, err := layout.db.Prepare(sh.src)
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer st.Close()
+				sh.run(layout.db, st) // plans, compiles and fills the pools
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				b.ResetTimer()
+				for k := 0; k < b.N; k++ {
+					sh.run(layout.db, st)
+				}
+				b.StopTimer()
+				runtime.ReadMemStats(&after)
+				rows := float64(b.N) * n
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/rows, "ns/row")
+				b.ReportMetric(float64(after.Mallocs-before.Mallocs)/rows, "allocs/row")
+			})
+		}
 	}
 }
 

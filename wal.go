@@ -364,7 +364,12 @@ func (db *DB) logStmt(rec *wal.Record, runErr error, effects bool) (uint64, erro
 		return 0, nil
 	}
 	rec.Erred = runErr != nil
-	return db.wal.Append(rec)
+	lsn, err := db.wal.Append(rec)
+	if err == nil {
+		db.cWALRecords.Inc()
+		db.cWALBytes.Add(uint64(rec.PayloadSize()))
+	}
+	return lsn, err
 }
 
 // waitDurable blocks until the record at lsn is fsynced (a no-op
@@ -374,7 +379,10 @@ func (db *DB) waitDurable(lsn uint64) error {
 	if db.wal == nil || lsn == 0 {
 		return nil
 	}
-	return db.wal.WaitDurable(lsn)
+	start := time.Now()
+	err := db.wal.WaitDurable(lsn)
+	db.hWALWait.Observe(time.Since(start))
+	return err
 }
 
 // encodeParams serializes a prepared statement's $1..$n arguments.

@@ -14,11 +14,13 @@ import (
 )
 
 // writeShape is one write statement whose read phase is counted: src
-// prepared, and args giving the arguments of its i-th run.
+// prepared, args giving the arguments of its i-th run, and the pins its
+// runs take in all.
 type writeShape struct {
 	name string
 	src  string
 	args func(i int) []any
+	pins uint64
 }
 
 // TestWriteReadPhasePinsNoPage: the read phase of a write statement
@@ -26,19 +28,20 @@ type writeShape struct {
 // its department by scanning Departments, and a replace that probes an
 // index for its employee and scans Departments for the new one, pin the
 // same number of buffer-pool pages and allocate the same on a database
-// of 20 and of 2 000 departments. Only their writes (an employee
-// inserted or rewritten, the commit freezing its page) touch the pool,
-// and those do not depend on the department count. A read phase that
-// decoded the departments from their heap pages would pin each page and
-// allocate per department.
+// of 20 and of 2 000 departments. Only their writes touch the pool: each
+// run pins the employee's page once to insert or rewrite its record, and
+// once more for the commit's walk of that page, 16 pins in 8 runs. A read
+// phase that decoded the departments from their heap pages would pin
+// each page and allocate per department, and an apply phase or a commit
+// that read the employee's record back would pin it again.
 func TestWriteReadPhasePinsNoPage(t *testing.T) {
 	shapes := []writeShape{
 		{"append from a scan",
 			`append to Employees (name = $1, age = 30, salary = 1, dept = D) from D in Departments where D.dname = $2`,
-			func(i int) []any { return []any{fmt.Sprintf("new-%04d", i), "dept-0007"} }},
+			func(i int) []any { return []any{fmt.Sprintf("new-%04d", i), "dept-0007"} }, 16},
 		{"indexed replace",
 			`replace E (salary = E.salary + 1, dept = D) from E in Employees, D in Departments where E.name = $1 and D.dname = $2`,
-			func(i int) []any { return []any{fmt.Sprintf("emp-%04d", i%10), fmt.Sprintf("dept-%04d", i%3)} }},
+			func(i int) []any { return []any{fmt.Sprintf("emp-%04d", i%10), fmt.Sprintf("dept-%04d", i%3)} }, 16},
 	}
 	const runs = 8
 	type work struct{ pins, allocs uint64 }
@@ -70,6 +73,9 @@ func TestWriteReadPhasePinsNoPage(t *testing.T) {
 			}
 			w := work{pins: moved.Hits + moved.Misses, allocs: allocs}
 			t.Logf("%s, %d departments: %d pins in %d runs, %d allocations per run", sh.name, depts, w.pins, runs, w.allocs)
+			if w.pins != sh.pins {
+				t.Errorf("%s, %d departments: %d pins in %d runs, want %d", sh.name, depts, w.pins, runs, sh.pins)
+			}
 			if depts == 20 {
 				at20 = append(at20, w)
 			} else if w != at20[si] {
