@@ -55,7 +55,7 @@ bench:
 # detector perturbs allocation counts, and scanalloc_test.go is built
 # only without it.
 work-gate:
-	$(GO) test -count=1 -v -run '^(TestScanAllocsPerRow|TestHashJoinBuildsSmallerSide|TestRangeReplaceWorkIndependentOfSize|TestCommitWorkIndependentOfSize|TestRangeUpdateWorkIndependentOfSize|TestPlanCacheHitCompilesNothing|TestZeroAllocWhenDisabled|TestAdhocLiteralsShareOnePlan|TestAdhocShapeSkipsParser|TestParamKeyUsesIndex|TestSnapshotReadsPinNoPage|TestWriteReadPhasePinsNoPage|TestDefineIndexPinsNoPage|TestWriteDecodesNothing)$$' . ./internal/object/ ./internal/trace/
+	$(GO) test -count=1 -v -run '^(TestScanAllocsPerRow|TestResultAllocsPerRow|TestHashJoinBuildsSmallerSide|TestRangeReplaceWorkIndependentOfSize|TestCommitWorkIndependentOfSize|TestRangeUpdateWorkIndependentOfSize|TestPlanCacheHitCompilesNothing|TestZeroAllocWhenDisabled|TestAdhocLiteralsShareOnePlan|TestAdhocShapeSkipsParser|TestParamKeyUsesIndex|TestSnapshotReadsPinNoPage|TestWriteReadPhasePinsNoPage|TestDefineIndexPinsNoPage|TestWriteDecodesNothing)$$' . ./internal/object/ ./internal/trace/
 
 # The repository benchmark (bench/, a module of its own that drives the
 # engine through its public and internal APIs) must keep compiling and

@@ -86,6 +86,10 @@ func TestDebugServerMetrics(t *testing.T) {
 		"# TYPE extra_wal_append_records_total counter",
 		"# TYPE extra_wal_append_bytes_total counter",
 		"# TYPE extra_wal_wait_durable_ns histogram",
+		// Each flush times its fsync and counts the records it made
+		// durable.
+		"# TYPE extra_wal_fsync_ns histogram",
+		"# TYPE extra_wal_group_size histogram",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, body)
@@ -95,6 +99,10 @@ func TestDebugServerMetrics(t *testing.T) {
 	recs, waits := snap.Counters["wal.append.records"], snap.Histograms["wal.wait_durable"].Count
 	if recs == 0 || snap.Counters["wal.append.bytes"] < recs || waits == 0 || waits > recs {
 		t.Errorf("WAL metrics: %d records, %d bytes, %d waits", recs, snap.Counters["wal.append.bytes"], waits)
+	}
+	fsyncs, grouped := snap.Histograms["wal.fsync"].Count, snap.Histograms["wal.group.size"]
+	if fsyncs == 0 || grouped.Count != fsyncs || grouped.SumNS != recs {
+		t.Errorf("WAL flush metrics: %d fsyncs, %d groups holding %d records, %d appended", fsyncs, grouped.Count, grouped.SumNS, recs)
 	}
 	if want := fmt.Sprintf("extra_wal_append_records_total %d\n", recs); !strings.Contains(body, want) {
 		t.Errorf("/metrics missing %q", want)

@@ -170,70 +170,146 @@ func (ex *State) bindBody(fn *catalog.Function) (*boundBody, error) {
 	return b, nil
 }
 
-// foldAgg folds the elements with the aggregate's operator. Nulls are
-// ignored; count counts non-null elements; empty input yields 0 for
-// count and null for the others (QUEL behaviour).
+// foldAgg folds the elements with the aggregate's operator, through
+// the accumulator a grouped retrieve adds its rows to (aggState).
 func foldAgg(a *sema.Agg, elems []value.Value) (value.Value, error) {
-	var vals []value.Value
+	st := newAggState(a)
 	for _, e := range elems {
-		if !value.IsNull(e) {
-			vals = append(vals, e)
+		if err := st.add(e); err != nil {
+			return nil, err
 		}
 	}
-	if a.SetFn != nil {
-		for i, v := range vals {
-			vals[i] = deobject(v)
-		}
-		return a.SetFn.Impl(vals)
+	return st.result()
+}
+
+// aggOp is an aggregate's operator, resolved once per accumulator.
+type aggOp uint8
+
+const (
+	aggCount aggOp = iota
+	aggSum
+	aggAvg
+	aggMin
+	aggMax
+	aggSetFn   // an ADT set function (sema.Agg.SetFn)
+	aggUnknown // result reports it
+)
+
+// aggState folds one aggregate's arguments as they arrive, in O(1)
+// space: the count of non-null values, their int and float sums and
+// whether every one was an int, and the best value so far. Nulls are
+// ignored and count counts the rest; a sum of ints is an int and a sum
+// with any float a float; an empty sum is 0 and an empty avg, min or
+// max null (QUEL behaviour); min and max keep the first of equal
+// values. Only an ADT set function keeps its arguments, because its
+// Impl takes them as a slice.
+type aggState struct {
+	a      *sema.Agg
+	op     aggOp
+	notInt bool // a summed value was not an int
+	n      int64
+	sumI   int64
+	sumF   float64
+	best   value.Value
+	vals   []value.Value    // ADT set functions only
+	over   map[hashKey]bool // dedup keys seen (for "over")
+}
+
+func newAggState(a *sema.Agg) aggState {
+	op := aggUnknown
+	switch {
+	case a.SetFn != nil:
+		op = aggSetFn
+	case a.Op == "count":
+		op = aggCount
+	case a.Op == "sum":
+		op = aggSum
+	case a.Op == "avg":
+		op = aggAvg
+	case a.Op == "min":
+		op = aggMin
+	case a.Op == "max":
+		op = aggMax
 	}
-	switch a.Op {
-	case "count":
-		return value.NewInt(int64(len(vals))), nil
-	case "sum", "avg":
-		if len(vals) == 0 {
-			if a.Op == "sum" {
-				return value.NewInt(0), nil
-			}
+	return aggState{a: a, op: op}
+}
+
+// add folds one argument in.
+func (st *aggState) add(v value.Value) error {
+	if value.IsNull(v) {
+		return nil
+	}
+	switch st.op {
+	case aggSetFn:
+		st.vals = append(st.vals, deobject(v))
+	case aggSum, aggAvg:
+		if iv, isInt := v.(value.Int); isInt {
+			st.sumI += iv.V
+			st.sumF += float64(iv.V)
+			break
+		}
+		f, ok := value.AsFloat(v)
+		if !ok {
+			return fmt.Errorf("%s over non-numeric value %s", st.a.Op, v)
+		}
+		st.notInt = true
+		st.sumF += f
+	case aggMin, aggMax:
+		if st.n == 0 {
+			st.best = v
+			break
+		}
+		c, err := value.Compare(deobject(v), deobject(st.best))
+		if err != nil {
+			return err
+		}
+		if (st.op == aggMin && c < 0) || (st.op == aggMax && c > 0) {
+			st.best = v
+		}
+	}
+	st.n++
+	return nil
+}
+
+// result is the aggregate of what was added.
+func (st *aggState) result() (value.Value, error) {
+	switch st.op {
+	case aggSetFn:
+		return st.a.SetFn.Impl(st.vals)
+	case aggCount:
+		return boxInt(st.n), nil
+	case aggSum:
+		if st.notInt {
+			return value.NewFloat(st.sumF), nil
+		}
+		return boxInt(st.sumI), nil
+	case aggAvg:
+		if st.n == 0 {
 			return value.Null{}, nil
 		}
-		sumF := 0.0
-		sumI := int64(0)
-		allInt := true
-		for _, v := range vals {
-			if iv, isInt := v.(value.Int); isInt {
-				sumI += iv.V
-				sumF += float64(iv.V)
-				continue
-			}
-			allInt = false
-			f, ok := value.AsFloat(v)
-			if !ok {
-				return nil, fmt.Errorf("%s over non-numeric value %s", a.Op, v)
-			}
-			sumF += f
-		}
-		if a.Op == "avg" {
-			return value.NewFloat(sumF / float64(len(vals))), nil
-		}
-		if allInt {
-			return value.NewInt(sumI), nil
-		}
-		return value.NewFloat(sumF), nil
-	case "min", "max":
-		if len(vals) == 0 {
+		return value.NewFloat(st.sumF / float64(st.n)), nil
+	case aggMin, aggMax:
+		if st.n == 0 {
 			return value.Null{}, nil
 		}
-		best := vals[0]
-		for _, v := range vals[1:] {
-			c, err := value.Compare(deobject(v), deobject(best))
-			if err != nil {
-				return nil, err
-			}
-			if (a.Op == "min" && c < 0) || (a.Op == "max" && c > 0) {
-				best = v
-			}
-		}
-		return best, nil
+		return st.best, nil
 	}
-	return nil, fmt.Errorf("unhandled aggregate %s", a.Op)
+	return nil, fmt.Errorf("unhandled aggregate %s", st.a.Op)
+}
+
+// smallInts holds the int4 values 0..255 already boxed, so a count or
+// small sum per result row allocates nothing.
+var smallInts = func() (t [256]value.Value) {
+	for i := range t {
+		t[i] = value.NewInt(int64(i))
+	}
+	return t
+}()
+
+// boxInt returns n as an int4 value, boxing it only outside 0..255.
+func boxInt(n int64) value.Value {
+	if n >= 0 && n < int64(len(smallInts)) {
+		return smallInts[n]
+	}
+	return value.NewInt(n)
 }

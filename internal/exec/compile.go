@@ -517,8 +517,9 @@ func compile(e sema.Expr) (fn compiledExpr, cv value.Value, isConst bool) {
 
 // compileAgg compiles an aggregate. A set-argument aggregate folds the
 // collection its argument yields for the current binding (count(E.kids),
-// avg(Employees.salary)); a query-level one reads the value the grouped
-// retrieve folded across the group (ctx.aggVals).
+// avg(Employees.salary)) through the accumulator (foldAgg), copying
+// nothing; a query-level one reads the value the grouped retrieve
+// folded across the group (ctx.aggVals).
 func compileAgg(a *sema.Agg) compiledExpr {
 	if !a.SetArg {
 		return func(_ *State, ctx *evalCtx) (value.Value, error) {

@@ -81,6 +81,12 @@ type State struct {
 	// reference steps and ref-set members. EXPLAIN ANALYZE reports it.
 	derefs int64
 
+	// blocks holds the cell blocks of the results being built on this
+	// state, the innermost retrieve's last, and out writes the innermost
+	// one's rows (rowWriter).
+	blocks [][]value.Value
+	out    rowWriter
+
 	// tr is the sampled statement's span builder, nil for the unsampled
 	// (vast) majority — all span calls through it are nil-receiver
 	// no-ops. See SetTrace.
@@ -117,6 +123,9 @@ func (ex *State) Release() {
 	ex.snap, ex.write, ex.viewErr = nil, false, nil
 	ex.cat = nil
 	ex.derefs = 0
+	clear(ex.blocks)
+	ex.blocks = ex.blocks[:0]
+	ex.out = rowWriter{}
 	ex.Executor.statePool.Put(ex)
 }
 

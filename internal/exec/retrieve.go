@@ -92,24 +92,22 @@ func (ex *State) RetrieveProgram(cq *sema.CheckedRetrieve, plan *algebra.Plan, p
 	if prog == nil {
 		prog = ex.CompilePlan(cq, plan)
 	}
-	res := &Result{}
-	for _, t := range cq.Targets {
-		res.Cols = append(res.Cols, t.Name)
-	}
+	outer := ex.startRows(len(prog.targets))
 	var err error
 	if cq.Aggregated {
-		err = ex.retrieveGrouped(cq, plan, prog, res)
+		err = ex.retrieveGrouped(plan, prog, len(cq.GroupBy) == 0)
 	} else {
 		err = ex.Run(plan, prog, func(ctx *evalCtx) error {
-			row, err := ex.targetRow(ctx, prog)
-			if err == nil {
-				res.Rows = append(res.Rows, row)
-			}
-			return err
+			return ex.targetRow(ctx, prog, ex.newRow())
 		})
 	}
+	rows := ex.endRows(outer, err == nil)
 	if err != nil {
 		return nil, err
+	}
+	res := &Result{Cols: make([]string, len(cq.Targets)), Rows: rows}
+	for i, t := range cq.Targets {
+		res.Cols[i] = t.Name
 	}
 	if cq.Into != "" {
 		// A retrieve with an into clause is write-classified by
@@ -123,17 +121,82 @@ func (ex *State) RetrieveProgram(cq *sema.CheckedRetrieve, plan *algebra.Plan, p
 	return res, nil
 }
 
-// targetRow evaluates the target list.
-func (ex *State) targetRow(ctx *evalCtx, prog *Program) (Row, error) {
-	row := make(Row, len(prog.targets))
+// targetRow evaluates the target list into row.
+func (ex *State) targetRow(ctx *evalCtx, prog *Program, row Row) error {
 	for i, t := range prog.targets {
 		v, err := t(ex, ctx)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		row[i] = v
 	}
-	return row, nil
+	return nil
+}
+
+// maxBlockRows caps the rows of one result block. Blocks double from
+// one row up to it, so a result of n rows allocates about log2(n)
+// blocks while it is small and one more per maxBlockRows rows after,
+// and leaves at most one block's cells unused.
+const maxBlockRows = 1024
+
+// rowWriter lays out the rows of the result being built as they are
+// produced: each row's cells are the next ncols cells of the current
+// block in State.blocks, and endRows cuts the blocks into the result's
+// rows once their number is known. No block is copied, and the row
+// headers are allocated once, at their exact length.
+type rowWriter struct {
+	ncols int
+	base  int           // the result's first block in State.blocks
+	rows  int           // rows written
+	free  []value.Value // the current block's unwritten cells
+	next  int           // rows in the next block
+}
+
+// startRows begins a result of ncols columns on the state and returns
+// the writer of the enclosing result, which endRows restores: a
+// retrieve a function body runs in the middle of another's row writes
+// its blocks above the outer one's and removes them when it ends.
+func (ex *State) startRows(ncols int) rowWriter {
+	outer := ex.out
+	ex.out = rowWriter{ncols: ncols, base: len(ex.blocks), next: 1}
+	return outer
+}
+
+// newRow returns the cells of the result's next row.
+func (ex *State) newRow() Row {
+	w := &ex.out
+	if len(w.free) < w.ncols {
+		w.free = make([]value.Value, w.next*w.ncols)
+		ex.blocks = append(ex.blocks, w.free)
+		w.next = min(2*w.next, maxBlockRows)
+	}
+	row := w.free[:w.ncols:w.ncols] // full slice: an append to a row cannot reach the next
+	w.free = w.free[w.ncols:]
+	w.rows++
+	return row
+}
+
+// endRows ends the result startRows began and returns its rows, or
+// nil when keep is false (the retrieve failed), and restores the
+// enclosing result's writer.
+func (ex *State) endRows(outer rowWriter, keep bool) []Row {
+	w := ex.out
+	ex.out = outer
+	blocks := ex.blocks[w.base:]
+	var rows []Row
+	if keep && w.rows > 0 {
+		rows = make([]Row, w.rows)
+		i := 0
+		for _, blk := range blocks {
+			for ; i < len(rows) && len(blk) >= w.ncols; i++ {
+				rows[i] = blk[:w.ncols:w.ncols]
+				blk = blk[w.ncols:]
+			}
+		}
+	}
+	clear(blocks) // the rows own the blocks now; the pooled state must not pin them
+	ex.blocks = ex.blocks[:w.base]
+	return rows
 }
 
 // groupState accumulates one group during grouped retrieval: its
@@ -144,46 +207,56 @@ type groupState struct {
 	aggs []aggState
 }
 
-type aggState struct {
-	vals []value.Value
-	over map[hashKey]bool // dedup keys seen (for "over")
+func newGroup(rep *binding, aggs []aggProgram) *groupState {
+	g := &groupState{rep: rep, aggs: make([]aggState, len(aggs))}
+	for k := range aggs {
+		g.aggs[k] = newAggState(aggs[k].agg)
+	}
+	return g
 }
 
 // groupNode is one level of the group table: the groups whose first k
-// by-values agree, keyed on value k+1. A row finds its group with one
-// map lookup per by-expression and allocates only when it opens one.
+// by-values agree, keyed on value k+1 (next is nil on the last level).
+// A row finds its group with one map lookup per by-expression and
+// allocates only when it opens one.
 type groupNode struct {
 	g    *groupState
 	next map[hashKey]*groupNode
 }
 
 // retrieveGrouped implements query-level aggregation: rows are grouped
-// by the collected by-expressions; within each group each aggregate
-// folds its argument across the group's bindings, after deduplicating by
-// the over-expression when one is given (the paper's mechanism for
-// aggregating one level of a complex object while partitioning on
-// another, which also subsumes QUEL's unique aggregates).
-func (ex *State) retrieveGrouped(cq *sema.CheckedRetrieve, plan *algebra.Plan, prog *Program, res *Result) error {
-	root := &groupNode{next: map[hashKey]*groupNode{}}
+// by the collected by-expressions, and each row adds its argument to
+// each aggregate's accumulator in its group as it arrives, after
+// deduplicating by the over-expression when one is given (the paper's
+// mechanism for aggregating one level of a complex object while
+// partitioning on another, which also subsumes QUEL's unique
+// aggregates). A group holds O(1) per aggregate, whatever its size. A
+// global retrieve (no by-expressions) over zero bindings still
+// produces one row: count = 0, sum = 0, the others null.
+func (ex *State) retrieveGrouped(plan *algebra.Plan, prog *Program, global bool) error {
+	var root groupNode
 	var order []*groupState
 	err := ex.Run(plan, prog, func(ctx *evalCtx) error {
-		n := root
+		n := &root
 		for _, by := range prog.groupBy {
 			v, err := by(ex, ctx)
 			if err != nil {
 				return err
 			}
 			k := groupKey(v)
+			if n.next == nil {
+				n.next = map[hashKey]*groupNode{}
+			}
 			next := n.next[k]
 			if next == nil {
-				next = &groupNode{next: map[hashKey]*groupNode{}}
+				next = &groupNode{}
 				n.next[k] = next
 			}
 			n = next
 		}
 		g := n.g
 		if g == nil {
-			g = &groupState{rep: ctx.b.clone(), aggs: make([]aggState, len(prog.aggs))}
+			g = newGroup(ctx.b.clone(), prog.aggs)
 			n.g = g
 			order = append(order, g)
 		}
@@ -207,32 +280,31 @@ func (ex *State) retrieveGrouped(cq *sema.CheckedRetrieve, plan *algebra.Plan, p
 			if err != nil {
 				return err
 			}
-			st.vals = append(st.vals, av)
+			if err := st.add(av); err != nil {
+				return err
+			}
 		}
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	// A global aggregate (no by-expressions) over zero bindings still
-	// produces one row: count = 0, sum = 0, the others null.
-	if len(order) == 0 && len(cq.GroupBy) == 0 {
-		order = append(order, &groupState{rep: newBinding(), aggs: make([]aggState, len(prog.aggs))})
+	if len(order) == 0 && global {
+		order = append(order, newGroup(newBinding(), prog.aggs))
 	}
+	ctx := evalCtx{aggVals: make(map[*sema.Agg]value.Value, len(prog.aggs))}
 	for _, g := range order {
-		aggVals := make(map[*sema.Agg]value.Value, len(prog.aggs))
-		for k := range prog.aggs {
-			v, err := foldAgg(prog.aggs[k].agg, g.aggs[k].vals)
+		for k := range g.aggs {
+			v, err := g.aggs[k].result()
 			if err != nil {
 				return err
 			}
-			aggVals[prog.aggs[k].agg] = v
+			ctx.aggVals[prog.aggs[k].agg] = v
 		}
-		row, err := ex.targetRow(&evalCtx{b: g.rep, aggVals: aggVals}, prog)
-		if err != nil {
+		ctx.b = g.rep
+		if err := ex.targetRow(&ctx, prog, ex.newRow()); err != nil {
 			return err
 		}
-		res.Rows = append(res.Rows, row)
 	}
 	for _, g := range order {
 		g.rep.release()

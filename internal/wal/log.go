@@ -8,8 +8,11 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/deadlock"
+	"repro/internal/metrics"
 )
 
 // SyncMode selects how appended records become durable.
@@ -138,6 +141,25 @@ type Log struct {
 	// syncs counts fsyncs issued, for the group-commit benchmark's
 	// commits-per-fsync column. Guarded by fmu.
 	syncs uint64
+
+	obs atomic.Pointer[flushObs] // where flushes report; nil until SetMetrics
+}
+
+// flushObs is where a flush reports. It is attached, not log state: an
+// atomic pointer, so attaching takes no lock.
+type flushObs struct {
+	fsync, group *metrics.Histogram
+}
+
+// SetMetrics attaches the engine metrics registry; every flush that
+// fsyncs then records wal.fsync (the fsync's latency) and wal.group.size
+// (the records it made durable: one per commit under SyncEach, every
+// commit that queued behind the previous fsync under SyncGroup).
+func (l *Log) SetMetrics(reg *metrics.Registry) {
+	l.obs.Store(&flushObs{
+		fsync: reg.Histogram("wal.fsync"),
+		group: reg.CountHistogram("wal.group.size"),
+	})
 }
 
 const segPrefix = "wal-"
@@ -522,8 +544,17 @@ func (l *Log) flushLocked() error {
 	_, err := l.f.Write(buf)
 	l.written += int64(len(buf))
 	if err == nil && l.mode != SyncNone {
+		obs := l.obs.Load()
+		var start time.Time
+		if obs != nil {
+			start = time.Now()
+		}
 		err = l.f.Sync()
 		l.syncs++
+		if obs != nil && err == nil {
+			obs.fsync.Observe(time.Since(start))
+			obs.group.ObserveCount(pendingRecords(buf))
+		}
 	}
 	if err == nil && l.written >= l.segBytes {
 		err = l.rotate()

@@ -90,6 +90,7 @@ func (db *DB) openWAL(dir string, mode WALSyncMode) error {
 	if err != nil {
 		return err
 	}
+	l.SetMetrics(db.metrics)
 	db.wal = l
 	db.walDir = dir
 	return nil
