@@ -16,20 +16,22 @@ import (
 //
 //   - every live object's record decodes to a tuple equal, kinds and
 //     all, to the object's working value — the tuple the store reads in
-//     the record's place (Store.working) — and of its recorded type;
+//     the record's place (Store.working);
 //   - ownership is symmetric: an own-ref component's recorded owner holds
 //     a reference to it, and every own-ref reference points to a live
 //     nursery object owned by the referencing object;
 //   - no object is owned by a dead owner;
-//   - extent reverse maps (RID -> OID) agree with the object map;
+//   - every live slot of an extent's or the nursery's heap pages is
+//     claimed by exactly one directory entry, and every entry's RID
+//     names a live slot of its own heap;
 //   - every index entry refers to a live object whose current key matches,
 //     and every object appears under its key in every applicable index;
 //   - unique indexes hold no duplicate keys.
 //
 // It returns the list of violations found (empty means consistent).
-// Violations come back in a fixed order (objects by OID, extents by
-// name, records by RID) so two fscks of the same store produce the same
-// report — map iteration order never leaks into the output.
+// Violations come back in a fixed order (objects by OID, heaps by name,
+// records by page and slot) so two fscks of the same store produce the
+// same report — map iteration order never leaks into the output.
 //
 // extra:output
 func (s *Store) CheckConsistency() []string {
@@ -37,82 +39,96 @@ func (s *Store) CheckConsistency() []string {
 	report := func(format string, args ...any) {
 		bad = append(bad, fmt.Sprintf(format, args...))
 	}
+	type entry struct {
+		id oid.OID
+		so snapObj
+	}
+	var dir []entry // the directory, in OID order
+	s.dir.m.each(func(id oid.OID, so snapObj) { dir = append(dir, entry{id, so}) })
 
 	// Pass 1: decode every object's record and hold it against the
 	// working value; record owned references.
 	ownedRefs := map[oid.OID]oid.OID{} // component -> owner (from data)
-	for _, id := range sortedOIDs(s.omap) {
-		info := s.omap[id]
-		tv, err := s.working(id, info)
+	for _, e := range dir {
+		id, so := e.id, e.so
+		tv, err := s.working(id, so)
 		if err != nil {
 			report("object %s: unreadable: %v", id, err)
 			continue
 		}
-		if onPage, err := s.readRecord(id, info); err != nil {
+		if onPage, err := s.readRecord(id, so); err != nil {
 			report("object %s: record unreadable: %v", id, err)
 		} else if !reflect.DeepEqual(onPage, tv) {
 			report("object %s: record decodes to %s, working value is %s", id, onPage, tv)
 		}
-		if tv.Type != info.typ {
-			report("object %s: decoded type %s, recorded %s", id, tv.Type.Name, info.typ.Name)
-		}
 		comp := types.Component{Mode: types.Own, Type: tv.Type}
 		collectOwnedWithDup(comp, tv, id, ownedRefs, report)
-		if !info.owner.IsNil() {
-			if _, live := s.omap[info.owner]; !live {
-				report("object %s: owner %s is dead", id, info.owner)
-			}
+		if !so.owner.IsNil() && !s.Exists(so.owner) {
+			report("object %s: owner %s is dead", id, so.owner)
 		}
 	}
 	// Pass 2: ownership symmetry.
 	for _, compID := range sortedOIDs(ownedRefs) {
 		ownerFromData := ownedRefs[compID]
-		info, live := s.omap[compID]
+		so, live := s.dir.get(compID)
 		if !live {
 			report("own-ref component %s (of %s) is dead", compID, ownerFromData)
 			continue
 		}
-		if info.extent != "" {
-			report("own-ref component %s lives in extent %s", compID, info.extent)
+		if so.ext != nil {
+			report("own-ref component %s lives in extent %s", compID, so.ext.name)
 		}
-		if info.owner != ownerFromData {
-			report("component %s: recorded owner %s, referenced by %s", compID, info.owner, ownerFromData)
+		if so.owner != ownerFromData {
+			report("component %s: recorded owner %s, referenced by %s", compID, so.owner, ownerFromData)
 		}
 	}
-	for _, id := range sortedOIDs(s.omap) {
-		info := s.omap[id]
-		if info.extent == "" && !info.owner.IsNil() {
-			if _, referenced := ownedRefs[id]; !referenced {
-				report("component %s: owner %s holds no reference to it", id, info.owner)
+	for _, e := range dir {
+		if e.so.ext == nil && !e.so.owner.IsNil() {
+			if _, referenced := ownedRefs[e.id]; !referenced {
+				report("component %s: owner %s holds no reference to it", e.id, e.so.owner)
 			}
 		}
 	}
-	// Pass 3: extent reverse maps.
-	for _, ext := range sortedKeys(s.rids) {
-		byRID := s.rids[ext]
-		for _, rid := range sortedRIDs(byRID) {
-			id := byRID[rid]
-			info, live := s.omap[id]
-			if !live {
-				report("extent %s: rid map points at dead %s", ext, id)
-				continue
-			}
-			if info.extent != ext || info.rid != rid {
-				report("extent %s: rid map disagrees with omap for %s", ext, id)
+	// Pass 3: every live slot is claimed by exactly one entry.
+	type at struct {
+		h   *storage.HeapFile
+		rid storage.RID
+	}
+	claims := map[at][]oid.OID{}
+	for _, e := range dir {
+		k := at{s.heapFor(e.so), e.so.rid()}
+		claims[k] = append(claims[k], e.id)
+	}
+	heaps := map[string]*storage.HeapFile{"the nursery": s.nursery}
+	for _, name := range s.extentNames() {
+		heaps["extent "+name] = s.extents[name].heap
+	}
+	for _, name := range sortedKeys(heaps) {
+		h := heaps[name]
+		for _, pid := range h.Pages() {
+			err := h.WalkPage(pid, func(sl storage.SlotID, _ []byte) error {
+				k := at{h, storage.RID{Page: pid, Slot: sl}}
+				if ids := claims[k]; len(ids) == 0 {
+					report("%s: record %s is claimed by no object", name, k.rid)
+				} else if len(ids) > 1 {
+					report("%s: record %s is claimed by %v", name, k.rid, ids)
+				}
+				delete(claims, k)
+				return nil
+			})
+			if err != nil {
+				report("%s: page %d unreadable: %v", name, pid, err)
 			}
 		}
 	}
-	for _, id := range sortedOIDs(s.omap) {
-		info := s.omap[id]
-		if info.extent == "" {
-			continue
-		}
-		if got := s.rids[info.extent][info.rid]; got != id {
-			report("object %s: missing from extent %s rid map", id, info.extent)
+	for _, e := range dir {
+		if _, left := claims[at{s.heapFor(e.so), e.so.rid()}]; left {
+			report("object %s: %s holds no record", e.id, e.so.rid())
 		}
 	}
 	// Pass 4: indexes.
 	for _, ext := range s.extentNames() {
+		x := s.extents[ext]
 		for _, ix := range s.cat.IndexesOn(ext) {
 			seen := map[string]oid.OID{}
 			ix.Tree.Range(nil, nil, true, true, func(key []byte, v uint64) bool {
@@ -135,24 +151,30 @@ func (s *Store) CheckConsistency() []string {
 				return true
 			})
 			// Completeness: every object with a key appears.
-			s.ScanExtent(ext, func(id oid.OID, tv *value.Tuple) error {
+			for _, e := range dir {
+				if e.so.ext != x {
+					continue
+				}
+				tv, err := s.working(e.id, e.so)
+				if err != nil {
+					continue // pass 1 reported it
+				}
 				key, ok := indexKey(tv, ix)
 				if !ok {
-					return nil
+					continue
 				}
 				found := false
 				ix.Tree.Lookup(key, func(v uint64) bool {
-					if oid.OID(v) == id {
+					if oid.OID(v) == e.id {
 						found = true
 						return false
 					}
 					return true
 				})
 				if !found {
-					report("index %s: object %s missing", ix.Name, id)
+					report("index %s: object %s missing", ix.Name, e.id)
 				}
-				return nil
-			})
+			}
 		}
 	}
 	return bad
@@ -179,20 +201,6 @@ func sortedKeys[T any](m map[string]T) []string {
 		out = append(out, n)
 	}
 	sort.Strings(out)
-	return out
-}
-
-func sortedRIDs[T any](m map[storage.RID]T) []storage.RID {
-	out := make([]storage.RID, 0, len(m))
-	for rid := range m {
-		out = append(out, rid)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Page != out[j].Page {
-			return out[i].Page < out[j].Page
-		}
-		return out[i].Slot < out[j].Slot
-	})
 	return out
 }
 

@@ -6,6 +6,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/codec"
 	"repro/internal/oid"
+	"repro/internal/storage"
 	"repro/internal/value"
 )
 
@@ -20,11 +21,59 @@ func keyEncodeInt(v int64) ([]byte, bool) {
 
 // ExtentLen returns the number of objects in an object-set extent.
 func (s *Store) ExtentLen(extent string) (int, error) {
-	h, ok := s.extents[extent]
+	x, ok := s.extents[extent]
 	if !ok {
 		return 0, fmt.Errorf("no object extent %s", extent)
 	}
-	return h.Len()
+	return x.heap.Len()
+}
+
+// ScanExtent iterates an object-set extent's records in heap order,
+// decoding each and naming it by the directory entry whose RID is the
+// record's: the scan a heap-file store would make, independent of the
+// page chunks a freeze builds.
+func (s *Store) ScanExtent(extent string, fn func(id oid.OID, tv *value.Tuple) error) error {
+	x, ok := s.extents[extent]
+	if !ok {
+		return fmt.Errorf("no object extent %s", extent)
+	}
+	byRID := map[storage.RID]oid.OID{}
+	s.dir.m.each(func(id oid.OID, so snapObj) {
+		if so.ext == x {
+			byRID[so.rid()] = id
+		}
+	})
+	return x.heap.Scan(func(rid storage.RID, rec []byte) error {
+		id, ok := byRID[rid]
+		if !ok {
+			return fmt.Errorf("extent %s: record %s has no OID", extent, rid)
+		}
+		tv, err := decodeTuple(id, rec, s.cat)
+		if err != nil {
+			return err
+		}
+		return fn(id, tv)
+	})
+}
+
+// ExportElems returns the encoded elements of a ref/value-set extent.
+func (s *Store) ExportElems(extent string) ([][]byte, error) {
+	var out [][]byte
+	err := s.ScanElems(extent, func(_ storage.RID, v value.Value) error {
+		enc, err := encode(v)
+		if err != nil {
+			return err
+		}
+		out = append(out, enc)
+		return nil
+	})
+	return out, err
+}
+
+// ridOf returns where a live object's record is.
+func (s *Store) ridOf(id oid.OID) storage.RID {
+	so, _ := s.dir.get(id)
+	return so.rid()
 }
 
 // ElemLen counts the elements of a ref/value-set extent.
@@ -64,14 +113,25 @@ func (s *Store) IndexLookup(ix *catalog.Index, lo, hi []byte, incLo, incHi bool)
 // record that diverges from what the store reads in its place, for the
 // fsck to find.
 func (s *Store) plantRecord(id oid.OID, tv *value.Tuple) error {
-	info := s.omap[id]
+	so, _ := s.dir.get(id)
 	enc, err := encode(tv)
 	if err != nil {
 		return err
 	}
-	nrid, err := s.heapFor(info).Update(info.rid, enc)
-	if err == nil && nrid != info.rid {
-		err = fmt.Errorf("planted record of %s moved from %s to %s", id, info.rid, nrid)
+	nrid, err := s.heapFor(so).Update(so.rid(), enc)
+	if err == nil && nrid != so.rid() {
+		err = fmt.Errorf("planted record of %s moved from %s to %s", id, so.rid(), nrid)
 	}
+	return err
+}
+
+// plantOrphan writes the encoding of tv as a record of the extent's heap
+// that no directory entry names, for the fsck to find.
+func (s *Store) plantOrphan(extent string, tv *value.Tuple) error {
+	enc, err := encode(tv)
+	if err != nil {
+		return err
+	}
+	_, err = s.extents[extent].heap.Insert(enc)
 	return err
 }

@@ -147,9 +147,7 @@ func (s *Store) createOwned(tv *value.Tuple, owner oid.OID, kept map[oid.OID]boo
 	if err != nil {
 		return oid.Nil, err
 	}
-	s.omap[id] = &objInfo{extent: "", rid: rid, typ: tv.Type, owner: owner}
-	s.work[id] = iv.(*value.Tuple)
-	s.markObj(id)
+	s.put(id, snapObj{tv: iv.(*value.Tuple), owner: owner, at: packRID(rid)})
 	return id, nil
 }
 
@@ -158,18 +156,18 @@ func (s *Store) createOwned(tv *value.Tuple, owner oid.OID, kept map[oid.OID]boo
 // claimed; nursery objects can be claimed only when unowned (their
 // previous owner released them).
 func (s *Store) claim(id oid.OID, owner oid.OID) error {
-	info, ok := s.omap[id]
+	so, ok := s.dir.get(id)
 	if !ok {
 		return fmt.Errorf("cannot own missing object %s", id)
 	}
-	if info.extent != "" {
-		return fmt.Errorf("object %s belongs to extent %s and cannot become an own ref component", id, info.extent)
+	if so.ext != nil {
+		return fmt.Errorf("object %s belongs to extent %s and cannot become an own ref component", id, so.ext.name)
 	}
-	if !info.owner.IsNil() && info.owner != owner {
+	if !so.owner.IsNil() && so.owner != owner {
 		return fmt.Errorf("object %s is already owned (composite exclusivity)", id)
 	}
-	info.owner = owner
-	s.markObj(id) // ownership is snapshot state (Owner, export)
+	so.owner = owner
+	s.put(id, so) // ownership is snapshot state (Owner, export)
 	return nil
 }
 

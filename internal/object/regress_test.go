@@ -39,7 +39,7 @@ func TestUpdateMoveSurvivesFailedWrite(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := f.store.extents["People"].NumPages(); n != 4 {
+	if n := f.store.extents["People"].heap.NumPages(); n != 4 {
 		t.Fatalf("setup: %d pages, want 4", n)
 	}
 	tv, _, err := f.store.Get(id)
@@ -89,7 +89,7 @@ func TestUpdateMoveInOneFramePool(t *testing.T) {
 	if _, err := f.store.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	was := f.store.omap[id].rid
+	was := f.store.ridOf(id)
 	tv, _, err := f.store.Get(id)
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +99,7 @@ func TestUpdateMoveInOneFramePool(t *testing.T) {
 	if err := f.store.Update(id, tv); err != nil {
 		t.Fatalf("moving update in a one-frame pool: %v", err)
 	}
-	if f.store.omap[id].rid.Page == was.Page {
+	if f.store.ridOf(id).Page == was.Page {
 		t.Fatal("setup: the record did not move")
 	}
 	if got, _, err := f.store.Get(id); err != nil {
@@ -187,10 +187,14 @@ func TestCheckConsistencyDeterministic(t *testing.T) {
 	}
 	// Violation 1..6: every object owned by a distinct dead owner.
 	for i, id := range ids {
-		f.store.omap[id].owner = oid.OID(1<<40 + uint64(i))
+		so, _ := f.store.dir.get(id)
+		so.owner = oid.OID(1<<40 + uint64(i))
+		f.store.dir.set(id, so)
 	}
-	// Violation 7: one object missing from the extent's rid map.
-	delete(f.store.rids["People"], f.store.omap[ids[3]].rid)
+	// Violation 7: a record on an extent page that no object claims.
+	if err := f.store.plantOrphan("People", f.newPerson("Nobody", 30)); err != nil {
+		t.Fatal(err)
+	}
 
 	first := f.store.CheckConsistency()
 	if len(first) != 7 {

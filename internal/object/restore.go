@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/oid"
-	"repro/internal/storage"
 	"repro/internal/value"
 )
 
@@ -25,62 +24,35 @@ type ExportObject struct {
 // ExportObjects returns every live object, extents first (sorted by
 // name, then OID), nursery components last.
 func (s *Store) ExportObjects() ([]ExportObject, error) {
-	var ids []oid.OID
-	for id := range s.omap {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		a, b := s.omap[ids[i]], s.omap[ids[j]]
-		if a.extent != b.extent {
-			return a.extent < b.extent
+	out := make([]ExportObject, 0, s.dir.m.n)
+	var err error
+	s.dir.m.each(func(id oid.OID, so snapObj) {
+		rec, gerr := s.heapFor(so).Get(so.rid())
+		if gerr != nil && err == nil {
+			err = gerr
 		}
-		return ids[i] < ids[j]
+		out = append(out, ExportObject{Extent: so.extentName(), OID: id, Owner: so.owner, Data: rec})
 	})
-	out := make([]ExportObject, 0, len(ids))
-	for _, id := range ids {
-		info := s.omap[id]
-		rec, err := s.heapFor(info).Get(info.rid)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ExportObject{Extent: info.extent, OID: id, Owner: info.owner, Data: rec})
-	}
-	return out, nil
-}
-
-// ExportElems returns the raw elements of a ref/value-set extent.
-func (s *Store) ExportElems(extent string) ([][]byte, error) {
-	var out [][]byte
-	err := s.ScanElems(extent, func(_ storage.RID, v value.Value) error {
-		enc, err := encode(v)
-		if err != nil {
-			return err
-		}
-		out = append(out, enc)
-		return nil
-	})
-	return out, err
-}
-
-// ExportVar returns the encoded value of a singleton/array variable.
-func (s *Store) ExportVar(name string) ([]byte, error) {
-	v, err := s.GetVar(name)
 	if err != nil {
 		return nil, err
 	}
-	return encode(v)
+	// each visits in OID order; a stable sort on the extent keeps it
+	// within each extent.
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Extent < out[j].Extent })
+	return out, nil
 }
 
 // RestoreObject re-creates an object with its original identity. The
 // extent (or the nursery for components) must already exist; the tuple
 // is stored and indexed without internalization. An OID live at the last
-// freeze is refused too, deleted since or not: a restored object's
-// working value is its record, and the head's tuple must not shadow it.
+// freeze is refused too, deleted since or not: an OID names one object,
+// and the head's readers may still hold the one it named.
 //
-// The decoded tuple is not kept in work. The freeze decodes restored
-// records again, page by page, so a loaded extent's tuples are laid out
-// in the order its scans visit them; keeping the tuples decoded here, in
-// dump order, costs every later scan of the extent memory locality.
+// The decoded tuple is not kept: the directory entry is pending, carrying
+// the record's RID, and the freeze decodes restored records again, page
+// by page, so a loaded extent's tuples are laid out in the
+// order its scans visit them; keeping the tuples decoded here, in dump
+// order, costs every later scan of the extent memory locality.
 //
 // extra:requires db.wmu.W
 func (s *Store) RestoreObject(o ExportObject) error {
@@ -96,12 +68,9 @@ func (s *Store) RestoreObject(o ExportObject) error {
 	if !ok {
 		return fmt.Errorf("restore: object %s is not a tuple", o.OID)
 	}
-	var h *storage.HeapFile
-	if o.Extent == "" {
-		h = s.nursery
-	} else {
-		h = s.extents[o.Extent]
-		if h == nil {
+	so := snapObj{tv: pendingTuple, owner: o.Owner}
+	if o.Extent != "" {
+		if so.ext = s.extents[o.Extent]; so.ext == nil {
 			return fmt.Errorf("restore: no extent %s", o.Extent)
 		}
 	}
@@ -112,15 +81,16 @@ func (s *Store) RestoreObject(o ExportObject) error {
 	if err != nil {
 		return err
 	}
-	rid, err := h.Insert(enc)
+	rid, err := s.heapFor(so).Insert(enc)
 	if err != nil {
 		return err
 	}
-	s.omap[o.OID] = &objInfo{extent: o.Extent, rid: rid, typ: tv.Type, owner: o.Owner}
-	s.markObj(o.OID)
-	if o.Extent != "" {
-		s.rids[o.Extent][rid] = o.OID
+	so.at = packRID(rid)
+	s.put(o.OID, so)
+	if so.ext != nil {
 		s.indexInsert(o.Extent, o.OID, tv)
+	} else {
+		s.restored = append(s.restored, o.OID)
 	}
 	s.gen.Advance(o.OID)
 	return nil

@@ -225,18 +225,18 @@ func (r *diffRun) step() {
 			t.Fatal(err)
 		}
 		tv.Set("name", value.NewStr(strings.Repeat("r", 2500+r.rng.Intn(1500))))
-		was := s.omap[id].rid
+		was := s.ridOf(id)
 		if err := s.Update(id, tv); err != nil {
 			t.Fatal(err)
 		}
-		if s.omap[id].rid != was {
+		if s.ridOf(id) != was {
 			r.moves++
 		}
 	case op < 20: // delete a member of the last page, then insert into the slot it left
-		pages := s.extents["People"].Pages()
+		pages := s.extents["People"].heap.Pages()
 		at := -1
 		for i, id := range r.live {
-			if s.omap[id].rid.Page == pages[len(pages)-1] {
+			if s.ridOf(id).Page == pages[len(pages)-1] {
 				at = i
 			}
 		}
@@ -244,7 +244,7 @@ func (r *diffRun) step() {
 			return
 		}
 		id := r.live[at]
-		was := s.omap[id].rid
+		was := s.ridOf(id)
 		if err := s.Delete(id); err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +254,7 @@ func (r *diffRun) step() {
 			t.Fatal(err)
 		}
 		r.live = append(r.live, nid)
-		if s.omap[nid].rid == was {
+		if s.ridOf(nid) == was {
 			r.reuses++
 		}
 	case op < 21: // element insert

@@ -23,14 +23,17 @@ import (
 // write statement reads one too: View freezes the working state without
 // publishing it, and the statement's reads bind that.
 //
-// Mutating methods record what they touched in the store's dirty sets —
-// the objects, and the heap page and slot of every record written or
-// removed — and keep the tuple each object write stored (Store.work). A
-// freeze seals those tuples into the snapshot, decoding no object record
-// but one Load restored (element and variable records, which have no
-// working value, it decodes from their pages), and shares everything
-// else with the previous snapshot by reference: the object map is a
-// persistent trie (objmap.go), an extent's scan view is one immutable
+// The store's object directory is the head snapshot's object map, a
+// persistent trie (objmap.go), under an owner-tagged edit: every object
+// write sets the object's entry in the edit — extent, owner, record RID
+// and the tuple the write stored — and the edit copies only the nodes on
+// the paths it changes. Mutating methods also mark, in the store's dirty
+// sets, the heap page and slot of every record written or removed. A
+// freeze seals the edit as the next snapshot's map, in O(1), decoding no
+// object record but one Load restored (element and variable records,
+// which have no working value, it decodes from their pages), rebuilds
+// the chunks of the dirty pages and shares everything else with the
+// previous snapshot by reference: an extent's scan view is one immutable
 // chunk per heap page, and an index tree is frozen with an O(1)
 // path-copying Clone. A dirty page's new chunk stores the records the
 // window wrote and inherits every other member from the page's previous
@@ -183,15 +186,6 @@ func (sn *Snapshot) Exists(id oid.OID) bool {
 	return ok
 }
 
-// Deref resolves a reference value against the snapshot.
-func (sn *Snapshot) Deref(v value.Value) (*value.Tuple, bool, error) {
-	r, ok := v.(value.Ref)
-	if !ok || r.OID.IsNil() {
-		return nil, false, nil
-	}
-	return sn.Get(r.OID)
-}
-
 // ScanExtent iterates the extent's objects in the heap order the live
 // store would visit them.
 func (sn *Snapshot) ScanExtent(extent string, fn func(id oid.OID, tv *value.Tuple) error) error {
@@ -292,7 +286,7 @@ func (sn *Snapshot) ExportObjects() ([]ExportObject, error) {
 		if eerr != nil && err == nil {
 			err = fmt.Errorf("export %s: %w", id, eerr)
 		}
-		out = append(out, ExportObject{Extent: so.extent, OID: id, Owner: so.owner, Data: enc})
+		out = append(out, ExportObject{Extent: so.extentName(), OID: id, Owner: so.owner, Data: enc})
 	})
 	if err != nil {
 		return nil, err
@@ -339,8 +333,8 @@ func (s *Store) Snapshot() *Snapshot {
 
 // SetMetrics attaches the engine metrics registry; every freeze that
 // finds work then records mvcc.commit.freeze (time to build the
-// snapshot), mvcc.commit.dirty_objs (objects it sealed into the snapshot
-// or removed from it), mvcc.commit.dirty_pages (heap pages whose slots it
+// snapshot), mvcc.commit.dirty_objs (directory entries the window wrote
+// or removed, which it sealed), mvcc.commit.dirty_pages (heap pages whose slots it
 // walked) and mvcc.commit.decoded (records it decoded from a page: what
 // Load restored, and the elements and variables a window wrote, which
 // have no working value), and every publication the mvcc.version gauge.
@@ -375,26 +369,26 @@ func dirtOf(m map[string]*pageDirt, name string) *pageDirt {
 	return d
 }
 
-// markObj records that an object changed (or is about to be deleted) so
-// the next freeze refreshes it, and that the slot holding its record
-// did, so the freeze puts the object's working value in that slot's
-// place in its page's chunk. Call
-// while the omap entry exists and names the record's slot: after an
-// insert, before a delete, and on both sides of an update that may move
-// the record. Every write of an extent record marks its slot with the
-// object now in it; a freeze relies on that to take every unmarked
-// slot's member from the previous chunk.
-func (s *Store) markObj(id oid.OID) {
-	s.dirtyObjs[id] = struct{}{}
-	if info, ok := s.omap[id]; ok && info.extent != "" {
-		d := dirtOf(s.dirtyExts, info.extent)
-		slots := d.pages[info.rid.Page]
-		if n := int(info.rid.Slot) + 1; len(slots) < n {
-			slots = append(slots, make([]oid.OID, n-len(slots))...)
-		}
-		slots[info.rid.Slot] = id
-		d.pages[info.rid.Page] = slots
+// put writes id's directory entry and, for an extent member, marks the
+// slot its record is in with id, so the next freeze puts the entry's
+// tuple in that slot's place in its page's chunk. Every write of an
+// extent record puts the entry that names its slot; a freeze relies on
+// that to take every unmarked slot's member from the previous chunk. A
+// write that may move or remove the record puts the entry first, while
+// it still names the old slot, and again once the record has moved.
+func (s *Store) put(id oid.OID, so snapObj) {
+	s.dir.set(id, so)
+	if so.ext == nil {
+		return
 	}
+	rid := so.rid()
+	d := dirtOf(s.dirtyExts, so.ext.name)
+	slots := d.pages[rid.Page]
+	if n := int(rid.Slot) + 1; len(slots) < n {
+		slots = append(slots, make([]oid.OID, n-len(slots))...)
+	}
+	slots[rid.Slot] = id
+	d.pages[rid.Page] = slots
 }
 
 // markExtent and markElems record that an extent was created or dropped.
@@ -456,18 +450,21 @@ func (s *Store) Commit() (published bool, err error) {
 	return true, nil
 }
 
-// freeze builds the next head from the dirty sets: the working values of
-// dirty objects are path-copied into the head's object map, the dirty
-// pages of each extent get fresh chunks in its scan view, the catalog is
-// frozen if it changed, and everything else is shared. No-op when
-// nothing changed since the last freeze. On error the head and the
-// dirty sets are left as they were, so the next freeze redoes the work.
+// freeze seals the directory as the next head's object map and builds
+// the rest of the head from the dirty sets: the dirty pages of each
+// extent get fresh chunks in its scan view, the catalog is frozen if it
+// changed, and everything else is shared. The directory already holds
+// every object the window wrote; the freeze only decodes the pending
+// entries Load restored, and then reallocates the directory's new leaves
+// in one run (objEdit.regroup). No-op when nothing changed since the last
+// freeze. On error the head and the dirty sets are left as they were, so
+// the next freeze redoes the work.
 //
 // extra:requires db.wmu.W
 // extra:bumps
 func (s *Store) freeze() error {
 	catEdited := s.cat.Edits() != s.catEdits
-	if len(s.dirtyObjs) == 0 && len(s.dirtyExts) == 0 && len(s.dirtyElems) == 0 &&
+	if s.dir.written == 0 && len(s.dirtyExts) == 0 && len(s.dirtyElems) == 0 &&
 		len(s.dirtyVars) == 0 && !s.dirtyIdx && !catEdited {
 		return nil
 	}
@@ -482,33 +479,25 @@ func (s *Store) freeze() error {
 		cat = s.cat.Freeze()
 	}
 
-	// Extent members are frozen below, with the page they are on; that
-	// leaves the deleted and the nursery components, which no scan view
-	// holds.
-	edit := prev.objs.edit()
-	workObjs, workPages, decoded := 0, 0, 0
+	// Restored nursery components, which no scan view holds, decode
+	// here, in the order restored; extent members decode below, with
+	// the page they are on.
+	workPages, decoded, restored := 0, 0, 0
+	for _, id := range s.restored {
+		so, live := s.dir.get(id)
+		if !live || !so.pending() {
+			continue
+		}
+		tv, err := s.readRecord(id, so)
+		if err != nil {
+			return err
+		}
+		restored++
+		so.tv = tv
+		s.dir.set(id, so)
+	}
 	var objBuf pageBuf[oid.OID, *value.Tuple]
 	var elemBuf pageBuf[storage.RID, value.Value]
-	for _, id := range sortedOIDs(s.dirtyObjs) {
-		info, live := s.omap[id]
-		if live && info.extent != "" {
-			continue
-		}
-		workObjs++
-		if !live {
-			edit.del(id)
-			continue
-		}
-		tv, ok := s.stored(id)
-		if !ok {
-			var err error
-			if tv, err = s.working(id, info); err != nil {
-				return err
-			}
-			decoded++
-		}
-		edit.set(id, snapObj{owner: info.owner, tv: tv})
-	}
 
 	// Dropped entries disappear by not being carried over: the carry
 	// loops skip dirty names, and the rebuild loops skip names no longer
@@ -520,16 +509,15 @@ func (s *Store) freeze() error {
 		}
 	}
 	for _, name := range sortedKeys(s.dirtyExts) {
-		h, live := s.extents[name]
+		x, live := s.extents[name]
 		if !live {
 			continue
 		}
 		d := s.dirtyExts[name]
-		es, err := prev.extents[name].refresh(h, d, func(pid storage.PageID, pc *pageChunk[oid.OID, *value.Tuple]) (*pageChunk[oid.OID, *value.Tuple], error) {
+		es, err := prev.extents[name].refresh(x.heap, d, func(pid storage.PageID, pc *pageChunk[oid.OID, *value.Tuple]) (*pageChunk[oid.OID, *value.Tuple], error) {
 			workPages++
-			c, sealed, dec, err := s.freezeExtentPage(edit, &objBuf, name, h, pid, d.pages[pid], pc)
-			workObjs += sealed
-			decoded += dec
+			c, dec, err := s.freezeExtentPage(&objBuf, x, pid, d.pages[pid], pc)
+			restored += dec
 			return c, err
 		})
 		if err != nil {
@@ -593,15 +581,22 @@ func (s *Store) freeze() error {
 		}
 	}
 
+	if restored > 0 {
+		s.dir.m.root = s.dir.regroup(s.dir.m.root)
+	}
+	decoded += restored
+	workObjs := s.dir.written
 	s.head = &Snapshot{
 		version: s.version.Load(),
 		cat:     cat,
-		objs:    edit.done(),
+		objs:    s.dir.done(),
 		extents: exts,
 		elems:   elems,
 		vars:    vars,
 		indexes: indexes,
 	}
+	s.dir = s.head.objs.edit()
+	s.restored = nil
 	s.catEdits = s.cat.Edits()
 	if o := s.obs.Load(); o != nil {
 		o.freeze.Observe(time.Since(start))
@@ -609,10 +604,6 @@ func (s *Store) freeze() error {
 		o.dirtyPages.ObserveCount(workPages)
 		o.decoded.ObserveCount(decoded)
 	}
-	// Fresh maps, not clear: ranging over or clearing a map costs its
-	// capacity, and these have held every object of the largest write.
-	s.dirtyObjs = make(map[oid.OID]struct{})
-	s.work = make(map[oid.OID]*value.Tuple)
 	clear(s.dirtyExts)
 	clear(s.dirtyElems)
 	clear(s.dirtyVars)
@@ -620,21 +611,21 @@ func (s *Store) freeze() error {
 	return nil
 }
 
-// freezeExtentPage builds the chunk of one page of an object extent by
-// walking the page's slot directory under one pin, copying no record. A
-// slot marked in the window (slots, indexed by slot id) holds the record
-// of the object named there, which contributes its working value; only a
-// record Load restored is decoded, straight from the pinned page (an
-// overflow record once the walk is done), and that is the only place it
-// is decoded. Any other live slot holds a record the window did not
-// write, which is still the record it held at the last commit, since
-// slot ids are stable and every write marks its slot: it is the next
-// member of the previous chunk that is not dirty. So only written
-// records cost a lookup; Load's bulk commit, where there is no previous
-// chunk and every slot is marked, takes the same path and lays the
-// decoded tuples out in scan order. It also returns how many objects it
-// sealed and how many records it decoded.
-func (s *Store) freezeExtentPage(edit *objEdit, b *pageBuf[oid.OID, *value.Tuple], extent string, h *storage.HeapFile, pid storage.PageID, slots []oid.OID, prev *pageChunk[oid.OID, *value.Tuple]) (*pageChunk[oid.OID, *value.Tuple], int, int, error) {
+// freezeExtentPage builds the chunk of one page of extent x by walking
+// the page's slot directory under one pin, copying no record. A slot
+// marked in the window (slots, indexed by slot id) holds the record of
+// the object named there, which contributes its directory entry's
+// tuple; only a pending entry, one Load restored, is decoded, straight
+// from the pinned page (an overflow record once the walk is done), and
+// the directory takes the decoded tuple. Any other live slot holds a
+// record the window did not write, which is still the record it held at
+// the last freeze, since slot ids are stable and every write marks its
+// slot: it is the next member of the previous chunk whose entry the
+// window neither wrote nor removed. So only written records cost a
+// lookup; Load's bulk commit, where there is no previous chunk and
+// every slot is marked, takes the same path and lays the decoded tuples
+// out in scan order. It also returns how many records it decoded.
+func (s *Store) freezeExtentPage(b *pageBuf[oid.OID, *value.Tuple], x *objExtent, pid storage.PageID, slots []oid.OID, prev *pageChunk[oid.OID, *value.Tuple]) (*pageChunk[oid.OID, *value.Tuple], int, error) {
 	// The page's live slots are members of prev the window left alone
 	// and slots it marked, so this bounds them.
 	n := len(slots)
@@ -642,41 +633,39 @@ func (s *Store) freezeExtentPage(edit *objEdit, b *pageBuf[oid.OID, *value.Tuple
 		n += len(prev.keys)
 	}
 	b.reserve(n)
-	var spilled []int                // chunk positions of restored overflow records
-	sealed, decoded, next := 0, 0, 0 // next: the previous chunk's next member to consider
-	err := h.WalkPage(pid, func(sl storage.SlotID, rec []byte) error {
+	var spilled []int     // chunk positions of restored overflow records
+	decoded, next := 0, 0 // next: the previous chunk's next member to consider
+	err := x.heap.WalkPage(pid, func(sl storage.SlotID, rec []byte) error {
 		rid := storage.RID{Page: pid, Slot: sl}
 		if int(sl) < len(slots) && !slots[sl].IsNil() {
 			id := slots[sl]
-			info, live := s.omap[id]
-			if !live || info.extent != extent || info.rid != rid {
-				return fmt.Errorf("extent %s: record %s is marked for %s, which is not there", extent, rid, id)
+			so, live := s.dir.get(id)
+			if !live || so.ext != x || so.rid() != rid {
+				return fmt.Errorf("extent %s: record %s is marked for %s, which is not there", x.name, rid, id)
 			}
-			tv, ok := s.stored(id)
-			if !ok && rec == nil {
-				spilled = append(spilled, len(b.keys))
-			} else if !ok {
+			tv := so.tv
+			if so.pending() && rec == nil {
+				spilled, tv = append(spilled, len(b.keys)), nil
+			} else if so.pending() {
 				var err error
 				if tv, err = decodeTuple(id, rec, s.cat); err != nil {
 					return err
 				}
 				decoded++
+				so.tv = tv
+				s.dir.set(id, so)
 			}
-			if tv != nil {
-				edit.set(id, snapObj{extent: extent, owner: info.owner, tv: tv})
-			}
-			sealed++
 			b.add(id, tv)
 			return nil
 		}
 		for prev != nil && next < len(prev.keys) {
-			if _, dirty := s.dirtyObjs[prev.keys[next]]; !dirty {
+			if _, live, wrote := s.dir.lookup(prev.keys[next]); live && !wrote {
 				break
 			}
 			next++
 		}
 		if prev == nil || next == len(prev.keys) {
-			return fmt.Errorf("extent %s: record %s was not written and has no previous member", extent, rid)
+			return fmt.Errorf("extent %s: record %s was not written and has no previous member", x.name, rid)
 		}
 		b.add(prev.keys[next], prev.vals[next])
 		next++
@@ -684,17 +673,19 @@ func (s *Store) freezeExtentPage(edit *objEdit, b *pageBuf[oid.OID, *value.Tuple
 	})
 	for k := 0; err == nil && k < len(spilled); k++ {
 		i := spilled[k]
-		id, info := b.keys[i], s.omap[b.keys[i]]
-		if b.vals[i], err = s.readRecord(id, info); err == nil {
-			edit.set(id, snapObj{extent: extent, owner: info.owner, tv: b.vals[i]})
+		id := b.keys[i]
+		so, _ := s.dir.get(id)
+		if b.vals[i], err = s.readRecord(id, so); err == nil {
+			so.tv = b.vals[i]
+			s.dir.set(id, so)
 			decoded++
 		}
 	}
 	c := b.chunk() // empties the buffer, on error too
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, 0, err
 	}
-	return c, sealed, decoded, nil
+	return c, decoded, nil
 }
 
 // freezeElemPage builds the chunk of one page of an element extent,

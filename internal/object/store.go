@@ -16,14 +16,14 @@
 //
 // Objects are serialized with package codec onto heap files managed by
 // the storage package, and every write goes through the buffer pool. The
-// store also keeps the tuple each object write stored, and reads that:
-// no write and no freeze reads an object's record back, except one Load
-// restored (see working).
+// store has one object directory: the working state is an edit of the
+// head snapshot's OID trie, whose entry per object holds its extent,
+// owner, record RID and working tuple. No write and no freeze reads an
+// object's record back, except one Load restored (see working).
 package object
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"repro/internal/catalog"
@@ -34,12 +34,11 @@ import (
 	"repro/internal/value"
 )
 
-// objInfo locates one live object and records its ownership.
-type objInfo struct {
-	extent string // owning extent; "" for nursery components
-	rid    storage.RID
-	typ    *types.TupleType
-	owner  oid.OID // owning object for own-ref components; Nil otherwise
+// objExtent is an object-set extent: its heap file and the name that
+// the directory entries of its members point at.
+type objExtent struct {
+	name string
+	heap *storage.HeapFile
 }
 
 // Store is the object store. Its concurrency contract matches the
@@ -57,21 +56,23 @@ type Store struct {
 	pool    *storage.BufferPool
 	cat     *catalog.Catalog
 	gen     *oid.Generator
-	extents map[string]*storage.HeapFile // object-set extents
+	extents map[string]*objExtent        // object-set extents
 	elems   map[string]*storage.HeapFile // ref-set and value-set extents
 	nursery *storage.HeapFile            // own-ref components of objects
 	vars    *storage.HeapFile            // singleton and array variables
 	varRID  map[string]storage.RID
 	varOID  map[string]oid.OID // pseudo-owner OID per variable
-	omap    map[oid.OID]*objInfo
-	rids    map[string]map[storage.RID]oid.OID // extent -> reverse RID map
 
-	// work holds, per object written since the last freeze, the tuple
-	// its last write stored: the store-owned, internalized value whose
-	// encoding is on the heap page. A freeze hands these tuples to the
-	// snapshot it builds and starts a fresh map, so nothing mutates them
-	// once stored. RestoreObject leaves its tuple out (see working).
-	work map[oid.OID]*value.Tuple
+	// dir is the object directory: an edit of the head's object map,
+	// opened when the head was frozen. Every object write sets the
+	// object's entry here, with the tuple the write stored — the
+	// store-owned, internalized value whose encoding is on the heap page
+	// — so nothing mutates a tuple once stored. A freeze seals dir as the
+	// next head's map and opens a new edit of it. restored lists the
+	// nursery objects RestoreObject wrote since the last freeze, whose
+	// entries are pending (see working).
+	dir      *objEdit
+	restored []oid.OID
 
 	// version counts mutations (inserts, updates, deletes, variable and
 	// element writes, releases, restores). Commit stamps it on the
@@ -83,17 +84,16 @@ type Store struct {
 	version atomic.Uint64
 
 	// snap is the latest published immutable snapshot; readers load it
-	// once per statement and never look at the maps above. head is the
-	// latest frozen one: snap, or a newer snapshot View froze that the
-	// next Commit publishes. The dirty sets record what changed since
-	// the last freeze — objects, and per extent the heap pages written —
-	// so a freeze refreshes only touched state. head and the dirty sets
-	// are guarded by the same write lock as the maps; snap itself is
-	// atomic.
+	// once per statement and never look at the working state above. head
+	// is the latest frozen one: snap, or a newer snapshot View froze that
+	// the next Commit publishes. The dirty sets record what changed since
+	// the last freeze besides the directory — per extent the heap pages
+	// written, variables, indexes — so a freeze refreshes only touched
+	// state. head and the dirty sets are guarded by the same write lock
+	// as the maps; snap itself is atomic.
 	snap       atomic.Pointer[Snapshot]
 	head       *Snapshot
 	catEdits   uint64 // cat.Edits() when head's catalog was frozen
-	dirtyObjs  map[oid.OID]struct{}
 	dirtyExts  map[string]*pageDirt
 	dirtyElems map[string]*pageDirt
 	dirtyVars  map[string]struct{}
@@ -116,16 +116,12 @@ func New(pool *storage.BufferPool, cat *catalog.Catalog) *Store {
 		pool:       pool,
 		cat:        cat,
 		gen:        &oid.Generator{},
-		extents:    make(map[string]*storage.HeapFile),
+		extents:    make(map[string]*objExtent),
 		elems:      make(map[string]*storage.HeapFile),
 		nursery:    storage.NewHeapFile(pool),
 		vars:       storage.NewHeapFile(pool),
 		varRID:     make(map[string]storage.RID),
 		varOID:     make(map[string]oid.OID),
-		omap:       make(map[oid.OID]*objInfo),
-		rids:       make(map[string]map[storage.RID]oid.OID),
-		work:       make(map[oid.OID]*value.Tuple),
-		dirtyObjs:  make(map[oid.OID]struct{}),
 		dirtyExts:  make(map[string]*pageDirt),
 		dirtyElems: make(map[string]*pageDirt),
 		dirtyVars:  make(map[string]struct{}),
@@ -142,6 +138,7 @@ func New(pool *storage.BufferPool, cat *catalog.Catalog) *Store {
 		indexes: map[string]*storage.BTree{},
 	}
 	s.snap.Store(s.head)
+	s.dir = s.head.objs.edit()
 	return s
 }
 
@@ -162,8 +159,7 @@ func (s *Store) InitVar(v *catalog.Variable) error {
 	s.bump()
 	switch {
 	case v.IsObjectSet():
-		s.extents[v.Name] = storage.NewHeapFile(s.pool)
-		s.rids[v.Name] = make(map[storage.RID]oid.OID)
+		s.extents[v.Name] = &objExtent{name: v.Name, heap: storage.NewHeapFile(s.pool)}
 		s.markExtent(v.Name)
 	case v.IsRefSet() || v.IsValueSet():
 		s.elems[v.Name] = storage.NewHeapFile(s.pool)
@@ -199,19 +195,19 @@ func (s *Store) DropVar(v *catalog.Variable) error {
 	s.bump()
 	switch {
 	case v.IsObjectSet():
-		h := s.extents[v.Name]
-		if h == nil {
+		x := s.extents[v.Name]
+		if x == nil {
 			return nil
 		}
+		// Delete in oid order, the directory's: where the deletions
+		// leave free space must not differ between a run and its WAL
+		// replay.
 		var ids []oid.OID
-		for id, info := range s.omap {
-			if info.extent == v.Name {
+		s.dir.m.each(func(id oid.OID, so snapObj) {
+			if so.ext == x {
 				ids = append(ids, id)
 			}
-		}
-		// Delete in oid order, not map order: where the deletions leave
-		// free space must not differ between a run and its WAL replay.
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		})
 		for _, id := range ids {
 			if err := s.Delete(id); err != nil {
 				return err
@@ -222,8 +218,7 @@ func (s *Store) DropVar(v *catalog.Variable) error {
 		// deletes left, not as if they were new.
 		s.markExtent(v.Name)
 		delete(s.extents, v.Name)
-		delete(s.rids, v.Name)
-		return h.DropAll()
+		return x.heap.DropAll()
 	case v.IsRefSet() || v.IsValueSet():
 		h := s.elems[v.Name]
 		if h == nil {
@@ -263,7 +258,7 @@ func (s *Store) DropVar(v *catalog.Variable) error {
 // extra:requires db.wmu.W
 func (s *Store) Insert(extent string, tv *value.Tuple) (oid.OID, error) {
 	s.bump()
-	h, ok := s.extents[extent]
+	x, ok := s.extents[extent]
 	if !ok {
 		return oid.Nil, fmt.Errorf("no object extent %s", extent)
 	}
@@ -280,14 +275,11 @@ func (s *Store) Insert(extent string, tv *value.Tuple) (oid.OID, error) {
 	if err != nil {
 		return oid.Nil, err
 	}
-	rid, err := h.Insert(enc)
+	rid, err := x.heap.Insert(enc)
 	if err != nil {
 		return oid.Nil, err
 	}
-	s.omap[id] = &objInfo{extent: extent, rid: rid, typ: tv.Type}
-	s.rids[extent][rid] = id
-	s.work[id] = iv.(*value.Tuple)
-	s.markObj(id)
+	s.put(id, snapObj{tv: iv.(*value.Tuple), ext: x, at: packRID(rid)})
 	s.indexInsert(extent, id, iv.(*value.Tuple))
 	return id, nil
 }
@@ -296,11 +288,11 @@ func (s *Store) Insert(extent string, tv *value.Tuple) (oid.OID, error) {
 // caller may mutate. Missing objects (deleted, or never created) report
 // ok=false — a dangling reference reads as null.
 func (s *Store) Get(id oid.OID) (*value.Tuple, bool, error) {
-	info, ok := s.omap[id]
+	so, ok := s.dir.get(id)
 	if !ok {
 		return nil, false, nil
 	}
-	tv, err := s.working(id, info)
+	tv, err := s.working(id, so)
 	if err != nil {
 		return nil, false, err
 	}
@@ -308,36 +300,24 @@ func (s *Store) Get(id oid.OID) (*value.Tuple, bool, error) {
 }
 
 // working returns the working value of the live object id, which the
-// caller must not mutate, in this order: the tuple the last write since
-// the last freeze stored (work); else the head snapshot's frozen tuple,
-// since no write has touched the object since that freeze; else — only
-// for an object RestoreObject wrote since the last freeze, which the
-// head cannot hold (RestoreObject refuses an OID it does) — its record,
-// decoded from the heap.
-func (s *Store) working(id oid.OID, info *objInfo) (*value.Tuple, error) {
-	if tv, ok := s.stored(id); ok {
-		return tv, nil
+// caller must not mutate: its directory entry's tuple — the tuple the
+// last write stored, or the head's when no write touched the object
+// since the last freeze — except for an entry RestoreObject wrote since
+// the last freeze, which is pending: its record, decoded from the heap.
+func (s *Store) working(id oid.OID, so snapObj) (*value.Tuple, error) {
+	if !so.pending() {
+		return so.tv, nil
 	}
-	return s.readRecord(id, info)
+	return s.readRecord(id, so)
 }
 
 // readRecord reads the live object's record from its heap and decodes it.
-func (s *Store) readRecord(id oid.OID, info *objInfo) (*value.Tuple, error) {
-	rec, err := s.heapFor(info).Get(info.rid)
+func (s *Store) readRecord(id oid.OID, so snapObj) (*value.Tuple, error) {
+	rec, err := s.heapFor(so).Get(so.rid())
 	if err != nil {
 		return nil, err
 	}
 	return decodeTuple(id, rec, s.cat)
-}
-
-// stored is working without the heap: it reports false exactly for an
-// object RestoreObject wrote since the last freeze.
-func (s *Store) stored(id oid.OID) (*value.Tuple, bool) {
-	if tv, ok := s.work[id]; ok {
-		return tv, true
-	}
-	so, ok := s.head.objs.get(id)
-	return so.tv, ok
 }
 
 // decodeTuple decodes an object record. The tuple shares nothing with
@@ -354,34 +334,17 @@ func decodeTuple(id oid.OID, rec []byte, cat *catalog.Catalog) (*value.Tuple, er
 	return tv, nil
 }
 
-// TypeOf returns the runtime type of a live object.
-func (s *Store) TypeOf(id oid.OID) (*types.TupleType, bool) {
-	info, ok := s.omap[id]
-	if !ok {
-		return nil, false
-	}
-	return info.typ, true
-}
-
-// Owner returns the owning object of an own-ref component, or Nil.
-func (s *Store) Owner(id oid.OID) oid.OID {
-	if info, ok := s.omap[id]; ok {
-		return info.owner
-	}
-	return oid.Nil
-}
-
 // Exists reports whether the OID identifies a live object.
 func (s *Store) Exists(id oid.OID) bool {
-	_, ok := s.omap[id]
+	_, ok := s.dir.get(id)
 	return ok
 }
 
-func (s *Store) heapFor(info *objInfo) *storage.HeapFile {
-	if info.extent == "" {
+func (s *Store) heapFor(so snapObj) *storage.HeapFile {
+	if so.ext == nil {
 		return s.nursery
 	}
-	return s.extents[info.extent]
+	return so.ext.heap
 }
 
 // Delete destroys an object: removes it from its heap, destroys every
@@ -392,24 +355,22 @@ func (s *Store) heapFor(info *objInfo) *storage.HeapFile {
 // extra:requires db.wmu.W
 func (s *Store) Delete(id oid.OID) error {
 	s.bump()
-	info, ok := s.omap[id]
+	so, ok := s.dir.get(id)
 	if !ok {
 		return fmt.Errorf("delete of missing object %s", id)
 	}
-	s.markObj(id) // while the omap entry still names the extent
-	tv, err := s.working(id, info)
+	s.put(id, so) // while the entry still names the record's slot
+	tv, err := s.working(id, so)
 	if err != nil {
 		return err
 	}
-	if err := s.heapFor(info).Delete(info.rid); err != nil {
+	if err := s.heapFor(so).Delete(so.rid()); err != nil {
 		return err
 	}
-	if info.extent != "" {
-		s.indexDelete(info.extent, id, tv)
-		delete(s.rids[info.extent], info.rid)
+	if so.ext != nil {
+		s.indexDelete(so.ext.name, id, tv)
 	}
-	delete(s.omap, id)
-	delete(s.work, id)
+	s.dir.del(id)
 	comp := types.Component{Mode: types.Own, Type: tv.Type}
 	return s.destroyOwned(comp, tv)
 }
@@ -422,16 +383,16 @@ func (s *Store) Delete(id oid.OID) error {
 // extra:requires db.wmu.W
 func (s *Store) Update(id oid.OID, tv *value.Tuple) error {
 	s.bump()
-	info, ok := s.omap[id]
+	so, ok := s.dir.get(id)
 	if !ok {
 		return fmt.Errorf("update of missing object %s", id)
 	}
-	s.markObj(id)
-	old, err := s.working(id, info)
+	s.put(id, so) // the record's slot, which it may leave
+	old, err := s.working(id, so)
 	if err != nil {
 		return err
 	}
-	comp := types.Component{Mode: types.Own, Type: info.typ}
+	comp := types.Component{Mode: types.Own, Type: old.Type}
 	oldOwned := map[oid.OID]bool{}
 	collectOwned(comp, old, oldOwned)
 
@@ -442,8 +403,8 @@ func (s *Store) Update(id oid.OID, tv *value.Tuple) error {
 	newOwned := map[oid.OID]bool{}
 	collectOwned(comp, iv, newOwned)
 
-	if info.extent != "" {
-		if err := s.checkUnique(info.extent, id, iv.(*value.Tuple)); err != nil {
+	if so.ext != nil {
+		if err := s.checkUnique(so.ext.name, id, iv.(*value.Tuple)); err != nil {
 			return err
 		}
 	}
@@ -451,20 +412,17 @@ func (s *Store) Update(id oid.OID, tv *value.Tuple) error {
 	if err != nil {
 		return err
 	}
-	nrid, werr := s.heapFor(info).Update(info.rid, enc)
+	nrid, werr := s.heapFor(so).Update(so.rid(), enc)
 	if nrid.IsNil() {
 		return werr // the record is unchanged
 	}
-	if info.extent != "" && nrid != info.rid {
-		delete(s.rids[info.extent], info.rid)
-		s.rids[info.extent][nrid] = id
-	}
-	info.rid = nrid
-	s.work[id] = iv.(*value.Tuple)
-	s.markObj(id) // the record may have moved to another page
-	info.typ = iv.(*value.Tuple).Type
-	if info.extent != "" {
-		s.indexMove(info.extent, id, old, iv.(*value.Tuple))
+	// Re-read the entry: internalizing wrote the entries of the
+	// components it claimed, which may include this one's owner.
+	so, _ = s.dir.get(id)
+	so.tv, so.at = iv.(*value.Tuple), packRID(nrid)
+	s.put(id, so) // the slot the record is in now
+	if so.ext != nil {
+		s.indexMove(so.ext.name, id, old, iv.(*value.Tuple))
 	}
 	// Destroy components that fell out of the object.
 	for old := range oldOwned {
@@ -477,24 +435,4 @@ func (s *Store) Update(id oid.OID, tv *value.Tuple) error {
 		}
 	}
 	return werr
-}
-
-// ScanExtent iterates the live objects of an object-set extent.
-func (s *Store) ScanExtent(extent string, fn func(id oid.OID, tv *value.Tuple) error) error {
-	h, ok := s.extents[extent]
-	if !ok {
-		return fmt.Errorf("no object extent %s", extent)
-	}
-	byRID := s.rids[extent]
-	return h.Scan(func(rid storage.RID, rec []byte) error {
-		id, ok := byRID[rid]
-		if !ok {
-			return fmt.Errorf("extent %s: record %s has no OID", extent, rid)
-		}
-		tv, err := decodeTuple(id, rec, s.cat)
-		if err != nil {
-			return err
-		}
-		return fn(id, tv)
-	})
 }

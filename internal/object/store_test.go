@@ -76,8 +76,8 @@ func TestInsertGetDelete(t *testing.T) {
 	if s, _ := value.AsString(tv.Get("name")); s != "Ann" {
 		t.Errorf("name = %q", s)
 	}
-	if tt, _ := f.store.TypeOf(id); tt != f.person {
-		t.Error("TypeOf wrong")
+	if so, _ := f.store.dir.get(id); so.tv.Type != f.person {
+		t.Error("type wrong")
 	}
 	if n, _ := f.store.ExtentLen("People"); n != 1 {
 		t.Error("extent length")
@@ -122,7 +122,7 @@ func TestOwnRefInternalization(t *testing.T) {
 	if s, _ := value.AsString(ktv.Get("name")); s != "Amy" {
 		t.Error("kid content")
 	}
-	if f.store.Owner(ref.OID) != id {
+	if so, _ := f.store.dir.get(ref.OID); so.owner != id {
 		t.Error("kid owner wrong")
 	}
 	// Cascading delete destroys the kid.
@@ -184,8 +184,12 @@ func TestPlainRefIsShared(t *testing.T) {
 	if _, ok, _ := f.store.Get(fr.OID); ok {
 		t.Error("dangling friend resolvable")
 	}
-	if tvd, ok, err := f.store.Deref(fr); ok || tvd != nil || err != nil {
-		t.Error("Deref of dangling ref must read as null")
+	sn, err := f.store.View()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tvd, ok, err := sn.Get(fr.OID); ok || tvd != nil || err != nil {
+		t.Error("dangling ref must read as null at the snapshot")
 	}
 }
 

@@ -10,10 +10,7 @@ import (
 	"repro/internal/value"
 )
 
-func encodeValue(v value.Value) ([]byte, error) { return codec.Encode(nil, v) }
-
-// encode is a tiny alias used throughout the store.
-func encode(v value.Value) ([]byte, error) { return encodeValue(v) }
+func encode(v value.Value) ([]byte, error) { return codec.Encode(nil, v) }
 
 // readVar decodes the stored value of a singleton/array variable.
 func (s *Store) readVar(v *catalog.Variable, rid storage.RID) (value.Value, error) {
@@ -139,14 +136,4 @@ func (s *Store) DeleteElem(extent string, rid storage.RID) error {
 func (s *Store) IsObjectExtent(name string) bool {
 	_, ok := s.extents[name]
 	return ok
-}
-
-// Deref resolves a reference value to the referenced object. Dangling
-// and null references yield (nil, false, nil) — they read as null.
-func (s *Store) Deref(v value.Value) (*value.Tuple, bool, error) {
-	r, ok := v.(value.Ref)
-	if !ok || r.OID.IsNil() {
-		return nil, false, nil
-	}
-	return s.Get(r.OID)
 }

@@ -57,6 +57,111 @@ func TestCheckConsistencyFindsDivergentRecord(t *testing.T) {
 	}
 }
 
+// TestCheckConsistencyFindsUnclaimedSlots: the directory is the only
+// map from objects to records, so the fsck holds it against the pages
+// both ways. An entry planted with another object's RID leaves its own
+// record claimed by no entry and the other's by two; a record planted
+// on a page under no entry is claimed by none. Each is reported, whether
+// the entries are the window's or, after a commit, the head's.
+func TestCheckConsistencyFindsUnclaimedSlots(t *testing.T) {
+	plants := []struct {
+		name  string
+		plant func(f *fixture, ann, bob oid.OID) error
+		want  []string // substrings, each in some report line
+	}{
+		{"an entry naming another object's slot", func(f *fixture, ann, bob oid.OID) error {
+			so, _ := f.store.dir.get(ann)
+			so.at = packRID(f.store.ridOf(bob))
+			f.store.dir.set(ann, so)
+			return nil
+		}, []string{"is claimed by no object", "is claimed by [", "record decodes to"}},
+		{"a record no entry claims", func(f *fixture, _, _ oid.OID) error {
+			return f.store.plantOrphan("People", f.newPerson("Nobody", 9))
+		}, []string{"is claimed by no object"}},
+	}
+	for _, p := range plants {
+		for _, commit := range []bool{false, true} {
+			f := newFixture(t)
+			ann, err := f.store.Insert("People", f.newPerson("Ann", 41))
+			if err != nil {
+				t.Fatal(err)
+			}
+			bob, err := f.store.Insert("People", f.newPerson("Bob", 7))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if commit {
+				if _, err := f.store.Commit(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if bad := f.store.CheckConsistency(); len(bad) != 0 {
+				t.Fatalf("%s: consistent store reported %q", p.name, bad)
+			}
+			if err := p.plant(f, ann, bob); err != nil {
+				t.Fatal(err)
+			}
+			bad := strings.Join(f.store.CheckConsistency(), "\n")
+			for _, w := range p.want {
+				if !strings.Contains(bad, w) {
+					t.Errorf("%s, committed %v: fsck reported %q, want a line with %q", p.name, commit, bad, w)
+				}
+			}
+		}
+	}
+}
+
+// TestFreezeSealsTheDirectory: the store has one object directory, an
+// edit of the head's trie. A freeze seals the edit as the next head's
+// map, copying nothing, and opens the next edit on it; a write copies
+// the path to its entry, and the head keeps its own until the next
+// freeze.
+func TestFreezeSealsTheDirectory(t *testing.T) {
+	if n := unsafe.Sizeof(snapObj{}); n != 32 {
+		t.Errorf("a directory entry is %d B, want 32: four words", n)
+	}
+	f := newFixture(t)
+	s := f.store
+	if _, err := s.Insert("People", f.newPerson("Ann", 41)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if s.dir.m.root != s.head.objs.root || s.dir.written != 0 {
+		t.Fatal("after a commit the working directory is not the head's map")
+	}
+	p := f.newPerson("Bob", 7)
+	p.Set("kids", &value.Set{Elems: []value.Value{f.newPerson("Bea", 2)}})
+	bob, err := s.Insert("People", p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.dir.written != 2 {
+		t.Errorf("a person with a kid wrote %d entries, want 2", s.dir.written)
+	}
+	if s.head.Exists(bob) || !s.Exists(bob) {
+		t.Fatal("the write reached the head, or not the working directory")
+	}
+	edited := s.dir.m.root
+	if edited == s.head.objs.root {
+		t.Fatal("the write did not copy the path to its entry")
+	}
+	sn, err := s.View()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sn.objs.root != edited {
+		t.Error("the freeze copied the directory instead of sealing it")
+	}
+	if s.dir.m.root != sn.objs.root || s.dir.written != 0 {
+		t.Error("the freeze opened no fresh edit of the head's map")
+	}
+	if tv, ok, _ := sn.Get(bob); !ok || tv.Get("name").String() != `"Bob"` {
+		t.Errorf("the frozen head reads %v for the new object", tv)
+	}
+}
+
 // TestStoredStringsOwnTheirBytes: the tuple a write stores is the
 // snapshot's from the next freeze on, so a string it holds must not be a
 // slice of the caller's larger string (a statement's text, for a string
@@ -177,5 +282,54 @@ func TestRestoreRefusesOIDOfLastFreeze(t *testing.T) {
 	}
 	if err := f.store.RestoreObject(ExportObject{Extent: "People", OID: id, Data: enc}); err == nil {
 		t.Errorf("restored %s over the head's object of that OID", id)
+	}
+}
+
+// TestRestoreRegroupsItsLeaves: a freeze after a restore reallocates the
+// directory leaves its edit wrote, one after another, so a bulk Load's
+// leaves do not stay scattered among the heap pages allocated between
+// them; a leaf the window did not write stays shared with the last head.
+func TestRestoreRegroupsItsLeaves(t *testing.T) {
+	f := newFixture(t)
+	s := f.store
+	ann, err := s.Insert("People", f.newPerson("Ann", 41))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	kept := s.head.objs.leafOf(ann)
+	const first, n = 1000, 3 * objFan
+	for i := range n {
+		enc, err := encode(f.newPerson("Bob", int64(i%100)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.RestoreObject(ExportObject{Extent: "People", OID: oid.OID(first + i), Data: enc}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	restored := map[*objLeaf]bool{}
+	for i := range n {
+		restored[s.dir.m.leafOf(oid.OID(first+i))] = true
+	}
+	if _, err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if s.head.objs.leafOf(ann) != kept {
+		t.Error("the freeze copied a leaf the restore did not write")
+	}
+	for i := range n {
+		id := oid.OID(first + i)
+		if restored[s.head.objs.leafOf(id)] {
+			t.Fatalf("the leaf of restored %s is the one RestoreObject allocated", id)
+		}
+		if tv, ok, _ := s.head.Get(id); !ok || tv.Get("age").String() != value.NewInt(int64(i%100)).String() {
+			t.Fatalf("restored %s reads %v after the freeze", id, tv)
+		}
+	}
+	if bad := s.CheckConsistency(); len(bad) != 0 {
+		t.Errorf("fsck: %q", bad)
 	}
 }

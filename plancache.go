@@ -88,11 +88,15 @@ type planKey struct {
 	ranges string
 }
 
+// planEntry is one cached retrieve: its checked tree, plan and program,
+// and reads, the extents and variables it reads (readSet), against which
+// every execution checks the user's grants.
 type planEntry struct {
-	key  planKey
-	cq   *sema.CheckedRetrieve
-	plan *algebra.Plan
-	prog *exec.Program
+	key   planKey
+	cq    *sema.CheckedRetrieve
+	plan  *algebra.Plan
+	prog  *exec.Program
+	reads []string
 }
 
 // memoEntry is the memo's knowledge of one read-only retrieve, parsed
@@ -425,7 +429,7 @@ func (pc *planCache) get(key planKey, last *planEntry) *planEntry {
 // immutable marked copy.
 //
 // extra:acquires plancache.mu.W
-func (pc *planCache) put(key planKey, cq *sema.CheckedRetrieve, plan *algebra.Plan, prog *exec.Program) *planEntry {
+func (pc *planCache) put(key planKey, cq *sema.CheckedRetrieve, plan *algebra.Plan, prog *exec.Program, reads []string) *planEntry {
 	marked := plan.Clone()
 	marked.Cached = true
 	pc.mu.Lock()
@@ -441,7 +445,7 @@ func (pc *planCache) put(key planKey, cq *sema.CheckedRetrieve, plan *algebra.Pl
 			pc.evictions.Inc()
 		}
 	}
-	e := &planEntry{key: key, cq: cq, plan: marked, prog: prog}
+	e := &planEntry{key: key, cq: cq, plan: marked, prog: prog, reads: reads}
 	pc.m[key] = e
 	pc.fifo = append(pc.fifo, key)
 	pc.size.Set(int64(len(pc.m)))

@@ -401,3 +401,39 @@ func TestEntryPointParity(t *testing.T) {
 		replayed.Close()
 	}
 }
+
+// TestPreparedExecRechecksGrants: a cached plan keeps the extents it
+// reads, and every execution checks the user's grants against them, so
+// a revoke between two executions of one prepared statement refuses the
+// second, and a grant afterwards admits the third.
+func TestPreparedExecRechecksGrants(t *testing.T) {
+	db := mustOpen(t)
+	loadCompany(t, db)
+	if err := db.CreateUser("carol"); err != nil {
+		t.Fatal(err)
+	}
+	db.MustExec(`grant select on Employees to carol`)
+	db.EnableAuthorization()
+	s := db.NewSession()
+	if err := s.SetUser("carol"); err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.Prepare(`retrieve (E.name) from E in Employees where E.salary > $1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for range 2 { // the second is a plan-cache hit
+		if res, err := st.Exec(80); err != nil || names(res) != "Ann,Cal" {
+			t.Fatalf("granted Exec = %v, %v", res, err)
+		}
+	}
+	db.MustExec(`revoke select on Employees from carol`)
+	if _, err := st.Exec(80); err == nil || !strings.Contains(err.Error(), "lacks select on Employees") {
+		t.Fatalf("Exec after the revoke: err = %v, want select on Employees refused", err)
+	}
+	db.MustExec(`grant select on Employees to carol`)
+	if _, err := st.Exec(80); err != nil {
+		t.Fatalf("Exec after the grant: %v", err)
+	}
+}

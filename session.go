@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -378,7 +379,7 @@ func (s *Session) planRetrieve(c *stmtCall, st *ast.Retrieve) (compiledRetrieve,
 		e = db.plans.get(key, last)
 	}
 	if e != nil {
-		if err := c.authQuery(e.cq.Query, nil, targetExprs(e.cq)...); err != nil {
+		if err := c.authorize(e.reads, nil); err != nil {
 			return compiledRetrieve{}, err
 		}
 		if c.prepared != nil && e != last {
@@ -409,7 +410,8 @@ func (s *Session) planRetrieve(c *stmtCall, st *ast.Retrieve) (compiledRetrieve,
 	if err != nil {
 		return compiledRetrieve{}, err
 	}
-	if err := c.authQuery(cq.Query, nil, targetExprs(cq)...); err != nil {
+	reads := readSet(cq.Query, targetExprs(cq)...)
+	if err := c.authorize(reads, nil); err != nil {
 		return compiledRetrieve{}, err
 	}
 	pt = c.tr.StartPhase(trace.PhasePlan)
@@ -419,7 +421,7 @@ func (s *Session) planRetrieve(c *stmtCall, st *ast.Retrieve) (compiledRetrieve,
 	prog := c.es.CompilePlan(cq, plan)
 	c.tr.EndPhase(pt)
 	if useCache {
-		e = db.plans.put(key, cq, plan, prog)
+		e = db.plans.put(key, cq, plan, prog, reads)
 		if c.prepared != nil {
 			c.prepared.last.Store(e)
 		}
@@ -857,26 +859,28 @@ func (s *Session) runExecute(c *stmtCall, stmt *ast.Execute) error {
 }
 
 // authQuery enforces select on every extent and database variable a
-// query reads (range sources, whole-extent aggregates, variable reads in
-// any expression) and update on the write targets, for the call's user
-// against the grants of the call's catalog. Reads inside EXCESS
-// function bodies are deliberately exempt — that exemption is the data
-// abstraction mechanism of §4.2.3.
+// query reads and update on the write targets (authorize).
 func (c *stmtCall) authQuery(q sema.Query, writes []string, exprs ...sema.Expr) error {
-	auth := c.es.Catalog().Auth()
-	reads := map[string]bool{}
+	return c.authorize(readSet(q, exprs...), writes)
+}
+
+// readSet returns, sorted, the extents and database variables a query
+// reads: range sources, whole-extent aggregates and variable reads in
+// its qualification and in exprs. A cached retrieve computes it once.
+func readSet(q sema.Query, exprs ...sema.Expr) []string {
+	var reads []string
 	for _, v := range q.Vars {
 		if v.Extent != "" {
-			reads[v.Extent] = true
+			reads = append(reads, v.Extent)
 		}
 	}
 	collect := func(e sema.Expr) {
 		sema.WalkExpr(e, func(x sema.Expr) {
 			switch r := x.(type) {
 			case *sema.DBVarRead:
-				reads[r.Name] = true
+				reads = append(reads, r.Name)
 			case *sema.ExtentSet:
-				reads[r.Name] = true
+				reads = append(reads, r.Name)
 			}
 		})
 	}
@@ -884,7 +888,17 @@ func (c *stmtCall) authQuery(q sema.Query, writes []string, exprs ...sema.Expr) 
 	for _, e := range exprs {
 		collect(e)
 	}
-	for name := range reads {
+	slices.Sort(reads)
+	return slices.Compact(reads)
+}
+
+// authorize enforces select on reads and update on writes for the
+// call's user against the grants of the call's catalog. Reads inside
+// EXCESS function bodies are deliberately exempt — that exemption is the
+// data abstraction mechanism of §4.2.3.
+func (c *stmtCall) authorize(reads, writes []string) error {
+	auth := c.es.Catalog().Auth()
+	for _, name := range reads {
 		if err := auth.Check(c.user, name, authz.Select); err != nil {
 			return err
 		}

@@ -18,7 +18,7 @@ import (
 // no row allocates end to end: the frame and its literal, the lifted
 // form and the memo's text entry for the text, and the execution state,
 // index probe and empty result.
-const freshHitAllocs = 15
+const freshHitAllocs = 13
 
 // TestAdhocShapeSkipsParser: after the first text of a shape, ad-hoc
 // lookups with fresh literals are answered by the front-end memo's
