@@ -16,16 +16,20 @@ import (
 )
 
 // maxHeapPerObject bounds the live heap a loaded database holds per
-// object: the decoded tuples, their page chunks and heap records, the
-// object directory and the two indexes.
-const maxHeapPerObject = 280
+// object: the decoded tuples, their page chunks, the extent members'
+// heap records, the object directory and the two indexes. It is the
+// 207 B measured on a 2-CPU x86-64 host with go1.24 plus 16 %: a heap
+// record per own-ref component (about 34 B per object here) does not
+// fit under it.
+const maxHeapPerObject = 240
 
 // TestHeapPerObject Loads the dump of a 20 000-employee company (about
 // 40 000 objects with the kids and departments), defines the salary and
 // name indexes on it, and measures the live heap the database adds per
 // object after two collections, which must stay within
 // maxHeapPerObject. A second object directory beside the snapshot's trie
-// cost about 100 B per object; it, or a tuple kept twice, shows here.
+// cost about 100 B per object; it, a tuple kept twice, or a page record
+// of a component nothing reads shows here.
 func TestHeapPerObject(t *testing.T) {
 	src, _, err := workload.New(workload.Params{Departments: 20, Employees: 20000, MaxKids: 2, Seed: 7}, 8192)
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/excess/sema"
 	oidpkg "repro/internal/oid"
-	"repro/internal/storage"
 	"repro/internal/types"
 	"repro/internal/value"
 )
@@ -24,7 +23,7 @@ func (ex *State) materializeExtent(name string) (value.Value, error) {
 		})
 		return s, err
 	}
-	err := r.ScanElems(name, func(_ storage.RID, v value.Value) error {
+	err := r.ScanElems(name, func(_ int, v value.Value) error {
 		if r, isRef := v.(value.Ref); isRef {
 			tv, ok, err := ex.derefGet(r.OID)
 			if err != nil {

@@ -18,7 +18,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/object"
 	"repro/internal/oid"
-	"repro/internal/storage"
 	"repro/internal/trace"
 	"repro/internal/value"
 )
@@ -155,12 +154,12 @@ type prov struct {
 // slot is what a binding holds for one variable beside its value: an
 // object binding's identity and tuple (its value stays nil, so the
 // value.Object is boxed only where the variable is read whole), an
-// element-extent binding's record, and, in a write statement only, a
+// element-extent binding's position, and, in a write statement only, a
 // nested element's location.
 type slot struct {
 	oid oid.OID
 	tup *value.Tuple
-	rid storage.RID
+	pos int
 	loc *prov
 }
 
@@ -289,7 +288,7 @@ func (ex *State) pass(ctx *evalCtx, conjs []compiledExpr) (bool, error) {
 type sink struct {
 	emit func(value.Value, slot) error
 	obj  func(oid.OID, *value.Tuple) error
-	elem func(storage.RID, value.Value) error
+	elem func(int, value.Value) error
 }
 
 // runner is one execution of a program over its plan: the evaluation
@@ -553,7 +552,7 @@ func (ex *State) enumerate(ctx *evalCtx, v *sema.Var, ix *algebra.AccessPath, ke
 		if r.IsElemExtent(v.Extent) {
 			if s.elem == nil {
 				emit := s.emit
-				s.elem = func(rid storage.RID, ev value.Value) error {
+				s.elem = func(pos int, ev value.Value) error {
 					if r, isRef := ev.(value.Ref); isRef {
 						tv, ok, err := ex.derefGet(r.OID)
 						if err != nil {
@@ -562,9 +561,9 @@ func (ex *State) enumerate(ctx *evalCtx, v *sema.Var, ix *algebra.AccessPath, ke
 						if !ok {
 							return nil // dangling membership reads as absent
 						}
-						return emit(nil, slot{oid: r.OID, tup: tv, rid: rid})
+						return emit(nil, slot{oid: r.OID, tup: tv, pos: pos})
 					}
-					return emit(ev, slot{rid: rid})
+					return emit(ev, slot{pos: pos})
 				}
 			}
 			return r.ScanElems(v.Extent, s.elem)

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/excess/sema"
 	"repro/internal/oid"
-	"repro/internal/storage"
 	"repro/internal/types"
 	"repro/internal/value"
 )
@@ -273,7 +272,7 @@ func (ex *State) mutateCollection(loc prov, fn func(coll *[]value.Value) error) 
 // extra:requires db.wmu.W
 func (ex *State) deleteStmt(cd *sema.CheckedDelete) (int, error) {
 	var objs []oid.OID
-	var elems []storage.RID
+	var elems []int
 	var nested []prov
 	v := cd.Var
 	inExtent := v.Kind == sema.VarExtent
@@ -285,7 +284,7 @@ func (ex *State) deleteStmt(cd *sema.CheckedDelete) (int, error) {
 		case objExtent && !s.oid.IsNil():
 			objs = append(objs, s.oid)
 		case inExtent:
-			elems = append(elems, s.rid)
+			elems = append(elems, s.pos)
 		default:
 			nested = append(nested, s.location())
 		}
@@ -304,8 +303,8 @@ func (ex *State) deleteStmt(cd *sema.CheckedDelete) (int, error) {
 		}
 		n++
 	}
-	for _, rid := range elems {
-		if err := ex.store.DeleteElem(v.Extent, rid); err != nil {
+	for _, pos := range elems {
+		if err := ex.store.DeleteElem(v.Extent, pos); err != nil {
 			return n, err
 		}
 		n++

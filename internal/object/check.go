@@ -14,16 +14,16 @@ import (
 // CheckConsistency validates the object store's structural invariants —
 // the database fsck. It verifies that:
 //
-//   - every live object's record decodes to a tuple equal, kinds and
+//   - every extent member's record decodes to a tuple equal, kinds and
 //     all, to the object's working value — the tuple the store reads in
 //     the record's place (Store.working);
 //   - ownership is symmetric: an own-ref component's recorded owner holds
 //     a reference to it, and every own-ref reference points to a live
-//     nursery object owned by the referencing object;
+//     component owned by the referencing object;
 //   - no object is owned by a dead owner;
-//   - every live slot of an extent's or the nursery's heap pages is
-//     claimed by exactly one directory entry, and every entry's RID
-//     names a live slot of its own heap;
+//   - every live slot of an extent's heap pages is claimed by exactly
+//     one directory entry, and every member's RID names a live slot of
+//     its extent's heap;
 //   - every index entry refers to a live object whose current key matches,
 //     and every object appears under its key in every applicable index;
 //   - unique indexes hold no duplicate keys.
@@ -46,8 +46,8 @@ func (s *Store) CheckConsistency() []string {
 	var dir []entry // the directory, in OID order
 	s.dir.m.each(func(id oid.OID, so snapObj) { dir = append(dir, entry{id, so}) })
 
-	// Pass 1: decode every object's record and hold it against the
-	// working value; record owned references.
+	// Pass 1: decode every extent member's record and hold it against
+	// the working value; record owned references.
 	ownedRefs := map[oid.OID]oid.OID{} // component -> owner (from data)
 	for _, e := range dir {
 		id, so := e.id, e.so
@@ -56,10 +56,12 @@ func (s *Store) CheckConsistency() []string {
 			report("object %s: unreadable: %v", id, err)
 			continue
 		}
-		if onPage, err := s.readRecord(id, so); err != nil {
-			report("object %s: record unreadable: %v", id, err)
-		} else if !reflect.DeepEqual(onPage, tv) {
-			report("object %s: record decodes to %s, working value is %s", id, onPage, tv)
+		if so.ext != nil { // a component has no record
+			if onPage, err := s.readRecord(id, so); err != nil {
+				report("object %s: record unreadable: %v", id, err)
+			} else if !reflect.DeepEqual(onPage, tv) {
+				report("object %s: record decodes to %s, working value is %s", id, onPage, tv)
+			}
 		}
 		comp := types.Component{Mode: types.Own, Type: tv.Type}
 		collectOwnedWithDup(comp, tv, id, ownedRefs, report)
@@ -91,38 +93,36 @@ func (s *Store) CheckConsistency() []string {
 	}
 	// Pass 3: every live slot is claimed by exactly one entry.
 	type at struct {
-		h   *storage.HeapFile
+		x   *objExtent
 		rid storage.RID
 	}
 	claims := map[at][]oid.OID{}
 	for _, e := range dir {
-		k := at{s.heapFor(e.so), e.so.rid()}
-		claims[k] = append(claims[k], e.id)
+		if e.so.ext != nil {
+			k := at{e.so.ext, e.so.rid()}
+			claims[k] = append(claims[k], e.id)
+		}
 	}
-	heaps := map[string]*storage.HeapFile{"the nursery": s.nursery}
 	for _, name := range s.extentNames() {
-		heaps["extent "+name] = s.extents[name].heap
-	}
-	for _, name := range sortedKeys(heaps) {
-		h := heaps[name]
-		for _, pid := range h.Pages() {
-			err := h.WalkPage(pid, func(sl storage.SlotID, _ []byte) error {
-				k := at{h, storage.RID{Page: pid, Slot: sl}}
+		x := s.extents[name]
+		for _, pid := range x.heap.Pages() {
+			err := x.heap.WalkPage(pid, func(sl storage.SlotID, _ []byte) error {
+				k := at{x, storage.RID{Page: pid, Slot: sl}}
 				if ids := claims[k]; len(ids) == 0 {
-					report("%s: record %s is claimed by no object", name, k.rid)
+					report("extent %s: record %s is claimed by no object", name, k.rid)
 				} else if len(ids) > 1 {
-					report("%s: record %s is claimed by %v", name, k.rid, ids)
+					report("extent %s: record %s is claimed by %v", name, k.rid, ids)
 				}
 				delete(claims, k)
 				return nil
 			})
 			if err != nil {
-				report("%s: page %d unreadable: %v", name, pid, err)
+				report("extent %s: page %d unreadable: %v", name, pid, err)
 			}
 		}
 	}
-	for _, e := range dir {
-		if _, left := claims[at{s.heapFor(e.so), e.so.rid()}]; left {
+	for _, e := range dir { // claims holds extent members alone
+		if _, left := claims[at{e.so.ext, e.so.rid()}]; left {
 			report("object %s: %s holds no record", e.id, e.so.rid())
 		}
 	}

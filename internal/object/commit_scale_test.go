@@ -10,6 +10,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/metrics"
 	"repro/internal/storage"
+	"repro/internal/types"
 	"repro/internal/value"
 )
 
@@ -39,8 +40,9 @@ type commitWork struct {
 	pins        uint64 // buffer pool pins during Commit
 }
 
-// oneRowCommit inserts one person with one kid — an extent member and a
-// nursery component — and measures the commit that publishes them.
+// oneRowCommit inserts one person with one kid — an extent member with
+// a record and a component without one — and measures the commit that
+// publishes them.
 func oneRowCommit(tb testing.TB, f *fixture, reg *metrics.Registry, i int) commitWork {
 	tb.Helper()
 	p := f.newPerson(fmt.Sprintf("new-%06d", i), 30)
@@ -74,7 +76,7 @@ func measureCommit(tb testing.TB, f *fixture, reg *metrics.Registry) commitWork 
 // extent re-scan when a page fills). Counts repeat exactly, so this can
 // gate CI on a host whose clock cannot.
 func TestCommitWorkIndependentOfSize(t *testing.T) {
-	want := commitWork{objs: 2, pages: 1, pins: 1} // person + kid; the person's page; that page alone: the kid's tuple is the one its insert stored
+	want := commitWork{objs: 2, pages: 1, pins: 1} // person + kid; the person's page; that page alone: the kid has no record
 	for _, n := range []int{2000, 20000} {
 		f, reg := bigFixture(t, n)
 		for i := 0; i < 64; i++ {
@@ -82,6 +84,38 @@ func TestCommitWorkIndependentOfSize(t *testing.T) {
 				t.Fatalf("%d people, commit %d: %+v, want %+v", n, i, got, want)
 			}
 		}
+	}
+}
+
+// TestElemCommitsDecodeNothing: an element list is a working value, so
+// sixty single-element commits to one set each decode nothing and walk
+// no page, however long the set has grown, and the snapshot then holds
+// the sixty.
+func TestElemCommitsDecodeNothing(t *testing.T) {
+	f, reg := bigFixture(t, 10)
+	v, err := f.cat.CreateVar("Ages", types.Component{Mode: types.Own, Type: &types.Set{
+		Elem: types.Component{Mode: types.Own, Type: types.Int4}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.store.InitVar(v); err != nil {
+		t.Fatal(err)
+	}
+	decoded := func() uint64 { return reg.Snapshot().Histograms["mvcc.commit.decoded"].SumNS }
+	for i := 0; i < 60; i++ {
+		if err := f.store.InsertElem("Ages", value.NewInt(int64(i))); err != nil {
+			t.Fatal(err)
+		}
+		before := decoded()
+		if w := measureCommit(t, f, reg); w.pages != 0 || w.pins != 0 {
+			t.Fatalf("commit %d: %+v, want no page walked or pinned", i, w)
+		}
+		if got := decoded() - before; got != 0 {
+			t.Fatalf("commit %d decoded %d records, want 0", i, got)
+		}
+	}
+	if n, _ := f.store.Snapshot().ElemLen("Ages"); n != 60 {
+		t.Errorf("the snapshot holds %d elements, want 60", n)
 	}
 }
 

@@ -56,10 +56,19 @@ func (s *Store) ScanExtent(extent string, fn func(id oid.OID, tv *value.Tuple) e
 	})
 }
 
+// ScanElems iterates a ref-set or value-set extent's working list.
+func (s *Store) ScanElems(extent string, fn func(pos int, v value.Value) error) error {
+	l, ok := s.elems[extent]
+	if !ok {
+		return fmt.Errorf("no element extent %s", extent)
+	}
+	return l.each(fn)
+}
+
 // ExportElems returns the encoded elements of a ref/value-set extent.
 func (s *Store) ExportElems(extent string) ([][]byte, error) {
 	var out [][]byte
-	err := s.ScanElems(extent, func(_ storage.RID, v value.Value) error {
+	err := s.ScanElems(extent, func(_ int, v value.Value) error {
 		enc, err := encode(v)
 		if err != nil {
 			return err
@@ -78,11 +87,11 @@ func (s *Store) ridOf(id oid.OID) storage.RID {
 
 // ElemLen counts the elements of a ref/value-set extent.
 func (s *Store) ElemLen(extent string) (int, error) {
-	h, ok := s.elems[extent]
+	l, ok := s.elems[extent]
 	if !ok {
 		return 0, fmt.Errorf("no element extent %s", extent)
 	}
-	return h.Len()
+	return l.n, nil
 }
 
 // IsElemExtent reports whether the name is a ref/value-set extent in
@@ -118,7 +127,7 @@ func (s *Store) plantRecord(id oid.OID, tv *value.Tuple) error {
 	if err != nil {
 		return err
 	}
-	nrid, err := s.heapFor(so).Update(so.rid(), enc)
+	nrid, err := so.ext.heap.Update(so.rid(), enc)
 	if err == nil && nrid != so.rid() {
 		err = fmt.Errorf("planted record of %s moved from %s to %s", id, so.rid(), nrid)
 	}

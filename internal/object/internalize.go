@@ -10,8 +10,8 @@ import (
 )
 
 // internalize prepares a value for storage under the given component
-// description: own-ref tuple values become owned nursery objects and are
-// replaced by references; pre-existing references in own-ref position are
+// description: own-ref tuple values become owned component objects and
+// are replaced by references; pre-existing references in own-ref position are
 // claimed for the owner; own data is recursed into; plain refs and
 // scalars pass through after light validation.
 func (s *Store) internalize(comp types.Component, v value.Value, owner oid.OID) (value.Value, error) {
@@ -130,8 +130,8 @@ func (s *Store) internalizeKeeping(comp types.Component, v value.Value, owner oi
 	}
 }
 
-// createOwned stores a tuple as a new own-ref component object in the
-// nursery, owned by owner.
+// createOwned stores a tuple as a new own-ref component object, owned by
+// owner: a directory entry, and no record.
 func (s *Store) createOwned(tv *value.Tuple, owner oid.OID, kept map[oid.OID]bool) (oid.OID, error) {
 	id := s.gen.Next()
 	comp := types.Component{Mode: types.Own, Type: tv.Type}
@@ -139,22 +139,17 @@ func (s *Store) createOwned(tv *value.Tuple, owner oid.OID, kept map[oid.OID]boo
 	if err != nil {
 		return oid.Nil, err
 	}
-	enc, err := encode(iv)
-	if err != nil {
+	if _, err := s.encodeRecord(iv); err != nil {
 		return oid.Nil, err
 	}
-	rid, err := s.nursery.Insert(enc)
-	if err != nil {
-		return oid.Nil, err
-	}
-	s.put(id, snapObj{tv: iv.(*value.Tuple), owner: owner, at: packRID(rid)})
+	s.put(id, snapObj{tv: iv.(*value.Tuple), owner: owner})
 	return id, nil
 }
 
 // claim asserts exclusive ownership of an existing object for owner.
 // Objects living in extents are owned by their extent and cannot be
-// claimed; nursery objects can be claimed only when unowned (their
-// previous owner released them).
+// claimed; components can be claimed only when unowned (their previous
+// owner released them).
 func (s *Store) claim(id oid.OID, owner oid.OID) error {
 	so, ok := s.dir.get(id)
 	if !ok {

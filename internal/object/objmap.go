@@ -18,8 +18,11 @@ import (
 type snapObj struct {
 	tv    *value.Tuple
 	owner oid.OID    // owning object for own-ref components; Nil otherwise
-	ext   *objExtent // owning extent; nil for nursery components
-	at    uint64     // the record's RID, packed: page<<16 | slot
+	ext   *objExtent // owning extent; nil for own-ref components
+	// at is where the record is: an extent member's RID, packed as
+	// page<<16 | slot; a pending component's index in Store.restored.
+	// A component that is not pending has no record.
+	at uint64
 }
 
 // pendingTuple marks a pending entry. It is never read as a tuple.
@@ -36,7 +39,7 @@ func (so snapObj) rid() storage.RID {
 // decode.
 func (so snapObj) pending() bool { return so.tv == pendingTuple }
 
-// extentName returns the name of the entry's extent; "" for the nursery.
+// extentName returns the name of the entry's extent; "" for a component.
 func (so snapObj) extentName() string {
 	if so.ext == nil {
 		return ""

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/oid"
-	"repro/internal/storage"
 	"repro/internal/types"
 	"repro/internal/value"
 )
@@ -22,7 +21,7 @@ type storeView interface {
 	IsElemExtent(name string) bool
 	ScanExtent(extent string, fn func(id oid.OID, tv *value.Tuple) error) error
 	ExtentLen(extent string) (int, error)
-	ScanElems(extent string, fn func(rid storage.RID, v value.Value) error) error
+	ScanElems(extent string, fn func(pos int, v value.Value) error) error
 	ElemLen(extent string) (int, error)
 	Get(id oid.OID) (*value.Tuple, bool, error)
 	Exists(id oid.OID) bool
@@ -64,8 +63,8 @@ func render(v storeView, maxOID oid.OID, ix *catalog.Index) string {
 	if v.IsElemExtent("Wanted") {
 		n, err := v.ElemLen("Wanted")
 		fmt.Fprintf(&b, "elems Wanted len=%d err=%v\n", n, err)
-		err = v.ScanElems("Wanted", func(rid storage.RID, e value.Value) error {
-			fmt.Fprintf(&b, "  %s %s\n", rid, e)
+		err = v.ScanElems("Wanted", func(pos int, e value.Value) error {
+			fmt.Fprintf(&b, "  %d %s\n", pos, e)
 			n--
 			return nil
 		})
@@ -263,13 +262,13 @@ func (r *diffRun) step() {
 			t.Fatal(err)
 		}
 	case op < 22: // element delete
-		var rids []storage.RID
-		s.ScanElems("Wanted", func(rid storage.RID, _ value.Value) error {
-			rids = append(rids, rid)
+		var poss []int
+		s.ScanElems("Wanted", func(pos int, _ value.Value) error {
+			poss = append(poss, pos)
 			return nil
 		})
-		if len(rids) > 0 {
-			if err := s.DeleteElem("Wanted", rids[r.rng.Intn(len(rids))]); err != nil {
+		if len(poss) > 0 {
+			if err := s.DeleteElem("Wanted", poss[r.rng.Intn(len(poss))]); err != nil {
 				t.Fatal(err)
 			}
 		}

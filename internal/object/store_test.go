@@ -330,16 +330,16 @@ func TestElemExtents(t *testing.T) {
 	id, _ := f.store.Insert("People", f.newPerson("W", 1))
 	f.store.InsertElem("Wanted", value.Ref{OID: id, Type: "Person"})
 	n := 0
-	var rid storage.RID
-	f.store.ScanElems("Wanted", func(r storage.RID, v value.Value) error {
-		rid = r
+	pos := -1
+	f.store.ScanElems("Wanted", func(p int, v value.Value) error {
+		pos = p
 		n++
 		return nil
 	})
 	if n != 1 {
 		t.Fatal("elem scan")
 	}
-	if err := f.store.DeleteElem("Wanted", rid); err != nil {
+	if err := f.store.DeleteElem("Wanted", pos); err != nil {
 		t.Fatal(err)
 	}
 	if n, _ := f.store.ElemLen("Wanted"); n != 0 {

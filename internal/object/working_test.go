@@ -185,12 +185,13 @@ func TestStoredStringsOwnTheirBytes(t *testing.T) {
 	}
 }
 
-// TestFreezeDecodesRestoredRecords: what RestoreObject and RestoreElem
-// write has no working value, so the freeze decodes it from the page —
-// an inline record straight from the pinned frame, an overflow record
-// after the walk — and counts each decode in mvcc.commit.decoded. The
-// snapshot then holds what was restored, and the next write to the same
-// page decodes nothing.
+// TestFreezeDecodesRestoredRecords: what RestoreObject writes has no
+// working value, so the freeze decodes it from the page — an inline
+// record straight from the pinned frame, an overflow record after the
+// walk — and counts each decode in mvcc.commit.decoded. RestoreElem
+// decodes its element itself, so the freeze decodes none. The snapshot
+// then holds what was restored, and the next write to the same page
+// decodes nothing.
 func TestFreezeDecodesRestoredRecords(t *testing.T) {
 	f := newFixture(t)
 	reg := metrics.NewRegistry()
@@ -227,8 +228,8 @@ func TestFreezeDecodesRestoredRecords(t *testing.T) {
 	if _, err := f.store.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if got := decoded(); got != 4 {
-		t.Errorf("the commit decoded %d records, want the 4 restored", got)
+	if got := decoded(); got != 2 {
+		t.Errorf("the commit decoded %d records, want the 2 restored objects", got)
 	}
 	sn := f.store.Snapshot()
 	var gotObjs, gotElems []string
@@ -237,7 +238,7 @@ func TestFreezeDecodesRestoredRecords(t *testing.T) {
 		gotObjs = append(gotObjs, s)
 		return nil
 	})
-	sn.ScanElems("Names", func(_ storage.RID, v value.Value) error {
+	sn.ScanElems("Names", func(_ int, v value.Value) error {
 		s, _ := value.AsString(v)
 		gotElems = append(gotElems, s)
 		return nil

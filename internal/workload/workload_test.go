@@ -119,8 +119,8 @@ func TestWorkloadLoadLinear(t *testing.T) {
 	}
 	small, big := load(1000), load(4000)
 	for _, c := range []cost{small, big} {
-		// An employee and at most two kids, all of them on one extent
-		// page (the kids are nursery records, read by RID).
+		// An employee and at most two kids, the employee on one extent
+		// page (the kids have no record).
 		if c.maxObjs > 3 || c.maxPages != 1 {
 			t.Errorf("a one-employee commit decoded %d objects and re-read %d pages, want at most 3 and 1", c.maxObjs, c.maxPages)
 		}

@@ -481,6 +481,9 @@ func TestDumpFileAtomicReplace(t *testing.T) {
 	}
 }
 
+// TestLoadIsStagedAndAtomic: a dump with one bad data line fails Load
+// with a *LoadError naming a line, whatever kind of record the line is,
+// and leaves the target fresh, so the good dump loads into it after.
 func TestLoadIsStagedAndAtomic(t *testing.T) {
 	src, err := Open()
 	if err != nil {
@@ -488,41 +491,64 @@ func TestLoadIsStagedAndAtomic(t *testing.T) {
 	}
 	defer src.Close()
 	src.MustExec(walTestSchema)
+	src.MustExec(`create Fans : { ref Person }
+		create Star : ref Person`)
 	src.MustExec(`append to People (name = "a", age = 1)`)
+	src.MustExec(`append to Fans (P) from P in People`)
+	src.MustExec(`set Star = P from P in People`)
 	var good bytes.Buffer
 	if err := src.Dump(&good); err != nil {
 		t.Fatal(err)
 	}
-
-	// Corrupt a data line mid-stream: Load must reject the whole stream
-	// and leave the target untouched.
-	bad := strings.Replace(good.String(), "OBJ People", "OBJ Peoples", 1)
-	if bad == good.String() {
-		t.Fatal("test corruption did not apply")
+	// badPayload gives the first line that starts with prefix a payload
+	// the codec rejects (value tag 255).
+	badPayload := func(prefix string) func(string) string {
+		return func(dump string) string {
+			lines := strings.Split(dump, "\n")
+			for i, l := range lines {
+				if strings.HasPrefix(l, prefix) {
+					lines[i] = l[:strings.LastIndex(l, " ")+1] + "ff"
+					break
+				}
+			}
+			return strings.Join(lines, "\n")
+		}
 	}
-	dst, err := Open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dst.Close()
-	loadErr := dst.Load(strings.NewReader(bad))
-	if loadErr == nil {
-		t.Fatal("Load of corrupt dump succeeded")
-	}
-	var le *LoadError
-	if !errors.As(loadErr, &le) {
-		t.Fatalf("Load error is %T (%v), want *LoadError", loadErr, loadErr)
-	}
-	if le.Line <= 0 {
-		t.Fatalf("LoadError.Line = %d", le.Line)
-	}
-	// Untouched: still fresh, so a good load goes through.
-	if err := dst.Load(bytes.NewReader(good.Bytes())); err != nil {
-		t.Fatalf("Load after failed staged load: %v", err)
-	}
-	r := dst.MustQuery(`retrieve (P.name) from P in People`)
-	if len(r.Rows) != 1 {
-		t.Fatalf("loaded %d rows, want 1", len(r.Rows))
+	for _, c := range []struct {
+		name    string
+		corrupt func(string) string
+	}{
+		{"OBJ extent", func(d string) string { return strings.Replace(d, "OBJ People", "OBJ Peoples", 1) }},
+		{"OBJ payload", badPayload("OBJ People ")},
+		{"ELEM payload", badPayload("ELEM Fans ")},
+		{"VAR payload", badPayload("VAR Star ")},
+	} {
+		bad := c.corrupt(good.String())
+		if bad == good.String() {
+			t.Fatalf("%s: test corruption did not apply", c.name)
+		}
+		dst, err := Open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		loadErr := dst.Load(strings.NewReader(bad))
+		var le *LoadError
+		if loadErr == nil {
+			t.Errorf("%s: Load of corrupt dump succeeded", c.name)
+		} else if !errors.As(loadErr, &le) {
+			t.Errorf("%s: Load error is %T (%v), want *LoadError", c.name, loadErr, loadErr)
+		} else if le.Line <= 0 {
+			t.Errorf("%s: LoadError.Line = %d", c.name, le.Line)
+		}
+		// Untouched: still fresh, so a good load goes through.
+		if err := dst.Load(bytes.NewReader(good.Bytes())); err != nil {
+			t.Fatalf("%s: Load after failed staged load: %v", c.name, err)
+		}
+		r := dst.MustQuery(`retrieve (P.name) from P in People`)
+		if len(r.Rows) != 1 {
+			t.Errorf("%s: loaded %d rows, want 1", c.name, len(r.Rows))
+		}
+		dst.Close()
 	}
 }
 
