@@ -49,17 +49,18 @@ bench:
 # that compiles nothing, ad-hoc literals that share one cached shape and
 # skip the parser, a $n key that bounds its index probe, tracing that allocates nothing
 # when off, reads — a retrieve's, a write statement's read phase, or
-# define index's backfill — that pin no buffer-pool page, writes
-# whose commit decodes no record and pins only the pages written (only
-# an extent member has a page record: an own-ref component, a variable
-# and a set element are working values alone, and sixty single-element
-# commits to one set decode and pin nothing), and the live heap a loaded
-# company holds per object.
+# define index's backfill — that leave nothing for a freeze to seal,
+# writes whose commit decodes no record and seals only the member-list
+# chunks written (only an extent member has a place in a member list:
+# an own-ref component, a variable and a set element are working values
+# alone, and sixty single-element commits to one set decode and seal no
+# chunk), an update that keeps its member's place, and the live heap a
+# loaded company holds per object.
 # Wall clock is left to paired runs of bench/. No -race: the race
 # detector perturbs allocation counts, and scanalloc_test.go is built
 # only without it.
 work-gate:
-	$(GO) test -count=1 -v -run '^(TestScanAllocsPerRow|TestResultAllocsPerRow|TestHashJoinBuildsSmallerSide|TestRangeReplaceWorkIndependentOfSize|TestCommitWorkIndependentOfSize|TestRangeUpdateWorkIndependentOfSize|TestPlanCacheHitCompilesNothing|TestZeroAllocWhenDisabled|TestAdhocLiteralsShareOnePlan|TestAdhocShapeSkipsParser|TestParamKeyUsesIndex|TestSnapshotReadsPinNoPage|TestWriteReadPhasePinsNoPage|TestDefineIndexPinsNoPage|TestWriteDecodesNothing|TestElemCommitsDecodeNothing|TestHeapPerObject)$$' . ./internal/object/ ./internal/trace/
+	$(GO) test -count=1 -v -run '^(TestScanAllocsPerRow|TestResultAllocsPerRow|TestHashJoinBuildsSmallerSide|TestRangeReplaceWorkIndependentOfSize|TestCommitWorkIndependentOfSize|TestRangeUpdateWorkIndependentOfSize|TestPlanCacheHitCompilesNothing|TestZeroAllocWhenDisabled|TestAdhocLiteralsShareOnePlan|TestAdhocShapeSkipsParser|TestParamKeyUsesIndex|TestSnapshotReadsFreezeNothing|TestWriteReadPhaseWorkIndependentOfSize|TestDefineIndexSealsNothing|TestWriteDecodesNothing|TestElemCommitsDecodeNothing|TestUpdateKeepsChunkPosition|TestReplaceKeepsScanOrder|TestHeapPerObject)$$' . ./internal/object/ ./internal/trace/
 
 # The repository benchmark (bench/, a module of its own that drives the
 # engine through its public and internal APIs) must keep compiling and

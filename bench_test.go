@@ -23,9 +23,9 @@ import (
 	"repro/internal/workload"
 )
 
-func mustWorkload(b *testing.B, p workload.Params, pool int) *extra.DB {
+func mustWorkload(b *testing.B, p workload.Params) *extra.DB {
 	b.Helper()
-	db, _, err := workload.New(p, pool)
+	db, _, err := workload.New(p)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -48,12 +48,12 @@ func runQuery(b *testing.B, db *extra.DB, q string) {
 // one ref per employee; the explicit join pairs employees with the
 // (small) Departments extent and filters with is.
 func BenchmarkImplicitJoinRefChase(b *testing.B) {
-	db := mustWorkload(b, workload.Params{Departments: 20, Employees: 2000, Seed: 1}, 4096)
+	db := mustWorkload(b, workload.Params{Departments: 20, Employees: 2000, Seed: 1})
 	runQuery(b, db, `retrieve (E.name) from E in Employees where E.dept.floor = 2`)
 }
 
 func BenchmarkImplicitJoinExplicit(b *testing.B) {
-	db := mustWorkload(b, workload.Params{Departments: 20, Employees: 2000, Seed: 1}, 4096)
+	db := mustWorkload(b, workload.Params{Departments: 20, Employees: 2000, Seed: 1})
 	runQuery(b, db, `retrieve (E.name) from E in Employees, D in Departments where E.dept is D and D.floor = 2`)
 }
 
@@ -74,12 +74,12 @@ func flattenKids(b *testing.B, db *extra.DB) {
 }
 
 func BenchmarkNestedSetDirect(b *testing.B) {
-	db := mustWorkload(b, workload.Params{Departments: 10, Employees: 500, MaxKids: 4, Seed: 2}, 4096)
+	db := mustWorkload(b, workload.Params{Departments: 10, Employees: 500, MaxKids: 4, Seed: 2})
 	runQuery(b, db, `retrieve (E.name, n = count(E.kids)) from E in Employees where count(E.kids) > 2`)
 }
 
 func BenchmarkNestedSetFlattened(b *testing.B) {
-	db := mustWorkload(b, workload.Params{Departments: 10, Employees: 500, MaxKids: 4, Seed: 2}, 4096)
+	db := mustWorkload(b, workload.Params{Departments: 10, Employees: 500, MaxKids: 4, Seed: 2})
 	flattenKids(b, db)
 	runQuery(b, db, `retrieve (E.name) from E in Employees, K in Children where K.parent is E`)
 }
@@ -88,7 +88,7 @@ func BenchmarkNestedSetFlattened(b *testing.B) {
 // selectivities. The crossover the paper's optimizer discussion
 // assumes appears as the index advantage shrinking with selectivity.
 func accessMethodBench(b *testing.B, index bool, maxSalary int) {
-	db := mustWorkload(b, workload.Params{Departments: 10, Employees: 5000, MaxSalary: 100000, Seed: 3}, 8192)
+	db := mustWorkload(b, workload.Params{Departments: 10, Employees: 5000, MaxSalary: 100000, Seed: 3})
 	if index {
 		if _, err := db.Exec(`define index emp_sal on Employees (salary)`); err != nil {
 			b.Fatal(err)
@@ -130,7 +130,7 @@ func runBaseline(b *testing.B, db *extra.DB, src string, edit func(sema.Query, *
 const optimizerQuery = `retrieve (E.name, D.dname) from E in Employees, D in Departments where E.salary < 1000 and E.dept is D and D.floor = 2`
 
 func optimizerBench(b *testing.B, opt bool) {
-	db := mustWorkload(b, workload.Params{Departments: 50, Employees: 2000, MaxSalary: 100000, Seed: 4}, 8192)
+	db := mustWorkload(b, workload.Params{Departments: 50, Employees: 2000, MaxSalary: 100000, Seed: 4})
 	if _, err := db.Exec(`define index emp_sal on Employees (salary)`); err != nil {
 		b.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func BenchmarkOptimizerOff(b *testing.B) { optimizerBench(b, false) }
 // B5 — ADT operator dispatch against built-in arithmetic: the same
 // component-wise sums through the Complex dbclass vs float8 columns.
 func BenchmarkADTDispatchComplex(b *testing.B) {
-	db := mustWorkload(b, workload.Params{Departments: 5, Employees: 10, Seed: 5}, 1024)
+	db := mustWorkload(b, workload.Params{Departments: 5, Employees: 10, Seed: 5})
 	if _, err := db.Exec(`
 		define type CRow: ( a: Complex, b: Complex )
 		create CRows : { own CRow }
@@ -163,7 +163,7 @@ func BenchmarkADTDispatchComplex(b *testing.B) {
 }
 
 func BenchmarkADTDispatchBuiltin(b *testing.B) {
-	db := mustWorkload(b, workload.Params{Departments: 5, Employees: 10, Seed: 5}, 1024)
+	db := mustWorkload(b, workload.Params{Departments: 5, Employees: 10, Seed: 5})
 	if _, err := db.Exec(`
 		define type FRow: ( ax: float8, ay: float8, bx: float8, yy: float8 )
 		create FRows : { own FRow }
@@ -182,7 +182,7 @@ func BenchmarkADTDispatchBuiltin(b *testing.B) {
 // department data reached as an embedded own tuple vs through a
 // reference to an independent object.
 func ownVsRef(b *testing.B, own bool) {
-	db, err := extra.Open(extra.WithPoolSize(4096))
+	db, err := extra.Open()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -226,24 +226,24 @@ func BenchmarkOwnVsRefRef(b *testing.B) { ownVsRef(b, false) }
 // B7 — aggregate partitioning: by-grouped average vs whole-set average
 // vs over-deduplicated count.
 func BenchmarkAggregateBy(b *testing.B) {
-	db := mustWorkload(b, workload.Params{Departments: 20, Employees: 2000, Seed: 7}, 4096)
+	db := mustWorkload(b, workload.Params{Departments: 20, Employees: 2000, Seed: 7})
 	runQuery(b, db, `retrieve (f = E.dept.floor, a = avg(E.salary by E.dept.floor)) from E in Employees`)
 }
 
 func BenchmarkAggregateWhole(b *testing.B) {
-	db := mustWorkload(b, workload.Params{Departments: 20, Employees: 2000, Seed: 7}, 4096)
+	db := mustWorkload(b, workload.Params{Departments: 20, Employees: 2000, Seed: 7})
 	runQuery(b, db, `retrieve (a = avg(Employees.salary))`)
 }
 
 func BenchmarkAggregateOver(b *testing.B) {
-	db := mustWorkload(b, workload.Params{Departments: 20, Employees: 2000, Seed: 7}, 4096)
+	db := mustWorkload(b, workload.Params{Departments: 20, Employees: 2000, Seed: 7})
 	runQuery(b, db, `retrieve (n = count(E.dept.dname over E.dept.dname)) from E in Employees`)
 }
 
 // B8 — copy semantics: appending an employee's value (own, deep copy of
 // a large object) vs appending a reference to it.
 func copyBench(b *testing.B, ref bool) {
-	db := mustWorkload(b, workload.Params{Departments: 5, Employees: 200, MaxKids: 8, Seed: 8}, 8192)
+	db := mustWorkload(b, workload.Params{Departments: 5, Employees: 200, MaxKids: 8, Seed: 8})
 	if ref {
 		db.MustExec(`create Picked : { ref Employee }`)
 	} else {
@@ -291,25 +291,13 @@ func BenchmarkInheritanceDepth1(b *testing.B)  { latticeBench(b, 1) }
 func BenchmarkInheritanceDepth4(b *testing.B)  { latticeBench(b, 4) }
 func BenchmarkInheritanceDepth16(b *testing.B) { latticeBench(b, 16) }
 
-// B10 — buffer pool: the same scan with the working set inside vs far
-// beyond the pool, showing the hit-rate cliff.
-func poolBench(b *testing.B, pages int) {
-	db := mustWorkload(b, workload.Params{Departments: 10, Employees: 8000, MaxKids: 2, Seed: 10}, pages)
-	db.ResetPoolStats()
-	runQuery(b, db, `retrieve (n = count(Employees))`)
-	b.ReportMetric(db.PoolStats().HitRate()*100, "hit%")
-}
-
-func BenchmarkBufferPoolLarge(b *testing.B) { poolBench(b, 8192) }
-func BenchmarkBufferPoolSmall(b *testing.B) { poolBench(b, 16) }
-
 // B11 — join methods: the explicit equi-join answered by the hash-join
 // access path vs the nested rescan, and the repeated ref-chase query, at
 // 1k/10k/50k rows. The square nested-loop baselines beyond 1k are
 // quadratic (minutes at 50k), so they only run in full mode; CI smoke
 // uses -short.
 func explicitJoinBench(b *testing.B, n int, hash bool) {
-	db := mustWorkload(b, workload.Params{Departments: n, Employees: n, Seed: 11}, 16384)
+	db := mustWorkload(b, workload.Params{Departments: n, Employees: n, Seed: 11})
 	const q = `retrieve (E.name, D.dname) from E in Employees, D in Departments where E.dept is D`
 	if !hash {
 		runBaseline(b, db, q, extra.NestedRescan)
@@ -339,7 +327,7 @@ func BenchmarkExplicitJoinNested50k(b *testing.B) {
 }
 
 func refChaseBench(b *testing.B, emps int) {
-	db := mustWorkload(b, workload.Params{Departments: 100, Employees: emps, Floors: 5, Seed: 12}, 16384)
+	db := mustWorkload(b, workload.Params{Departments: 100, Employees: emps, Floors: 5, Seed: 12})
 	runQuery(b, db, `retrieve (E.name) from E in Employees where E.dept.floor = 2`)
 }
 
@@ -349,7 +337,7 @@ func BenchmarkRefChase50k(b *testing.B) { refChaseBench(b, 50000) }
 
 // Measures derived-attribute call overhead (body binding is memoized).
 func BenchmarkFunctionCall(b *testing.B) {
-	db, _, err := workload.New(workload.Params{Departments: 5, Employees: 500, Seed: 6}, 2048)
+	db, _, err := workload.New(workload.Params{Departments: 5, Employees: 500, Seed: 6})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -376,7 +364,7 @@ func BenchmarkPipelineParse(b *testing.B) {
 }
 
 func BenchmarkPipelineCheckAndPlan(b *testing.B) {
-	db := mustWorkload(b, workload.Params{Departments: 5, Employees: 10, Seed: 12}, 256)
+	db := mustWorkload(b, workload.Params{Departments: 5, Employees: 10, Seed: 12})
 	// Exec includes parse+check+plan+execute over a near-empty extent;
 	// subtracting BenchmarkPipelineParse isolates the middle stages.
 	q := `retrieve (E.name) from E in Employees, D in Departments where E.dept is D and D.floor = 2 and E.salary > 100`
@@ -388,7 +376,7 @@ func BenchmarkPipelineCheckAndPlan(b *testing.B) {
 // evaluation dominates the per-row scan work. (Its interpreted twin went
 // with the interpreting walker; EXPERIMENTS.md keeps the last ratio.)
 func BenchmarkExprFilterCompiled(b *testing.B) {
-	db := mustWorkload(b, workload.Params{Departments: 50, Employees: 2000, MaxSalary: 1000, Seed: 14}, 8192)
+	db := mustWorkload(b, workload.Params{Departments: 50, Employees: 2000, MaxSalary: 1000, Seed: 14})
 	runQuery(b, db, exprHeavyQuery)
 }
 
@@ -409,7 +397,7 @@ const exprHeavyQuery = `retrieve (n = count(E.name)) from E in Employees, D in D
 // times and read percentiles should stay close; a statement-scoped
 // reader lock would park each read behind a full bulk-update statement.
 func writerInterferenceBench(b *testing.B, withWriter bool) {
-	db := mustWorkload(b, workload.Params{Departments: 20, Employees: 2000, Floors: 5, Seed: 13}, 8192)
+	db := mustWorkload(b, workload.Params{Departments: 20, Employees: 2000, Floors: 5, Seed: 13})
 	if _, err := db.Query(fig5Query); err != nil { // warm the pool and plan cache
 		b.Fatal(err)
 	}
@@ -465,7 +453,7 @@ const fig5Query = `retrieve (E.name) from E in Employees where E.dept.floor = 2`
 // with -cpu 1,4,8 for the ladder: ns/op should fall with the CPU count
 // until the cores run out, and never rise.
 func BenchmarkParallelRead(b *testing.B) {
-	db := mustWorkload(b, workload.Params{Departments: 20, Employees: 2000, Floors: 5, Seed: 13}, 8192)
+	db := mustWorkload(b, workload.Params{Departments: 20, Employees: 2000, Floors: 5, Seed: 13})
 	if _, err := db.Query(fig5Query); err != nil {
 		b.Fatal(err)
 	}
@@ -511,12 +499,12 @@ func compileOnceBench(b *testing.B, db *extra.DB, run func(i int) error) {
 var compileOnceStore = workload.Params{Departments: 20, Employees: 5000, MaxSalary: 1000, Seed: 14}
 
 func BenchmarkCompileOnceRepeat(b *testing.B) {
-	db := mustWorkload(b, compileOnceStore, 16384)
+	db := mustWorkload(b, compileOnceStore)
 	compileOnceBench(b, db, func(int) error { _, err := db.Query(fig5Query); return err })
 }
 
 func BenchmarkCompileOnceUnique(b *testing.B) {
-	db := mustWorkload(b, compileOnceStore, 16384)
+	db := mustWorkload(b, compileOnceStore)
 	compileOnceBench(b, db, func(i int) error {
 		_, err := db.Query(fmt.Sprintf(`retrieve (n%d = E.name) from E in Employees where E.dept.floor = 2 and E.salary < 100000`, i+1))
 		return err
@@ -524,7 +512,7 @@ func BenchmarkCompileOnceUnique(b *testing.B) {
 }
 
 func BenchmarkCompileOncePrepared(b *testing.B) {
-	db := mustWorkload(b, compileOnceStore, 16384)
+	db := mustWorkload(b, compileOnceStore)
 	st, err := db.Prepare(`retrieve (E.name) from E in Employees where E.dept.floor = $1`)
 	if err != nil {
 		b.Fatal(err)
@@ -543,7 +531,7 @@ var keyedLookupStore = workload.Params{Departments: 20, Employees: 5000, MaxSala
 const keyedLookupSrc = `retrieve (E.name, E.salary, E.age) from E in Employees where E.name = `
 
 func keyedLookupBench(b *testing.B, run func(db *extra.DB) func(i int) (*extra.Result, error)) {
-	db := mustWorkload(b, keyedLookupStore, 16384)
+	db := mustWorkload(b, keyedLookupStore)
 	if _, err := db.Exec(`define index emp_name on Employees (name)`); err != nil {
 		b.Fatal(err)
 	}
@@ -592,7 +580,7 @@ func BenchmarkKeyedLookupAdhoc(b *testing.B) {
 // sampled 1-in-100, and always on, where every retrieve also pays the
 // EXPLAIN ANALYZE counters its operator spans report.
 func tracingBench(b *testing.B, every int) {
-	db := mustWorkload(b, workload.Params{Departments: 20, Employees: 2000, Floors: 5, Seed: 15}, 8192)
+	db := mustWorkload(b, workload.Params{Departments: 20, Employees: 2000, Floors: 5, Seed: 15})
 	db.SetTraceSampling(every)
 	runQuery(b, db, fig5Query)
 }
@@ -617,7 +605,7 @@ func BenchmarkGroupCommit(b *testing.B) {
 }
 
 func groupCommitBench(b *testing.B, mode string, sessions int) {
-	opts := []extra.Option{extra.WithPoolSize(4096)}
+	var opts []extra.Option
 	if mode != "off" {
 		sm, err := extra.ParseWALSyncMode(mode)
 		if err != nil {

@@ -15,7 +15,7 @@
 //	\type NAME      show a type's definition
 //	\vars           list database variables
 //	\adts           list abstract data types
-//	\stats [json]   engine metrics and buffer pool statistics
+//	\stats [json]   engine metrics
 //	\explain QUERY  show the optimizer's plan for a retrieve
 //	\analyze [json] QUERY
 //	                execute a retrieve and show per-operator actuals
@@ -320,9 +320,6 @@ func meta(db *extra.DB, sess *extra.Session, cmd string) bool {
 			}
 			break
 		}
-		st := db.PoolStats()
-		fmt.Printf("  pool: hits=%d misses=%d evictions=%d writebacks=%d hit-rate=%.1f%%\n",
-			st.Hits, st.Misses, st.Evictions, st.WriteBacks, st.HitRate()*100)
 		if err := db.MetricsSnapshot().WriteText(os.Stdout); err != nil {
 			fmt.Println("error:", err)
 		}

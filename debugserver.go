@@ -18,7 +18,7 @@ import (
 // admin port. Endpoints:
 //
 //	/metrics                Prometheus text exposition of the metrics snapshot
-//	/statz                  JSON stats document (metrics, pool, tracer)
+//	/statz                  JSON stats document (metrics, tracer)
 //	/slow                   JSON slow-query ring
 //	/traces                 JSON index of retained statement traces
 //	/traces/{id}            one trace as Chrome trace_event JSON (also /traces/last)
@@ -97,10 +97,9 @@ func (db *DB) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 }
 
 // statzDoc is the /statz JSON document: one coherent stats snapshot
-// across the metrics registry, the buffer pool and the tracer.
+// across the metrics registry and the tracer.
 type statzDoc struct {
 	Metrics MetricsSnapshot `json:"metrics"`
-	Pool    PoolStats       `json:"pool"`
 	Tracer  TracerStats     `json:"tracer"`
 }
 
@@ -111,7 +110,6 @@ type statzDoc struct {
 func (db *DB) handleStatz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, statzDoc{
 		Metrics: db.MetricsSnapshot(),
-		Pool:    db.PoolStats(),
 		Tracer:  db.tracer.Stats(),
 	})
 }

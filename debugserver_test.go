@@ -59,7 +59,6 @@ func TestDebugServerMetrics(t *testing.T) {
 		"extra_stmt_retrieve_total 2",
 		"# TYPE extra_phase_execute_ns histogram",
 		`extra_phase_execute_ns_bucket{le="+Inf"} `,
-		"extra_pool_hits_total ",
 		// The compile-once plane: the repeated statement hits the plan
 		// cache, and its expressions were compiled into closures.
 		"extra_plan_cache_hits_total 1",
@@ -78,7 +77,7 @@ func TestDebugServerMetrics(t *testing.T) {
 		// size histograms are counts and carry no time unit.
 		"# TYPE extra_mvcc_commit_freeze_ns histogram",
 		"# TYPE extra_mvcc_commit_dirty_objs histogram",
-		`extra_mvcc_commit_dirty_pages_bucket{le="+Inf"} `,
+		`extra_mvcc_commit_dirty_chunks_bucket{le="+Inf"} `,
 		"# TYPE extra_mvcc_commit_decoded histogram",
 		"# TYPE extra_mvcc_version gauge",
 		// The log: every write the company load made was appended, and
@@ -133,9 +132,6 @@ func TestDebugServerStatz(t *testing.T) {
 		Metrics struct {
 			Counters map[string]uint64 `json:"counters"`
 		} `json:"metrics"`
-		Pool struct {
-			Hits uint64 `json:"Hits"`
-		} `json:"pool"`
 		Tracer struct {
 			TracesStarted  uint64 `json:"traces_started"`
 			TracesFinished uint64 `json:"traces_finished"`

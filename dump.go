@@ -227,7 +227,7 @@ func (db *DB) Load(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	scratch, err := open(config{poolPages: 64, traceCap: 1}, db.reg)
+	scratch, err := open(config{traceCap: 1}, db.reg)
 	if err != nil {
 		return fmt.Errorf("load staging: %w", err)
 	}

@@ -71,7 +71,9 @@ type Result = exec.Result
 // Row re-exports the executor's result row.
 type Row = exec.Row
 
-// PoolStats re-exports buffer pool counters.
+// PoolStats re-exports the buffer pool counters DB.PoolStats reports,
+// which stay zero: the engine keeps no page. It stays only for the
+// repository benchmark's callers (ROADMAP item 1(f)/12).
 type PoolStats = storage.PoolStats
 
 // Metrics re-exports the engine metrics registry (counters, gauges,
@@ -82,7 +84,7 @@ type Metrics = metrics.Registry
 type MetricsSnapshot = metrics.Snapshot
 
 // DB is an EXTRA/EXCESS database: object store (with its catalog),
-// buffer pool, metrics and the shared executor engine core. Read
+// metrics and the shared executor engine core. Read
 // statements (retrieve without into) pin an immutable store snapshot
 // and run lock-free against it; write statements serialize on the
 // write mutex and publish a new snapshot on commit — so a DB is safe for
@@ -99,7 +101,6 @@ type DB struct {
 	// the internal/deadlock sentinel the wrapper type carries.
 	wmu   deadlock.Mutex // extra:lock db.wmu
 	reg   *adt.Registry
-	pool  *storage.BufferPool
 	store *object.Store // owns the working catalog; its snapshots carry frozen ones
 	exec  *exec.Executor
 
@@ -147,7 +148,6 @@ type DB struct {
 type Option func(*config)
 
 type config struct {
-	poolPages     int
 	slowThreshold time.Duration
 	traceEvery    int
 	traceCap      int
@@ -156,10 +156,9 @@ type config struct {
 	walSync       wal.SyncMode
 }
 
-// WithPoolSize sets the buffer pool capacity in pages (default 256).
-func WithPoolSize(pages int) Option {
-	return func(c *config) { c.poolPages = pages }
-}
+// WithPoolSize does nothing: the engine keeps no page. It stays only for
+// the repository benchmark's callers (ROADMAP item 1(f)/12).
+func WithPoolSize(int) Option { return func(*config) {} }
 
 // WithSlowQueryLog sets the slow-query threshold: a statement that
 // succeeds in at least threshold is retained in the trace ring (see
@@ -173,7 +172,7 @@ func WithSlowQueryLog(threshold time.Duration) Option {
 // Open creates a database. The ADT registry comes preloaded with the
 // built-in Date and Complex types of the paper's figures.
 func Open(opts ...Option) (*DB, error) {
-	cfg := config{poolPages: 256, slowThreshold: 100 * time.Millisecond, traceCap: 32}
+	cfg := config{slowThreshold: 100 * time.Millisecond, traceCap: 32}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -185,8 +184,7 @@ func Open(opts ...Option) (*DB, error) {
 // database's registry, so application-registered ADTs resolve there too.
 func open(cfg config, reg *adt.Registry) (*DB, error) {
 	cat := catalog.New(reg)
-	pool := storage.NewBufferPool(storage.NewMemStore(), cfg.poolPages)
-	store := object.New(pool, cat)
+	store := object.New(nil, cat)
 	mreg := metrics.NewRegistry()
 	cKind := make(map[string]*metrics.Counter, len(sema.Kinds))
 	for _, kind := range sema.Kinds {
@@ -194,7 +192,6 @@ func open(cfg config, reg *adt.Registry) (*DB, error) {
 	}
 	db := &DB{
 		reg:   reg,
-		pool:  pool,
 		store: store,
 		exec:  exec.New(store, cat),
 
@@ -245,8 +242,8 @@ func open(cfg config, reg *adt.Registry) (*DB, error) {
 // closes the log, which drains and fsyncs whatever its flusher still
 // holds, so a clean Close leaves nothing for the next recovery to lose.
 // It takes the commit lock, draining any in-flight write batch; every
-// later write returns an error and publishes nothing. Pages are an
-// in-memory representation, so there is nothing else to flush. A read
+// later write returns an error and publishes nothing. The store is in
+// memory, so there is nothing else to flush. A read
 // that started before Close finishes against its snapshot.
 //
 // extra:acquires db.wmu.W
@@ -270,41 +267,25 @@ func (db *DB) Registry() *adt.Registry { return db.reg }
 // DDL statement publishes a new one.
 func (db *DB) Catalog() *catalog.Catalog { return db.store.Snapshot().Catalog() }
 
-// PoolStats returns buffer pool counters: one atomic load per counter,
-// safe to sample while statements run.
-func (db *DB) PoolStats() PoolStats { return db.pool.Stats() }
-
-// ResetPoolStats zeroes buffer pool counters.
-func (db *DB) ResetPoolStats() { db.pool.ResetStats() }
+// PoolStats returns zero counters: the engine keeps no page. It stays
+// only for the repository benchmark's callers (ROADMAP item 1(f)/12).
+func (db *DB) PoolStats() PoolStats { return PoolStats{} }
 
 // Metrics exposes the engine metrics registry: statement counters by
 // kind, parse/check/plan/execute phase latency histograms, rows
 // returned and error counts, and the publication figures of the write
 // path (mvcc.commit.freeze, mvcc.commit.dirty_objs,
-// mvcc.commit.dirty_pages, mvcc.version). The registry is safe for
+// mvcc.commit.dirty_chunks, mvcc.commit.decoded, mvcc.version). The registry is safe for
 // concurrent reads while statements execute.
 func (db *DB) Metrics() *Metrics { return db.metrics }
 
-// MetricsSnapshot copies the registry and merges in the buffer pool
-// counters (pool.hits, pool.misses, pool.evictions, pool.flushes,
-// pool.writebacks), giving one coherent observability document. Every
-// counter in the snapshot is a single atomic read of a monotonic
-// value — sampling mid-statement never observes a torn or decreasing
-// counter, and two snapshots bracket the traffic between them. The
-// pool counters are sampled first, so pool.hits+pool.misses can only
-// lag (never lead) the statement counters taken in the same pass.
+// MetricsSnapshot copies the registry. Every counter in the snapshot is
+// a single atomic read of a monotonic value — sampling mid-statement
+// never observes a torn or decreasing counter, and two snapshots
+// bracket the traffic between them.
 //
 // extra:output
-func (db *DB) MetricsSnapshot() MetricsSnapshot {
-	ps := db.pool.Stats()
-	s := db.metrics.Snapshot()
-	s.Counters["pool.hits"] = ps.Hits
-	s.Counters["pool.misses"] = ps.Misses
-	s.Counters["pool.evictions"] = ps.Evictions
-	s.Counters["pool.flushes"] = ps.Flushes
-	s.Counters["pool.writebacks"] = ps.WriteBacks
-	return s
-}
+func (db *DB) MetricsSnapshot() MetricsSnapshot { return db.metrics.Snapshot() }
 
 // SlowQuery is one slow-query log entry: the statement source with its
 // phase breakdown, result size and the session that ran it. TraceID is

@@ -48,7 +48,7 @@ func FuzzRetrieve(f *testing.F) {
 func fuzzCompany(f *testing.F) *extra.DB {
 	db, _, err := workload.New(workload.Params{
 		Departments: 5, Employees: 40, MaxKids: 2, Floors: 3, MaxSalary: 1000, Seed: 17,
-	}, 0)
+	})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -1,5 +1,5 @@
-// Package codec serializes EXTRA runtime values to bytes for storage on
-// slotted pages, and encodes scalar values as order-preserving keys for
+// Package codec serializes EXTRA runtime values to bytes for dumps and
+// the log, and encodes scalar values as order-preserving keys for
 // the B+-tree access method.
 //
 // Tuple values are encoded against their schema type by name; decoding
@@ -44,7 +44,7 @@ const (
 )
 
 // ADTCodec serializes an ADT representation. Decode must not keep data:
-// the object store decodes records straight from buffer-pool frames.
+// the buffer it decodes from may be reused.
 type ADTCodec struct {
 	Encode func(rep any) ([]byte, error)
 	Decode func(data []byte) (any, error)

@@ -29,7 +29,7 @@ type Cat struct{ types map[string]int }
 func (c *Cat) Type(name string) int { return c.types[name] }
 
 // Store is version-bearing and snapshottable, so live reads outside
-// Snapshot/Version/Pool are flagged in snapshot context.
+// Snapshot/Version are flagged in snapshot context.
 type Store struct {
 	version atomic.Uint64
 	vars    map[string]int

@@ -27,7 +27,7 @@ import (
 //   - any direct mutation of a version-bearing store, the catalog and
 //     the grant table included (the verbump write scan);
 //   - any call to a live-store method other than the versioned
-//     allowlist (Snapshot, Version, Pool): an un-versioned read of
+//     allowlist (Snapshot, Version): an un-versioned read of
 //     live state from snapshot context is exactly the stale-read bug
 //     MVCC exists to prevent. The working catalog is reached only
 //     through such a method (Store.Catalog), so a read of it is caught
@@ -52,10 +52,10 @@ var snapForbidden = map[string]int{
 }
 
 // snapStoreAllow are live-store methods legal from snapshot context:
-// taking the snapshot itself, reading the version counter a versioned
-// cache keys on, and reaching the buffer pool for stats.
+// taking the snapshot itself, and reading the version counter a
+// versioned cache keys on.
 var snapStoreAllow = map[string]bool{
-	"Snapshot": true, "Version": true, "Pool": true,
+	"Snapshot": true, "Version": true,
 }
 
 func runSnapCheck(pass *Pass) {

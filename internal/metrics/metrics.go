@@ -105,7 +105,7 @@ func (h *Histogram) Observe(d time.Duration) {
 	}
 }
 
-// ObserveCount records one count (objects, pages) in a histogram made by
+// ObserveCount records one count (objects, chunks) in a histogram made by
 // Registry.CountHistogram.
 func (h *Histogram) ObserveCount(n int) { h.Observe(time.Duration(n)) }
 

@@ -2,11 +2,9 @@ package object
 
 import (
 	"fmt"
-	"reflect"
 	"sort"
 
 	"repro/internal/oid"
-	"repro/internal/storage"
 	"repro/internal/types"
 	"repro/internal/value"
 )
@@ -14,23 +12,20 @@ import (
 // CheckConsistency validates the object store's structural invariants —
 // the database fsck. It verifies that:
 //
-//   - every extent member's record decodes to a tuple equal, kinds and
-//     all, to the object's working value — the tuple the store reads in
-//     the record's place (Store.working);
+//   - every extent's member list and the directory agree: each member's
+//     entry names its extent and its position in the list, and holds its
+//     tuple, and the list holds every member of the extent once;
 //   - ownership is symmetric: an own-ref component's recorded owner holds
 //     a reference to it, and every own-ref reference points to a live
 //     component owned by the referencing object;
 //   - no object is owned by a dead owner;
-//   - every live slot of an extent's heap pages is claimed by exactly
-//     one directory entry, and every member's RID names a live slot of
-//     its extent's heap;
 //   - every index entry refers to a live object whose current key matches,
 //     and every object appears under its key in every applicable index;
 //   - unique indexes hold no duplicate keys.
 //
 // It returns the list of violations found (empty means consistent).
-// Violations come back in a fixed order (objects by OID, heaps by name,
-// records by page and slot) so two fscks of the same store produce the
+// Violations come back in a fixed order (objects by OID, extents by
+// name, members by position) so two fscks of the same store produce the
 // same report — map iteration order never leaks into the output.
 //
 // extra:output
@@ -46,27 +41,40 @@ func (s *Store) CheckConsistency() []string {
 	var dir []entry // the directory, in OID order
 	s.dir.m.each(func(id oid.OID, so snapObj) { dir = append(dir, entry{id, so}) })
 
-	// Pass 1: decode every extent member's record and hold it against
-	// the working value; record owned references.
+	// Pass 1: the member lists and the directory agree, both ways; and
+	// record owned references.
 	ownedRefs := map[oid.OID]oid.OID{} // component -> owner (from data)
 	for _, e := range dir {
 		id, so := e.id, e.so
+		if so.ext != nil {
+			if m, ok := so.ext.members.at(s.pos(so)); !ok || m.id != id {
+				report("object %s: its position %d in extent %s holds %s", id, s.pos(so), so.ext.name, m.id)
+			} else if m.tv != so.tv {
+				report("object %s: its member in extent %s holds %s, working value is %s", id, so.ext.name, m.tv, so.tv)
+			}
+		}
 		tv, err := s.working(id, so)
 		if err != nil {
 			report("object %s: unreadable: %v", id, err)
 			continue
 		}
-		if so.ext != nil { // a component has no record
-			if onPage, err := s.readRecord(id, so); err != nil {
-				report("object %s: record unreadable: %v", id, err)
-			} else if !reflect.DeepEqual(onPage, tv) {
-				report("object %s: record decodes to %s, working value is %s", id, onPage, tv)
-			}
-		}
 		comp := types.Component{Mode: types.Own, Type: tv.Type}
 		collectOwnedWithDup(comp, tv, id, ownedRefs, report)
 		if !so.owner.IsNil() && !s.Exists(so.owner) {
 			report("object %s: owner %s is dead", id, so.owner)
+		}
+	}
+	for _, name := range s.extentNames() {
+		x, n := s.extents[name], 0
+		x.members.each(func(pos int, m member) error {
+			n++
+			if so, live := s.dir.get(m.id); !live || so.ext != x || s.pos(so) != pos {
+				report("extent %s: member %s at %d has no directory entry there", name, m.id, pos)
+			}
+			return nil
+		})
+		if n != x.members.n {
+			report("extent %s: %d members, counted %d", name, n, x.members.n)
 		}
 	}
 	// Pass 2: ownership symmetry.
@@ -91,42 +99,7 @@ func (s *Store) CheckConsistency() []string {
 			}
 		}
 	}
-	// Pass 3: every live slot is claimed by exactly one entry.
-	type at struct {
-		x   *objExtent
-		rid storage.RID
-	}
-	claims := map[at][]oid.OID{}
-	for _, e := range dir {
-		if e.so.ext != nil {
-			k := at{e.so.ext, e.so.rid()}
-			claims[k] = append(claims[k], e.id)
-		}
-	}
-	for _, name := range s.extentNames() {
-		x := s.extents[name]
-		for _, pid := range x.heap.Pages() {
-			err := x.heap.WalkPage(pid, func(sl storage.SlotID, _ []byte) error {
-				k := at{x, storage.RID{Page: pid, Slot: sl}}
-				if ids := claims[k]; len(ids) == 0 {
-					report("extent %s: record %s is claimed by no object", name, k.rid)
-				} else if len(ids) > 1 {
-					report("extent %s: record %s is claimed by %v", name, k.rid, ids)
-				}
-				delete(claims, k)
-				return nil
-			})
-			if err != nil {
-				report("extent %s: page %d unreadable: %v", name, pid, err)
-			}
-		}
-	}
-	for _, e := range dir { // claims holds extent members alone
-		if _, left := claims[at{e.so.ext, e.so.rid()}]; left {
-			report("object %s: %s holds no record", e.id, e.so.rid())
-		}
-	}
-	// Pass 4: indexes.
+	// Pass 3: indexes.
 	for _, ext := range s.extentNames() {
 		x := s.extents[ext]
 		for _, ix := range s.cat.IndexesOn(ext) {

@@ -14,12 +14,12 @@ import (
 	"repro/internal/value"
 )
 
-// bigFixture is newFixture with a pool that holds n people and a metrics
-// registry attached, filled and committed.
+// bigFixture is newFixture with n people and a metrics registry
+// attached, filled and committed.
 func bigFixture(tb testing.TB, n int) (*fixture, *metrics.Registry) {
 	tb.Helper()
 	cat := catalog.New(adt.NewRegistry())
-	f := &fixture{cat: cat, store: New(storage.NewBufferPool(storage.NewMemStore(), 1<<15), cat)}
+	f := &fixture{cat: cat, store: New(nil, cat)}
 	f.definePeople(tb)
 	reg := metrics.NewRegistry()
 	f.store.SetMetrics(reg)
@@ -36,13 +36,12 @@ func bigFixture(tb testing.TB, n int) (*fixture, *metrics.Registry) {
 
 // commitWork is what one commit did, in counts that repeat exactly.
 type commitWork struct {
-	objs, pages uint64 // sealed or removed, walked: the commit's own account
-	pins        uint64 // buffer pool pins during Commit
+	objs, chunks uint64 // entries and member-list chunks sealed: the commit's own account
 }
 
 // oneRowCommit inserts one person with one kid — an extent member with
-// a record and a component without one — and measures the commit that
-// publishes them.
+// a place in its member list and a component without one — and
+// measures the commit that publishes them.
 func oneRowCommit(tb testing.TB, f *fixture, reg *metrics.Registry, i int) commitWork {
 	tb.Helper()
 	p := f.newPerson(fmt.Sprintf("new-%06d", i), 30)
@@ -56,27 +55,26 @@ func oneRowCommit(tb testing.TB, f *fixture, reg *metrics.Registry, i int) commi
 // measureCommit commits and returns what the commit did.
 func measureCommit(tb testing.TB, f *fixture, reg *metrics.Registry) commitWork {
 	tb.Helper()
-	sums := func() (objs, pages, pins uint64) {
+	sums := func() (objs, chunks uint64) {
 		h := reg.Snapshot().Histograms
-		ps := f.store.Pool().Stats()
-		return h["mvcc.commit.dirty_objs"].SumNS, h["mvcc.commit.dirty_pages"].SumNS, ps.Hits + ps.Misses
+		return h["mvcc.commit.dirty_objs"].SumNS, h["mvcc.commit.dirty_chunks"].SumNS
 	}
-	o0, p0, n0 := sums()
+	o0, c0 := sums()
 	if _, err := f.store.Commit(); err != nil {
 		tb.Fatal(err)
 	}
-	o1, p1, n1 := sums()
-	return commitWork{objs: o1 - o0, pages: p1 - p0, pins: n1 - n0}
+	o1, c1 := sums()
+	return commitWork{objs: o1 - o0, chunks: c1 - c0}
 }
 
 // TestCommitWorkIndependentOfSize is the count-based form of "commit
 // cost is proportional to the write": a one-row commit seals the same
-// objects and pins the same pages on a store ten times the size, and
-// none of 64 in a row differs from the rest (no periodic flatten, no
-// extent re-scan when a page fills). Counts repeat exactly, so this can
-// gate CI on a host whose clock cannot.
+// objects and the same member-list chunks on a store ten times the
+// size, and none of 64 in a row differs from the rest (no periodic
+// flatten, no extent re-scan when a chunk fills). Counts repeat
+// exactly, so this can gate CI on a host whose clock cannot.
 func TestCommitWorkIndependentOfSize(t *testing.T) {
-	want := commitWork{objs: 2, pages: 1, pins: 1} // person + kid; the person's page; that page alone: the kid has no record
+	want := commitWork{objs: 2, chunks: 1} // person + kid; the tail chunk the person went to: the kid has no place in a list
 	for _, n := range []int{2000, 20000} {
 		f, reg := bigFixture(t, n)
 		for i := 0; i < 64; i++ {
@@ -88,9 +86,9 @@ func TestCommitWorkIndependentOfSize(t *testing.T) {
 }
 
 // TestElemCommitsDecodeNothing: an element list is a working value, so
-// sixty single-element commits to one set each decode nothing and walk
-// no page, however long the set has grown, and the snapshot then holds
-// the sixty.
+// sixty single-element commits to one set each decode nothing and seal
+// no member-list chunk, however long the set has grown, and the
+// snapshot then holds the sixty.
 func TestElemCommitsDecodeNothing(t *testing.T) {
 	f, reg := bigFixture(t, 10)
 	v, err := f.cat.CreateVar("Ages", types.Component{Mode: types.Own, Type: &types.Set{
@@ -107,8 +105,8 @@ func TestElemCommitsDecodeNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := decoded()
-		if w := measureCommit(t, f, reg); w.pages != 0 || w.pins != 0 {
-			t.Fatalf("commit %d: %+v, want no page walked or pinned", i, w)
+		if w := measureCommit(t, f, reg); w.chunks != 0 {
+			t.Fatalf("commit %d: %+v, want no member-list chunk sealed", i, w)
 		}
 		if got := decoded() - before; got != 0 {
 			t.Fatalf("commit %d decoded %d records, want 0", i, got)
@@ -121,8 +119,8 @@ func TestElemCommitsDecodeNothing(t *testing.T) {
 
 // TestRangeUpdateWorkIndependentOfSize is the count-based form of "a
 // range write pays for its range": updating the k people of a name
-// range probes k oids, and the commit decodes those k objects and walks
-// the same pages on a store ten times the size. The update changes an
+// range probes k oids, and the commit seals those k objects and the same
+// member-list chunks on a store ten times the size. The update changes an
 // attribute no index covers, so it writes no B+-tree node: until the
 // next commit the working name index still shares its root with the
 // clone the last one published.
@@ -160,8 +158,8 @@ func TestRangeUpdateWorkIndependentOfSize(t *testing.T) {
 			t.Errorf("%d people: updating an unindexed attribute wrote the name index", n)
 		}
 		w := measureCommit(t, f, reg)
-		if w.objs != k || w.pins != w.pages {
-			t.Errorf("%d people: the commit did %+v, want %d objects and one pin per page", n, w, k)
+		if w.objs != k || w.chunks != 1 {
+			t.Errorf("%d people: the commit did %+v, want %d objects in one chunk", n, w, k)
 		}
 		work = append(work, w)
 	}

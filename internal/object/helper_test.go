@@ -6,7 +6,6 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/codec"
 	"repro/internal/oid"
-	"repro/internal/storage"
 	"repro/internal/value"
 )
 
@@ -25,34 +24,26 @@ func (s *Store) ExtentLen(extent string) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("no object extent %s", extent)
 	}
-	return x.heap.Len()
+	return x.members.n, nil
 }
 
-// ScanExtent iterates an object-set extent's records in heap order,
-// decoding each and naming it by the directory entry whose RID is the
-// record's: the scan a heap-file store would make, independent of the
-// page chunks a freeze builds.
+// ScanExtent iterates an object-set extent's working member list, a
+// member Load restored with its record decoded.
 func (s *Store) ScanExtent(extent string, fn func(id oid.OID, tv *value.Tuple) error) error {
 	x, ok := s.extents[extent]
 	if !ok {
 		return fmt.Errorf("no object extent %s", extent)
 	}
-	byRID := map[storage.RID]oid.OID{}
-	s.dir.m.each(func(id oid.OID, so snapObj) {
-		if so.ext == x {
-			byRID[so.rid()] = id
+	return x.members.each(func(_ int, m member) error {
+		tv := m.tv
+		if tv == pendingTuple {
+			so, _ := s.dir.get(m.id)
+			var err error
+			if tv, err = s.working(m.id, so); err != nil {
+				return err
+			}
 		}
-	})
-	return x.heap.Scan(func(rid storage.RID, rec []byte) error {
-		id, ok := byRID[rid]
-		if !ok {
-			return fmt.Errorf("extent %s: record %s has no OID", extent, rid)
-		}
-		tv, err := decodeTuple(id, rec, s.cat)
-		if err != nil {
-			return err
-		}
-		return fn(id, tv)
+		return fn(m.id, tv)
 	})
 }
 
@@ -79,10 +70,10 @@ func (s *Store) ExportElems(extent string) ([][]byte, error) {
 	return out, err
 }
 
-// ridOf returns where a live object's record is.
-func (s *Store) ridOf(id oid.OID) storage.RID {
+// ridOf returns a live extent member's position in its member list.
+func (s *Store) ridOf(id oid.OID) int {
 	so, _ := s.dir.get(id)
-	return so.rid()
+	return s.pos(so)
 }
 
 // ElemLen counts the elements of a ref/value-set extent.
@@ -117,30 +108,17 @@ func (s *Store) IndexLookup(ix *catalog.Index, lo, hi []byte, incLo, incHi bool)
 	return IndexLookup(ix, lo, hi, incLo, incHi)
 }
 
-// plantRecord overwrites the heap record of a live object with the
-// encoding of tv in place, leaving the store's working value alone: a
-// record that diverges from what the store reads in its place, for the
-// fsck to find.
-func (s *Store) plantRecord(id oid.OID, tv *value.Tuple) error {
+// plantMember puts tv in the member-list place of a live extent member,
+// leaving its directory entry alone: a member that disagrees with the
+// working value the store reads, for the fsck to find.
+func (s *Store) plantMember(id oid.OID, tv *value.Tuple) error {
 	so, _ := s.dir.get(id)
-	enc, err := encode(tv)
-	if err != nil {
-		return err
-	}
-	nrid, err := so.ext.heap.Update(so.rid(), enc)
-	if err == nil && nrid != so.rid() {
-		err = fmt.Errorf("planted record of %s moved from %s to %s", id, so.rid(), nrid)
-	}
-	return err
+	return s.members(so.ext).set(s.pos(so), member{id, tv})
 }
 
-// plantOrphan writes the encoding of tv as a record of the extent's heap
-// that no directory entry names, for the fsck to find.
+// plantOrphan appends tv to the extent's member list under a fresh OID
+// that no directory entry has, for the fsck to find.
 func (s *Store) plantOrphan(extent string, tv *value.Tuple) error {
-	enc, err := encode(tv)
-	if err != nil {
-		return err
-	}
-	_, err = s.extents[extent].heap.Insert(enc)
-	return err
+	s.members(s.extents[extent]).append(member{s.gen.Next(), tv})
+	return nil
 }

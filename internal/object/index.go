@@ -161,9 +161,9 @@ func KeyPaths(v *catalog.Variable, attrs []string) ([][]string, error) {
 }
 
 // backfill loads an index from the extent's current objects, enforcing
-// uniqueness as it goes. It reads the store's frozen view, whose chunks
-// hold the decoded objects in heap scan order, so the tree is built as a
-// heap scan would build it without pinning or decoding a page.
+// uniqueness as it goes. It reads the store's frozen view, whose member
+// lists hold the objects in scan order, so the tree is built as a scan
+// would build it, copying and decoding nothing.
 //
 // extra:requires db.wmu.W
 func (s *Store) backfill(ix *catalog.Index) error {

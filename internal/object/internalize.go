@@ -131,7 +131,7 @@ func (s *Store) internalizeKeeping(comp types.Component, v value.Value, owner oi
 }
 
 // createOwned stores a tuple as a new own-ref component object, owned by
-// owner: a directory entry, and no record.
+// owner: its directory entry alone.
 func (s *Store) createOwned(tv *value.Tuple, owner oid.OID, kept map[oid.OID]bool) (oid.OID, error) {
 	id := s.gen.Next()
 	comp := types.Component{Mode: types.Own, Type: tv.Type}
@@ -142,7 +142,7 @@ func (s *Store) createOwned(tv *value.Tuple, owner oid.OID, kept map[oid.OID]boo
 	if _, err := s.encodeRecord(iv); err != nil {
 		return oid.Nil, err
 	}
-	s.put(id, snapObj{tv: iv.(*value.Tuple), owner: owner})
+	s.dir.set(id, snapObj{tv: iv.(*value.Tuple), owner: owner})
 	return id, nil
 }
 
@@ -162,7 +162,7 @@ func (s *Store) claim(id oid.OID, owner oid.OID) error {
 		return fmt.Errorf("object %s is already owned (composite exclusivity)", id)
 	}
 	so.owner = owner
-	s.put(id, so) // ownership is snapshot state (Owner, export)
+	s.dir.set(id, so) // ownership is snapshot state (Owner, export)
 	return nil
 }
 

@@ -2,14 +2,13 @@ package object
 
 import (
 	"repro/internal/oid"
-	"repro/internal/storage"
 	"repro/internal/value"
 )
 
 // snapObj is one object's entry in the object directory: its extent, its
-// owner, where its record is, and its tuple. A nil tv means no object:
-// the zero snapObj is what an empty slot of the map holds. The entry is
-// four words, so a trie leaf of 64 entries is 2 KiB.
+// owner, where it is, and its tuple. A nil tv means no object: the zero
+// snapObj is what an empty slot of the map holds. The entry is four
+// words, so a trie leaf of 64 entries is 2 KiB.
 //
 // An entry whose tv is pendingTuple is pending: RestoreObject wrote it,
 // and its tuple is its record's, which the next freeze decodes (see
@@ -19,21 +18,13 @@ type snapObj struct {
 	tv    *value.Tuple
 	owner oid.OID    // owning object for own-ref components; Nil otherwise
 	ext   *objExtent // owning extent; nil for own-ref components
-	// at is where the record is: an extent member's RID, packed as
-	// page<<16 | slot; a pending component's index in Store.restored.
-	// A component that is not pending has no record.
+	// at is an extent member's position in its member list, or a
+	// pending entry's index in Store.restored (see Store.pos).
 	at uint64
 }
 
 // pendingTuple marks a pending entry. It is never read as a tuple.
 var pendingTuple = &value.Tuple{}
-
-func packRID(rid storage.RID) uint64 { return uint64(rid.Page)<<16 | uint64(rid.Slot) }
-
-// rid returns where the entry's record is.
-func (so snapObj) rid() storage.RID {
-	return storage.RID{Page: storage.PageID(so.at >> 16), Slot: storage.SlotID(so.at)}
-}
 
 // pending reports whether the entry's tuple is still its record's to
 // decode.
@@ -211,9 +202,9 @@ func (e *objEdit) leaf(n objNode) *objLeaf {
 
 // regroup reallocates the leaves under n the edit owns one after
 // another, in oid order, and returns n's replacement. A bulk restore sets
-// its entries between heap page and decode allocations, so its leaves lie
-// scattered; a scan that dereferences an object per row walks them in
-// about oid order.
+// its entries between the allocations of its records and member chunks,
+// and the freeze's decodes, so its leaves lie scattered; a scan that
+// dereferences an object per row walks them in about oid order.
 func (e *objEdit) regroup(n objNode) objNode {
 	switch nd := n.(type) {
 	case *objInner:
@@ -237,17 +228,6 @@ func (e *objEdit) mark(lf *objLeaf, i uint64) {
 		lf.written |= 1 << i
 		e.written++
 	}
-}
-
-// lookup is get that also reports whether the edit wrote id's entry.
-func (e *objEdit) lookup(id oid.OID) (so snapObj, live, wrote bool) {
-	lf := e.m.leafOf(id)
-	if lf == nil {
-		return snapObj{}, false, false
-	}
-	i := uint64(id) & objMask
-	so = lf.vals[i]
-	return so, so.tv != nil, lf.owner == e && lf.written&(1<<i) != 0
 }
 
 // set stores so, which must hold a tuple, under id.

@@ -1,138 +1,105 @@
 package object
 
 import (
-	"errors"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
-	"repro/internal/adt"
-	"repro/internal/catalog"
 	"repro/internal/oid"
-	"repro/internal/storage"
 	"repro/internal/types"
 	"repro/internal/value"
 )
 
-// TestUpdateMoveSurvivesFailedWrite pins the fix for a record lost by a
-// failed move. An update that grows a record past its page's free space
-// moves it; when the new page cannot be had because evicting a dirty
-// frame fails its write-back, the update must fail with the object
-// still readable at its old value and its index entry where it was.
-// The heap file used to delete the old record before inserting the new
-// one, and the store to drop the index entry before the heap write.
-func TestUpdateMoveSurvivesFailedWrite(t *testing.T) {
-	cat := catalog.New(adt.NewRegistry())
-	fs := storage.NewFaultStore(storage.NewMemStore())
-	f := &fixture{cat: cat, store: New(storage.NewBufferPool(fs, 4), cat)}
-	f.definePeople(t)
-	if _, err := f.store.BuildIndex("people_name", "People", []string{"name"}, false); err != nil {
-		t.Fatal(err)
-	}
-	// Sixteen ≈900-byte records fill four pages, one per frame of the
-	// pool, each dirty and with no room for 1 500 bytes.
-	var id oid.OID
-	for i := 0; i < 16; i++ {
-		var err error
-		if id, err = f.store.Insert("People", f.newPerson(fmt.Sprintf("%02d%s", i, strings.Repeat("x", 900)), 30)); err != nil {
+// TestUpdateKeepsChunkPosition: an extent member's place in its member
+// list is its place in scan order, and only a delete before it in its
+// chunk moves it. An update that grows the record a hundredfold leaves
+// it where it was; a delete in front of it leaves it there until the
+// freeze compacts the chunk and re-points its directory entry. The scan
+// order is the same throughout, and the snapshot reads what the live
+// store reads.
+func TestUpdateKeepsChunkPosition(t *testing.T) {
+	f := newFixture(t)
+	s := f.store
+	var ids []oid.OID
+	for i := 0; i < chunkLen+chunkLen/2; i++ {
+		id, err := s.Insert("People", f.newPerson(fmt.Sprintf("p%03d", i), int64(i%80)))
+		if err != nil {
 			t.Fatal(err)
 		}
+		ids = append(ids, id)
 	}
-	if n := f.store.extents["People"].heap.NumPages(); n != 4 {
-		t.Fatalf("setup: %d pages, want 4", n)
-	}
-	tv, _, err := f.store.Get(id)
-	if err != nil {
+	if _, err := s.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	was := tv.Get("name").String()
-	tv.Set("name", value.NewStr(strings.Repeat("g", 1500)))
-	fs.FailWrite(1, 0)
-	err = f.store.Update(id, tv)
-	fs.FailWrite(0, 0) // disarm
-	if !errors.Is(err, storage.ErrInjected) {
-		t.Fatalf("Update = %v, want the injected write failure", err)
+	order := func() []oid.OID {
+		var got []oid.OID
+		s.Snapshot().ScanExtent("People", func(id oid.OID, _ *value.Tuple) error {
+			got = append(got, id)
+			return nil
+		})
+		return got
 	}
-	got, ok, err := f.store.Get(id)
-	if err != nil || !ok {
-		t.Fatalf("after the failed update the object reads ok=%v err=%v", ok, err)
-	}
-	if got.Get("name").String() != was {
-		t.Fatal("the failed update changed the object")
-	}
-	if bad := f.store.CheckConsistency(); len(bad) > 0 {
-		t.Fatalf("store inconsistent after the failed update: %q", bad)
-	}
-}
-
-// TestUpdateMoveInOneFramePool pins that a growing update moves its
-// record in the smallest pool there is. A one-frame pool has no second
-// frame, and the insert at the new place needs the one there is: a move
-// that kept the old page pinned across the insert failed with the pool
-// exhausted.
-func TestUpdateMoveInOneFramePool(t *testing.T) {
-	cat := catalog.New(adt.NewRegistry())
-	f := &fixture{cat: cat, store: New(storage.NewBufferPool(storage.NewMemStore(), 1), cat)}
-	f.definePeople(t)
-	if _, err := f.store.BuildIndex("people_name", "People", []string{"name"}, false); err != nil {
-		t.Fatal(err)
-	}
-	// Four ≈900-byte records leave their page no room for 1 500 bytes.
-	var id oid.OID
-	for i := 0; i < 4; i++ {
-		var err error
-		if id, err = f.store.Insert("People", f.newPerson(fmt.Sprintf("%02d%s", i, strings.Repeat("x", 900)), 30)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := f.store.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	was := f.store.ridOf(id)
-	tv, _, err := f.store.Get(id)
+	id := ids[10]
+	tv, _, err := s.Get(id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	grown := strings.Repeat("g", 1500)
 	tv.Set("name", value.NewStr(grown))
-	if err := f.store.Update(id, tv); err != nil {
-		t.Fatalf("moving update in a one-frame pool: %v", err)
-	}
-	if f.store.ridOf(id).Page == was.Page {
-		t.Fatal("setup: the record did not move")
-	}
-	if got, _, err := f.store.Get(id); err != nil {
-		t.Fatal(err)
-	} else if name, _ := value.AsString(got.Get("name")); name != grown {
-		t.Fatalf("after the move the name is %d bytes, want 1 500", len(name))
-	}
-	if _, err := f.store.Commit(); err != nil {
+	if err := s.Update(id, tv); err != nil {
 		t.Fatal(err)
 	}
-	max := f.store.gen.Next()
-	if live, snap := render(f.store, max, nil), render(f.store.Snapshot(), max, nil); live != snap {
+	if at := s.ridOf(id); at != 10 {
+		t.Fatalf("the grown member is at %d, want 10", at)
+	}
+	if _, err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := order(); !reflect.DeepEqual(got, ids) {
+		t.Fatal("a growing update changed the scan order")
+	}
+	if got, _, _ := s.Get(id); got.Get("name").String() != value.NewStr(grown).String() {
+		t.Fatal("the update was lost")
+	}
+	if err := s.Delete(ids[3]); err != nil {
+		t.Fatal(err)
+	}
+	if at := s.ridOf(id); at != 10 {
+		t.Fatalf("before the freeze the member is at %d, want 10", at)
+	}
+	if _, err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if at := s.ridOf(id); at != 9 {
+		t.Fatalf("after the freeze compacted its chunk the member is at %d, want 9", at)
+	}
+	if at := s.ridOf(ids[chunkLen]); at != chunkLen {
+		t.Fatalf("a member of the next chunk is at %d, want %d", at, chunkLen)
+	}
+	want := append(append([]oid.OID{}, ids[:3]...), ids[4:]...)
+	if got := order(); !reflect.DeepEqual(got, want) {
+		t.Fatal("a delete changed the order of the members left")
+	}
+	max := s.gen.Next()
+	if live, snap := render(s, max, nil), render(s.Snapshot(), max, nil); live != snap {
 		t.Fatalf("snapshot differs from the live store: %s", firstDiff(live, snap))
 	}
-	if bad := f.store.CheckConsistency(); len(bad) > 0 {
-		t.Fatalf("store inconsistent after the move: %q", bad)
+	if bad := s.CheckConsistency(); len(bad) > 0 {
+		t.Fatalf("store inconsistent: %q", bad)
 	}
 }
 
 // TestDropVarFailedHalfWayCommits pins that a drop which fails part-way
-// leaves a store that can still commit. A multi-page extent is dropped
-// over a four-frame pool whose second eviction write-back fails, so
-// some members are deleted and the rest stay. The drop used to mark
-// the extent as dropped before deleting anything; the extent
-// then stayed live with that mark, every later commit froze its pages
-// as new, found records nothing had written, and failed.
+// leaves a store that can still commit. The extent's member list holds,
+// half-way along, a member planted with no directory entry, so the drop
+// deletes the members before it and fails there. The drop used to mark
+// the extent as dropped before deleting anything; the extent then
+// stayed live with that mark, and every later commit failed.
 func TestDropVarFailedHalfWayCommits(t *testing.T) {
-	cat := catalog.New(adt.NewRegistry())
-	fs := storage.NewFaultStore(storage.NewMemStore())
-	f := &fixture{cat: cat, store: New(storage.NewBufferPool(fs, 4), cat)}
-	f.definePeople(t)
+	f := newFixture(t)
 	s := f.store
-	temp, err := cat.CreateVar("Temp", types.Component{Mode: types.Own, Type: &types.Set{
+	temp, err := f.cat.CreateVar("Temp", types.Component{Mode: types.Own, Type: &types.Set{
 		Elem: types.Component{Mode: types.Own, Type: f.person}}})
 	if err != nil {
 		t.Fatal(err)
@@ -142,21 +109,23 @@ func TestDropVarFailedHalfWayCommits(t *testing.T) {
 	}
 	const n = 32
 	for i := 0; i < n; i++ {
-		if _, err := s.Insert("Temp", f.newPerson(fmt.Sprintf("%02d%s", i, strings.Repeat("t", 900)), int64(i))); err != nil {
+		if i == n/2 {
+			if err := s.plantOrphan("Temp", f.newPerson("orphan", 0)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := s.Insert("Temp", f.newPerson(fmt.Sprintf("t%02d", i), int64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if _, err := s.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	fs.FailWrite(2, 0)
-	err = s.DropVar(temp)
-	fs.FailWrite(0, 0) // disarm
-	if !errors.Is(err, storage.ErrInjected) {
-		t.Fatalf("DropVar = %v, want the injected write failure", err)
+	if err := s.DropVar(temp); err == nil {
+		t.Fatal("DropVar deleted a member with no directory entry")
 	}
-	if left, _ := s.ExtentLen("Temp"); left == 0 || left == n {
-		t.Fatalf("setup: %d of %d members left; the drop should have failed part-way", left, n)
+	if left, _ := s.ExtentLen("Temp"); left != n/2+1 {
+		t.Fatalf("%d members left, want the orphan and the %d after it", left, n/2)
 	}
 	if _, err := s.Commit(); err != nil {
 		t.Fatalf("commit after the failed drop: %v", err)
@@ -165,8 +134,8 @@ func TestDropVarFailedHalfWayCommits(t *testing.T) {
 	if live, snap := render(s, max, nil), render(s.Snapshot(), max, nil); live != snap {
 		t.Fatalf("snapshot differs from the live store: %s", firstDiff(live, snap))
 	}
-	if bad := s.CheckConsistency(); len(bad) > 0 {
-		t.Fatalf("store inconsistent after the failed drop: %q", bad)
+	if bad := s.CheckConsistency(); len(bad) != 1 || !strings.Contains(bad[0], "no directory entry") {
+		t.Fatalf("fsck after the failed drop: %q, want the planted member alone", bad)
 	}
 }
 

@@ -21,27 +21,43 @@ type ExportObject struct {
 	Data   []byte // codec-encoded tuple
 }
 
-// ExportObjects returns every live object, extents first (sorted by
-// name, then OID), own-ref components last: an extent member's record as
-// it is on its heap page, a component's working value encoded.
+// restoredObj is an object RestoreObject wrote since the last freeze:
+// its canonical record and, for an extent member, its position in the
+// extent's member list.
+type restoredObj struct {
+	id   oid.OID
+	data []byte
+	pos  int
+}
+
+// ExportObjects returns every live object, encoded, in the order
+// exportObjects gives.
 func (s *Store) ExportObjects() ([]ExportObject, error) {
-	out := make([]ExportObject, 0, s.dir.m.n)
+	return exportObjects(&s.dir.m, s.restored)
+}
+
+// exportObjects encodes every object of m: sorted by extent name, so
+// own-ref components (extent "") come first, then by OID. A pending
+// entry's record is where restored keeps it; every other entry's tuple
+// is encoded, which gives the record it was written as: RestoreObject
+// keeps the canonical encoding, and Encode(DecodeOne(b)) == b for such
+// b. So a snapshot's export is byte for byte the working store's at
+// the same version.
+func exportObjects(m *objMap, restored []restoredObj) ([]ExportObject, error) {
+	out := make([]ExportObject, 0, m.n)
 	var err error
-	s.dir.m.each(func(id oid.OID, so snapObj) {
-		var rec []byte
-		var gerr error
-		switch {
-		case so.ext != nil:
-			rec, gerr = so.ext.heap.Get(so.rid())
-		case so.pending():
-			rec = s.restored[so.at].Data
-		default:
-			rec, gerr = encode(so.tv)
+	m.each(func(id oid.OID, so snapObj) {
+		var enc []byte
+		var eerr error
+		if so.pending() {
+			enc = restored[so.at].data
+		} else {
+			enc, eerr = encode(so.tv)
 		}
-		if gerr != nil && err == nil {
-			err = gerr
+		if eerr != nil && err == nil {
+			err = fmt.Errorf("export %s: %w", id, eerr)
 		}
-		out = append(out, ExportObject{Extent: so.extentName(), OID: id, Owner: so.owner, Data: rec})
+		out = append(out, ExportObject{Extent: so.extentName(), OID: id, Owner: so.owner, Data: enc})
 	})
 	if err != nil {
 		return nil, err
@@ -53,17 +69,18 @@ func (s *Store) ExportObjects() ([]ExportObject, error) {
 }
 
 // RestoreObject re-creates an object with its original identity. The
-// extent, if any, must already exist; the tuple is stored and indexed
-// without internalization. An OID live at the last freeze is refused
-// too, deleted since or not: an OID names one object, and the head's
-// readers may still hold the one it named.
+// extent, if any, must already exist; an extent member goes to the tail
+// of its member list. The tuple is stored and indexed without
+// internalization. An OID live at the last freeze is refused too,
+// deleted since or not: an OID names one object, and the head's readers
+// may still hold the one it named.
 //
-// The decoded tuple is not kept: the directory entry is pending, and the
-// freeze decodes restored records again — an extent member's page by
-// page, a component's from Store.restored in restore order — so a
-// loaded extent's tuples are laid out in the order its scans visit them;
-// keeping the tuples decoded here, in dump order, costs every later scan
-// of the extent memory locality.
+// The decoded tuple is not kept: the directory entry (and an extent
+// member's place in its list) is pending, and the freeze decodes the
+// restored records again, in restore order, so a loaded extent's tuples
+// are laid out in the order its scans visit them; keeping the tuples
+// decoded here, among the allocations of the restore, costs every later
+// scan of the extent memory locality.
 //
 // extra:requires db.wmu.W
 func (s *Store) RestoreObject(o ExportObject) error {
@@ -79,31 +96,26 @@ func (s *Store) RestoreObject(o ExportObject) error {
 	if !ok {
 		return fmt.Errorf("restore: object %s is not a tuple", o.OID)
 	}
-	so := snapObj{tv: pendingTuple, owner: o.Owner}
+	so := snapObj{tv: pendingTuple, owner: o.Owner, at: uint64(len(s.restored))}
 	if o.Extent != "" {
 		if so.ext = s.extents[o.Extent]; so.ext == nil {
 			return fmt.Errorf("restore: no extent %s", o.Extent)
 		}
 	}
-	// Store the canonical encoding, not the bytes given: a dump written
+	// Keep the canonical encoding, not the bytes given: a dump written
 	// by hand may spell a value in a way Encode never would, and the
-	// snapshot exports by encoding (Snapshot.ExportObjects).
+	// snapshot exports by encoding (exportObjects).
 	enc, err := encode(tv)
 	if err != nil {
 		return err
 	}
-	if so.ext == nil {
-		so.at = uint64(len(s.restored))
-		s.restored = append(s.restored, ExportObject{OID: o.OID, Data: enc})
-	} else {
-		rid, err := so.ext.heap.Insert(enc)
-		if err != nil {
-			return err
-		}
-		so.at = packRID(rid)
+	r := restoredObj{id: o.OID, data: enc}
+	if so.ext != nil {
+		r.pos = s.members(so.ext).append(member{o.OID, pendingTuple})
 		s.indexInsert(o.Extent, o.OID, tv)
 	}
-	s.put(o.OID, so)
+	s.restored = append(s.restored, r)
+	s.dir.set(o.OID, so)
 	s.gen.Advance(o.OID)
 	return nil
 }

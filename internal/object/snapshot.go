@@ -2,8 +2,6 @@ package object
 
 import (
 	"fmt"
-	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/catalog"
@@ -24,116 +22,21 @@ import (
 //
 // The store's object directory is the head snapshot's object map, a
 // persistent trie (objmap.go), under an owner-tagged edit: every object
-// write sets the object's entry in the edit — extent, owner, record RID
-// and the tuple the write stored — and the edit copies only the nodes on
-// the paths it changes. Mutating methods also mark, in the store's dirty
-// sets, the heap page and slot of every extent record written or
-// removed. A freeze seals the edit as the next snapshot's map, in O(1),
-// decoding no record but one Load restored, rebuilds the chunks of the
-// dirty pages, seals the element lists the window wrote (elemList.seal)
+// write sets the object's entry in the edit — extent, owner, list
+// position and the tuple the write stored — and the edit copies only the
+// nodes on the paths it changes. An extent's scan order is its member
+// list, a chunk list (chunks.go) whose edit copies only the chunks the
+// window writes. A freeze seals the directory edit as the next
+// snapshot's map, in O(1), decoding nothing but what Load restored,
+// seals the member and element lists the window wrote (chunkList.seal)
 // and shares everything else with the previous snapshot by reference:
-// an extent's scan view is one immutable chunk per heap page, variables
-// and element lists are the store's working values, and an index tree
-// is frozen with an O(1) path-copying Clone. A dirty page's new chunk
-// stores the records the window wrote and inherits every other member
-// from the page's previous chunk. The cost of a freeze follows the size
-// of the write, not the size of the database. The sharing rests on one
-// invariant: nothing reachable from a frozen Snapshot is mutated, and a
-// node is writable only by the epoch that allocated it.
-
-// pageChunk is the frozen content of one heap page of an object extent:
-// the page's live records in slot order, as the objects' oids and their
-// tuples.
-type pageChunk struct {
-	keys []oid.OID
-	vals []*value.Tuple
-}
-
-// pageBuf is where a freeze builds one page's chunk: the slot walk
-// appends to it, and the chunk takes an exact-size copy, so a chunk a
-// snapshot keeps holds no spare capacity. A freeze reuses one from page
-// to page and drops it when done.
-type pageBuf pageChunk
-
-func (b *pageBuf) add(id oid.OID, tv *value.Tuple) {
-	b.keys, b.vals = append(b.keys, id), append(b.vals, tv)
-}
-
-// chunk returns a copy of the page built and empties the buffer.
-func (b *pageBuf) chunk() *pageChunk {
-	c := &pageChunk{keys: make([]oid.OID, len(b.keys)), vals: make([]*value.Tuple, len(b.vals))}
-	copy(c.keys, b.keys)
-	copy(c.vals, b.vals)
-	clear(b.vals) // hold no value past its page
-	b.keys, b.vals = b.keys[:0], b.vals[:0]
-	return c
-}
-
-// extentSnap is the scan-order view of one object extent: a chunk per
-// data page in HeapFile.Pages order — page order, then slot order,
-// exactly the order a scan of the live heap file visits.
-type extentSnap struct {
-	chunks []*pageChunk
-	n      int // records in all chunks
-}
-
-// pageDirt is what one publication window touched in one extent: the
-// pages holding a record that was written or removed and, per page, the
-// object last marked in each slot (oid.Nil for a slot never marked).
-type pageDirt struct {
-	all   bool                         // created or dropped in the window: no chunk carries over
-	pages map[storage.PageID][]oid.OID // indexed by storage.SlotID
-}
-
-// refresh derives the extent's next view from pv (nil when the extent is
-// new): chunks of the pages in d, and of pages the file has grown by,
-// are rebuilt with freeze, which is handed the page's previous chunk
-// (nil for a page new to the view); every other chunk is shared. The one
-// cost left that follows the extent rather than the write is copying the
-// chunk pointers, 8 bytes per 4 KiB page.
-func (pv *extentSnap) refresh(h *storage.HeapFile, d *pageDirt, freeze func(pid storage.PageID, prev *pageChunk) (*pageChunk, error)) (*extentSnap, error) {
-	pages := h.Pages()
-	nv := &extentSnap{chunks: make([]*pageChunk, len(pages))}
-	put := func(i int) error {
-		old := nv.chunks[i]
-		c, err := freeze(pages[i], old)
-		if err != nil {
-			return err
-		}
-		if old != nil {
-			nv.n -= len(old.keys)
-		}
-		nv.chunks[i] = c
-		nv.n += len(c.keys)
-		return nil
-	}
-	kept := 0
-	if pv != nil && !d.all {
-		// Pages are only ever appended between two DropAlls, and a drop
-		// sets d.all: position i is the same page in both views.
-		kept = copy(nv.chunks, pv.chunks)
-		nv.n = pv.n
-		dirty := make([]storage.PageID, 0, len(d.pages))
-		for pid := range d.pages {
-			dirty = append(dirty, pid)
-		}
-		at := func(pid storage.PageID) int { i, _ := h.PageIndex(pid); return i }
-		slices.SortFunc(dirty, func(a, b storage.PageID) int { return at(a) - at(b) }) // file order
-		for _, pid := range dirty {
-			if i, ok := h.PageIndex(pid); ok && i < kept {
-				if err := put(i); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	for i := kept; i < len(pages); i++ {
-		if err := put(i); err != nil {
-			return nil, err
-		}
-	}
-	return nv, nil
-}
+// variables are the store's working values, and an index tree is frozen
+// with an O(1) path-copying Clone. The next snapshot stores the chunks
+// its window wrote and inherits the rest. The cost of a freeze follows
+// the size of the write, not the size of the database. The sharing
+// rests on one invariant: nothing reachable from a frozen Snapshot is
+// mutated, and a node or chunk is writable only by the window that
+// copied it.
 
 // Snapshot is an immutable view of the store at one version: the data,
 // and the frozen catalog and grant table that describe it. All methods
@@ -144,7 +47,7 @@ type Snapshot struct {
 	version uint64
 	cat     *catalog.Catalog
 	objs    *objMap
-	extents map[string]*extentSnap
+	extents map[string]*memberList
 	elems   map[string]*elemList
 	vars    map[string]value.Value
 	indexes map[string]*storage.BTree
@@ -171,16 +74,15 @@ func (sn *Snapshot) Exists(id oid.OID) bool {
 	return ok
 }
 
-// ScanExtent iterates the extent's objects in the heap order the live
-// store would visit them.
+// ScanExtent iterates the extent's objects in its member list's order.
 func (sn *Snapshot) ScanExtent(extent string, fn func(id oid.OID, tv *value.Tuple) error) error {
-	es, ok := sn.extents[extent]
+	l, ok := sn.extents[extent]
 	if !ok {
 		return fmt.Errorf("no object extent %s", extent)
 	}
-	for _, c := range es.chunks {
-		for i, id := range c.keys {
-			if err := fn(id, c.vals[i]); err != nil {
+	for _, c := range l.chunks { // sealed: no deleted member
+		for _, m := range c {
+			if err := fn(m.id, m.tv); err != nil {
 				return err
 			}
 		}
@@ -190,11 +92,11 @@ func (sn *Snapshot) ScanExtent(extent string, fn func(id oid.OID, tv *value.Tupl
 
 // ExtentLen returns the number of objects in an object-set extent.
 func (sn *Snapshot) ExtentLen(extent string) (int, error) {
-	es, ok := sn.extents[extent]
+	l, ok := sn.extents[extent]
 	if !ok {
 		return 0, fmt.Errorf("no object extent %s", extent)
 	}
-	return es.n, nil
+	return l.n, nil
 }
 
 // ScanElems iterates a ref-set or value-set extent, handing out each
@@ -251,30 +153,10 @@ func (sn *Snapshot) IndexLookup(ix *catalog.Index, lo, hi []byte, incLo, incHi b
 	return out
 }
 
-// ExportObjects returns every object live at the snapshot in the same
-// stable order Store.ExportObjects uses (extent name, then OID). The
-// snapshot keeps no encoded form: every record the store holds was
-// written by codec.Encode (RestoreObject re-encodes what it is given),
-// and Encode(DecodeOne(b)) == b for such b, so encoding the frozen tuple
-// here gives the bytes on the heap page and a snapshot-backed dump is
-// byte-identical to a quiesced live dump of the same version.
+// ExportObjects returns every object live at the snapshot, encoded, in
+// the order Store.ExportObjects gives (exportObjects).
 func (sn *Snapshot) ExportObjects() ([]ExportObject, error) {
-	out := make([]ExportObject, 0, sn.objs.n)
-	var err error
-	sn.objs.each(func(id oid.OID, so snapObj) {
-		enc, eerr := encode(so.tv)
-		if eerr != nil && err == nil {
-			err = fmt.Errorf("export %s: %w", id, eerr)
-		}
-		out = append(out, ExportObject{Extent: so.extentName(), OID: id, Owner: so.owner, Data: enc})
-	})
-	if err != nil {
-		return nil, err
-	}
-	// each visits in OID order; a stable sort on the extent keeps it
-	// within each extent.
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Extent < out[j].Extent })
-	return out, nil
+	return exportObjects(sn.objs, nil)
 }
 
 // ExportElems returns the encoded elements of a ref/value-set extent as
@@ -314,21 +196,22 @@ func (s *Store) Snapshot() *Snapshot {
 // SetMetrics attaches the engine metrics registry; every freeze that
 // finds work then records mvcc.commit.freeze (time to build the
 // snapshot), mvcc.commit.dirty_objs (directory entries the window wrote
-// or removed, which it sealed), mvcc.commit.dirty_pages (heap pages
-// whose slots it walked) and mvcc.commit.decoded (records it decoded:
-// the objects Load restored, which alone have no working value yet),
-// and every publication the mvcc.version gauge.
+// or removed, and those the freeze re-pointed, which it sealed),
+// mvcc.commit.dirty_chunks (member-list chunks the window wrote, which
+// it sealed) and mvcc.commit.decoded (records it decoded: the objects
+// Load restored, which alone have no working value yet), and every
+// publication the mvcc.version gauge.
 // A write statement freezes once (in its Commit) unless it is a
 // procedure call, whose body statements each take a View. The counts
 // are of work done, not of marks found, so a freeze that did more than
 // its write called for shows here.
 func (s *Store) SetMetrics(reg *metrics.Registry) {
 	s.obs.Store(&commitObs{
-		freeze:     reg.Histogram("mvcc.commit.freeze"),
-		dirtyObjs:  reg.CountHistogram("mvcc.commit.dirty_objs"),
-		dirtyPages: reg.CountHistogram("mvcc.commit.dirty_pages"),
-		decoded:    reg.CountHistogram("mvcc.commit.decoded"),
-		version:    reg.Gauge("mvcc.version"),
+		freeze:      reg.Histogram("mvcc.commit.freeze"),
+		dirtyObjs:   reg.CountHistogram("mvcc.commit.dirty_objs"),
+		dirtyChunks: reg.CountHistogram("mvcc.commit.dirty_chunks"),
+		decoded:     reg.CountHistogram("mvcc.commit.decoded"),
+		version:     reg.Gauge("mvcc.version"),
 	})
 }
 
@@ -336,44 +219,11 @@ func (s *Store) SetMetrics(reg *metrics.Registry) {
 // stored state: an atomic pointer, so attaching takes no lock and bumps
 // no version.
 type commitObs struct {
-	freeze, dirtyObjs, dirtyPages, decoded *metrics.Histogram
-	version                                *metrics.Gauge
+	freeze, dirtyObjs, dirtyChunks, decoded *metrics.Histogram
+	version                                 *metrics.Gauge
 }
 
-func dirtOf(m map[string]*pageDirt, name string) *pageDirt {
-	d := m[name]
-	if d == nil {
-		d = &pageDirt{pages: make(map[storage.PageID][]oid.OID)}
-		m[name] = d
-	}
-	return d
-}
-
-// put writes id's directory entry and, for an extent member, marks the
-// slot its record is in with id, so the next freeze puts the entry's
-// tuple in that slot's place in its page's chunk. Every write of an
-// extent record puts the entry that names its slot; a freeze relies on
-// that to take every unmarked slot's member from the previous chunk. A
-// write that may move or remove the record puts the entry first, while
-// it still names the old slot, and again once the record has moved.
-func (s *Store) put(id oid.OID, so snapObj) {
-	s.dir.set(id, so)
-	if so.ext == nil {
-		return
-	}
-	rid := so.rid()
-	d := dirtOf(s.dirtyExts, so.ext.name)
-	slots := d.pages[rid.Page]
-	if n := int(rid.Slot) + 1; len(slots) < n {
-		slots = append(slots, make([]oid.OID, n-len(slots))...)
-	}
-	slots[rid.Slot] = id
-	d.pages[rid.Page] = slots
-}
-
-// markExtent records that an extent was created or dropped.
-func (s *Store) markExtent(name string) { dirtOf(s.dirtyExts, name).all = true }
-func (s *Store) markIndexes()           { s.dirtyIdx = true }
+func (s *Store) markIndexes() { s.dirtyIdx = true }
 
 // View returns the store's current state as an immutable snapshot
 // without publishing it: what changed since the last freeze is frozen on
@@ -419,21 +269,22 @@ func (s *Store) Commit() (published bool, err error) {
 }
 
 // freeze seals the directory as the next head's object map and builds
-// the rest of the head from the dirty sets: the dirty pages of each
-// extent get fresh chunks in its scan view, the element lists the window
-// wrote are sealed, the catalog is frozen if it changed, and everything
-// else is shared. The directory already holds every object the window
-// wrote; the freeze only decodes the pending entries Load restored, and
+// the rest of the head from what the window dirtied: the member lists it
+// wrote are sealed, and the directory entries of the members their
+// compaction moved re-pointed; the element lists it wrote are sealed;
+// the catalog is frozen if it changed; and everything else is shared.
+// The directory already holds every object the window wrote; the freeze
+// only decodes the pending entries Load restored, in restore order, and
 // then reallocates the directory's new leaves in one run
 // (objEdit.regroup). No-op when nothing changed since the last freeze.
-// On error the head and the dirty sets are left as they were, so the
-// next freeze redoes the work.
+// On error the head is left as it was, so the next freeze redoes the
+// work.
 //
 // extra:requires db.wmu.W
 // extra:bumps
 func (s *Store) freeze() error {
 	catEdited := s.cat.Edits() != s.catEdits
-	if s.dir.written == 0 && len(s.dirtyExts) == 0 && !s.valsOwned &&
+	if s.dir.written == 0 && !s.dirtyExts && !s.valsOwned &&
 		!s.dirtyIdx && !catEdited {
 		return nil
 	}
@@ -448,55 +299,51 @@ func (s *Store) freeze() error {
 		cat = s.cat.Freeze()
 	}
 
-	// Restored components, which no scan view holds, decode here, in
-	// the order restored; extent members decode below, with the page
-	// they are on.
-	workPages, decoded := 0, 0
+	decoded := 0
 	for _, r := range s.restored {
-		so, live := s.dir.get(r.OID)
+		so, live := s.dir.get(r.id)
 		if !live || !so.pending() {
 			continue
 		}
-		tv, err := s.readRecord(r.OID, so)
+		tv, err := decodeTuple(r.id, r.data, s.cat)
 		if err != nil {
 			return err
 		}
 		decoded++
 		so.tv = tv
-		s.dir.set(r.OID, so)
+		if so.ext != nil {
+			so.at = uint64(r.pos)
+			if err := s.members(so.ext).set(r.pos, member{r.id, tv}); err != nil {
+				return err
+			}
+		}
+		s.dir.set(r.id, so)
 	}
-	var buf pageBuf
 
-	// Dropped entries disappear by not being carried over: the carry
-	// loops skip dirty names, and the rebuild loops skip names no longer
-	// live in the working state.
-	exts := make(map[string]*extentSnap, len(prev.extents)+len(s.dirtyExts))
-	for k, v := range prev.extents {
-		if _, dirty := s.dirtyExts[k]; !dirty {
-			exts[k] = v
+	exts, chunks := prev.extents, 0
+	if s.dirtyExts {
+		exts = make(map[string]*memberList, len(s.extents))
+		for _, name := range sortedKeys(s.extents) {
+			x := s.extents[name]
+			if x.members.mine != nil {
+				for _, wrote := range x.members.mine {
+					if wrote {
+						chunks++
+					}
+				}
+				x.members = x.members.seal(func(pos int, m member) {
+					so, _ := s.dir.get(m.id)
+					so.at = uint64(pos)
+					s.dir.set(m.id, so)
+				})
+			}
+			exts[name] = x.members
 		}
-	}
-	for _, name := range sortedKeys(s.dirtyExts) {
-		x, live := s.extents[name]
-		if !live {
-			continue
-		}
-		d := s.dirtyExts[name]
-		es, err := prev.extents[name].refresh(x.heap, d, func(pid storage.PageID, pc *pageChunk) (*pageChunk, error) {
-			workPages++
-			c, dec, err := s.freezeExtentPage(&buf, x, pid, d.pages[pid], pc)
-			decoded += dec
-			return c, err
-		})
-		if err != nil {
-			return err
-		}
-		exts[name] = es
 	}
 	if s.valsOwned {
 		for name, l := range s.elems {
 			if l.mine != nil {
-				s.elems[name] = l.seal()
+				s.elems[name] = l.seal(nil)
 			}
 		}
 	}
@@ -529,91 +376,14 @@ func (s *Store) freeze() error {
 	s.dir = s.head.objs.edit()
 	s.restored = nil
 	s.valsOwned = false
+	s.dirtyExts = false
+	s.dirtyIdx = false
 	s.catEdits = s.cat.Edits()
 	if o := s.obs.Load(); o != nil {
 		o.freeze.Observe(time.Since(start))
 		o.dirtyObjs.ObserveCount(workObjs)
-		o.dirtyPages.ObserveCount(workPages)
+		o.dirtyChunks.ObserveCount(chunks)
 		o.decoded.ObserveCount(decoded)
 	}
-	clear(s.dirtyExts)
-	s.dirtyIdx = false
 	return nil
-}
-
-// freezeExtentPage builds the chunk of one page of extent x by walking
-// the page's slot directory under one pin, copying no record. A slot
-// marked in the window (slots, indexed by slot id) holds the record of
-// the object named there, which contributes its directory entry's
-// tuple; only a pending entry, one Load restored, is decoded, straight
-// from the pinned page (an overflow record once the walk is done), and
-// the directory takes the decoded tuple. Any other live slot holds a
-// record the window did not write, which is still the record it held at
-// the last freeze, since slot ids are stable and every write marks its
-// slot: it is the next member of the previous chunk whose entry the
-// window neither wrote nor removed. So only written records cost a
-// lookup; Load's bulk commit, where there is no previous chunk and
-// every slot is marked, takes the same path and lays the decoded tuples
-// out in scan order. It also returns how many records it decoded.
-func (s *Store) freezeExtentPage(b *pageBuf, x *objExtent, pid storage.PageID, slots []oid.OID, prev *pageChunk) (*pageChunk, int, error) {
-	// The page's live slots are members of prev the window left alone
-	// and slots it marked, so this bounds them.
-	n := len(slots)
-	if prev != nil {
-		n += len(prev.keys)
-	}
-	b.keys, b.vals = slices.Grow(b.keys, n), slices.Grow(b.vals, n)
-	var spilled []int     // chunk positions of restored overflow records
-	decoded, next := 0, 0 // next: the previous chunk's next member to consider
-	err := x.heap.WalkPage(pid, func(sl storage.SlotID, rec []byte) error {
-		rid := storage.RID{Page: pid, Slot: sl}
-		if int(sl) < len(slots) && !slots[sl].IsNil() {
-			id := slots[sl]
-			so, live := s.dir.get(id)
-			if !live || so.ext != x || so.rid() != rid {
-				return fmt.Errorf("extent %s: record %s is marked for %s, which is not there", x.name, rid, id)
-			}
-			tv := so.tv
-			if so.pending() && rec == nil {
-				spilled, tv = append(spilled, len(b.keys)), nil
-			} else if so.pending() {
-				var err error
-				if tv, err = decodeTuple(id, rec, s.cat); err != nil {
-					return err
-				}
-				decoded++
-				so.tv = tv
-				s.dir.set(id, so)
-			}
-			b.add(id, tv)
-			return nil
-		}
-		for prev != nil && next < len(prev.keys) {
-			if _, live, wrote := s.dir.lookup(prev.keys[next]); live && !wrote {
-				break
-			}
-			next++
-		}
-		if prev == nil || next == len(prev.keys) {
-			return fmt.Errorf("extent %s: record %s was not written and has no previous member", x.name, rid)
-		}
-		b.add(prev.keys[next], prev.vals[next])
-		next++
-		return nil
-	})
-	for k := 0; err == nil && k < len(spilled); k++ {
-		i := spilled[k]
-		id := b.keys[i]
-		so, _ := s.dir.get(id)
-		if b.vals[i], err = s.readRecord(id, so); err == nil {
-			so.tv = b.vals[i]
-			s.dir.set(id, so)
-			decoded++
-		}
-	}
-	c := b.chunk() // empties the buffer, on error too
-	if err != nil {
-		return nil, 0, err
-	}
-	return c, decoded, nil
 }

@@ -3,7 +3,7 @@
 // owned components of other objects, plus the three attribute-value
 // semantics of the paper:
 //
-//   - own: a value embedded in its parent record; no identity, deep-copied
+//   - own: a value embedded in its parent object; no identity, deep-copied
 //     on assignment, destroyed with the parent;
 //   - ref: a shared reference to an independent object; deleting the
 //     referent leaves the reference dangling, and dangling references
@@ -16,11 +16,14 @@
 //
 // The store has one object directory: the working state is an edit of
 // the head snapshot's OID trie, whose entry per object holds its extent,
-// owner, working tuple and, for an extent member, record RID. Only
-// extent members have records: codec encodings on their extent's heap
-// pages, which set its scan order. A component is its entry alone, and
-// variables and element sets are working values. No write and no freeze
-// reads a record back, except one Load restored (see working).
+// owner, working tuple and, for an extent member, its position in the
+// extent's member list, a chunk list (chunks.go) that sets the extent's
+// scan order. A component is its entry alone, and variables and element
+// sets are working values. The store keeps no encoded copy of an
+// object: every write encodes its value, so the codec refuses what it
+// cannot store at the write, and drops the bytes. Only what Load
+// restored is kept encoded, until the next freeze decodes it (see
+// working).
 package object
 
 import (
@@ -35,11 +38,11 @@ import (
 	"repro/internal/value"
 )
 
-// objExtent is an object-set extent: its heap file and the name that
-// the directory entries of its members point at.
+// objExtent is an object-set extent: its working member list and the
+// name that the directory entries of its members point at.
 type objExtent struct {
-	name string
-	heap *storage.HeapFile
+	name    string
+	members *memberList // the head's until the window's first write (Store.members)
 }
 
 // Store is the object store. Its concurrency contract matches the
@@ -54,7 +57,6 @@ type objExtent struct {
 // phase, the store's own bookkeeping and the tests' oracles; no
 // statement's read phase uses them.
 type Store struct {
-	pool    *storage.BufferPool
 	cat     *catalog.Catalog
 	gen     *oid.Generator
 	extents map[string]*objExtent // object-set extents
@@ -74,11 +76,11 @@ type Store struct {
 	// object's entry here, with the tuple the write stored — the
 	// store-owned, internalized value — so nothing mutates a tuple once
 	// stored. A freeze seals dir as the next head's map and opens a new
-	// edit of it. restored holds the own-ref components RestoreObject
-	// wrote since the last freeze, whose entries are pending (see
-	// working), each with its canonical record.
+	// edit of it. restored holds the objects RestoreObject wrote since
+	// the last freeze, whose entries are pending (see working), each
+	// with its canonical record.
 	dir      *objEdit
-	restored []ExportObject
+	restored []restoredObj
 
 	// enc is the buffer every write encodes into (encodeRecord).
 	enc []byte
@@ -95,15 +97,15 @@ type Store struct {
 	// snap is the latest published immutable snapshot; readers load it
 	// once per statement and never look at the working state above. head
 	// is the latest frozen one: snap, or a newer snapshot View froze that
-	// the next Commit publishes. The dirty sets record what changed since
-	// the last freeze besides the directory and the value maps — per
-	// extent the heap pages written, and the indexes — so a freeze
-	// refreshes only touched state. head and the dirty sets are guarded
-	// by the same write lock as the maps; snap itself is atomic.
+	// the next Commit publishes. The dirty flags record what changed
+	// since the last freeze besides the directory and the value maps —
+	// the object extents (created, dropped or written) and the indexes —
+	// so a freeze refreshes only touched state. head and the flags are
+	// guarded by the same write lock as the maps; snap itself is atomic.
 	snap      atomic.Pointer[Snapshot]
 	head      *Snapshot
 	catEdits  uint64 // cat.Edits() when head's catalog was frozen
-	dirtyExts map[string]*pageDirt
+	dirtyExts bool
 	dirtyIdx  bool
 
 	obs atomic.Pointer[commitObs] // where Commit reports; nil until SetMetrics
@@ -116,26 +118,25 @@ func (s *Store) Version() uint64 { return s.version.Load() }
 
 func (s *Store) bump() { s.version.Add(1) }
 
-// New creates an object store over the pool, resolving types through the
-// catalog.
-func New(pool *storage.BufferPool, cat *catalog.Catalog) *Store {
+// New creates an object store, resolving types through the catalog. The
+// store keeps no page; the pool parameter is unused and stays only for
+// the repository benchmark's callers (ROADMAP item 1(f)/12).
+func New(_ *storage.BufferPool, cat *catalog.Catalog) *Store {
 	s := &Store{
-		pool:      pool,
-		cat:       cat,
-		gen:       &oid.Generator{},
-		extents:   make(map[string]*objExtent),
-		varOID:    make(map[string]oid.OID),
-		varVals:   make(map[string]value.Value),
-		elems:     make(map[string]*elemList),
-		dirtyExts: make(map[string]*pageDirt),
-		catEdits:  cat.Edits(),
+		cat:      cat,
+		gen:      &oid.Generator{},
+		extents:  make(map[string]*objExtent),
+		varOID:   make(map[string]oid.OID),
+		varVals:  make(map[string]value.Value),
+		elems:    make(map[string]*elemList),
+		catEdits: cat.Edits(),
 	}
 	// Publish the empty snapshot so readers of a fresh database have a
 	// valid (empty) view before the first commit.
 	s.head = &Snapshot{
 		cat:     cat.Freeze(),
 		objs:    &objMap{},
-		extents: map[string]*extentSnap{},
+		extents: map[string]*memberList{},
 		elems:   s.elems,
 		vars:    s.varVals,
 		indexes: map[string]*storage.BTree{},
@@ -145,34 +146,34 @@ func New(pool *storage.BufferPool, cat *catalog.Catalog) *Store {
 	return s
 }
 
-// Pool returns the underlying buffer pool (for stats and benchmarks).
-func (s *Store) Pool() *storage.BufferPool { return s.pool }
-
 // Catalog returns the working catalog, which write statements edit and
 // Commit publishes frozen. Readers use their snapshot's catalog instead.
 func (s *Store) Catalog() *catalog.Catalog { return s.cat }
 
 // InitVar provisions storage for a newly created database variable.
-// Object-set extents get a heap file; ref/value sets get an empty
-// element list; singletons and arrays get a working value initialized
-// to null (or an array of nulls for fixed arrays).
+// Object-set extents get an empty member list; ref/value sets get an
+// empty element list; singletons get a working value initialized to
+// null, and arrays an array: empty, or of nulls for fixed arrays.
 //
 // extra:requires db.wmu.W
 func (s *Store) InitVar(v *catalog.Variable) error {
 	s.bump()
 	switch {
 	case v.IsObjectSet():
-		s.extents[v.Name] = &objExtent{name: v.Name, heap: storage.NewHeapFile(s.pool)}
-		s.markExtent(v.Name)
+		s.extents[v.Name] = &objExtent{name: v.Name, members: &memberList{}}
+		s.dirtyExts = true
 	case v.IsRefSet() || v.IsValueSet():
 		s.writeVals()
 		s.elems[v.Name] = &elemList{}
 	default:
 		var init value.Value = value.Null{}
-		if at, ok := v.Comp.Type.(*types.Array); ok && at.Fixed {
-			arr := &value.Array{Fixed: true, Elems: make([]value.Value, at.Len)}
-			for i := range arr.Elems {
-				arr.Elems[i] = value.Null{}
+		if at, ok := v.Comp.Type.(*types.Array); ok {
+			arr := &value.Array{Fixed: at.Fixed}
+			if at.Fixed {
+				arr.Elems = make([]value.Value, at.Len)
+				for i := range arr.Elems {
+					arr.Elems[i] = value.Null{}
+				}
 			}
 			init = arr
 		}
@@ -194,26 +195,19 @@ func (s *Store) DropVar(v *catalog.Variable) error {
 		if x == nil {
 			return nil
 		}
-		// Delete in oid order, the directory's: where the deletions
-		// leave free space must not differ between a run and its WAL
-		// replay.
 		var ids []oid.OID
-		s.dir.m.each(func(id oid.OID, so snapObj) {
-			if so.ext == x {
-				ids = append(ids, id)
-			}
+		x.members.each(func(_ int, m member) error {
+			ids = append(ids, m.id)
+			return nil
 		})
 		for _, id := range ids {
 			if err := s.Delete(id); err != nil {
 				return err
 			}
 		}
-		// Only now: an extent whose drop failed half-way is still live,
-		// and the next commit must freeze its pages from the marks the
-		// deletes left, not as if they were new.
-		s.markExtent(v.Name)
 		delete(s.extents, v.Name)
-		return x.heap.DropAll()
+		s.dirtyExts = true
+		return nil
 	case v.IsRefSet() || v.IsValueSet():
 		s.writeVals()
 		delete(s.elems, v.Name)
@@ -236,11 +230,11 @@ func (s *Store) DropVar(v *catalog.Variable) error {
 // ---------------------------------------------------------------------------
 // Object-set extents
 
-// Insert adds a new object to an object-set extent. The tuple's nested
-// own-ref components are internalized: embedded tuple values become owned
-// component objects referenced by OID, and pre-existing references are
-// claimed (failing if already owned elsewhere). The tuple value passed in
-// is not retained.
+// Insert adds a new object to an object-set extent, at the tail of its
+// member list. The tuple's nested own-ref components are internalized:
+// embedded tuple values become owned component objects referenced by
+// OID, and pre-existing references are claimed (failing if already
+// owned elsewhere). The tuple value passed in is not retained.
 //
 // extra:requires db.wmu.W
 func (s *Store) Insert(extent string, tv *value.Tuple) (oid.OID, error) {
@@ -255,20 +249,34 @@ func (s *Store) Insert(extent string, tv *value.Tuple) (oid.OID, error) {
 	if err != nil {
 		return oid.Nil, err
 	}
-	if err := s.checkUnique(extent, id, iv.(*value.Tuple)); err != nil {
+	nt := iv.(*value.Tuple)
+	if err := s.checkUnique(extent, id, nt); err != nil {
 		return oid.Nil, err
 	}
-	enc, err := s.encodeRecord(iv)
-	if err != nil {
+	if _, err := s.encodeRecord(nt); err != nil {
 		return oid.Nil, err
 	}
-	rid, err := x.heap.Insert(enc)
-	if err != nil {
-		return oid.Nil, err
-	}
-	s.put(id, snapObj{tv: iv.(*value.Tuple), ext: x, at: packRID(rid)})
-	s.indexInsert(extent, id, iv.(*value.Tuple))
+	pos := s.members(x).append(member{id, nt})
+	s.dir.set(id, snapObj{tv: nt, ext: x, at: uint64(pos)})
+	s.indexInsert(extent, id, nt)
 	return id, nil
+}
+
+// members returns x's working member list, which the window may write.
+func (s *Store) members(x *objExtent) *memberList {
+	if x.members.mine == nil {
+		x.members = x.members.edit()
+		s.dirtyExts = true
+	}
+	return x.members
+}
+
+// pos returns the position of an extent member in its member list.
+func (s *Store) pos(so snapObj) int {
+	if so.pending() {
+		return s.restored[so.at].pos
+	}
+	return int(so.at)
 }
 
 // Get fetches an object by OID: a copy of its working value, which the
@@ -295,26 +303,14 @@ func (s *Store) working(id oid.OID, so snapObj) (*value.Tuple, error) {
 	if !so.pending() {
 		return so.tv, nil
 	}
-	return s.readRecord(id, so)
-}
-
-// readRecord decodes the record of a live object: an extent member's
-// from its heap, a pending component's from where RestoreObject kept it.
-func (s *Store) readRecord(id oid.OID, so snapObj) (*value.Tuple, error) {
-	if so.ext == nil {
-		return decodeTuple(id, s.restored[so.at].Data, s.cat)
-	}
-	rec, err := so.ext.heap.Get(so.rid())
-	if err != nil {
-		return nil, err
-	}
-	return decodeTuple(id, rec, s.cat)
+	return decodeTuple(id, s.restored[so.at].data, s.cat)
 }
 
 // encodeRecord encodes v into the store's one reusable buffer; the bytes
-// are valid until the next call. A write that stores no record encodes
-// too: a value the codec refuses (an ADT with no storage codec) is
-// refused when it is written, not when a dump or the log meets it.
+// are valid until the next call. Every write encodes what it stores and
+// keeps none of it: a value the codec refuses (an ADT with no storage
+// codec) is refused when it is written, not when a dump or the log
+// meets it.
 func (s *Store) encodeRecord(v value.Value) ([]byte, error) {
 	enc, err := codec.Encode(s.enc[:0], v)
 	if err != nil {
@@ -325,7 +321,7 @@ func (s *Store) encodeRecord(v value.Value) ([]byte, error) {
 }
 
 // decodeTuple decodes an object record. The tuple shares nothing with
-// rec, which may be a buffer-pool frame.
+// rec.
 func decodeTuple(id oid.OID, rec []byte, cat *catalog.Catalog) (*value.Tuple, error) {
 	v, err := codec.DecodeOne(rec, cat)
 	if err != nil {
@@ -344,10 +340,10 @@ func (s *Store) Exists(id oid.OID) bool {
 	return ok
 }
 
-// Delete destroys an object: removes an extent member's record from its
-// heap, destroys every own-ref component it owns (recursively), and
-// removes its index entries, once the heap delete has succeeded.
-// References elsewhere are left dangling and read as null.
+// Delete destroys an object: removes an extent member from its member
+// list and its index entries, and destroys every own-ref component it
+// owns (recursively). References elsewhere are left dangling and read
+// as null.
 //
 // extra:requires db.wmu.W
 func (s *Store) Delete(id oid.OID) error {
@@ -356,13 +352,12 @@ func (s *Store) Delete(id oid.OID) error {
 	if !ok {
 		return fmt.Errorf("delete of missing object %s", id)
 	}
-	s.put(id, so) // while the entry still names the record's slot
 	tv, err := s.working(id, so)
 	if err != nil {
 		return err
 	}
 	if so.ext != nil {
-		if err := so.ext.heap.Delete(so.rid()); err != nil {
+		if err := s.members(so.ext).delete(s.pos(so)); err != nil {
 			return err
 		}
 		s.indexDelete(so.ext.name, id, tv)
@@ -372,11 +367,10 @@ func (s *Store) Delete(id oid.OID) error {
 	return s.destroyOwned(comp, tv)
 }
 
-// Update rewrites an object's stored value (and an extent member's
-// record). Own-ref components removed by the update are destroyed;
-// components added are created or claimed. Index entries are touched
-// only after the heap write has succeeded, and only in indexes whose key
-// for the object changed.
+// Update rewrites an object's stored value; an extent member keeps its
+// place in its member list. Own-ref components removed by the update
+// are destroyed; components added are created or claimed. Index entries
+// are touched only in indexes whose key for the object changed.
 //
 // extra:requires db.wmu.W
 func (s *Store) Update(id oid.OID, tv *value.Tuple) error {
@@ -385,7 +379,6 @@ func (s *Store) Update(id oid.OID, tv *value.Tuple) error {
 	if !ok {
 		return fmt.Errorf("update of missing object %s", id)
 	}
-	s.put(id, so) // the record's slot, which it may leave
 	old, err := s.working(id, so)
 	if err != nil {
 		return err
@@ -398,34 +391,32 @@ func (s *Store) Update(id oid.OID, tv *value.Tuple) error {
 	if err != nil {
 		return err
 	}
+	nt := iv.(*value.Tuple)
 	newOwned := map[oid.OID]bool{}
-	collectOwned(comp, iv, newOwned)
+	collectOwned(comp, nt, newOwned)
 
 	if so.ext != nil {
-		if err := s.checkUnique(so.ext.name, id, iv.(*value.Tuple)); err != nil {
+		if err := s.checkUnique(so.ext.name, id, nt); err != nil {
 			return err
 		}
 	}
-	enc, err := s.encodeRecord(iv)
-	if err != nil {
+	if _, err := s.encodeRecord(nt); err != nil {
 		return err
-	}
-	var werr error
-	nat := so.at
-	if so.ext != nil {
-		nrid, err := so.ext.heap.Update(so.rid(), enc)
-		if nrid.IsNil() {
-			return err // the record is unchanged
-		}
-		nat, werr = packRID(nrid), err
 	}
 	// Re-read the entry: internalizing wrote the entries of the
 	// components it claimed, which may include this one's owner.
 	so, _ = s.dir.get(id)
-	so.tv, so.at = iv.(*value.Tuple), nat
-	s.put(id, so) // the slot the record is in now
 	if so.ext != nil {
-		s.indexMove(so.ext.name, id, old, iv.(*value.Tuple))
+		pos := s.pos(so)
+		if err := s.members(so.ext).set(pos, member{id, nt}); err != nil {
+			return err
+		}
+		so.at = uint64(pos)
+	}
+	so.tv = nt
+	s.dir.set(id, so)
+	if so.ext != nil {
+		s.indexMove(so.ext.name, id, old, nt)
 	}
 	// Destroy components that fell out of the object.
 	for old := range oldOwned {
@@ -437,5 +428,5 @@ func (s *Store) Update(id oid.OID, tv *value.Tuple) error {
 			}
 		}
 	}
-	return werr
+	return nil
 }

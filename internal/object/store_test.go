@@ -7,7 +7,6 @@ import (
 	"repro/internal/adt"
 	"repro/internal/catalog"
 	"repro/internal/oid"
-	"repro/internal/storage"
 	"repro/internal/types"
 	"repro/internal/value"
 )
@@ -23,7 +22,7 @@ type fixture struct {
 func newFixture(t *testing.T) *fixture {
 	t.Helper()
 	cat := catalog.New(adt.NewRegistry())
-	f := &fixture{cat: cat, store: New(storage.NewBufferPool(storage.NewMemStore(), 128), cat)}
+	f := &fixture{cat: cat, store: New(nil, cat)}
 	f.definePeople(t)
 	return f
 }
@@ -222,8 +221,7 @@ func TestUpdateOwnedDiff(t *testing.T) {
 
 func TestCharPaddingOnStore(t *testing.T) {
 	cat := catalog.New(adt.NewRegistry())
-	pool := storage.NewBufferPool(storage.NewMemStore(), 16)
-	store := New(pool, cat)
+	store := New(nil, cat)
 	tt := types.MustTupleType("Padded", nil, []types.Attr{
 		{Name: "code", Comp: types.Component{Mode: types.Own, Type: types.Char(4)}},
 	})
@@ -254,8 +252,7 @@ func TestCharPaddingOnStore(t *testing.T) {
 
 func TestIntRangeChecked(t *testing.T) {
 	cat := catalog.New(adt.NewRegistry())
-	pool := storage.NewBufferPool(storage.NewMemStore(), 16)
-	store := New(pool, cat)
+	store := New(nil, cat)
 	tt := types.MustTupleType("Narrow", nil, []types.Attr{
 		{Name: "b", Comp: types.Component{Mode: types.Own, Type: types.Int1}},
 	})

@@ -3,8 +3,6 @@ package object
 import (
 	"fmt"
 	"maps"
-	"slices"
-	"strings"
 
 	"repro/internal/codec"
 	"repro/internal/oid"
@@ -73,85 +71,6 @@ func (s *Store) SetVar(name string, nv value.Value) error {
 // ---------------------------------------------------------------------------
 // Element extents: sets of references and sets of plain values.
 
-// elemChunkLen is the most elements one chunk of an element list holds.
-const elemChunkLen = 256
-
-// elemList is a ref-set or value-set extent: its elements in scan order,
-// in chunks of at most elemChunkLen; an element's position is its
-// chunk's index times elemChunkLen plus its index in the chunk. A
-// snapshot's list is immutable. A window that writes the extent works on
-// a copy of the head's chunk list (writeElem) and copies each chunk on
-// its first write to it (mine). An append goes to the tail chunk; a
-// delete leaves nil in its element's place, so positions a scan of the
-// head handed out stay valid until the freeze compacts the chunk (seal).
-type elemList struct {
-	chunks [][]value.Value
-	n      int    // live elements
-	mine   []bool // per chunk: copied by the window; nil unless the window copied the list
-}
-
-// each visits the live elements in scan order.
-func (l *elemList) each(fn func(pos int, v value.Value) error) error {
-	for ci, c := range l.chunks {
-		for i, v := range c {
-			if v == nil {
-				continue // deleted in the window
-			}
-			if err := fn(ci*elemChunkLen+i, v); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// chunk returns chunk ci, copying it first if the window has not.
-func (l *elemList) chunk(ci int) []value.Value {
-	if !l.mine[ci] {
-		c := make([]value.Value, len(l.chunks[ci]), elemChunkLen)
-		copy(c, l.chunks[ci])
-		l.chunks[ci], l.mine[ci] = c, true
-	}
-	return l.chunks[ci]
-}
-
-func (l *elemList) append(v value.Value) {
-	if len(l.chunks) == 0 || len(l.chunks[len(l.chunks)-1]) == elemChunkLen {
-		l.chunks, l.mine = append(l.chunks, nil), append(l.mine, false)
-	}
-	last := len(l.chunks) - 1
-	l.chunks[last] = append(l.chunk(last), v)
-	l.n++
-}
-
-func (l *elemList) delete(pos int) error {
-	ci, i := pos/elemChunkLen, pos%elemChunkLen
-	if pos < 0 || ci >= len(l.chunks) || i >= len(l.chunks[ci]) || l.chunks[ci][i] == nil {
-		return fmt.Errorf("no element at position %d", pos)
-	}
-	l.chunk(ci)[i] = nil
-	l.n--
-	return nil
-}
-
-// seal returns the list as the next snapshot holds it: the chunks the
-// window wrote compacted to exactly their live elements, and empty ones
-// dropped; every other chunk shared. l is the window's, and spent.
-func (l *elemList) seal() *elemList {
-	chunks := l.chunks[:0]
-	for ci, c := range l.chunks {
-		if l.mine[ci] {
-			if c = slices.DeleteFunc(c, func(v value.Value) bool { return v == nil }); len(c) < cap(c) {
-				c = append(make([]value.Value, 0, len(c)), c...)
-			}
-		}
-		if len(c) > 0 {
-			chunks = append(chunks, c)
-		}
-	}
-	return &elemList{chunks: chunks, n: l.n}
-}
-
 // writeElem returns the working list of an element extent, which the
 // window may write.
 func (s *Store) writeElem(extent string) (*elemList, error) {
@@ -160,50 +79,38 @@ func (s *Store) writeElem(extent string) (*elemList, error) {
 		return nil, fmt.Errorf("no element extent %s", extent)
 	}
 	if l.mine == nil {
-		l = &elemList{chunks: slices.Clone(l.chunks), n: l.n, mine: make([]bool, len(l.chunks))}
+		l = l.edit()
 		s.writeVals()
 		s.elems[extent] = l
 	}
 	return l, nil
 }
 
-// InsertElem appends a value to a ref-set or value-set extent.
+// InsertElem appends a value to a ref-set or value-set extent, stored
+// as the extent's element component stores it (a char[n] element is
+// padded or cut to n, a string is copied out of its statement's text).
 //
 // extra:requires db.wmu.W
 func (s *Store) InsertElem(extent string, v value.Value) error {
 	s.bump()
+	cv, ok := s.cat.Var(extent)
+	if !ok {
+		return fmt.Errorf("no element extent %s", extent)
+	}
+	elem, _ := cv.ElemType()
+	iv, err := s.internalize(elem, value.Copy(v), oid.Nil)
+	if err != nil {
+		return err
+	}
+	if _, err := s.encodeRecord(iv); err != nil {
+		return err
+	}
 	l, err := s.writeElem(extent)
 	if err != nil {
 		return err
 	}
-	if _, err := s.encodeRecord(v); err != nil {
-		return err
-	}
-	l.append(keep(v))
+	l.append(iv)
 	return nil
-}
-
-// keep returns a copy of an element for the store to keep: value.Copy,
-// with every string cloned, so a string literal does not pin its
-// statement's text.
-func keep(v value.Value) value.Value {
-	switch x := v.(type) {
-	case value.Str:
-		return value.Str{K: x.K, V: strings.Clone(x.V)}
-	case *value.Set:
-		return &value.Set{Elems: keepAll(x.Elems)}
-	case *value.Array:
-		return &value.Array{Elems: keepAll(x.Elems), Fixed: x.Fixed}
-	}
-	return value.Copy(v) // a value set holds no tuple
-}
-
-func keepAll(vs []value.Value) []value.Value {
-	out := make([]value.Value, len(vs))
-	for i, v := range vs {
-		out[i] = keep(v)
-	}
-	return out
 }
 
 // DeleteElem removes the element at pos, a position a scan of the last

@@ -8,17 +8,17 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/oid"
-	"repro/internal/storage"
 	"repro/internal/types"
 	"repro/internal/value"
 )
 
-// TestCheckConsistencyFindsDivergentRecord: the store reads an object's
-// working value, never its record, so the fsck is what holds the two
-// together. A record planted under the store — another name, or the same
-// age under another integer kind, which value.Equal would let pass — is
-// reported, whether the working value is the tuple the insert stored or,
-// after a commit, the snapshot's.
+// TestCheckConsistencyFindsDivergentRecord: an extent member's tuple is
+// held twice, by its directory entry, which Get reads, and by its place
+// in the member list, which scans read, so the fsck is what holds the
+// two together. A tuple planted in the list under the store — another
+// name, or the same age under another integer kind, which value.Equal
+// would let pass — is reported, whether the entry's tuple is the one the
+// insert stored or, after a commit, the snapshot's.
 func TestCheckConsistencyFindsDivergentRecord(t *testing.T) {
 	plants := []struct {
 		name  string
@@ -46,23 +46,24 @@ func TestCheckConsistencyFindsDivergentRecord(t *testing.T) {
 			if bad := f.store.CheckConsistency(); len(bad) != 0 {
 				t.Fatalf("%s: consistent store reported %q", p.name, bad)
 			}
-			if err := f.store.plantRecord(id, p.plant(f)); err != nil {
+			if err := f.store.plantMember(id, p.plant(f)); err != nil {
 				t.Fatal(err)
 			}
 			bad := f.store.CheckConsistency()
 			if len(bad) != 1 || !strings.Contains(bad[0], id.String()) || !strings.Contains(bad[0], "working value") {
-				t.Errorf("%s, committed %v: fsck reported %q, want the divergent record of %s", p.name, commit, bad, id)
+				t.Errorf("%s, committed %v: fsck reported %q, want the divergent member %s", p.name, commit, bad, id)
 			}
 		}
 	}
 }
 
 // TestCheckConsistencyFindsUnclaimedSlots: the directory is the only
-// map from objects to records, so the fsck holds it against the pages
-// both ways. An entry planted with another object's RID leaves its own
-// record claimed by no entry and the other's by two; a record planted
-// on a page under no entry is claimed by none. Each is reported, whether
-// the entries are the window's or, after a commit, the head's.
+// map from objects to their places in member lists, so the fsck holds it
+// against the lists both ways. An entry planted with another object's
+// position names a place that holds the other, and leaves its own member
+// with no entry naming its place; a member planted under no entry has
+// none either. Each is reported, whether the entries are the window's
+// or, after a commit, the head's.
 func TestCheckConsistencyFindsUnclaimedSlots(t *testing.T) {
 	plants := []struct {
 		name  string
@@ -71,13 +72,14 @@ func TestCheckConsistencyFindsUnclaimedSlots(t *testing.T) {
 	}{
 		{"an entry naming another object's slot", func(f *fixture, ann, bob oid.OID) error {
 			so, _ := f.store.dir.get(ann)
-			so.at = packRID(f.store.ridOf(bob))
+			so.at = uint64(f.store.ridOf(bob))
 			f.store.dir.set(ann, so)
 			return nil
-		}, []string{"is claimed by no object", "is claimed by [", "record decodes to"}},
-		{"a record no entry claims", func(f *fixture, _, _ oid.OID) error {
+		}, []string{"object " + oid.OID(1).String() + ": its position 1 in extent People holds " + oid.OID(2).String(),
+			"member " + oid.OID(1).String() + " at 0 has no directory entry there"}},
+		{"a member no entry claims", func(f *fixture, _, _ oid.OID) error {
 			return f.store.plantOrphan("People", f.newPerson("Nobody", 9))
-		}, []string{"is claimed by no object"}},
+		}, []string{"member " + oid.OID(3).String() + " at 2 has no directory entry there"}},
 	}
 	for _, p := range plants {
 		for _, commit := range []bool{false, true} {
@@ -186,12 +188,12 @@ func TestStoredStringsOwnTheirBytes(t *testing.T) {
 }
 
 // TestFreezeDecodesRestoredRecords: what RestoreObject writes has no
-// working value, so the freeze decodes it from the page — an inline
-// record straight from the pinned frame, an overflow record after the
-// walk — and counts each decode in mvcc.commit.decoded. RestoreElem
-// decodes its element itself, so the freeze decodes none. The snapshot
-// then holds what was restored, and the next write to the same page
-// decodes nothing.
+// working value, so the freeze decodes it from the record RestoreObject
+// kept — a short one and one of several kilobytes alike — and counts
+// each decode in mvcc.commit.decoded. RestoreElem decodes its element
+// itself, so the freeze decodes none. The snapshot then holds what was
+// restored, in its member list's order, and the next write to the same
+// chunk decodes nothing.
 func TestFreezeDecodesRestoredRecords(t *testing.T) {
 	f := newFixture(t)
 	reg := metrics.NewRegistry()
@@ -207,7 +209,7 @@ func TestFreezeDecodesRestoredRecords(t *testing.T) {
 	if _, err := f.store.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	big := strings.Repeat("b", 2*storage.PageSize) // an overflow record
+	big := strings.Repeat("b", 8192)
 	names := []string{"Ann", big}
 	for i, name := range names {
 		enc, err := encode(f.newPerson(name, 40))

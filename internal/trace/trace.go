@@ -10,12 +10,11 @@
 // not sampled, the whole apparatus collapses to two atomic loads (the
 // sampling decision and, at the end, the slow threshold) and
 // nil-receiver no-ops — zero allocations, no locks, nothing on the
-// page-pin hot path. An unsampled statement over the slow threshold is
+// per-row hot path. An unsampled statement over the slow threshold is
 // retained anyway, as its root span and one span per phase, so the slow
 // log is a view over the ring rather than a second store. Storage spans
 // are two: commit.freeze, a write's snapshot publication, and derefs,
-// the objects a retrieve fetched by oid. No span attributes buffer-pool
-// traffic; the pool's counters are read from the metrics snapshot.
+// the objects a retrieve fetched by oid.
 //
 // A statement executes on one goroutine, so an Active trace needs no
 // internal locking; only the Tracer's completed-trace ring takes a

@@ -12,8 +12,8 @@ var ErrInjected = errors.New("injected fault")
 // FaultFile wraps a segment File and injects write-path failures: fail
 // the Nth write outright, tear it (persist only a prefix of the bytes,
 // then fail — the partial-sector write a power cut leaves behind), or
-// fail fsync. It is the WAL-side half of the robustness harness; the
-// page-store half is storage.FaultStore.
+// fail fsync. It is the robustness harness's fault injector: the log is
+// the engine's only I/O.
 type FaultFile struct {
 	inner File
 

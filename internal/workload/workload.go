@@ -95,13 +95,9 @@ func Load(db *extra.DB, p Params) (*Company, error) {
 }
 
 // New opens a fresh in-memory database, loads the workload, and returns
-// both. poolPages <= 0 uses the default pool size.
-func New(p Params, poolPages int) (*extra.DB, *Company, error) {
-	var opts []extra.Option
-	if poolPages > 0 {
-		opts = append(opts, extra.WithPoolSize(poolPages))
-	}
-	db, err := extra.Open(opts...)
+// both.
+func New(p Params) (*extra.DB, *Company, error) {
+	db, err := extra.Open()
 	if err != nil {
 		return nil, nil, err
 	}

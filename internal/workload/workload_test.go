@@ -9,12 +9,12 @@ import (
 
 func TestLoadDeterministic(t *testing.T) {
 	p := Params{Departments: 4, Employees: 50, MaxKids: 3, Seed: 9}
-	db1, c1, err := New(p, 0)
+	db1, c1, err := New(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db1.Close()
-	db2, c2, err := New(p, 0)
+	db2, c2, err := New(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestLoadDeterministic(t *testing.T) {
 		t.Fatalf("same seed produced different data: %v vs %v", r1, r2)
 	}
 	// Different seeds differ (with overwhelming probability).
-	db3, _, err := New(Params{Departments: 4, Employees: 50, MaxKids: 3, Seed: 10}, 0)
+	db3, _, err := New(Params{Departments: 4, Employees: 50, MaxKids: 3, Seed: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestLoadDeterministic(t *testing.T) {
 }
 
 func TestLoadInvariants(t *testing.T) {
-	db, _, err := New(Params{Departments: 3, Employees: 200, MaxKids: 2, Floors: 4, Seed: 5}, 0)
+	db, _, err := New(Params{Departments: 3, Employees: 200, MaxKids: 2, Floors: 4, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestLoadInvariants(t *testing.T) {
 // exactly when Encode(DecodeOne(b)) == b for every object the generator
 // produces — the property that lets a snapshot keep no encoded copy.
 func TestDumpIsCanonical(t *testing.T) {
-	db, _, err := New(Params{Departments: 5, Employees: 300, MaxKids: 3, Seed: 11}, 0)
+	db, _, err := New(Params{Departments: 5, Employees: 300, MaxKids: 3, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,40 +96,40 @@ func TestDumpIsCanonical(t *testing.T) {
 }
 
 // TestWorkloadLoadLinear pins Load's cost per DB.Insert as the database
-// grows: every insert is a commit, and a commit decodes the objects it
-// wrote and re-reads the pages it wrote, whatever is already there. The
-// counts are the engine's own (mvcc.commit.*) and repeat exactly.
+// grows: every insert is a commit, and a commit seals the objects it
+// wrote and the member-list chunks it wrote, whatever is already there.
+// The counts are the engine's own (mvcc.commit.*) and repeat exactly.
 func TestWorkloadLoadLinear(t *testing.T) {
-	type cost struct{ commits, objs, maxObjs, maxPages, pins uint64 }
+	type cost struct{ commits, objs, maxObjs, chunks, maxChunks uint64 }
 	load := func(emps int) cost {
-		db, _, err := New(Params{Departments: 10, Employees: emps, MaxKids: 2, Seed: 3}, 8192)
+		db, _, err := New(Params{Departments: 10, Employees: emps, MaxKids: 2, Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer db.Close()
 		m := db.MetricsSnapshot()
-		objs, pages := m.Histograms["mvcc.commit.dirty_objs"], m.Histograms["mvcc.commit.dirty_pages"]
+		objs, chunks := m.Histograms["mvcc.commit.dirty_objs"], m.Histograms["mvcc.commit.dirty_chunks"]
 		return cost{
-			commits:  objs.Count,
-			objs:     objs.SumNS,
-			maxObjs:  objs.MaxNS,
-			maxPages: pages.MaxNS,
-			pins:     m.Counters["pool.hits"] + m.Counters["pool.misses"],
+			commits:   objs.Count,
+			objs:      objs.SumNS,
+			maxObjs:   objs.MaxNS,
+			chunks:    chunks.SumNS,
+			maxChunks: chunks.MaxNS,
 		}
 	}
 	small, big := load(1000), load(4000)
 	for _, c := range []cost{small, big} {
-		// An employee and at most two kids, the employee on one extent
-		// page (the kids have no record).
-		if c.maxObjs > 3 || c.maxPages != 1 {
-			t.Errorf("a one-employee commit decoded %d objects and re-read %d pages, want at most 3 and 1", c.maxObjs, c.maxPages)
+		// An employee and at most two kids, the employee in one chunk
+		// of its extent (the kids are in none).
+		if c.maxObjs > 3 || c.maxChunks != 1 {
+			t.Errorf("a one-employee commit sealed %d objects and %d chunks, want at most 3 and 1", c.maxObjs, c.maxChunks)
 		}
 	}
 	perInsert := func(c cost, n uint64) float64 { return float64(n) / float64(c.commits) }
 	if s, b := perInsert(small, small.objs), perInsert(big, big.objs); b > 1.05*s {
-		t.Errorf("objects decoded per insert: %.3f at 1000 employees, %.3f at 4000", s, b)
+		t.Errorf("objects sealed per insert: %.3f at 1000 employees, %.3f at 4000", s, b)
 	}
-	if s, b := perInsert(small, small.pins), perInsert(big, big.pins); b > 1.05*s {
-		t.Errorf("pages pinned per insert: %.2f at 1000 employees, %.2f at 4000", s, b)
+	if s, b := perInsert(small, small.chunks), perInsert(big, big.chunks); b > 1.05*s {
+		t.Errorf("chunks sealed per insert: %.2f at 1000 employees, %.2f at 4000", s, b)
 	}
 }

@@ -47,7 +47,7 @@ var joinShapes = []struct{ q, plan string }{
 func TestJoinMethodEquivalence(t *testing.T) {
 	db, _, err := workload.New(workload.Params{
 		Departments: 9, Employees: 150, MaxKids: 3, Floors: 4, MaxSalary: 1000, Seed: 7,
-	}, 0)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestJoinMethodEquivalence(t *testing.T) {
 func TestHashJoinExplain(t *testing.T) {
 	db, _, err := workload.New(workload.Params{
 		Departments: 6, Employees: 40, MaxKids: 2, Floors: 3, MaxSalary: 500, Seed: 5,
-	}, 0)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestHashJoinBuildsSmallerSide(t *testing.T) {
 		literal  = `retrieve (d = D.dname, s = sum(E.salary by D.dname)) from E in Employees, D in Departments where E.dept.dname = D.dname and D.floor = 2`
 	)
 	for _, n := range []int{2000, 20000} {
-		db, _, err := workload.New(workload.Params{Departments: 20, Employees: n, Floors: 5, Seed: 7}, 8192)
+		db, _, err := workload.New(workload.Params{Departments: 20, Employees: n, Floors: 5, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +186,7 @@ func TestHashJoinBuildsSmallerSide(t *testing.T) {
 func TestHashJoinAnalyzeCounters(t *testing.T) {
 	db, _, err := workload.New(workload.Params{
 		Departments: 6, Employees: 60, MaxKids: 2, Floors: 3, MaxSalary: 500, Seed: 11,
-	}, 0)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestHashJoinAnalyzeCounters(t *testing.T) {
 func TestRefUpdateVisibleToNextQuery(t *testing.T) {
 	db, _, err := workload.New(workload.Params{
 		Departments: 4, Employees: 20, MaxKids: 2, Floors: 3, MaxSalary: 500, Seed: 3,
-	}, 0)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ import (
 func TestPlanEquivalence(t *testing.T) {
 	db, _, err := workload.New(workload.Params{
 		Departments: 8, Employees: 120, MaxKids: 3, Floors: 4, MaxSalary: 1000, Seed: 99,
-	}, 0)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestParamKeyUsesIndex(t *testing.T) {
 	}
 	rowsIn := make([]int64, len(cases))
 	for si, n := range []int{2000, 20000} {
-		db, _, err := workload.New(workload.Params{Employees: n, MaxSalary: 1000, Seed: 7}, 8192)
+		db, _, err := workload.New(workload.Params{Employees: n, MaxSalary: 1000, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}

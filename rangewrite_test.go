@@ -18,7 +18,7 @@ func TestRangeReplaceWorkIndependentOfSize(t *testing.T) {
 		where = ` from E in Employees where E.name >= "emp-000100" and E.name < "emp-000150"`
 	)
 	for _, n := range []int{2000, 20000} {
-		db, _, err := workload.New(workload.Params{Departments: 20, Employees: n, MaxKids: 2, Seed: 5}, 0)
+		db, _, err := workload.New(workload.Params{Departments: 20, Employees: n, MaxKids: 2, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -80,7 +80,7 @@ func measureResult(sh *resultShape, st *extra.Stmt) resultCost {
 func TestResultAllocsPerRow(t *testing.T) {
 	var costs [2][]resultCost
 	for si, n := range []int{2000, 20000} {
-		db, _, err := workload.New(workload.Params{Employees: n, MaxKids: 2, Seed: 7}, 8192)
+		db, _, err := workload.New(workload.Params{Employees: n, MaxKids: 2, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -65,7 +65,7 @@ func TestScanAllocsPerRow(t *testing.T) {
 	overhead := make([]uint64, len(scanShapes))
 	grouped := make([]int, len(scanShapes)) // rows at 2000 employees
 	for si, n := range []int{2000, 20000} {
-		db, _, err := workload.New(workload.Params{Employees: n, MaxKids: 2, Seed: 7}, 8192)
+		db, _, err := workload.New(workload.Params{Employees: n, MaxKids: 2, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func (sh *scanShape) run(db *extra.DB, st *extra.Stmt) *extra.Result {
 // second.
 func BenchmarkScanPerRow(b *testing.B) {
 	const n = 20000
-	db, _, err := workload.New(workload.Params{Employees: n, MaxKids: 2, Seed: 7}, 8192)
+	db, _, err := workload.New(workload.Params{Employees: n, MaxKids: 2, Seed: 7})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func BenchmarkScanPerRow(b *testing.B) {
 	if err := db.Dump(&dump); err != nil {
 		b.Fatal(err)
 	}
-	loaded, err := extra.Open(extra.WithPoolSize(8192))
+	loaded, err := extra.Open()
 	if err != nil {
 		b.Fatal(err)
 	}

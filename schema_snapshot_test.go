@@ -178,12 +178,13 @@ func defineHold(t *testing.T, db *DB) (entered, release chan struct{}) {
 	return entered, release
 }
 
-// TestSnapshotReadsPinNoPage pins the invariant the buffer pool's one
-// LRU under one mutex relies on: a snapshot read touches no page. Every
-// read shape of the repository benchmark's read path runs prepared and
-// ad hoc — index probe, range scan and count, ref path, unnest, and a
-// hash join with a by aggregate — and the pool counters do not move.
-func TestSnapshotReadsPinNoPage(t *testing.T) {
+// TestSnapshotReadsFreezeNothing pins that a read only reads its
+// snapshot: it takes no write lock and leaves no working state for a
+// freeze to seal. Every read shape of the repository benchmark's read
+// path runs prepared and ad hoc — index probe, range scan and count, ref
+// path, unnest, and a hash join with a by aggregate — and no freeze
+// runs and the published version does not move.
+func TestSnapshotReadsFreezeNothing(t *testing.T) {
 	db := mustOpen(t)
 	loadCompany(t, db)
 	db.MustExec(`define index emp_sal on Employees (salary)`)
@@ -217,7 +218,14 @@ func TestSnapshotReadsPinNoPage(t *testing.T) {
 		}
 		stmts[i] = st
 	}
-	before := db.PoolStats()
+	freezes := func() (uint64, int64) {
+		m := db.MetricsSnapshot()
+		return m.Histograms["mvcc.commit.freeze"].Count, m.Gauges["mvcc.version"]
+	}
+	n0, v0 := freezes()
+	if n0 == 0 || v0 == 0 {
+		t.Fatal("setup: the load counted no freeze")
+	}
 	for round := 0; round < 2; round++ { // a miss fills the plan cache, a hit reads it
 		for i, st := range stmts {
 			res, err := st.Exec(prepared[i].args...)
@@ -231,8 +239,8 @@ func TestSnapshotReadsPinNoPage(t *testing.T) {
 			}
 		}
 	}
-	if moved := db.PoolStats().Sub(before); moved.Hits != 0 || moved.Misses != 0 {
-		t.Errorf("snapshot reads pinned pages: %+v", moved)
+	if n1, v1 := freezes(); n1 != n0 || v1 != v0 {
+		t.Errorf("snapshot reads froze the store: %d freezes and version %d, were %d and %d", n1, v1, n0, v0)
 	}
 }
 

@@ -31,7 +31,7 @@ func TestAdhocShapeSkipsParser(t *testing.T) {
 	const lookup = `retrieve (E.name, E.age) from E in Employees where E.salary = %d`
 	var allocs [2]uint64
 	for si, n := range []int{2000, 20000} {
-		db, _, err := workload.New(workload.Params{Employees: n, MaxSalary: 1000, Seed: 7}, 8192)
+		db, _, err := workload.New(workload.Params{Employees: n, MaxSalary: 1000, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}

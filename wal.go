@@ -23,8 +23,8 @@ import (
 // database, sizes the write's record against wal.MaxRecord while
 // nothing has mutated, runs the mutation, publishes the store snapshot
 // (Store.Commit) and, with WithWAL, appends the record. Open replays
-// the log, so acknowledged commits survive a crash. Pages are an
-// in-memory representation and are never read back: recovery loads the
+// the log, so acknowledged commits survive a crash. The store is in
+// memory and nothing of it is read back: recovery loads the
 // checkpoint (an atomic Dump carrying the covered LSN) and re-executes
 // the logged sequence after it, which reproduces the store
 // deterministically (sequential OID allocation, printed-statement
@@ -423,7 +423,7 @@ func decodeParams(db *DB, s *Session, st ast.Statement, data [][]byte) (*paramSc
 // Checkpoint makes the WAL short: it forces the log durable, writes an
 // atomic dump annotated with the covered LSN, and garbage-collects the
 // log segments the dump now covers. The dump and the log are the whole
-// durable state; no page is written. The commit lock is held across
+// durable state. The commit lock is held across
 // flush + dump so no commit can slip between the pinned LSN and the
 // pinned snapshot; writers stall for the duration.
 // Crash-safe at every point: until the dump's rename lands, recovery

@@ -119,3 +119,55 @@ Picked ref<Employee>oid#9
 		t.Errorf("fsck: %q", bad)
 	}
 }
+
+// TestValueSetElementsTakeTheirComponent: an element appended to a value
+// set is stored as its element component stores it, as an attribute of
+// that type is: a char[3] element is cut or padded to three characters,
+// the width a char[3] attribute reads back.
+func TestValueSetElementsTakeTheirComponent(t *testing.T) {
+	db := mustOpen(t)
+	db.MustExec(`
+		define type Coded: ( code: char[3] )
+		create Codes : { own Coded }
+		create Cs : { char[3] }
+		append to Codes (code = "abcdef")
+		append to Cs ("abcdef")
+		append to Cs ("x")
+	`)
+	attr := db.MustQuery(`retrieve (C.code) from C in Codes`).Rows[0][0].String()
+	if attr != `"abc"` {
+		t.Fatalf("setup: a char[3] attribute reads %s", attr)
+	}
+	var got []string
+	for _, row := range db.MustQuery(`retrieve (C) from C in Cs`).Rows {
+		got = append(got, row[0].String())
+	}
+	if want := []string{attr, `"x  "`}; strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("the char[3] set holds %v, want %v", got, want)
+	}
+	if bad := db.CheckConsistency(); len(bad) != 0 {
+		t.Errorf("fsck: %q", bad)
+	}
+}
+
+// TestFreshArrayVariableTakesIndexedSet: a non-fixed array variable
+// starts empty, not null, so its first write may be to an element: the
+// array grows to the index, with nulls before it, as it does once it
+// holds elements.
+func TestFreshArrayVariableTakesIndexedSet(t *testing.T) {
+	db := mustOpen(t)
+	loadCompany(t, db)
+	db.MustExec(`create Roster : [] ref Person`)
+	if v, err := db.store.Snapshot().GetVar("Roster"); err != nil || v.String() != "[]" {
+		t.Fatalf("a fresh Roster reads %v, %v; want the empty array", v, err)
+	}
+	db.MustExec(`set Roster[2] = E from E in Employees where E.name = "Ann"`)
+	v, err := db.store.Snapshot().GetVar("Roster")
+	if err != nil {
+		t.Fatal(err)
+	}
+	arr, ok := v.(*value.Array)
+	if !ok || arr.Fixed || len(arr.Elems) != 2 || !value.IsNull(arr.Elems[0]) || value.IsNull(arr.Elems[1]) {
+		t.Errorf("after set Roster[2] the array is %v", v)
+	}
+}
