@@ -30,11 +30,15 @@ import (
 //   - operator class and ADT/function targets are resolved at compile
 //     time instead of switch-dispatched per row.
 //
-// The closures are the engine's only expression evaluator. The
-// operator semantics live in the kernels they call (applyBinary,
-// logicCombine, arith, dispatchCall, applyStep, foldAgg, coerce); the
-// root package's tests check results against a reference evaluator
-// that shares none of this code.
+// The closures are the engine's only expression evaluator; a scan
+// node's leading integer comparisons also compile to tuple tests
+// (tupletest.go), which decide the same conjuncts on the raw tuple
+// through the same field read (stepProg.field) and comparison (cmpInt),
+// and leave every row they cannot decide to the closures. The operator
+// semantics live in the kernels they call (applyBinary, logicCombine,
+// arith, dispatchCall, applyStep, foldAgg, coerce); the root package's
+// tests check results against a reference evaluator that shares none
+// of this code.
 
 // compiledExpr is an expression compiled to a closure over the
 // execution state and the current binding.
@@ -72,6 +76,7 @@ type varProgram struct {
 type nodeProgram struct {
 	varProgram
 	filter       []compiledExpr
+	tests        []tupleTest // the filter's leading tuple tests (tupletest.go)
 	build, probe compiledExpr
 	local        []compiledExpr
 	// An index probe's key expressions, one per Access.Bounds entry, or,
@@ -209,6 +214,9 @@ func (c compiler) program(cq *sema.CheckedRetrieve, p *algebra.Plan) *Program {
 		n, np := &p.Nodes[i], &prog.nodes[i]
 		np.varProgram = c.varProgram(n.Var)
 		np.filter = c.exprs(n.Filter)
+		if n.Hash == nil {
+			np.tests = tupleTests(n.Var, n.Filter)
+		}
 		if a := n.Access; a != nil {
 			if rng, ok := a.ConstRange(); ok {
 				np.fixed = &rng
@@ -741,10 +749,9 @@ func compileBinary(b *sema.Binary) (compiledExpr, value.Value, bool) {
 
 	// Integer comparison over unboxed operands: the whole subtree runs in
 	// the int lane and the only boxed value per row is the Bool result.
-	if b.Class == sema.OpCompare {
+	if op, ok := cmpOpOf(b.Op); ok && b.Class == sema.OpCompare {
 		if lif, lok := compileInt(b.L); lok {
 			if rif, rok := compileInt(b.R); rok {
-				op := b.Op
 				fn := func(ex *State, ctx *evalCtx) (value.Value, error) {
 					l, lnull, err := lif(ex, ctx)
 					if err != nil {
@@ -757,24 +764,7 @@ func compileBinary(b *sema.Binary) (compiledExpr, value.Value, bool) {
 					if lnull || rnull {
 						return value.Null{}, nil
 					}
-					var res bool
-					switch op {
-					case "=":
-						res = l == r
-					case "!=":
-						res = l != r
-					case "<":
-						res = l < r
-					case "<=":
-						res = l <= r
-					case ">":
-						res = l > r
-					case ">=":
-						res = l >= r
-					default:
-						return nil, fmt.Errorf("unhandled comparison %s", op)
-					}
-					return value.Bool(res), nil
+					return value.Bool(cmpInt(op, l, r)), nil
 				}
 				if lConst && rConst {
 					if v, err := fn(nil, nil); err == nil && foldable(v) {

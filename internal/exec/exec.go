@@ -285,10 +285,20 @@ func (ex *State) pass(ctx *evalCtx, conjs []compiledExpr) (bool, error) {
 // store-callback adapters around emit are built on first use and kept,
 // so a variable enumerated once per outer binding (an inner extent
 // rescan) builds them once per run, not once per row.
+//
+// A plan node's sink carries its program's tuple tests: the object-extent
+// scan callback and the nested walk run them on each row's tuple before
+// emitting it, count the rows they reject in *rejects (the node's
+// count), and pass emit how many leading filter conjuncts they decided
+// (tested), which the node's filter then skips. Every other source, and every
+// other sink, emits with tested 0. The callbacks capture the fields, not
+// the sink, so a sink on the stack stays there.
 type sink struct {
-	emit func(value.Value, slot) error
-	obj  func(oid.OID, *value.Tuple) error
-	elem func(int, value.Value) error
+	emit    func(val value.Value, s slot, tested int) error
+	obj     func(oid.OID, *value.Tuple) error
+	elem    func(int, value.Value) error
+	tests   []tupleTest
+	rejects *int64
 }
 
 // runner is one execution of a program over its plan: the evaluation
@@ -314,6 +324,8 @@ type nodeRun struct {
 	keys  *algebra.KeyRange
 	rng   algebra.KeyRange
 	table *joinTable // hash-join build side, built on the first probe
+	// rejected counts the rows the node's tuple tests rejected.
+	rejected int64
 	// Instrumented runs: time spent in later nodes during the current
 	// loop.
 	child time.Duration
@@ -334,6 +346,7 @@ func (ex *State) Run(p *algebra.Plan, prog *Program, yield func(*evalCtx) error)
 		nodes: make([]nodeRun, len(p.Nodes))}
 	for i := range r.nodes {
 		r.nodes[i].emit = r.nodeEmit(i)
+		r.nodes[i].tests, r.nodes[i].rejects = prog.nodes[i].tests, &r.nodes[i].rejected
 		if err := r.probeRange(i); err != nil {
 			return err
 		}
@@ -350,9 +363,13 @@ func (ex *State) Run(p *algebra.Plan, prog *Program, yield func(*evalCtx) error)
 	if rt != nil {
 		rt.DerefMisses += ex.derefs - derefs
 	}
-	// Hash tables count their own traffic; the run folds it into the
-	// registry and the plan's actuals once.
+	// Hash tables count their own traffic, and sinks the rows their tuple
+	// tests rejected; the run folds them into the registry and the plan's
+	// actuals once.
 	for i := range r.nodes {
+		if rt != nil {
+			rt.Nodes[i].RowsIn += r.nodes[i].rejected
+		}
 		t := r.nodes[i].table
 		if t != nil && ex.cHashBuilds != nil {
 			ex.cHashBuilds.Inc()
@@ -427,14 +444,15 @@ func (r *runner) enumerate(i int) error {
 }
 
 // nodeEmit builds node i's emit: bind the variable, apply the node's
-// filter, run the next node, unbind.
-func (r *runner) nodeEmit(i int) func(value.Value, slot) error {
+// filter past the conjuncts its tuple tests decided, run the next node,
+// unbind.
+func (r *runner) nodeEmit(i int) func(value.Value, slot, int) error {
 	ex, ctx, v := r.ex, &r.ctx, r.plan.Nodes[i].Var
 	filter := r.prog.nodes[i].filter
 	if r.plan.Runtime == nil {
-		return func(val value.Value, s slot) error {
+		return func(val value.Value, s slot, tested int) error {
 			ctx.b.bind(v, val, s)
-			ok, err := ex.pass(ctx, filter)
+			ok, err := ex.pass(ctx, filter[tested:])
 			if err == nil && ok {
 				err = r.runNode(i + 1)
 			}
@@ -443,10 +461,10 @@ func (r *runner) nodeEmit(i int) func(value.Value, slot) error {
 		}
 	}
 	rt, nr := &r.plan.Runtime.Nodes[i], &r.nodes[i]
-	return func(val value.Value, s slot) error {
+	return func(val value.Value, s slot, tested int) error {
 		rt.RowsIn++
 		ctx.b.bind(v, val, s)
-		ok, err := ex.pass(ctx, filter)
+		ok, err := ex.pass(ctx, filter[tested:])
 		if err == nil && ok {
 			rt.RowsOut++
 			t0 := time.Now()
@@ -502,9 +520,9 @@ func (r *runner) forAll(j int) error {
 	return r.ex.enumerate(&r.ctx, r.plan.Universal[j], nil, nil, &r.prog.universal[j], &r.univ[j])
 }
 
-func (r *runner) universalEmit(j int) func(value.Value, slot) error {
+func (r *runner) universalEmit(j int) func(value.Value, slot, int) error {
 	b, v := r.ctx.b, r.plan.Universal[j]
-	return func(val value.Value, s slot) error {
+	return func(val value.Value, s slot, _ int) error {
 		b.bind(v, val, s)
 		err := r.forAll(j + 1)
 		b.unbind(v)
@@ -535,7 +553,7 @@ func (ex *State) enumerate(ctx *evalCtx, v *sema.Var, ix *algebra.AccessPath, ke
 					if !ok {
 						continue
 					}
-					if err := s.emit(nil, slot{oid: id, tup: tv}); err != nil {
+					if err := s.emit(nil, slot{oid: id, tup: tv}, 0); err != nil {
 						return err
 					}
 				}
@@ -543,8 +561,19 @@ func (ex *State) enumerate(ctx *evalCtx, v *sema.Var, ix *algebra.AccessPath, ke
 			}
 			if s.obj == nil {
 				emit := s.emit
-				s.obj = func(id oid.OID, tv *value.Tuple) error {
-					return emit(nil, slot{oid: id, tup: tv})
+				if len(s.tests) == 0 {
+					s.obj = func(id oid.OID, tv *value.Tuple) error {
+						return emit(nil, slot{oid: id, tup: tv}, 0)
+					}
+				} else {
+					tests, rejects := s.tests, s.rejects
+					s.obj = func(id oid.OID, tv *value.Tuple) error {
+						tested, ok := ex.runTests(tests, rejects, tv)
+						if !ok {
+							return nil
+						}
+						return emit(nil, slot{oid: id, tup: tv}, tested)
+					}
 				}
 			}
 			return r.ScanExtent(v.Extent, s.obj)
@@ -561,9 +590,9 @@ func (ex *State) enumerate(ctx *evalCtx, v *sema.Var, ix *algebra.AccessPath, ke
 						if !ok {
 							return nil // dangling membership reads as absent
 						}
-						return emit(nil, slot{oid: r.OID, tup: tv, pos: pos})
+						return emit(nil, slot{oid: r.OID, tup: tv, pos: pos}, 0)
 					}
-					return emit(ev, slot{pos: pos})
+					return emit(ev, slot{pos: pos}, 0)
 				}
 			}
 			return r.ScanElems(v.Extent, s.elem)
@@ -574,7 +603,7 @@ func (ex *State) enumerate(ctx *evalCtx, v *sema.Var, ix *algebra.AccessPath, ke
 		if err != nil {
 			return err
 		}
-		return ex.walkCollection(ctx, start, owner, vp.steps, s.emit)
+		return ex.walkCollection(ctx, start, owner, vp.steps, s)
 	}
 	return fmt.Errorf("unhandled variable kind for %s", v.Name)
 }
@@ -632,12 +661,13 @@ func (ex *State) nestStart(ctx *evalCtx, v *sema.Var, vp *varProgram) (value.Val
 
 // walkCollection walks the steps from cur to the target collection,
 // dereferencing references (updating the owner as it crosses object
-// boundaries), then emits each element. A collection in the middle of
+// boundaries), then emits each element into s, after s's tuple tests
+// pass the element's tuple. A collection in the middle of
 // the path fans out over its elements when the next step is an
 // attribute step; an index step applies to the collection itself. Only
 // a write statement records the owner's steps and gives each element its
 // location: update statements are all they are for.
-func (ex *State) walkCollection(ctx *evalCtx, cur value.Value, owner collOwner, steps []stepProg, emit func(value.Value, slot) error) error {
+func (ex *State) walkCollection(ctx *evalCtx, cur value.Value, owner collOwner, steps []stepProg, s *sink) error {
 	track := ex.write
 	for si := range steps {
 		var err error
@@ -667,7 +697,7 @@ func (ex *State) walkCollection(ctx *evalCtx, cur value.Value, owner collOwner, 
 				}
 				ev, eo = tv, collOwner{oid: r.OID}
 			}
-			if err := ex.walkCollection(ctx, ev, eo, steps[si+1:], emit); err != nil {
+			if err := ex.walkCollection(ctx, ev, eo, steps[si+1:], s); err != nil {
 				return err
 			}
 		}
@@ -678,10 +708,7 @@ func (ex *State) walkCollection(ctx *evalCtx, cur value.Value, owner collOwner, 
 		return fmt.Errorf("path does not end in a collection (got %T)", cur)
 	}
 	for idx, e := range coll {
-		var s slot
-		if track {
-			s.loc = &prov{parentOID: owner.oid, parentVar: owner.dbvar, steps: owner.steps, elemIdx: idx}
-		}
+		var es slot
 		ev := e
 		if r, isRef := e.(value.Ref); isRef {
 			tv, live, err := ex.derefGet(r.OID)
@@ -691,9 +718,25 @@ func (ex *State) walkCollection(ctx *evalCtx, cur value.Value, owner collOwner, 
 			if !live {
 				continue
 			}
-			s.oid, s.tup, ev = r.OID, tv, nil
+			es.oid, es.tup, ev = r.OID, tv, nil
 		}
-		if err := emit(ev, s); err != nil {
+		tested := 0
+		if len(s.tests) > 0 {
+			tv := es.tup
+			if tv == nil {
+				tv, _ = ev.(*value.Tuple)
+			}
+			if tv != nil {
+				var ok bool
+				if tested, ok = ex.runTests(s.tests, s.rejects, tv); !ok {
+					continue
+				}
+			}
+		}
+		if track {
+			es.loc = &prov{parentOID: owner.oid, parentVar: owner.dbvar, steps: owner.steps, elemIdx: idx}
+		}
+		if err := s.emit(ev, es, tested); err != nil {
 			return err
 		}
 	}

@@ -18,83 +18,66 @@ type joinEntry struct {
 }
 
 // joinTable is the materialized build side of a hash-join node. Rows are
-// grouped by join key; rows whose key has no comparable form go to
-// overflow and are probed on every outer binding (the retained conjunct
-// re-checks them, so over-matching is safe and under-matching is the only
-// hazard). For identity joins, rows with no identity (value-set elements)
-// collect in nulls: `x is y` holds when both sides are null, so a
-// null-identity probe pairs with exactly those rows.
+// grouped by join key, a word key in words and a string key in strs;
+// rows whose key has no comparable form go to overflow and are probed
+// on every outer binding (the retained conjunct re-checks them, so
+// over-matching is safe and under-matching is the only hazard). For
+// identity joins, rows with no identity (value-set elements) collect in
+// nulls: `x is y` holds when both sides are null, so a null-identity
+// probe pairs with exactly those rows.
 type joinTable struct {
-	groups   map[hashKey][]joinEntry
+	words    map[uint64][]joinEntry
+	strs     map[string][]joinEntry
 	overflow []joinEntry
 	nulls    []joinEntry
 
 	buildRows, probes, hits int64
 }
 
-// hashKey is the comparable form of a join or grouping key: a kind tag
-// plus an integer (numbers, enums, ordinal ADTs, identities) or a string
-// the value already holds (a char value's text, a display form that is
-// a constant). Building one allocates nothing.
-type hashKey struct {
-	kind uint8
-	n    uint64
-	s    string
-}
-
-// hashKey kinds: n holds an identity, a codec.KeyWord, an integer or a
-// float's bits; s a string's text or a display form.
-const (
-	hkOID uint8 = iota + 1
-	hkWord
-	hkStr
-	hkNull
-	hkInt
-	hkFloat
-	hkShow
-)
-
 // Join-key outcomes.
 const (
-	keyOK         = iota // key has a comparable form; probe its group (plus overflow)
+	keyWord       = iota // the key is a word; probe its group (plus overflow)
+	keyStr               // the key is a string; probe its group (plus overflow)
 	keyNull              // null key: no equality match / identity-null match
 	keyUnhashable        // value has no comparable form; compare exhaustively
 )
 
-// joinKey maps a join-key value to its hash-table key. Two values share a
-// key exactly when their index key encodings (codec.EncodeKey) agree,
-// char values trimmed; the key must never separate two values the
-// retained conjunct would accept (false negatives lose rows), and false
-// positives are filtered by the re-check.
-//   - identity joins key on the live OID; dangling refs and non-objects
-//     have a null identity;
+// joinKey maps a join-key value to its hash-table key, a word or a
+// string, neither of which allocates. Two values share a key exactly
+// when their index key encodings (codec.EncodeKey) agree, char values
+// trimmed; the key must never separate two values the retained conjunct
+// would accept (false negatives lose rows), and false positives are
+// filtered by the re-check, so a bool keying beside strings on its
+// display form is safe.
+//   - identity joins key on the live OID as a word; dangling refs and
+//     non-objects have a null identity;
 //   - numbers, enums and ordinal ADTs key on their encoded word, which
 //     unifies int and float through the float transform; a bool on its
 //     display form;
 //   - strings are trimmed of trailing blanks because char[n] comparison
 //     ignores them and the stored padding is invisible to value.Equal;
 //   - everything else (tuples, collections, exotic ADTs) is unhashable.
-func (ex *State) joinKey(h *algebra.HashJoinPath, v value.Value) (hashKey, int) {
+func (ex *State) joinKey(h *algebra.HashJoinPath, v value.Value) (uint64, string, int) {
 	if h.Ident {
 		id, ok := ex.liveOID(v)
 		if !ok {
-			return hashKey{}, keyNull
+			return 0, "", keyNull
 		}
-		return hashKey{kind: hkOID, n: uint64(id)}, keyOK
+		return uint64(id), "", keyWord
 	}
 	switch x := deobject(v).(type) {
 	case nil, value.Null:
-		return hashKey{}, keyNull
+		return 0, "", keyNull
 	case value.Str:
-		return hashKey{kind: hkStr, s: strings.TrimRight(x.V, " ")}, keyOK
+		return 0, strings.TrimRight(x.V, " "), keyStr
 	case value.Bool:
-		return hashKey{kind: hkShow, s: x.String()}, keyOK
+		return 0, x.String(), keyStr
 	default:
 		if w, ok := codec.KeyWord(x); ok {
-			return hashKey{kind: hkWord, n: w}, keyOK
+			return w, "", keyWord
 		}
 	}
-	return hashKey{}, keyUnhashable
+	return 0, "", keyUnhashable
 }
 
 // mentionsOnlyVar reports whether every range variable in e is v — such
@@ -119,11 +102,11 @@ func (ex *State) buildJoinTable(n *algebra.Node, np *nodeProgram, keys *algebra.
 	// pipeline), so it earns a live operator span when sampled.
 	sp := ex.tr.StartSpan(trace.KindOperator, "hash build "+n.Var.Extent+" binding "+n.Var.Name)
 	defer ex.tr.EndSpan(sp)
-	t := &joinTable{groups: make(map[hashKey][]joinEntry)}
+	t := &joinTable{}
 	b := newBinding()
 	defer b.release()
 	ctx := &evalCtx{b: b}
-	s := sink{emit: func(v value.Value, vs slot) error {
+	s := sink{emit: func(v value.Value, vs slot, _ int) error {
 		b.bind(n.Var, v, vs)
 		defer b.unbind(n.Var)
 		if ok, err := ex.pass(ctx, np.local); err != nil || !ok {
@@ -134,9 +117,17 @@ func (ex *State) buildJoinTable(n *algebra.Node, np *nodeProgram, keys *algebra.
 			return err
 		}
 		e := joinEntry{val: v, s: vs}
-		switch key, st := ex.joinKey(n.Hash, kv); st {
-		case keyOK:
-			t.groups[key] = append(t.groups[key], e)
+		switch w, str, st := ex.joinKey(n.Hash, kv); st {
+		case keyWord:
+			if t.words == nil {
+				t.words = make(map[uint64][]joinEntry)
+			}
+			t.words[w] = append(t.words[w], e)
+		case keyStr:
+			if t.strs == nil {
+				t.strs = make(map[string][]joinEntry)
+			}
+			t.strs[str] = append(t.strs[str], e)
 		case keyUnhashable:
 			t.overflow = append(t.overflow, e)
 		case keyNull:
@@ -180,22 +171,32 @@ func (r *runner) hashProbe(i int) error {
 	send := func(entries []joinEntry) error {
 		for _, e := range entries {
 			t.hits++
-			if err := nr.emit(e.val, e.s); err != nil {
+			if err := nr.emit(e.val, e.s, 0); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	switch key, st := ex.joinKey(n.Hash, kv); st {
-	case keyOK:
-		if err := send(t.groups[key]); err != nil {
+	switch w, str, st := ex.joinKey(n.Hash, kv); st {
+	case keyWord:
+		if err := send(t.words[w]); err != nil {
+			return err
+		}
+		return send(t.overflow)
+	case keyStr:
+		if err := send(t.strs[str]); err != nil {
 			return err
 		}
 		return send(t.overflow)
 	case keyUnhashable:
 		// No encoding for the probe value: compare against everything and
 		// let the retained conjunct decide.
-		for _, g := range t.groups {
+		for _, g := range t.words {
+			if err := send(g); err != nil {
+				return err
+			}
+		}
+		for _, g := range t.strs {
 			if err := send(g); err != nil {
 				return err
 			}

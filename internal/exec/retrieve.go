@@ -312,6 +312,26 @@ func (ex *State) retrieveGrouped(plan *algebra.Plan, prog *Program, global bool)
 	return nil
 }
 
+// hashKey is the comparable form of a grouping or dedup key: a kind tag
+// plus an integer (an identity, an integer or a float's bits) or a
+// string the value already holds (a string's text, a display form).
+// Building one allocates only where it renders a display form.
+type hashKey struct {
+	kind uint8
+	n    uint64
+	s    string
+}
+
+// hashKey kinds.
+const (
+	hkOID uint8 = iota + 1
+	hkStr
+	hkNull
+	hkInt
+	hkFloat
+	hkShow
+)
+
 // groupKey is the grouping and dedup key of a value: objects and refs
 // group by identity, null in a group of its own, every other value by
 // its display form. Ints, floats and strings key on what their display

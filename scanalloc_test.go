@@ -43,6 +43,11 @@ var scanShapes = []scanShape{
 	// The unnest starts at E's tuple and binds each kid unboxed; a read
 	// gives the kid no update location.
 	{"unnest", `retrieve (E.name, K.name) from E in Employees, K in E.kids where K.age < $1`, []any{0}, 0, 0, false},
+	// bench's scan_count: a global count over the age range folds no
+	// row, and its one result row is preboxed.
+	{"count over range", `retrieve (n = count(E.name)) from E in Employees where E.age >= $1 and E.age < $2`, []any{200, 201}, 0, 0, true},
+	// The mirrored comparison is tested on the tuple as E.age > $1 is.
+	{"mirrored comparison", `retrieve (E.name, E.salary) from E in Employees where $1 < E.age`, []any{200}, 0, 0, false},
 	// An ad-hoc filter's literals, lifted into slots, are read from the
 	// statement's frame: no more per row than the prepared form.
 	{"lifted ad-hoc filter", `retrieve (E.name, E.salary) from E in Employees where E.age >= 200 and E.age < 201`, nil, 0, 0, false},
