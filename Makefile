@@ -72,14 +72,14 @@ bench-smoke:
 	$(GO) -C bench test .
 
 # Durability stress, the same steps as CI's crash-stress job: the WAL
-# torn-tail corpus, the recovery round-trips and staged load, and the
+# torn-tail corpus, the recovery round-trips and atomic load, and the
 # crash harness (kill-and-reopen rounds under the race detector).
 # EXTRA_CRASH_ROUNDS scales the number of kill cycles. The final round
 # runs under the deadlockcheck build tag: the runtime lock-order
 # sentinel panics on any rank inversion the workload provokes.
 crash-stress:
 	$(GO) test -race -count=2 ./internal/wal/ ./internal/storage/
-	$(GO) test -race -count=1 -run 'TestWAL|TestDumpFileAtomic|TestLoadIsStaged' .
+	$(GO) test -race -count=1 -run 'TestWAL|TestDumpFileAtomic|TestLoadIsAtomic' .
 	EXTRA_CRASH_ROUNDS=12 $(GO) test -race -count=1 -run 'TestCrashRecovery' -v .
 	$(GO) test -tags deadlockcheck -count=1 ./internal/deadlock/
 	EXTRA_CRASH_ROUNDS=2 $(GO) test -tags deadlockcheck -count=1 -run 'TestCrashRecovery' .

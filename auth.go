@@ -2,6 +2,7 @@ package extra
 
 import (
 	"repro/internal/authz"
+	"repro/internal/wal"
 )
 
 // EnableAuthorization switches on privilege enforcement. Before this is
@@ -30,12 +31,13 @@ func (db *DB) AddToGroup(user, group string) error {
 // editGrants applies one edit to the working grant table and publishes
 // it through the Go API's write path: the grant table is part of the
 // catalog, which every snapshot carries, so the edit reaches readers
-// the way DDL does. Grants are not durable (stmtRecord logs no grant
-// statement either), so the edit has no record.
+// the way DDL does; a failed edit publishes nothing. Grants are not
+// durable (stmtRecord logs no grant statement either), so the edit has
+// no record.
 //
 // extra:acquires db.wmu.W
 func (db *DB) editGrants(edit func(*authz.Authorizer) error) error {
-	return db.apiWrite()(nil, func() error { return edit(db.store.Catalog().Auth()) })
+	return db.apiWrite()(func() ([]*wal.Record, error) { return nil, edit(db.store.Catalog().Auth()) })
 }
 
 // SetUser switches the default session's current user; subsequent

@@ -63,18 +63,18 @@ func (db *DB) Insert(extent string, attrs Attrs) (Obj, error) {
 //
 // extra:acquires db.wmu.W
 func (db *DB) insertTuple(extent string, tv *value.Tuple) (oid.OID, error) {
-	var rec *wal.Record
+	var recs []*wal.Record
 	if db.wal != nil {
 		enc, err := codec.Encode(nil, tv)
 		if err != nil {
 			return 0, err
 		}
-		rec = &wal.Record{Kind: wal.RecordInsert, User: "dba", Src: extent, Data: [][]byte{enc}}
+		recs = []*wal.Record{{Kind: wal.RecordInsert, User: "dba", Src: extent, Data: [][]byte{enc}}}
 	}
 	var id oid.OID
-	err := db.apiWrite()(rec, func() (err error) {
+	err := db.apiWrite()(func() (_ []*wal.Record, err error) {
 		id, err = db.store.Insert(extent, tv)
-		return err
+		return recs, err
 	})
 	return id, err
 }
@@ -84,36 +84,36 @@ func (db *DB) insertTuple(extent string, tv *value.Tuple) (oid.OID, error) {
 //
 // extra:acquires db.wmu.W
 func (db *DB) SetRef(obj Obj, attr string, target Obj) error {
-	var rec *wal.Record
+	var recs []*wal.Record
 	if db.wal != nil {
 		targetOID, targetTyp := []byte(nil), []byte(nil)
 		if target.Valid() {
 			targetOID, targetTyp = oidBytes(target.id), []byte(target.typ)
 		}
-		rec = &wal.Record{
+		recs = []*wal.Record{{
 			Kind: wal.RecordSetRef,
 			User: "dba",
 			Src:  attr,
 			Data: [][]byte{oidBytes(obj.id), []byte(obj.typ), targetOID, targetTyp},
-		}
+		}}
 	}
-	return db.apiWrite()(rec, func() error {
+	return db.apiWrite()(func() ([]*wal.Record, error) {
 		tv, ok, err := db.store.Get(obj.id)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if !ok {
-			return fmt.Errorf("object %s no longer exists", obj)
+			return nil, fmt.Errorf("object %s no longer exists", obj)
 		}
 		if i := tv.Type.AttrIndex(attr); i < 0 {
-			return fmt.Errorf("type %s has no attribute %s", tv.Type.Name, attr)
+			return nil, fmt.Errorf("type %s has no attribute %s", tv.Type.Name, attr)
 		}
 		var nv value.Value = value.Null{}
 		if target.Valid() {
 			nv = value.Ref{OID: target.id, Type: target.typ}
 		}
 		tv.Set(attr, nv)
-		return db.store.Update(obj.id, tv)
+		return recs, db.store.Update(obj.id, tv)
 	})
 }
 

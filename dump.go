@@ -2,9 +2,7 @@ package extra
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -195,8 +193,8 @@ func writeFileAtomic(path string, fn func(*os.File) error) error {
 	return nil
 }
 
-// LoadError reports where a Load stream failed; the database was left
-// unchanged.
+// LoadError reports where a Load stream failed: the line and what went
+// wrong there. The failed Load published nothing.
 type LoadError struct {
 	Line int   // 1-based line of the dump stream
 	Err  error // what went wrong there
@@ -209,177 +207,87 @@ func (e *LoadError) Unwrap() error { return e.Err }
 // opened (empty catalog). Objects keep their identities; references
 // across extents therefore survive the round trip.
 //
-// Load is all-or-nothing: the stream is first staged into a scratch
-// database (sharing this database's ADT registry), and only a stream
-// that restores cleanly there is applied here — a bad dump leaves the
-// database unchanged and returns a *LoadError locating the first bad
-// line. The engine itself has no statement rollback, so the validation
-// pass is what provides the atomicity; its price is reading the dump
-// twice and briefly holding a second (scratch) copy of the restored
-// data. When r seeks (a file, LoadFile's path), both passes stream
-// from it directly; otherwise the dump text is buffered in memory to
-// be replayable.
+// Load is one write: it reads the stream once, applying every line to
+// the working store under one hold of the commit lock, and publishes
+// once, at the end. A bad stream publishes nothing and returns a
+// *LoadError locating the first bad line. With a WAL the load is logged
+// after the whole stream has applied (applyDump).
+//
+// extra:acquires db.wmu.W
 func (db *DB) Load(r io.Reader) error {
-	if cat := db.Catalog(); len(cat.VarNames()) != 0 || len(cat.TupleTypeNames()) != 0 {
-		return fmt.Errorf("Load requires a fresh database")
-	}
-	stage, rewind, err := loadPasses(r)
-	if err != nil {
-		return err
-	}
-	scratch, err := open(config{traceCap: 1}, db.reg)
-	if err != nil {
-		return fmt.Errorf("load staging: %w", err)
-	}
-	stageErr := scratch.loadStream(stage)
-	scratch.Close()
-	if stageErr != nil {
-		return stageErr
-	}
-	second, err := rewind()
-	if err != nil {
-		return err
-	}
-	return db.loadStream(second)
+	return db.apiWrite()(func() ([]*wal.Record, error) { return db.applyDump(r) })
 }
 
-// loadPasses turns a dump source into two readable passes: seekable
-// sources rewind in place, anything else is buffered once.
-func loadPasses(r io.Reader) (first io.Reader, rewind func() (io.Reader, error), err error) {
-	if s, ok := r.(io.ReadSeeker); ok {
-		start, err := s.Seek(0, io.SeekCurrent)
-		if err == nil {
-			return s, func() (io.Reader, error) {
-				if _, err := s.Seek(start, io.SeekStart); err != nil {
-					return nil, fmt.Errorf("load: rewind for second pass: %w", err)
-				}
-				return s, nil
-			}, nil
-		}
-		// A Seeker that cannot report its position (unseekable file like
-		// a pipe) falls through to buffering.
-	}
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return nil, nil, err
-	}
-	return bytes.NewReader(raw), func() (io.Reader, error) { return bytes.NewReader(raw), nil }, nil
-}
-
-// loadChunkBytes caps the joined text of one restored --data chunk —
-// one commit, one WAL record — comfortably below wal.MaxRecord so a
-// bulk Load of any size stays recoverable. A var so tests can shrink
-// it.
+// loadChunkBytes caps the joined text of the data lines one WAL record
+// of a Load holds, comfortably below wal.MaxRecord, so a bulk Load of
+// any size stays recoverable. A var so tests can shrink it.
 var loadChunkBytes = wal.MaxRecord / 4
 
-// loadStream replays a dump stream directly into the database with no
-// staging pass — the shared worker under Load (which validates first)
-// and WAL checkpoint restore (whose input is trusted: it was written
-// atomically by Checkpoint).
-func (db *DB) loadStream(r io.Reader) error {
+// applyDump applies a dump stream to the working store and returns the
+// records a Load is logged as, in stream order: each DDL statement's,
+// and one per chunk of data lines (at most loadChunkBytes of text, or
+// one line that is longer); none without a WAL. A DDL line is one
+// statement, run through the default session's statement dispatch in
+// one call, so each reads the view of the lines before it.
+//
+// extra:requires db.wmu.W
+func (db *DB) applyDump(r io.Reader) ([]*wal.Record, error) {
+	if cat := db.store.Catalog(); len(cat.VarNames()) != 0 || len(cat.TupleTypeNames()) != 0 {
+		return nil, fmt.Errorf("Load requires a fresh database")
+	}
+	var c stmtCall
+	c.open(db.def)
+	defer c.es.Release()
+	var recs []*wal.Record
+	var chunk strings.Builder
+	flush := func() {
+		if chunk.Len() > 0 {
+			recs = append(recs, &wal.Record{Kind: wal.RecordLoad, User: "dba", Src: chunk.String()})
+			chunk.Reset()
+		}
+	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
 	section := ""
-	lineNo := 0
-	var data []dataLine
-	dataBytes := 0
-	var lastLSN uint64
-	flush := func() error {
-		lsn, err := db.restoreData(data)
-		if lsn > lastLSN {
-			lastLSN = lsn
-		}
-		data = nil
-		dataBytes = 0
-		return err
-	}
-	for sc.Scan() {
-		lineNo++
+	for lineNo := 1; sc.Scan(); lineNo++ {
 		line := strings.TrimSpace(sc.Text())
 		switch {
 		case line == "" || strings.HasPrefix(line, "#"):
 			continue
 		case strings.HasPrefix(line, "--"):
-			// Leaving the data section flushes its records in one
-			// critical section, before the index DDL that backfills from
-			// them.
-			if section == "--data" {
-				if err := flush(); err != nil {
-					return err
-				}
-			}
 			section = line
 			continue
 		}
+		var err error
 		switch section {
 		case "--ddl", "--indexes":
-			if _, err := db.Exec(line); err != nil {
-				return &LoadError{Line: lineNo, Err: err}
+			flush()
+			var st ast.Statement
+			var logged []*wal.Record
+			if st, err = db.parseOne(line); err == nil {
+				_, logged, err = db.def.apply(&c, st)
+				recs = append(recs, logged...)
 			}
 		case "--data":
-			// Flush before the chunk would outgrow the cap, so a chunk
-			// exceeds it only when a single line does (and restoreData
-			// refuses that before applying anything).
-			if dataBytes > 0 && dataBytes+len(line)+1 > loadChunkBytes {
-				if err := flush(); err != nil {
-					return err
+			err = db.loadDataLine(line)
+			if db.wal != nil {
+				if chunk.Len() > 0 && chunk.Len()+1+len(line) > loadChunkBytes {
+					flush()
 				}
+				if chunk.Len() > 0 {
+					chunk.WriteByte('\n')
+				}
+				chunk.WriteString(line)
 			}
-			data = append(data, dataLine{no: lineNo, text: line})
-			dataBytes += len(line) + 1
 		default:
-			return &LoadError{Line: lineNo, Err: fmt.Errorf("content outside a section")}
+			err = fmt.Errorf("content outside a section")
+		}
+		if err != nil {
+			return nil, &LoadError{Line: lineNo, Err: err}
 		}
 	}
-	if err := flush(); err != nil {
-		return err
-	}
-	if err := db.waitDurable(lastLSN); err != nil {
-		return err
-	}
-	return sc.Err()
-}
-
-// dataLine is one --data record with its source line (for errors).
-type dataLine struct {
-	no   int
-	text string
-}
-
-// restoreData replays one chunk of --data records (loadStream caps
-// chunks at loadChunkBytes) through publish, in one write-lock critical
-// section with a single snapshot at the end, so a concurrent reader sees
-// each chunk atomically. The chunk is one WAL record (replay stops at
-// the same first bad line the original run did). It is built even
-// without a WAL, so Load's staging pass — a WAL-less scratch database —
-// refuses an oversize chunk exactly where the durable pass would. The
-// returned LSN is 0 when nothing was logged, and the caller awaits
-// durability outside the lock.
-//
-// extra:acquires db.wmu.W
-func (db *DB) restoreData(lines []dataLine) (uint64, error) {
-	if len(lines) == 0 {
-		return 0, nil
-	}
-	texts := make([]string, len(lines))
-	for i, l := range lines {
-		texts[i] = l.text
-	}
-	rec := &wal.Record{Kind: wal.RecordLoad, User: "dba", Src: strings.Join(texts, "\n")}
-	db.wmu.Lock()
-	defer db.wmu.Unlock()
-	lsn, err := db.publish(rec, nil, func() error {
-		for _, l := range lines {
-			if err := db.loadDataLine(l.text); err != nil {
-				return &LoadError{Line: l.no, Err: err}
-			}
-		}
-		return nil
-	})
-	if errors.Is(err, wal.ErrTooLarge) {
-		err = &LoadError{Line: lines[0].no, Err: err}
-	}
-	return lsn, err
+	flush()
+	return recs, sc.Err()
 }
 
 // LoadFile replays a snapshot file.
@@ -392,9 +300,8 @@ func (db *DB) LoadFile(path string) error {
 	return db.Load(f)
 }
 
-// loadDataLine restores one OBJ/ELEM/VAR record into the live store;
-// the caller (restoreData) holds the write lock for the whole section
-// and commits once at the end.
+// loadDataLine restores one OBJ/ELEM/VAR record into the working
+// store; the caller holds the write lock and publishes once at the end.
 //
 // extra:requires db.wmu.W
 func (db *DB) loadDataLine(line string) error {

@@ -176,13 +176,7 @@ func Open(opts ...Option) (*DB, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	return open(cfg, adt.NewRegistry())
-}
-
-// open builds a DB over an existing ADT registry. Load's staging pass
-// uses it to validate a dump in a scratch database that shares the real
-// database's registry, so application-registered ADTs resolve there too.
-func open(cfg config, reg *adt.Registry) (*DB, error) {
+	reg := adt.NewRegistry()
 	cat := catalog.New(reg)
 	store := object.New(nil, cat)
 	mreg := metrics.NewRegistry()

@@ -170,8 +170,9 @@ func (a *Authorizer) Owner(object string) string {
 	return a.owners[object]
 }
 
-// Grant adds privileges on an object for a user or group. Only the
-// object's owner (or dba) may grant.
+// Grant adds privileges on an object for each user or group named. Only
+// the object's owner (or dba) may grant. An unknown name fails the grant
+// where it stands; the caller drops the edit (Store.Abort).
 func (a *Authorizer) Grant(granter, priv, object string, to []string) error {
 	p, err := ParsePriv(priv)
 	if err != nil {
@@ -181,13 +182,9 @@ func (a *Authorizer) Grant(granter, priv, object string, to []string) error {
 		return fmt.Errorf("%s does not own %s", granter, object)
 	}
 	for _, who := range to {
-		if !a.users[who] {
-			if _, isGroup := a.groups[who]; !isGroup {
-				return fmt.Errorf("no user or group %s", who)
-			}
+		if _, isGroup := a.groups[who]; !a.users[who] && !isGroup {
+			return fmt.Errorf("no user or group %s", who)
 		}
-	}
-	for _, who := range to {
 		a.bump()
 		m, ok := a.grants[object]
 		if !ok {

@@ -141,14 +141,16 @@ type Catalog struct {
 	indexes map[string]*Index
 	byExt   map[string][]*Index // extent -> indexes
 
-	// version counts schema mutations. Plans checked against one catalog
-	// version are stale at any other; the plan cache keys on it so DDL
-	// invalidates every cached statement at once. Grants do not move it.
+	// version counts schema mutations, and Reset moves it too: it never
+	// moves back. Plans checked against one catalog version are stale at
+	// any other; the plan cache keys on it so DDL invalidates every
+	// cached statement at once. Grants do not move it.
 	version uint64
 }
 
-// Version returns the schema-mutation counter. Any successful define /
-// create / drop / index operation bumps it.
+// Version returns the schema-mutation counter. Every define / create /
+// drop / index operation bumps it, and no two catalog states share a
+// version.
 func (c *Catalog) Version() uint64 { return c.version }
 
 // bump records a schema mutation.
@@ -192,6 +194,17 @@ func (c *Catalog) Freeze() *Catalog {
 		byExt:   maps.Clone(c.byExt),
 		version: c.version,
 	}
+}
+
+// Reset puts the catalog and its grant table back to f, a frozen copy
+// of an earlier state, in place: whoever holds the working catalog
+// keeps it. The version moves on, never back, so nothing cached under
+// a version the discarded edits had is served again.
+func (c *Catalog) Reset(f *Catalog) {
+	ver, auth := c.version, c.auth
+	*c = *f.Freeze()
+	*auth = *c.auth
+	c.auth, c.version = auth, ver+1
 }
 
 // ADTs returns the ADT registry.

@@ -317,8 +317,10 @@ func (c *Checker) CheckExecute(e *ast.Execute) (*CheckedExecute, error) {
 	return out, nil
 }
 
-// BuildFunction resolves a define-function statement, checking its body
-// in the parameter scope.
+// BuildFunction resolves a define-function statement and registers the
+// function in cat, checking its body in the parameter scope. A failed
+// check leaves the function registered: the caller drops the statement's
+// write.
 func BuildFunction(cat *catalog.Catalog, session *Session, d *ast.DefineFunction) (*catalog.Function, error) {
 	f := &catalog.Function{Name: d.Name, Late: d.Late}
 	seen := map[string]bool{}
@@ -346,20 +348,19 @@ func BuildFunction(cat *catalog.Catalog, session *Session, d *ast.DefineFunction
 	if f.Expr == nil && f.Query == nil && !d.DeclOnly {
 		return nil, fmt.Errorf("function %s has no body", d.Name)
 	}
-	if d.DeclOnly {
-		return cat.DefineFunction(f)
-	}
-	// Check the body against a private copy of the catalog that already
-	// holds the signature, so that recursive derived data can name itself
-	// (and "declare function" forward declarations enable mutual
-	// recursion); only a body that checks is registered, so a failed
-	// definition leaves the catalog untouched. Definition-time body
-	// checking is what the paper's data-abstraction story requires.
-	probe := cat.Freeze()
-	if _, err := probe.DefineFunction(f); err != nil {
+	// The signature is registered before the body is checked, so that
+	// recursive derived data can name itself (and "declare function"
+	// forward declarations enable mutual recursion). A body that does not
+	// check fails the statement, whose write the caller drops. Definition-
+	// time body checking is what the paper's data-abstraction story
+	// requires.
+	if _, err := cat.DefineFunction(f); err != nil {
 		return nil, err
 	}
-	ck := NewFrameChecker(probe, session, Frame(f.Params))
+	if d.DeclOnly {
+		return f, nil
+	}
+	ck := NewFrameChecker(cat, session, Frame(f.Params))
 	switch {
 	case d.Expr != nil:
 		b, err := ck.bindExpr(d.Expr)
@@ -376,7 +377,7 @@ func BuildFunction(cat *catalog.Catalog, session *Session, d *ast.DefineFunction
 			return nil, fmt.Errorf("function %s: %w", d.Name, err)
 		}
 	}
-	return cat.DefineFunction(f)
+	return f, nil
 }
 
 // Frame is the parameter frame of a function or procedure: its

@@ -1,15 +1,12 @@
 // Package snapcheck is an extravet fixture reproducing the engine's
-// pinned-read shape: a DB with one commit lock, a snapshottable
-// version-bearing store whose snapshots carry the catalog, and a
+// pinned-read shape: a DB with one commit lock, a store that publishes
+// snapshots carrying the catalog, and a
 // BindSnapshot pin point. extra:snapshot roots must stay read-only,
 // lock-free and snapshot-bound; the bad fixtures each break one of
 // those in a different way.
 package snapcheck
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Snap is an immutable snapshot; reads through it are always legal.
 type Snap struct {
@@ -28,21 +25,22 @@ type Cat struct{ types map[string]int }
 
 func (c *Cat) Type(name string) int { return c.types[name] }
 
-// Store is version-bearing and snapshottable, so live reads outside
-// Snapshot/Version are flagged in snapshot context.
+// Store publishes snapshots (Commit), so it is a store, and live reads
+// outside Snapshot/Version are flagged in snapshot context.
 type Store struct {
-	version atomic.Uint64
+	version uint64
 	vars    map[string]int
 	cat     *Cat
 }
 
-func (s *Store) bump() { s.version.Add(1) }
+// Commit publishes the working state as the next version.
+func (s *Store) Commit() { s.version++ }
 
 // Snapshot pins the current state.
 func (s *Store) Snapshot() *Snap { return &Snap{vars: s.vars} }
 
 // Version reads the counter (allowlisted: versioned caches key on it).
-func (s *Store) Version() uint64 { return s.version.Load() }
+func (s *Store) Version() uint64 { return s.version }
 
 // Get reads live state; illegal from snapshot context.
 func (s *Store) Get(name string) int { return s.vars[name] }
@@ -52,7 +50,6 @@ func (s *Store) Catalog() *Cat { return s.cat }
 
 // Set mutates live state.
 func (s *Store) Set(name string, v int) {
-	s.bump()
 	s.vars[name] = v
 }
 

@@ -1,12 +1,10 @@
 // Package walcheck is an extravet fixture: a miniature store with a
 // Commit publication point plus WAL plumbing (a MaxRecord limit, a
 // sizable Record, an extra:logs append). The fixtures cover walcheck's
-// four rules: coverage (Commit callers must carry extra:mutates), reach
-// (publications must hit the log), ordering (sizing must precede the
-// first mutation), and hygiene (stale annotations are errors).
+// three rules: coverage (Commit callers must carry extra:mutates), reach
+// (publications must hit the log), and hygiene (stale annotations are
+// errors).
 package walcheck
-
-import "sync/atomic"
 
 // MaxRecord is the fixture's record size limit; mentioning it is a
 // sizing event.
@@ -21,24 +19,19 @@ type Record struct {
 // event.
 func (r *Record) PayloadSize() int { return len(r.Data) + 8 }
 
-// Store is version-bearing (atomic version field), so its writes are
-// store mutations and Commit is the publication point.
+// Store publishes its writes with Commit, which makes it a store: Commit
+// is the publication point.
 type Store struct {
-	version atomic.Uint64
-	vars    map[string]int
+	vars map[string]int
 }
-
-func (s *Store) bump() { s.version.Add(1) }
 
 // Set mutates store state.
 func (s *Store) Set(name string, v int) {
-	s.bump()
 	s.vars[name] = v
 }
 
 // Commit publishes the accumulated writes.
 func (s *Store) Commit() (bool, error) {
-	s.bump()
 	return true, nil
 }
 
@@ -74,8 +67,7 @@ func goodPublish(s *Store, r *Record) error {
 	return appendRecord(r)
 }
 
-// goodDelegatedSizing sizes through the extra:logs plumbing before the
-// mutation (the stmtRecord shape: building the record IS the check).
+// goodDelegatedSizing sizes through the extra:logs plumbing.
 //
 // extra:mutates
 func goodDelegatedSizing(s *Store, r *Record) error {
@@ -88,7 +80,7 @@ func goodDelegatedSizing(s *Store, r *Record) error {
 }
 
 // badUnannotated publishes with Commit but carries no extra:mutates, so
-// walcheck cannot verify its ordering.
+// walcheck cannot verify that it reaches the log.
 func badUnannotated(s *Store, r *Record) {
 	s.Set("k", 3)
 	s.Commit() // want `publishes store state with Commit but is not annotated extra:mutates`
@@ -107,13 +99,12 @@ func badNoLog(s *Store, r *Record) { // want `never reaches a WAL append`
 	s.Commit()
 }
 
-// badMutateBeforeSize publishes and logs, but builds and sizes the
-// record only after the store has already been written — the
-// no-rollback bug class.
+// goodSizeAfterMutation mutates, then sizes while appending: the order
+// is free, because a write that fails before it publishes is aborted.
 //
 // extra:mutates
-func badMutateBeforeSize(s *Store, r *Record) error {
-	s.Set("k", 5) // want `mutates store state before sizing its WAL record`
+func goodSizeAfterMutation(s *Store, r *Record) error {
+	s.Set("k", 5)
 	if _, err := s.Commit(); err != nil {
 		return err
 	}

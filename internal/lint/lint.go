@@ -1,7 +1,7 @@
 // Package lint is the home of extravet, the engine's static-analysis
 // suite. It provides a small go/analysis-style framework built entirely
 // on the standard library (go/ast, go/types and `go list` export data —
-// golang.org/x/tools is deliberately not a dependency) plus four
+// golang.org/x/tools is deliberately not a dependency) plus six
 // analyzers that encode the engine's concurrency and determinism
 // invariants:
 //
@@ -13,14 +13,10 @@
 //   - detorder: user-visible output paths (dump, explain, catalog
 //     listings, metrics snapshots, the store fsck) must not iterate a
 //     map without establishing an order;
-//   - verbump: every mutation of stored object/tuple state must be
-//     paired with a Store.Version bump, so every published snapshot is
-//     stamped with a version no other state of the store carries;
 //   - walcheck: every function that publishes store state (calls
-//     Store.Commit) must be annotated extra:mutates, must transitively
-//     reach a WAL append (an extra:logs function), and must size its
-//     record against wal.MaxRecord before the first mutation — the
-//     no-rollback contract of DESIGN.md §13;
+//     Store.Commit) must be annotated extra:mutates and must
+//     transitively reach a WAL append (an extra:logs function) — the
+//     publication contract of DESIGN.md §13;
 //   - snapcheck: functions annotated extra:snapshot pin a snapshot;
 //     nothing reachable from them may mutate the store or the catalog,
 //     acquire the commit lock, or read the live store (or its working
@@ -31,7 +27,7 @@
 //
 // Analyzers run over a whole Program (every package of the main module
 // in the dependency closure of the requested patterns), so facts like
-// "this function transitively bumps the store version" cross package
+// "this function transitively reaches a WAL append" cross package
 // boundaries without a facts-serialization protocol.
 package lint
 
@@ -106,7 +102,6 @@ type Annotations struct {
 	Requires []string // extra:requires <lock>.<R|W> — caller must hold
 	Acquires []string // extra:acquires <lock>.<R|W> — taken AND released inside
 	Holds    []string // extra:holds <lock>.<R|W> — taken inside, still held on return
-	Bumps    bool     // extra:bumps — guarantees a store-version bump
 	Output   bool     // extra:output — root of a user-visible output path
 	Dispatch []string // extra:dispatch <lock> <classifier> — stmt dispatch
 	Logs     bool     // extra:logs — sizes and/or appends the WAL record
@@ -135,8 +130,6 @@ func parseAnnotations(doc *ast.CommentGroup) Annotations {
 			a.Acquires = append(a.Acquires, args...)
 		case "holds":
 			a.Holds = append(a.Holds, args...)
-		case "bumps":
-			a.Bumps = true
 		case "output":
 			a.Output = true
 		case "dispatch":
@@ -387,5 +380,5 @@ func Run(prog *Program, analyzers []*Analyzer, reportPaths []string) ([]Diagnost
 
 // Analyzers returns the full extravet suite.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{LockCheck, AtomicCheck, DetOrder, VerBump, WalCheck, SnapCheck, SpanLeak}
+	return []*Analyzer{LockCheck, AtomicCheck, DetOrder, WalCheck, SnapCheck, SpanLeak}
 }

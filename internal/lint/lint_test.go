@@ -24,10 +24,6 @@ func TestDetOrder(t *testing.T) {
 	linttest.Run(t, ".", "./fixtures/detorder", lint.DetOrder)
 }
 
-func TestVerBump(t *testing.T) {
-	linttest.Run(t, ".", "./fixtures/verbump", lint.VerBump)
-}
-
 func TestWalCheck(t *testing.T) {
 	linttest.Run(t, ".", "./fixtures/walcheck", lint.WalCheck)
 }
@@ -38,4 +34,8 @@ func TestSnapCheck(t *testing.T) {
 
 func TestSpanLeak(t *testing.T) {
 	linttest.Run(t, ".", "./fixtures/spanleak", lint.SpanLeak)
+}
+
+func TestRealStoreViolations(t *testing.T) {
+	linttest.Run(t, ".", "./fixtures/realstore", lint.WalCheck, lint.SnapCheck)
 }

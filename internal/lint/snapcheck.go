@@ -24,8 +24,8 @@ import (
 //     extra:requires/acquires/holds on that lock, or annotated
 //     extra:mutates (a publication point) — such callees are
 //     boundaries, reported at the edge and not descended into;
-//   - any direct mutation of a version-bearing store, the catalog and
-//     the grant table included (the verbump write scan);
+//   - any direct mutation of a store, the catalog and the grant table
+//     included (scanStoreAccess);
 //   - any call to a live-store method other than the versioned
 //     allowlist (Snapshot, Version): an un-versioned read of
 //     live state from snapshot context is exactly the stale-read bug
@@ -52,8 +52,8 @@ var snapForbidden = map[string]int{
 }
 
 // snapStoreAllow are live-store methods legal from snapshot context:
-// taking the snapshot itself, and reading the version counter a
-// versioned cache keys on.
+// taking the snapshot itself, and reading the published snapshot's
+// version.
 var snapStoreAllow = map[string]bool{
 	"Snapshot": true, "Version": true,
 }
@@ -122,7 +122,7 @@ func runSnapCheck(pass *Pass) {
 		info := fi.Pkg.Info
 
 		// Direct mutations inside snapshot context.
-		if mut, _ := scanStoreAccess(fi, stores); len(mut) > 0 {
+		if mut := scanStoreAccess(fi, stores); len(mut) > 0 {
 			pass.Reportf(mut[0], "%s mutates store state in snapshot context; pinned reads must leave the store untouched", obj.Name())
 		}
 
@@ -176,9 +176,9 @@ func runSnapCheck(pass *Pass) {
 	}
 }
 
-// snapshottableStores narrows the version-bearing store set to the
-// types that expose a Snapshot method — the only stores the "read
-// through the pinned Snapshot" rule can meaningfully apply to.
+// snapshottableStores narrows the store set to the types that expose a
+// Snapshot method — the only stores the "read through the pinned
+// Snapshot" rule can meaningfully apply to.
 func snapshottableStores(prog *Program, stores map[*types.Named]bool) map[*types.Named]bool {
 	out := map[*types.Named]bool{}
 	for obj := range prog.Funcs() {
@@ -224,4 +224,170 @@ func pinCalls(fi *FuncInfo, stores map[*types.Named]bool) (bind, snap token.Pos)
 		return true
 	})
 	return bind, snap
+}
+
+// storeTypes finds the stores: the named types that publish state (a
+// Commit method: the object store) or count their edits (a bump method:
+// the catalog and its grant table).
+func storeTypes(prog *Program) map[*types.Named]bool {
+	set := map[*types.Named]bool{}
+	for obj := range prog.Funcs() {
+		sig := obj.Type().(*types.Signature)
+		if sig.Recv() == nil || (obj.Name() != "Commit" && obj.Name() != "bump") {
+			continue
+		}
+		if n := namedOf(sig.Recv().Type()); n != nil {
+			set[n] = true
+		}
+	}
+	return set
+}
+
+// mutatingMethods are method names that mutate their receiver when the
+// receiver chain is rooted in a store (heap-file Insert/Update/Delete,
+// tuple Set, DropAll).
+var mutatingMethods = map[string]bool{
+	"Insert": true, "Update": true, "Delete": true, "Set": true, "DropAll": true,
+}
+
+func namedOf(t types.Type) *types.Named {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, _ := t.(*types.Named)
+	return n
+}
+
+func isStoreType(t types.Type, stores map[*types.Named]bool) bool {
+	if t == nil {
+		return false
+	}
+	n := namedOf(t)
+	return n != nil && stores[n]
+}
+
+// scanStoreAccess walks one function body and reports the positions
+// where it directly mutates store state: an assignment or delete
+// through a store-rooted selector chain (s.extents[n] = x,
+// delete(s.varVals, n)), a mutating method call on a store-rooted
+// receiver, or a write through a local that aliases store state (so,
+// ok := s.objs[id]; so.owner = ...). Locals that alias store internals
+// (lookups from store maps, s := db.store rebindings) are tracked so
+// writes through them count; stores constructed locally are exempt.
+func scanStoreAccess(fi *FuncInfo, stores map[*types.Named]bool) (mutates []token.Pos) {
+	info := fi.Pkg.Info
+
+	local := map[types.Object]bool{}   // defined in this body, not store-derived
+	derived := map[types.Object]bool{} // aliases store state
+
+	// storeRooted reports whether the selector/index chain of e passes
+	// through store state that did not originate in this function: a
+	// store-typed prefix rooted outside the body, or a derived local.
+	var storeRooted func(e ast.Expr) bool
+	storeRooted = func(e ast.Expr) bool {
+		for {
+			e = ast.Unparen(e)
+			switch x := e.(type) {
+			case *ast.Ident:
+				obj := objOf(info, x)
+				if obj == nil {
+					return false
+				}
+				if derived[obj] {
+					return true
+				}
+				return isStoreType(obj.Type(), stores) && !local[obj]
+			case *ast.SelectorExpr:
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.StarExpr:
+				e = x.X
+			default:
+				return false
+			}
+		}
+	}
+
+	markDefined := func(e ast.Expr, rhs ast.Expr) {
+		id, ok := e.(*ast.Ident)
+		if !ok || id.Name == "_" {
+			return
+		}
+		obj := info.Defs[id]
+		if obj == nil {
+			return
+		}
+		if rhs != nil && storeRooted(rhs) {
+			// Aliases store state only when the binding shares memory
+			// with the store: a pointer, a map, a slice, or the store
+			// itself. Value copies are the caller's own.
+			switch obj.Type().Underlying().(type) {
+			case *types.Pointer, *types.Map, *types.Slice:
+				derived[obj] = true
+				return
+			default:
+				if isStoreType(obj.Type(), stores) {
+					derived[obj] = true
+					return
+				}
+			}
+		}
+		local[obj] = true
+	}
+
+	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.AssignStmt:
+			if x.Tok == token.DEFINE {
+				for i, lhs := range x.Lhs {
+					var rhs ast.Expr
+					if len(x.Rhs) == len(x.Lhs) {
+						rhs = x.Rhs[i]
+					} else if len(x.Rhs) == 1 && i == 0 {
+						rhs = x.Rhs[0] // v, ok := m[k]
+					}
+					markDefined(lhs, rhs)
+				}
+				return true
+			}
+			for _, lhs := range x.Lhs {
+				if _, isIdent := ast.Unparen(lhs).(*ast.Ident); isIdent {
+					continue // rebinding a local, not a store write
+				}
+				if storeRooted(lhs) {
+					mutates = append(mutates, lhs.Pos())
+				}
+			}
+		case *ast.RangeStmt:
+			if x.Tok == token.DEFINE {
+				markDefined(x.Key, nil)
+				markDefined(x.Value, x.X)
+			}
+		case *ast.IncDecStmt:
+			if _, isIdent := ast.Unparen(x.X).(*ast.Ident); !isIdent && storeRooted(x.X) {
+				mutates = append(mutates, x.Pos())
+			}
+		case *ast.CallExpr:
+			if id, ok := x.Fun.(*ast.Ident); ok && id.Name == "delete" && len(x.Args) > 0 {
+				if storeRooted(x.Args[0]) {
+					mutates = append(mutates, x.Pos())
+				}
+				return true
+			}
+			sel, ok := x.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if mutatingMethods[sel.Sel.Name] && storeRooted(sel.X) {
+				// Only method calls (field-val receivers), not calls
+				// to store-typed function fields.
+				if s := info.Selections[sel]; s != nil && s.Kind() == types.MethodVal {
+					mutates = append(mutates, x.Pos())
+				}
+			}
+		}
+		return true
+	})
+	return mutates
 }

@@ -6,13 +6,10 @@ import (
 	"go/types"
 )
 
-// WalCheck mechanizes the WAL no-rollback contract (DESIGN.md §13):
-// once a statement has mutated the store there is no undo, so anything
-// that could make the engine refuse to log the mutation — above all an
-// oversize record — must be decided before the first mutation runs, and
-// every path that publishes store state must actually reach the log.
-// PR 9's review fixed exactly this class by hand (records sized after
-// the insert they described); walcheck turns it into a build failure.
+// WalCheck mechanizes the WAL publication contract (DESIGN.md §13):
+// every path that publishes store state must reach the log, so no
+// acknowledged write is invisible to recovery. (A write that fails
+// before it publishes is aborted, Store.Abort, and logs nothing.)
 //
 // Two annotations carry the contract across the call graph:
 //
@@ -20,9 +17,8 @@ import (
 //     mutates store state and publishes it with Store.Commit (the
 //     atomic snapshot swap). Every direct caller of Commit must carry
 //     the annotation — that is how new write paths opt in.
-//   - "// extra:logs" marks the WAL plumbing: a function that builds,
-//     sizes or appends the statement's record (stmtRecord, logStmt,
-//     wal.Log.Append).
+//   - "// extra:logs" marks the WAL plumbing: a function that sizes or
+//     appends a record (logRecords, wal.Log.Append).
 //
 // The analyzer then checks, per publication point:
 //
@@ -31,20 +27,12 @@ import (
 //  2. reach — an extra:mutates function must transitively call an
 //     extra:logs function, so the publication cannot silently skip the
 //     log;
-//  3. ordering — in the publication's body, a sizing event (a mention
-//     of the wal.MaxRecord limit, a PayloadSize call, or a call into
-//     extra:logs plumbing) must precede, in source order, the first
-//     call that transitively mutates store state;
-//  4. hygiene — a stale extra:mutates (never reaches Commit) or
+//  3. hygiene — a stale extra:mutates (never reaches Commit) or
 //     extra:logs (never sizes a record) annotation is itself an error,
 //     so the vocabulary cannot rot.
-//
-// Like the rest of the suite the analysis is flow-approximate (source
-// order, not CFG paths): good enough to catch the bug class, simple
-// enough to stay honest.
 var WalCheck = &Analyzer{
 	Name: "walcheck",
-	Doc:  "store publications must size their WAL record before mutating and must reach an append",
+	Doc:  "store publications must be annotated and must reach a WAL append",
 	Run:  runWalCheck,
 }
 
@@ -57,22 +45,15 @@ func runWalCheck(pass *Pass) {
 	funcs := prog.Funcs()
 	graph := prog.CallGraph()
 
-	// Whole-program facts.
-	directMut := map[*types.Func][]token.Pos{}
 	directCommit := map[*types.Func][]token.Pos{}
 	for obj, fi := range funcs {
 		if fi.Decl.Body == nil {
 			continue
 		}
-		mut, _ := scanStoreAccess(fi, stores)
-		if len(mut) > 0 {
-			directMut[obj] = mut
-		}
 		if pos := commitCalls(fi, stores); len(pos) > 0 {
 			directCommit[obj] = pos
 		}
 	}
-	mutates := Transitive(graph, func(f *types.Func) bool { return len(directMut[f]) > 0 })
 	commits := Transitive(graph, func(f *types.Func) bool { return len(directCommit[f]) > 0 })
 	logs := Transitive(graph, func(f *types.Func) bool {
 		fi := funcs[f]
@@ -82,7 +63,7 @@ func runWalCheck(pass *Pass) {
 	// against wal.MaxRecord or measures it with PayloadSize.
 	sizes := Transitive(graph, func(f *types.Func) bool {
 		fi := funcs[f]
-		return fi != nil && fi.Decl.Body != nil && firstSizingMention(fi).IsValid()
+		return fi != nil && fi.Decl.Body != nil && sizesRecord(fi)
 	})
 
 	for obj, fi := range funcs {
@@ -91,9 +72,9 @@ func runWalCheck(pass *Pass) {
 		}
 		// (1) coverage: publication points must be annotated.
 		if pos := directCommit[obj]; len(pos) > 0 && !fi.Ann.Mutates {
-			pass.Reportf(pos[0], "%s publishes store state with Commit but is not annotated extra:mutates; walcheck cannot verify its WAL ordering", obj.Name())
+			pass.Reportf(pos[0], "%s publishes store state with Commit but is not annotated extra:mutates; walcheck cannot verify that it reaches the log", obj.Name())
 		}
-		// (4) hygiene: extra:logs must actually size or append a record —
+		// (3) hygiene: extra:logs must actually size or append a record —
 		// a direct MaxRecord/PayloadSize mention somewhere below it, or a
 		// delegation to other extra:logs plumbing. (logs[obj] is useless
 		// here: Transitive seeds include themselves.)
@@ -103,7 +84,7 @@ func runWalCheck(pass *Pass) {
 		if !fi.Ann.Mutates {
 			continue
 		}
-		// (4) hygiene: extra:mutates must actually publish.
+		// (3) hygiene: extra:mutates must actually publish.
 		if !commits[obj] {
 			pass.Reportf(fi.Decl.Pos(), "%s is annotated extra:mutates but never reaches Store.Commit; drop or fix the annotation", obj.Name())
 			continue
@@ -111,18 +92,6 @@ func runWalCheck(pass *Pass) {
 		// (2) reach: the publication must be able to hit the log.
 		if !logs[obj] {
 			pass.Reportf(fi.Decl.Pos(), "%s publishes store state but never reaches a WAL append (no transitive call to an extra:logs function); when WAL is configured this mutation would be unrecoverable", obj.Name())
-			continue
-		}
-		// (3) ordering: sizing must dominate the first mutation.
-		firstMut := firstMutation(fi, funcs, directMut[obj], mutates)
-		if !firstMut.IsValid() {
-			continue // mutations only through dynamic dispatch; nothing to order
-		}
-		firstSize := firstSizing(fi, funcs, logs, sizes)
-		if !firstSize.IsValid() {
-			pass.Reportf(firstMut, "%s mutates store state without any prior record sizing (no MaxRecord/PayloadSize check and no extra:logs call before the mutation); size the record first so an oversize statement is refused before it takes effect", obj.Name())
-		} else if firstSize > firstMut {
-			pass.Reportf(firstMut, "%s mutates store state before sizing its WAL record (sizing happens later at %s); there is no rollback, so the record must be built and checked against wal.MaxRecord before the first mutation", obj.Name(), prog.Fset.Position(firstSize))
 		}
 	}
 }
@@ -170,82 +139,24 @@ func commitCalls(fi *FuncInfo, stores map[*types.Named]bool) []token.Pos {
 	return out
 }
 
-// firstSizingMention returns the position of the first direct sizing
-// event in a body: a use of a constant named MaxRecord, or a call to a
-// function or method named PayloadSize.
-func firstSizingMention(fi *FuncInfo) token.Pos {
+// sizesRecord reports whether a body sizes a record directly: a use of
+// a constant named MaxRecord, or a call to a function or method named
+// PayloadSize.
+func sizesRecord(fi *FuncInfo) bool {
 	info := fi.Pkg.Info
-	best := token.NoPos
-	better := func(p token.Pos) {
-		if !best.IsValid() || p < best {
-			best = p
-		}
-	}
+	found := false
 	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.Ident:
-			if x.Name == "MaxRecord" {
-				if _, isConst := info.Uses[x].(*types.Const); isConst {
-					better(x.Pos())
-				}
+			if _, isConst := info.Uses[x].(*types.Const); isConst && x.Name == "MaxRecord" {
+				found = true
 			}
 		case *ast.CallExpr:
 			if f := StaticCallee(info, x); f != nil && f.Name() == "PayloadSize" {
-				better(x.Pos())
+				found = true
 			}
 		}
-		return true
+		return !found
 	})
-	return best
-}
-
-// firstSizing returns the position of the first sizing event in a body:
-// a direct MaxRecord/PayloadSize mention, or a call into a callee that
-// transitively logs or sizes.
-func firstSizing(fi *FuncInfo, funcs map[*types.Func]*FuncInfo, logs, sizes map[*types.Func]bool) token.Pos {
-	info := fi.Pkg.Info
-	best := firstSizingMention(fi)
-	better := func(p token.Pos) {
-		if !best.IsValid() || p < best {
-			best = p
-		}
-	}
-	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if f := StaticCallee(info, call); f != nil && (logs[f] || sizes[f]) {
-			better(call.Pos())
-		}
-		return true
-	})
-	return best
-}
-
-// firstMutation returns the position of the first store mutation in a
-// body: a direct write, or a call to a callee that transitively mutates
-// store state.
-func firstMutation(fi *FuncInfo, funcs map[*types.Func]*FuncInfo, direct []token.Pos, mutates map[*types.Func]bool) token.Pos {
-	info := fi.Pkg.Info
-	best := token.NoPos
-	better := func(p token.Pos) {
-		if !best.IsValid() || p < best {
-			best = p
-		}
-	}
-	for _, p := range direct {
-		better(p)
-	}
-	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if f := StaticCallee(info, call); f != nil && mutates[f] {
-			better(call.Pos())
-		}
-		return true
-	})
-	return best
+	return found
 }

@@ -91,11 +91,11 @@ func TestUpdateKeepsChunkPosition(t *testing.T) {
 }
 
 // TestDropVarFailedHalfWayCommits pins that a drop which fails part-way
-// leaves a store that can still commit. The extent's member list holds,
-// half-way along, a member planted with no directory entry, so the drop
-// deletes the members before it and fails there. The drop used to mark
-// the extent as dropped before deleting anything; the extent then
-// stayed live with that mark, and every later commit failed.
+// is dropped whole. The extent's member list holds, half-way along, a
+// member planted with no directory entry, so the drop deletes the
+// members before it and fails there. An abort then leaves the published
+// snapshot as it was and the working store equal to it, with the
+// planted member the only fault, and the store commits again.
 func TestDropVarFailedHalfWayCommits(t *testing.T) {
 	f := newFixture(t)
 	s := f.store
@@ -121,21 +121,30 @@ func TestDropVarFailedHalfWayCommits(t *testing.T) {
 	if _, err := s.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	sn := s.Snapshot()
+	max := s.gen.Next()
+	before := render(sn, max, nil)
 	if err := s.DropVar(temp); err == nil {
 		t.Fatal("DropVar deleted a member with no directory entry")
 	}
-	if left, _ := s.ExtentLen("Temp"); left != n/2+1 {
-		t.Fatalf("%d members left, want the orphan and the %d after it", left, n/2)
+	s.Abort()
+	if s.Snapshot() != sn || render(sn, max, nil) != before {
+		t.Fatal("the failed drop changed the published snapshot")
 	}
-	if _, err := s.Commit(); err != nil {
-		t.Fatalf("commit after the failed drop: %v", err)
+	if left, _ := s.ExtentLen("Temp"); left != n+1 {
+		t.Fatalf("%d members left after the abort, want all %d and the orphan", left, n)
 	}
-	max := s.gen.Next()
-	if live, snap := render(s, max, nil), render(s.Snapshot(), max, nil); live != snap {
-		t.Fatalf("snapshot differs from the live store: %s", firstDiff(live, snap))
+	if live := render(s, max, nil); live != before {
+		t.Fatalf("working store differs from the snapshot after the abort: %s", firstDiff(before, live))
 	}
 	if bad := s.CheckConsistency(); len(bad) != 1 || !strings.Contains(bad[0], "no directory entry") {
-		t.Fatalf("fsck after the failed drop: %q, want the planted member alone", bad)
+		t.Fatalf("fsck after the aborted drop: %q, want the planted member alone", bad)
+	}
+	if _, err := s.Insert("Temp", f.newPerson("after", 1)); err != nil {
+		t.Fatal(err)
+	}
+	if published, err := s.Commit(); err != nil || !published {
+		t.Fatalf("commit after the aborted drop: published %v, %v", published, err)
 	}
 }
 

@@ -84,7 +84,6 @@ func exportObjects(m *objMap, restored []restoredObj) ([]ExportObject, error) {
 //
 // extra:requires db.wmu.W
 func (s *Store) RestoreObject(o ExportObject) error {
-	s.bump()
 	if s.Exists(o.OID) || s.head.Exists(o.OID) {
 		return fmt.Errorf("restore: OID %s already live", o.OID)
 	}
@@ -125,7 +124,6 @@ func (s *Store) RestoreObject(o ExportObject) error {
 //
 // extra:requires db.wmu.W
 func (s *Store) RestoreElem(extent string, data []byte) error {
-	s.bump()
 	l, err := s.writeElem(extent)
 	if err != nil {
 		return fmt.Errorf("restore: %w", err)
@@ -143,7 +141,6 @@ func (s *Store) RestoreElem(extent string, data []byte) error {
 //
 // extra:requires db.wmu.W
 func (s *Store) RestoreVar(name string, data []byte) error {
-	s.bump()
 	if _, ok := s.varVals[name]; !ok {
 		return fmt.Errorf("restore: no variable %s", name)
 	}

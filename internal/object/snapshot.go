@@ -51,6 +51,11 @@ type Snapshot struct {
 	elems   map[string]*elemList
 	vars    map[string]value.Value
 	indexes map[string]*storage.BTree
+
+	// varOID and oids are the store's variable owners and the OID
+	// generator's last OID at the freeze, which an abort restores.
+	varOID map[string]oid.OID
+	oids   oid.OID
 }
 
 // Version returns the store version this snapshot was published at.
@@ -216,8 +221,7 @@ func (s *Store) SetMetrics(reg *metrics.Registry) {
 }
 
 // commitObs is where freeze and Commit report. It is attached, not
-// stored state: an atomic pointer, so attaching takes no lock and bumps
-// no version.
+// stored state: an atomic pointer, so attaching takes no lock.
 type commitObs struct {
 	freeze, dirtyObjs, dirtyChunks, decoded *metrics.Histogram
 	version                                 *metrics.Gauge
@@ -235,7 +239,6 @@ func (s *Store) markIndexes() { s.dirtyIdx = true }
 // the write lock.
 //
 // extra:requires db.wmu.W
-// extra:bumps
 func (s *Store) View() (*Snapshot, error) {
 	if err := s.freeze(); err != nil {
 		return nil, err
@@ -253,7 +256,6 @@ func (s *Store) View() (*Snapshot, error) {
 // snapshot.
 //
 // extra:requires db.wmu.W
-// extra:bumps
 func (s *Store) Commit() (published bool, err error) {
 	if err := s.freeze(); err != nil {
 		return false, err
@@ -276,23 +278,17 @@ func (s *Store) Commit() (published bool, err error) {
 // The directory already holds every object the window wrote; the freeze
 // only decodes the pending entries Load restored, in restore order, and
 // then reallocates the directory's new leaves in one run
-// (objEdit.regroup). No-op when nothing changed since the last freeze.
-// On error the head is left as it was, so the next freeze redoes the
-// work.
+// (objEdit.regroup). The head it builds carries the next version.
+// No-op when nothing changed since the last freeze. On error the head
+// is left as it was; the caller aborts.
 //
 // extra:requires db.wmu.W
-// extra:bumps
 func (s *Store) freeze() error {
 	catEdited := s.cat.Edits() != s.catEdits
-	if s.dir.written == 0 && !s.dirtyExts && !s.valsOwned &&
-		!s.dirtyIdx && !catEdited {
+	if !s.dirty(catEdited) {
 		return nil
 	}
 	start := time.Now()
-	// A freeze is itself a store-state change: bump so every frozen
-	// snapshot carries a version of its own, distinct from the working
-	// version it was built from and from every earlier snapshot.
-	s.bump()
 	prev := s.head
 	cat := prev.cat
 	if catEdited {
@@ -364,13 +360,16 @@ func (s *Store) freeze() error {
 		s.dir.m.root = s.dir.regroup(s.dir.m.root)
 	}
 	workObjs := s.dir.written
+	s.stamped++
 	s.head = &Snapshot{
-		version: s.version.Load(),
+		version: s.stamped,
 		cat:     cat,
 		objs:    s.dir.done(),
 		extents: exts,
 		elems:   s.elems,
 		vars:    s.varVals,
+		varOID:  s.varOID,
+		oids:    s.gen.Last(),
 		indexes: indexes,
 	}
 	s.dir = s.head.objs.edit()
@@ -386,4 +385,54 @@ func (s *Store) freeze() error {
 		o.decoded.ObserveCount(decoded)
 	}
 	return nil
+}
+
+// dirty reports whether anything changed since the last freeze.
+func (s *Store) dirty(catEdited bool) bool {
+	return s.dir.written > 0 || s.dirtyExts || s.valsOwned || s.dirtyIdx || catEdited
+}
+
+// Abort drops the window: it puts the working state back to the
+// published snapshot, whatever the window wrote and whatever of it Views
+// froze since, so a failed write publishes nothing. The OID generator
+// is rewound with it, so the next write allocates the OIDs the dropped
+// one did, as a replay of the log will. The working catalog and its
+// grant table are put back in place (catalog.Reset moves the catalog
+// version past every version the window used, so nothing cached under
+// one is served again), and each index's working tree is cloned from
+// the snapshot's. Extent structs are kept: the snapshot's directory
+// entries point at them.
+//
+// extra:requires db.wmu.W
+func (s *Store) Abort() {
+	sn := s.snap.Load()
+	s.gen.Reset(sn.oids)
+	catEdited := s.cat.Edits() != s.catEdits
+	if s.head == sn && !s.dirty(catEdited) {
+		return
+	}
+	if catEdited || s.head.cat != sn.cat {
+		s.cat.Reset(sn.cat)
+	}
+	s.catEdits = s.cat.Edits()
+	for _, name := range s.cat.IndexNames() {
+		ix, _ := s.cat.Index(name)
+		ix.Tree = sn.indexes[name].Clone()
+	}
+	s.extents = make(map[string]*objExtent, len(sn.extents))
+	for name, l := range sn.extents {
+		x := &objExtent{name: name}
+		for _, c := range l.chunks { // sealed: c[0] is a live member
+			if len(c) > 0 {
+				so, _ := sn.objs.get(c[0].id)
+				x = so.ext
+				break
+			}
+		}
+		x.members = l
+		s.extents[name] = x
+	}
+	s.varVals, s.elems, s.varOID, s.valsOwned = sn.vars, sn.elems, sn.varOID, false
+	s.dir, s.restored = sn.objs.edit(), nil
+	s.head, s.dirtyExts, s.dirtyIdx = sn, false, false
 }

@@ -28,6 +28,7 @@ package object
 
 import (
 	"fmt"
+	"maps"
 	"sync/atomic"
 
 	"repro/internal/catalog"
@@ -60,7 +61,7 @@ type Store struct {
 	cat     *catalog.Catalog
 	gen     *oid.Generator
 	extents map[string]*objExtent // object-set extents
-	varOID  map[string]oid.OID    // pseudo-owner OID per variable
+	varOID  map[string]oid.OID    // pseudo-owner OID per variable; the head shares it, so a write copies it
 
 	// varVals and elems hold the working values of the singleton and
 	// array variables and of the ref-set and value-set extents. A value
@@ -85,25 +86,20 @@ type Store struct {
 	// enc is the buffer every write encodes into (encodeRecord).
 	enc []byte
 
-	// version counts mutations (inserts, updates, deletes, variable and
-	// element writes, releases, restores). Commit stamps it on the
-	// snapshot it publishes (Snapshot.Version, the snapshot.version
-	// trace attribute and the mvcc.version gauge), so every mutating
-	// method must call bump or two different states would share a
-	// version. Atomic so observers can read it while a writer is
-	// mid-statement.
-	version atomic.Uint64
-
 	// snap is the latest published immutable snapshot; readers load it
 	// once per statement and never look at the working state above. head
 	// is the latest frozen one: snap, or a newer snapshot View froze that
 	// the next Commit publishes. The dirty flags record what changed
 	// since the last freeze besides the directory and the value maps —
 	// the object extents (created, dropped or written) and the indexes —
-	// so a freeze refreshes only touched state. head and the flags are
-	// guarded by the same write lock as the maps; snap itself is atomic.
+	// so a freeze refreshes only touched state. stamped is the last
+	// version a freeze stamped: the next freeze stamps one more, so a
+	// version an aborted window's freeze stamped is never stamped again.
+	// head, the flags and stamped are guarded by the same write lock as
+	// the maps; snap itself is atomic.
 	snap      atomic.Pointer[Snapshot]
 	head      *Snapshot
+	stamped   uint64
 	catEdits  uint64 // cat.Edits() when head's catalog was frozen
 	dirtyExts bool
 	dirtyIdx  bool
@@ -111,12 +107,10 @@ type Store struct {
 	obs atomic.Pointer[commitObs] // where Commit reports; nil until SetMetrics
 }
 
-// Version returns the store's mutation counter. Any change to stored
-// values (object, element or variable) increments it; a cache holding
-// decoded values is valid exactly as long as the version is unchanged.
-func (s *Store) Version() uint64 { return s.version.Load() }
-
-func (s *Store) bump() { s.version.Add(1) }
+// Version returns the version of the published snapshot: it moves with
+// every publication, and a failed write, which publishes nothing,
+// leaves it as it was.
+func (s *Store) Version() uint64 { return s.snap.Load().version }
 
 // New creates an object store, resolving types through the catalog. The
 // store keeps no page; the pool parameter is unused and stays only for
@@ -139,6 +133,7 @@ func New(_ *storage.BufferPool, cat *catalog.Catalog) *Store {
 		extents: map[string]*memberList{},
 		elems:   s.elems,
 		vars:    s.varVals,
+		varOID:  s.varOID,
 		indexes: map[string]*storage.BTree{},
 	}
 	s.snap.Store(s.head)
@@ -157,7 +152,6 @@ func (s *Store) Catalog() *catalog.Catalog { return s.cat }
 //
 // extra:requires db.wmu.W
 func (s *Store) InitVar(v *catalog.Variable) error {
-	s.bump()
 	switch {
 	case v.IsObjectSet():
 		s.extents[v.Name] = &objExtent{name: v.Name, members: &memberList{}}
@@ -179,6 +173,7 @@ func (s *Store) InitVar(v *catalog.Variable) error {
 		}
 		s.writeVals()
 		s.varVals[v.Name] = init
+		s.varOID = maps.Clone(s.varOID)
 		s.varOID[v.Name] = s.gen.Next()
 	}
 	return nil
@@ -188,7 +183,6 @@ func (s *Store) InitVar(v *catalog.Variable) error {
 //
 // extra:requires db.wmu.W
 func (s *Store) DropVar(v *catalog.Variable) error {
-	s.bump()
 	switch {
 	case v.IsObjectSet():
 		x := s.extents[v.Name]
@@ -222,6 +216,7 @@ func (s *Store) DropVar(v *catalog.Variable) error {
 		}
 		s.writeVals()
 		delete(s.varVals, v.Name)
+		s.varOID = maps.Clone(s.varOID)
 		delete(s.varOID, v.Name)
 		return nil
 	}
@@ -238,7 +233,6 @@ func (s *Store) DropVar(v *catalog.Variable) error {
 //
 // extra:requires db.wmu.W
 func (s *Store) Insert(extent string, tv *value.Tuple) (oid.OID, error) {
-	s.bump()
 	x, ok := s.extents[extent]
 	if !ok {
 		return oid.Nil, fmt.Errorf("no object extent %s", extent)
@@ -347,7 +341,6 @@ func (s *Store) Exists(id oid.OID) bool {
 //
 // extra:requires db.wmu.W
 func (s *Store) Delete(id oid.OID) error {
-	s.bump()
 	so, ok := s.dir.get(id)
 	if !ok {
 		return fmt.Errorf("delete of missing object %s", id)
@@ -374,7 +367,6 @@ func (s *Store) Delete(id oid.OID) error {
 //
 // extra:requires db.wmu.W
 func (s *Store) Update(id oid.OID, tv *value.Tuple) error {
-	s.bump()
 	so, ok := s.dir.get(id)
 	if !ok {
 		return fmt.Errorf("update of missing object %s", id)

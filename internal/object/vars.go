@@ -36,7 +36,6 @@ func (s *Store) writeVals() {
 //
 // extra:requires db.wmu.W
 func (s *Store) SetVar(name string, nv value.Value) error {
-	s.bump()
 	v, ok := s.cat.Var(name)
 	if !ok {
 		return fmt.Errorf("no database variable %s", name)
@@ -92,7 +91,6 @@ func (s *Store) writeElem(extent string) (*elemList, error) {
 //
 // extra:requires db.wmu.W
 func (s *Store) InsertElem(extent string, v value.Value) error {
-	s.bump()
 	cv, ok := s.cat.Var(extent)
 	if !ok {
 		return fmt.Errorf("no element extent %s", extent)
@@ -118,7 +116,6 @@ func (s *Store) InsertElem(extent string, v value.Value) error {
 //
 // extra:requires db.wmu.W
 func (s *Store) DeleteElem(extent string, pos int) error {
-	s.bump()
 	l, err := s.writeElem(extent)
 	if err != nil {
 		return err

@@ -35,11 +35,19 @@ type Generator struct {
 	last atomic.Uint64
 }
 
-// Next returns a fresh OID, never Nil and never previously returned by
-// this Generator.
+// Next returns a fresh OID: never Nil, and never returned by this
+// Generator since it was last Reset below it.
 func (g *Generator) Next() OID {
 	return OID(g.last.Add(1))
 }
+
+// Last returns the last OID handed out (Nil before the first).
+func (g *Generator) Last() OID { return OID(g.last.Load()) }
+
+// Reset rewinds the generator to hand out last+1 next: an aborted write
+// that allocated past last used nothing, and its OIDs are handed out
+// again.
+func (g *Generator) Reset(last OID) { g.last.Store(uint64(last)) }
 
 // Advance makes sure the generator will never hand out an OID at or below
 // floor. It is used when reloading a dumped database so that new objects

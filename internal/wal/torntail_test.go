@@ -2,8 +2,11 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -161,7 +164,7 @@ func TestTornTailRecoveryIsIdempotent(t *testing.T) {
 // TestFrameEncodingStable pins the frame layout: header is big-endian
 // length then CRC, and encode/decode round-trips all fields.
 func TestFrameEncodingStable(t *testing.T) {
-	r := &Record{LSN: 12, Kind: RecordLoad, Session: 3, User: "alice", Erred: true,
+	r := &Record{LSN: 12, Kind: RecordLoad, Session: 3, User: "alice",
 		Src: "OBJ 1 2 deadbeef", Data: [][]byte{nil, []byte("x")}}
 	f := appendFrame(nil, r)
 	if len(f) <= frameHeader {
@@ -172,8 +175,21 @@ func TestFrameEncodingStable(t *testing.T) {
 		t.Fatalf("nextFrame: %v (rest %d)", err, len(rest))
 	}
 	if dec.LSN != 12 || dec.Kind != RecordLoad || dec.Session != 3 ||
-		dec.User != "alice" || !dec.Erred || dec.Src != r.Src ||
+		dec.User != "alice" || dec.Src != r.Src ||
 		len(dec.Data) != 2 || len(dec.Data[0]) != 0 || !bytes.Equal(dec.Data[1], []byte("x")) {
 		t.Fatalf("round-trip mismatch: %+v", dec)
+	}
+}
+
+// TestRetiredFlagIsCorrupt: the payload's flags byte defines no bit (it
+// once marked a statement that erred after publishing part of its
+// effects), so a frame with any flag set is not a record.
+func TestRetiredFlagIsCorrupt(t *testing.T) {
+	f := appendFrame(nil, &Record{LSN: 1, Kind: RecordStmt, User: "dba", Src: "drop X"})
+	payload := f[frameHeader:]
+	payload[2] |= 1 // LSN 1 is one varint byte; then kind, then flags
+	binary.BigEndian.PutUint32(f[4:], crc32.ChecksumIEEE(payload))
+	if _, _, err := nextFrame(f, 1); err == nil || !strings.Contains(err.Error(), "unknown flags") {
+		t.Fatalf("frame with the retired flag bit: err = %v, want an undecodable payload", err)
 	}
 }

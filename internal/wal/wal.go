@@ -57,7 +57,6 @@ type Record struct {
 	Kind    Kind
 	Session int64  // originating session id (recovery groups range decls per session)
 	User    string // session user at commit time (procedure definer fidelity)
-	Erred   bool   // the original execution returned an error; partial effects were still published
 	Src     string
 	Data    [][]byte
 }
@@ -72,21 +71,19 @@ const (
 	// request. The two must agree — a record the writer accepts but the
 	// reader rejects would be acknowledged yet unrecoverable.
 	MaxRecord = 64 << 20
-
-	flagErred = 1 << 0
 )
 
 // ErrTooLarge reports a record whose payload would exceed MaxRecord.
 // Appending it is refused before it is assigned an LSN; producers of
 // unbounded payloads (bulk loads) must chunk below the limit, and the
-// database layer sizes statement records with PayloadSize before
-// executing the statement so an unloggable mutation is never applied.
+// database layer sizes a write's records with PayloadSize before it
+// publishes the write, so an unloggable write is dropped, not applied.
 var ErrTooLarge = errors.New("record exceeds the wal payload limit")
 
 // PayloadSize returns an upper bound on the record's serialized
 // payload size (the LSN, unassigned until Append, is counted at its
 // maximum varint width). Callers that build potentially large records
-// compare it against MaxRecord before mutating any state the record
+// compare it against MaxRecord before publishing the state the record
 // is meant to make durable.
 func (r *Record) PayloadSize() int {
 	n := binary.MaxVarintLen64 + 2 // LSN bound + kind + flags
@@ -112,12 +109,7 @@ func uvarintLen(v uint64) int {
 // appendPayload serializes the record (including its LSN) onto dst.
 func appendPayload(dst []byte, r *Record) []byte {
 	dst = binary.AppendUvarint(dst, r.LSN)
-	dst = append(dst, byte(r.Kind))
-	var flags byte
-	if r.Erred {
-		flags |= flagErred
-	}
-	dst = append(dst, flags)
+	dst = append(dst, byte(r.Kind), 0) // kind, flags (none defined)
 	dst = binary.AppendUvarint(dst, uint64(r.Session))
 	dst = binary.AppendUvarint(dst, uint64(len(r.User)))
 	dst = append(dst, r.User...)
@@ -161,7 +153,9 @@ func decodePayload(p []byte) (*Record, error) {
 		return nil, fmt.Errorf("truncated header")
 	}
 	r.Kind = Kind(p[0])
-	r.Erred = p[1]&flagErred != 0
+	if p[1] != 0 {
+		return nil, fmt.Errorf("unknown flags %#x", p[1])
+	}
 	p = p[2:]
 	sess, n := binary.Uvarint(p)
 	if n <= 0 {

@@ -16,7 +16,6 @@ func mkRecord(i int) *Record {
 		Kind:    RecordStmt,
 		Session: int64(i % 3),
 		User:    "dba",
-		Erred:   i%5 == 0,
 		Src:     fmt.Sprintf("append to People (name = \"p%d\", age = %d)", i, 20+i),
 		Data:    [][]byte{[]byte{byte(i)}, []byte("param")},
 	}

@@ -20,10 +20,10 @@ import (
 	"repro/internal/excess/sema"
 	"repro/internal/excess/token"
 	"repro/internal/exec"
-	"repro/internal/object"
 	"repro/internal/trace"
 	"repro/internal/types"
 	"repro/internal/value"
+	"repro/internal/wal"
 )
 
 // Session is one client's connection-like handle on a DB: its own user
@@ -217,25 +217,28 @@ func (s *Session) run(c *stmtCall) (*Result, error) {
 // runWriteStmt runs one statement of a write batch through publish —
 // its reads bound to the store's frozen view of every earlier
 // statement's writes, its writes to the working store — so the
-// statement is sized, run, published and logged as one. A DDL statement
-// edits the working catalog, which only writers see; the snapshot
-// publishes it together with the data, so no reader ever pairs a
-// catalog with data of another version. The call remembers the LSN it
-// logged at; run awaits durability after releasing the write lock.
+// statement is run, sized, published and logged as one, or, when it
+// fails, leaves nothing behind. A DDL statement edits the working
+// catalog, which only writers see; the snapshot publishes it together
+// with the data, so no reader ever pairs a catalog with data of another
+// version. A failed statement leaves the session's range declarations
+// as they were too (a procedure body may declare one), as a replay of
+// the log, which holds no record of it, will. The call remembers the
+// LSN it logged at; run awaits durability after releasing the write
+// lock.
 //
 // extra:requires db.wmu.W
 func (s *Session) runWriteStmt(c *stmtCall, st ast.Statement) (*Result, error) {
 	db := s.db
-	rec, err := db.stmtRecord(s.id, c.user, st, c.params)
-	if err != nil {
-		return nil, err
-	}
 	var r *Result
-	lsn, err := db.publish(rec, c.tr.Active(), func() (err error) {
-		c.es.BindLive()
-		r, err = s.runStmt(c, st)
-		return err
+	ranges := s.sem.Load()
+	lsn, err := db.publish(c.tr.Active(), func() (recs []*wal.Record, err error) {
+		r, recs, err = s.apply(c, st)
+		return recs, err
 	})
+	if err != nil {
+		s.sem.Store(ranges)
+	}
 	if lsn > c.lsn {
 		c.lsn = lsn
 	}
@@ -674,11 +677,6 @@ func (s *Session) runStmt(c *stmtCall, st ast.Statement) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, key := range st.Keys {
-			if _, err := object.KeyPaths(&catalog.Variable{Name: st.Name, Comp: comp}, key); err != nil {
-				return nil, err
-			}
-		}
 		v, err := cat.CreateVar(st.Name, comp)
 		if err != nil {
 			return nil, err
@@ -795,6 +793,22 @@ func (s *Session) runStmt(c *stmtCall, st ast.Statement) (*Result, error) {
 		return nil, s.runExecute(c, st)
 	}
 	return nil, fmt.Errorf("unhandled statement %T", st)
+}
+
+// apply runs one statement in the call's write window, bound to the
+// store's current view, and returns the records it is logged as. It
+// publishes nothing: runWriteStmt publishes one statement, Load a whole
+// dump.
+//
+// extra:requires db.wmu.W
+func (s *Session) apply(c *stmtCall, st ast.Statement) (*Result, []*wal.Record, error) {
+	c.es.BindLive()
+	r, err := s.runStmt(c, st)
+	if err != nil {
+		return nil, nil, err
+	}
+	recs, err := s.db.stmtRecord(s.id, c.user, st, c.params)
+	return r, recs, err
 }
 
 // checker returns a checker over the catalog and the session's range

@@ -20,11 +20,12 @@ import (
 
 // Durability. Every write reaches readers and the log through one
 // envelope, publish: under the commit lock it refuses a closed
-// database, sizes the write's record against wal.MaxRecord while
-// nothing has mutated, runs the mutation, publishes the store snapshot
-// (Store.Commit) and, with WithWAL, appends the record. Open replays
-// the log, so acknowledged commits survive a crash. The store is in
-// memory and nothing of it is read back: recovery loads the
+// database, runs the mutation, sizes the write's records against
+// wal.MaxRecord, publishes the store snapshot (Store.Commit) and, with
+// WithWAL, appends the records. A write that fails anywhere before the
+// publication is aborted (Store.Abort): it publishes and logs nothing.
+// Open replays the log, so acknowledged commits survive a crash. The
+// store is in memory and nothing of it is read back: recovery loads the
 // checkpoint (an atomic Dump carrying the covered LSN) and re-executes
 // the logged sequence after it, which reproduces the store
 // deterministically (sequential OID allocation, printed-statement
@@ -121,9 +122,8 @@ func (db *DB) restoreCheckpoint(path string) (uint64, error) {
 		return 0, fmt.Errorf("wal: checkpoint %s: bad #wal-lsn: %w", path, err)
 	}
 	// The header line is consumed; the rest of the stream is a plain
-	// dump. The checkpoint was written atomically by Checkpoint, so it is
-	// trusted and loaded directly, without Load's staging pass.
-	if err := db.loadStream(br); err != nil {
+	// dump, loaded as Load loads one.
+	if err := db.Load(br); err != nil {
 		return 0, fmt.Errorf("wal: checkpoint restore: %w", err)
 	}
 	return lsn, nil
@@ -136,6 +136,8 @@ func (db *DB) restoreCheckpoint(path string) (uint64, error) {
 // definer. Authorization state is not durable (grants are session
 // configuration, same as Dump), so nothing is access-checked during
 // replay: the authorizer is still in its pass-everything initial state.
+// Only writes that published are logged, so a record that fails to
+// replay fails the recovery.
 func (db *DB) replayRecord(r *wal.Record, sessions map[int64]*Session) error {
 	s := sessions[r.Session]
 	if s == nil {
@@ -156,13 +158,9 @@ func (db *DB) replayRecord(r *wal.Record, sessions map[int64]*Session) error {
 	default:
 		return fmt.Errorf("unknown record kind %d", r.Kind)
 	}
-	if err != nil && !r.Erred {
-		return err
+	if err != nil {
+		return fmt.Errorf("%s record: %w", kindName[r.Kind], err)
 	}
-	// The engine has no rollback: a statement that erred after mutating
-	// still published its partial effects, and the log says so (Erred).
-	// Deterministic re-execution fails the same way at the same point —
-	// the partial effects are the durable state, the error is expected.
 	return nil
 }
 
@@ -186,15 +184,16 @@ func (s *Session) replayStmt(r *wal.Record) error {
 	return err
 }
 
-// replayLoad re-applies one Load data section; restoreData stops at the
-// first bad line exactly like the original run did.
+// replayLoad re-applies one chunk of a Load's data lines.
 func (db *DB) replayLoad(r *wal.Record) error {
-	var lines []dataLine
-	for i, text := range strings.Split(r.Src, "\n") {
-		lines = append(lines, dataLine{no: i + 1, text: text})
-	}
-	_, err := db.restoreData(lines)
-	return err
+	return db.apiWrite()(func() ([]*wal.Record, error) {
+		for _, line := range strings.Split(r.Src, "\n") {
+			if err := db.loadDataLine(line); err != nil {
+				return nil, err
+			}
+		}
+		return nil, nil
+	})
 }
 
 // replayInsert re-runs one DB.Insert: the tuple bytes decode back to
@@ -245,19 +244,16 @@ func oidFromBytes(b []byte) oid.OID {
 	return oid.OID(n)
 }
 
-// stmtRecord builds the WAL record a write statement will be logged
-// as, or nil for statement classes that are never logged. It runs
-// before the statement executes, so publish can refuse a record the log
-// cannot hold while nothing has mutated.
+// stmtRecord returns the WAL record a write statement is logged as, or
+// nil for statement classes that are never logged (and without a WAL).
 //
 // Policy: read-only statements in a mixed batch touch nothing and are
 // skipped; grant/revoke mutate only the in-memory authorizer, which is
 // session configuration and not durable (consistent with Dump);
-// everything else is logged — including statements that err after
-// partial effects (Erred), and statements whose effects live outside
-// the store (range declarations shape later statements' meaning, so
-// replay needs them).
-func (db *DB) stmtRecord(session int64, user string, st ast.Statement, params *paramScope) (*wal.Record, error) {
+// everything else is logged — including statements whose effects live
+// outside the store (range declarations shape later statements'
+// meaning, so replay needs them).
+func (db *DB) stmtRecord(session int64, user string, st ast.Statement, params *paramScope) ([]*wal.Record, error) {
 	if db.wal == nil || sema.ReadOnly(st) {
 		return nil, nil
 	}
@@ -278,68 +274,67 @@ func (db *DB) stmtRecord(session int64, user string, st ast.Statement, params *p
 		}
 		rec.Data = data
 	}
-	return rec, nil
+	return []*wal.Record{rec}, nil
 }
 
-// publish is the one publication point: a write statement, a Load data
-// chunk, a Go-API insert, reference write or grant edit reaches
-// readers and the log only through it. Under the commit lock it refuses
-// a closed database, then sizes rec while nothing has mutated: the
-// engine has no rollback, and a published write the log cannot hold
-// would be invisible to recovery. It then runs mutate, publishes the
-// store's snapshot and appends rec (logStmt). A nil rec is a write that
-// is never logged. Publication happens even when mutate errs: its
-// partial effects are live state, to snapshot readers as to the next
-// writer, and the record carries the Erred flag. act, when non-nil,
-// receives the commit.freeze span. The caller awaits the returned LSN
-// with waitDurable after releasing the lock.
+// publish is the one publication point: a write statement, a Load, a
+// Go-API insert, reference write or grant edit reaches readers and the
+// log only through it. Under the commit lock it refuses a closed
+// database, then runs mutate, which returns the records the write is
+// logged as (none without a WAL, or for a write that is never logged),
+// sizes them against wal.MaxRecord, publishes the store's snapshot and
+// appends them (logRecords). When mutate, the sizing or the freeze
+// fails, the store aborts to the published snapshot: a failed write
+// publishes nothing and logs nothing. act, when non-nil, receives the
+// commit.freeze span. The caller awaits the returned LSN with
+// waitDurable after releasing the lock.
 //
 // extra:requires db.wmu.W
 // extra:mutates
-func (db *DB) publish(rec *wal.Record, act *trace.Active, mutate func() error) (uint64, error) {
+func (db *DB) publish(act *trace.Active, mutate func() ([]*wal.Record, error)) (uint64, error) {
 	if db.closed.Load() {
 		return 0, errDBClosed
 	}
-	if rec != nil {
-		if sz := rec.PayloadSize(); sz > wal.MaxRecord {
-			return 0, fmt.Errorf("%s refused: %w (payload %d bytes, limit %d)", refusedWhat[rec.Kind], wal.ErrTooLarge, sz, wal.MaxRecord)
+	recs, err := mutate()
+	for _, rec := range recs {
+		if sz := rec.PayloadSize(); err == nil && sz > wal.MaxRecord {
+			err = fmt.Errorf("%s refused: %w (payload %d bytes, limit %d)", kindName[rec.Kind], wal.ErrTooLarge, sz, wal.MaxRecord)
 		}
 	}
-	err := mutate()
-	freeze := act.StartSpan(trace.KindStorage, "commit.freeze")
-	published, cerr := db.store.Commit()
-	act.EndSpan(freeze)
-	if cerr != nil && err == nil {
-		err = cerr
+	if err == nil {
+		freeze := act.StartSpan(trace.KindStorage, "commit.freeze")
+		_, err = db.store.Commit()
+		act.EndSpan(freeze)
 	}
-	lsn, lerr := db.logStmt(rec, err, published)
-	if lerr != nil && err == nil {
-		err = lerr
+	if err != nil {
+		db.store.Abort()
+		return 0, err
 	}
-	return lsn, err
+	return db.logRecords(recs)
 }
 
-// refusedWhat names each record kind in publish's oversize refusal.
-var refusedWhat = map[wal.Kind]string{
+// kindName names each record kind in errors.
+var kindName = map[wal.Kind]string{
 	wal.RecordStmt:   "statement",
 	wal.RecordLoad:   "load",
 	wal.RecordInsert: "insert",
 	wal.RecordSetRef: "setref",
 }
 
-// apiWrite is the Go API's write path (Insert, SetRef and the grant
-// edits): it takes the commit lock and returns, with the lock held, the
-// function that runs one write through publish, releases the lock and
-// only then awaits the write's durability, so API writers share fsyncs
-// the way statements do. Call the returned function at once.
+// apiWrite is the Go API's write path (Insert, SetRef, the grant edits,
+// Load and the replay of a Load's records): it takes the commit lock
+// and returns, with the lock held, the function that runs one write
+// through publish, releases the lock and only then awaits the write's
+// durability, so API writers share fsyncs the way statements do. Call
+// the returned function at once.
 //
 // extra:holds db.wmu.W
-func (db *DB) apiWrite() func(rec *wal.Record, mutate func() error) error {
+func (db *DB) apiWrite() func(mutate func() ([]*wal.Record, error)) error {
 	db.wmu.Lock()
-	return func(rec *wal.Record, mutate func() error) error {
+	return func(mutate func() ([]*wal.Record, error)) error {
 		lsn, err := func() (uint64, error) {
 			defer db.wmu.Unlock()
-			return db.publish(rec, nil, mutate)
+			return db.publish(nil, mutate)
 		}()
 		if derr := db.waitDurable(lsn); derr != nil && err == nil {
 			err = derr
@@ -348,29 +343,23 @@ func (db *DB) apiWrite() func(rec *wal.Record, mutate func() error) error {
 	}
 }
 
-// logStmt appends a published write's record: the record was built and
-// sized before the mutation ran, and is appended now that it has.
-// Returns the assigned LSN (0 when nothing was logged). Nothing is
-// logged without a WAL, for a nil record, or for a write that failed
-// without publishing a snapshot (which a catalog edit also does): it
-// left no durable trace.
+// logRecords appends a published write's records, in order, and
+// returns the LSN of the last one appended (0 when none was).
 //
 // extra:requires db.wmu.W
 // extra:logs
-func (db *DB) logStmt(rec *wal.Record, runErr error, effects bool) (uint64, error) {
-	if rec == nil || db.wal == nil {
-		return 0, nil
-	}
-	if runErr != nil && !effects {
-		return 0, nil
-	}
-	rec.Erred = runErr != nil
-	lsn, err := db.wal.Append(rec)
-	if err == nil {
+func (db *DB) logRecords(recs []*wal.Record) (uint64, error) {
+	var last uint64
+	for _, rec := range recs {
+		lsn, err := db.wal.Append(rec)
+		if err != nil {
+			return last, err
+		}
+		last = lsn
 		db.cWALRecords.Inc()
 		db.cWALBytes.Add(uint64(rec.PayloadSize()))
 	}
-	return lsn, err
+	return last, nil
 }
 
 // waitDurable blocks until the record at lsn is fsynced (a no-op

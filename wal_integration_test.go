@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -131,7 +132,11 @@ func TestWALBatchPartialFailureKeepsCommittedPrefix(t *testing.T) {
 	}
 }
 
-func TestWALErredStatementReplaysPartialEffects(t *testing.T) {
+// TestWALFailedStatementPublishesNothing: a multi-row append that hits
+// a unique violation part-way publishes and logs nothing — not the rows
+// before the violation either — and recovery reproduces the database
+// without it.
+func TestWALFailedStatementPublishesNothing(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(WithWAL(dir), WithWALSync(WALSyncEach))
 	if err != nil {
@@ -140,23 +145,28 @@ func TestWALErredStatementReplaysPartialEffects(t *testing.T) {
 	db.MustExec(walTestSchema)
 	db.MustExec(`define unique index uq on People (name)`)
 	db.MustExec(`append to People (name = "dup", age = 1)`)
-	// A multi-row append that hits the unique violation partway: the
-	// engine has no rollback, so whatever landed before the violation is
-	// live — and must replay identically.
 	db.MustExec(`
 		create Src : { own Person }
 		append to Src (name = "fresh", age = 2)
 		append to Src (name = "dup", age = 3)
 	`)
-	_, execErr := db.Exec(`append to People (name = S.name, age = S.age) from S in Src`)
 	want := dumpOf(t, db)
+	next, _ := db.WALStats()
+	if _, err := db.Exec(`append to People (name = S.name, age = S.age) from S in Src`); err == nil {
+		t.Fatal("append over a unique violation succeeded")
+	}
+	if got := dumpOf(t, db); got != want {
+		t.Fatalf("the failed append published:\nwant:\n%s\ngot:\n%s", want, got)
+	}
+	if n, _ := db.WALStats(); n != next {
+		t.Fatalf("the failed append was logged: next LSN %d -> %d", next, n)
+	}
 
 	db2 := reopenWAL(t, dir)
 	defer db2.Close()
 	mustConsistent(t, db2)
 	if got := dumpOf(t, db2); got != want {
-		t.Fatalf("dump after recovery differs (statement erred=%v):\nwant:\n%s\ngot:\n%s",
-			execErr != nil, want, got)
+		t.Fatalf("dump after recovery differs:\nwant:\n%s\ngot:\n%s", want, got)
 	}
 }
 
@@ -481,10 +491,31 @@ func TestDumpFileAtomicReplace(t *testing.T) {
 	}
 }
 
-// TestLoadIsStagedAndAtomic: a dump with one bad data line fails Load
-// with a *LoadError naming a line, whatever kind of record the line is,
-// and leaves the target fresh, so the good dump loads into it after.
-func TestLoadIsStagedAndAtomic(t *testing.T) {
+// onceReader is a Load source that counts the bytes read from it and
+// fails the test if Load seeks it: Load reads its source once.
+type onceReader struct {
+	t *testing.T
+	r io.Reader
+	n int
+}
+
+func (o *onceReader) Read(p []byte) (int, error) {
+	n, err := o.r.Read(p)
+	o.n += n
+	return n, err
+}
+
+func (o *onceReader) Seek(int64, int) (int64, error) {
+	o.t.Error("Load seeked its source")
+	return 0, errors.New("no seeking")
+}
+
+// TestLoadIsAtomic: a dump with one bad data line fails Load with a
+// *LoadError naming a line, whatever kind of record the line is,
+// publishes nothing and logs nothing, and leaves the target fresh, so
+// the good dump loads into it after. Load reads its source once, seeking
+// nowhere.
+func TestLoadIsAtomic(t *testing.T) {
 	src, err := Open()
 	if err != nil {
 		t.Fatal(err)
@@ -527,11 +558,13 @@ func TestLoadIsStagedAndAtomic(t *testing.T) {
 		if bad == good.String() {
 			t.Fatalf("%s: test corruption did not apply", c.name)
 		}
-		dst, err := Open()
+		dst, err := Open(WithWAL(t.TempDir()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		loadErr := dst.Load(strings.NewReader(bad))
+		next, _ := dst.WALStats()
+		src := &onceReader{t: t, r: strings.NewReader(bad)}
+		loadErr := dst.Load(src)
 		var le *LoadError
 		if loadErr == nil {
 			t.Errorf("%s: Load of corrupt dump succeeded", c.name)
@@ -540,9 +573,19 @@ func TestLoadIsStagedAndAtomic(t *testing.T) {
 		} else if le.Line <= 0 {
 			t.Errorf("%s: LoadError.Line = %d", c.name, le.Line)
 		}
+		if src.n > len(bad) {
+			t.Errorf("%s: Load read %d bytes of a %d-byte dump", c.name, src.n, len(bad))
+		}
+		if n, _ := dst.WALStats(); n != next {
+			t.Errorf("%s: the failed Load was logged: next LSN %d -> %d", c.name, next, n)
+		}
 		// Untouched: still fresh, so a good load goes through.
-		if err := dst.Load(bytes.NewReader(good.Bytes())); err != nil {
-			t.Fatalf("%s: Load after failed staged load: %v", c.name, err)
+		src = &onceReader{t: t, r: bytes.NewReader(good.Bytes())}
+		if err := dst.Load(src); err != nil {
+			t.Fatalf("%s: Load after failed load: %v", c.name, err)
+		}
+		if src.n != good.Len() {
+			t.Errorf("%s: Load read %d bytes of a %d-byte dump", c.name, src.n, good.Len())
 		}
 		r := dst.MustQuery(`retrieve (P.name) from P in People`)
 		if len(r.Rows) != 1 {
@@ -599,9 +642,9 @@ func TestWALLoadChunksDataSections(t *testing.T) {
 	}
 }
 
-// A statement whose WAL record would exceed wal.MaxRecord is refused
-// before it executes: the engine has no rollback, so an unloggable
-// mutation must never be applied or acknowledged.
+// A statement whose WAL record would exceed wal.MaxRecord is refused: it
+// is aborted before it publishes, so an unloggable mutation is never
+// applied or acknowledged.
 func TestWALOversizeStatementRefusedBeforeMutation(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(WithWAL(dir), WithWALSync(WALSyncEach))
@@ -630,13 +673,12 @@ func TestWALOversizeStatementRefusedBeforeMutation(t *testing.T) {
 	}
 }
 
-// SetRef sizes its WAL record before touching the store: a reference
-// write the log cannot hold must be refused while nothing has mutated,
-// because the engine has no rollback and an acknowledged-but-unlogged
-// mutation would vanish on recovery. The oversize record is provoked
-// with a forged target handle whose type name exceeds wal.MaxRecord —
-// SetRef embeds that name in the record and does not validate the
-// target before sizing.
+// SetRef sizes its WAL record before it publishes: a reference write
+// the log cannot hold is refused and aborted, because an
+// acknowledged-but-unlogged mutation would vanish on recovery. The
+// oversize record is provoked with a forged target handle whose type
+// name exceeds wal.MaxRecord — SetRef embeds that name in the record
+// and does not validate the target before sizing.
 func TestWALOversizeSetRefRefusedBeforeMutation(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(WithWAL(dir), WithWALSync(WALSyncEach))
