@@ -2,7 +2,6 @@ package extra
 
 import (
 	"repro/internal/authz"
-	"repro/internal/wal"
 )
 
 // EnableAuthorization switches on privilege enforcement. Before this is
@@ -32,12 +31,12 @@ func (db *DB) AddToGroup(user, group string) error {
 // it through the Go API's write path: the grant table is part of the
 // catalog, which every snapshot carries, so the edit reaches readers
 // the way DDL does; a failed edit publishes nothing. Grants are not
-// durable (stmtRecord logs no grant statement either), so the edit has
-// no record.
+// durable (the log holds no grant statement either): the edit changes
+// no data, so its window logs nothing.
 //
 // extra:acquires db.wmu.W
 func (db *DB) editGrants(edit func(*authz.Authorizer) error) error {
-	return db.apiWrite()(func() ([]*wal.Record, error) { return nil, edit(db.store.Catalog().Auth()) })
+	return db.apiWrite()(func() error { return edit(db.store.Catalog().Auth()) })
 }
 
 // SetUser switches the default session's current user; subsequent

@@ -3,11 +3,9 @@ package extra
 import (
 	"fmt"
 
-	"repro/internal/codec"
 	"repro/internal/oid"
 	"repro/internal/types"
 	"repro/internal/value"
-	"repro/internal/wal"
 )
 
 // Attrs is a Go-side attribute map for bulk loading: keys are attribute
@@ -48,72 +46,59 @@ func (db *DB) Insert(extent string, attrs Attrs) (Obj, error) {
 	if err != nil {
 		return Obj{}, err
 	}
-	id, err := db.insertTuple(extent, tv)
+	var id oid.OID
+	err = db.apiWrite()(func() (err error) {
+		id, err = db.store.Insert(extent, tv)
+		return err
+	})
 	if err != nil {
 		return Obj{}, err
 	}
 	return Obj{id: id, typ: tt.Name}, nil
 }
 
-// insertTuple stores one tuple through the Go API's write path. The
-// tuple is serialized before insertion so the WAL holds the pre-insert
-// value — replay re-runs the same insertion and the sequential OID
-// generator re-allocates the same identity. Recovery replays through
-// here too (db.wal is nil then, so nothing re-logs).
-//
-// extra:acquires db.wmu.W
-func (db *DB) insertTuple(extent string, tv *value.Tuple) (oid.OID, error) {
-	var recs []*wal.Record
-	if db.wal != nil {
-		enc, err := codec.Encode(nil, tv)
-		if err != nil {
-			return 0, err
-		}
-		recs = []*wal.Record{{Kind: wal.RecordInsert, User: "dba", Src: extent, Data: [][]byte{enc}}}
-	}
-	var id oid.OID
-	err := db.apiWrite()(func() (_ []*wal.Record, err error) {
-		id, err = db.store.Insert(extent, tv)
-		return recs, err
-	})
-	return id, err
-}
-
 // SetRef stores a reference attribute on an object (bulk wiring of
-// relationships without EXCESS), through the Go API's write path.
+// relationships without EXCESS), through the Go API's write path. The
+// attribute must be a reference, and target, unless it is the zero Obj
+// (null), a live object of the handle's type, which is the attribute's
+// target type or a subtype of it.
 //
 // extra:acquires db.wmu.W
 func (db *DB) SetRef(obj Obj, attr string, target Obj) error {
-	var recs []*wal.Record
-	if db.wal != nil {
-		targetOID, targetTyp := []byte(nil), []byte(nil)
-		if target.Valid() {
-			targetOID, targetTyp = oidBytes(target.id), []byte(target.typ)
-		}
-		recs = []*wal.Record{{
-			Kind: wal.RecordSetRef,
-			User: "dba",
-			Src:  attr,
-			Data: [][]byte{oidBytes(obj.id), []byte(obj.typ), targetOID, targetTyp},
-		}}
-	}
-	return db.apiWrite()(func() ([]*wal.Record, error) {
+	return db.apiWrite()(func() error {
 		tv, ok, err := db.store.Get(obj.id)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if !ok {
-			return nil, fmt.Errorf("object %s no longer exists", obj)
+			return fmt.Errorf("object %s no longer exists", obj)
 		}
-		if i := tv.Type.AttrIndex(attr); i < 0 {
-			return nil, fmt.Errorf("type %s has no attribute %s", tv.Type.Name, attr)
+		a, ok := tv.Type.Attr(attr)
+		if !ok {
+			return fmt.Errorf("type %s has no attribute %s", tv.Type.Name, attr)
+		}
+		want, isTuple := a.Comp.Type.(*types.TupleType)
+		if a.Comp.Mode == types.Own || !isTuple {
+			return fmt.Errorf("attribute %s of %s is not a reference", attr, tv.Type.Name)
 		}
 		var nv value.Value = value.Null{}
 		if target.Valid() {
-			nv = value.Ref{OID: target.id, Type: target.typ}
+			to, live, err := db.store.Get(target.id)
+			if err != nil {
+				return err
+			}
+			switch {
+			case !live:
+				return fmt.Errorf("SetRef target %s does not exist", target.id)
+			case to.Type.Name != target.typ:
+				return fmt.Errorf("SetRef target %s is a %s, not its handle's type", target.id, to.Type.Name)
+			case !to.Type.IsSubtypeOf(want):
+				return fmt.Errorf("attribute %s of %s refers to %s, not %s", attr, tv.Type.Name, want.Name, to.Type.Name)
+			}
+			nv = value.Ref{OID: target.id, Type: to.Type.Name}
 		}
 		tv.Set(attr, nv)
-		return recs, db.store.Update(obj.id, tv)
+		return db.store.Update(obj.id, tv)
 	})
 }
 

@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"repro/internal/catalog"
@@ -45,7 +44,7 @@ func (db *DB) Dump(w io.Writer) error {
 		ddl = append(ddl, fmt.Sprintf("define enum %s : ( %s )", e.Name, strings.Join(e.Labels, ", ")))
 	}
 	for _, tt := range typesInDependencyOrder(cat) {
-		ddl = append(ddl, strings.ReplaceAll(tt.DDL(), "\n", " "))
+		ddl = append(ddl, typeDDL(tt))
 	}
 	// Element-set and scalar variables are exported one by one below;
 	// object sets are covered wholesale by ExportObjects.
@@ -56,19 +55,7 @@ func (db *DB) Dump(w io.Writer) error {
 	var vars []varRec
 	for _, name := range cat.VarNames() {
 		v, _ := cat.Var(name)
-		var b strings.Builder
-		fmt.Fprintf(&b, "create %s : %s", v.Name, v.Comp.String())
-		for _, ix := range cat.IndexesOn(name) {
-			if len(ix.KeyPaths) == 0 {
-				continue
-			}
-			attrs := make([]string, len(ix.KeyPaths))
-			for i, p := range ix.KeyPaths {
-				attrs[i] = strings.Join(p, ".")
-			}
-			fmt.Fprintf(&b, " key (%s)", strings.Join(attrs, ", "))
-		}
-		ddl = append(ddl, b.String())
+		ddl = append(ddl, createDDL(cat, v))
 		switch {
 		case v.IsObjectSet():
 		case v.IsRefSet() || v.IsValueSet():
@@ -112,12 +99,12 @@ func (db *DB) Dump(w io.Writer) error {
 	if err != nil {
 		return err
 	}
+	var line []byte
+	top := oid.Nil
 	for _, o := range objs {
-		ext := o.Extent
-		if ext == "" {
-			ext = "-"
-		}
-		fmt.Fprintf(bw, "OBJ %s %d %d %s\n", ext, o.OID, o.Owner, hex.EncodeToString(o.Data))
+		line = append(hex.AppendEncode(object.AppendObjHead(line[:0], o.Extent, o.OID, o.Owner), o.Data), '\n')
+		bw.Write(line)
+		top = max(top, o.OID)
 	}
 	for _, vr := range vars {
 		if vr.elems {
@@ -136,12 +123,38 @@ func (db *DB) Dump(w io.Writer) error {
 			fmt.Fprintf(bw, "VAR %s %s\n", vr.name, hex.EncodeToString(data))
 		}
 	}
+	if last := snap.LastOID(); last > top {
+		// OIDs the store handed out and no longer holds are never handed
+		// out again (oid.Generator).
+		fmt.Fprintf(bw, "OIDS %d\n", last)
+	}
 	fmt.Fprintln(bw, "--indexes")
 	for _, l := range ixLines {
 		fmt.Fprintln(bw, l)
 	}
 	fmt.Fprintln(bw, "--end")
 	return bw.Flush()
+}
+
+// typeDDL renders a tuple type's definition as one line.
+func typeDDL(tt *types.TupleType) string { return strings.ReplaceAll(tt.DDL(), "\n", " ") }
+
+// createDDL renders the create statement of a variable, with its key
+// constraints.
+func createDDL(cat *catalog.Catalog, v *catalog.Variable) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "create %s : %s", v.Name, v.Comp.String())
+	for _, ix := range cat.IndexesOn(v.Name) {
+		if len(ix.KeyPaths) == 0 {
+			continue
+		}
+		attrs := make([]string, len(ix.KeyPaths))
+		for i, p := range ix.KeyPaths {
+			attrs[i] = strings.Join(p, ".")
+		}
+		fmt.Fprintf(&b, " key (%s)", strings.Join(attrs, ", "))
+	}
+	return b.String()
 }
 
 // DumpFile writes a snapshot to a file, atomically: the stream goes to
@@ -210,42 +223,36 @@ func (e *LoadError) Unwrap() error { return e.Err }
 // Load is one write: it reads the stream once, applying every line to
 // the working store under one hold of the commit lock, and publishes
 // once, at the end. A bad stream publishes nothing and returns a
-// *LoadError locating the first bad line. With a WAL the load is logged
-// after the whole stream has applied (applyDump).
+// *LoadError locating the first bad line. With a WAL the load is
+// logged as the lines it read, in one group (applyDump).
 //
 // extra:acquires db.wmu.W
 func (db *DB) Load(r io.Reader) error {
-	return db.apiWrite()(func() ([]*wal.Record, error) { return db.applyDump(r) })
+	return db.apiWrite()(func() error { return db.applyDump(r) })
 }
 
 // loadChunkBytes caps the joined text of the data lines one WAL record
-// of a Load holds, comfortably below wal.MaxRecord, so a bulk Load of
-// any size stays recoverable. A var so tests can shrink it.
+// holds, comfortably below wal.MaxRecord, so a bulk Load or a large
+// commit stays recoverable. A var so tests can shrink it.
 var loadChunkBytes = wal.MaxRecord / 4
 
-// applyDump applies a dump stream to the working store and returns the
-// records a Load is logged as, in stream order: each DDL statement's,
-// and one per chunk of data lines (at most loadChunkBytes of text, or
-// one line that is longer); none without a WAL. A DDL line is one
-// statement, run through the default session's statement dispatch in
-// one call, so each reads the view of the lines before it.
+// applyDump applies a dump stream to the working store. Under a WAL it
+// logs the stream's lines as it reads them: each DDL statement's text as
+// a record of its own, and the data lines in records of at most
+// loadChunkBytes. A DDL line is one schema statement, run through the
+// default session's statement dispatch, so each reads the view of the
+// lines before it.
 //
 // extra:requires db.wmu.W
-func (db *DB) applyDump(r io.Reader) ([]*wal.Record, error) {
+func (db *DB) applyDump(r io.Reader) error {
 	if cat := db.store.Catalog(); len(cat.VarNames()) != 0 || len(cat.TupleTypeNames()) != 0 {
-		return nil, fmt.Errorf("Load requires a fresh database")
+		return fmt.Errorf("Load requires a fresh database")
 	}
+	e := &db.edit
+	e.base = nil // logged as read, not diffed
 	var c stmtCall
 	c.open(db.def)
 	defer c.es.Release()
-	var recs []*wal.Record
-	var chunk strings.Builder
-	flush := func() {
-		if chunk.Len() > 0 {
-			recs = append(recs, &wal.Record{Kind: wal.RecordLoad, User: "dba", Src: chunk.String()})
-			chunk.Reset()
-		}
-	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
 	section := ""
@@ -261,33 +268,22 @@ func (db *DB) applyDump(r io.Reader) ([]*wal.Record, error) {
 		var err error
 		switch section {
 		case "--ddl", "--indexes":
-			flush()
-			var st ast.Statement
-			var logged []*wal.Record
-			if st, err = db.parseOne(line); err == nil {
-				_, logged, err = db.def.apply(&c, st)
-				recs = append(recs, logged...)
+			if err = db.def.runSchema(&c, line); err == nil && e.on {
+				e.stmt(c.user, line)
 			}
 		case "--data":
-			err = db.loadDataLine(line)
-			if db.wal != nil {
-				if chunk.Len() > 0 && chunk.Len()+1+len(line) > loadChunkBytes {
-					flush()
-				}
-				if chunk.Len() > 0 {
-					chunk.WriteByte('\n')
-				}
-				chunk.WriteString(line)
+			var payload []byte
+			if payload, err = db.store.ApplyLine(line, true); err == nil && e.on {
+				err = e.loaded(line, payload)
 			}
 		default:
 			err = fmt.Errorf("content outside a section")
 		}
 		if err != nil {
-			return nil, &LoadError{Line: lineNo, Err: err}
+			return &LoadError{Line: lineNo, Err: err}
 		}
 	}
-	flush()
-	return recs, sc.Err()
+	return sc.Err()
 }
 
 // LoadFile replays a snapshot file.
@@ -298,71 +294,6 @@ func (db *DB) LoadFile(path string) error {
 	}
 	defer f.Close()
 	return db.Load(f)
-}
-
-// loadDataLine restores one OBJ/ELEM/VAR record into the working
-// store; the caller holds the write lock and publishes once at the end.
-//
-// extra:requires db.wmu.W
-func (db *DB) loadDataLine(line string) error {
-	fields := strings.SplitN(line, " ", 5)
-	switch fields[0] {
-	case "OBJ":
-		if len(fields) != 5 {
-			return fmt.Errorf("malformed OBJ line")
-		}
-		ext := ""
-		if fields[1] != "-" {
-			ext = db.varName(fields[1])
-		}
-		id, err := strconv.ParseUint(fields[2], 10, 64)
-		if err != nil {
-			return err
-		}
-		owner, err := strconv.ParseUint(fields[3], 10, 64)
-		if err != nil {
-			return err
-		}
-		data, err := hex.DecodeString(fields[4])
-		if err != nil {
-			return err
-		}
-		return db.store.RestoreObject(object.ExportObject{
-			Extent: ext, OID: oid.OID(id), Owner: oid.OID(owner), Data: data,
-		})
-	case "ELEM":
-		if len(fields) != 3 {
-			return fmt.Errorf("malformed ELEM line")
-		}
-		data, err := hex.DecodeString(fields[2])
-		if err != nil {
-			return err
-		}
-		return db.store.RestoreElem(db.varName(fields[1]), data)
-	case "VAR":
-		if len(fields) != 3 {
-			return fmt.Errorf("malformed VAR line")
-		}
-		data, err := hex.DecodeString(fields[2])
-		if err != nil {
-			return err
-		}
-		return db.store.RestoreVar(db.varName(fields[1]), data)
-	}
-	return fmt.Errorf("unknown data record %q", fields[0])
-}
-
-// varName returns the working catalog's own copy of a variable name read
-// from a data line. The store keeps the name it is given — in every
-// object's directory entry, and from there in the snapshot — and a field
-// of the line is a substring that would pin the whole hex line for as
-// long as the object lives. An unknown name is returned as given; the
-// restore rejects it.
-func (db *DB) varName(name string) string {
-	if v, ok := db.store.Catalog().Var(name); ok {
-		return v.Name
-	}
-	return name
 }
 
 // typesInDependencyOrder sorts schema types so that supertypes and

@@ -137,11 +137,13 @@ type DB struct {
 
 	// wal, when non-nil, write-ahead-logs every committed write (see
 	// wal.go). Assigned once during Open, after recovery replay — replay
-	// re-executes statements with wal still nil, which is what keeps
+	// applies the logged groups with wal still nil, which is what keeps
 	// them from being re-logged. walDir holds the log directory for
-	// Checkpoint.
+	// Checkpoint. edit is the log group of the write window publish has
+	// open, under db.wmu; it is on only while one is open under a WAL.
 	wal    *wal.Log
 	walDir string
+	edit   walEdit
 }
 
 // Option configures Open.

@@ -255,13 +255,13 @@ func TestCheckUpdateStatements(t *testing.T) {
 }
 
 func TestBuildFunctionValidation(t *testing.T) {
-	cat, s := env(t)
+	cat, _ := env(t)
 	build := func(src string) error {
 		st, err := parse.One(src, cat.ADTs())
 		if err != nil {
 			t.Fatalf("parse: %v", err)
 		}
-		_, err = BuildFunction(cat, s, st.(*ast.DefineFunction))
+		_, err = BuildFunction(cat, st.(*ast.DefineFunction))
 		return err
 	}
 	if err := build(`define function F1 (E: Employee) returns int4 as (E.salary * 2)`); err != nil {

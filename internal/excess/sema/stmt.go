@@ -318,10 +318,12 @@ func (c *Checker) CheckExecute(e *ast.Execute) (*CheckedExecute, error) {
 }
 
 // BuildFunction resolves a define-function statement and registers the
-// function in cat, checking its body in the parameter scope. A failed
-// check leaves the function registered: the caller drops the statement's
-// write.
-func BuildFunction(cat *catalog.Catalog, session *Session, d *ast.DefineFunction) (*catalog.Function, error) {
+// function in cat, checking its body in the parameter scope. The body
+// sees no session's range declarations: a function is schema, which
+// every session calls and a dump or the log restores, so it may name
+// only its parameters and the database. A failed check leaves the
+// function registered: the caller drops the statement's write.
+func BuildFunction(cat *catalog.Catalog, d *ast.DefineFunction) (*catalog.Function, error) {
 	f := &catalog.Function{Name: d.Name, Late: d.Late}
 	seen := map[string]bool{}
 	for _, p := range d.Params {
@@ -360,7 +362,7 @@ func BuildFunction(cat *catalog.Catalog, session *Session, d *ast.DefineFunction
 	if d.DeclOnly {
 		return f, nil
 	}
-	ck := NewFrameChecker(cat, session, Frame(f.Params))
+	ck := NewFrameChecker(cat, NewSession(), Frame(f.Params))
 	switch {
 	case d.Expr != nil:
 		b, err := ck.bindExpr(d.Expr)

@@ -42,12 +42,18 @@ func KindOf(st ast.Statement) string {
 
 // ReadOnly reports whether a statement only reads engine state, which
 // is what lets the database layer run it on a pinned snapshot without
-// its commit lock. Only a retrieve without an into clause
-// qualifies: retrieve into materializes a new database variable, the
-// QUEL update statements and DDL mutate the store or catalog, a range
-// declaration writes the session's range table, grant/revoke write the
-// authorization tables, and execute runs an arbitrary procedure body.
+// its commit lock. A retrieve without an into clause qualifies, and so
+// does a range declaration, which checks against the catalog and writes
+// only its session's range table. Retrieve into materializes a new
+// database variable, the QUEL update statements and DDL mutate the
+// store or catalog, grant/revoke write the authorization tables, and
+// execute runs an arbitrary procedure body.
 func ReadOnly(st ast.Statement) bool {
-	r, ok := st.(*ast.Retrieve)
-	return ok && r.Into == ""
+	switch st := st.(type) {
+	case *ast.Retrieve:
+		return st.Into == ""
+	case *ast.RangeDecl:
+		return true
+	}
+	return false
 }

@@ -116,12 +116,16 @@ func TestStatementClassificationExhaustive(t *testing.T) {
 			if sema.ReadOnly(st) {
 				t.Errorf("lint.StmtClass marks %s write but sema.ReadOnly accepts it", name)
 			}
+		case "read":
+			if !sema.ReadOnly(st) {
+				t.Errorf("lint.StmtClass marks %s read but sema.ReadOnly refuses it", name)
+			}
 		case "mixed":
 			if !sema.ReadOnly(st) {
 				t.Errorf("%s is mixed: its zero value (no into clause) must be read-only", name)
 			}
 		default:
-			t.Errorf("lint.StmtClass[%s] = %q is neither write nor mixed", name, lint.StmtClass[name])
+			t.Errorf("lint.StmtClass[%s] = %q is neither read, write nor mixed", name, lint.StmtClass[name])
 		}
 	}
 

@@ -213,9 +213,12 @@ func run(d *DB, st any) {
 	case *Retrieve:
 		d.read()
 		d.mutate() // want `requires db.rw.W, but run holds db.rw.R`
+	case *RangeDecl:
+		d.read()
+		d.mutate() // want `requires db.rw.W, but run holds db.rw.R`
 	case *Append, *Delete, *Replace, *SetStmt, *Execute,
 		*DefineType, *DefineEnum, *DefineFunction, *DefineProcedure,
-		*DefineIndex, *Create, *Drop, *RangeDecl, *Grant, *Revoke:
+		*DefineIndex, *Create, *Drop, *Grant, *Revoke:
 		d.mutate()
 	case *Frobnicate: // want `not classified in lint.StmtClass`
 		d.read()

@@ -40,10 +40,11 @@ var LockCheck = &Analyzer{
 }
 
 // StmtClass classifies every EXCESS statement kind the way
-// sema.ReadOnly does at run time: "read" statements run on a pinned
-// snapshot with no lock, "write" statements under the commit lock, and
-// "mixed" statements (retrieve, which is read-only
-// unless it has an into clause) are classified dynamically. The sema
+// sema.ReadOnly does at run time: "read" statements (a range
+// declaration) run on a pinned snapshot with no lock, "write"
+// statements under the commit lock, and "mixed" statements (retrieve,
+// which is read-only unless it has an into clause) are classified
+// dynamically. The sema
 // package's exhaustiveness test asserts this table matches
 // sema.ReadOnly and covers every ast.Statement implementation, so the
 // static and dynamic classifications cannot drift apart silently.
@@ -61,7 +62,7 @@ var StmtClass = map[string]string{
 	"DefineIndex":     "write",
 	"Create":          "write",
 	"Drop":            "write",
-	"RangeDecl":       "write",
+	"RangeDecl":       "read",
 	"Grant":           "write",
 	"Revoke":          "write",
 }

@@ -97,7 +97,7 @@ func runWalCheck(pass *Pass) {
 }
 
 // delegatesToLogs reports whether a body calls a different function
-// that is itself annotated extra:logs (the stmtRecord→Append shape).
+// that is itself annotated extra:logs (the logRecords→Append shape).
 func delegatesToLogs(fi *FuncInfo, funcs map[*types.Func]*FuncInfo, self *types.Func) bool {
 	info := fi.Pkg.Info
 	found := false

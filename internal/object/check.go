@@ -42,8 +42,15 @@ func (s *Store) CheckConsistency() []string {
 	s.dir.m.each(func(id oid.OID, so snapObj) { dir = append(dir, entry{id, so}) })
 
 	// Pass 1: the member lists and the directory agree, both ways; and
-	// record owned references.
+	// record owned references, the variables' too.
 	ownedRefs := map[oid.OID]oid.OID{} // component -> owner (from data)
+	varOwners := map[oid.OID]bool{}
+	for _, name := range sortedKeys(s.varVals) {
+		if v, ok := s.cat.Var(name); ok {
+			varOwners[varOwner(name)] = true
+			collectOwnedWithDup(v.Comp, s.varVals[name], varOwner(name), ownedRefs, report)
+		}
+	}
 	for _, e := range dir {
 		id, so := e.id, e.so
 		if so.ext != nil {
@@ -60,7 +67,7 @@ func (s *Store) CheckConsistency() []string {
 		}
 		comp := types.Component{Mode: types.Own, Type: tv.Type}
 		collectOwnedWithDup(comp, tv, id, ownedRefs, report)
-		if !so.owner.IsNil() && !s.Exists(so.owner) {
+		if !so.owner.IsNil() && !s.Exists(so.owner) && !varOwners[so.owner] {
 			report("object %s: owner %s is dead", id, so.owner)
 		}
 	}

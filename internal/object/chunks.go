@@ -68,6 +68,31 @@ func (l *chunkList[T]) at(pos int) (v T, ok bool) {
 	return v, v != zero
 }
 
+// nth returns the position of the live item that is k-th in scan
+// order; ok is false when the list holds no k+1 items.
+func (l *chunkList[T]) nth(k int) (pos int, ok bool) {
+	var zero T
+	for ci, c := range l.chunks {
+		if l.mine == nil || !l.mine[ci] { // not written in the window: no deleted item
+			if k < len(c) {
+				return ci*chunkLen + k, true
+			}
+			k -= len(c)
+			continue
+		}
+		for i, v := range c {
+			if v == zero {
+				continue
+			}
+			if k == 0 {
+				return ci*chunkLen + i, true
+			}
+			k--
+		}
+	}
+	return 0, false
+}
+
 // chunk returns chunk ci, copying it first if the window has not.
 func (l *chunkList[T]) chunk(ci int) []T {
 	if !l.mine[ci] {

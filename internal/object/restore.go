@@ -68,25 +68,25 @@ func exportObjects(m *objMap, restored []restoredObj) ([]ExportObject, error) {
 	return out, nil
 }
 
-// RestoreObject re-creates an object with its original identity. The
-// extent, if any, must already exist; an extent member goes to the tail
-// of its member list. The tuple is stored and indexed without
-// internalization. An OID live at the last freeze is refused too,
-// deleted since or not: an OID names one object, and the head's readers
-// may still hold the one it named.
+// RestoreObject re-creates an object with its original identity, or,
+// when the OID is live, replaces the object's tuple and owner in place
+// (a logged edit's new value for it): an extent member keeps its place
+// in its member list and is re-keyed in its indexes. The extent, if
+// any, must already exist; a new extent member goes to the tail of its
+// member list. The tuple is stored and indexed without internalization.
+// An OID live at the last freeze and deleted since is refused: an OID
+// names one object, and the head's readers may still hold the one it
+// named.
 //
-// The decoded tuple is not kept: the directory entry (and an extent
-// member's place in its list) is pending, and the freeze decodes the
-// restored records again, in restore order, so a loaded extent's tuples
-// are laid out in the order its scans visit them; keeping the tuples
-// decoded here, among the allocations of the restore, costs every later
-// scan of the extent memory locality.
+// A new object's decoded tuple is not kept: the directory entry (and
+// an extent member's place in its list) is pending, and the freeze
+// decodes the restored records again, in restore order, so a loaded
+// extent's tuples are laid out in the order its scans visit them;
+// keeping the tuples decoded here, among the allocations of the
+// restore, costs every later scan of the extent memory locality.
 //
 // extra:requires db.wmu.W
 func (s *Store) RestoreObject(o ExportObject) error {
-	if s.Exists(o.OID) || s.head.Exists(o.OID) {
-		return fmt.Errorf("restore: OID %s already live", o.OID)
-	}
 	v, err := codec.DecodeOne(o.Data, s.cat)
 	if err != nil {
 		return err
@@ -94,6 +94,12 @@ func (s *Store) RestoreObject(o ExportObject) error {
 	tv, ok := v.(*value.Tuple)
 	if !ok {
 		return fmt.Errorf("restore: object %s is not a tuple", o.OID)
+	}
+	if so, live := s.dir.get(o.OID); live {
+		return s.replace(o, so, tv)
+	}
+	if s.head.Exists(o.OID) {
+		return fmt.Errorf("restore: OID %s was deleted", o.OID)
 	}
 	so := snapObj{tv: pendingTuple, owner: o.Owner, at: uint64(len(s.restored))}
 	if o.Extent != "" {
@@ -119,6 +125,30 @@ func (s *Store) RestoreObject(o ExportObject) error {
 	return nil
 }
 
+// replace stores tv and o's owner as the live object so's.
+//
+// extra:requires db.wmu.W
+func (s *Store) replace(o ExportObject, so snapObj, tv *value.Tuple) error {
+	if so.extentName() != o.Extent {
+		return fmt.Errorf("restore: object %s is not in extent %q", o.OID, o.Extent)
+	}
+	old, err := s.working(o.OID, so)
+	if err != nil {
+		return err
+	}
+	if so.ext != nil {
+		pos := s.pos(so)
+		if err := s.members(so.ext).set(pos, member{o.OID, tv}); err != nil {
+			return err
+		}
+		so.at = uint64(pos)
+		s.indexMove(o.Extent, o.OID, old, tv)
+	}
+	so.tv, so.owner = tv, o.Owner
+	s.dir.set(o.OID, so)
+	return nil
+}
+
 // RestoreElem re-creates one element of a ref/value-set extent from its
 // dumped encoding.
 //
@@ -134,6 +164,22 @@ func (s *Store) RestoreElem(extent string, data []byte) error {
 	}
 	l.append(v)
 	return nil
+}
+
+// RemoveElem drops the element at ordinal, its place in the scan
+// order, from a ref/value-set extent.
+//
+// extra:requires db.wmu.W
+func (s *Store) RemoveElem(extent string, ordinal int) error {
+	l, err := s.writeElem(extent)
+	if err != nil {
+		return fmt.Errorf("restore: %w", err)
+	}
+	pos, ok := l.nth(ordinal)
+	if !ok {
+		return fmt.Errorf("restore: %s has no element %d", extent, ordinal)
+	}
+	return l.delete(pos)
 }
 
 // RestoreVar overwrites a singleton/array variable with a dumped value

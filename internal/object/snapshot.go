@@ -52,14 +52,17 @@ type Snapshot struct {
 	vars    map[string]value.Value
 	indexes map[string]*storage.BTree
 
-	// varOID and oids are the store's variable owners and the OID
-	// generator's last OID at the freeze, which an abort restores.
-	varOID map[string]oid.OID
-	oids   oid.OID
+	// oids is the OID generator's last OID at the freeze, which an
+	// abort restores.
+	oids oid.OID
 }
 
 // Version returns the store version this snapshot was published at.
 func (sn *Snapshot) Version() uint64 { return sn.version }
+
+// LastOID returns the last OID the store had handed out when the
+// snapshot was frozen.
+func (sn *Snapshot) LastOID() oid.OID { return sn.oids }
 
 // Catalog returns the frozen catalog the snapshot was published with:
 // exactly the schema, indexes and grants its data was written under.
@@ -368,7 +371,6 @@ func (s *Store) freeze() error {
 		extents: exts,
 		elems:   s.elems,
 		vars:    s.varVals,
-		varOID:  s.varOID,
 		oids:    s.gen.Last(),
 		indexes: indexes,
 	}
@@ -387,16 +389,18 @@ func (s *Store) freeze() error {
 	return nil
 }
 
-// dirty reports whether anything changed since the last freeze.
+// dirty reports whether anything changed since the last freeze, the
+// OID generator included: an edit that only advanced it (OIDS) is state
+// the next snapshot carries.
 func (s *Store) dirty(catEdited bool) bool {
-	return s.dir.written > 0 || s.dirtyExts || s.valsOwned || s.dirtyIdx || catEdited
+	return s.dir.written > 0 || s.dirtyExts || s.valsOwned || s.dirtyIdx || catEdited || s.gen.Last() != s.head.oids
 }
 
 // Abort drops the window: it puts the working state back to the
 // published snapshot, whatever the window wrote and whatever of it Views
 // froze since, so a failed write publishes nothing. The OID generator
 // is rewound with it, so the next write allocates the OIDs the dropped
-// one did, as a replay of the log will. The working catalog and its
+// one did: an OID no snapshot published is not used. The working catalog and its
 // grant table are put back in place (catalog.Reset moves the catalog
 // version past every version the window used, so nothing cached under
 // one is served again), and each index's working tree is cloned from
@@ -432,7 +436,7 @@ func (s *Store) Abort() {
 		x.members = l
 		s.extents[name] = x
 	}
-	s.varVals, s.elems, s.varOID, s.valsOwned = sn.vars, sn.elems, sn.varOID, false
+	s.varVals, s.elems, s.valsOwned = sn.vars, sn.elems, false
 	s.dir, s.restored = sn.objs.edit(), nil
 	s.head, s.dirtyExts, s.dirtyIdx = sn, false, false
 }

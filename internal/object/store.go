@@ -28,7 +28,6 @@ package object
 
 import (
 	"fmt"
-	"maps"
 	"sync/atomic"
 
 	"repro/internal/catalog"
@@ -61,7 +60,6 @@ type Store struct {
 	cat     *catalog.Catalog
 	gen     *oid.Generator
 	extents map[string]*objExtent // object-set extents
-	varOID  map[string]oid.OID    // pseudo-owner OID per variable; the head shares it, so a write copies it
 
 	// varVals and elems hold the working values of the singleton and
 	// array variables and of the ref-set and value-set extents. A value
@@ -120,7 +118,6 @@ func New(_ *storage.BufferPool, cat *catalog.Catalog) *Store {
 		cat:      cat,
 		gen:      &oid.Generator{},
 		extents:  make(map[string]*objExtent),
-		varOID:   make(map[string]oid.OID),
 		varVals:  make(map[string]value.Value),
 		elems:    make(map[string]*elemList),
 		catEdits: cat.Edits(),
@@ -133,7 +130,6 @@ func New(_ *storage.BufferPool, cat *catalog.Catalog) *Store {
 		extents: map[string]*memberList{},
 		elems:   s.elems,
 		vars:    s.varVals,
-		varOID:  s.varOID,
 		indexes: map[string]*storage.BTree{},
 	}
 	s.snap.Store(s.head)
@@ -171,10 +167,13 @@ func (s *Store) InitVar(v *catalog.Variable) error {
 			}
 			init = arr
 		}
+		for _, name := range sortedKeys(s.varVals) {
+			if varOwner(name) == varOwner(v.Name) {
+				return fmt.Errorf("variable %s: its owner OID is variable %s's", v.Name, name)
+			}
+		}
 		s.writeVals()
 		s.varVals[v.Name] = init
-		s.varOID = maps.Clone(s.varOID)
-		s.varOID[v.Name] = s.gen.Next()
 	}
 	return nil
 }
@@ -216,8 +215,6 @@ func (s *Store) DropVar(v *catalog.Variable) error {
 		}
 		s.writeVals()
 		delete(s.varVals, v.Name)
-		s.varOID = maps.Clone(s.varOID)
-		delete(s.varOID, v.Name)
 		return nil
 	}
 }
@@ -300,19 +297,28 @@ func (s *Store) working(id oid.OID, so snapObj) (*value.Tuple, error) {
 	return decodeTuple(id, s.restored[so.at].data, s.cat)
 }
 
-// encodeRecord encodes v into the store's one reusable buffer; the bytes
+// encodeRecord encodes v into the store's reusable buffer; the bytes
 // are valid until the next call. Every write encodes what it stores and
 // keeps none of it: a value the codec refuses (an ADT with no storage
 // codec) is refused when it is written, not when a dump or the log
-// meets it.
+// meets it. A buffer an encoding grew past maxEncBuf is let go, so one
+// huge value does not pin its size for the store's life.
 func (s *Store) encodeRecord(v value.Value) ([]byte, error) {
 	enc, err := codec.Encode(s.enc[:0], v)
+	if cap(enc) <= maxEncBuf {
+		s.enc = enc
+	} else {
+		s.enc = nil
+	}
 	if err != nil {
 		return nil, err
 	}
-	s.enc = enc
 	return enc, nil
 }
+
+// maxEncBuf is the largest encoding buffer the store keeps between
+// writes.
+const maxEncBuf = 64 << 10
 
 // decodeTuple decodes an object record. The tuple shares nothing with
 // rec.
@@ -334,30 +340,50 @@ func (s *Store) Exists(id oid.OID) bool {
 	return ok
 }
 
-// Delete destroys an object: removes an extent member from its member
-// list and its index entries, and destroys every own-ref component it
-// owns (recursively). References elsewhere are left dangling and read
-// as null.
+// Delete destroys an object: removes it (RemoveObject) and destroys
+// every own-ref component it owns (recursively). References elsewhere
+// are left dangling and read as null.
 //
 // extra:requires db.wmu.W
 func (s *Store) Delete(id oid.OID) error {
-	so, ok := s.dir.get(id)
-	if !ok {
-		return fmt.Errorf("delete of missing object %s", id)
-	}
-	tv, err := s.working(id, so)
+	tv, err := s.remove(id)
 	if err != nil {
 		return err
 	}
+	comp := types.Component{Mode: types.Own, Type: tv.Type}
+	return s.destroyOwned(comp, tv)
+}
+
+// RemoveObject removes one object: its directory entry, an extent
+// member's place in its member list and its index entries. Its
+// components stay; a logged edit removes each of them on its own line.
+//
+// extra:requires db.wmu.W
+func (s *Store) RemoveObject(id oid.OID) error {
+	_, err := s.remove(id)
+	return err
+}
+
+// remove is RemoveObject, returning the removed object's working value.
+//
+// extra:requires db.wmu.W
+func (s *Store) remove(id oid.OID) (*value.Tuple, error) {
+	so, ok := s.dir.get(id)
+	if !ok {
+		return nil, fmt.Errorf("delete of missing object %s", id)
+	}
+	tv, err := s.working(id, so)
+	if err != nil {
+		return nil, err
+	}
 	if so.ext != nil {
 		if err := s.members(so.ext).delete(s.pos(so)); err != nil {
-			return err
+			return nil, err
 		}
 		s.indexDelete(so.ext.name, id, tv)
 	}
 	s.dir.del(id)
-	comp := types.Component{Mode: types.Own, Type: tv.Type}
-	return s.destroyOwned(comp, tv)
+	return tv, nil
 }
 
 // Update rewrites an object's stored value; an extent member keeps its

@@ -46,7 +46,7 @@ func (s *Store) SetVar(name string, nv value.Value) error {
 	}
 	oldOwned := map[oid.OID]bool{}
 	collectOwned(v.Comp, old, oldOwned)
-	iv, err := s.internalizeKeeping(v.Comp, value.Copy(nv), s.varOID[name], oldOwned)
+	iv, err := s.internalizeKeeping(v.Comp, value.Copy(nv), varOwner(name), oldOwned)
 	if err != nil {
 		return err
 	}

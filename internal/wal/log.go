@@ -237,25 +237,40 @@ func Open(dir string, opts Options) (*Log, RecoverInfo, error) {
 		if err != nil {
 			return nil, info, fmt.Errorf("wal: read %s: %w", name, err)
 		}
+		// good ends the last closed group: the frames of a group that the
+		// segment does not close are torn with whatever follows them.
 		rest := raw
 		good := int64(0)
 		var torn *errTorn
+		var group []*Record
 		for len(rest) > 0 {
 			rec, tail, err := nextFrame(rest, next)
 			if err != nil {
 				torn = err.(*errTorn)
 				break
 			}
-			if opts.Replay != nil {
-				if rerr := opts.Replay(rec); rerr != nil {
-					return nil, info, fmt.Errorf("wal: replay lsn %d: %w", rec.LSN, rerr)
-				}
-			}
-			info.Records++
-			info.LastLSN = rec.LSN
 			next = rec.LSN + 1
-			good += int64(len(rest) - len(tail))
 			rest = tail
+			if group = append(group, rec); rec.More {
+				continue
+			}
+			for _, r := range group {
+				if opts.Replay != nil {
+					if rerr := opts.Replay(r); rerr != nil {
+						return nil, info, fmt.Errorf("wal: replay lsn %d: %w", r.LSN, rerr)
+					}
+				}
+				info.Records++
+				info.LastLSN = r.LSN
+			}
+			group = group[:0]
+			good = int64(len(raw) - len(rest))
+		}
+		if len(group) > 0 {
+			next = group[0].LSN
+			if torn == nil {
+				torn = &errTorn{reason: fmt.Sprintf("group from lsn %d has no closing record", next)}
+			}
 		}
 		if torn != nil {
 			if i != len(segs)-1 {
@@ -355,14 +370,27 @@ func syncDir(dir string) {
 	}
 }
 
-// Append assigns the record an LSN and queues it for the flusher. It
-// returns without doing I/O in group mode — callers hold the engine's
-// commit lock here, and must call WaitDurable after releasing it. In
-// SyncEach mode the record is written and fsynced before returning.
+// Append assigns the records, at least one, consecutive LSNs and queues
+// them for the flusher as one group: every record but the last gets More, so
+// recovery replays the group only once it has read all of it. The
+// group's frames enter the pending buffer together, which a flush
+// writes whole to one segment. It returns the last record's LSN,
+// without doing I/O in group mode — callers hold the engine's commit
+// lock here, and must call WaitDurable after releasing it. In SyncEach
+// mode the group is written and fsynced before returning.
 //
 // extra:acquires wal.mu.W
 // extra:logs
-func (l *Log) Append(r *Record) (uint64, error) {
+func (l *Log) Append(recs ...*Record) (uint64, error) {
+	// An oversize record would be written but rejected as tail garbage
+	// by the next recovery — acknowledged yet unrecoverable. Refuse the
+	// group here, before it takes an LSN; the error is not sticky, the
+	// group simply never enters the log.
+	for _, r := range recs {
+		if sz := r.PayloadSize(); sz > MaxRecord {
+			return 0, fmt.Errorf("wal: %w (payload %d bytes, limit %d)", ErrTooLarge, sz, MaxRecord)
+		}
+	}
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
@@ -373,19 +401,14 @@ func (l *Log) Append(r *Record) (uint64, error) {
 		l.mu.Unlock()
 		return 0, err
 	}
-	// An oversize record would be written but rejected as tail garbage
-	// by the next recovery — acknowledged yet unrecoverable. Refuse it
-	// here, before it takes an LSN; the error is not sticky, the record
-	// simply never enters the log.
-	if sz := r.PayloadSize(); sz > MaxRecord {
-		l.mu.Unlock()
-		return 0, fmt.Errorf("wal: %w (payload %d bytes, limit %d)", ErrTooLarge, sz, MaxRecord)
+	for i, r := range recs {
+		r.More = i < len(recs)-1
+		r.LSN = l.nextLSN
+		l.nextLSN++
+		l.buf = appendFrame(l.buf, r)
 	}
-	r.LSN = l.nextLSN
-	l.nextLSN++
-	l.buf = appendFrame(l.buf, r)
-	l.bufUpto = r.LSN
-	lsn := r.LSN
+	lsn := l.nextLSN - 1
+	l.bufUpto = lsn
 	l.mu.Unlock()
 
 	if l.mode == SyncEach {

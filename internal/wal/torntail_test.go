@@ -164,7 +164,7 @@ func TestTornTailRecoveryIsIdempotent(t *testing.T) {
 // TestFrameEncodingStable pins the frame layout: header is big-endian
 // length then CRC, and encode/decode round-trips all fields.
 func TestFrameEncodingStable(t *testing.T) {
-	r := &Record{LSN: 12, Kind: RecordLoad, Session: 3, User: "alice",
+	r := &Record{LSN: 12, Kind: RecordData, Session: 3, User: "alice",
 		Src: "OBJ 1 2 deadbeef", Data: [][]byte{nil, []byte("x")}}
 	f := appendFrame(nil, r)
 	if len(f) <= frameHeader {
@@ -174,7 +174,7 @@ func TestFrameEncodingStable(t *testing.T) {
 	if err != nil || len(rest) != 0 {
 		t.Fatalf("nextFrame: %v (rest %d)", err, len(rest))
 	}
-	if dec.LSN != 12 || dec.Kind != RecordLoad || dec.Session != 3 ||
+	if dec.LSN != 12 || dec.Kind != RecordData || dec.Session != 3 ||
 		dec.User != "alice" || dec.Src != r.Src ||
 		len(dec.Data) != 2 || len(dec.Data[0]) != 0 || !bytes.Equal(dec.Data[1], []byte("x")) {
 		t.Fatalf("round-trip mismatch: %+v", dec)

@@ -1,17 +1,23 @@
 // Package wal implements the engine's write-ahead log: a segmented
-// append-only file of logical records, one per committed mutation. The
-// database layer serializes every write batch on its commit lock and
-// publishes a store snapshot per statement (Store.Commit); that
-// publication point is exactly one log record here, so replaying the
-// log from a checkpoint reproduces the committed statement sequence —
-// and with it the store, byte for byte (OID allocation and statement
-// evaluation are deterministic, a property the repo's detorder checker
-// and the dump round-trip tests pin down).
+// append-only file of physical records, one group per published commit.
+// The database layer logs what a commit published, not the statement
+// that asked for it: the schema statements the commit ran, as text, and
+// the data it changed, as the data lines a dump restores (each changed
+// object's extent, OID, owner and encoded tuple, a tombstone for each
+// deleted one, and the variables and element sets it wrote). Replaying
+// the groups in LSN order over the checkpoint rebuilds the published
+// store, OIDs included, without running a write statement again.
 //
 // Records are framed [u32 length | u32 crc32(payload) | payload], so a
 // crash mid-append leaves a detectable torn tail: recovery stops at the
 // first frame whose length field, checksum or LSN sequence is wrong,
-// truncates the garbage, and the committed prefix survives intact.
+// truncates the garbage, and the committed prefix survives intact. A
+// commit's records are appended as one group: every record but the last
+// carries the More flag, and the record without it closes the group.
+// Recovery hands a group to Replay only once it has read the closing
+// record; an unclosed group at the tail is torn, and is truncated with
+// the garbage after it, so a crash inside a multi-record commit
+// recovers none of it.
 //
 // Durability is leader/follower group commit: committers append under
 // the log mutex (cheap — no I/O), then the first waiter to win the
@@ -30,24 +36,17 @@ import (
 	"hash/crc32"
 )
 
-// Kind discriminates the logical record types the database layer logs.
+// Kind discriminates the record types the database layer logs.
 type Kind uint8
 
 const (
-	// RecordStmt is one committed EXCESS statement: Src is the printed
-	// statement, Data the codec-encoded $1..$n arguments when it ran as
-	// a prepared statement.
+	// RecordStmt is one schema statement a commit ran: Src is its text,
+	// User the user it ran as (the owner of what it defines).
 	RecordStmt Kind = 1
-	// RecordLoad is one Load data section: Src is the newline-joined
-	// OBJ/ELEM/VAR lines restored in one commit.
-	RecordLoad Kind = 2
-	// RecordInsert is one Go-API bulk insert (DB.Insert): Src is the
-	// extent, Data[0] the codec-encoded tuple.
-	RecordInsert Kind = 3
-	// RecordSetRef is one Go-API reference write (DB.SetRef): Src is
-	// the attribute, Data[0] and Data[1] the object and target OIDs as
-	// 8-byte big-endian values (target all-ones for null).
-	RecordSetRef Kind = 4
+	// RecordData is data a commit or a Load published: each element of
+	// Data is one data line (OBJ, DEL, VAR, ELEM, ELEMDEL, OIDS; see the
+	// object package's Store.ApplyLine), its payload raw.
+	RecordData Kind = 2
 )
 
 // Record is one logical WAL entry. LSN is assigned by Log.Append;
@@ -55,11 +54,19 @@ const (
 type Record struct {
 	LSN     uint64
 	Kind    Kind
-	Session int64  // originating session id (recovery groups range decls per session)
-	User    string // session user at commit time (procedure definer fidelity)
+	Session int64  // id of the session that logged it; recovery does not read it
+	User    string // the user a RecordStmt ran as
 	Src     string
 	Data    [][]byte
+	// More marks a record that another record of the same group
+	// follows. Append sets it on every record of a group but the last.
+	More bool
 }
+
+// flagMore is the payload flag that carries Record.More. Bit 0 is
+// retired (it once marked a statement that erred after publishing part
+// of its effects) and stays undefined.
+const flagMore = 2
 
 const (
 	// frameHeader is the per-record framing overhead: u32 payload
@@ -109,7 +116,11 @@ func uvarintLen(v uint64) int {
 // appendPayload serializes the record (including its LSN) onto dst.
 func appendPayload(dst []byte, r *Record) []byte {
 	dst = binary.AppendUvarint(dst, r.LSN)
-	dst = append(dst, byte(r.Kind), 0) // kind, flags (none defined)
+	flags := byte(0)
+	if r.More {
+		flags = flagMore
+	}
+	dst = append(dst, byte(r.Kind), flags)
 	dst = binary.AppendUvarint(dst, uint64(r.Session))
 	dst = binary.AppendUvarint(dst, uint64(len(r.User)))
 	dst = append(dst, r.User...)
@@ -153,9 +164,10 @@ func decodePayload(p []byte) (*Record, error) {
 		return nil, fmt.Errorf("truncated header")
 	}
 	r.Kind = Kind(p[0])
-	if p[1] != 0 {
+	if p[1]&^flagMore != 0 {
 		return nil, fmt.Errorf("unknown flags %#x", p[1])
 	}
+	r.More = p[1] == flagMore
 	p = p[2:]
 	sess, n := binary.Uvarint(p)
 	if n <= 0 {

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -345,5 +346,80 @@ func TestInjectedSyncFaultPropagatesToWaiters(t *testing.T) {
 	}
 	if err := l.WaitDurable(lsn); err == nil {
 		t.Fatal("WaitDurable returned nil over an injected fsync failure")
+	}
+}
+
+// TestAppendGroupReplaysWhole: Append frames a group with More on every
+// record but the last; recovery hands the group over whole, and a group
+// whose closing record never reached the file is torn: none of it is
+// replayed, its frames are truncated with the tail, and the next append
+// takes its first LSN.
+func TestAppendGroupReplaysWhole(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := Open(dir, Options{Sync: SyncEach})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lsn, err := l.Append(mkRecord(0)); err != nil || lsn != 1 {
+		t.Fatalf("single append: lsn %d, err %v", lsn, err)
+	}
+	group := []*Record{mkRecord(1), mkRecord(2), mkRecord(3)}
+	if lsn, err := l.Append(group...); err != nil || lsn != 4 {
+		t.Fatalf("group append: lsn %d, err %v", lsn, err)
+	}
+	l.Close()
+	got, info, l2 := collect(t, dir, Options{Sync: SyncEach})
+	l2.Close()
+	if len(got) != 4 || info.LastLSN != 4 {
+		t.Fatalf("replayed %d records up to lsn %d, want 4", len(got), info.LastLSN)
+	}
+	for i, r := range got {
+		if want := i == 1 || i == 2; r.More != want {
+			t.Errorf("record %d: More = %v, want %v", r.LSN, r.More, want)
+		}
+	}
+
+	// An open group: frames of LSN 5 and 6 with More, and no record 7.
+	path := filepath.Join(dir, segName(1))
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var open []byte
+	for _, lsn := range []uint64{5, 6} {
+		r := mkRecord(int(lsn))
+		r.LSN, r.More = lsn, true
+		open = appendFrame(open, r)
+	}
+	if err := os.WriteFile(path, append(clean, open...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, info, l3 := collect(t, dir, Options{Sync: SyncEach})
+	if len(got) != 4 || info.TornBytes != int64(len(open)) {
+		t.Fatalf("open group: replayed %d records, %d torn bytes; want 4 and %d", len(got), info.TornBytes, len(open))
+	}
+	if lsn, err := l3.Append(mkRecord(9)); err != nil || lsn != 5 {
+		t.Fatalf("append after the torn group: lsn %d, err %v; want 5", lsn, err)
+	}
+	l3.Close()
+	if onDisk, _ := os.ReadFile(path); !bytes.HasPrefix(onDisk, clean) || len(onDisk) == len(clean)+len(open) {
+		t.Fatal("the torn group's frames stayed in the segment")
+	}
+}
+
+// TestAppendGroupRefusedWhole: a group with one oversize record is
+// refused before any of it takes an LSN.
+func TestAppendGroupRefusedWhole(t *testing.T) {
+	l, _, err := Open(t.TempDir(), Options{Sync: SyncEach})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	big := &Record{Kind: RecordData, Src: string(make([]byte, MaxRecord+1))}
+	if _, err := l.Append(mkRecord(0), big); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("oversize group: err = %v, want ErrTooLarge", err)
+	}
+	if next := l.NextLSN(); next != 1 {
+		t.Fatalf("the refused group took LSNs: next %d", next)
 	}
 }

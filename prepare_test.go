@@ -367,10 +367,10 @@ func TestEntryPointParity(t *testing.T) {
 		})
 	}
 
-	// Replay: both logs rebuild the one database both routes built, each
-	// logged statement counted once under its kind and observed once.
-	want := canonicalDump(dumpOf(t, adhoc))
-	if got := canonicalDump(dumpOf(t, prepared)); got != want {
+	// Replay: both logs rebuild the one database both routes built, byte
+	// for byte, and run none of its DML statements again.
+	want := dumpOf(t, adhoc)
+	if got := dumpOf(t, prepared); got != want {
 		t.Errorf("prepared writes built a different database:\n%s\nvs\n%s", got, want)
 	}
 	for _, r := range []struct {
@@ -378,24 +378,18 @@ func TestEntryPointParity(t *testing.T) {
 		db   *DB
 		dir  string
 	}{{"ad-hoc log", adhoc, dirA}, {"prepared log", prepared, dirP}} {
-		ran := r.db.MetricsSnapshot()
 		if err := r.db.Close(); err != nil {
 			t.Fatal(err)
 		}
 		replayed := open(r.dir)
-		if got := canonicalDump(dumpOf(t, replayed)); got != want {
+		if got := dumpOf(t, replayed); got != want {
 			t.Errorf("%s: replay built a different database:\n%s\nvs\n%s", r.name, got, want)
 		}
 		m := replayed.MetricsSnapshot()
-		var stmts uint64
-		for _, kind := range []string{"define", "create", "append", "replace", "delete"} {
-			if m.Counters["stmt."+kind] != ran.Counters["stmt."+kind] {
-				t.Errorf("%s: replay counted stmt.%s %d times, the run %d", r.name, kind, m.Counters["stmt."+kind], ran.Counters["stmt."+kind])
+		for _, kind := range []string{"append", "replace", "delete", "set", "execute"} {
+			if n := m.Counters["stmt."+kind]; n != 0 {
+				t.Errorf("%s: replay counted stmt.%s %d times, want 0", r.name, kind, n)
 			}
-			stmts += m.Counters["stmt."+kind]
-		}
-		if got := m.Histograms["stmt.latency"].Count; got != stmts {
-			t.Errorf("%s: replay observed stmt.latency %d times for %d statements", r.name, got, stmts)
 		}
 		requireSealed(t, replayed, r.name+" replay")
 		replayed.Close()

@@ -23,14 +23,13 @@ import (
 	"repro/internal/trace"
 	"repro/internal/types"
 	"repro/internal/value"
-	"repro/internal/wal"
 )
 
 // Session is one client's connection-like handle on a DB: its own user
 // identity, its own persistent range declarations, and its own slow-query
 // attribution. Sessions are cheap; a server would create one per
 // connection. Statements from different sessions run concurrently when
-// they are read-only (retrieve without into) — the DB classifies each
+// they are read-only (retrieve without into, range of) — the DB classifies each
 // statement through the sema layer: reads pin an immutable store
 // snapshot and execute against it without holding any lock, writes
 // serialize on the DB's write lock.
@@ -90,7 +89,7 @@ func allReadOnly(stmts []ast.Statement) bool {
 
 // stmtCall is one trip through the statement pipeline. Every entry
 // point — Exec and Query after parsing, Stmt.Exec after binding its
-// arguments, EXPLAIN ANALYZE, WAL replay after re-parsing — fills in
+// arguments, EXPLAIN ANALYZE — fills in
 // the first group of fields and hands the call to Session.run; the
 // second group is the pipeline's own state while the call runs.
 type stmtCall struct {
@@ -98,7 +97,7 @@ type stmtCall struct {
 	src      string        // as the caller wrote it: traces and the slow log quote it
 	start    time.Time     // when the source arrived: the root span and stmt.latency start here
 	parseDur time.Duration // zero for a prepared statement
-	params   *paramScope   // $n arguments (prepared, replayed) or a procedure frame
+	params   *paramScope   // $n arguments (prepared) or a procedure frame
 	prepared *Stmt         // set by Stmt.Exec: key text and the retained plan entry
 	analysis *analysis     // set by EXPLAIN ANALYZE: run instrumented and keep the plan
 	// lifted holds the ad-hoc retrieves the front end lifted for the plan
@@ -222,8 +221,7 @@ func (s *Session) run(c *stmtCall) (*Result, error) {
 // catalog, which only writers see; the snapshot publishes it together
 // with the data, so no reader ever pairs a catalog with data of another
 // version. A failed statement leaves the session's range declarations
-// as they were too (a procedure body may declare one), as a replay of
-// the log, which holds no record of it, will. The call remembers the
+// as they were too (a procedure body may declare one). The call remembers the
 // LSN it logged at; run awaits durability after releasing the write
 // lock.
 //
@@ -232,9 +230,9 @@ func (s *Session) runWriteStmt(c *stmtCall, st ast.Statement) (*Result, error) {
 	db := s.db
 	var r *Result
 	ranges := s.sem.Load()
-	lsn, err := db.publish(c.tr.Active(), func() (recs []*wal.Record, err error) {
-		r, recs, err = s.apply(c, st)
-		return recs, err
+	lsn, err := db.publish(c.tr.Active(), func() (err error) {
+		r, err = s.apply(c, st)
+		return err
 	})
 	if err != nil {
 		s.sem.Store(ranges)
@@ -245,37 +243,39 @@ func (s *Session) runWriteStmt(c *stmtCall, st ast.Statement) (*Result, error) {
 	return r, err
 }
 
-// runReadStmt runs one read-only statement (a retrieve without an into
-// clause — the only read-classified kind) against a pinned snapshot.
-// Pinning is one atomic load, and the snapshot carries its catalog and
-// grants: the plan-cache lookup, check, authorization, planning,
-// closure compilation and execution all agree on one version of data
-// and schema with no lock held. A call's first statement also opens
-// it.
+// runReadStmt runs one read-only statement against a pinned snapshot:
+// a range declaration, which checks against its catalog and writes only
+// the session's table, or a retrieve without an into clause. Pinning is
+// one atomic load, and the snapshot carries its catalog and grants: the
+// plan-cache lookup, check, authorization, planning, closure
+// compilation and execution all agree on one version of data and
+// schema with no lock held. A call's first retrieve also opens it.
 //
 // extra:snapshot
 func (s *Session) runReadStmt(c *stmtCall, st ast.Statement) (*Result, error) {
 	db := s.db
-	r, ok := st.(*ast.Retrieve)
-	if !ok {
-		return nil, fmt.Errorf("unhandled read statement %T", st)
-	}
 	if db.closed.Load() {
 		return nil, errDBClosed
 	}
-	if c.es == nil {
-		c.open(s)
-	}
 	db.cKind[sema.KindOf(st)].Inc()
-	c.es.BindSnapshot(db.store.Snapshot())
-	if c.tr.Sampled() {
-		c.tr.Active().AttrInt(0, "snapshot.version", int64(c.es.SnapshotVersion()))
+	switch st := st.(type) {
+	case *ast.RangeDecl:
+		return nil, s.declareRange(db.store.Snapshot().Catalog(), c.params, st)
+	case *ast.Retrieve:
+		if c.es == nil {
+			c.open(s)
+		}
+		c.es.BindSnapshot(db.store.Snapshot())
+		if c.tr.Sampled() {
+			c.tr.Active().AttrInt(0, "snapshot.version", int64(c.es.SnapshotVersion()))
+		}
+		cr, err := s.planRetrieve(c, st)
+		if err != nil {
+			return nil, err
+		}
+		return s.execPlan(c, cr)
 	}
-	cr, err := s.planRetrieve(c, r)
-	if err != nil {
-		return nil, err
-	}
-	return s.execPlan(c, cr)
+	return nil, fmt.Errorf("unhandled read statement %T", st)
 }
 
 // analysis is what EXPLAIN ANALYZE keeps of a retrieve's instrumented
@@ -704,7 +704,7 @@ func (s *Session) runStmt(c *stmtCall, st ast.Statement) (*Result, error) {
 		}
 		return nil, cat.DropVar(st.Name)
 	case *ast.DefineFunction:
-		_, err := sema.BuildFunction(cat, s.sem.Load(), st)
+		_, err := sema.BuildFunction(cat, st)
 		return nil, err
 	case *ast.DefineProcedure:
 		p, err := sema.BuildProcedure(cat, st)
@@ -717,13 +717,7 @@ func (s *Session) runStmt(c *stmtCall, st ast.Statement) (*Result, error) {
 		_, err := db.store.BuildIndex(st.Name, st.Extent, st.Path, st.Unique)
 		return nil, err
 	case *ast.RangeDecl:
-		// Validate eagerly so "range of E is Nonexistent" fails here.
-		probe := sema.NewFrameChecker(cat, sema.NewSession(), params.frameOrNil())
-		if _, err := probe.ProbeRange(st); err != nil {
-			return nil, err
-		}
-		s.sem.Store(s.sem.Load().With(st))
-		return nil, nil
+		return nil, s.declareRange(cat, params, st)
 	case *ast.Grant:
 		return nil, cat.Auth().Grant(c.user, st.Priv, st.On, st.To)
 	case *ast.Revoke:
@@ -796,19 +790,75 @@ func (s *Session) runStmt(c *stmtCall, st ast.Statement) (*Result, error) {
 }
 
 // apply runs one statement in the call's write window, bound to the
-// store's current view, and returns the records it is logged as. It
-// publishes nothing: runWriteStmt publishes one statement, Load a whole
-// dump.
+// store's current view. It publishes nothing: runWriteStmt publishes
+// one statement, Load a whole dump, and an execute's body statements
+// publish with the execute. Under a logged window a schema statement
+// also closes the window's data segment before it runs and logs its
+// text once it has (walEdit).
 //
 // extra:requires db.wmu.W
-func (s *Session) apply(c *stmtCall, st ast.Statement) (*Result, []*wal.Record, error) {
+func (s *Session) apply(c *stmtCall, st ast.Statement) (*Result, error) {
 	c.es.BindLive()
+	e := &s.db.edit
+	if !e.on || e.base == nil || !changesSchema(st) {
+		return s.runStmt(c, st)
+	}
+	if err := e.cut(s.db.store); err != nil {
+		return nil, err
+	}
 	r, err := s.runStmt(c, st)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	recs, err := s.db.stmtRecord(s.id, c.user, st, c.params)
-	return r, recs, err
+	return r, e.schema(s.db.store, c.user, st)
+}
+
+// runSchema runs the text of one schema statement in the call's write
+// window: a dump's DDL line, or a logged one.
+//
+// extra:requires db.wmu.W
+func (s *Session) runSchema(c *stmtCall, src string) error {
+	st, err := s.db.parseOne(src)
+	if err != nil {
+		return err
+	}
+	if !schemaStmt(st) {
+		return fmt.Errorf("%s is not a schema statement", sema.KindOf(st))
+	}
+	_, err = s.apply(c, st)
+	return err
+}
+
+// schemaStmt reports whether st defines, creates or drops schema.
+func schemaStmt(st ast.Statement) bool {
+	switch st.(type) {
+	case *ast.DefineType, *ast.DefineEnum, *ast.DefineFunction, *ast.DefineProcedure,
+		*ast.DefineIndex, *ast.Create, *ast.Drop:
+		return true
+	}
+	return false
+}
+
+// changesSchema reports whether st edits the schema: a schema
+// statement, or a retrieve into, which creates a variable and its type.
+func changesSchema(st ast.Statement) bool {
+	if r, ok := st.(*ast.Retrieve); ok {
+		return r.Into != ""
+	}
+	return schemaStmt(st)
+}
+
+// declareRange adds a range declaration to the session's table, once it
+// checks against cat. It takes no lock: the table is the session's, and
+// replaced whole.
+func (s *Session) declareRange(cat *catalog.Catalog, params *paramScope, st *ast.RangeDecl) error {
+	probe := sema.NewFrameChecker(cat, sema.NewSession(), params.frameOrNil())
+	if _, err := probe.ProbeRange(st); err != nil {
+		return err
+	}
+	for old := s.sem.Load(); !s.sem.CompareAndSwap(old, old.With(st)); old = s.sem.Load() {
+	}
+	return nil
 }
 
 // checker returns a checker over the catalog and the session's range
@@ -861,8 +911,7 @@ func (s *Session) runExecute(c *stmtCall, stmt *ast.Execute) error {
 		return es.Execute(ce, func(frame []value.Value) error {
 			body.params = &paramScope{frame: pframe, values: frame}
 			for _, bodyStmt := range ce.Proc.Body {
-				es.BindLive()
-				if _, err := s.runStmt(&body, bodyStmt); err != nil {
+				if _, err := s.apply(&body, bodyStmt); err != nil {
 					return fmt.Errorf("procedure %s: %w", ce.Proc.Name, err)
 				}
 			}

@@ -9,28 +9,32 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/codec"
 	"repro/internal/excess/ast"
-	"repro/internal/excess/sema"
-	"repro/internal/oid"
+	"repro/internal/object"
 	"repro/internal/trace"
-	"repro/internal/value"
+	"repro/internal/types"
 	"repro/internal/wal"
 )
 
 // Durability. Every write reaches readers and the log through one
 // envelope, publish: under the commit lock it refuses a closed
-// database, runs the mutation, sizes the write's records against
-// wal.MaxRecord, publishes the store snapshot (Store.Commit) and, with
-// WithWAL, appends the records. A write that fails anywhere before the
-// publication is aborted (Store.Abort): it publishes and logs nothing.
-// Open replays the log, so acknowledged commits survive a crash. The
-// store is in memory and nothing of it is read back: recovery loads the
-// checkpoint (an atomic Dump carrying the covered LSN) and re-executes
-// the logged sequence after it, which reproduces the store
-// deterministically (sequential OID allocation, printed-statement
-// round-trips and deterministic iteration are all pinned by this
-// repo's tests and vet checks).
+// database, runs the mutation, freezes the store, derives the write's
+// log group, sizes it against wal.MaxRecord, publishes the store
+// snapshot (Store.Commit) and, with WithWAL, appends the group. A write
+// that fails anywhere before the publication is aborted (Store.Abort):
+// it publishes and logs nothing. Open replays the log, so acknowledged
+// commits survive a crash.
+//
+// The log records what a commit published, not the statement that
+// asked for it (walEdit): the texts of the schema statements the commit
+// ran, and between them the data it changed, in the data-line grammar
+// of a dump, which object.Diff derives from the frozen snapshots.
+// Recovery loads the checkpoint (an atomic Dump carrying the covered
+// LSN) and applies each group after it in one write: data lines through
+// Store.ApplyLine, as Load applies a dump's, and schema texts
+// through the statement dispatch. It runs no write statement again, so
+// it needs no session state, and the store it rebuilds is the published
+// one, OIDs included.
 //
 // Group commit (the default sync mode) appends under the commit lock —
 // no I/O — and waits for durability only after the lock is released, so
@@ -71,13 +75,14 @@ const checkpointFile = "checkpoint.xd"
 // db.wal ready for appends. Runs inside Open, before the DB is shared:
 // no locks are needed around the field writes, and db.wal is still nil
 // during replay, which is exactly what suppresses re-logging the
-// replayed statements.
+// replayed groups. wal.Open hands over a group's records only once it
+// has read the group's closing record.
 func (db *DB) openWAL(dir string, mode WALSyncMode) error {
 	ckptLSN, err := db.restoreCheckpoint(filepath.Join(dir, checkpointFile))
 	if err != nil {
 		return err
 	}
-	sessions := map[int64]*Session{}
+	var group []*wal.Record
 	l, _, err := wal.Open(dir, wal.Options{
 		Sync:          mode,
 		CheckpointLSN: ckptLSN,
@@ -85,7 +90,12 @@ func (db *DB) openWAL(dir string, mode WALSyncMode) error {
 			if r.LSN <= ckptLSN {
 				return nil // already inside the checkpoint dump
 			}
-			return db.replayRecord(r, sessions)
+			if group = append(group, r); r.More {
+				return nil
+			}
+			err := db.replayGroup(group)
+			group = group[:0]
+			return err
 		},
 	})
 	if err != nil {
@@ -129,182 +139,86 @@ func (db *DB) restoreCheckpoint(path string) (uint64, error) {
 	return lsn, nil
 }
 
-// replayRecord re-executes one logged mutation during recovery. Records
-// carry their originating session id so per-session state (range
-// declarations) accumulates exactly as it did originally, and the user
-// the statement committed under so procedure definitions keep their
-// definer. Authorization state is not durable (grants are session
-// configuration, same as Dump), so nothing is access-checked during
-// replay: the authorizer is still in its pass-everything initial state.
-// Only writes that published are logged, so a record that fails to
-// replay fails the recovery.
-func (db *DB) replayRecord(r *wal.Record, sessions map[int64]*Session) error {
-	s := sessions[r.Session]
-	if s == nil {
-		s = newSession(db, r.Session)
-		sessions[r.Session] = s
-	}
-	s.setUser(r.User)
-	var err error
-	switch r.Kind {
-	case wal.RecordStmt:
-		err = s.replayStmt(r)
-	case wal.RecordLoad:
-		err = db.replayLoad(r)
-	case wal.RecordInsert:
-		err = db.replayInsert(r)
-	case wal.RecordSetRef:
-		err = db.replaySetRef(r)
-	default:
-		return fmt.Errorf("unknown record kind %d", r.Kind)
-	}
-	if err != nil {
-		return fmt.Errorf("%s record: %w", kindName[r.Kind], err)
-	}
-	return nil
-}
-
-// replayStmt re-executes one logged EXCESS statement through the
-// statement pipeline, decoding prepared-statement arguments back into a
-// parameter frame when the record carries them.
-func (s *Session) replayStmt(r *wal.Record) error {
-	db := s.db
-	start := time.Now()
-	st, err := db.parseOne(r.Src)
-	if err != nil {
-		return fmt.Errorf("reparse %q: %w", r.Src, err)
-	}
-	c := stmtCall{stmts: []ast.Statement{st}, src: r.Src, start: start, parseDur: time.Since(start)}
-	if len(r.Data) > 0 {
-		if c.params, err = decodeParams(db, s, st, r.Data); err != nil {
-			return err
-		}
-	}
-	_, err = s.run(&c)
-	return err
-}
-
-// replayLoad re-applies one chunk of a Load's data lines.
-func (db *DB) replayLoad(r *wal.Record) error {
-	return db.apiWrite()(func() ([]*wal.Record, error) {
-		for _, line := range strings.Split(r.Src, "\n") {
-			if err := db.loadDataLine(line); err != nil {
-				return nil, err
+// replayGroup applies one logged commit as one write: each schema
+// statement as its committing user ran it, each data line as Load
+// restores it. Authorization state is not durable (grants are session
+// configuration, same as Dump), so nothing is access-checked: the
+// authorizer is still in its pass-everything initial state. Only writes
+// that published are logged, so a record that fails to apply fails the
+// recovery.
+//
+// extra:acquires db.wmu.W
+func (db *DB) replayGroup(recs []*wal.Record) error {
+	s := newSession(db, 0)
+	return db.apiWrite()(func() error {
+		var c stmtCall
+		c.open(s)
+		defer c.es.Release()
+		for _, r := range recs {
+			var err error
+			switch r.Kind {
+			case wal.RecordStmt:
+				c.user = r.User
+				err = s.runSchema(&c, r.Src)
+			case wal.RecordData:
+				for _, line := range r.Data {
+					if _, err = db.store.ApplyLine(string(line), false); err != nil {
+						break
+					}
+				}
+			default:
+				err = fmt.Errorf("unknown kind %d", r.Kind)
+			}
+			if err != nil {
+				return fmt.Errorf("%s record at lsn %d: %w", kindName[r.Kind], r.LSN, err)
 			}
 		}
-		return nil, nil
+		return nil
 	})
-}
-
-// replayInsert re-runs one DB.Insert: the tuple bytes decode back to
-// the pre-insert value and insertion re-allocates the same OID the
-// sequential generator handed out originally.
-func (db *DB) replayInsert(r *wal.Record) error {
-	if len(r.Data) != 1 {
-		return fmt.Errorf("insert record wants 1 data field, has %d", len(r.Data))
-	}
-	v, err := codec.DecodeOne(r.Data[0], db.store.Catalog())
-	if err != nil {
-		return err
-	}
-	tv, ok := v.(*value.Tuple)
-	if !ok {
-		return fmt.Errorf("insert record holds %T, want tuple", v)
-	}
-	_, err = db.insertTuple(r.Src, tv)
-	return err
-}
-
-// replaySetRef re-runs one DB.SetRef from its logged operands.
-func (db *DB) replaySetRef(r *wal.Record) error {
-	if len(r.Data) != 4 {
-		return fmt.Errorf("setref record wants 4 data fields, has %d", len(r.Data))
-	}
-	obj := Obj{id: oidFromBytes(r.Data[0]), typ: string(r.Data[1])}
-	var target Obj
-	if len(r.Data[2]) > 0 {
-		target = Obj{id: oidFromBytes(r.Data[2]), typ: string(r.Data[3])}
-	}
-	return db.SetRef(obj, r.Src, target)
-}
-
-func oidBytes(id oid.OID) []byte {
-	var b [8]byte
-	for i := 0; i < 8; i++ {
-		b[i] = byte(uint64(id) >> (56 - 8*i))
-	}
-	return b[:]
-}
-
-func oidFromBytes(b []byte) oid.OID {
-	var n uint64
-	for _, c := range b {
-		n = n<<8 | uint64(c)
-	}
-	return oid.OID(n)
-}
-
-// stmtRecord returns the WAL record a write statement is logged as, or
-// nil for statement classes that are never logged (and without a WAL).
-//
-// Policy: read-only statements in a mixed batch touch nothing and are
-// skipped; grant/revoke mutate only the in-memory authorizer, which is
-// session configuration and not durable (consistent with Dump);
-// everything else is logged — including statements whose effects live
-// outside the store (range declarations shape later statements'
-// meaning, so replay needs them).
-func (db *DB) stmtRecord(session int64, user string, st ast.Statement, params *paramScope) ([]*wal.Record, error) {
-	if db.wal == nil || sema.ReadOnly(st) {
-		return nil, nil
-	}
-	switch st.(type) {
-	case *ast.Grant, *ast.Revoke:
-		return nil, nil
-	}
-	rec := &wal.Record{
-		Kind:    wal.RecordStmt,
-		Session: session,
-		User:    user,
-		Src:     ast.Print(st),
-	}
-	if params != nil {
-		data, err := encodeParams(params)
-		if err != nil {
-			return nil, err
-		}
-		rec.Data = data
-	}
-	return []*wal.Record{rec}, nil
 }
 
 // publish is the one publication point: a write statement, a Load, a
 // Go-API insert, reference write or grant edit reaches readers and the
 // log only through it. Under the commit lock it refuses a closed
-// database, then runs mutate, which returns the records the write is
-// logged as (none without a WAL, or for a write that is never logged),
-// sizes them against wal.MaxRecord, publishes the store's snapshot and
-// appends them (logRecords). When mutate, the sizing or the freeze
+// database, then runs mutate, freezes the store and, with a WAL, takes
+// the write's log group from the window's edit (walEdit.records),
+// sizes it against wal.MaxRecord, publishes the store's snapshot and
+// appends the group (logRecords). When mutate, the freeze or the sizing
 // fails, the store aborts to the published snapshot: a failed write
 // publishes nothing and logs nothing. act, when non-nil, receives the
-// commit.freeze span. The caller awaits the returned LSN with
-// waitDurable after releasing the lock.
+// commit.freeze and commit.edit spans. The caller awaits the returned
+// LSN with waitDurable after releasing the lock.
 //
 // extra:requires db.wmu.W
 // extra:mutates
-func (db *DB) publish(act *trace.Active, mutate func() ([]*wal.Record, error)) (uint64, error) {
+func (db *DB) publish(act *trace.Active, mutate func() error) (uint64, error) {
 	if db.closed.Load() {
 		return 0, errDBClosed
 	}
-	recs, err := mutate()
+	if db.wal != nil {
+		db.edit.open(db.store.Snapshot())
+		defer db.edit.close()
+	}
+	err := mutate()
+	var recs []*wal.Record
+	if err == nil {
+		sp := act.StartSpan(trace.KindStorage, "commit.freeze")
+		var head *object.Snapshot
+		head, err = db.store.View()
+		act.EndSpan(sp)
+		if err == nil && db.edit.on {
+			sp = act.StartSpan(trace.KindStorage, "commit.edit")
+			recs, err = db.edit.records(head)
+			act.EndSpan(sp)
+		}
+	}
 	for _, rec := range recs {
 		if sz := rec.PayloadSize(); err == nil && sz > wal.MaxRecord {
-			err = fmt.Errorf("%s refused: %w (payload %d bytes, limit %d)", kindName[rec.Kind], wal.ErrTooLarge, sz, wal.MaxRecord)
+			err = fmt.Errorf("%s record refused: %w (payload %d bytes, limit %d)", kindName[rec.Kind], wal.ErrTooLarge, sz, wal.MaxRecord)
 		}
 	}
 	if err == nil {
-		freeze := act.StartSpan(trace.KindStorage, "commit.freeze")
 		_, err = db.store.Commit()
-		act.EndSpan(freeze)
 	}
 	if err != nil {
 		db.store.Abort()
@@ -315,23 +229,21 @@ func (db *DB) publish(act *trace.Active, mutate func() ([]*wal.Record, error)) (
 
 // kindName names each record kind in errors.
 var kindName = map[wal.Kind]string{
-	wal.RecordStmt:   "statement",
-	wal.RecordLoad:   "load",
-	wal.RecordInsert: "insert",
-	wal.RecordSetRef: "setref",
+	wal.RecordStmt: "statement",
+	wal.RecordData: "data",
 }
 
 // apiWrite is the Go API's write path (Insert, SetRef, the grant edits,
-// Load and the replay of a Load's records): it takes the commit lock
-// and returns, with the lock held, the function that runs one write
-// through publish, releases the lock and only then awaits the write's
+// Load and the replay of a logged group): it takes the commit lock and
+// returns, with the lock held, the function that runs one write through
+// publish, releases the lock and only then awaits the write's
 // durability, so API writers share fsyncs the way statements do. Call
 // the returned function at once.
 //
 // extra:holds db.wmu.W
-func (db *DB) apiWrite() func(mutate func() ([]*wal.Record, error)) error {
+func (db *DB) apiWrite() func(mutate func() error) error {
 	db.wmu.Lock()
-	return func(mutate func() ([]*wal.Record, error)) error {
+	return func(mutate func() error) error {
 		lsn, err := func() (uint64, error) {
 			defer db.wmu.Unlock()
 			return db.publish(nil, mutate)
@@ -343,23 +255,179 @@ func (db *DB) apiWrite() func(mutate func() ([]*wal.Record, error)) error {
 	}
 }
 
-// logRecords appends a published write's records, in order, and
-// returns the LSN of the last one appended (0 when none was).
+// logRecords appends a published write's group and returns the LSN of
+// its last record (0 when the write logged nothing).
 //
 // extra:requires db.wmu.W
 // extra:logs
 func (db *DB) logRecords(recs []*wal.Record) (uint64, error) {
-	var last uint64
+	if len(recs) == 0 {
+		return 0, nil
+	}
+	lsn, err := db.wal.Append(recs...)
+	if err != nil {
+		return 0, err
+	}
 	for _, rec := range recs {
-		lsn, err := db.wal.Append(rec)
-		if err != nil {
-			return last, err
-		}
-		last = lsn
 		db.cWALRecords.Inc()
 		db.cWALBytes.Add(uint64(rec.PayloadSize()))
 	}
-	return last, nil
+	return lsn, nil
+}
+
+// walEdit is the log group a write window builds (publish opens it for
+// each window under a WAL): the texts of the schema statements the
+// window ran, each as a RecordStmt, and around them the data the window
+// changed, as data lines, one per element of a RecordData record's
+// Data, at most loadChunkBytes of them per record. A line's payload (the
+// tuple or value of an OBJ, VAR or ELEM line) is raw in the log, where
+// a dump spells it in hex. A window that writes data only logs the diff
+// of its frozen state against the published snapshot; a schema
+// statement closes the data segment before it (cut) and, once it has
+// run, starts the next one from the state it left (schema). So replay,
+// which applies the records in order, meets each line and text in the
+// state it was taken from. A Load logs its own lines as it reads them
+// (base nil). The buffers outlive the window, so a commit allocates
+// little more than its records.
+type walEdit struct {
+	on    bool             // a logged window is open
+	base  *object.Snapshot // the next data segment is what changed since it; nil: nothing is diffed
+	recs  []*wal.Record
+	buf   []byte   // the window's data lines, back to back
+	lines [][]byte // each of them, in buf; lines[first:] are in no record yet
+	first int
+	start int // where lines[first] starts in buf
+}
+
+// maxKeptBuf is the most line buffer a walEdit keeps between windows.
+const maxKeptBuf = 1 << 20
+
+// open starts the group of a window whose writes start from base, the
+// published snapshot.
+func (e *walEdit) open(base *object.Snapshot) { e.on, e.base = true, base }
+
+// close ends the window: the group was appended or dropped.
+func (e *walEdit) close() {
+	clear(e.recs)
+	clear(e.lines)
+	*e = walEdit{recs: e.recs[:0], buf: e.buf[:0], lines: e.lines[:0]}
+	if cap(e.buf) > maxKeptBuf {
+		e.buf, e.lines = nil, nil
+	}
+}
+
+// records closes the group on the window's final frozen state and
+// returns it.
+func (e *walEdit) records(head *object.Snapshot) ([]*wal.Record, error) {
+	if e.base != nil && e.base != head {
+		if err := object.Diff(e.base, head, e.line); err != nil {
+			return nil, err
+		}
+	}
+	e.flush()
+	return e.recs, nil
+}
+
+// cut logs the data the window changed since base, up to its state
+// now, which becomes the base.
+//
+// extra:requires db.wmu.W
+func (e *walEdit) cut(store *object.Store) error {
+	head, err := store.View()
+	if err != nil {
+		return err
+	}
+	if head != e.base {
+		if err := object.Diff(e.base, head, e.line); err != nil {
+			return err
+		}
+		e.base = head
+	}
+	return nil
+}
+
+// schema logs a schema statement st that ran as user, once it has run:
+// its text, and for a retrieve into the schema Dump renders for the
+// variable it made, whose rows the next data segment holds. After any
+// other statement the segment starts from the state it left, so the
+// data it removed or built (a drop's objects, an index) is not logged:
+// replaying its text does that.
+//
+// extra:requires db.wmu.W
+func (e *walEdit) schema(store *object.Store, user string, st ast.Statement) error {
+	if r, ok := st.(*ast.Retrieve); ok {
+		cat := store.Catalog()
+		v, _ := cat.Var(r.Into)
+		elem, _ := v.ElemType()
+		e.stmt(user, typeDDL(elem.Type.(*types.TupleType)))
+		e.stmt(user, createDDL(cat, v))
+		return nil
+	}
+	e.stmt(user, ast.Print(st))
+	var err error
+	e.base, err = store.View()
+	return err
+}
+
+// stmt logs one schema statement text.
+func (e *walEdit) stmt(user, src string) {
+	e.flush()
+	e.recs = append(e.recs, &wal.Record{Kind: wal.RecordStmt, User: user, Src: src})
+}
+
+// line logs one data line.
+func (e *walEdit) line(l []byte) error {
+	if err := e.room(len(l)); err != nil {
+		return err
+	}
+	from := len(e.buf)
+	e.buf = append(e.buf, l...)
+	e.endLine(from)
+	return nil
+}
+
+// loaded logs a data line Load read and applied, with the payload the
+// apply decoded from its hex, if it has one.
+func (e *walEdit) loaded(line string, payload []byte) error {
+	if err := e.room(len(line)); err != nil {
+		return err
+	}
+	from := len(e.buf)
+	if payload == nil {
+		e.buf = append(e.buf, line...)
+	} else {
+		e.buf = append(append(e.buf, line[:strings.LastIndexByte(line, ' ')+1]...), payload...)
+	}
+	e.endLine(from)
+	return nil
+}
+
+// room readies the current record for a data line of at most n bytes,
+// which the caller then appends to e.buf and closes with endLine: it
+// starts a new record when the line would take this one past
+// loadChunkBytes, and refuses a line no record can hold.
+func (e *walEdit) room(n int) error {
+	if n > wal.MaxRecord {
+		return fmt.Errorf("data line refused: %w (%d bytes, limit %d)", wal.ErrTooLarge, n, wal.MaxRecord)
+	}
+	if len(e.buf) > e.start && len(e.buf)-e.start+n > loadChunkBytes {
+		e.flush()
+	}
+	return nil
+}
+
+// endLine closes the line written to e.buf from offset from on.
+func (e *walEdit) endLine(from int) {
+	e.lines = append(e.lines, e.buf[from:len(e.buf):len(e.buf)])
+}
+
+// flush ends the current data record.
+func (e *walEdit) flush() {
+	if len(e.lines) == e.first {
+		return
+	}
+	e.recs = append(e.recs, &wal.Record{Kind: wal.RecordData, Data: e.lines[e.first:len(e.lines):len(e.lines)]})
+	e.first, e.start = len(e.lines), len(e.buf)
 }
 
 // waitDurable blocks until the record at lsn is fsynced (a no-op
@@ -373,40 +441,6 @@ func (db *DB) waitDurable(lsn uint64) error {
 	err := db.wal.WaitDurable(lsn)
 	db.hWALWait.Observe(time.Since(start))
 	return err
-}
-
-// encodeParams serializes a prepared statement's $1..$n arguments.
-func encodeParams(p *paramScope) ([][]byte, error) {
-	out := make([][]byte, len(p.values))
-	for i, v := range p.values {
-		enc, err := codec.Encode(nil, v)
-		if err != nil {
-			return nil, fmt.Errorf("wal: encode parameter $%d: %w", i+1, err)
-		}
-		out[i] = enc
-	}
-	return out, nil
-}
-
-// decodeParams rebuilds the parameter frame for a logged prepared
-// statement: values decode from their codec bytes, slot types come from
-// re-probing the statement the same way Prepare did.
-func decodeParams(db *DB, s *Session, st ast.Statement, data [][]byte) (*paramScope, error) {
-	cat := db.store.Catalog()
-	ck := s.checker(cat, nil)
-	if err := probeCheck(ck, st); err != nil {
-		return nil, err
-	}
-	frame := placeholderFrame(ck.Placeholders(), len(data))
-	vals := make([]value.Value, len(data))
-	for i, enc := range data {
-		v, err := codec.DecodeOne(enc, cat)
-		if err != nil {
-			return nil, fmt.Errorf("wal: decode parameter %s: %w", frame[i].Name, err)
-		}
-		vals[i] = v
-	}
-	return &paramScope{frame: frame, values: vals}, nil
 }
 
 // Checkpoint makes the WAL short: it forces the log durable, writes an
