@@ -44,7 +44,8 @@ bench:
 	$(GO) test -short -run '^$$' -bench 'Join|Aggregate|AccessMethod|RefChase|ExprFilter|ScanPerRow|BindingClone|WriterInterference|ParallelRead|CompileOnce|KeyedLookup|Tracing|GroupCommit|ScanStatement|ParseStatement' -benchtime=1x ./...
 
 # The gate on what repeats exactly: allocations per scanned row, a hash
-# join that builds on the smaller side, commit and range-write work
+# join that builds on the smaller side and whose probe fetches each
+# referenced department once (the reference memo), commit and range-write work
 # independent of database size, a plan-cache hit
 # that compiles nothing, ad-hoc literals that share one cached shape and
 # skip the parser, a $n key that bounds its index probe, tracing that allocates nothing
@@ -60,7 +61,7 @@ bench:
 # detector perturbs allocation counts, and scanalloc_test.go is built
 # only without it.
 work-gate:
-	$(GO) test -count=1 -v -run '^(TestScanAllocsPerRow|TestResultAllocsPerRow|TestHashJoinBuildsSmallerSide|TestRangeReplaceWorkIndependentOfSize|TestCommitWorkIndependentOfSize|TestRangeUpdateWorkIndependentOfSize|TestPlanCacheHitCompilesNothing|TestZeroAllocWhenDisabled|TestAdhocLiteralsShareOnePlan|TestAdhocShapeSkipsParser|TestParamKeyUsesIndex|TestSnapshotReadsFreezeNothing|TestWriteReadPhaseWorkIndependentOfSize|TestDefineIndexSealsNothing|TestWriteDecodesNothing|TestElemCommitsDecodeNothing|TestUpdateKeepsChunkPosition|TestReplaceKeepsScanOrder|TestHeapPerObject)$$' . ./internal/object/ ./internal/trace/
+	$(GO) test -count=1 -v -run '^(TestScanAllocsPerRow|TestResultAllocsPerRow|TestHashJoinBuildsSmallerSide|TestHashJoinProbeDerefsPerTarget|TestRangeReplaceWorkIndependentOfSize|TestCommitWorkIndependentOfSize|TestRangeUpdateWorkIndependentOfSize|TestPlanCacheHitCompilesNothing|TestZeroAllocWhenDisabled|TestAdhocLiteralsShareOnePlan|TestAdhocShapeSkipsParser|TestParamKeyUsesIndex|TestSnapshotReadsFreezeNothing|TestWriteReadPhaseWorkIndependentOfSize|TestDefineIndexSealsNothing|TestWriteDecodesNothing|TestElemCommitsDecodeNothing|TestUpdateKeepsChunkPosition|TestReplaceKeepsScanOrder|TestHeapPerObject)$$' . ./internal/object/ ./internal/trace/
 
 # The repository benchmark (bench/, a module of its own that drives the
 # engine through its public and internal APIs) must keep compiling and

@@ -134,9 +134,14 @@ func (a *AccessPath) fromPred(args []value.Value) string {
 // Build, and each outer binding probes it with Probe instead of
 // rescanning the extent. Build mentions only the node's own variable;
 // Probe mentions only variables bound by earlier nodes. The selecting
-// conjunct stays in the node's filter, so the probe is an
-// over-approximation (hash equality may be coarser than =) and is always
-// re-checked — the same safety argument as index selection.
+// conjunct stays in the node's filter, which EXPLAIN shows whole. The
+// executor decides from the keys' static types whether table-key
+// equality is exactly = (identities for is; int1, int2 or int4 on both
+// sides; varchar on both; a char[n] side): there a row a probe finds
+// skips the conjunct, and any other match is re-checked, since hash
+// equality may be coarser than = (floats with NaN, bools on their
+// display form). Every match skips the node's conjuncts over its own
+// variable, which the build applied.
 type HashJoinPath struct {
 	Build    sema.Expr // key over this node's variable (hash-table side)
 	Probe    sema.Expr // key over earlier-bound variables (probe side)
@@ -262,9 +267,9 @@ func Build(cat *catalog.Catalog, stats Stats, q sema.Query) *Plan {
 // of the node's own conjuncts is an equality (or identity) linking an
 // expression over this node's variable to an expression over variables
 // bound by earlier nodes — the access-method table entry for equi-joins.
-// The conjunct remains in the filter: hash lookup over-approximates
-// (encoded-key equality may be coarser than =), and re-checking keeps it
-// safe, exactly as with index probes.
+// The conjunct remains in the filter: where hash lookup over-approximates
+// (encoded-key equality may be coarser than =) the executor re-checks
+// it, exactly as with index probes (HashJoinPath).
 func selectHashJoin(n *Node, bound map[*sema.Var]bool) {
 	if n.Var.Kind != sema.VarExtent {
 		return // nested/path variables depend on the outer binding

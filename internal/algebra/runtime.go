@@ -19,6 +19,7 @@ type NodeRuntime struct {
 	HashBuildRows int64 `json:"hash_build_rows,omitempty"` // rows materialized into the table
 	HashProbes    int64 `json:"hash_probes,omitempty"`     // outer bindings probed
 	HashHits      int64 `json:"hash_hits,omitempty"`       // rows the probes produced
+	HashMemoHits  int64 `json:"hash_memo_hits,omitempty"`  // probes answered by the reference memo
 }
 
 // PlanRuntime holds the actuals of one instrumented execution: one
@@ -115,8 +116,8 @@ func (p *Plan) ExplainAnalyze(sum AnalyzeSummary) string {
 		fmt.Fprintf(&b, "%s   (actual rows=%d loops=%d in=%d time=%s)\n",
 			indent, nr.RowsOut, nr.Loops, nr.RowsIn, fmtDur(nr.Time))
 		if n.Hash != nil {
-			fmt.Fprintf(&b, "%s   (hash build=%d probes=%d hits=%d)\n",
-				indent, nr.HashBuildRows, nr.HashProbes, nr.HashHits)
+			fmt.Fprintf(&b, "%s   (hash build=%d probes=%d hits=%d memo_hits=%d)\n",
+				indent, nr.HashBuildRows, nr.HashProbes, nr.HashHits, nr.HashMemoHits)
 		}
 		for _, f := range n.Filter {
 			fmt.Fprintf(&b, "%s   filter: %s\n", indent, p.exprString(f))

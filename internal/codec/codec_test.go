@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -222,6 +223,15 @@ func TestKeyOrderFloatProperty(t *testing.T) {
 	k3, _ := EncodeKey(value.NewInt(3))
 	if !(bytes.Compare(k2, k25) < 0 && bytes.Compare(k25, k3) < 0) {
 		t.Error("int/float key mixing broken")
+	}
+	// -0 = 0 = int 0, so all three share a key, between -1e-300 and 1e-300.
+	kn, _ := EncodeKey(value.NewFloat(math.Copysign(0, -1)))
+	kp, _ := EncodeKey(value.NewFloat(0))
+	ki, _ := EncodeKey(value.NewInt(0))
+	lo, _ := EncodeKey(value.NewFloat(-1e-300))
+	hi, _ := EncodeKey(value.NewFloat(1e-300))
+	if !bytes.Equal(kn, kp) || !bytes.Equal(kp, ki) || bytes.Compare(lo, kn) >= 0 || bytes.Compare(kn, hi) >= 0 {
+		t.Errorf("zero keys: -0 %x, +0 %x, int 0 %x, between %x and %x", kn, kp, ki, lo, hi)
 	}
 }
 

@@ -70,8 +70,12 @@ func dateKey(d adt.DateRep) int64 {
 func encInt(v int64) uint64 { return uint64(v) ^ (1 << 63) }
 
 // encFloat encodes an IEEE double order-preservingly: positive values get
-// their sign bit set; negative values are bit-complemented.
+// their sign bit set; negative values are bit-complemented. -0 encodes as
+// +0, which = calls it equal to.
 func encFloat(f float64) uint64 {
+	if f == 0 {
+		f = 0
+	}
 	bits := math.Float64bits(f)
 	if bits&(1<<63) != 0 {
 		return ^bits

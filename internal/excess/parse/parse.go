@@ -556,12 +556,20 @@ func (p *Parser) defineProcedure(pos ast.Position) (ast.Statement, error) {
 			break
 		}
 		// A semicolon continues the body only if another statement
-		// follows; a trailing semicolon ends it.
+		// follows; a trailing semicolon ends it. A schema statement
+		// there would read as the body's and run now as the next
+		// statement, so it is refused.
 		p.next()
-		switch p.cur().Kind {
+		switch c := p.cur(); c.Kind {
 		case token.RETRIEVE, token.APPEND, token.DELETE, token.REPLACE,
 			token.SET, token.EXECUTE, token.RANGE:
 			continue
+		case token.DEFINE, token.CREATE, token.DROP, token.GRANT, token.REVOKE, token.IDENT:
+			if c.Kind != token.IDENT || c.Text == "declare" {
+				return nil, p.errf("%s after \";\" in the body of procedure %s: a body continues only with retrieve, append, delete, replace, set, execute or range; "+
+					"to run it when %s runs, give it a procedure of its own and execute that one in the body; to run it now, end the definition of %s without the \";\"",
+					c.Text, name, name, name)
+			}
 		}
 		break
 	}

@@ -172,6 +172,16 @@ func TestDefineFunctionAndProcedure(t *testing.T) {
 	if len(p.Body) != 2 {
 		t.Errorf("procedure body: %d stmts", len(p.Body))
 	}
+	// A schema statement after ";" is refused, not run as the next
+	// statement; without the ";" it is the next statement.
+	for _, stmt := range []string{"drop T", "create U : { own E }", "define index i on T (x)",
+		"grant select on T to bob", "revoke all on T from bob", "declare function F () returns int4"} {
+		parseErr(t, `define procedure P () as append to T (x = 1); `+stmt, `after ";" in the body of procedure P`)
+	}
+	ss, err := Statements(`define procedure P () as append to T (x = 1) drop T`, adt.NewRegistry())
+	if err != nil || len(ss) != 2 || len(ss[0].(*ast.DefineProcedure).Body) != 1 {
+		t.Errorf("procedure then drop: %d statements, %v", len(ss), err)
+	}
 }
 
 func TestGrantRevoke(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/excess/sema"
+	"repro/internal/oid"
 	"repro/internal/types"
 	"repro/internal/value"
 )
@@ -60,6 +61,7 @@ type Program struct {
 	// query-level aggregates of the target list.
 	targets []compiledExpr
 	groupBy []compiledExpr
+	byHops  []*refHop // by position in groupBy; nil for a key not V.r.a
 	aggs    []aggProgram
 }
 
@@ -71,14 +73,18 @@ type varProgram struct {
 }
 
 // nodeProgram is one plan node compiled: its variable's source, its
-// filter conjuncts and, for a hash join, the keys plus the conjuncts
-// over the node's own variable that the build applies before keying.
+// filter conjuncts and, for a hash join, its keys. A hash node's filter
+// leads with the conjuncts the build applies (local), then the join
+// conjunct where the keys are exact (decided).
 type nodeProgram struct {
 	varProgram
-	filter       []compiledExpr
-	tests        []tupleTest // the filter's leading tuple tests (tupletest.go)
-	build, probe compiledExpr
-	local        []compiledExpr
+	filter         []compiledExpr
+	tests          []tupleTest // the filter's leading tuple tests (tupletest.go)
+	build, probe   compiledExpr
+	hop            *refHop // the probe key's memo form, nil when it is not V.r.a
+	mode           keyMode
+	need           [2]types.Kind // the string kind an exact build, probe key needs
+	local, decided int
 	// An index probe's key expressions, one per Access.Bounds entry, or,
 	// when every key is a literal, the range they fold to (fixed).
 	keys  []compiledExpr
@@ -213,9 +219,11 @@ func (c compiler) program(cq *sema.CheckedRetrieve, p *algebra.Plan) *Program {
 	for i := range p.Nodes {
 		n, np := &p.Nodes[i], &prog.nodes[i]
 		np.varProgram = c.varProgram(n.Var)
-		np.filter = c.exprs(n.Filter)
 		if n.Hash == nil {
+			np.filter = c.exprs(n.Filter)
 			np.tests = tupleTests(n.Var, n.Filter)
+		} else {
+			c.hashNode(n, np)
 		}
 		if a := n.Access; a != nil {
 			if rng, ok := a.ConstRange(); ok {
@@ -223,14 +231,6 @@ func (c compiler) program(cq *sema.CheckedRetrieve, p *algebra.Plan) *Program {
 			} else {
 				for _, b := range a.Bounds {
 					np.keys = append(np.keys, c.expr(b.Key))
-				}
-			}
-		}
-		if n.Hash != nil {
-			np.build, np.probe = c.expr(n.Hash.Build), c.expr(n.Hash.Probe)
-			for j, f := range n.Filter {
-				if mentionsOnlyVar(f, n.Var) {
-					np.local = append(np.local, np.filter[j])
 				}
 			}
 		}
@@ -245,6 +245,9 @@ func (c compiler) program(cq *sema.CheckedRetrieve, p *algebra.Plan) *Program {
 		prog.targets = append(prog.targets, c.expr(t.Expr))
 	}
 	prog.groupBy = c.exprs(cq.GroupBy)
+	for _, by := range cq.GroupBy {
+		prog.byHops = append(prog.byHops, compileRefHop(by))
+	}
 	if cq.Aggregated {
 		for _, t := range cq.Targets {
 			sema.WalkAggs(t.Expr, func(a *sema.Agg) {
@@ -260,6 +263,27 @@ func (c compiler) program(cq *sema.CheckedRetrieve, p *algebra.Plan) *Program {
 		}
 	}
 	return prog
+}
+
+// hashNode compiles a hash-join node, its filter in nodeProgram's order.
+func (c compiler) hashNode(n *algebra.Node, np *nodeProgram) {
+	h := n.Hash
+	np.build, np.probe, np.hop = c.expr(h.Build), c.expr(h.Probe), compileRefHop(h.Probe)
+	np.mode, np.need = hashKeyMode(h)
+	var local, join, rest []sema.Expr
+	for _, f := range n.Filter {
+		switch b, _ := f.(*sema.Binary); {
+		case mentionsOnlyVar(f, n.Var):
+			local = append(local, f)
+		case np.mode != keyCoarse && b != nil && join == nil &&
+			(b.L == h.Build && b.R == h.Probe || b.L == h.Probe && b.R == h.Build):
+			join = append(join, f)
+		default:
+			rest = append(rest, f)
+		}
+	}
+	np.local, np.decided = len(local), len(local)+len(join)
+	np.filter = c.exprs(append(append(local, join...), rest...))
 }
 
 // CompilePlan compiles a retrieve's plan into its Program: node filters,
@@ -283,15 +307,20 @@ type intExpr func(*State, *evalCtx) (v int64, null bool, err error)
 // intTyped reports whether an expression's static type is an integer
 // the decode layer represents as value.Int.
 func intTyped(e sema.Expr) bool {
-	t := e.Type()
-	if t == nil {
-		return false
-	}
-	switch t.Kind() {
+	switch staticKind(e) {
 	case types.KInt1, types.KInt2, types.KInt4:
 		return true
 	}
 	return false
+}
+
+// staticKind is the kind of an expression's static type, KInvalid when
+// it has none.
+func staticKind(e sema.Expr) types.Kind {
+	if t := e.Type(); t != nil {
+		return t.Kind()
+	}
+	return types.KInvalid
 }
 
 // compileInt lowers an expression to the unboxed integer lane; ok=false
@@ -668,6 +697,52 @@ func compilePath(x *sema.PathExpr) compiledExpr {
 		}
 		return cur, nil
 	}
+}
+
+// refHop is a path V.r.a compiled for the reference memo (refMemo), r a
+// reference attribute: within a run, which reads one immutable snapshot,
+// its value is a function of the OID of r's target.
+type refHop struct {
+	slot int
+	r, a stepProg
+}
+
+// compileRefHop returns the memo form of e, or nil when e is not V.r.a
+// with r a reference attribute of V's static type.
+func compileRefHop(e sema.Expr) *refHop {
+	x, ok := e.(*sema.PathExpr)
+	if !ok || len(x.Steps) != 2 || x.Steps[0].Index != nil || x.Steps[1].Index != nil {
+		return nil
+	}
+	vr, ok := x.Base.(*sema.VarRef)
+	if !ok {
+		return nil
+	}
+	st := resolveSteps(x.Base.Type(), x.Steps, nil)
+	if st[0].tt == nil || st[1].tt == nil || !st[0].tt.Attrs()[st[0].pos].Comp.Mode.HasIdentity() {
+		return nil
+	}
+	return &refHop{slot: vr.Var.Slot, r: st[0], a: st[1]}
+}
+
+// target returns the OID of the object V.r refers to; false, leaving the
+// path to its closure, when h is nil, V is no object or r no reference.
+func (h *refHop) target(ctx *evalCtx) (oid.OID, bool) {
+	b := ctx.b
+	if h == nil || h.slot >= len(b.used) || !b.used[h.slot] || b.slots[h.slot].tup == nil {
+		return 0, false
+	}
+	r, ok := h.r.field(b.slots[h.slot].tup).(value.Ref)
+	return r.OID, ok && !r.OID.IsNil()
+}
+
+// read is the path's value, as compilePath has it, when V.r refers to id.
+func (h *refHop) read(ex *State, id oid.OID) (value.Value, error) {
+	tv, live, err := ex.derefGet(id)
+	if err != nil || !live {
+		return value.Null{}, err
+	}
+	return h.a.field(tv), nil
 }
 
 // compileUnary compiles not / - / ADT prefix operators, folding over a

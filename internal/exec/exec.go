@@ -50,6 +50,7 @@ type Executor struct {
 	cStatsMiss                  *metrics.Counter
 	cHashBuilds, cHashBuildRows *metrics.Counter
 	cHashProbes, cHashHits      *metrics.Counter
+	cHashMemoHits               *metrics.Counter // probes the reference memo answered
 	cExprCompile                *metrics.Counter
 }
 
@@ -79,6 +80,9 @@ type State struct {
 	// derefs counts objects fetched by OID (derefGet): index probes,
 	// reference steps and ref-set members. EXPLAIN ANALYZE reports it.
 	derefs int64
+
+	memo    *refMemo // the reference memo, kept with the pooled state
+	memoGen uint64   // the last memo generation drawn
 
 	// blocks holds the cell blocks of the results being built on this
 	// state, the innermost retrieve's last, and out writes the innermost
@@ -121,7 +125,10 @@ func (ex *State) Release() {
 	ex.tr = nil
 	ex.snap, ex.write, ex.viewErr = nil, false, nil
 	ex.cat = nil
-	ex.derefs = 0
+	if ex.memo != nil && ex.memoGen != 0 { // drop the tables and groups the entries hold
+		clear(ex.memo[:])
+	}
+	ex.derefs, ex.memoGen = 0, 0
 	clear(ex.blocks)
 	ex.blocks = ex.blocks[:0]
 	ex.out = rowWriter{}
@@ -138,6 +145,7 @@ func (ex *Executor) SetMetrics(reg *metrics.Registry) {
 	ex.cHashBuildRows = reg.Counter("join.hash.buildrows")
 	ex.cHashProbes = reg.Counter("join.hash.probes")
 	ex.cHashHits = reg.Counter("join.hash.hits")
+	ex.cHashMemoHits = reg.Counter("join.hash.memo_hits")
 	ex.cExprCompile = reg.Counter("expr.compile.count")
 }
 
@@ -324,6 +332,7 @@ type nodeRun struct {
 	keys  *algebra.KeyRange
 	rng   algebra.KeyRange
 	table *joinTable // hash-join build side, built on the first probe
+	gen   uint64     // the node's memo generation, when its probe key has a memo form
 	// rejected counts the rows the node's tuple tests rejected.
 	rejected int64
 	// Instrumented runs: time spent in later nodes during the current
@@ -347,6 +356,10 @@ func (ex *State) Run(p *algebra.Plan, prog *Program, yield func(*evalCtx) error)
 	for i := range r.nodes {
 		r.nodes[i].emit = r.nodeEmit(i)
 		r.nodes[i].tests, r.nodes[i].rejects = prog.nodes[i].tests, &r.nodes[i].rejected
+		if prog.nodes[i].hop != nil {
+			ex.memoGen++
+			r.nodes[i].gen = ex.memoGen
+		}
 		if err := r.probeRange(i); err != nil {
 			return err
 		}
@@ -376,12 +389,14 @@ func (ex *State) Run(p *algebra.Plan, prog *Program, yield func(*evalCtx) error)
 			ex.cHashBuildRows.Add(uint64(t.buildRows))
 			ex.cHashProbes.Add(uint64(t.probes))
 			ex.cHashHits.Add(uint64(t.hits))
+			ex.cHashMemoHits.Add(uint64(t.memoHits))
 		}
 		if t != nil && rt != nil {
 			nr := &rt.Nodes[i]
 			nr.HashBuildRows += t.buildRows
 			nr.HashProbes += t.probes
 			nr.HashHits += t.hits
+			nr.HashMemoHits += t.memoHits
 		}
 	}
 	return err

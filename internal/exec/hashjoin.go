@@ -6,7 +6,9 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/codec"
 	"repro/internal/excess/sema"
+	"repro/internal/oid"
 	"repro/internal/trace"
+	"repro/internal/types"
 	"repro/internal/value"
 )
 
@@ -19,9 +21,9 @@ type joinEntry struct {
 
 // joinTable is the materialized build side of a hash-join node. Rows are
 // grouped by join key, a word key in words and a string key in strs;
-// rows whose key has no comparable form go to overflow and are probed
-// on every outer binding (the retained conjunct re-checks them, so
-// over-matching is safe and under-matching is the only hazard). For
+// rows whose key has no (exact) comparable form go to overflow and are
+// probed on every outer binding (the retained conjunct re-checks them,
+// so over-matching is safe and under-matching is the only hazard). For
 // identity joins, rows with no identity (value-set elements) collect in
 // nulls: `x is y` holds when both sides are null, so a null-identity
 // probe pairs with exactly those rows.
@@ -31,7 +33,7 @@ type joinTable struct {
 	overflow []joinEntry
 	nulls    []joinEntry
 
-	buildRows, probes, hits int64
+	buildRows, probes, hits, memoHits int64
 }
 
 // Join-key outcomes.
@@ -39,26 +41,58 @@ const (
 	keyWord       = iota // the key is a word; probe its group (plus overflow)
 	keyStr               // the key is a string; probe its group (plus overflow)
 	keyNull              // null key: no equality match / identity-null match
-	keyUnhashable        // value has no comparable form; compare exhaustively
+	keyUnhashable        // no (exact) key; compare exhaustively
 )
 
-// joinKey maps a join-key value to its hash-table key, a word or a
-// string, neither of which allocates. Two values share a key exactly
-// when their index key encodings (codec.EncodeKey) agree, char values
-// trimmed; the key must never separate two values the retained conjunct
-// would accept (false negatives lose rows), and false positives are
-// filtered by the re-check, so a bool keying beside strings on its
-// display form is safe.
+// keyMode is what a hash node's table keys decide, chosen from the key
+// expressions' static types. Under keyCoarse two values may share a key
+// when the join conjunct fails, so every match is re-checked; under the
+// others they share one exactly when it holds, so a match skips it, and
+// a value that breaks the mode's assumption (a string of another kind,
+// an integer past 2^53, where KeyWord's float64 loses digits) is keyed
+// as unhashable.
+type keyMode uint8
+
+const (
+	keyCoarse  keyMode = iota
+	keyIdent           // is: live identities, null with null
+	keyInt             // int1, int2 or int4 on both sides
+	keyVarchar         // varchar on both sides: untrimmed, of kind varchar
+	keyChar            // char[n] on a side (of kind char): trimmed, as = compares
+)
+
+// hashKeyMode chooses a hash node's key mode from its key expressions'
+// static types, with the string kind each side's values must have.
+func hashKeyMode(h *algebra.HashJoinPath) (keyMode, [2]types.Kind) {
+	b, p := staticKind(h.Build), staticKind(h.Probe)
+	switch {
+	case h.Ident:
+		return keyIdent, [2]types.Kind{}
+	case intTyped(h.Build) && intTyped(h.Probe):
+		return keyInt, [2]types.Kind{}
+	case b == types.KVarchar && p == types.KVarchar:
+		return keyVarchar, [2]types.Kind{types.KVarchar, types.KVarchar}
+	case b == types.KChar && p.IsString():
+		return keyChar, [2]types.Kind{types.KChar, types.KInvalid}
+	case p == types.KChar && b.IsString():
+		return keyChar, [2]types.Kind{types.KInvalid, types.KChar}
+	}
+	return keyCoarse, [2]types.Kind{}
+}
+
+// joinKey maps a join-key value to its hash-table key under mode, a word
+// or a string, neither of which allocates; need is the string kind the
+// value must have for its key to be exact (KInvalid: any).
 //   - identity joins key on the live OID as a word; dangling refs and
 //     non-objects have a null identity;
 //   - numbers, enums and ordinal ADTs key on their encoded word, which
 //     unifies int and float through the float transform; a bool on its
 //     display form;
-//   - strings are trimmed of trailing blanks because char[n] comparison
-//     ignores them and the stored padding is invisible to value.Equal;
+//   - strings are trimmed of trailing blanks, as char[n] comparison
+//     ignores them, except under keyVarchar;
 //   - everything else (tuples, collections, exotic ADTs) is unhashable.
-func (ex *State) joinKey(h *algebra.HashJoinPath, v value.Value) (uint64, string, int) {
-	if h.Ident {
+func (ex *State) joinKey(mode keyMode, need types.Kind, v value.Value) (uint64, string, int) {
+	if mode == keyIdent {
 		id, ok := ex.liveOID(v)
 		if !ok {
 			return 0, "", keyNull
@@ -69,15 +103,48 @@ func (ex *State) joinKey(h *algebra.HashJoinPath, v value.Value) (uint64, string
 	case nil, value.Null:
 		return 0, "", keyNull
 	case value.Str:
+		if need != types.KInvalid && x.K != need {
+			return 0, "", keyUnhashable
+		} else if mode == keyVarchar {
+			return 0, x.V, keyStr
+		}
 		return 0, strings.TrimRight(x.V, " "), keyStr
 	case value.Bool:
 		return 0, x.String(), keyStr
 	default:
+		if i, ok := x.(value.Int); mode == keyInt && (!ok || i.V > 1<<53 || i.V < -1<<53) {
+			return 0, "", keyUnhashable
+		}
 		if w, ok := codec.KeyWord(x); ok {
 			return w, "", keyWord
 		}
 	}
 	return 0, "", keyUnhashable
+}
+
+// refMemo is the reference memo: a direct-mapped table of what a key
+// V.r.a (refHop) found for the object r refers to, a hash probe's build
+// rows or a by key's group grp under the group at, valid only for the
+// user that drew its generation (State.memoGen): one hash node or by key
+// of one run. Consecutive OIDs never collide in it.
+type refMemo [256]memoEntry
+
+// memoEntry is one slot of the reference memo.
+type memoEntry struct {
+	gen     uint64
+	id      oid.OID
+	rows    []joinEntry
+	at, grp *groupNode
+}
+
+// memoSlot is id's slot for generation gen, allocated on first use: the
+// low bits of id, offset by half the table per generation so that two
+// users of a run meeting the same targets do not evict each other.
+func (ex *State) memoSlot(id oid.OID, gen uint64) *memoEntry {
+	if ex.memo == nil {
+		ex.memo = new(refMemo)
+	}
+	return &ex.memo[(uint64(id)+gen*uint64(len(ex.memo)/2))%uint64(len(ex.memo))]
 }
 
 // mentionsOnlyVar reports whether every range variable in e is v — such
@@ -109,7 +176,7 @@ func (ex *State) buildJoinTable(n *algebra.Node, np *nodeProgram, keys *algebra.
 	s := sink{emit: func(v value.Value, vs slot, _ int) error {
 		b.bind(n.Var, v, vs)
 		defer b.unbind(n.Var)
-		if ok, err := ex.pass(ctx, np.local); err != nil || !ok {
+		if ok, err := ex.pass(ctx, np.filter[:np.local]); err != nil || !ok {
 			return err
 		}
 		kv, err := np.build(ex, ctx)
@@ -117,7 +184,7 @@ func (ex *State) buildJoinTable(n *algebra.Node, np *nodeProgram, keys *algebra.
 			return err
 		}
 		e := joinEntry{val: v, s: vs}
-		switch w, str, st := ex.joinKey(n.Hash, kv); st {
+		switch w, str, st := ex.joinKey(np.mode, np.need[0], kv); st {
 		case keyWord:
 			if t.words == nil {
 				t.words = make(map[uint64][]joinEntry)
@@ -146,11 +213,11 @@ func (ex *State) buildJoinTable(n *algebra.Node, np *nodeProgram, keys *algebra.
 	return t, nil
 }
 
-// hashProbe enumerates hash-join node i for one outer binding: evaluates
-// the probe key over the already-bound variables and emits the matching
-// build rows. The node's full filter (including the join conjunct) is
-// re-applied by the emit, so emitting a superset is safe. The table is
-// built on the run's first probe and serves every later one: a table
+// hashProbe enumerates hash-join node i for one outer binding: finds the
+// probe key's build rows and emits them, skipping the conjuncts they
+// satisfy (nodeProgram). A probe key of shape V.r.a reads its rows from
+// the reference memo when the run met the same target before. The table
+// is built on the run's first probe and serves every later one: a table
 // never outlives the run that built it (the store may change between
 // statements).
 func (r *runner) hashProbe(i int) error {
@@ -164,47 +231,64 @@ func (r *runner) hashProbe(i int) error {
 		nr.table = t
 	}
 	t.probes++
-	kv, err := np.probe(ex, &r.ctx)
-	if err != nil {
-		return err
-	}
-	send := func(entries []joinEntry) error {
-		for _, e := range entries {
+	send := func(rows []joinEntry, tested int) error {
+		for _, e := range rows {
 			t.hits++
-			if err := nr.emit(e.val, e.s, 0); err != nil {
+			if err := nr.emit(e.val, e.s, tested); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	switch w, str, st := ex.joinKey(n.Hash, kv); st {
-	case keyWord:
-		if err := send(t.words[w]); err != nil {
+	// A key's group skips the decided conjuncts; overflow rows do not.
+	group := func(rows []joinEntry) error {
+		if err := send(rows, np.decided); err != nil {
 			return err
 		}
-		return send(t.overflow)
-	case keyStr:
-		if err := send(t.strs[str]); err != nil {
-			return err
+		return send(t.overflow, np.local)
+	}
+	var kv value.Value
+	var err error
+	id, memo := np.hop.target(&r.ctx)
+	if memo {
+		if m := ex.memoSlot(id, nr.gen); m.gen == nr.gen && m.id == id {
+			t.memoHits++
+			return group(m.rows)
 		}
-		return send(t.overflow)
+		kv, err = np.hop.read(ex, id)
+	} else {
+		kv, err = np.probe(ex, &r.ctx)
+	}
+	if err != nil {
+		return err
+	}
+	switch w, str, st := ex.joinKey(np.mode, np.need[1], kv); st {
+	case keyWord, keyStr:
+		rows := t.words[w]
+		if st == keyStr {
+			rows = t.strs[str]
+		}
+		if memo {
+			*ex.memoSlot(id, nr.gen) = memoEntry{gen: nr.gen, id: id, rows: rows}
+		}
+		return group(rows)
 	case keyUnhashable:
-		// No encoding for the probe value: compare against everything and
-		// let the retained conjunct decide.
+		// No (exact) key for the probe value: compare against everything
+		// and let the retained conjunct decide.
 		for _, g := range t.words {
-			if err := send(g); err != nil {
+			if err := send(g, np.local); err != nil {
 				return err
 			}
 		}
 		for _, g := range t.strs {
-			if err := send(g); err != nil {
+			if err := send(g, np.local); err != nil {
 				return err
 			}
 		}
-		return send(t.overflow)
+		return send(t.overflow, np.local)
 	default: // keyNull
 		if n.Hash.Ident {
-			return send(t.nulls) // null is null holds
+			return send(t.nulls, np.decided) // null is null holds
 		}
 		return nil // null = anything is unknown; the filter would reject
 	}

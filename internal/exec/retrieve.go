@@ -236,23 +236,15 @@ type groupNode struct {
 func (ex *State) retrieveGrouped(plan *algebra.Plan, prog *Program, global bool) error {
 	var root groupNode
 	var order []*groupState
+	gen := ex.memoGen + 1 // by key j's memo generation is gen+j
+	ex.memoGen += uint64(len(prog.groupBy))
 	err := ex.Run(plan, prog, func(ctx *evalCtx) error {
 		n := &root
-		for _, by := range prog.groupBy {
-			v, err := by(ex, ctx)
-			if err != nil {
+		for j, by := range prog.groupBy {
+			var err error
+			if n, err = ex.groupChild(ctx, n, by, prog.byHops[j], gen+uint64(j)); err != nil {
 				return err
 			}
-			k := groupKey(v)
-			if n.next == nil {
-				n.next = map[hashKey]*groupNode{}
-			}
-			next := n.next[k]
-			if next == nil {
-				next = &groupNode{}
-				n.next[k] = next
-			}
-			n = next
 		}
 		g := n.g
 		if g == nil {
@@ -310,6 +302,39 @@ func (ex *State) retrieveGrouped(plan *algebra.Plan, prog *Program, global bool)
 		g.rep.release()
 	}
 	return nil
+}
+
+// groupChild returns the group under n of the row's value of by, opened
+// on first sight; a by key V.r.a (hop) finds it in the reference memo
+// when the run met the same target under n before.
+func (ex *State) groupChild(ctx *evalCtx, n *groupNode, by compiledExpr, hop *refHop, gen uint64) (*groupNode, error) {
+	var v value.Value
+	var err error
+	id, memo := hop.target(ctx)
+	if memo {
+		if m := ex.memoSlot(id, gen); m.gen == gen && m.id == id && m.at == n {
+			return m.grp, nil
+		}
+		v, err = hop.read(ex, id)
+	} else {
+		v, err = by(ex, ctx)
+	}
+	if err != nil {
+		return nil, err
+	}
+	k := groupKey(v)
+	if n.next == nil {
+		n.next = map[hashKey]*groupNode{}
+	}
+	next := n.next[k]
+	if next == nil {
+		next = &groupNode{}
+		n.next[k] = next
+	}
+	if memo {
+		*ex.memoSlot(id, gen) = memoEntry{gen: gen, id: id, at: n, grp: next}
+	}
+	return next, nil
 }
 
 // hashKey is the comparable form of a grouping or dedup key: a kind tag

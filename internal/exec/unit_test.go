@@ -189,9 +189,8 @@ func TestHashKeyEquivalence(t *testing.T) {
 		return "", keyUnhashable
 	}
 	var ex *State
-	h := &algebra.HashJoinPath{}
 	for _, a := range corpus {
-		wa, sa, sta := ex.joinKey(h, a)
+		wa, sa, sta := ex.joinKey(keyCoarse, types.KInvalid, a)
 		oa, osta := oldJoinKey(a)
 		if sta != osta {
 			t.Errorf("join key of %v: status %d, want %d", a, sta, osta)
@@ -200,7 +199,7 @@ func TestHashKeyEquivalence(t *testing.T) {
 			if got, want := groupKey(a) == groupKey(b), valueKey(a) == valueKey(b); got != want {
 				t.Errorf("group keys of %v and %v: equal %v, want %v", a, b, got, want)
 			}
-			wb, sb, stb := ex.joinKey(h, b)
+			wb, sb, stb := ex.joinKey(keyCoarse, types.KInvalid, b)
 			ob, _ := oldJoinKey(b)
 			hashed := sta != keyNull && sta != keyUnhashable && stb != keyNull && stb != keyUnhashable
 			same := sta == stb && wa == wb && sa == sb
@@ -211,8 +210,69 @@ func TestHashKeyEquivalence(t *testing.T) {
 	}
 	// Dates, out-of-range enums and sets group by their rendered form.
 	for _, v := range corpus[:len(corpus)-4] {
-		if n := testing.AllocsPerRun(10, func() { groupKey(v); ex.joinKey(h, v) }); n != 0 {
+		if n := testing.AllocsPerRun(10, func() { groupKey(v); ex.joinKey(keyCoarse, types.KInvalid, v) }); n != 0 {
 			t.Errorf("keys of %v: %v allocations", v, n)
+		}
+	}
+}
+
+// TestExactJoinKeys pins what an exact key mode decides: for the kinds
+// of values each mode's static types admit, two values share a key
+// exactly when = holds between them, and a value that breaks the mode's
+// assumption (a string of another kind, an integer past 2^53) is keyed
+// as unhashable, which is re-checked.
+func TestExactJoinKeys(t *testing.T) {
+	vc := func(s string) value.Value { return value.NewStr(s) }
+	ch := func(s string) value.Value { return value.Str{K: types.KChar, V: s} }
+	i := func(v int64) value.Value { return value.NewInt(v) }
+	strs := []value.Value{vc(""), vc("a"), vc("a "), vc("a  "), vc(" a"), vc("b"),
+		ch("a"), ch("a  "), ch(" a "), ch("b  "), value.Null{}}
+	ints := []value.Value{i(0), i(-1), i(7), i(1 << 31), i(1 << 53), i(-1 << 53), i(1<<53 + 1), i(-1<<53 - 1),
+		value.NewFloat(7), value.Null{}}
+	cases := []struct {
+		name  string
+		mode  keyMode
+		build types.Type
+		probe types.Type
+		vals  []value.Value
+	}{
+		{"varchar", keyVarchar, types.Varchar, types.Varchar, strs},
+		{"char build", keyChar, types.Char(3), types.Varchar, strs},
+		{"char probe", keyChar, types.Varchar, types.Char(3), strs},
+		{"int", keyInt, types.Int4, types.Int2, ints},
+	}
+	var ex *State
+	for _, c := range cases {
+		h := &algebra.HashJoinPath{Build: &sema.Const{T: c.build}, Probe: &sema.Const{T: c.probe}}
+		mode, need := hashKeyMode(h)
+		if mode != c.mode {
+			t.Fatalf("%s: mode %d, want %d", c.name, mode, c.mode)
+		}
+		for _, a := range c.vals {
+			wa, sa, sta := ex.joinKey(mode, need[0], a)
+			for _, b := range c.vals {
+				wb, sb, stb := ex.joinKey(mode, need[1], b)
+				if sta == keyUnhashable || stb == keyUnhashable || sta == keyNull || stb == keyNull {
+					continue
+				}
+				if same := sta == stb && wa == wb && sa == sb; same != value.Equal(a, b) {
+					t.Errorf("%s: keys of %#v and %#v equal %v, = says %v", c.name, a, b, same, !same)
+				}
+			}
+		}
+	}
+	for _, c := range []struct {
+		mode keyMode
+		need types.Kind
+		v    value.Value
+	}{
+		{keyVarchar, types.KVarchar, ch("a")},
+		{keyChar, types.KChar, vc("a")},
+		{keyInt, types.KInvalid, i(1<<53 + 1)},
+		{keyInt, types.KInvalid, value.NewFloat(7)},
+	} {
+		if _, _, st := ex.joinKey(c.mode, c.need, c.v); st != keyUnhashable {
+			t.Errorf("mode %d: %#v keyed %d, want unhashable", c.mode, c.v, st)
 		}
 	}
 }

@@ -1,8 +1,11 @@
 package extra_test
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -214,6 +217,61 @@ func TestHashJoinAnalyzeCounters(t *testing.T) {
 		if snap.Counters[c] == 0 {
 			t.Fatalf("metric %s not collected; snapshot: %+v", c, snap.Counters)
 		}
+	}
+}
+
+// TestHashJoinProbeDerefsPerTarget is the count gate of the reference
+// memo: on a Loaded company of 2 000 employees, the hash join's probe key
+// E.dept.dname fetches each department the employees refer to once, so
+// EXPLAIN ANALYZE shows as many derefs as distinct departments, and the
+// memo answers every other probe.
+func TestHashJoinProbeDerefsPerTarget(t *testing.T) {
+	const n = 2000
+	built, _, err := workload.New(workload.Params{Employees: n, MaxKids: 2, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dump bytes.Buffer
+	err = built.Dump(&dump)
+	built.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := extra.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.Load(&dump); err != nil {
+		t.Fatal(err)
+	}
+	res := db.MustQuery(`retrieve (n = count(E.dept.dname over E.dept.dname)) from E in Employees`)
+	depts := res.Rows[0][0].String()
+	out, err := db.ExplainAnalyze(`retrieve (d = D.dname, s = sum(E.salary by D.dname)) from E in Employees, D in Departments where E.dept.dname = D.dname and D.floor = 2`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`hash build=\d+ probes=(\d+) hits=\d+ memo_hits=(\d+)\)`).FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("no hash actuals:\n%s", out)
+	}
+	probes, _ := strconv.Atoi(m[1])
+	memoHits, _ := strconv.Atoi(m[2])
+	want, _ := strconv.Atoi(depts)
+	if !strings.Contains(out, "derefs: "+depts+"\n") || probes != n || memoHits != n-want {
+		t.Fatalf("want derefs: %s, probes=%d and memo_hits=%d:\n%s", depts, n, n-want, out)
+	}
+	// A by key through the same reference fetches each department it
+	// meets once more: its entries and the probe's do not evict each
+	// other.
+	res = db.MustQuery(`retrieve (n = count(E.dept.dname over E.dept.dname)) from E in Employees where E.dept.floor = 2`)
+	onFloor, _ := strconv.Atoi(res.Rows[0][0].String())
+	out, err = db.ExplainAnalyze(`retrieve (f = E.dept.floor, s = sum(E.salary by E.dept.floor)) from E in Employees, D in Departments where E.dept.dname = D.dname and D.floor = 2`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "derefs: "+strconv.Itoa(want+onFloor)+"\n") {
+		t.Fatalf("want derefs: %d, %d for the probes and %d for the by key:\n%s", want+onFloor, want, onFloor, out)
 	}
 }
 

@@ -107,6 +107,42 @@ func TestLateBinding(t *testing.T) {
 
 // TestProcedures covers stored commands with where-bound parameters —
 // the body runs once per binding.
+// TestProcedureBodyRefusesSchemaStatement: a schema statement after ";"
+// in a procedure body is refused, defining and running nothing, where it
+// used to end the body and run at once as the next statement. The form
+// the error suggests, a procedure of its own executed from the body,
+// stores both statements and runs them when the procedure runs.
+func TestProcedureBodyRefusesSchemaStatement(t *testing.T) {
+	db := mustOpen(t)
+	db.MustExec(`
+		define type Item: ( name: varchar )
+		create T : { own Item }
+	`)
+	_, err := db.Exec(`define procedure P () as append to T (name = "x"); drop T`)
+	if err == nil || !strings.Contains(err.Error(), `drop after ";" in the body of procedure P`) {
+		t.Fatalf("schema statement in a body: %v", err)
+	}
+	if _, err := db.Query(`retrieve (I.name) from I in T`); err != nil {
+		t.Fatalf("the refused statement dropped T: %v", err)
+	}
+	if _, err := db.Exec(`execute P ()`); err == nil {
+		t.Fatal("the refused statement defined P")
+	}
+	db.MustExec(`define procedure DropT () as drop T`)
+	db.MustExec(`define procedure P () as append to T (name = "x"); execute DropT ()`)
+	var dump strings.Builder
+	if err := db.Dump(&dump); err != nil {
+		t.Fatal(err)
+	}
+	if want := `define procedure P () as append to T (name = "x"); execute DropT ()`; !strings.Contains(dump.String(), want) {
+		t.Fatalf("printed-back body lacks %q:\n%s", want, dump.String())
+	}
+	db.MustExec(`execute P ()`)
+	if _, err := db.Query(`retrieve (I.name) from I in T`); err == nil {
+		t.Fatal("T survived execute P ()")
+	}
+}
+
 func TestProcedures(t *testing.T) {
 	db := mustOpen(t)
 	loadCompany(t, db)

@@ -64,7 +64,9 @@ func TestExplainAnalyzeFigure5Golden(t *testing.T) {
 
 // TestExplainAnalyzeFigure6Golden pins the Figure 6 aggregate with
 // by-partitioning (average salary by floor): all 4 employees feed the
-// aggregate, grouped into the 2 floors.
+// aggregate, grouped into the 2 floors, and the by key fetches each of
+// the 3 departments once (the reference memo answers Dee's, which Ann's
+// fetched).
 func TestExplainAnalyzeFigure6Golden(t *testing.T) {
 	db := mustOpen(t)
 	loadCompany(t, db)

@@ -56,7 +56,18 @@ var scanShapes = []scanShape{
 	// The hash join builds on the departments of one floor and keys
 	// builds and probes on the compiled values.
 	{"hash join", `retrieve (d = D.dname, s = sum(E.salary by D.dname)) from E in Employees, D in Departments where E.dept.dname = D.dname and D.floor = $1`, []any{2}, 0, 0, true},
+	// Every badge's holder is another employee (badgeSetup), so each
+	// probe misses the reference memo and fetches its target.
+	{"hash join, distinct targets", `retrieve (B.no) from B in Badges, F in Employees where B.holder.name = F.name and F.age >= $1`, []any{200}, 0, 0, false},
 }
+
+// badgeSetup gives each employee a badge referring to it, the probe side
+// of the scan shape whose reference targets are all distinct.
+const badgeSetup = `
+	define type Badge: ( no: int4, holder: ref Employee )
+	create Badges : { own Badge }
+	append to Badges (no = E.age, holder = E) from E in Employees
+`
 
 // TestScanAllocsPerRow is the count-based form of "a compiled plan
 // scans without garbage": a prepared Stmt.Exec of each scan shape
@@ -74,6 +85,7 @@ func TestScanAllocsPerRow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		db.MustExec(badgeSetup)
 		kids := countKids(t, db)
 		for i, sh := range scanShapes {
 			st, err := db.Prepare(sh.src)
@@ -162,6 +174,7 @@ func BenchmarkScanPerRow(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer db.Close()
+	db.MustExec(badgeSetup)
 	var dump bytes.Buffer
 	if err := db.Dump(&dump); err != nil {
 		b.Fatal(err)

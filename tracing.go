@@ -105,6 +105,7 @@ func addRetrieveSpans(tr *trace.StmtTrace, pt trace.PhaseTimer, plan *algebra.Pl
 		if plan.Nodes[i].Hash != nil {
 			a.AttrInt(sp, "hash_probes", nr.HashProbes)
 			a.AttrInt(sp, "hash_hits", nr.HashHits)
+			a.AttrInt(sp, "hash_memo_hits", nr.HashMemoHits)
 		}
 		parent = sp
 	}
