@@ -55,13 +55,16 @@ bench:
 # chunks written (only an extent member has a place in a member list:
 # an own-ref component, a variable and a set element are working values
 # alone, and sixty single-element commits to one set decode and seal no
-# chunk), an update that keeps its member's place, and the live heap a
-# loaded company holds per object.
+# chunk), an update that keeps its member's place, a key replace that
+# boxes no stored field afresh, the live heap and heap objects a loaded
+# company holds per object, and indexes built in one go: heap objects per
+# node, not per entry, a unique one refusing an existing duplicate, and
+# a bulk-built tree that reads and writes as one built by inserts.
 # Wall clock is left to paired runs of bench/. No -race: the race
 # detector perturbs allocation counts, and scanalloc_test.go is built
 # only without it.
 work-gate:
-	$(GO) test -count=1 -v -run '^(TestScanAllocsPerRow|TestResultAllocsPerRow|TestHashJoinBuildsSmallerSide|TestHashJoinProbeDerefsPerTarget|TestRangeReplaceWorkIndependentOfSize|TestCommitWorkIndependentOfSize|TestRangeUpdateWorkIndependentOfSize|TestPlanCacheHitCompilesNothing|TestZeroAllocWhenDisabled|TestAdhocLiteralsShareOnePlan|TestAdhocShapeSkipsParser|TestParamKeyUsesIndex|TestSnapshotReadsFreezeNothing|TestWriteReadPhaseWorkIndependentOfSize|TestDefineIndexSealsNothing|TestWriteDecodesNothing|TestElemCommitsDecodeNothing|TestUpdateKeepsChunkPosition|TestReplaceKeepsScanOrder|TestHeapPerObject)$$' . ./internal/object/ ./internal/trace/
+	$(GO) test -count=1 -v -run '^(TestScanAllocsPerRow|TestResultAllocsPerRow|TestHashJoinBuildsSmallerSide|TestHashJoinProbeDerefsPerTarget|TestRangeReplaceWorkIndependentOfSize|TestCommitWorkIndependentOfSize|TestRangeUpdateWorkIndependentOfSize|TestPlanCacheHitCompilesNothing|TestZeroAllocWhenDisabled|TestAdhocLiteralsShareOnePlan|TestAdhocShapeSkipsParser|TestParamKeyUsesIndex|TestSnapshotReadsFreezeNothing|TestWriteReadPhaseWorkIndependentOfSize|TestDefineIndexSealsNothing|TestWriteDecodesNothing|TestElemCommitsDecodeNothing|TestUpdateKeepsChunkPosition|TestReplaceKeepsScanOrder|TestHeapPerObject|TestKeyReplaceAllocs|TestDefineIndexHeapObjects|TestUniqueIndexOverDuplicates|TestBTreeBuildMatchesInserts|TestBTreeBuildUnique|TestBTreeBuildNodes|TestBTreeRangeKeysStayValid)$$' . ./internal/object/ ./internal/storage/ ./internal/trace/
 
 # The repository benchmark (bench/, a module of its own that drives the
 # engine through its public and internal APIs) must keep compiling and

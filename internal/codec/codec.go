@@ -227,7 +227,7 @@ func Decode(data []byte, res TypeResolver) (value.Value, int, error) {
 		if w <= 0 {
 			return nil, 0, fmt.Errorf("bad int")
 		}
-		return value.Int{K: k, V: v}, 2 + w, nil
+		return value.Int{K: k, V: v}.Box(), 2 + w, nil
 	case tFloat:
 		if len(data) < 10 {
 			return nil, 0, fmt.Errorf("truncated float")
@@ -356,6 +356,13 @@ func Decode(data []byte, res TypeResolver) (value.Value, int, error) {
 		tn, n, err := readString(data[p:])
 		if err != nil {
 			return nil, 0, err
+		}
+		// The catalog's name, not the copy just read: every reference to
+		// a type shares its one string. An unknown name keeps the copy.
+		if res != nil {
+			if tt, ok := res.TupleType(tn); ok {
+				tn = tt.Name
+			}
 		}
 		return value.Ref{OID: oid.OID(id), Type: tn}, p + n, nil
 	}

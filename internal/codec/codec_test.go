@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/adt"
 	"repro/internal/oid"
@@ -306,5 +307,44 @@ func TestBoolAndEnumKeys(t *testing.T) {
 	k1, _ := EncodeKey(value.EnumVal{Enum: e, Ord: 1})
 	if bytes.Compare(k0, k1) >= 0 {
 		t.Error("enum keys out of order")
+	}
+}
+
+// TestDecodeSharesWhatRepeats: a decoded reference to a type the
+// resolver knows holds the resolver's name for it, not a copy, and one
+// to an unknown type keeps the name it was written with; a decoded
+// small int is the shared box and allocates nothing, and the bytes are
+// the same either way.
+func TestDecodeSharesWhatRepeats(t *testing.T) {
+	res := testResolver()
+	for _, name := range []string{"CPerson", "Elsewhere"} {
+		enc, err := Encode(nil, value.Ref{OID: 7, Type: string([]byte(name))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := DecodeOne(enc, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := v.(value.Ref)
+		if r.OID != 7 || r.Type != name {
+			t.Fatalf("decoded %v, want a reference to 7 of %s", r, name)
+		}
+		tt, known := res.TupleType(name)
+		if shared := known && unsafe.StringData(r.Type) == unsafe.StringData(tt.Name); shared != known {
+			t.Errorf("%s: the decoded name is the resolver's: %v, want %v", name, shared, known)
+		}
+		if again, _ := Encode(nil, r); !bytes.Equal(again, enc) {
+			t.Errorf("%s: re-encoded %x, want %x", name, again, enc)
+		}
+	}
+	for _, k := range []types.Kind{types.KInt1, types.KInt2, types.KInt4} {
+		enc, _ := Encode(nil, value.Int{K: k, V: 42})
+		if n := testing.AllocsPerRun(10, func() { _, _ = DecodeOne(enc, res) }); n != 0 {
+			t.Errorf("decoding a small %s allocated %.0f", k, n)
+		}
+		if v, _ := DecodeOne(enc, res); v != value.Value(value.Int{K: k, V: 42}) {
+			t.Errorf("decoded %v of kind %s", v, v.Kind())
+		}
 	}
 }

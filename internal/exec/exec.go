@@ -294,18 +294,20 @@ func (ex *State) pass(ctx *evalCtx, conjs []compiledExpr) (bool, error) {
 // so a variable enumerated once per outer binding (an inner extent
 // rescan) builds them once per run, not once per row.
 //
-// A plan node's sink carries its program's tuple tests: the object-extent
-// scan callback and the nested walk run them on each row's tuple before
-// emitting it, count the rows they reject in *rejects (the node's
-// count), and pass emit how many leading filter conjuncts they decided
-// (tested), which the node's filter then skips. Every other source, and every
-// other sink, emits with tested 0. The callbacks capture the fields, not
-// the sink, so a sink on the stack stays there.
+// A plan node's sink carries its program's tuple tests and their
+// operands as the run resolved them: the object-extent scan callback
+// and the nested walk run them on each row's tuple before emitting it,
+// count the rows they reject in *rejects (the node's count), and pass
+// emit how many leading filter conjuncts they decided (tested), which
+// the node's filter then skips. Every other source, and every other
+// sink, emits with tested 0. The callbacks capture the fields, not the
+// sink, so a sink on the stack stays there.
 type sink struct {
 	emit    func(val value.Value, s slot, tested int) error
 	obj     func(oid.OID, *value.Tuple) error
 	elem    func(int, value.Value) error
 	tests   []tupleTest
+	ops     []operand
 	rejects *int64
 }
 
@@ -335,6 +337,10 @@ type nodeRun struct {
 	gen   uint64     // the node's memo generation, when its probe key has a memo form
 	// rejected counts the rows the node's tuple tests rejected.
 	rejected int64
+	// opBuf holds the operands of the node's first tuple tests, resolved
+	// when the run starts (sink.ops), so a node with no more than four
+	// allocates none for them.
+	opBuf [4]operand
 	// Instrumented runs: time spent in later nodes during the current
 	// loop.
 	child time.Duration
@@ -356,6 +362,7 @@ func (ex *State) Run(p *algebra.Plan, prog *Program, yield func(*evalCtx) error)
 	for i := range r.nodes {
 		r.nodes[i].emit = r.nodeEmit(i)
 		r.nodes[i].tests, r.nodes[i].rejects = prog.nodes[i].tests, &r.nodes[i].rejected
+		r.resolveOperands(i)
 		if prog.nodes[i].hop != nil {
 			ex.memoGen++
 			r.nodes[i].gen = ex.memoGen
@@ -400,6 +407,19 @@ func (ex *State) Run(p *algebra.Plan, prog *Program, yield func(*evalCtx) error)
 		}
 	}
 	return err
+}
+
+// resolveOperands resolves node i's tuple-test operands for the run:
+// like its probe keys, a $n operand is read once here, not per row.
+func (r *runner) resolveOperands(i int) {
+	nr := &r.nodes[i]
+	if len(nr.tests) == 0 {
+		return
+	}
+	nr.ops = nr.opBuf[:0]
+	for k := range nr.tests {
+		nr.ops = append(nr.ops, r.ex.operandOf(&nr.tests[k]))
+	}
 }
 
 // probeRange sets node i's index-probe range for the run. Its keys are
@@ -581,9 +601,9 @@ func (ex *State) enumerate(ctx *evalCtx, v *sema.Var, ix *algebra.AccessPath, ke
 						return emit(nil, slot{oid: id, tup: tv}, 0)
 					}
 				} else {
-					tests, rejects := s.tests, s.rejects
+					tests, ops, rejects := s.tests, s.ops, s.rejects
 					s.obj = func(id oid.OID, tv *value.Tuple) error {
-						tested, ok := ex.runTests(tests, rejects, tv)
+						tested, ok := ex.runTests(tests, ops, rejects, tv)
 						if !ok {
 							return nil
 						}
@@ -743,7 +763,7 @@ func (ex *State) walkCollection(ctx *evalCtx, cur value.Value, owner collOwner, 
 			}
 			if tv != nil {
 				var ok bool
-				if tested, ok = ex.runTests(s.tests, s.rejects, tv); !ok {
+				if tested, ok = ex.runTests(s.tests, s.ops, s.rejects, tv); !ok {
 					continue
 				}
 			}

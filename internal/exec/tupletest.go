@@ -92,12 +92,36 @@ func cmpInt(op cmpOp, l, r int64) bool {
 // steps[0] reads the attribute of V, and for V.r.a, where steps has
 // two, the ref it holds is dereferenced and steps[1] reads the target's
 // attribute. The other operand is k, or the parameter param when it is
-// not nil.
+// not nil, resolved once per run (operandOf).
 type tupleTest struct {
 	steps []stepProg
 	op    cmpOp
 	k     int64
 	param *sema.ParamRef
+}
+
+// operand is a tuple test's other operand as one run resolved it: k,
+// unless the operand is a null parameter (null), which rejects every
+// row, or a parameter that is unbound or not an integer (open), which
+// leaves every row to the filter.
+type operand struct {
+	k          int64
+	null, open bool
+}
+
+// operandOf resolves t's other operand for a run.
+func (ex *State) operandOf(t *tupleTest) operand {
+	if t.param == nil {
+		return operand{k: t.k}
+	}
+	pv, err := ex.param(t.param)
+	if err != nil {
+		return operand{open: true}
+	}
+	if iv, ok := pv.(value.Int); ok {
+		return operand{k: iv.V}
+	}
+	return operand{null: value.IsNull(pv), open: !value.IsNull(pv)}
 }
 
 // Tuple-test verdicts.
@@ -175,10 +199,11 @@ func compileTupleTest(v *sema.Var, e sema.Expr) (tupleTest, bool) {
 	return t, true
 }
 
-// run decides the test on the tuple of a row. Like the compiled
-// conjunct, it reads the path whole before it looks at the operand, so
-// a hop is fetched (and counted) whatever the parameter holds.
-func (t *tupleTest) run(ex *State, tv *value.Tuple) int {
+// run decides the test on the tuple of a row against its resolved
+// operand. Like the compiled conjunct, it reads the path whole before it
+// looks at the operand, so a hop is fetched (and counted) whatever the
+// parameter holds.
+func (t *tupleTest) run(ex *State, tv *value.Tuple, k operand) int {
 	st := &t.steps[0]
 	if tv.Type != st.tt {
 		return testUnsure
@@ -205,40 +230,25 @@ func (t *tupleTest) run(ex *State, tv *value.Tuple) int {
 		}
 	}
 	l, lok := f.(value.Int)
-	if !lok && !value.IsNull(f) {
+	switch {
+	case !lok && !value.IsNull(f), k.open:
 		return testUnsure
-	}
-	k := t.k
-	if t.param != nil {
-		pv, err := ex.param(t.param)
-		if err != nil {
-			return testUnsure
-		}
-		iv, ok := pv.(value.Int)
-		if !ok {
-			if value.IsNull(pv) {
-				return testFalse
-			}
-			return testUnsure
-		}
-		k = iv.V
-	}
-	if lok && cmpInt(t.op, l.V, k) {
+	case lok && !k.null && cmpInt(t.op, l.V, k.k):
 		return testTrue
 	}
 	return testFalse
 }
 
-// runTests runs a node's tuple tests on a row's tuple in filter order.
-// It returns how many leading filter conjuncts they decided true, and
-// false when one rejected the row, which it counts in *rejects. A test
-// that cannot decide ends them: the row goes through the whole filter,
-// and the fetches the tests made for it are uncounted, since the filter
-// makes them again.
-func (ex *State) runTests(tests []tupleTest, rejects *int64, tv *value.Tuple) (int, bool) {
+// runTests runs a node's tuple tests on a row's tuple in filter order,
+// each against its operand in ops. It returns how many leading filter
+// conjuncts they decided true, and false when one rejected the row,
+// which it counts in *rejects. A test that cannot decide ends them: the
+// row goes through the whole filter, and the fetches the tests made for
+// it are uncounted, since the filter makes them again.
+func (ex *State) runTests(tests []tupleTest, ops []operand, rejects *int64, tv *value.Tuple) (int, bool) {
 	derefs := ex.derefs
 	for i := range tests {
-		switch tests[i].run(ex, tv) {
+		switch tests[i].run(ex, tv, ops[i]) {
 		case testFalse:
 			*rejects++
 			return 0, false

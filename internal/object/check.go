@@ -67,8 +67,8 @@ func (s *Store) CheckConsistency() []string {
 		}
 		comp := types.Component{Mode: types.Own, Type: tv.Type}
 		collectOwnedWithDup(comp, tv, id, ownedRefs, report)
-		if !so.owner.IsNil() && !s.Exists(so.owner) && !varOwners[so.owner] {
-			report("object %s: owner %s is dead", id, so.owner)
+		if owner := so.owner(s.restored); !owner.IsNil() && !s.Exists(owner) && !varOwners[owner] {
+			report("object %s: owner %s is dead", id, owner)
 		}
 	}
 	for _, name := range s.extentNames() {
@@ -95,14 +95,14 @@ func (s *Store) CheckConsistency() []string {
 		if so.ext != nil {
 			report("own-ref component %s lives in extent %s", compID, so.ext.name)
 		}
-		if so.owner != ownerFromData {
-			report("component %s: recorded owner %s, referenced by %s", compID, so.owner, ownerFromData)
+		if owner := so.owner(s.restored); owner != ownerFromData {
+			report("component %s: recorded owner %s, referenced by %s", compID, owner, ownerFromData)
 		}
 	}
 	for _, e := range dir {
-		if e.so.ext == nil && !e.so.owner.IsNil() {
+		if owner := e.so.owner(s.restored); e.so.ext == nil && !owner.IsNil() {
 			if _, referenced := ownedRefs[e.id]; !referenced {
-				report("component %s: owner %s holds no reference to it", e.id, e.so.owner)
+				report("component %s: owner %s holds no reference to it", e.id, owner)
 			}
 		}
 	}

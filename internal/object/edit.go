@@ -49,7 +49,7 @@ func Diff(was, is *Snapshot, emit func(line []byte) error) error {
 		case so.tv == nil:
 			b = strconv.AppendUint(append(b[:0], "DEL "...), uint64(id), 10)
 		default:
-			if b, err = codec.Encode(AppendObjHead(b[:0], so.extentName(), id, so.owner), so.tv); err != nil {
+			if b, err = codec.Encode(AppendObjHead(b[:0], so.extentName(), id, so.owner(nil)), so.tv); err != nil {
 				return
 			}
 			top = max(top, id)
@@ -235,7 +235,7 @@ func diffNode(a, b objNode, base uint64, shift uint, fn func(id oid.OID, so snap
 			if lb != nil {
 				y = lb.vals[i]
 			}
-			if x.tv != y.tv || x.owner != y.owner {
+			if x.tv != y.tv || x.owner(nil) != y.owner(nil) {
 				fn(oid.OID(base|uint64(i)), y)
 			}
 		}

@@ -98,7 +98,7 @@ func (s *Store) BuildIndex(name, extent string, path []string, unique bool) (*ca
 	if err := validateIndexPath(tt, path); err != nil {
 		return nil, err
 	}
-	ix := &catalog.Index{Name: name, Extent: extent, Path: path, Unique: unique, Tree: storage.NewBTree()}
+	ix := &catalog.Index{Name: name, Extent: extent, Path: path, Unique: unique}
 	if err := s.backfill(ix); err != nil {
 		return nil, err
 	}
@@ -127,7 +127,6 @@ func (s *Store) BuildKey(extent string, attrs []string, n int) (*catalog.Index, 
 		Extent:   extent,
 		Unique:   true,
 		KeyPaths: paths,
-		Tree:     storage.NewBTree(),
 	}
 	if err := s.backfill(ix); err != nil {
 		return nil, err
@@ -160,10 +159,12 @@ func KeyPaths(v *catalog.Variable, attrs []string) ([][]string, error) {
 	return paths, nil
 }
 
-// backfill loads an index from the extent's current objects, enforcing
-// uniqueness as it goes. It reads the store's frozen view, whose member
-// lists hold the objects in scan order, so the tree is built as a scan
-// would build it, copying and decoding nothing.
+// backfill builds an index over the extent's current objects. It reads
+// the store's frozen view, whose member lists hold the objects in scan
+// order, copying and decoding nothing, gathers each object's key, and
+// builds the tree in one go (storage.Builder): one sort, full leaves, a
+// heap object per node rather than per entry. A unique index refuses an
+// existing duplicate key.
 //
 // extra:requires db.wmu.W
 func (s *Store) backfill(ix *catalog.Index) error {
@@ -171,21 +172,25 @@ func (s *Store) backfill(ix *catalog.Index) error {
 	if err != nil {
 		return err
 	}
-	return view.ScanExtent(ix.Extent, func(id oid.OID, tv *value.Tuple) error {
-		key, ok := indexKey(tv, ix)
-		if !ok {
-			return nil
+	var b storage.Builder
+	err = view.ScanExtent(ix.Extent, func(id oid.OID, tv *value.Tuple) error {
+		if key, ok := indexKey(tv, ix); ok {
+			b.Add(key, uint64(id))
 		}
-		if ix.Unique {
-			dup := false
-			ix.Tree.Lookup(key, func(uint64) bool { dup = true; return false })
-			if dup {
-				return fmt.Errorf("key violation in %s: duplicate %s", ix.Extent, keyDesc(ix))
-			}
-		}
-		ix.Tree.Insert(key, uint64(id))
 		return nil
 	})
+	if err != nil {
+		return err
+	}
+	tree, err := b.Build(ix.Unique)
+	if err == storage.ErrDuplicateKey {
+		return fmt.Errorf("key violation in %s: duplicate %s", ix.Extent, keyDesc(ix))
+	}
+	if err != nil {
+		return err
+	}
+	ix.Tree = tree
+	return nil
 }
 
 func keyDesc(ix *catalog.Index) string {

@@ -39,18 +39,18 @@ func (s *Store) internalizeKeeping(comp types.Component, v value.Value, owner oi
 				return value.Null{}, nil
 			}
 			if kept != nil && kept[x.OID] {
-				return x, nil
+				return v, nil
 			}
 			if err := s.claim(x.OID, owner); err != nil {
 				return nil, err
 			}
-			return x, nil
+			return v, nil
 		}
 		return nil, fmt.Errorf("own ref component needs an object or reference, got %s", v)
 	case types.RefTo:
-		switch x := v.(type) {
+		switch v.(type) {
 		case value.Ref:
-			return x, nil
+			return v, nil
 		case *value.Tuple:
 			return nil, fmt.Errorf("ref component needs a reference; construct the object in its own extent first")
 		}
@@ -106,9 +106,15 @@ func (s *Store) internalizeKeeping(comp types.Component, v value.Value, owner oi
 			if !x.InRange() {
 				return nil, fmt.Errorf("value %d out of range for %s", x.V, x.K)
 			}
-			return x, nil
+			// The value as it came, or the shared box of a small one: a
+			// stored int costs no box of its own unless it needs one.
+			if b, ok := x.Shared(); ok {
+				return b, nil
+			}
+			return v, nil
 		case value.Str:
-			if bt, ok := comp.Type.(*types.Base); ok && bt.K == types.KChar {
+			bt, _ := comp.Type.(*types.Base)
+			if bt != nil && bt.K == types.KChar {
 				// char[n] pads or truncates to the declared width, the
 				// classic fixed-length string behaviour.
 				r := []rune(x.V)
@@ -120,10 +126,18 @@ func (s *Store) internalizeKeeping(comp types.Component, v value.Value, owner oi
 				}
 				return value.Str{K: types.KChar, V: string(r)}, nil
 			}
-			// The stored tuple is the snapshot's from the next freeze on,
-			// for as long as the object lives. A string literal is a slice
-			// of its statement's text, which it must not keep alive.
-			return value.Str{K: x.K, V: strings.Clone(x.V)}, nil
+			// A string stored into a varchar attribute is a varchar,
+			// whatever it was read from (a char[n] attribute's padded
+			// value stays padded): = compares a stored value by its
+			// attribute's type, not by where it came from. The stored
+			// tuple is the snapshot's from the next freeze on, for as
+			// long as the object lives. A string literal is a slice of
+			// its statement's text, which it must not keep alive.
+			k := x.K
+			if bt != nil && bt.K == types.KVarchar {
+				k = types.KVarchar
+			}
+			return value.Str{K: k, V: strings.Clone(x.V)}, nil
 		default:
 			return v, nil
 		}
@@ -142,7 +156,7 @@ func (s *Store) createOwned(tv *value.Tuple, owner oid.OID, kept map[oid.OID]boo
 	if _, err := s.encodeRecord(iv); err != nil {
 		return oid.Nil, err
 	}
-	s.dir.set(id, snapObj{tv: iv.(*value.Tuple), owner: owner})
+	s.dir.set(id, snapObj{tv: iv.(*value.Tuple), at: uint64(owner)})
 	return id, nil
 }
 
@@ -158,10 +172,14 @@ func (s *Store) claim(id oid.OID, owner oid.OID) error {
 	if so.ext != nil {
 		return fmt.Errorf("object %s belongs to extent %s and cannot become an own ref component", id, so.ext.name)
 	}
-	if !so.owner.IsNil() && so.owner != owner {
+	if was := so.owner(s.restored); !was.IsNil() && was != owner {
 		return fmt.Errorf("object %s is already owned (composite exclusivity)", id)
 	}
-	so.owner = owner
+	if so.pending() {
+		s.restored[so.at].owner = owner
+	} else {
+		so.at = uint64(owner)
+	}
 	s.dir.set(id, so) // ownership is snapshot state (Owner, export)
 	return nil
 }

@@ -5,21 +5,23 @@ import (
 	"repro/internal/value"
 )
 
-// snapObj is one object's entry in the object directory: its extent, its
-// owner, where it is, and its tuple. A nil tv means no object: the zero
-// snapObj is what an empty slot of the map holds. The entry is four
-// words, so a trie leaf of 64 entries is 2 KiB.
+// snapObj is one object's entry in the object directory: its tuple, its
+// extent, and where it is or who owns it. A nil tv means no object: the
+// zero snapObj is what an empty slot of the map holds. The entry is three
+// words, so a trie leaf of 64 entries is 1.5 KiB: an extent member has no
+// owner and a component no position, so one word holds whichever the
+// entry has.
 //
 // An entry whose tv is pendingTuple is pending: RestoreObject wrote it,
 // and its tuple is its record's, which the next freeze decodes (see
 // Store.working). Only the working directory holds pending entries; a
 // freeze decodes each before it seals the map.
 type snapObj struct {
-	tv    *value.Tuple
-	owner oid.OID    // owning object for own-ref components; Nil otherwise
-	ext   *objExtent // owning extent; nil for own-ref components
+	tv  *value.Tuple
+	ext *objExtent // owning extent; nil for own-ref components
 	// at is an extent member's position in its member list, or a
-	// pending entry's index in Store.restored (see Store.pos).
+	// component's owner (Nil when it has none); a pending entry's is its
+	// index in Store.restored, whose record holds either (Store.settle).
 	at uint64
 }
 
@@ -29,6 +31,19 @@ var pendingTuple = &value.Tuple{}
 // pending reports whether the entry's tuple is still its record's to
 // decode.
 func (so snapObj) pending() bool { return so.tv == pendingTuple }
+
+// owner returns the entry's owner: a component's, or Nil for an extent
+// member. A pending entry's is its record's in restored, which a sealed
+// map never needs.
+func (so snapObj) owner(restored []restoredObj) oid.OID {
+	switch {
+	case so.ext != nil:
+		return oid.Nil
+	case so.pending():
+		return restored[so.at].owner
+	}
+	return oid.OID(so.at)
+}
 
 // extentName returns the name of the entry's extent; "" for a component.
 func (so snapObj) extentName() string {

@@ -155,28 +155,32 @@ func TestDropVarFailedHalfWayCommits(t *testing.T) {
 // analyzer guards the same contract statically.)
 func TestCheckConsistencyDeterministic(t *testing.T) {
 	f := newFixture(t)
-	var ids []oid.OID
+	var kids []oid.OID
 	for _, name := range []string{"Ann", "Bob", "Cid", "Dee", "Eve", "Fay"} {
-		id, err := f.store.Insert("People", f.newPerson(name, 30))
+		p := f.newPerson(name, 30)
+		p.Set("kids", &value.Set{Elems: []value.Value{f.newPerson(name+" jr", 3)}})
+		id, err := f.store.Insert("People", p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, id)
+		tv, _, _ := f.store.Get(id)
+		kids = append(kids, tv.Get("kids").(*value.Set).Elems[0].(value.Ref).OID)
 	}
-	// Violation 1..6: every object owned by a distinct dead owner.
-	for i, id := range ids {
+	// Violations 1..12: every kid owned by a distinct dead owner, which
+	// is dead (1) and not the parent that references it (2).
+	for i, id := range kids {
 		so, _ := f.store.dir.get(id)
-		so.owner = oid.OID(1<<40 + uint64(i))
+		so.at = 1<<40 + uint64(i)
 		f.store.dir.set(id, so)
 	}
-	// Violation 7: a record on an extent page that no object claims.
+	// Violation 13: a record on an extent page that no object claims.
 	if err := f.store.plantOrphan("People", f.newPerson("Nobody", 30)); err != nil {
 		t.Fatal(err)
 	}
 
 	first := f.store.CheckConsistency()
-	if len(first) != 7 {
-		t.Fatalf("expected 7 violations, got %d: %q", len(first), first)
+	if len(first) != 13 {
+		t.Fatalf("expected 13 violations, got %d: %q", len(first), first)
 	}
 	for run := 0; run < 10; run++ {
 		again := f.store.CheckConsistency()

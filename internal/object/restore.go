@@ -23,11 +23,13 @@ type ExportObject struct {
 
 // restoredObj is an object RestoreObject wrote since the last freeze:
 // its canonical record and, for an extent member, its position in the
-// extent's member list.
+// extent's member list, or, for a component, its owner: what its
+// pending directory entry's at holds once settled (Store.settle).
 type restoredObj struct {
-	id   oid.OID
-	data []byte
-	pos  int
+	id    oid.OID
+	data  []byte
+	pos   int
+	owner oid.OID
 }
 
 // ExportObjects returns every live object, encoded, in the order
@@ -57,7 +59,7 @@ func exportObjects(m *objMap, restored []restoredObj) ([]ExportObject, error) {
 		if eerr != nil && err == nil {
 			err = fmt.Errorf("export %s: %w", id, eerr)
 		}
-		out = append(out, ExportObject{Extent: so.extentName(), OID: id, Owner: so.owner, Data: enc})
+		out = append(out, ExportObject{Extent: so.extentName(), OID: id, Owner: so.owner(restored), Data: enc})
 	})
 	if err != nil {
 		return nil, err
@@ -95,13 +97,16 @@ func (s *Store) RestoreObject(o ExportObject) error {
 	if !ok {
 		return fmt.Errorf("restore: object %s is not a tuple", o.OID)
 	}
+	if o.Extent != "" && !o.Owner.IsNil() {
+		return fmt.Errorf("restore: object %s of extent %s has an owner; only a component has one", o.OID, o.Extent)
+	}
 	if so, live := s.dir.get(o.OID); live {
 		return s.replace(o, so, tv)
 	}
 	if s.head.Exists(o.OID) {
 		return fmt.Errorf("restore: OID %s was deleted", o.OID)
 	}
-	so := snapObj{tv: pendingTuple, owner: o.Owner, at: uint64(len(s.restored))}
+	so := snapObj{tv: pendingTuple, at: uint64(len(s.restored))}
 	if o.Extent != "" {
 		if so.ext = s.extents[o.Extent]; so.ext == nil {
 			return fmt.Errorf("restore: no extent %s", o.Extent)
@@ -114,7 +119,7 @@ func (s *Store) RestoreObject(o ExportObject) error {
 	if err != nil {
 		return err
 	}
-	r := restoredObj{id: o.OID, data: enc}
+	r := restoredObj{id: o.OID, data: enc, owner: o.Owner}
 	if so.ext != nil {
 		r.pos = s.members(so.ext).append(member{o.OID, pendingTuple})
 		s.indexInsert(o.Extent, o.OID, tv)
@@ -137,14 +142,15 @@ func (s *Store) replace(o ExportObject, so snapObj, tv *value.Tuple) error {
 		return err
 	}
 	if so.ext != nil {
-		pos := s.pos(so)
-		if err := s.members(so.ext).set(pos, member{o.OID, tv}); err != nil {
+		if err := s.members(so.ext).set(s.pos(so), member{o.OID, tv}); err != nil {
 			return err
 		}
-		so.at = uint64(pos)
 		s.indexMove(o.Extent, o.OID, old, tv)
 	}
-	so.tv, so.owner = tv, o.Owner
+	so = s.settle(so, tv)
+	if so.ext == nil {
+		so.at = uint64(o.Owner)
+	}
 	s.dir.set(o.OID, so)
 	return nil
 }

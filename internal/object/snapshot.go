@@ -309,14 +309,12 @@ func (s *Store) freeze() error {
 			return err
 		}
 		decoded++
-		so.tv = tv
 		if so.ext != nil {
-			so.at = uint64(r.pos)
 			if err := s.members(so.ext).set(r.pos, member{r.id, tv}); err != nil {
 				return err
 			}
 		}
-		s.dir.set(r.id, so)
+		s.dir.set(r.id, s.settle(so, tv))
 	}
 
 	exts, chunks := prev.extents, 0

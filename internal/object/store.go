@@ -270,6 +270,21 @@ func (s *Store) pos(so snapObj) int {
 	return int(so.at)
 }
 
+// settle returns so holding tv: a pending entry's at, an index in
+// restored, becomes what its record holds, the member's position or the
+// component's owner.
+func (s *Store) settle(so snapObj, tv *value.Tuple) snapObj {
+	if so.pending() {
+		r := s.restored[so.at]
+		so.at = uint64(r.owner)
+		if so.ext != nil {
+			so.at = uint64(r.pos)
+		}
+	}
+	so.tv = tv
+	return so
+}
+
 // Get fetches an object by OID: a copy of its working value, which the
 // caller may mutate. Missing objects (deleted, or never created) report
 // ok=false — a dangling reference reads as null.
@@ -425,14 +440,11 @@ func (s *Store) Update(id oid.OID, tv *value.Tuple) error {
 	// components it claimed, which may include this one's owner.
 	so, _ = s.dir.get(id)
 	if so.ext != nil {
-		pos := s.pos(so)
-		if err := s.members(so.ext).set(pos, member{id, nt}); err != nil {
+		if err := s.members(so.ext).set(s.pos(so), member{id, nt}); err != nil {
 			return err
 		}
-		so.at = uint64(pos)
 	}
-	so.tv = nt
-	s.dir.set(id, so)
+	s.dir.set(id, s.settle(so, nt))
 	if so.ext != nil {
 		s.indexMove(so.ext.name, id, old, nt)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/adt"
 	"repro/internal/catalog"
+	"repro/internal/codec"
 	"repro/internal/oid"
 	"repro/internal/types"
 	"repro/internal/value"
@@ -121,7 +122,7 @@ func TestOwnRefInternalization(t *testing.T) {
 	if s, _ := value.AsString(ktv.Get("name")); s != "Amy" {
 		t.Error("kid content")
 	}
-	if so, _ := f.store.dir.get(ref.OID); so.owner != id {
+	if so, _ := f.store.dir.get(ref.OID); so.owner(f.store.restored) != id {
 		t.Error("kid owner wrong")
 	}
 	// Cascading delete destroys the kid.
@@ -414,4 +415,92 @@ func containsOID(ids []oid.OID, id oid.OID) bool {
 		}
 	}
 	return false
+}
+
+// TestUniqueIndexOverDuplicates: building a unique index, or a key
+// constraint, over an extent that already holds two objects with one key
+// fails with the key-violation message and registers nothing; the same
+// index built non-unique holds both objects under the key, and every
+// other object under its own.
+func TestUniqueIndexOverDuplicates(t *testing.T) {
+	f := newFixture(t)
+	for i, name := range []string{"Ann", "Bob", "Ann", "Cid"} {
+		if _, err := f.store.Insert("People", f.newPerson(name, int64(30+i%2))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := f.store.BuildIndex("uq", "People", []string{"name"}, true)
+	if err == nil || err.Error() != "key violation in People: duplicate (name)" {
+		t.Fatalf("unique index over a duplicate name: %v", err)
+	}
+	_, err = f.store.BuildKey("People", []string{"name", "age"}, 1)
+	if err == nil || err.Error() != "key violation in People: duplicate (name, age)" {
+		t.Fatalf("key constraint over a duplicate (name, age): %v", err)
+	}
+	if n := len(f.cat.IndexesOn("People")); n != 0 {
+		t.Fatalf("%d indexes registered after the failed builds", n)
+	}
+	ix, err := f.store.BuildIndex("nu", "People", []string{"name"}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]int{"Ann": 2, "Bob": 1, "Cid": 1, "Dee": 0} {
+		k, _ := codec.EncodeKey(value.NewStr(name))
+		if got := len(f.store.IndexLookup(ix, k, k, true, true)); got != want {
+			t.Errorf("%s: %d objects under the key, want %d", name, got, want)
+		}
+	}
+	if err := ix.Tree.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRestoreRefusesOwnedMember: only a component has an owner; a
+// restored extent member given one (a dump or log line written by hand)
+// is refused, and a component keeps the owner it was restored with.
+func TestRestoreRefusesOwnedMember(t *testing.T) {
+	f := newFixture(t)
+	enc, err := encode(f.newPerson("Ann", 30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = f.store.RestoreObject(ExportObject{Extent: "People", OID: 5, Owner: 3, Data: enc})
+	if err == nil || !strings.Contains(err.Error(), "has an owner") {
+		t.Fatalf("restoring an owned extent member: %v", err)
+	}
+	if err := f.store.RestoreObject(ExportObject{OID: 6, Owner: 3, Data: enc}); err != nil {
+		t.Fatal(err)
+	}
+	objs, err := f.store.ExportObjects()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(objs) != 1 || objs[0].OID != 6 || objs[0].Owner != 3 {
+		t.Fatalf("exported %+v, want component 6 owned by 3", objs)
+	}
+	// A restored component still pending its freeze can be claimed: the
+	// owner goes to its restored record, and the freeze settles it.
+	if err := f.store.RestoreObject(ExportObject{OID: 7, Data: enc}); err != nil {
+		t.Fatal(err)
+	}
+	p := f.newPerson("Bob", 40)
+	p.Set("kids", &value.Set{Elems: []value.Value{value.Ref{OID: 7, Type: "Person"}}})
+	id, err := f.store.Insert("People", p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, when := range []string{"pending", "frozen"} {
+		if so, _ := f.store.dir.get(7); so.owner(f.store.restored) != id {
+			t.Fatalf("%s: component 7 owned by %s, want %s", when, so.owner(f.store.restored), id)
+		}
+		if _, err := f.store.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Component 6's owner is dead and holds no reference to it; nothing
+	// else is wrong.
+	bad := f.store.CheckConsistency()
+	if len(bad) != 2 || !strings.Contains(bad[0], "oid#6") || !strings.Contains(bad[1], "oid#6") {
+		t.Fatalf("fsck: %q, want component 6's two owner violations alone", bad)
+	}
 }

@@ -119,8 +119,8 @@ func TestCheckConsistencyFindsUnclaimedSlots(t *testing.T) {
 // the path to its entry, and the head keeps its own until the next
 // freeze.
 func TestFreezeSealsTheDirectory(t *testing.T) {
-	if n := unsafe.Sizeof(snapObj{}); n != 32 {
-		t.Errorf("a directory entry is %d B, want 32: four words", n)
+	if n := unsafe.Sizeof(snapObj{}); n != 24 {
+		t.Errorf("a directory entry is %d B, want 24: three words", n)
 	}
 	f := newFixture(t)
 	s := f.store

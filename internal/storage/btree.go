@@ -2,7 +2,10 @@ package storage
 
 import (
 	"bytes"
+	"cmp"
+	"errors"
 	"fmt"
+	"slices"
 )
 
 // BTree is an in-memory B+-tree mapping order-preserving encoded keys to
@@ -28,6 +31,11 @@ import (
 // that tree's next Clone. Leaves carry no sibling links (a copied leaf
 // could not repair its left neighbour's); range scans keep the descent
 // path instead.
+//
+// A node keeps its keys in one byte arena, each entry sixteen bytes
+// (keyed). A tree over entries known up front is built in one go
+// (Builder): sorted once, leaves full, a few heap objects per node
+// rather than one per entry.
 type BTree struct {
 	root   node
 	height int
@@ -42,9 +50,96 @@ type epoch struct{ _ byte }
 
 const btreeOrder = 64 // max entries per leaf / max children per inner node
 
+// entry is one (key, val) of a node: the key is the node's arena bytes
+// [off, off+n). Sixteen bytes, where a slice header and a key
+// allocation of its own cost 24 B and a heap object.
 type entry struct {
-	key []byte
-	val uint64
+	off, n uint32
+	val    uint64
+}
+
+// keyed is a node's ordered entries and the byte arena that holds their
+// keys. Arena bytes below len(arena) are never rewritten: an insert
+// appends its key past them, a delete leaves its key's bytes behind, and
+// an arena without room is replaced by a new one holding the live keys
+// (compact), never reused. So a key handed out — by Range — stays valid
+// for as long as its holder keeps it, whatever the tree does next, and
+// two nodes may share an arena as long as neither appends into the
+// other's bytes (a copy clips its capacity; see copyKeyed).
+type keyed struct {
+	arena   []byte
+	entries []entry
+}
+
+// key returns entry i's key, capacity-clipped so that an append to it
+// cannot write into the arena.
+func (k *keyed) key(i int) []byte {
+	e := k.entries[i]
+	return k.arena[e.off : e.off+e.n : e.off+e.n]
+}
+
+// cmp compares entry i with (key, val).
+func (k *keyed) cmp(i int, key []byte, val uint64) int {
+	e := k.entries[i]
+	if c := bytes.Compare(k.arena[e.off:e.off+e.n], key); c != 0 {
+		return c
+	}
+	return cmp.Compare(e.val, val)
+}
+
+// insertAt adds (key, val) as entry i, copying the key into the arena.
+func (k *keyed) insertAt(i int, key []byte, val uint64) {
+	if len(k.arena)+len(key) > cap(k.arena) {
+		k.compact(len(key), true)
+	}
+	e := entry{off: uint32(len(k.arena)), n: uint32(len(key)), val: val}
+	k.arena = append(k.arena, key...)
+	k.entries = append(k.entries, entry{})
+	copy(k.entries[i+1:], k.entries[i:])
+	k.entries[i] = e
+}
+
+// compact replaces the arena by a new one that holds the live keys
+// alone, with room for extra more bytes and, when grow is set, a quarter
+// to spare, so a run of inserts into one node reallocates its arena a
+// logarithmic number of times. The entries, which the node owns, are
+// re-pointed; an arena with no dead bytes is copied whole.
+func (k *keyed) compact(extra int, grow bool) {
+	live := 0
+	for _, e := range k.entries {
+		live += int(e.n)
+	}
+	need := live + extra
+	if grow {
+		need += need / 4
+	}
+	a := make([]byte, 0, need)
+	if live == len(k.arena) {
+		k.arena = append(a, k.arena...)
+		return
+	}
+	for i := range k.entries {
+		e := &k.entries[i]
+		off := len(a)
+		a = append(a, k.arena[e.off:e.off+e.n]...)
+		e.off = uint32(off)
+	}
+	k.arena = a
+}
+
+// split moves the entries from i on into a new keyed with an arena of
+// their own, exactly sized. The node keeps its arena: the moved keys are
+// dead bytes in it until its next compaction.
+func (k *keyed) split(i int) keyed {
+	r := keyed{arena: k.arena, entries: append([]entry(nil), k.entries[i:]...)}
+	r.compact(0, false)
+	k.entries = k.entries[:i]
+	return r
+}
+
+// remove deletes entry i; its key's bytes stay in the arena.
+func (k *keyed) remove(i int) {
+	k.entries = append(k.entries[:i], k.entries[i+1:]...)
 }
 
 type node interface {
@@ -52,14 +147,14 @@ type node interface {
 }
 
 type leaf struct {
-	owner   *epoch
-	entries []entry
+	owner *epoch
+	keyed
 }
 
 type inner struct {
 	owner *epoch
-	// keys[i] is the smallest (key,val) of children[i+1]'s subtree.
-	keys     []entry
+	// entries[i] is the smallest (key,val) of children[i+1]'s subtree.
+	keyed
 	children []node
 }
 
@@ -78,36 +173,34 @@ func (t *BTree) Len() int { return t.size }
 // Height returns the tree height (1 = a single leaf).
 func (t *BTree) Height() int { return t.height }
 
-func cmpEntry(a, b entry) int {
-	if c := bytes.Compare(a.key, b.key); c != 0 {
-		return c
+// copyKeyed is a node's keyed for a copy the current epoch owns: the
+// entries copied, with room for one more, and the arena shared with its
+// capacity clipped, so the copy's first insert moves its keys to an
+// arena of its own and never appends into the original's.
+func copyKeyed(k keyed) keyed {
+	return keyed{
+		arena:   k.arena[:len(k.arena):len(k.arena)],
+		entries: append(make([]entry, 0, len(k.entries)+1), k.entries...),
 	}
-	switch {
-	case a.val < b.val:
-		return -1
-	case a.val > b.val:
-		return 1
-	}
-	return 0
 }
 
 // writable returns n itself when the current epoch allocated it, and
-// otherwise a copy the current epoch owns, with room for one more entry.
-// The caller stores the result back where it found n.
+// otherwise a copy the current epoch owns (copyKeyed). The caller stores
+// the result back where it found n.
 func (t *BTree) writable(n node) node {
 	switch nd := n.(type) {
 	case *leaf:
 		if nd.owner == t.epoch {
 			return nd
 		}
-		return &leaf{owner: t.epoch, entries: append(make([]entry, 0, len(nd.entries)+1), nd.entries...)}
+		return &leaf{owner: t.epoch, keyed: copyKeyed(nd.keyed)}
 	case *inner:
 		if nd.owner == t.epoch {
 			return nd
 		}
 		return &inner{
 			owner:    t.epoch,
-			keys:     append(make([]entry, 0, len(nd.keys)+1), nd.keys...),
+			keyed:    copyKeyed(nd.keyed),
 			children: append(make([]node, 0, len(nd.children)+1), nd.children...),
 		}
 	}
@@ -115,14 +208,14 @@ func (t *BTree) writable(n node) node {
 }
 
 // Insert adds (key, val). Inserting an exact duplicate (same key and same
-// val) is a no-op and reports false.
+// val) is a no-op and reports false. The tree keeps a copy of key.
 func (t *BTree) Insert(key []byte, val uint64) bool {
-	k := make([]byte, len(key))
-	copy(k, key)
 	t.root = t.writable(t.root)
-	split, sepKey, added := t.insert(t.root, entry{key: k, val: val})
+	split, sepKey, sepVal, added := t.insert(t.root, key, val)
 	if split != nil {
-		t.root = &inner{owner: t.epoch, keys: []entry{sepKey}, children: []node{t.root, split}}
+		r := &inner{owner: t.epoch, children: []node{t.root, split}}
+		r.insertAt(0, sepKey, sepVal)
+		t.root = r
 		t.height++
 	}
 	if added {
@@ -133,59 +226,50 @@ func (t *BTree) Insert(key []byte, val uint64) bool {
 
 // insert descends through n, which the current epoch owns, returning a
 // new right sibling and its separator when n split.
-func (t *BTree) insert(n node, e entry) (node, entry, bool) {
+func (t *BTree) insert(n node, key []byte, val uint64) (node, []byte, uint64, bool) {
 	switch nd := n.(type) {
 	case *leaf:
-		i := lowerBound(nd.entries, e)
-		if i < len(nd.entries) && cmpEntry(nd.entries[i], e) == 0 {
-			return nil, entry{}, false // exact duplicate
+		i := lowerBound(&nd.keyed, key, val)
+		if i < len(nd.entries) && nd.cmp(i, key, val) == 0 {
+			return nil, nil, 0, false // exact duplicate
 		}
-		nd.entries = append(nd.entries, entry{})
-		copy(nd.entries[i+1:], nd.entries[i:])
-		nd.entries[i] = e
+		nd.insertAt(i, key, val)
 		if len(nd.entries) <= btreeOrder {
-			return nil, entry{}, true
+			return nil, nil, 0, true
 		}
-		mid := len(nd.entries) / 2
-		right := &leaf{owner: t.epoch, entries: append([]entry(nil), nd.entries[mid:]...)}
-		nd.entries = nd.entries[:mid]
-		return right, right.entries[0], true
+		right := &leaf{owner: t.epoch, keyed: nd.split(len(nd.entries) / 2)}
+		return right, right.key(0), right.entries[0].val, true
 	case *inner:
-		i := childIndex(nd.keys, e)
+		i := childIndex(&nd.keyed, key, val)
 		nd.children[i] = t.writable(nd.children[i])
-		split, sep, added := t.insert(nd.children[i], e)
+		split, sepKey, sepVal, added := t.insert(nd.children[i], key, val)
 		if split == nil {
-			return nil, entry{}, added
+			return nil, nil, 0, added
 		}
-		nd.keys = append(nd.keys, entry{})
-		copy(nd.keys[i+1:], nd.keys[i:])
-		nd.keys[i] = sep
+		nd.insertAt(i, sepKey, sepVal)
 		nd.children = append(nd.children, nil)
 		copy(nd.children[i+2:], nd.children[i+1:])
 		nd.children[i+1] = split
 		if len(nd.children) <= btreeOrder {
-			return nil, entry{}, added
+			return nil, nil, 0, added
 		}
-		midK := len(nd.keys) / 2
-		sepUp := nd.keys[midK]
-		right := &inner{
-			owner:    t.epoch,
-			keys:     append([]entry(nil), nd.keys[midK+1:]...),
-			children: append([]node(nil), nd.children[midK+1:]...),
-		}
-		nd.keys = nd.keys[:midK]
+		midK := len(nd.entries) / 2
+		upKey, upVal := nd.key(midK), nd.entries[midK].val
+		right := &inner{owner: t.epoch, children: append([]node(nil), nd.children[midK+1:]...)}
+		right.keyed = nd.split(midK + 1)
+		nd.entries = nd.entries[:midK]
 		nd.children = nd.children[:midK+1]
-		return right, sepUp, added
+		return right, upKey, upVal, added
 	}
 	panic("unreachable")
 }
 
-// lowerBound returns the first index whose entry is >= e.
-func lowerBound(es []entry, e entry) int {
-	lo, hi := 0, len(es)
+// lowerBound returns the first index whose entry is >= (key, val).
+func lowerBound(k *keyed, key []byte, val uint64) int {
+	lo, hi := 0, len(k.entries)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if cmpEntry(es[mid], e) < 0 {
+		if k.cmp(mid, key, val) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -194,12 +278,13 @@ func lowerBound(es []entry, e entry) int {
 	return lo
 }
 
-// childIndex returns the child to descend into for e.
-func childIndex(keys []entry, e entry) int {
-	lo, hi := 0, len(keys)
+// childIndex returns the child of an inner node to descend into for
+// (key, val).
+func childIndex(k *keyed, key []byte, val uint64) int {
+	lo, hi := 0, len(k.entries)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if cmpEntry(keys[mid], e) <= 0 {
+		if k.cmp(mid, key, val) <= 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -210,21 +295,20 @@ func childIndex(keys []entry, e entry) int {
 
 // Delete removes (key, val); it reports whether the entry existed.
 func (t *BTree) Delete(key []byte, val uint64) bool {
-	e := entry{key: key, val: val}
 	t.root = t.writable(t.root)
 	n := t.root
 	for {
 		switch nd := n.(type) {
 		case *inner:
-			i := childIndex(nd.keys, e)
+			i := childIndex(&nd.keyed, key, val)
 			nd.children[i] = t.writable(nd.children[i])
 			n = nd.children[i]
 		case *leaf:
-			i := lowerBound(nd.entries, e)
-			if i >= len(nd.entries) || cmpEntry(nd.entries[i], e) != 0 {
+			i := lowerBound(&nd.keyed, key, val)
+			if i >= len(nd.entries) || nd.cmp(i, key, val) != 0 {
 				return false
 			}
-			nd.entries = append(nd.entries[:i], nd.entries[i+1:]...)
+			nd.remove(i)
 			t.size--
 			return true
 		}
@@ -233,12 +317,13 @@ func (t *BTree) Delete(key []byte, val uint64) bool {
 
 // Range calls fn for every (key, val) with lo <= key <= hi (nil bounds
 // are unbounded, incLo/incHi control bound inclusion). Iteration stops
-// early when fn returns false.
+// early when fn returns false. A key fn is handed stays valid after fn
+// returns (see keyed); fn must not write to it.
 func (t *BTree) Range(lo, hi []byte, incLo, incHi bool, fn func(key []byte, val uint64) bool) {
-	start := entry{key: lo}
+	var startVal uint64
 	if lo != nil && !incLo {
 		// Skip all entries with key == lo: seek to (lo, max).
-		start.val = ^uint64(0)
+		startVal = ^uint64(0)
 	}
 	// path holds the inner nodes from the root down to the current leaf,
 	// each with the index of the child the scan is in; advancing past a
@@ -251,7 +336,7 @@ func (t *BTree) Range(lo, hi []byte, incLo, incHi bool, fn func(key []byte, val 
 	}
 	path := make([]step, 0, 8)
 	n := t.root
-	seek := true                  // only the first descent is positioned by start
+	seek := true                  // only the first descent is positioned by (lo, startVal)
 	skipLo := lo != nil && !incLo // until the scan is past key == lo
 	for {
 		var l *leaf
@@ -260,7 +345,7 @@ func (t *BTree) Range(lo, hi []byte, incLo, incHi bool, fn func(key []byte, val 
 			case *inner:
 				i := 0
 				if seek {
-					i = childIndex(nd.keys, start)
+					i = childIndex(&nd.keyed, lo, startVal)
 				}
 				path = append(path, step{nd, i})
 				n = nd.children[i]
@@ -270,24 +355,24 @@ func (t *BTree) Range(lo, hi []byte, incLo, incHi bool, fn func(key []byte, val 
 		}
 		i := 0
 		if seek {
-			i = lowerBound(l.entries, start)
+			i = lowerBound(&l.keyed, lo, startVal)
 			seek = false
 		}
 		for ; i < len(l.entries); i++ {
-			e := l.entries[i]
+			k := l.key(i)
 			if skipLo {
-				if bytes.Equal(e.key, lo) {
+				if bytes.Equal(k, lo) {
 					continue // (lo, max), the one entry the seek could not pass
 				}
 				skipLo = false
 			}
 			if hi != nil {
-				c := bytes.Compare(e.key, hi)
+				c := bytes.Compare(k, hi)
 				if c > 0 || (c == 0 && !incHi) {
 					return
 				}
 			}
-			if !fn(e.key, e.val) {
+			if !fn(k, l.entries[i].val) {
 				return
 			}
 		}
@@ -318,11 +403,22 @@ func (t *BTree) Lookup(key []byte, fn func(val uint64) bool) {
 	t.Range(key, key, true, true, func(_ []byte, v uint64) bool { return fn(v) })
 }
 
-// CheckInvariants validates ordering, separator correctness and uniform
-// depth; it is used by the property-based tests.
+// CheckInvariants validates ordering, separator correctness, uniform
+// depth and that every entry's key lies inside its node's arena; it is
+// used by the property-based tests.
 func (t *BTree) CheckInvariants() error {
 	depth := -1
-	var prev *entry
+	var prevKey []byte
+	var prevVal uint64
+	havePrev := false
+	inArena := func(k *keyed) error {
+		for _, e := range k.entries {
+			if uint64(e.off)+uint64(e.n) > uint64(len(k.arena)) {
+				return fmt.Errorf("entry [%d, +%d) outside an arena of %d bytes", e.off, e.n, len(k.arena))
+			}
+		}
+		return nil
+	}
 	var walk func(n node, d int) error
 	walk = func(n node, d int) error {
 		switch nd := n.(type) {
@@ -332,23 +428,28 @@ func (t *BTree) CheckInvariants() error {
 			} else if depth != d {
 				return fmt.Errorf("non-uniform leaf depth: %d vs %d", depth, d)
 			}
+			if err := inArena(&nd.keyed); err != nil {
+				return err
+			}
 			for i := range nd.entries {
-				e := &nd.entries[i]
-				if prev != nil && cmpEntry(*prev, *e) >= 0 {
-					return fmt.Errorf("entries out of order at key %x", e.key)
+				if havePrev && nd.cmp(i, prevKey, prevVal) <= 0 {
+					return fmt.Errorf("entries out of order at key %x", nd.key(i))
 				}
-				prev = e
+				prevKey, prevVal, havePrev = nd.key(i), nd.entries[i].val, true
 			}
 		case *inner:
-			if len(nd.children) != len(nd.keys)+1 {
-				return fmt.Errorf("inner node with %d keys and %d children", len(nd.keys), len(nd.children))
+			if len(nd.children) != len(nd.entries)+1 {
+				return fmt.Errorf("inner node with %d keys and %d children", len(nd.entries), len(nd.children))
+			}
+			if err := inArena(&nd.keyed); err != nil {
+				return err
 			}
 			for i, c := range nd.children {
 				if err := walk(c, d+1); err != nil {
 					return err
 				}
-				if i < len(nd.keys) && prev != nil && cmpEntry(*prev, nd.keys[i]) >= 0 {
-					return fmt.Errorf("separator %x not greater than left subtree max", nd.keys[i].key)
+				if i < len(nd.entries) && havePrev && nd.cmp(i, prevKey, prevVal) <= 0 {
+					return fmt.Errorf("separator %x not greater than left subtree max", nd.key(i))
 				}
 			}
 		}
@@ -363,4 +464,127 @@ func (t *BTree) CheckInvariants() error {
 		return fmt.Errorf("size %d but %d entries reachable", t.size, n)
 	}
 	return nil
+}
+
+// Builder gathers the entries of a tree that Build makes in one go: the
+// keys in one arena, sixteen bytes per entry. Building an index over an
+// existing extent this way sorts once and lays out full nodes, where
+// inserting the entries one at a time leaves leaves half full and makes
+// a heap object per key.
+type Builder struct {
+	keyed
+}
+
+// Add gathers (key, val); the builder keeps a copy of key.
+func (b *Builder) Add(key []byte, val uint64) {
+	b.entries = append(b.entries, entry{off: uint32(len(b.arena)), n: uint32(len(key)), val: val})
+	b.arena = append(b.arena, key...)
+}
+
+// ErrDuplicateKey is Build's refusal of two entries with one key when
+// the keys must be unique.
+var ErrDuplicateKey = errors.New("duplicate key")
+
+// Build returns a tree of the gathered entries and empties the builder.
+// It sorts them by (key, val), drops exact duplicates (as Insert does),
+// and refuses two entries with one key when unique is set. The tree is
+// built bottom-up: leaves as full as btreeOrder allows, spread evenly
+// (no two differ by more than one entry), whose entries and keys are
+// consecutive runs of one entry array and one key arena in key order,
+// then each level of inner nodes over the one below. A later write to a
+// leaf copies its run, as writable does for any node, and never appends
+// into a neighbour's.
+func (b *Builder) Build(unique bool) (*BTree, error) {
+	src := b.keyed
+	b.keyed = keyed{}
+	keyOf := func(e entry) []byte { return src.arena[e.off : e.off+e.n] }
+	slices.SortFunc(src.entries, func(x, y entry) int {
+		if c := bytes.Compare(keyOf(x), keyOf(y)); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.val, y.val)
+	})
+	ents, size := src.entries[:0], 0
+	for i, e := range src.entries {
+		if i > 0 && bytes.Equal(keyOf(e), keyOf(ents[len(ents)-1])) {
+			if unique {
+				return nil, ErrDuplicateKey
+			}
+			if e.val == ents[len(ents)-1].val {
+				continue
+			}
+		}
+		ents = append(ents, e)
+		size += int(e.n)
+	}
+	if len(ents) == 0 {
+		return NewBTree(), nil
+	}
+	t := &BTree{height: 1, size: len(ents), epoch: new(epoch)}
+	// Lay the leaves out, each entry re-pointed into its leaf's run of
+	// the arena.
+	ents = slices.Clone(ents)
+	arena := make([]byte, 0, size)
+	level := make([]node, 0, (len(ents)+btreeOrder-1)/btreeOrder)
+	for _, run := range spread(len(ents)) {
+		es := ents[run[0]:run[1]:run[1]]
+		start := len(arena)
+		for i := range es {
+			k := keyOf(es[i])
+			es[i].off = uint32(len(arena) - start)
+			arena = append(arena, k...)
+		}
+		level = append(level, &leaf{owner: t.epoch, keyed: keyed{arena: arena[start:len(arena):len(arena)], entries: es}})
+	}
+	for len(level) > 1 {
+		up := make([]node, 0, (len(level)+btreeOrder-1)/btreeOrder)
+		for _, run := range spread(len(level)) {
+			in := &inner{owner: t.epoch, children: level[run[0]:run[1]:run[1]]}
+			size := 0
+			for _, c := range in.children[1:] {
+				k, _ := leftmost(c)
+				size += len(k)
+			}
+			in.arena, in.entries = make([]byte, 0, size), make([]entry, 0, len(in.children)-1)
+			for _, c := range in.children[1:] {
+				k, v := leftmost(c)
+				in.entries = append(in.entries, entry{off: uint32(len(in.arena)), n: uint32(len(k)), val: v})
+				in.arena = append(in.arena, k...)
+			}
+			up = append(up, in)
+		}
+		level = up
+		t.height++
+	}
+	t.root = level[0]
+	return t, nil
+}
+
+// spread cuts n items into the fewest runs of at most btreeOrder, their
+// sizes differing by at most one, as [start, end) pairs.
+func spread(n int) [][2]int {
+	runs := make([][2]int, (n+btreeOrder-1)/btreeOrder)
+	q, r := n/len(runs), n%len(runs)
+	start := 0
+	for i := range runs {
+		end := start + q
+		if i < r {
+			end++
+		}
+		runs[i] = [2]int{start, end}
+		start = end
+	}
+	return runs
+}
+
+// leftmost returns the smallest entry under n.
+func leftmost(n node) ([]byte, uint64) {
+	for {
+		switch nd := n.(type) {
+		case *inner:
+			n = nd.children[0]
+		case *leaf:
+			return nd.key(0), nd.entries[0].val
+		}
+	}
 }

@@ -2,8 +2,11 @@ package storage
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -203,28 +206,43 @@ func TestBTreeSortedProperty(t *testing.T) {
 	}
 }
 
+// pair is one (key, val) of a model.
+type pair struct {
+	key []byte
+	val uint64
+}
+
+func cmpPair(a, b pair) int {
+	if c := bytes.Compare(a.key, b.key); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.val, b.val)
+}
+
 // modelTree pairs a tree with the sorted slice it must equal.
 type modelTree struct {
 	t *BTree
-	m []entry
+	m []pair
+}
+
+// find returns where e is or would be in the model, and whether it is.
+func (mt *modelTree) find(e pair) (int, bool) {
+	return slices.BinarySearchFunc(mt.m, e, cmpPair)
 }
 
 func (mt *modelTree) insert(k []byte, v uint64) {
-	e := entry{key: k, val: v}
-	i := lowerBound(mt.m, e)
-	had := i < len(mt.m) && cmpEntry(mt.m[i], e) == 0
+	e := pair{key: k, val: v}
+	i, had := mt.find(e)
 	if mt.t.Insert(k, v) == had {
 		panic("Insert disagrees with the model on whether the entry was new")
 	}
 	if !had {
-		mt.m = append(mt.m[:i], append([]entry{e}, mt.m[i:]...)...)
+		mt.m = slices.Insert(mt.m, i, e)
 	}
 }
 
 func (mt *modelTree) delete(k []byte, v uint64) {
-	e := entry{key: k, val: v}
-	i := lowerBound(mt.m, e)
-	had := i < len(mt.m) && cmpEntry(mt.m[i], e) == 0
+	i, had := mt.find(pair{key: k, val: v})
 	if mt.t.Delete(k, v) != had {
 		panic("Delete disagrees with the model on whether the entry existed")
 	}
@@ -237,7 +255,7 @@ func (mt *modelTree) delete(k []byte, v uint64) {
 // model.
 func (mt *modelTree) check(t *testing.T, lo, hi []byte, incLo, incHi bool) {
 	t.Helper()
-	var want []entry
+	var want []pair
 	for _, e := range mt.m {
 		if lo != nil {
 			if c := bytes.Compare(e.key, lo); c < 0 || (c == 0 && !incLo) {
@@ -283,7 +301,7 @@ func TestBTreePersistence(t *testing.T) {
 			mt := family[i]
 			switch r := rng.Intn(100); {
 			case r < 3 && len(family) < 12:
-				family = append(family, &modelTree{t: mt.t.Clone(), m: append([]entry(nil), mt.m...)})
+				family = append(family, &modelTree{t: mt.t.Clone(), m: slices.Clone(mt.m)})
 				if rng.Intn(2) == 0 {
 					frozen[i] = true
 				}
@@ -366,3 +384,166 @@ func BenchmarkBTreeClone(b *testing.B) {
 }
 
 var benchTree *BTree
+
+// TestBTreeBuildMatchesInserts: a tree Build makes from a set of pairs
+// and one Insert makes from the same pairs, one at a time, hold the same
+// entries in the same order and both keep their invariants, and go on
+// doing so under further random inserts and deletes, on themselves and
+// on clones of them. The sets cover no pair, one, exact duplicates,
+// equal keys with distinct vals, and 64·64+1 pairs (a third level).
+func TestBTreeBuildMatchesInserts(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	randPairs := func(n, keys, vals int) []pair {
+		ps := make([]pair, n)
+		for i := range ps {
+			// Variable-length keys, so arena offsets are not a multiple
+			// of one length.
+			k := key(rng.Intn(keys))[rng.Intn(3):]
+			ps[i] = pair{key: k, val: uint64(rng.Intn(vals))}
+		}
+		return ps
+	}
+	cases := []struct {
+		name  string
+		pairs []pair
+	}{
+		{"empty", nil},
+		{"one", []pair{{key(5), 1}}},
+		{"exact duplicates", []pair{{key(5), 1}, {key(5), 1}, {key(2), 0}, {key(5), 1}}},
+		{"equal keys, distinct vals", randPairs(300, 3, 1000)},
+		{"64*64+1", randPairs(btreeOrder*btreeOrder+1, 1<<20, 1<<20)},
+		{"random", randPairs(2500, 400, 6)},
+	}
+	for _, c := range cases {
+		var b Builder
+		inc := &modelTree{t: NewBTree()}
+		for _, p := range c.pairs {
+			b.Add(p.key, p.val)
+			if _, had := inc.find(p); !had {
+				inc.insert(p.key, p.val)
+			} else if inc.t.Insert(p.key, p.val) {
+				t.Fatalf("%s: an exact duplicate inserted", c.name)
+			}
+		}
+		bt, err := b.Build(false)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		built := &modelTree{t: bt, m: slices.Clone(inc.m)}
+		family := []*modelTree{built, inc}
+		for round := 0; round < 4; round++ {
+			for _, mt := range family {
+				if err := mt.t.CheckInvariants(); err != nil {
+					t.Fatalf("%s, round %d: %v", c.name, round, err)
+				}
+				if mt.t.Len() != len(mt.m) {
+					t.Fatalf("%s, round %d: Len %d, model %d", c.name, round, mt.t.Len(), len(mt.m))
+				}
+				mt.check(t, nil, nil, true, true)
+				lo, hi := key(rng.Intn(400)), key(rng.Intn(400))
+				mt.check(t, lo, hi, rng.Intn(2) == 0, rng.Intn(2) == 0)
+				mt.check(t, lo, nil, false, true)
+			}
+			// Every tree, the built one and its clones, is written the
+			// same way as its incremental twin.
+			n := len(family)
+			for i := 0; i < n; i += 2 {
+				if rng.Intn(2) == 0 {
+					for _, j := range []int{i, i + 1} {
+						family = append(family, &modelTree{t: family[j].t.Clone(), m: slices.Clone(family[j].m)})
+					}
+				}
+			}
+			for op := 0; op < 500; op++ {
+				k, v := key(rng.Intn(400))[rng.Intn(3):], uint64(rng.Intn(6))
+				del := rng.Intn(3) == 0
+				for i := range family {
+					if del {
+						family[i].delete(k, v)
+					} else {
+						family[i].insert(k, v)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBTreeBuildUnique: Build with unique set refuses two entries with
+// one key, and accepts distinct keys (equal keys that are exact
+// duplicates are one entry, as Insert makes them).
+func TestBTreeBuildUnique(t *testing.T) {
+	var b Builder
+	for i := 0; i < 500; i++ {
+		b.Add(key(i), uint64(i))
+	}
+	b.Add(key(250), 9)
+	if _, err := b.Build(true); err != ErrDuplicateKey {
+		t.Fatalf("Build(unique) over a duplicate key: %v, want ErrDuplicateKey", err)
+	}
+	for i := 0; i < 500; i++ {
+		b.Add(key(i), uint64(i))
+	}
+	bt, err := b.Build(true)
+	if err != nil || bt.Len() != 500 {
+		t.Fatalf("Build(unique) over distinct keys: %v, %d entries", err, bt.Len())
+	}
+	if err := bt.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBTreeBuildNodes: a built tree makes a few heap objects per node,
+// not one per entry, and its leaves are full: 20 000 entries in 313
+// leaves under 5 inner nodes and a root.
+func TestBTreeBuildNodes(t *testing.T) {
+	var b Builder
+	for i := 0; i < 20000; i++ {
+		b.Add(key(i), uint64(i))
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.Mallocs
+	bt, err := b.Build(false)
+	runtime.ReadMemStats(&ms)
+	allocs := ms.Mallocs - before
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaves := (20000 + btreeOrder - 1) / btreeOrder
+	if bt.Height() != 3 {
+		t.Errorf("height %d, want 3", bt.Height())
+	}
+	// A leaf is one object, its entries and keys runs of one array and
+	// one arena; an inner node is a struct, its entries and its arena.
+	// The rest is a few objects per level and the tree itself.
+	if limit := uint64(leaves + 3*6 + 16); allocs > limit {
+		t.Errorf("Build of 20 000 entries made %d allocations, want at most %d (%d leaves)", allocs, limit, leaves)
+	}
+	t.Logf("%d allocations for %d leaves", allocs, leaves)
+}
+
+// TestBTreeRangeKeysStayValid: a key Range hands out keeps its bytes
+// while the tree is written: inserts that compact and split its leaf,
+// and deletes.
+func TestBTreeRangeKeysStayValid(t *testing.T) {
+	var b Builder
+	for i := 0; i < 1000; i++ {
+		b.Add(key(2*i), uint64(i))
+	}
+	bt, _ := b.Build(false)
+	var held [][]byte
+	bt.Range(nil, nil, true, true, func(k []byte, _ uint64) bool {
+		held = append(held, k)
+		return true
+	})
+	for i := 0; i < 1000; i++ {
+		bt.Insert(key(2*i+1), 0)
+		bt.Delete(key(2*i), uint64(i))
+	}
+	for i, k := range held {
+		if !bytes.Equal(k, key(2*i)) {
+			t.Fatalf("held key %d reads %x after the writes, want %x", i, k, key(2*i))
+		}
+	}
+}

@@ -61,6 +61,41 @@ func NewInt(v int64) Int { return Int{K: types.KInt4, V: v} }
 // Kind implements Value.
 func (i Int) Kind() types.Kind { return i.K }
 
+// smallInts holds one shared box per int kind and value in
+// [0, smallIntLimit): every age, count and floor a database stores
+// repeats a handful of values, and a Value of such an Int read from a
+// record or written by a statement is a pointer to one of these instead
+// of a 16-byte heap object of its own. Values are immutable, so sharing
+// a box changes nothing a reader can see.
+const smallIntLimit = 1024
+
+var smallInts = func() (t [3][smallIntLimit]Value) {
+	for k := range t {
+		for v := range t[k] {
+			t[k][v] = Int{K: types.KInt1 + types.Kind(k), V: int64(v)}
+		}
+	}
+	return t
+}()
+
+// Shared returns the shared box of i when it is a small value of an int
+// kind (see smallInts), and false otherwise.
+func (i Int) Shared() (Value, bool) {
+	if i.V >= 0 && i.V < smallIntLimit && i.K >= types.KInt1 && i.K <= types.KInt4 {
+		return smallInts[i.K-types.KInt1][i.V], true
+	}
+	return nil, false
+}
+
+// Box returns i as a Value: its shared box when it has one, a new box
+// otherwise.
+func (i Int) Box() Value {
+	if b, ok := i.Shared(); ok {
+		return b
+	}
+	return i
+}
+
 // String implements Value.
 func (i Int) String() string { return strconv.FormatInt(i.V, 10) }
 

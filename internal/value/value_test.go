@@ -281,3 +281,35 @@ func TestDisplayForms(t *testing.T) {
 		t.Errorf("array display: %s", a)
 	}
 }
+
+// TestSmallIntsShareBoxes: a small value of each int kind has one box,
+// equal to the Int it stands for, which Box hands out without
+// allocating; any other Int is boxed afresh.
+func TestSmallIntsShareBoxes(t *testing.T) {
+	for _, k := range []types.Kind{types.KInt1, types.KInt2, types.KInt4} {
+		for _, v := range []int64{0, 1, 100, smallIntLimit - 1} {
+			i := Int{K: k, V: v}
+			b, ok := i.Shared()
+			if !ok || b != Value(i) {
+				t.Fatalf("%s %d: shared box %v, %v", k, v, b, ok)
+			}
+			if n := testing.AllocsPerRun(10, func() { sinkValue = i.Box() }); n != 0 {
+				t.Errorf("%s %d: Box allocated %.0f", k, v, n)
+			}
+		}
+		for _, v := range []int64{-1, smallIntLimit, 1 << 40} {
+			i := Int{K: k, V: v}
+			if _, ok := i.Shared(); ok {
+				t.Errorf("%s %d has a shared box", k, v)
+			}
+			if i.Box() != Value(i) {
+				t.Errorf("%s %d: Box is %v", k, v, i.Box())
+			}
+		}
+	}
+	if _, ok := (Int{K: types.KFloat8, V: 1}).Shared(); ok {
+		t.Error("an Int of a non-int kind has a shared box")
+	}
+}
+
+var sinkValue Value

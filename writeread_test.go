@@ -138,3 +138,41 @@ func TestDefineIndexSealsNothing(t *testing.T) {
 		db.Close()
 	}
 }
+
+// keyReplaceAllocs is what a one-row key replace of an int attribute
+// allocates, prepared, once planned: the read phase, the new tuple, its
+// record's encoding, the directory path, member chunk and index paths it
+// copies, and the commit. The store keeps the int fields the statement
+// did not change, and the reference, in the boxes they came in, and
+// takes a small int's box from the shared table (value.Int.Shared), so
+// no stored field is boxed afresh: boxing the two ints and the reference
+// again, one allocation each, made it 105.
+const keyReplaceAllocs = 102
+
+// TestKeyReplaceAllocs pins keyReplaceAllocs: the fewest allocations of
+// single runs of replace E (age = $1) by an indexed name, on the
+// database TestWriteReadPhaseWorkIndependentOfSize writes. Re-boxing
+// each stored int and reference on the write path counts here.
+func TestKeyReplaceAllocs(t *testing.T) {
+	db := writeReadDB(t, 20)
+	defer db.Close()
+	db.MustExec(`replace E (dept = D) from E in Employees, D in Departments where D.dname = "dept-0003"`)
+	st, err := db.Prepare(`replace E (age = $1) from E in Employees where E.name = $2`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	i := 0
+	exec := func() {
+		st.MustExec(20+i%40, fmt.Sprintf("emp-%04d", i%10))
+		i++
+	}
+	exec()
+	allocs := ^uint64(0)
+	for k := 0; k < 8; k++ {
+		allocs = min(allocs, uint64(testing.AllocsPerRun(1, exec)))
+	}
+	if allocs != keyReplaceAllocs {
+		t.Errorf("a key replace of an int attribute allocates %d, want %d", allocs, keyReplaceAllocs)
+	}
+}
