@@ -3,8 +3,9 @@
 //	go run ./cmd/extravet ./...
 //
 // It loads the matched packages (plus every main-module dependency, so
-// cross-package facts like "transitively reaches a WAL append" resolve),
-// runs the six analyzers from internal/lint, prints findings sorted
+// cross-package facts like "transitively reaches the commit lock"
+// resolve), runs the four analyzers from internal/lint (lockcheck,
+// atomiccheck, detorder and snapcheck), prints findings sorted
 // by file, line and column in the standard file:line:col format, and
 // exits 1 if (and only if) anything was reported: loader warnings go to
 // stderr but never fail the run, so CI failures always mean findings.

@@ -6,7 +6,7 @@
 package extra_test
 
 import (
-	"bytes"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -17,16 +17,12 @@ import (
 
 // maxHeapPerObject bounds the live heap a loaded database adds per
 // object: the decoded tuples, the extents' member lists, the object
-// directory and the two indexes. The baseline reading still holds the
-// dump text the database Loads from, which is garbage by the second
-// reading, so the figure is the database's heap less that buffer (8 MiB
-// here, about 210 B per object): a gate on changes, not the database's
-// size, which DESIGN.md §12 gives by layer. It is the 46.0 B measured on
-// a 2-CPU x86-64 host with go1.24 plus 16 %: index entries of a slice
-// header and a key allocation each (about 50 B per object here), a
-// directory entry of four words, or a box per decoded small int or copy
-// of a reference's type name does not fit under it.
-const maxHeapPerObject = 53
+// directory and the two indexes (DESIGN.md §12 gives the figure by
+// layer). It is the 255.9 B measured on a 2-CPU x86-64 host with go1.24
+// plus 16 %: index entries of a slice header and a key allocation each
+// (about 50 B per object here) or a second object directory (about
+// 100 B) does not fit under it.
+const maxHeapPerObject = 297
 
 // maxHeapObjectsPerObject bounds the heap objects a loaded database
 // holds per stored object: a tuple, its field array, a box per field
@@ -38,7 +34,8 @@ const maxHeapPerObject = 53
 const maxHeapObjectsPerObject = 7.4
 
 // loadedCompany Loads the dump of a 20 000-employee company (about
-// 40 000 objects with the kids and departments) into a new database and
+// 40 000 objects with the kids and departments) from a file into a new
+// database, so no copy of the dump text is live at either reading, and
 // returns it, with the number of objects it holds and the live heap and
 // heap objects the runtime held before the database was opened.
 func loadedCompany(t *testing.T) (db *extra.DB, objects uint64, heap0, objs0 uint64) {
@@ -47,8 +44,8 @@ func loadedCompany(t *testing.T) (db *extra.DB, objects uint64, heap0, objs0 uin
 	if err != nil {
 		t.Fatal(err)
 	}
-	var dump bytes.Buffer
-	if err := src.Dump(&dump); err != nil {
+	dump := filepath.Join(t.TempDir(), "company.dump")
+	if err := src.DumpFile(dump); err != nil {
 		t.Fatal(err)
 	}
 	res := src.MustQuery(`retrieve (e = count(E.name)) from E in Employees`)
@@ -63,10 +60,9 @@ func loadedCompany(t *testing.T) (db *extra.DB, objects uint64, heap0, objs0 uin
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Load(&dump); err != nil {
+	if err := db.LoadFile(dump); err != nil {
 		t.Fatal(err)
 	}
-	runtime.KeepAlive(dump)
 	return db, objects, heap0, objs0
 }
 

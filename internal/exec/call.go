@@ -276,13 +276,13 @@ func (st *aggState) result() (value.Value, error) {
 	switch st.op {
 	case aggSetFn:
 		return st.a.SetFn.Impl(st.vals)
-	case aggCount:
-		return boxInt(st.n), nil
+	case aggCount: // a count or sum in value's shared range allocates nothing
+		return value.NewInt(st.n).Box(), nil
 	case aggSum:
 		if st.notInt {
 			return value.NewFloat(st.sumF), nil
 		}
-		return boxInt(st.sumI), nil
+		return value.NewInt(st.sumI).Box(), nil
 	case aggAvg:
 		if st.n == 0 {
 			return value.Null{}, nil
@@ -295,21 +295,4 @@ func (st *aggState) result() (value.Value, error) {
 		return st.best, nil
 	}
 	return nil, fmt.Errorf("unhandled aggregate %s", st.a.Op)
-}
-
-// smallInts holds the int4 values 0..255 already boxed, so a count or
-// small sum per result row allocates nothing.
-var smallInts = func() (t [256]value.Value) {
-	for i := range t {
-		t[i] = value.NewInt(int64(i))
-	}
-	return t
-}()
-
-// boxInt returns n as an int4 value, boxing it only outside 0..255.
-func boxInt(n int64) value.Value {
-	if n >= 0 && n < int64(len(smallInts)) {
-		return smallInts[n]
-	}
-	return value.NewInt(n)
 }

@@ -5,232 +5,36 @@ import (
 	"go/types"
 )
 
-// AtomicCheck enforces the all-or-nothing rule for function-style
-// atomics: once any access to a variable goes through sync/atomic
-// (atomic.AddUint64(&x.f, 1), atomic.LoadInt64(&v), ...), every access
-// everywhere must — a single plain load can observe a torn or stale
-// value, and the race detector only catches the interleavings a test
-// happens to produce. It also checks that 64-bit function-style atomics
-// on struct fields are alignment-safe: on 32-bit platforms a uint64
-// field is only guaranteed 8-byte aligned when every field before it
-// keeps the offset 8-aligned (the typed atomic.Uint64/Int64 wrappers
-// carry their own alignment and need no check — preferring them is the
-// real fix for any finding here).
+// AtomicCheck bans the function-style sync/atomic ops
+// (atomic.AddUint64(&x.f, 1), atomic.LoadInt64(&v), ...). A variable
+// reached through them can still be read or written plainly elsewhere,
+// where a torn or stale value goes unseen unless a race test happens
+// on the interleaving, and a 64-bit one is only 8-byte aligned on a
+// 32-bit platform when the fields before it keep it so. The typed
+// wrappers (atomic.Uint64, atomic.Int64, atomic.Pointer, ...) have
+// neither fault: their value is reached only through their methods,
+// and they carry their own alignment. The engine uses them alone.
 var AtomicCheck = &Analyzer{
 	Name: "atomiccheck",
-	Doc:  "variables touched via sync/atomic must never be accessed with plain loads or stores",
+	Doc:  "function-style sync/atomic calls are banned; use the typed wrappers",
 	Run:  runAtomicCheck,
 }
 
-// atomicFns names the sync/atomic functions whose first argument is the
-// address of the atomically accessed variable, with the bit width of
-// the access.
-var atomicFns = map[string]int{
-	"AddInt32": 32, "AddInt64": 64, "AddUint32": 32, "AddUint64": 64, "AddUintptr": 0,
-	"LoadInt32": 32, "LoadInt64": 64, "LoadUint32": 32, "LoadUint64": 64, "LoadUintptr": 0, "LoadPointer": 0,
-	"StoreInt32": 32, "StoreInt64": 64, "StoreUint32": 32, "StoreUint64": 64, "StoreUintptr": 0, "StorePointer": 0,
-	"SwapInt32": 32, "SwapInt64": 64, "SwapUint32": 32, "SwapUint64": 64, "SwapUintptr": 0,
-	"CompareAndSwapInt32": 32, "CompareAndSwapInt64": 64,
-	"CompareAndSwapUint32": 32, "CompareAndSwapUint64": 64, "CompareAndSwapUintptr": 0,
-}
-
-// isAtomicCall reports whether call is sync/atomic.<fn> and returns the
-// access width.
-func isAtomicCall(info *types.Info, call *ast.CallExpr) (int, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return 0, false
-	}
-	width, ok := atomicFns[sel.Sel.Name]
-	if !ok {
-		return 0, false
-	}
-	if id, ok := sel.X.(*ast.Ident); ok {
-		if pkg, ok := info.Uses[id].(*types.PkgName); ok && pkg.Imported().Path() == "sync/atomic" {
-			return width, true
-		}
-	}
-	return 0, false
-}
-
-// atomicTarget resolves the &x argument of an atomic call to the
-// variable object it addresses (a struct field or a package-level var).
-func atomicTarget(info *types.Info, arg ast.Expr) types.Object {
-	un, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-	if !ok || un.Op.String() != "&" {
-		return nil
-	}
-	switch x := ast.Unparen(un.X).(type) {
-	case *ast.SelectorExpr:
-		if s := info.Selections[x]; s != nil && s.Kind() == types.FieldVal {
-			return s.Obj()
-		}
-		return info.Uses[x.Sel]
-	case *ast.Ident:
-		return info.Uses[x]
-	}
-	return nil
-}
-
 func runAtomicCheck(pass *Pass) {
-	prog := pass.Prog
-
-	// Pass 1: collect every variable accessed through sync/atomic, and
-	// remember the call sites inside atomic arguments so pass 2 does not
-	// report the atomic accesses themselves.
-	atomicVars := map[types.Object]ast.Node{} // var -> first atomic use
-	inAtomicArg := map[ast.Node]bool{}        // &x expressions consumed by atomic calls
-	for _, pkg := range prog.Pkgs {
+	for _, pkg := range pass.Prog.Pkgs {
 		for _, f := range pkg.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
 					return true
 				}
-				width, ok := isAtomicCall(pkg.Info, call)
-				if !ok || len(call.Args) == 0 {
+				fn := StaticCallee(pkg.Info, call)
+				if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" || fn.Type().(*types.Signature).Recv() != nil {
 					return true
 				}
-				obj := atomicTarget(pkg.Info, call.Args[0])
-				if obj == nil {
-					return true
-				}
-				if _, seen := atomicVars[obj]; !seen {
-					atomicVars[obj] = call
-				}
-				inAtomicArg[ast.Unparen(call.Args[0])] = true
-				if width == 64 {
-					checkAlignment(pass, pkg, call, obj)
-				}
+				pass.Reportf(call.Pos(), "atomic.%s is a function-style sync/atomic op; use the typed wrapper", fn.Name())
 				return true
 			})
-		}
-	}
-	if len(atomicVars) == 0 {
-		return
-	}
-
-	// Pass 2: any other read or write of those variables is a plain
-	// (racy) access.
-	for _, pkg := range prog.Pkgs {
-		for _, f := range pkg.Files {
-			var stack []ast.Node
-			ast.Inspect(f, func(n ast.Node) bool {
-				if n == nil {
-					stack = stack[:len(stack)-1]
-					return true
-				}
-				stack = append(stack, n)
-				var obj types.Object
-				switch x := n.(type) {
-				case *ast.SelectorExpr:
-					if s := pkg.Info.Selections[x]; s != nil && s.Kind() == types.FieldVal {
-						obj = s.Obj()
-					}
-				case *ast.Ident:
-					obj = pkg.Info.Uses[x]
-				}
-				if obj == nil {
-					return true
-				}
-				if _, isAtomic := atomicVars[obj]; !isAtomic {
-					return true
-				}
-				if plainAccess(stack) {
-					pass.Reportf(n.Pos(), "plain access to %s, which is written with sync/atomic elsewhere; use atomic.Load/Store (or an atomic.%s field)", obj.Name(), typedAtomicFor(obj))
-				}
-				return false // don't descend into the selector's parts
-			})
-		}
-	}
-}
-
-// plainAccess reports whether the node at the top of the stack is a
-// genuine value read/write rather than part of an atomic call argument
-// (&x passed to sync/atomic) or a bare &x used to pass the address on.
-func plainAccess(stack []ast.Node) bool {
-	n := stack[len(stack)-1]
-	for i := len(stack) - 2; i >= 0; i-- {
-		switch p := stack[i].(type) {
-		case *ast.UnaryExpr:
-			if p.Op.String() == "&" && ast.Unparen(p.X) == n {
-				// Address-taken, not a value access. The atomic call
-				// case is the common one; any other escape of the
-				// address is beyond a lexical checker.
-				return false
-			}
-			return true
-		case *ast.SelectorExpr, *ast.ParenExpr:
-			n = stack[i].(ast.Node)
-			continue
-		default:
-			return true
-		}
-	}
-	return true
-}
-
-// typedAtomicFor suggests the typed replacement for a variable's type.
-func typedAtomicFor(obj types.Object) string {
-	t := obj.Type().Underlying()
-	if b, ok := t.(*types.Basic); ok {
-		switch b.Kind() {
-		case types.Int32:
-			return "Int32"
-		case types.Int64:
-			return "Int64"
-		case types.Uint32:
-			return "Uint32"
-		case types.Uint64:
-			return "Uint64"
-		}
-	}
-	return "Uint64"
-}
-
-// checkAlignment reports 64-bit function-style atomics on struct fields
-// whose offset is not 8-aligned under 32-bit layout rules.
-func checkAlignment(pass *Pass, pkg *Package, call *ast.CallExpr, obj types.Object) {
-	v, ok := obj.(*types.Var)
-	if !ok || !v.IsField() {
-		return
-	}
-	// Find the struct type declaring the field.
-	for _, f := range pkg.Files {
-		found := false
-		ast.Inspect(f, func(n ast.Node) bool {
-			st, ok := n.(*ast.StructType)
-			if !ok || found {
-				return !found
-			}
-			var fields []*types.Var
-			idx := -1
-			for _, fl := range st.Fields.List {
-				for _, id := range fl.Names {
-					fo, _ := pkg.Info.Defs[id].(*types.Var)
-					if fo == nil {
-						continue
-					}
-					if fo == v {
-						idx = len(fields)
-					}
-					fields = append(fields, fo)
-				}
-			}
-			if idx < 0 {
-				return true
-			}
-			found = true
-			sizes := types.SizesFor("gc", "386")
-			offsets := sizes.Offsetsof(fields)
-			if offsets[idx]%8 != 0 {
-				pass.Reportf(call.Pos(), "64-bit atomic access to field %s at 32-bit offset %d is not guaranteed 8-byte aligned; move it first in the struct or use atomic.%s",
-					v.Name(), offsets[idx], typedAtomicFor(v))
-			}
-			return false
-		})
-		if found {
-			return
 		}
 	}
 }

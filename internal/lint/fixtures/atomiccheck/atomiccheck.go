@@ -1,50 +1,28 @@
-// Package atomiccheck is an extravet fixture: once a field is accessed
-// through sync/atomic, every plain access to it is a finding, and
-// 64-bit function-style atomics on misaligned fields are findings too.
+// Package atomiccheck is an extravet fixture: every call to a
+// function-style sync/atomic op is a finding; the typed wrappers are
+// the clean shape.
 package atomiccheck
 
 import "sync/atomic"
 
 type counters struct {
-	hits int64 // offset 0: safely aligned everywhere
-	gate int32 // 4 bytes of padding trouble for what follows
-	slow int64 // offset 12 under 32-bit layout: not 8-aligned
+	hits int64
+	ptr  atomic.Pointer[int]
+	v    atomic.Uint64
 }
 
-func incHits(c *counters) {
-	atomic.AddInt64(&c.hits, 1)
+func bad(c *counters) int64 {
+	atomic.AddInt64(&c.hits, 1)      // want `atomic.AddInt64 is a function-style sync/atomic op; use the typed wrapper`
+	return atomic.LoadInt64(&c.hits) // want `atomic.LoadInt64 is a function-style`
 }
 
-func goodLoad(c *counters) int64 {
-	return atomic.LoadInt64(&c.hits)
+func badCAS(c *counters) bool {
+	return atomic.CompareAndSwapInt64(&c.hits, 0, 1) // want `atomic.CompareAndSwapInt64 is a function-style`
 }
 
-func badRead(c *counters) int64 {
-	return c.hits // want `plain access to hits`
-}
-
-func badWrite(c *counters) {
-	c.hits = 0 // want `plain access to hits`
-}
-
-func badAlign(c *counters) {
-	atomic.AddInt64(&c.slow, 1) // want `not guaranteed 8-byte aligned`
-}
-
-// gate is never touched atomically, so plain access is fine.
-func plainGate(c *counters) int32 {
-	c.gate++
-	return c.gate
-}
-
-// typed is the preferred shape: atomic.Uint64 carries its own
-// alignment and its method calls are not plain accesses.
-type typed struct {
-	pad int32
-	v   atomic.Uint64
-}
-
-func goodTyped(t *typed) uint64 {
-	t.v.Add(1)
-	return t.v.Load()
+// good uses the typed wrappers, whose method calls are not findings.
+func good(c *counters) uint64 {
+	c.v.Add(1)
+	c.ptr.Store(new(int))
+	return c.v.Load()
 }

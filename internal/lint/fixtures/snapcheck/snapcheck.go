@@ -85,11 +85,6 @@ func (d *DB) goodDump() int {
 // extra:requires db.wmu.W
 func (d *DB) writeLocked() { d.store.Set("k", 1) }
 
-// publish is a publication point by annotation.
-//
-// extra:mutates
-func (d *DB) publish() { d.store.Set("k", 2) }
-
 // badLocksCommit serializes the pinned read behind writers.
 //
 // extra:snapshot
@@ -117,15 +112,6 @@ func (d *DB) badCallsWriter() {
 	sn := d.BindSnapshot()
 	_ = sn
 	d.writeLocked() // want `which needs db.wmu.W`
-}
-
-// badCallsMutator reaches a publication point.
-//
-// extra:snapshot
-func (d *DB) badCallsMutator() {
-	sn := d.BindSnapshot()
-	_ = sn
-	d.publish() // want `which publishes store mutations`
 }
 
 // scribble writes store state directly; reached only from a snapshot

@@ -1,33 +1,29 @@
 // Package lint is the home of extravet, the engine's static-analysis
 // suite. It provides a small go/analysis-style framework built entirely
 // on the standard library (go/ast, go/types and `go list` export data —
-// golang.org/x/tools is deliberately not a dependency) plus six
+// golang.org/x/tools is deliberately not a dependency) plus four
 // analyzers that encode the engine's concurrency and determinism
 // invariants:
 //
 //   - lockcheck: annotation-driven lock discipline for the DB's commit
 //     lock and the engine's side locks;
-//   - atomiccheck: fields touched through sync/atomic must never be
-//     accessed with plain loads or stores, and 64-bit function-style
-//     atomics must be alignment-safe;
+//   - atomiccheck: a ban on function-style sync/atomic calls; the
+//     typed wrappers carry their own alignment and cannot be read
+//     plainly;
 //   - detorder: user-visible output paths (dump, explain, catalog
 //     listings, metrics snapshots, the store fsck) must not iterate a
 //     map without establishing an order;
-//   - walcheck: every function that publishes store state (calls
-//     Store.Commit) must be annotated extra:mutates and must
-//     transitively reach a WAL append (an extra:logs function) — the
-//     publication contract of DESIGN.md §13;
 //   - snapcheck: functions annotated extra:snapshot pin a snapshot;
 //     nothing reachable from them may mutate the store or the catalog,
 //     acquire the commit lock, or read the live store (or its working
-//     catalog) instead of the bound snapshot;
-//   - spanleak: trace span Start and sync.Pool Get must be paired with
-//     EndSpan/EndPhase/Put on every return path, protecting the
-//     zero-alloc tracing substrate and the executor pools.
+//     catalog) instead of the bound snapshot.
+//
+// DESIGN.md §8 tables what each analyzer guards, what it has caught,
+// and why the retired ones could go.
 //
 // Analyzers run over a whole Program (every package of the main module
 // in the dependency closure of the requested patterns), so facts like
-// "this function transitively reaches a WAL append" cross package
+// "this function transitively reaches the commit lock" cross package
 // boundaries without a facts-serialization protocol.
 package lint
 
@@ -104,8 +100,6 @@ type Annotations struct {
 	Holds    []string // extra:holds <lock>.<R|W> — taken inside, still held on return
 	Output   bool     // extra:output — root of a user-visible output path
 	Dispatch []string // extra:dispatch <lock> <classifier> — stmt dispatch
-	Logs     bool     // extra:logs — sizes and/or appends the WAL record
-	Mutates  bool     // extra:mutates — publishes store state (Store.Commit)
 	Snapshot bool     // extra:snapshot — root of a pinned-read window
 }
 
@@ -134,10 +128,6 @@ func parseAnnotations(doc *ast.CommentGroup) Annotations {
 			a.Output = true
 		case "dispatch":
 			a.Dispatch = args
-		case "logs":
-			a.Logs = true
-		case "mutates":
-			a.Mutates = true
 		case "snapshot":
 			a.Snapshot = true
 		}
@@ -232,47 +222,6 @@ func (prog *Program) CallGraph() map[*types.Func][]*types.Func {
 		g[obj] = out
 	}
 	return g
-}
-
-// Transitive computes the set of functions from which a function in
-// `hits` is reachable through the call graph — "does F transitively
-// call something that X?" for every F at once. It flood-fills the
-// reversed graph from the hit set, which handles call cycles (mutual
-// recursion through eval) without the unsound "visiting means no"
-// shortcut a naive memoized DFS would take.
-func Transitive(g map[*types.Func][]*types.Func, hits func(*types.Func) bool) map[*types.Func]bool {
-	rev := make(map[*types.Func][]*types.Func)
-	for f, callees := range g {
-		for _, c := range callees {
-			rev[c] = append(rev[c], f)
-		}
-	}
-	out := make(map[*types.Func]bool)
-	var queue []*types.Func
-	add := func(f *types.Func) {
-		if !out[f] {
-			out[f] = true
-			queue = append(queue, f)
-		}
-	}
-	for f := range g {
-		if hits(f) {
-			add(f)
-		}
-	}
-	for f := range rev { // hit nodes that only appear as callees
-		if hits(f) {
-			add(f)
-		}
-	}
-	for len(queue) > 0 {
-		f := queue[0]
-		queue = queue[1:]
-		for _, caller := range rev[f] {
-			add(caller)
-		}
-	}
-	return out
 }
 
 // AnalyzerTime is the wall time one analyzer took over the program,
@@ -380,5 +329,5 @@ func Run(prog *Program, analyzers []*Analyzer, reportPaths []string) ([]Diagnost
 
 // Analyzers returns the full extravet suite.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{LockCheck, AtomicCheck, DetOrder, WalCheck, SnapCheck, SpanLeak}
+	return []*Analyzer{LockCheck, AtomicCheck, DetOrder, SnapCheck}
 }

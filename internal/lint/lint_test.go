@@ -24,18 +24,10 @@ func TestDetOrder(t *testing.T) {
 	linttest.Run(t, ".", "./fixtures/detorder", lint.DetOrder)
 }
 
-func TestWalCheck(t *testing.T) {
-	linttest.Run(t, ".", "./fixtures/walcheck", lint.WalCheck)
-}
-
 func TestSnapCheck(t *testing.T) {
 	linttest.Run(t, ".", "./fixtures/snapcheck", lint.SnapCheck)
 }
 
-func TestSpanLeak(t *testing.T) {
-	linttest.Run(t, ".", "./fixtures/spanleak", lint.SpanLeak)
-}
-
 func TestRealStoreViolations(t *testing.T) {
-	linttest.Run(t, ".", "./fixtures/realstore", lint.WalCheck, lint.SnapCheck)
+	linttest.Run(t, ".", "./fixtures/realstore", lint.SnapCheck)
 }

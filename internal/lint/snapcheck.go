@@ -20,10 +20,10 @@ import (
 // from those roots and reports, at the offending call or acquisition:
 //
 //   - any acquisition of the commit lock db.wmu;
-//   - any call into write context: a callee annotated
-//     extra:requires/acquires/holds on that lock, or annotated
-//     extra:mutates (a publication point) — such callees are
-//     boundaries, reported at the edge and not descended into;
+//   - any call into write context: a callee whose requires, acquires
+//     or holds annotation names that lock (publish, the one
+//     publication point, requires it) — such callees are boundaries,
+//     reported at the edge and not descended into;
 //   - any direct mutation of a store, the catalog and the grant table
 //     included (scanStoreAccess);
 //   - any call to a live-store method other than the versioned
@@ -151,15 +151,10 @@ func runSnapCheck(pass *Pass) {
 			if callee == nil {
 				return true
 			}
-			ci := funcs[callee]
-			if ci != nil {
+			if ci := funcs[callee]; ci != nil {
 				if ref, bad := annForbidden(ci); bad {
 					pass.Reportf(call.Pos(), "%s calls %s from snapshot context, which needs %s; write context is unreachable from a pinned read", obj.Name(), callee.Name(), ref)
 					return true // boundary: do not descend
-				}
-				if ci.Ann.Mutates {
-					pass.Reportf(call.Pos(), "%s calls %s from snapshot context, which publishes store mutations (extra:mutates)", obj.Name(), callee.Name())
-					return true // boundary
 				}
 			}
 			// Live-store reads outside the versioned allowlist. Only

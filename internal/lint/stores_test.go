@@ -2,12 +2,12 @@ package lint
 
 import "testing"
 
-// TestStoreTypesFindTheEngineStores: walcheck and snapcheck find the
-// stores they check by a method the store keeps (storeTypes). Loaded
+// TestStoreTypesFindTheEngineStores: snapcheck finds the stores it
+// checks by a method the store keeps (storeTypes). Loaded
 // over the real module, the object store, the catalog and the grant
 // table must all be found; a discovery rule keyed on something a store
 // no longer has would pass every miniature fixture and check nothing.
-// TestRealStoreViolations shows both analyzers reporting against the
+// TestRealStoreViolations shows the analyzer reporting against the
 // object store so found.
 func TestStoreTypesFindTheEngineStores(t *testing.T) {
 	res, err := Load(".", []string{"./fixtures/realstore"})

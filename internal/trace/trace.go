@@ -434,7 +434,7 @@ func (st *StmtTrace) Begin(t *Tracer, start time.Time) {
 		st.act = a
 		// The root span deliberately stays open for the whole statement;
 		// Finish closes every span still open when it seals the trace.
-		a.StartSpanAt(KindStatement, "statement", start) //extravet:ignore spanleak (root span is closed by Finish)
+		a.StartSpanAt(KindStatement, "statement", start)
 	}
 }
 

@@ -380,7 +380,6 @@ func syncDir(dir string) {
 // mode the group is written and fsynced before returning.
 //
 // extra:acquires wal.mu.W
-// extra:logs
 func (l *Log) Append(recs ...*Record) (uint64, error) {
 	// An oversize record would be written but rejected as tail garbage
 	// by the next recovery — acknowledged yet unrecoverable. Refuse the

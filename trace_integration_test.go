@@ -144,11 +144,15 @@ func TestTraceSampling(t *testing.T) {
 
 // TestTraceErrorStatement pins the unwind contract: an erroring
 // statement still seals its trace (annotated with the error) and leaks
-// no spans.
+// no spans, whether it fails in the checker or part way through its
+// execute phase (Finish closes what the error left open).
 func TestTraceErrorStatement(t *testing.T) {
 	db := mustOpen(t)
 	loadCompany(t, db)
 	db.SetTraceSampling(1)
+	if _, err := db.Query(`retrieve (x = E.salary / 0) from E in Employees`); err == nil {
+		t.Fatal("expected a division by zero")
+	}
 	if _, err := db.Query(`retrieve (E.nosuch) from E in Employees`); err == nil {
 		t.Fatal("expected an error")
 	}

@@ -190,7 +190,6 @@ func (db *DB) replayGroup(recs []*wal.Record) error {
 // LSN with waitDurable after releasing the lock.
 //
 // extra:requires db.wmu.W
-// extra:mutates
 func (db *DB) publish(act *trace.Active, mutate func() error) (uint64, error) {
 	if db.closed.Load() {
 		return 0, errDBClosed
@@ -259,7 +258,6 @@ func (db *DB) apiWrite() func(mutate func() error) error {
 // its last record (0 when the write logged nothing).
 //
 // extra:requires db.wmu.W
-// extra:logs
 func (db *DB) logRecords(recs []*wal.Record) (uint64, error) {
 	if len(recs) == 0 {
 		return 0, nil
